@@ -257,3 +257,23 @@ def sample_annotation_minibatch(store: AnnotationStore, batch_size: int, rng):
         return store, 1.0
     rows = rng.choice(n, size=batch_size, replace=False)
     return store.select(np.sort(rows)), n / float(batch_size)
+
+
+def restrict_store(store: AnnotationStore | None, items: np.ndarray) -> AnnotationStore | None:
+    """Renumber triples onto positions within `items` (sorted, unique).
+
+    Keeps the triples whose both items lie in `items`; returns None when
+    there are none, so a working set without annotations carries no store.
+    """
+    if store is None or store.n_annotations == 0:
+        return None
+    t = store.triples
+    keep = np.isin(t[:, 0], items) & np.isin(t[:, 1], items)
+    if not np.any(keep):
+        return None
+    t = t[keep]
+    renumbered = np.stack(
+        [np.searchsorted(items, t[:, 0]), np.searchsorted(items, t[:, 1]), t[:, 2], t[:, 3]],
+        axis=1,
+    )
+    return AnnotationStore(renumbered, n_items=items.size, n_workers=store.n_workers)

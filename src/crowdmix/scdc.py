@@ -44,8 +44,7 @@ from .nnet import (
     tensor_sum,
     zero_grads,
 )
-from .relational import AnnotationStore, sample_annotation_minibatch
-from .vmp import _restrict_store
+from .relational import AnnotationStore, restrict_store, sample_annotation_minibatch
 
 
 @dataclass
@@ -541,7 +540,7 @@ def train_scdc(
                         want = max(1, round(n_ann * batch.size / n))
                     sub, rel_scale = sample_annotation_minibatch(store, min(want, n_ann), rng)
                     working = np.unique(np.concatenate([batch, sub.annotated_items]))
-                    local_store = _restrict_store(sub, working)
+                    local_store = restrict_store(sub, working)
                 noise = rng.standard_normal((config.n_samples, k_comp, batch.size, d))
                 updates += 1
                 if updates > mixture_delay_updates:

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import log_softmax
+from scipy.special import digamma, gammaln, log_softmax
 
 from .data import Dataset, minibatch_iterator
 from .expfam import (
     BetaNat,
-    beta_expected_stats,
     dirichlet_expected_stats,
     log_partition,
     niw_expected_stats,
@@ -61,6 +60,7 @@ from .relational import (
     _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
+    restrict_store,
     sample_annotation_minibatch,
 )
 
@@ -201,42 +201,83 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
     )
 
 
-def annotation_graph(store: AnnotationStore | None, workers, n_items: int):
+class AnnotationGraph(list):
+    """Per-item (other item, message weight) neighbor lists, colored.
+
+    On construction the linked items (those with a nonempty list) are
+    colored greedily in index order: each takes the smallest color that
+    none of its already colored neighbors has.  No edge therefore joins
+    two items of one class, and the lowest linked item is in class 0.
+    `classes` holds each class as a sorted index array, in color order;
+    `class_edges` holds per class the edges of its items, grouped by item
+    in class order, as (first-edge offsets, other items, weights).  Both
+    are fixed at construction.
+    """
+
+    def __init__(self, neighbors):
+        super().__init__(neighbors)
+        color = {}
+        for p, nb in enumerate(self):
+            if nb:
+                taken = {color.get(q) for q, _ in nb}
+                c = 0
+                while c in taken:
+                    c += 1
+                color[p] = c
+        by_color = [[] for _ in range(max(color.values(), default=-1) + 1)]
+        for p, c in color.items():
+            by_color[c].append(p)
+        self.classes = [np.array(items, dtype=int) for items in by_color]
+        self.class_edges = []
+        for items in by_color:
+            other, weight = zip(*(edge for p in items for edge in self[p]))
+            sizes = [len(self[p]) for p in items]
+            self.class_edges.append(
+                (np.cumsum([0] + sizes[:-1]), np.array(other, dtype=int), np.array(weight, dtype=float))
+            )
+
+
+def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> AnnotationGraph:
     """Neighbor lists of (other item, message weight) per working-set item."""
     neighbors = [[] for _ in range(n_items)]
     if store is None or workers is None or store.n_annotations == 0:
-        return neighbors
+        return AnnotationGraph(neighbors)
     t = store.triples
     if t[:, :2].max() >= n_items:
         raise ValueError("store must be indexed by working-set position")
     weights = _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
-    for (i, j, _, _), w in zip(t, weights):
-        neighbors[i].append((int(j), float(w)))
-        neighbors[j].append((int(i), float(w)))
-    return neighbors
+    for i, j, w in zip(t[:, 0].tolist(), t[:, 1].tolist(), weights.tolist()):
+        neighbors[i].append((j, w))
+        neighbors[j].append((i, w))
+    return AnnotationGraph(neighbors)
 
 
 def update_local_z(base_logits, neighbors, log_resp) -> np.ndarray:
     """One pass of coordinate refreshes on every q(z_i).
 
-    base_logits holds E[log pi] plus the component brackets.  Items with
-    annotation messages are visited sequentially so each sees its
-    neighbors' freshest responsibilities; the rest update in one shot.
+    base_logits holds E[log pi] plus the component brackets.  Items
+    without annotation messages update in one shot.  The linked items
+    update one color class of the annotation graph at a time, in color
+    order, each class seeing the freshest responsibilities of the classes
+    before it.  No edge joins two items of one class, so refreshing a
+    class at once equals refreshing its items one after another: the pass
+    is exact coordinate ascent, visiting the items in class order.
+    `neighbors` is an AnnotationGraph or plain per-item neighbor lists.
     """
+    graph = neighbors if isinstance(neighbors, AnnotationGraph) else AnnotationGraph(neighbors)
     base = np.asarray(base_logits, dtype=float)
     out = np.array(log_resp, dtype=float)
     resp = np.exp(out)
-    linked = [p for p, nb in enumerate(neighbors) if nb]
-    free = np.setdiff1d(np.arange(base.shape[0]), linked)
-    if free.size:
+    free = np.ones(base.shape[0], dtype=bool)
+    for idx in graph.classes:
+        free[idx] = False
+    if np.any(free):
         out[free] = log_softmax(base[free], axis=-1)
         resp[free] = np.exp(out[free])
-    for p in linked:
-        eta = base[p].copy()
-        for q, w in neighbors[p]:
-            eta += w * resp[q]
-        out[p] = log_softmax(eta)
-        resp[p] = np.exp(out[p])
+    for idx, (starts, other, weight) in zip(graph.classes, graph.class_edges):
+        messages = np.add.reduceat(weight[:, None] * resp[other], starts, axis=0)
+        out[idx] = log_softmax(base[idx] + messages, axis=-1)
+        resp[idx] = np.exp(out[idx])
     return out
 
 
@@ -254,7 +295,12 @@ def block_coordinate_local(
     at most `sweeps` rounds from uniform responsibilities (or the given
     start), stops early once the largest parameter change drops below
     `tol`, and always ends on a q(x) refresh so the returned Gaussians
-    are consistent with the returned responsibilities.
+    are consistent with the returned responsibilities.  The annotation
+    graph is built and colored once per call; every q(z) pass then
+    refreshes the unlinked items together and the linked items one color
+    class at a time, in color order.  Items of one class share no edge,
+    so each pass is exact coordinate ascent in that item order and the
+    surrogate ELBO cannot decrease along the sweeps.
     """
     n = potential.n_items
     if sweeps < 1:
@@ -365,12 +411,13 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior, worker_prior=None) -
         total += _bracket_kl(_niw_flat(comp), eta0, expected, log_partition(comp), log_z0)
     if glob.workers is not None:
         prior_a, prior_b = worker_prior if worker_prior is not None else default_worker_prior()
-        for nat, p0 in [(a, prior_a) for a in glob.workers.alpha_nats] + [
-            (b, prior_b) for b in glob.workers.beta_nats
-        ]:
-            total += _bracket_kl(
-                nat.eta, p0.eta, beta_expected_stats(nat), log_partition(nat), log_partition(p0)
-            )
+        for taus, p0 in ((glob.workers.alpha_taus, prior_a), (glob.workers.beta_taus, prior_b)):
+            taus = taus.reshape(-1, 2)  # (M, 2), also for M = 0
+            cols = np.column_stack([taus, taus.sum(axis=1)])  # tau1, tau2, tau1 + tau2
+            psi, lgam = digamma(cols), gammaln(cols)
+            expected = psi[:, :2] - psi[:, 2:]
+            log_z = lgam[:, 0] + lgam[:, 1] - lgam[:, 2]
+            total += float(np.sum((taus - p0.tau) * expected) - np.sum(log_z - log_partition(p0)))
     return total
 
 
@@ -584,22 +631,6 @@ class TrainResult:
     diverged: bool = False
 
 
-def _restrict_store(store: AnnotationStore | None, items: np.ndarray) -> AnnotationStore | None:
-    """Renumber triples onto positions within `items` (sorted, unique)."""
-    if store is None or store.n_annotations == 0:
-        return None
-    t = store.triples
-    keep = np.isin(t[:, 0], items) & np.isin(t[:, 1], items)
-    if not np.any(keep):
-        return None
-    t = t[keep]
-    renumbered = np.stack(
-        [np.searchsorted(items, t[:, 0]), np.searchsorted(items, t[:, 1]), t[:, 2], t[:, 3]],
-        axis=1,
-    )
-    return AnnotationStore(renumbered, n_items=items.size, n_workers=store.n_workers)
-
-
 def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight=1.0):
     """Tape graph of the objective terms the networks can influence.
 
@@ -712,7 +743,7 @@ def train_bayes_scdc(
                         want = max(1, round(n_ann * batch.size / n))
                     sub, rel_scale = sample_annotation_minibatch(store, min(want, n_ann), rng)
                     working = np.unique(np.concatenate([batch, sub.annotated_items]))
-                    local_store = _restrict_store(sub, working)
+                    local_store = restrict_store(sub, working)
                 else:
                     working = batch
                     local_store, rel_scale = None, 1.0

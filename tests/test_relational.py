@@ -13,6 +13,7 @@ from crowdmix.relational import (
     expected_rel_loglik,
     expected_worker_weights,
     message_weight,
+    restrict_store,
     sample_annotation_minibatch,
     worker_weight,
 )
@@ -264,3 +265,17 @@ def test_minibatch_deterministic_replay():
     a, _ = sample_annotation_minibatch(store, 2, np.random.default_rng(7))
     b, _ = sample_annotation_minibatch(store, 2, np.random.default_rng(7))
     assert np.array_equal(a.triples, b.triples)
+
+
+def test_restrict_store_renumbers_onto_working_set_positions():
+    store = AnnotationStore(
+        [(1, 4, 0, 1), (4, 7, 1, 0), (2, 7, 0, 1), (1, 7, 1, 1)], n_items=9, n_workers=2
+    )
+    working = np.array([1, 4, 7])
+    local = restrict_store(store, working)
+    assert (local.n_items, local.n_workers) == (3, 2)
+    # (2, 7) leaves: item 2 is outside the working set
+    assert local.triples.tolist() == [[0, 1, 0, 1], [0, 2, 1, 1], [1, 2, 1, 0]]
+    assert restrict_store(store, np.array([0, 2, 3])) is None
+    assert restrict_store(None, working) is None
+    assert restrict_store(store.select([]), working) is None

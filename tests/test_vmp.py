@@ -227,6 +227,83 @@ def test_annotation_graph_weight_matches_point_worker_log_odds():
         annotation_graph(store, PointWorkers([0.9], [0.9]), 1)
 
 
+def sequential_local_z(base, neighbors, log_resp, order):
+    """Reference q(z) pass: unlinked items at once, then the linked items
+    one at a time in the given order, each seeing the freshest state."""
+    out = np.array(log_resp, dtype=float)
+    resp = np.exp(out)
+    free = [p for p, nb in enumerate(neighbors) if not nb]
+    out[free] = log_softmax(base[free], axis=-1)
+    resp[free] = np.exp(out[free])
+    for p in order:
+        eta = base[p].copy()
+        for q, w in neighbors[p]:
+            eta += w * resp[q]
+        out[p] = log_softmax(eta)
+        resp[p] = np.exp(out[p])
+    return out
+
+
+def random_workers(rng, n_workers) -> BetaWorkers:
+    taus = rng.uniform(0.5, 12.0, size=(2, n_workers, 2))
+    return BetaWorkers(
+        [BetaNat.from_tau(*t) for t in taus[0]], [BetaNat.from_tau(*t) for t in taus[1]]
+    )
+
+
+def random_annotations(rng, n_items=48, n_workers=5, n_pairs=110):
+    """Store over items 0..n_items-1; most pairs carry one label, some up
+    to three from different workers.  The last items stay unlinked."""
+    linked = n_items - 6
+    labels = {}
+    while len({(i, j) for i, j, _ in labels}) < n_pairs:
+        i, j = sorted(rng.choice(linked, size=2, replace=False).tolist())
+        for m in rng.choice(n_workers, size=rng.choice([1, 1, 2, 3]), replace=False):
+            labels[i, j, int(m)] = int(rng.integers(2))
+    triples = [(i, j, m, label) for (i, j, m), label in labels.items()]
+    return AnnotationStore(triples, n_items=n_items, n_workers=n_workers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_color_classes_are_greedy_independent_sets(seed):
+    rng = np.random.default_rng(seed)
+    store = random_annotations(rng)
+    graph = annotation_graph(store, random_workers(rng, store.n_workers), store.n_items)
+    assert len(graph.classes) >= 3
+    color = {}
+    for c, idx in enumerate(graph.classes):
+        assert np.all(np.diff(idx) > 0)
+        for p in idx.tolist():
+            assert p not in color
+            color[p] = c
+    assert sorted(color) == store.annotated_items.tolist()
+    assert int(store.annotated_items[0]) in graph.classes[0]
+    for i, j, _, _ in store.triples.tolist():
+        assert color[i] != color[j]
+    # greedy in index order: the smallest color no lower-indexed neighbor holds
+    for p, c in color.items():
+        taken = {color[q] for q, _ in graph[p] if q < p}
+        assert c == min(set(range(c + 1)) - taken)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_class_update_equals_sequential_updates_in_class_order(seed):
+    rng = np.random.default_rng(seed)
+    store = random_annotations(rng)
+    graph = annotation_graph(store, random_workers(rng, store.n_workers), store.n_items)
+    K = 4
+    base = rng.normal(size=(store.n_items, K), scale=2.0)
+    log_resp = log_softmax(rng.normal(size=(store.n_items, K), scale=2.0), axis=-1)
+    order = np.concatenate(graph.classes)
+    expected = sequential_local_z(base, graph, log_resp, order)
+    assert np.max(np.abs(update_local_z(base, graph, log_resp) - expected)) < 1e-12
+    plain = [list(nb) for nb in graph]
+    assert np.max(np.abs(update_local_z(base, plain, log_resp) - expected)) < 1e-12
+    # the visiting order matters, so the comparison above is not vacuous
+    by_index = sequential_local_z(base, graph, log_resp, np.sort(order))
+    assert np.max(np.abs(by_index - expected)) > 1e-6
+
+
 def grid_instance():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=one_worker())
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], n_items=3, n_workers=1)
@@ -295,6 +372,27 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates():
         values.append(surrogate_elbo(glob, TEST_PRIOR, local, pot, store))
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-8)
+
+
+def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_classes():
+    rng = np.random.default_rng(4)
+    store = random_annotations(rng)
+    prior = MixturePrior.default(3, 2)
+    glob = replace(init_global(prior, rng), workers=random_workers(rng, store.n_workers))
+    assert len(annotation_graph(store, glob.workers, store.n_items).classes) >= 3
+    pot = RecognitionPotential(
+        rng.normal(size=(store.n_items, 2), scale=2.0),
+        -np.exp(rng.normal(size=(store.n_items, 2))),
+    )
+    local = block_coordinate_local(glob, pot, store, sweeps=1, tol=0.0)
+    values = [surrogate_elbo(glob, prior, local, pot, store)]
+    for _ in range(30):
+        local = block_coordinate_local(
+            glob, pot, store, sweeps=1, tol=0.0, init_log_resp=local.log_resp
+        )
+        values.append(surrogate_elbo(glob, prior, local, pot, store))
+    assert np.all(np.diff(values) >= -1e-8)
+    assert values[-1] > values[0]
 
 
 def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
@@ -391,6 +489,21 @@ def test_global_kl_beta_block_matches_hand_value_and_quadrature():
     hand = (digamma(2.0) - digamma(3.0)) + math.log(2.0)
     assert abs(value - hand) < 1e-12
     assert abs(value - oracles.beta_kl((2.0, 1.0), (1.0, 1.0))) < 1e-9
+
+
+def test_global_kl_worker_block_matches_beta_oracles_for_many_workers():
+    rng = np.random.default_rng(8)
+    workers = random_workers(rng, 5)
+    worker_prior = (BetaNat.from_tau(2.0, 0.7), BetaNat.from_tau(1.5, 3.0))
+    glob_base = GlobalVariational(TEST_PRIOR.pi_nat(), (TEST_PRIOR.niw_nat(),) * 2)
+    glob = replace(glob_base, workers=workers)
+    value = global_kl(glob, TEST_PRIOR, worker_prior) - global_kl(glob_base, TEST_PRIOR)
+    expected = sum(
+        oracles.beta_kl(tuple(tau), tuple(p0.tau))
+        for taus, p0 in zip((workers.alpha_taus, workers.beta_taus), worker_prior)
+        for tau in taus
+    )
+    assert abs(value - expected) < 1e-7
 
 
 def test_global_kl_matches_quadrature_oracle_for_all_blocks():
