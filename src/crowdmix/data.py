@@ -2,8 +2,8 @@
 
 Pinwheel generation, worker-annotation simulation against ground-truth
 labels, plain-text file I/O for observations/labels/annotations, and
-the minibatch index iterator.  File formats are documented in the cli
-module; every writer/reader pair round-trips bit-exactly.
+the minibatch index iterator.  Every writer/reader pair round-trips
+bit-exactly.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ convention
 
     p(x) = exp{ <eta, t(x)> - log Z(eta) } h(x),
 
-so that grad_eta log Z(eta) = E[t(x)].  The five families used by the
+so that grad_eta log Z(eta) = E[t(x)].  The three families used by the
 model:
 
     Dirichlet    eta = alpha - 1,            t(pi) = log pi
@@ -17,8 +17,13 @@ model:
                                                              -1/2 mu^T Sigma^-1 mu,
                                                              -1/2 log|Sigma|)
     Beta         eta = (tau1 - 1, tau2 - 1), t(a) = (log a, log(1 - a))
-    Categorical  eta = unnormalized log-probabilities, t(z) = one-hot(z)
-    Gaussian     eta = (Sigma^-1 mu, -1/2 Sigma^-1), t(x) = (x, x x^T)
+
+A record holds a whole batch of distributions of one family: leading
+axes index the batch and trailing axes the parameter, so a Dirichlet's
+eta is (..., K), a NIW's h1 (..., d), h2 (..., d, d), h3 and h4 (...),
+and a Beta's eta (..., 2).  Every expectation, log partition and domain
+check below works over the batch at once; an unbatched record has batch
+shape ().
 
 Log partitions drop additive constants that do not depend on eta; the
 gradient identity above holds exactly for the expressions used here.
@@ -43,23 +48,27 @@ def _readonly(x, shape=None) -> np.ndarray:
     return a
 
 
-def multivariate_digamma(a: float, d: int) -> float:
-    """psi_d(a) = sum_{i=1..d} psi(a + (1 - i)/2)."""
-    return float(np.sum(digamma(a + (1.0 - np.arange(1, d + 1)) / 2.0)))
+def _half_offsets(d: int) -> np.ndarray:
+    return (1.0 - np.arange(1, d + 1)) / 2.0
 
 
-def multivariate_gammaln(a: float, d: int) -> float:
-    """log Gamma_d(a) = d(d-1)/4 log pi + sum_{i=1..d} log Gamma(a + (1 - i)/2)."""
-    return float(
-        d * (d - 1) / 4.0 * np.log(np.pi)
-        + np.sum(gammaln(a + (1.0 - np.arange(1, d + 1)) / 2.0))
+def multivariate_digamma(a, d: int) -> np.ndarray:
+    """psi_d(a) = sum_{i=1..d} psi(a + (1 - i)/2), elementwise over a."""
+    return np.sum(digamma(np.asarray(a, dtype=float)[..., None] + _half_offsets(d)), axis=-1)
+
+
+def multivariate_gammaln(a, d: int) -> np.ndarray:
+    """log Gamma_d(a) = d(d-1)/4 log pi + sum_{i=1..d} log Gamma(a + (1 - i)/2),
+    elementwise over a."""
+    return d * (d - 1) / 4.0 * np.log(np.pi) + np.sum(
+        gammaln(np.asarray(a, dtype=float)[..., None] + _half_offsets(d)), axis=-1
     )
 
 
-def _chol_logdet(S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor and log-determinant of a symmetric positive definite S."""
-    L = np.linalg.cholesky(S)  # raises LinAlgError if not positive definite
-    return L, 2.0 * float(np.sum(np.log(np.diagonal(L))))
+def _logdet(S: np.ndarray) -> np.ndarray:
+    """log-determinants of symmetric positive definite (..., d, d) matrices."""
+    L = np.linalg.cholesky(S)  # raises LinAlgError if one is not positive definite
+    return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +77,14 @@ def _chol_logdet(S: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class DirichletNat:
-    """Dirichlet over a K-simplex, eta_k = alpha_k - 1 with alpha_k > 0."""
+    """Dirichlets over a K-simplex, eta (..., K) = alpha - 1 with alpha > 0."""
 
     eta: np.ndarray
 
     def __post_init__(self):
         eta = _readonly(self.eta)
-        if eta.ndim != 1 or eta.shape[0] < 2:
-            raise ValueError("Dirichlet needs a 1-d eta with K >= 2")
+        if eta.ndim < 1 or eta.shape[-1] < 2:
+            raise ValueError("Dirichlet needs an eta with K >= 2 on its last axis")
         if np.any(eta <= -1.0):
             raise ValueError("Dirichlet eta must satisfy eta_k > -1")
         object.__setattr__(self, "eta", eta)
@@ -89,31 +98,47 @@ class DirichletNat:
         return self.eta + 1.0
 
 
+class BetaNat(DirichletNat):
+    """Betas over (0, 1), the two-state Dirichlets: eta (..., 2) = (tau1 - 1, tau2 - 1), tau > 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.eta.shape[-1] != 2:
+            raise ValueError(f"Beta eta needs a last axis of length 2, got shape {self.eta.shape}")
+
+    @classmethod
+    def from_tau(cls, tau1, tau2) -> "BetaNat":
+        return cls(np.stack([tau1, tau2], axis=-1) - 1.0)
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.alpha
+
+
 @dataclass(frozen=True)
 class NiwNat:
     """Normal-inverse-Wishart over (mu, Sigma) in natural form.
 
-    h1 = kappa m, h2 = S + kappa m m^T, h3 = kappa, h4 = nu + d + 2.
-    Requires h3 > 0; the recovered S must be symmetric positive definite
-    and the recovered nu must satisfy nu > d - 1 (checked where used).
+    h1 = kappa m, h2 = S + kappa m m^T, h3 = kappa, h4 = nu + d + 2, with
+    shapes (..., d), (..., d, d), (...) and (...).  Requires h3 > 0; the
+    recovered S must be symmetric positive definite and the recovered nu
+    must satisfy nu > d - 1 (checked where used).
     """
 
     h1: np.ndarray
     h2: np.ndarray
-    h3: float
-    h4: float
+    h3: np.ndarray
+    h4: np.ndarray
 
     def __post_init__(self):
         h1 = _readonly(self.h1)
-        if h1.ndim != 1:
-            raise ValueError("h1 must be a vector")
-        d = h1.shape[0]
-        h2 = _readonly(self.h2, shape=(d, d))
-        h3 = float(self.h3)
-        h4 = float(self.h4)
-        if not np.isfinite(h3) or not np.isfinite(h4):
-            raise ValueError("h3, h4 must be finite")
-        if h3 <= 0.0:
+        if h1.ndim < 1:
+            raise ValueError("h1 must have a trailing vector axis")
+        batch, d = h1.shape[:-1], h1.shape[-1]
+        h2 = _readonly(self.h2, shape=batch + (d, d))
+        h3 = _readonly(self.h3, shape=batch)
+        h4 = _readonly(self.h4, shape=batch)
+        if np.any(h3 <= 0.0):
             raise ValueError("h3 (= kappa) must be positive")
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
@@ -122,97 +147,39 @@ class NiwNat:
 
     @property
     def dim(self) -> int:
-        return self.h1.shape[0]
+        return self.h1.shape[-1]
 
     @classmethod
     def from_standard(cls, m, kappa, S, nu) -> "NiwNat":
+        """Batch shape is m's leading shape; kappa, S and nu broadcast to it."""
         m = np.asarray(m, dtype=float)
         S = np.asarray(S, dtype=float)
-        d = m.shape[0]
-        return cls(kappa * m, S + kappa * np.outer(m, m), float(kappa), float(nu) + d + 2.0)
+        batch, d = m.shape[:-1], m.shape[-1]
+        kappa = np.broadcast_to(np.asarray(kappa, dtype=float), batch)
+        nu = np.broadcast_to(np.asarray(nu, dtype=float), batch)
+        outer = m[..., :, None] * m[..., None, :]
+        return cls(kappa[..., None] * m, S + kappa[..., None, None] * outer, kappa, nu + d + 2.0)
 
-    def to_standard(self) -> tuple[np.ndarray, float, np.ndarray, float]:
+    def to_standard(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return (m, kappa, S, nu); S is symmetrized against numeric drift."""
         d = self.dim
         kappa = self.h3
-        m = self.h1 / kappa
-        S = self.h2 - np.outer(self.h1, self.h1) / kappa
-        S = 0.5 * (S + S.T)
+        m = self.h1 / kappa[..., None]
+        S = self.h2 - self.h1[..., :, None] * self.h1[..., None, :] / kappa[..., None, None]
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
         nu = self.h4 - d - 2.0
-        if nu <= d - 1.0:
+        if np.any(nu <= d - 1.0):
             raise ValueError(f"recovered nu = {nu} must exceed d - 1 = {d - 1}")
         return m, kappa, S, nu
 
 
-@dataclass(frozen=True)
-class BetaNat:
-    """Beta over (0, 1), eta = (tau1 - 1, tau2 - 1) with tau > 0."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        eta = _readonly(self.eta, shape=(2,))
-        if np.any(eta <= -1.0):
-            raise ValueError("Beta eta must satisfy eta > -1")
-        object.__setattr__(self, "eta", eta)
-
-    @classmethod
-    def from_tau(cls, tau1: float, tau2: float) -> "BetaNat":
-        return cls(np.array([tau1 - 1.0, tau2 - 1.0]))
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.eta + 1.0
-
-    @property
-    def mean(self) -> float:
-        tau = self.tau
-        return float(tau[0] / tau.sum())
-
-
-@dataclass(frozen=True)
-class CategoricalNat:
-    """Categorical over K states, eta = (possibly unnormalized) log-probabilities."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        eta = _readonly(self.eta)
-        if eta.ndim != 1 or eta.shape[0] < 2:
-            raise ValueError("Categorical needs a 1-d eta with K >= 2")
-        object.__setattr__(self, "eta", eta)
-
-
-@dataclass(frozen=True)
-class GaussianNat:
-    """Gaussian in natural form: h = Sigma^-1 mu, J = -1/2 Sigma^-1 (symmetric, negative definite)."""
-
-    h: np.ndarray
-    J: np.ndarray
-
-    def __post_init__(self):
-        h = _readonly(self.h)
-        if h.ndim != 1:
-            raise ValueError("h must be a vector")
-        d = h.shape[0]
-        J = _readonly(self.J, shape=(d, d))
-        if not np.allclose(J, J.T, atol=1e-8):
-            raise ValueError("J must be symmetric")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "J", J)
-
-    @property
-    def dim(self) -> int:
-        return self.h.shape[0]
-
-
 class NiwExpectedStats(NamedTuple):
-    """E[t(mu, Sigma)] blocks under a NIW with standard parameters (m, kappa, S, nu)."""
+    """E[t(mu, Sigma)] blocks under NIWs with standard parameters (m, kappa, S, nu)."""
 
-    mean_prec: np.ndarray       # E[Sigma^-1 mu]           = nu S^-1 m
-    neg_half_prec: np.ndarray   # E[-1/2 Sigma^-1]         = -1/2 nu S^-1
-    neg_half_mahal: float       # E[-1/2 mu^T Sigma^-1 mu] = -1/2 (d/kappa + nu m^T S^-1 m)
-    neg_half_logdet: float      # E[-1/2 log|Sigma|]       = 1/2 (psi_d(nu/2) + d log 2 - log|S|)
+    mean_prec: np.ndarray        # (..., d)    E[Sigma^-1 mu]   = nu S^-1 m
+    neg_half_prec: np.ndarray    # (..., d, d) E[-1/2 Sigma^-1] = -1/2 nu S^-1
+    neg_half_mahal: np.ndarray   # (...)  E[-1/2 mu^T Sigma^-1 mu] = -1/2 (d/kappa + nu m^T S^-1 m)
+    neg_half_logdet: np.ndarray  # (...)  E[-1/2 log|Sigma|] = 1/2 (psi_d(nu/2) + d log 2 - log|S|)
 
 
 # ---------------------------------------------------------------------------
@@ -220,136 +187,45 @@ class NiwExpectedStats(NamedTuple):
 
 
 def dirichlet_expected_stats(p: DirichletNat) -> np.ndarray:
-    """E[log pi_k] = psi(alpha_k) - psi(sum_j alpha_j)."""
+    """E[log pi_k] = psi(alpha_k) - psi(sum_j alpha_j); for a Beta,
+    (E[log a], E[log(1 - a)]) = (psi(tau1) - psi(tau1 + tau2), psi(tau2) - psi(tau1 + tau2))."""
     alpha = p.alpha
-    return digamma(alpha) - digamma(alpha.sum())
+    return digamma(alpha) - digamma(alpha.sum(axis=-1, keepdims=True))
 
 
 def niw_expected_stats(p: NiwNat) -> NiwExpectedStats:
     m, kappa, S, nu = p.to_standard()
     d = p.dim
-    L, logdet_S = _chol_logdet(S)
-    Sinv_m = np.linalg.solve(S, m)
+    logdet_S = _logdet(S)
+    Sinv_m = np.linalg.solve(S, m[..., None])[..., 0]
     Sinv = np.linalg.inv(S)
-    Sinv = 0.5 * (Sinv + Sinv.T)
+    Sinv = 0.5 * (Sinv + np.swapaxes(Sinv, -1, -2))
+    m_Sinv_m = (m[..., None, :] @ Sinv_m[..., :, None])[..., 0, 0]
     return NiwExpectedStats(
-        mean_prec=nu * Sinv_m,
-        neg_half_prec=-0.5 * nu * Sinv,
-        neg_half_mahal=-0.5 * (d / kappa + nu * float(m @ Sinv_m)),
+        mean_prec=nu[..., None] * Sinv_m,
+        neg_half_prec=-0.5 * nu[..., None, None] * Sinv,
+        neg_half_mahal=-0.5 * (d / kappa + nu * m_Sinv_m),
         neg_half_logdet=0.5 * (multivariate_digamma(nu / 2.0, d) + d * np.log(2.0) - logdet_S),
     )
-
-
-def beta_expected_stats(p: BetaNat) -> np.ndarray:
-    """(E[log a], E[log(1 - a)]) = (psi(tau1) - psi(tau1 + tau2), psi(tau2) - psi(tau1 + tau2))."""
-    tau = p.tau
-    return digamma(tau) - digamma(tau.sum())
-
-
-def categorical_expected_stats(p: CategoricalNat) -> np.ndarray:
-    """Softmax of the (possibly unnormalized) log-probabilities."""
-    return softmax(p.eta)
-
-
-def gaussian_expected_stats(p: GaussianNat) -> tuple[np.ndarray, np.ndarray]:
-    """(E[x], E[x x^T]) = (mu, Sigma + mu mu^T)."""
-    mean, cov = gaussian_nat_to_moment(p)
-    return mean, cov + np.outer(mean, mean)
-
-
-def softmax(eta: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = eta - np.max(eta, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# moment <-> natural conversions for the Gaussian
-
-
-def gaussian_moment_to_nat(mean, cov) -> GaussianNat:
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    prec = np.linalg.inv(cov)
-    prec = 0.5 * (prec + prec.T)
-    return GaussianNat(prec @ mean, -0.5 * prec)
-
-
-def gaussian_nat_to_moment(p: GaussianNat) -> tuple[np.ndarray, np.ndarray]:
-    prec = -2.0 * p.J
-    L = np.linalg.cholesky(prec)  # negative-definiteness check
-    cov = np.linalg.inv(prec)
-    cov = 0.5 * (cov + cov.T)
-    return cov @ p.h, cov
 
 
 # ---------------------------------------------------------------------------
 # log partitions
 
 
-def _dirichlet_log_partition(eta: np.ndarray) -> float:
-    alpha = eta + 1.0
-    if np.any(alpha <= 0.0):
-        raise ValueError("Dirichlet alpha must be positive")
-    return float(np.sum(gammaln(alpha)) - gammaln(alpha.sum()))
-
-
-def _niw_log_partition(h1, h2, h3, h4) -> float:
-    d = h1.shape[0]
-    kappa = h3
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    S = h2 - np.outer(h1, h1) / kappa
-    S = 0.5 * (S + S.T)
-    nu = h4 - d - 2.0
-    if nu <= d - 1.0:
-        raise ValueError("nu must exceed d - 1")
-    _, logdet_S = _chol_logdet(S)
-    return float(
-        nu / 2.0 * (d * np.log(2.0) - logdet_S)
-        + multivariate_gammaln(nu / 2.0, d)
-        - d / 2.0 * np.log(kappa)
-    )
-
-
-def _beta_log_partition(eta: np.ndarray) -> float:
-    tau = eta + 1.0
-    if np.any(tau <= 0.0):
-        raise ValueError("Beta tau must be positive")
-    return float(gammaln(tau[0]) + gammaln(tau[1]) - gammaln(tau.sum()))
-
-
-def _categorical_log_partition(eta: np.ndarray) -> float:
-    m = float(np.max(eta))
-    return m + float(np.log(np.sum(np.exp(eta - m))))
-
-
-def _gaussian_log_partition(h, J) -> float:
-    prec = -2.0 * J
-    cov = np.linalg.inv(prec)
-    mean = cov @ h
-    sign, logdet_prec = np.linalg.slogdet(prec)
-    if sign <= 0:
-        raise ValueError("J must be negative definite")
-    return float(0.5 * (mean @ h) - 0.5 * logdet_prec)
-
-
-def log_partition(p) -> float:
-    """log Z(eta), up to constants independent of eta.
-
-    Normalized-categorical convention: if sum_k exp(eta_k) = 1 the value
-    is 0, the generic unnormalized value being log-sum-exp(eta).
-    """
+def log_partition(p) -> np.ndarray:
+    """log Z(eta) per batch member, up to constants independent of eta."""
     if isinstance(p, DirichletNat):
-        return _dirichlet_log_partition(p.eta)
+        alpha = p.alpha
+        return np.sum(gammaln(alpha), axis=-1) - gammaln(alpha.sum(axis=-1))
     if isinstance(p, NiwNat):
-        return _niw_log_partition(p.h1, p.h2, p.h3, p.h4)
-    if isinstance(p, BetaNat):
-        return _beta_log_partition(p.eta)
-    if isinstance(p, CategoricalNat):
-        return _categorical_log_partition(p.eta)
-    if isinstance(p, GaussianNat):
-        return _gaussian_log_partition(p.h, p.J)
+        _, kappa, S, nu = p.to_standard()
+        d = p.dim
+        return (
+            nu / 2.0 * (d * np.log(2.0) - _logdet(S))
+            + multivariate_gammaln(nu / 2.0, d)
+            - d / 2.0 * np.log(kappa)
+        )
     raise TypeError(f"unsupported family: {type(p).__name__}")
 
 
@@ -358,38 +234,19 @@ def log_partition(p) -> float:
 
 
 def _flatten_family(p):
-    """Coordinate vector, raw log-partition on coordinates, and E[t] vector."""
+    """Coordinate vector, log partition on coordinates, and E[t] vector of an unbatched record."""
     if isinstance(p, DirichletNat):
-        vec = p.eta.copy()
-        fn = _dirichlet_log_partition
-        expected = dirichlet_expected_stats(p)
-    elif isinstance(p, BetaNat):
-        vec = p.eta.copy()
-        fn = _beta_log_partition
-        expected = beta_expected_stats(p)
-    elif isinstance(p, CategoricalNat):
-        vec = p.eta.copy()
-        fn = _categorical_log_partition
-        expected = categorical_expected_stats(p)
-    elif isinstance(p, GaussianNat):
-        d = p.dim
-        vec = np.concatenate([p.h, p.J.ravel()])
-        fn = lambda v: _gaussian_log_partition(v[:d], v[d:].reshape(d, d))
-        mean, second = gaussian_expected_stats(p)
-        expected = np.concatenate([mean, second.ravel()])
-    elif isinstance(p, NiwNat):
+        return p.eta.copy(), lambda v: log_partition(type(p)(v)), dirichlet_expected_stats(p)
+    if isinstance(p, NiwNat):
         d = p.dim
         vec = np.concatenate([p.h1, p.h2.ravel(), [p.h3, p.h4]])
-        fn = lambda v: _niw_log_partition(
-            v[:d], v[d:d + d * d].reshape(d, d), v[-2], v[-1]
-        )
+        fn = lambda v: log_partition(NiwNat(v[:d], v[d:d + d * d].reshape(d, d), v[-2], v[-1]))
         e = niw_expected_stats(p)
         expected = np.concatenate(
             [e.mean_prec, e.neg_half_prec.ravel(), [e.neg_half_mahal, e.neg_half_logdet]]
         )
-    else:
-        raise TypeError(f"unsupported family: {type(p).__name__}")
-    return vec, fn, expected
+        return vec, fn, expected
+    raise TypeError(f"unsupported family: {type(p).__name__}")
 
 
 def grad_log_partition_check(p, epsilon: float = 1e-5) -> float:

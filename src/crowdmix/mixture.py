@@ -80,19 +80,26 @@ class MixturePrior:
         object.__setattr__(self, "nu0", float(self.nu0))
 
     @classmethod
-    def default(cls, n_components: int, latent_dim: int) -> "MixturePrior":
+    def default(
+        cls,
+        n_components: int,
+        latent_dim: int,
+        alpha0: float | None = None,
+        kappa0: float = 0.5,
+        s0_scale: float | None = None,
+        nu0: float | None = None,
+    ) -> "MixturePrior":
         """Weak sparsity-inducing prior: alpha0 = 0.05/K, m0 = 0, kappa0 = 0.5,
-        s0 = (d + kappa0) I, nu0 = d + kappa0."""
+        s0 = (d + kappa0) I, nu0 = d + kappa0, unless given."""
         d = latent_dim
-        kappa0 = 0.5
         return cls(
             n_components=n_components,
             latent_dim=d,
-            alpha0=0.05 / n_components,
+            alpha0=(0.05 / n_components) if alpha0 is None else alpha0,
             m0=np.zeros(d),
             kappa0=kappa0,
-            s0=(d + kappa0) * np.eye(d),
-            nu0=d + kappa0,
+            s0=((d + kappa0) if s0_scale is None else s0_scale) * np.eye(d),
+            nu0=(d + kappa0) if nu0 is None else nu0,
         )
 
     def pi_nat(self) -> DirichletNat:
@@ -125,46 +132,45 @@ class MixturePrior:
         )
 
 
+# JSON keys of one component's natural parameters, in NiwNat field order.
+_NIW_KEYS = ("h1", "h2", "h3", "h4")
+
+
 @dataclass(frozen=True)
 class GlobalVariational:
     """Variational posterior over the mixture globals and, when present,
-    the per-worker accuracy pairs.  Instances are immutable snapshots;
-    updates construct a new one."""
+    the per-worker accuracy pairs.  `components` is one NIW record of
+    batch shape (K,).  Instances are immutable snapshots; updates
+    construct a new one."""
 
     pi: DirichletNat
-    components: tuple[NiwNat, ...]
+    components: NiwNat
     workers: BetaWorkers | None = None
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != self.pi.eta.shape[0]:
+        if not isinstance(self.components, NiwNat):
+            raise TypeError("components must be one NiwNat of batch shape (K,)")
+        if self.components.h3.shape != self.pi.eta.shape:
             raise ValueError("need one NIW component per mixing weight")
-        if not all(isinstance(c, NiwNat) for c in comps):
-            raise TypeError("components must be NiwNat")
-        d = comps[0].dim
-        if any(c.dim != d for c in comps):
-            raise ValueError("components must share one latent dimension")
-        object.__setattr__(self, "components", comps)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.pi.eta.shape[0]
 
     @property
     def latent_dim(self) -> int:
-        return self.components[0].dim
+        return self.components.dim
 
     @property
     def n_workers(self) -> int:
         return 0 if self.workers is None else self.workers.n_workers
 
     def to_dict(self) -> dict:
+        c = self.components
+        rows = zip(c.h1.tolist(), c.h2.tolist(), c.h3.tolist(), c.h4.tolist())
         doc = {
             "pi_eta": self.pi.eta.tolist(),
-            "components": [
-                {"h1": c.h1.tolist(), "h2": c.h2.tolist(), "h3": c.h3, "h4": c.h4}
-                for c in self.components
-            ],
+            "components": [dict(zip(_NIW_KEYS, row)) for row in rows],
             "workers": None,
         }
         if self.workers is not None:
@@ -177,21 +183,11 @@ class GlobalVariational:
     @classmethod
     def from_dict(cls, doc: dict) -> "GlobalVariational":
         pi = DirichletNat(np.array(doc["pi_eta"], dtype=float))
-        comps = tuple(
-            NiwNat(
-                np.array(c["h1"], dtype=float),
-                np.array(c["h2"], dtype=float),
-                c["h3"],
-                c["h4"],
-            )
-            for c in doc["components"]
-        )
+        comps = NiwNat(*(np.array([c[key] for c in doc["components"]]) for key in _NIW_KEYS))
         workers = None
         if doc.get("workers") is not None:
-            workers = BetaWorkers(
-                [BetaNat.from_tau(t1, t2) for t1, t2 in doc["workers"]["alpha_taus"]],
-                [BetaNat.from_tau(t1, t2) for t1, t2 in doc["workers"]["beta_taus"]],
-            )
+            taus = doc["workers"]
+            workers = BetaWorkers.from_taus(taus["alpha_taus"], taus["beta_taus"])
         return cls(pi, comps, workers)
 
 
@@ -206,13 +202,8 @@ class GlobalExpectations(NamedTuple):
 
 
 def global_expectations(glob: GlobalVariational) -> GlobalExpectations:
-    stats = [niw_expected_stats(c) for c in glob.components]
     return GlobalExpectations(
-        log_pi=dirichlet_expected_stats(glob.pi),
-        mean_prec=np.array([s.mean_prec for s in stats]),
-        neg_half_prec=np.array([s.neg_half_prec for s in stats]),
-        neg_half_mahal=np.array([s.neg_half_mahal for s in stats]),
-        neg_half_logdet=np.array([s.neg_half_logdet for s in stats]),
+        dirichlet_expected_stats(glob.pi), *niw_expected_stats(glob.components)
     )
 
 
@@ -238,11 +229,8 @@ def init_global(
     K, d = prior.n_components, prior.latent_dim
     pi = DirichletNat.from_alpha(rng.uniform(1.0, 2.0, size=K))
     scale = (d + init_kappa) * np.eye(d)
-    components = tuple(
-        NiwNat.from_standard(
-            init_spread * rng.standard_normal(d), init_kappa, scale, d + init_kappa
-        )
-        for _ in range(K)
+    components = NiwNat.from_standard(
+        init_spread * rng.standard_normal((K, d)), init_kappa, scale, d + init_kappa
     )
     workers = BetaWorkers.constant_init(n_workers, *worker_init) if n_workers else None
     return GlobalVariational(pi, components, workers)
@@ -261,8 +249,7 @@ def sample_generative(params, n: int, rng: np.random.Generator, decoder=None):
     if isinstance(params, GlobalVariational):
         pi = rng.dirichlet(params.pi.alpha)
         means, covs = [], []
-        for comp in params.components:
-            m, kappa, S, nu = comp.to_standard()
+        for m, kappa, S, nu in zip(*params.components.to_standard()):
             cov = np.atleast_2d(invwishart.rvs(df=nu, scale=S, random_state=rng))
             means.append(rng.multivariate_normal(m, cov / kappa))
             covs.append(cov)
@@ -336,13 +323,13 @@ def mixture_natural_gradient(
     second = np.einsum(
         "nk,nij->kij", q_z, covs + means[:, :, None] * means[:, None, :]
     )
-    niw0 = prior.niw_nat()
+    niw0, comps = prior.niw_nat(), current.components
     return GlobalGrads(
         pi=prior.pi_nat().eta + scale * counts - current.pi.eta,
-        h1=niw0.h1 + scale * first - np.array([c.h1 for c in current.components]),
-        h2=niw0.h2 + scale * second - np.array([c.h2 for c in current.components]),
-        h3=niw0.h3 + scale * counts - np.array([c.h3 for c in current.components]),
-        h4=niw0.h4 + scale * counts - np.array([c.h4 for c in current.components]),
+        h1=niw0.h1 + scale * first - comps.h1,
+        h2=niw0.h2 + scale * second - comps.h2,
+        h3=niw0.h3 + scale * counts - comps.h3,
+        h4=niw0.h4 + scale * counts - comps.h4,
     )
 
 
@@ -358,34 +345,26 @@ def apply_natural_gradient(
         raise ValueError(f"step must lie in (0, 1], got {step}")
     try:
         pi = DirichletNat(current.pi.eta + step * grads.pi)
-        components = []
-        for k, c in enumerate(current.components):
-            cand = NiwNat(
-                c.h1 + step * grads.h1[k],
-                c.h2 + step * grads.h2[k],
-                c.h3 + step * grads.h3[k],
-                c.h4 + step * grads.h4[k],
-            )
-            _, _, S, _ = cand.to_standard()
-            np.linalg.cholesky(S)
-            components.append(cand)
+        c = current.components
+        components = NiwNat(
+            c.h1 + step * grads.h1,
+            c.h2 + step * grads.h2,
+            c.h3 + step * grads.h3,
+            c.h4 + step * grads.h4,
+        )
+        _, _, S, _ = components.to_standard()
+        np.linalg.cholesky(S)  # every stepped scale must stay positive definite
         workers = current.workers
         if grads.worker_alpha is not None:
             if workers is None:
                 raise ValueError("worker gradients supplied without worker posteriors")
             workers = BetaWorkers(
-                [
-                    BetaNat(p.eta + step * grads.worker_alpha[m])
-                    for m, p in enumerate(workers.alpha_nats)
-                ],
-                [
-                    BetaNat(p.eta + step * grads.worker_beta[m])
-                    for m, p in enumerate(workers.beta_nats)
-                ],
+                BetaNat(workers.alpha_nat.eta + step * grads.worker_alpha),
+                BetaNat(workers.beta_nat.eta + step * grads.worker_beta),
             )
     except (ValueError, np.linalg.LinAlgError) as err:
         raise StepRejected(f"step {step} left the valid domain: {err}") from err
-    return GlobalVariational(pi, tuple(components), workers)
+    return GlobalVariational(pi, components, workers)
 
 
 def effective_components(glob: GlobalVariational, threshold: float) -> int:

@@ -468,10 +468,6 @@ class Mlp:
         return net
 
 
-def mlp_forward(net: Mlp, x, tape: Tape | None = None) -> dict:
-    return net.forward(x, tape)
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 

@@ -14,40 +14,74 @@ of a triple is the "unobserved" indicator state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma
 
-from .expfam import BetaNat
+from .expfam import BetaNat, dirichlet_expected_stats
 
 ACCURACY_CLAMP = 1e-6
 
 
+def _triple_array(triples) -> np.ndarray:
+    """The triples as an (n, 4) integer array; a row of another length is named."""
+    if len(triples) == 0:
+        return np.empty((0, 4), dtype=int)
+    try:
+        t = np.array(triples, dtype=int)
+    except ValueError as err:  # ragged rows
+        row = next((r for r, triple in enumerate(triples) if len(triple) != 4), None)
+        if row is None:
+            raise
+        raise ValueError(f"triple {row}: expected (i, j, m, label)") from err
+    if t.ndim != 2 or t.shape[1] != 4:
+        raise ValueError("triple 0: expected (i, j, m, label)")
+    return t
+
+
 class AnnotationStore:
-    """Immutable canonical set of (i, j, m, label) annotation triples."""
+    """Immutable canonical set of (i, j, m, label) annotation triples.
+
+    Triples are stored once per (min(i, j), max(i, j), m) key, sorted by
+    key.  A duplicate in either orientation must repeat the label; the
+    first bad triple, in input order, is named in the ValueError.
+    """
 
     def __init__(self, triples, n_items: int, n_workers: int):
         self.n_items = int(n_items)
         self.n_workers = int(n_workers)
-        canonical = {}
-        for row, triple in enumerate(triples):
-            if len(triple) != 4:
-                raise ValueError(f"triple {row}: expected (i, j, m, label)")
-            i, j, m, label = (int(v) for v in triple)
-            if i == j:
-                raise ValueError(f"triple {row}: self-pair ({i}, {j})")
-            if not (0 <= i < self.n_items and 0 <= j < self.n_items):
-                raise ValueError(f"triple {row}: item index out of range")
-            if not 0 <= m < self.n_workers:
-                raise ValueError(f"triple {row}: worker index {m} out of range")
-            if label not in (0, 1):
-                raise ValueError(f"triple {row}: label must be 0 or 1, got {label}")
-            key = (min(i, j), max(i, j), m)
-            if key in canonical and canonical[key] != label:
-                raise ValueError(f"triple {row}: conflicting label for pair {key}")
-            canonical[key] = label
-        rows = sorted((i, j, m, l) for (i, j, m), l in canonical.items())
-        self.triples = np.array(rows, dtype=int).reshape(len(rows), 4)
+        i, j, m, label = _triple_array(triples).T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # stable sort by key: the first row of each key group is its earliest
+        order = np.lexsort((m, hi, lo))
+        keys = np.stack([lo, hi, m], axis=1)[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        group_start = np.maximum.accumulate(np.where(first, np.arange(order.size), 0))
+        conflict = np.empty(order.size, dtype=bool)
+        conflict[order] = label[order] != label[order][group_start]
+        problems = np.stack([
+            i == j,
+            (lo < 0) | (hi >= self.n_items),
+            (m < 0) | (m >= self.n_workers),
+            (label != 0) & (label != 1),
+            conflict,
+        ])
+        bad = problems.any(axis=0)
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            messages = (
+                f"self-pair ({i[row]}, {j[row]})",
+                "item index out of range",
+                f"worker index {m[row]} out of range",
+                f"label must be 0 or 1, got {label[row]}",
+                f"conflicting label for pair {(int(lo[row]), int(hi[row]), int(m[row]))}",
+            )
+            raise ValueError(f"triple {row}: {messages[int(np.argmax(problems[:, row]))]}")
+        self.triples = np.column_stack([keys[first], label[order][first]])
         self.triples.setflags(write=False)
-        self._index = {(i, j, m): l for i, j, m, l in rows}
+        self._codes = self._code(*self.triples[:, :3].T)
+
+    def _code(self, lo, hi, m):
+        """Integer key, increasing in (lo, hi, m) order for in-range triples."""
+        return (lo * self.n_items + hi) * self.n_workers + m
 
     @property
     def n_annotations(self) -> int:
@@ -65,7 +99,11 @@ class AnnotationStore:
 
     def label(self, i: int, j: int, m: int):
         """Label for (i, j) by worker m in either orientation, or None."""
-        return self._index.get((min(i, j), max(i, j), int(m)))
+        key = (min(i, j), max(i, j), int(m))
+        pos = int(np.searchsorted(self._codes, self._code(*key)))
+        if pos < self.n_annotations and tuple(self.triples[pos, :3].tolist()) == key:
+            return int(self.triples[pos, 3])
+        return None
 
     def has(self, i: int, j: int, m: int) -> bool:
         return self.label(i, j, m) is not None
@@ -109,33 +147,38 @@ class PointWorkers:
 
 
 class BetaWorkers:
-    """Beta posteriors q(alpha_m), q(beta_m); logs enter as expectations."""
+    """Beta posteriors q(alpha_m), q(beta_m) as two BetaNat records of batch
+    shape (M,); logs enter as expectations."""
 
-    def __init__(self, alpha_nats, beta_nats):
-        self.alpha_nats = tuple(alpha_nats)
-        self.beta_nats = tuple(beta_nats)
-        if len(self.alpha_nats) != len(self.beta_nats):
+    def __init__(self, alpha_nat: BetaNat, beta_nat: BetaNat):
+        if not (isinstance(alpha_nat, BetaNat) and isinstance(beta_nat, BetaNat)):
+            raise TypeError("posteriors must be BetaNat")
+        if alpha_nat.eta.ndim != 2 or alpha_nat.eta.shape != beta_nat.eta.shape:
             raise ValueError("need one (alpha, beta) posterior pair per worker")
-        for p in self.alpha_nats + self.beta_nats:
-            if not isinstance(p, BetaNat):
-                raise TypeError("posteriors must be BetaNat")
+        self.alpha_nat = alpha_nat
+        self.beta_nat = beta_nat
+
+    @classmethod
+    def from_taus(cls, alpha_taus, beta_taus) -> "BetaWorkers":
+        """From (M, 2) arrays of Beta parameters, one row per worker."""
+        return cls(*(BetaNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus)))
 
     @classmethod
     def constant_init(cls, n_workers: int, tau1: float, tau2: float) -> "BetaWorkers":
-        nats = [BetaNat.from_tau(tau1, tau2) for _ in range(n_workers)]
-        return cls(list(nats), [BetaNat.from_tau(tau1, tau2) for _ in range(n_workers)])
+        taus = np.tile([tau1, tau2], (n_workers, 1))
+        return cls.from_taus(taus, taus)
 
     @property
     def n_workers(self) -> int:
-        return len(self.alpha_nats)
+        return self.alpha_nat.eta.shape[0]
 
     @property
     def alpha_taus(self) -> np.ndarray:
-        return np.array([p.tau for p in self.alpha_nats])
+        return self.alpha_nat.tau
 
     @property
     def beta_taus(self) -> np.ndarray:
-        return np.array([p.tau for p in self.beta_nats])
+        return self.beta_nat.tau
 
     @property
     def mean_accuracies(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +187,10 @@ class BetaWorkers:
 
     def log_stats(self) -> np.ndarray:
         """(M, 4) rows of (E log a, E log(1-a), E log b, E log(1-b))."""
-        ta, tb = self.alpha_taus, self.beta_taus
-        ea = digamma(ta) - digamma(ta.sum(axis=1, keepdims=True))
-        eb = digamma(tb) - digamma(tb.sum(axis=1, keepdims=True))
-        return np.concatenate([ea, eb], axis=1)
+        return np.concatenate(
+            [dirichlet_expected_stats(self.alpha_nat), dirichlet_expected_stats(self.beta_nat)],
+            axis=1,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +284,8 @@ def beta_natural_gradient(
             counts_b, t[:, 2], (1.0 - p_same)[:, None] * np.stack([1.0 - labels, labels], axis=1)
         )
     prior_a, prior_b = prior
-    grad_a = prior_a.eta + scale * counts_a - np.array([p.eta for p in current.alpha_nats])
-    grad_b = prior_b.eta + scale * counts_b - np.array([p.eta for p in current.beta_nats])
+    grad_a = prior_a.eta + scale * counts_a - current.alpha_nat.eta
+    grad_b = prior_b.eta + scale * counts_b - current.beta_nat.eta
     if m is not None:
         return grad_a[m], grad_b[m]
     return grad_a, grad_b

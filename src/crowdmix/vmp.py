@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_softmax
+from scipy.special import log_softmax
 
 from .data import Dataset, minibatch_iterator
 from .expfam import (
@@ -368,14 +368,6 @@ def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> fl
     return kl_z + kl_x
 
 
-def _bracket_kl(eta_q, eta_p, expected, log_z_q, log_z_p) -> float:
-    return float(np.dot(eta_q - eta_p, expected) - (log_z_q - log_z_p))
-
-
-def _niw_flat(p) -> np.ndarray:
-    return np.concatenate([p.h1, p.h2.ravel(), [p.h3], [p.h4]])
-
-
 def default_worker_prior() -> tuple[BetaNat, BetaNat]:
     """Uniform Beta(1, 1) priors on every worker accuracy."""
     return BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0)
@@ -384,41 +376,26 @@ def default_worker_prior() -> tuple[BetaNat, BetaNat]:
 def global_kl(glob: GlobalVariational, prior: MixturePrior, worker_prior=None) -> float:
     """KL(q || p) summed over mixing weights, components and workers.
 
-    Each family contributes <eta_q - eta_p, E_q t> - (log Z_q - log Z_p);
-    the worker prior defaults to Beta(1, 1) on every accuracy.
+    Each family contributes <eta_q - eta_p, E_q t> - (log Z_q - log Z_p),
+    summed over its batch against the one shared prior record; the worker
+    prior defaults to Beta(1, 1) on every accuracy.
     """
-    pi0 = prior.pi_nat()
-    total = _bracket_kl(
-        glob.pi.eta,
-        pi0.eta,
-        dirichlet_expected_stats(glob.pi),
-        log_partition(glob.pi),
-        log_partition(pi0),
-    )
-    niw0 = prior.niw_nat()
-    eta0 = _niw_flat(niw0)
-    log_z0 = log_partition(niw0)
-    for comp in glob.components:
-        stats = niw_expected_stats(comp)
-        expected = np.concatenate(
-            [
-                stats.mean_prec,
-                stats.neg_half_prec.ravel(),
-                [stats.neg_half_mahal],
-                [stats.neg_half_logdet],
-            ]
-        )
-        total += _bracket_kl(_niw_flat(comp), eta0, expected, log_partition(comp), log_z0)
+    dirichlets = [(glob.pi, prior.pi_nat())]  # the worker Betas are two-state Dirichlets
     if glob.workers is not None:
         prior_a, prior_b = worker_prior if worker_prior is not None else default_worker_prior()
-        for taus, p0 in ((glob.workers.alpha_taus, prior_a), (glob.workers.beta_taus, prior_b)):
-            taus = taus.reshape(-1, 2)  # (M, 2), also for M = 0
-            cols = np.column_stack([taus, taus.sum(axis=1)])  # tau1, tau2, tau1 + tau2
-            psi, lgam = digamma(cols), gammaln(cols)
-            expected = psi[:, :2] - psi[:, 2:]
-            log_z = lgam[:, 0] + lgam[:, 1] - lgam[:, 2]
-            total += float(np.sum((taus - p0.tau) * expected) - np.sum(log_z - log_partition(p0)))
-    return total
+        dirichlets += [(glob.workers.alpha_nat, prior_a), (glob.workers.beta_nat, prior_b)]
+    niw0, comps = prior.niw_nat(), glob.components
+    stats = niw_expected_stats(comps)
+    brackets = [(q.eta - p0.eta, dirichlet_expected_stats(q)) for q, p0 in dirichlets] + [
+        (comps.h1 - niw0.h1, stats.mean_prec),
+        (comps.h2 - niw0.h2, stats.neg_half_prec),
+        (comps.h3 - niw0.h3, stats.neg_half_mahal),
+        (comps.h4 - niw0.h4, stats.neg_half_logdet),
+    ]
+    inner = sum(np.sum(diff * expected) for diff, expected in brackets)
+    families = dirichlets + [(comps, niw0)]
+    log_z = sum(np.sum(log_partition(q) - log_partition(p0)) for q, p0 in families)
+    return float(inner - log_z)
 
 
 def surrogate_elbo(
@@ -562,16 +539,8 @@ class BayesConfig:
             raise ValueError("init_potential_spread must be non-negative")
 
     def prior(self) -> MixturePrior:
-        K, d = self.n_components, self.latent_dim
-        s0_scale = (d + self.kappa0) if self.s0_scale is None else self.s0_scale
-        return MixturePrior(
-            n_components=K,
-            latent_dim=d,
-            alpha0=(0.05 / K) if self.alpha0 is None else self.alpha0,
-            m0=np.zeros(d),
-            kappa0=self.kappa0,
-            s0=s0_scale * np.eye(d),
-            nu0=(d + self.kappa0) if self.nu0 is None else self.nu0,
+        return MixturePrior.default(
+            self.n_components, self.latent_dim, self.alpha0, self.kappa0, self.s0_scale, self.nu0
         )
 
 

@@ -5,16 +5,9 @@ from scipy.stats import invwishart
 
 from crowdmix.expfam import (
     BetaNat,
-    CategoricalNat,
     DirichletNat,
-    GaussianNat,
     NiwNat,
-    beta_expected_stats,
-    categorical_expected_stats,
     dirichlet_expected_stats,
-    gaussian_expected_stats,
-    gaussian_moment_to_nat,
-    gaussian_nat_to_moment,
     grad_log_partition_check,
     log_partition,
     niw_expected_stats,
@@ -125,6 +118,41 @@ def test_niw_rejects_bad_scale():
     bad = NiwNat(p.h1, -np.eye(2), p.h3, p.h4)
     with pytest.raises(np.linalg.LinAlgError):
         niw_expected_stats(bad)
+    # one bad member fails the whole batch
+    batch = NiwNat(np.stack([p.h1, p.h1]), np.stack([p.h2, bad.h2]), [p.h3, p.h3], [p.h4, p.h4])
+    with pytest.raises(np.linalg.LinAlgError):
+        niw_expected_stats(batch)
+
+
+def test_batched_records_compute_what_their_members_do():
+    rng = np.random.default_rng(19)
+    K, d = 4, 3
+    A = rng.standard_normal((K, d, d))
+    S = A @ np.swapaxes(A, -1, -2) + d * np.eye(d)
+    kappa, nu = rng.uniform(0.5, 3.0, K), d + rng.uniform(1.0, 4.0, K)
+    niw = NiwNat.from_standard(rng.standard_normal((K, d)), kappa, S, nu)
+    stats, log_z = niw_expected_stats(niw), log_partition(niw)
+    for k in range(K):
+        member = NiwNat(niw.h1[k], niw.h2[k], niw.h3[k], niw.h4[k])
+        for batched, single in zip(stats, niw_expected_stats(member)):
+            np.testing.assert_array_equal(batched[k], single)
+        assert log_z[k] == log_partition(member)
+    taus = rng.uniform(0.5, 8.0, size=(5, 2))
+    beta = BetaNat.from_tau(taus[:, 0], taus[:, 1])
+    alphas = rng.uniform(0.5, 8.0, size=(2, 3))
+    dirichlet = DirichletNat.from_alpha(alphas)
+    for m in range(5):
+        member = BetaNat.from_tau(*taus[m])
+        np.testing.assert_array_equal(
+            dirichlet_expected_stats(beta)[m], dirichlet_expected_stats(member)
+        )
+        assert log_partition(beta)[m] == log_partition(member)
+    for b in range(2):
+        member = DirichletNat.from_alpha(alphas[b])
+        np.testing.assert_array_equal(
+            dirichlet_expected_stats(dirichlet)[b], dirichlet_expected_stats(member)
+        )
+        assert log_partition(dirichlet)[b] == log_partition(member)
 
 
 # ---------------------------------------------------------------------------
@@ -132,71 +160,27 @@ def test_niw_rejects_bad_scale():
 
 
 def test_beta_uniform():
-    assert np.allclose(beta_expected_stats(BetaNat.from_tau(1.0, 1.0)), [-1.0, -1.0], atol=1e-12)
+    stats = dirichlet_expected_stats(BetaNat.from_tau(1.0, 1.0))
+    assert np.allclose(stats, [-1.0, -1.0], atol=1e-12)
 
 
 def test_beta_ten_one():
-    stats = beta_expected_stats(BetaNat.from_tau(10.0, 1.0))
+    stats = dirichlet_expected_stats(BetaNat.from_tau(10.0, 1.0))
     assert abs(stats[0] + 0.1) < 1e-12
+
+
+def test_beta_rejects_a_last_axis_other_than_two():
+    with pytest.raises(ValueError):
+        BetaNat(np.zeros(3))
+    with pytest.raises(ValueError):
+        BetaNat(np.zeros((4, 3)))
 
 
 def test_beta_nine_one_monte_carlo():
     rng = np.random.default_rng(11)
     draws = rng.beta(9.0, 1.0, size=1_000_000)
-    stats = beta_expected_stats(BetaNat.from_tau(9.0, 1.0))
+    stats = dirichlet_expected_stats(BetaNat.from_tau(9.0, 1.0))
     assert abs(stats[0] - np.log(draws).mean()) < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# Categorical
-
-
-def test_categorical_symmetry_and_shift():
-    p0 = categorical_expected_stats(CategoricalNat(np.zeros(3)))
-    assert np.allclose(p0, 1.0 / 3.0, atol=1e-12)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        eta = rng.standard_normal(4)
-        c = float(rng.standard_normal())
-        a = categorical_expected_stats(CategoricalNat(eta))
-        b = categorical_expected_stats(CategoricalNat(eta + c))
-        assert np.max(np.abs(a - b)) < 1e-12
-        assert abs(a.sum() - 1.0) < 1e-12
-        assert np.all(a > 0.0)
-
-
-def test_categorical_direct_normalization():
-    p = categorical_expected_stats(CategoricalNat(np.log(np.array([1.0, 3.0]))))
-    assert np.allclose(p, [0.25, 0.75], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian
-
-
-def test_gaussian_nat_to_moment_identity():
-    mean, cov = gaussian_nat_to_moment(GaussianNat(np.zeros(2), -0.5 * np.eye(2)))
-    assert np.allclose(mean, 0.0, atol=1e-12)
-    assert np.allclose(cov, np.eye(2), atol=1e-12)
-    mean, cov = gaussian_nat_to_moment(GaussianNat(np.array([1.0, 0.0]), -0.5 * np.eye(2)))
-    assert np.allclose(mean, [1.0, 0.0], atol=1e-12)
-
-
-def test_gaussian_roundtrip():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        d = int(rng.integers(1, 5))
-        mean = rng.standard_normal(d)
-        A = rng.standard_normal((d, d))
-        cov = A @ A.T + 0.5 * np.eye(d)
-        mean2, cov2 = gaussian_nat_to_moment(gaussian_moment_to_nat(mean, cov))
-        assert np.max(np.abs(mean - mean2)) < 1e-10
-        assert np.max(np.abs(cov - cov2)) < 1e-10
-
-
-def test_gaussian_rejects_indefinite():
-    with pytest.raises(np.linalg.LinAlgError):
-        gaussian_nat_to_moment(GaussianNat(np.zeros(2), 0.5 * np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +190,6 @@ def test_gaussian_rejects_indefinite():
 def test_log_partition_values():
     assert abs(log_partition(BetaNat.from_tau(1.0, 1.0))) < 1e-12
     assert abs(log_partition(DirichletNat.from_alpha([1.0, 1.0, 1.0])) + np.log(2.0)) < 1e-12
-    assert abs(log_partition(gaussian_moment_to_nat(np.zeros(3), np.eye(3)))) < 1e-12
-
-
-def test_log_partition_categorical_conventions():
-    # normalized log-probabilities give 0; generic form is log-sum-exp
-    assert abs(log_partition(CategoricalNat(np.log([0.25, 0.75])))) < 1e-12
-    eta = np.array([0.4, -1.2, 2.0])
-    expect = np.log(np.exp(eta).sum())
-    assert abs(log_partition(CategoricalNat(eta)) - expect) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +213,7 @@ def _random_family_points(rng):
     k = int(rng.integers(2, 5))
     yield DirichletNat.from_alpha(rng.uniform(0.5, 6.0, size=k)), 1e-4
     yield BetaNat.from_tau(rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0)), 1e-4
-    yield CategoricalNat(rng.standard_normal(k)), 1e-4
     d = int(rng.integers(1, 4))
-    A = rng.standard_normal((d, d))
-    cov = A @ A.T + 0.5 * np.eye(d)
-    yield gaussian_moment_to_nat(rng.standard_normal(d), cov), 1e-4
     B = rng.standard_normal((d, d))
     S = B @ B.T + d * np.eye(d)
     p = NiwNat.from_standard(

@@ -9,6 +9,7 @@ import pytest
 from crowdmix.expfam import (
     BetaNat,
     DirichletNat,
+    NiwNat,
     dirichlet_expected_stats,
     niw_expected_stats,
 )
@@ -62,6 +63,19 @@ def _random_instance(rng, n=10, k=2, d=2):
     return q_z, means, covs
 
 
+def _members(niw):
+    """The per-component NiwNat records of a batched one."""
+    fields = (niw.h1, niw.h2, niw.h3, niw.h4)
+    return [NiwNat(*(field[k] for field in fields)) for k in range(niw.h3.shape[0])]
+
+
+def _stacked_prior_components(prior):
+    """The prior NIW repeated once per component."""
+    return NiwNat.from_standard(
+        np.zeros((prior.n_components, prior.latent_dim)), prior.kappa0, prior.s0, prior.nu0
+    )
+
+
 def _zero_grads(glob):
     k, d = glob.n_components, glob.latent_dim
     return GlobalGrads(
@@ -87,7 +101,7 @@ def test_step_one_update_matches_conjugate_oracle():
 
     alpha_star, comps = _conjugate_posterior(prior, q_z, means, covs)
     np.testing.assert_allclose(updated.pi.alpha, alpha_star, atol=1e-10)
-    for comp, (m, kappa, s, nu) in zip(updated.components, comps):
+    for comp, (m, kappa, s, nu) in zip(_members(updated.components), comps):
         got_m, got_kappa, got_s, got_nu = comp.to_standard()
         np.testing.assert_allclose(got_m, m, atol=1e-10)
         assert abs(got_kappa - kappa) < 1e-10
@@ -108,7 +122,7 @@ def test_full_batch_update_is_idempotent():
         assert np.max(np.abs(block)) < 1e-10
     again = apply_natural_gradient(posterior, grads, step=1.0)
     np.testing.assert_allclose(again.pi.eta, posterior.pi.eta, atol=1e-10)
-    for a, b in zip(again.components, posterior.components):
+    for a, b in zip(_members(again.components), _members(posterior.components)):
         np.testing.assert_allclose(a.h2, b.h2, atol=1e-10)
 
 
@@ -122,7 +136,7 @@ def test_zero_data_fixed_point_is_prior():
     updated = apply_natural_gradient(current, grads, step=1.0)
     np.testing.assert_allclose(updated.pi.alpha, np.full(2, prior.alpha0), atol=1e-12)
     niw0 = prior.niw_nat()
-    for comp in updated.components:
+    for comp in _members(updated.components):
         np.testing.assert_allclose(comp.h1, niw0.h1, atol=1e-12)
         np.testing.assert_allclose(comp.h2, niw0.h2, atol=1e-12)
         assert abs(comp.h3 - niw0.h3) < 1e-12
@@ -140,14 +154,14 @@ def test_single_point_appends_sufficient_statistics():
     )
     updated = apply_natural_gradient(current, grads, step=1.0)
     niw0 = prior.niw_nat()
-    np.testing.assert_allclose(updated.components[1].h1, niw0.h1 + x0, atol=1e-12)
+    np.testing.assert_allclose(updated.components.h1[1], niw0.h1 + x0, atol=1e-12)
     np.testing.assert_allclose(
-        updated.components[1].h2, niw0.h2 + np.outer(x0, x0), atol=1e-12
+        updated.components.h2[1], niw0.h2 + np.outer(x0, x0), atol=1e-12
     )
-    assert abs(updated.components[1].h3 - (niw0.h3 + 1.0)) < 1e-12
-    assert abs(updated.components[1].h4 - (niw0.h4 + 1.0)) < 1e-12
-    np.testing.assert_allclose(updated.components[0].h1, niw0.h1, atol=1e-12)
-    assert abs(updated.components[0].h3 - niw0.h3) < 1e-12
+    assert abs(updated.components.h3[1] - (niw0.h3 + 1.0)) < 1e-12
+    assert abs(updated.components.h4[1] - (niw0.h4 + 1.0)) < 1e-12
+    np.testing.assert_allclose(updated.components.h1[0], niw0.h1, atol=1e-12)
+    assert abs(updated.components.h3[0] - niw0.h3) < 1e-12
 
 
 def test_diagonal_covariances_match_expanded_form():
@@ -197,7 +211,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
     current = init_global(prior, rng, n_workers=2)
     updated = apply_natural_gradient(current, _zero_grads(current), step=1.0)
     np.testing.assert_allclose(updated.pi.eta, current.pi.eta, atol=0)
-    for a, b in zip(updated.components, current.components):
+    for a, b in zip(_members(updated.components), _members(current.components)):
         np.testing.assert_allclose(a.h1, b.h1, atol=0)
         np.testing.assert_allclose(a.h2, b.h2, atol=0)
     assert updated.workers is current.workers
@@ -212,7 +226,7 @@ def test_two_half_steps_equal_one_full_step():
     one = apply_natural_gradient(current, grads, step=1.0)
     two = apply_natural_gradient(apply_natural_gradient(current, grads, 0.5), grads, 0.5)
     np.testing.assert_allclose(two.pi.eta, one.pi.eta, atol=1e-12)
-    for a, b in zip(two.components, one.components):
+    for a, b in zip(_members(two.components), _members(one.components)):
         np.testing.assert_allclose(a.h1, b.h1, atol=1e-12)
         np.testing.assert_allclose(a.h2, b.h2, atol=1e-12)
         assert abs(a.h3 - b.h3) < 1e-12
@@ -283,10 +297,10 @@ def test_init_global_distributions_and_determinism():
     a = init_global(prior, np.random.default_rng(21), n_workers=2)
     b = init_global(prior, np.random.default_rng(21), n_workers=2)
     np.testing.assert_allclose(a.pi.eta, b.pi.eta, atol=0)
-    for ca, cb in zip(a.components, b.components):
+    for ca, cb in zip(_members(a.components), _members(b.components)):
         np.testing.assert_allclose(ca.h1, cb.h1, atol=0)
     assert np.all(a.pi.alpha > 1.0) and np.all(a.pi.alpha < 2.0)
-    for comp in a.components:
+    for comp in _members(a.components):
         m, kappa, s, nu = comp.to_standard()
         assert kappa == pytest.approx(1.0)
         np.testing.assert_allclose(s, 4.0 * np.eye(3), atol=1e-12)
@@ -299,7 +313,7 @@ def test_init_global_distributions_and_determinism():
 def test_init_global_zero_spread_centers_all_components():
     prior = MixturePrior.default(3, 2)
     glob = init_global(prior, np.random.default_rng(22), init_spread=0.0)
-    for comp in glob.components:
+    for comp in _members(glob.components):
         m, _, _, _ = comp.to_standard()
         np.testing.assert_allclose(m, np.zeros(2), atol=0)
     assert glob.workers is None
@@ -311,7 +325,7 @@ def test_global_expectations_stack_per_component_values():
     glob = init_global(prior, rng)
     exp = global_expectations(glob)
     np.testing.assert_allclose(exp.log_pi, dirichlet_expected_stats(glob.pi), atol=0)
-    for k, comp in enumerate(glob.components):
+    for k, comp in enumerate(_members(glob.components)):
         stats = niw_expected_stats(comp)
         np.testing.assert_allclose(exp.mean_prec[k], stats.mean_prec, atol=0)
         np.testing.assert_allclose(exp.neg_half_prec[k], stats.neg_half_prec, atol=0)
@@ -398,7 +412,7 @@ def test_sample_generative_with_decoder_heads():
 def test_effective_components_uniform():
     glob = GlobalVariational(
         pi=DirichletNat.from_alpha(np.ones(6)),
-        components=tuple(MixturePrior.default(6, 2).niw_nat() for _ in range(6)),
+        components=_stacked_prior_components(MixturePrior.default(6, 2)),
     )
     assert effective_components(glob, threshold=0.5 / 6) == 6
 
@@ -407,7 +421,7 @@ def test_effective_components_dominant():
     alpha = np.concatenate([[99.0], np.full(14, 1.0 / 14)])
     glob = GlobalVariational(
         pi=DirichletNat.from_alpha(alpha),
-        components=tuple(MixturePrior.default(15, 2).niw_nat() for _ in range(15)),
+        components=_stacked_prior_components(MixturePrior.default(15, 2)),
     )
     assert effective_components(glob, threshold=0.02) == 1
     for bad in (0.0, 1.0, -0.5):
@@ -426,7 +440,7 @@ def test_serialization_round_trips_exactly():
 
     glob2 = GlobalVariational.from_dict(json.loads(json.dumps(glob.to_dict())))
     np.testing.assert_allclose(glob2.pi.eta, glob.pi.eta, atol=0)
-    for a, b in zip(glob2.components, glob.components):
+    for a, b in zip(_members(glob2.components), _members(glob.components)):
         np.testing.assert_allclose(a.h1, b.h1, atol=0)
         np.testing.assert_allclose(a.h2, b.h2, atol=0)
         assert a.h3 == b.h3 and a.h4 == b.h4
@@ -442,8 +456,8 @@ def test_global_variational_validation():
     prior = MixturePrior.default(3, 2)
     rng = np.random.default_rng(42)
     glob = init_global(prior, rng)
+    c = glob.components
     with pytest.raises(ValueError):
-        GlobalVariational(glob.pi, glob.components[:2])
-    mixed = glob.components[:2] + (MixturePrior.default(3, 3).niw_nat(),)
-    with pytest.raises(ValueError):
-        GlobalVariational(glob.pi, mixed)
+        GlobalVariational(glob.pi, NiwNat(c.h1[:2], c.h2[:2], c.h3[:2], c.h4[:2]))
+    with pytest.raises(ValueError):  # components of two latent dimensions
+        GlobalVariational(glob.pi, NiwNat(c.h1, np.tile(np.eye(3), (3, 1, 1)), c.h3, c.h4))

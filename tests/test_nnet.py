@@ -19,7 +19,6 @@ from crowdmix.nnet import (
     log,
     logsumexp,
     mat_inv,
-    mlp_forward,
     mul,
     parameter,
     relu,
@@ -65,7 +64,7 @@ def test_zero_weight_net_outputs_zero():
     net = Mlp([3, 5], {"out": 2}, rng)
     for p in net.parameters():
         p.data = np.zeros_like(p.data)
-    out = mlp_forward(net, rng.standard_normal((4, 3)))["out"]
+    out = net.forward(rng.standard_normal((4, 3)))["out"]
     assert np.all(out.data == 0.0)
 
 
@@ -75,7 +74,7 @@ def test_identity_linear_layer():
     net.head_weights["out"].data = np.eye(3)
     net.head_biases["out"].data = np.zeros(3)
     x = rng.standard_normal((5, 3))
-    out = mlp_forward(net, x)["out"]
+    out = net.forward(x)["out"]
     assert np.allclose(out.data, x, atol=0.0)
 
 
@@ -83,7 +82,7 @@ def test_forward_matches_straight_line_reimplementation():
     rng = np.random.default_rng(42)
     net = Mlp([2, 40, 40], {"out": 2}, rng)
     x = rng.standard_normal((7, 2))
-    out = mlp_forward(net, x)["out"].data
+    out = net.forward(x)["out"].data
 
     h = np.maximum(x @ net.weights[0].data + net.biases[0].data, 0.0)
     h = np.maximum(h @ net.weights[1].data + net.biases[1].data, 0.0)
@@ -95,8 +94,8 @@ def test_forward_is_deterministic():
     rng = np.random.default_rng(1)
     net = Mlp([4, 16], {"a": 3, "b": 1}, rng)
     x = rng.standard_normal((6, 4))
-    first = mlp_forward(net, x)
-    second = mlp_forward(net, x)
+    first = net.forward(x)
+    second = net.forward(x)
     assert np.array_equal(first["a"].data, second["a"].data)
     assert np.array_equal(first["b"].data, second["b"].data)
 
@@ -104,7 +103,7 @@ def test_forward_is_deterministic():
 def test_forward_shape_error():
     net = Mlp([4, 8], {"out": 2}, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        mlp_forward(net, np.zeros((3, 5)))
+        net.forward(np.zeros((3, 5)))
 
 
 def test_logvar_clamp():
@@ -112,7 +111,7 @@ def test_logvar_clamp():
     net = Mlp([2, 8], {"logvar": 2}, rng, clamp={"logvar": (-8.0, 8.0)})
     net.head_weights["logvar"].data = 100.0 * np.ones_like(net.head_weights["logvar"].data)
     net.head_biases["logvar"].data = -300.0 * np.ones_like(net.head_biases["logvar"].data)
-    out = mlp_forward(net, rng.standard_normal((20, 2)))["logvar"].data
+    out = net.forward(rng.standard_normal((20, 2)))["logvar"].data
     assert np.all(out >= -8.0) and np.all(out <= 8.0)
     var = np.exp(out)
     assert np.all(var >= np.exp(-8.0)) and np.all(var <= np.exp(8.0))
@@ -123,8 +122,8 @@ def test_state_dict_roundtrip():
     net = Mlp([3, 7], {"mean": 2, "logvar": 2}, rng, clamp={"logvar": (-8.0, 8.0)})
     clone = Mlp.from_state(net.state_dict())
     x = rng.standard_normal((4, 3))
-    a = mlp_forward(net, x)
-    b = mlp_forward(clone, x)
+    a = net.forward(x)
+    b = clone.forward(x)
     assert np.array_equal(a["mean"].data, b["mean"].data)
     assert np.array_equal(a["logvar"].data, b["logvar"].data)
 
@@ -159,7 +158,7 @@ def test_mlp_gradient_matches_finite_differences():
     x = rng.standard_normal((5, 3))
 
     def build():
-        heads = mlp_forward(net, x)
+        heads = net.forward(x)
         return tensor_sum(mul(heads["mean"], heads["mean"])) + tensor_sum(
             sigmoid(heads["logvar"])
         )
@@ -182,7 +181,7 @@ def test_every_artifact_network_configuration_fd():
         mix = {name: rng.standard_normal((3, w)) for name, w in heads.items()}
 
         def build(net=net, x=x, mix=mix):
-            out = mlp_forward(net, x)
+            out = net.forward(x)
             total = constant(0.0)
             for name, w in mix.items():
                 total = total + tensor_sum(mul(out[name], constant(w)))

@@ -54,6 +54,86 @@ def test_store_counts():
     assert not store.has(4, 5, 0)
 
 
+def loop_canonical(triples, n_items, n_workers):
+    """Reference canonicalization: the per-triple loop the store once ran.
+    Returns the sorted canonical rows, or the ValueError message."""
+    canonical = {}
+    for row, triple in enumerate(triples):
+        if len(triple) != 4:
+            return f"triple {row}: expected (i, j, m, label)"
+        i, j, m, label = (int(v) for v in triple)
+        if i == j:
+            return f"triple {row}: self-pair ({i}, {j})"
+        if not (0 <= i < n_items and 0 <= j < n_items):
+            return f"triple {row}: item index out of range"
+        if not 0 <= m < n_workers:
+            return f"triple {row}: worker index {m} out of range"
+        if label not in (0, 1):
+            return f"triple {row}: label must be 0 or 1, got {label}"
+        key = (min(i, j), max(i, j), m)
+        if key in canonical and canonical[key] != label:
+            return f"triple {row}: conflicting label for pair {key}"
+        canonical[key] = label
+    return sorted((i, j, m, l) for (i, j, m), l in canonical.items())
+
+
+def _canonical_or_message(triples, n_items, n_workers):
+    try:
+        store = AnnotationStore(triples, n_items, n_workers)
+    except ValueError as err:
+        return str(err)
+    return [tuple(row) for row in store.triples.tolist()]
+
+
+def test_store_canonicalization_matches_the_loop_reference():
+    rng = np.random.default_rng(3)
+    n_items, n_workers = 9, 3
+    for trial in range(300):
+        # one label per (pair, worker); duplicates come in both orientations
+        truth = rng.integers(0, 2, size=(n_items, n_items, n_workers))
+        triples = []
+        for _ in range(int(rng.integers(0, 30))):
+            i, j = (int(v) for v in rng.choice(n_items, size=2, replace=False))
+            m = int(rng.integers(n_workers))
+            label = int(truth[min(i, j), max(i, j), m])
+            triples.append((i, j, m, label))
+            if rng.uniform() < 0.3:
+                triples.append((j, i, m, label))
+        if trial % 2 and triples:
+            # one or two corrupted rows, possibly early ones
+            for _ in range(int(rng.integers(1, 3))):
+                row = int(rng.integers(len(triples)))
+                i, j, m, label = triples[row]
+                triples[row] = [
+                    (i, i, m, label),
+                    (i, n_items + int(rng.integers(0, 2)), m, label),
+                    (-1, j, m, label),
+                    (i, j, n_workers, label),
+                    (i, j, m, 2),
+                    (j, i, m, 1 - label),
+                ][int(rng.integers(6))]
+        expected = loop_canonical(triples, n_items, n_workers)
+        assert _canonical_or_message(triples, n_items, n_workers) == expected
+        if isinstance(expected, str):
+            continue
+        store = AnnotationStore(np.array(triples, dtype=int).reshape(-1, 4), n_items, n_workers)
+        index = {(i, j, m): l for i, j, m, l in expected}
+        for i in range(n_items):
+            for j in range(n_items):
+                for m in range(n_workers):
+                    want = index.get((min(i, j), max(i, j), m))
+                    assert store.label(i, j, m) == want
+                    assert store.has(i, j, m) == (want is not None)
+
+
+def test_store_names_a_row_of_the_wrong_length():
+    for triples in ([(0, 1, 0, 1), (0, 2, 0)], [(0, 1, 0)]):
+        expected = loop_canonical(triples, 5, 1)
+        with pytest.raises(ValueError) as err:
+            AnnotationStore(triples, 5, 1)
+        assert str(err.value) == expected
+
+
 # ---------------------------------------------------------------------------
 # likelihood pieces
 
@@ -185,9 +265,9 @@ def test_expected_rel_loglik_matches_brute_force():
         value = expected_rel_loglik(store, q, workers)
         assert abs(value - _brute_force_rel(store, q, workers)) < 1e-10
 
-        posts = BetaWorkers(
-            [BetaNat.from_tau(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(m_workers)],
-            [BetaNat.from_tau(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(m_workers)],
+        posts = BetaWorkers.from_taus(
+            [(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(m_workers)],
+            [(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(m_workers)],
         )
         value = expected_rel_loglik(store, q, posts)
         assert abs(value - _brute_force_rel(store, q, posts)) < 1e-10
@@ -214,7 +294,7 @@ def test_beta_gradient_true_positive_count():
     assert np.allclose(ga[0], [1.0, 0.0])
     assert np.allclose(gb[0], [0.0, 0.0])
     # at posterior Beta(2,1) the gradient vanishes
-    at_fix = BetaWorkers([BetaNat.from_tau(2.0, 1.0)], [BetaNat.from_tau(1.0, 1.0)])
+    at_fix = BetaWorkers.from_taus([(2.0, 1.0)], [(1.0, 1.0)])
     ga, gb = beta_natural_gradient(store, q, prior, at_fix)
     assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
 
@@ -223,7 +303,7 @@ def test_beta_gradient_true_negative_count():
     store = AnnotationStore([(0, 1, 0, 0)], 2, 1)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
-    at_fix = BetaWorkers([BetaNat.from_tau(1.0, 1.0)], [BetaNat.from_tau(2.0, 1.0)])
+    at_fix = BetaWorkers.from_taus([(1.0, 1.0)], [(2.0, 1.0)])
     ga, gb = beta_natural_gradient(store, q, prior, at_fix)
     assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
     per_worker = beta_natural_gradient(store, q, prior, at_fix, m=0)

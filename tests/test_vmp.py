@@ -2,6 +2,7 @@
 natural-gradient training loop, checked against quadrature and
 enumeration oracles."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -52,13 +53,21 @@ from crowdmix.vmp import (
 
 def scalar_glob(alphas, components, workers=None) -> GlobalVariational:
     """K scalar components given as (m, kappa, S, nu) tuples."""
+    m, kappa, s, nu = np.array(components, dtype=float).T
     return GlobalVariational(
         DirichletNat.from_alpha(np.asarray(alphas, dtype=float)),
-        tuple(
-            NiwNat.from_standard(np.array([m]), kappa, np.array([[s]]), nu)
-            for m, kappa, s, nu in components
-        ),
+        NiwNat.from_standard(m[:, None], kappa, s[:, None, None], nu),
         workers,
+    )
+
+
+def prior_components(prior: MixturePrior) -> NiwNat:
+    """The prior NIW repeated once per component."""
+    return NiwNat.from_standard(
+        np.broadcast_to(prior.m0, (prior.n_components, prior.latent_dim)),
+        prior.kappa0,
+        prior.s0,
+        prior.nu0,
     )
 
 
@@ -111,7 +120,7 @@ TEST_PRIOR = MixturePrior(
 
 
 def one_worker() -> BetaWorkers:
-    return BetaWorkers([BetaNat.from_tau(3.0, 2.0)], [BetaNat.from_tau(4.0, 1.0)])
+    return BetaWorkers.from_taus([(3.0, 2.0)], [(4.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +255,7 @@ def sequential_local_z(base, neighbors, log_resp, order):
 
 def random_workers(rng, n_workers) -> BetaWorkers:
     taus = rng.uniform(0.5, 12.0, size=(2, n_workers, 2))
-    return BetaWorkers(
-        [BetaNat.from_tau(*t) for t in taus[0]], [BetaNat.from_tau(*t) for t in taus[1]]
-    )
+    return BetaWorkers.from_taus(taus[0], taus[1])
 
 
 def random_annotations(rng, n_items=48, n_workers=5, n_pairs=110):
@@ -469,8 +476,8 @@ def test_global_kl_zero_when_posterior_equals_prior():
     prior = TEST_PRIOR
     glob = GlobalVariational(
         prior.pi_nat(),
-        (prior.niw_nat(), prior.niw_nat()),
-        BetaWorkers([BetaNat.from_tau(1.0, 1.0)], [BetaNat.from_tau(1.0, 1.0)]),
+        prior_components(prior),
+        BetaWorkers.from_taus([(1.0, 1.0)], [(1.0, 1.0)]),
     )
     assert abs(global_kl(glob, prior)) < 1e-12
 
@@ -479,11 +486,11 @@ def test_global_kl_beta_block_matches_hand_value_and_quadrature():
     from scipy.special import digamma
 
     prior = TEST_PRIOR
-    glob_base = GlobalVariational(prior.pi_nat(), (prior.niw_nat(), prior.niw_nat()))
+    glob_base = GlobalVariational(prior.pi_nat(), prior_components(prior))
     glob = GlobalVariational(
         prior.pi_nat(),
-        (prior.niw_nat(), prior.niw_nat()),
-        BetaWorkers([BetaNat.from_tau(2.0, 1.0)], [BetaNat.from_tau(1.0, 1.0)]),
+        prior_components(prior),
+        BetaWorkers.from_taus([(2.0, 1.0)], [(1.0, 1.0)]),
     )
     value = global_kl(glob, prior) - global_kl(glob_base, prior)
     hand = (digamma(2.0) - digamma(3.0)) + math.log(2.0)
@@ -495,7 +502,7 @@ def test_global_kl_worker_block_matches_beta_oracles_for_many_workers():
     rng = np.random.default_rng(8)
     workers = random_workers(rng, 5)
     worker_prior = (BetaNat.from_tau(2.0, 0.7), BetaNat.from_tau(1.5, 3.0))
-    glob_base = GlobalVariational(TEST_PRIOR.pi_nat(), (TEST_PRIOR.niw_nat(),) * 2)
+    glob_base = GlobalVariational(TEST_PRIOR.pi_nat(), prior_components(TEST_PRIOR))
     glob = replace(glob_base, workers=workers)
     value = global_kl(glob, TEST_PRIOR, worker_prior) - global_kl(glob_base, TEST_PRIOR)
     expected = sum(
@@ -504,6 +511,16 @@ def test_global_kl_worker_block_matches_beta_oracles_for_many_workers():
         for tau in taus
     )
     assert abs(value - expected) < 1e-7
+
+
+def test_zero_workers_give_empty_stats_and_add_no_kl():
+    bare = global_kl(scalar_glob(TEST_ALPHAS, TEST_COMPONENTS), TEST_PRIOR)
+    for workers in (BetaWorkers.constant_init(0, 10.0, 1.0), BetaWorkers.from_taus([], [])):
+        assert workers.n_workers == 0
+        assert workers.alpha_taus.shape == (0, 2) and workers.beta_taus.shape == (0, 2)
+        assert workers.log_stats().shape == (0, 4)
+        glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=workers)
+        assert global_kl(glob, TEST_PRIOR) == bare
 
 
 def test_global_kl_matches_quadrature_oracle_for_all_blocks():
@@ -762,6 +779,51 @@ def test_bayes_model_round_trips_through_dict():
         clone.predict(dataset.observations), result.model.predict(dataset.observations)
     )
     assert clone.to_dict() == result.model.to_dict()
+
+
+# BayesModel.to_dict() of a trained K = 3, d = 2 model with M = 2 workers,
+# written by json.dumps before the globals were stacked into batched records.
+SAVED_MODEL_JSON = (
+    '{"prior": {"n_components": 3, "latent_dim": 2, "alpha0": 0.016666666666666666, '
+    '"m0": [0.0, 0.0], "kappa0": 0.5, "s0": [[2.5, 0.0], [0.0, 2.5]], "nu0": 2.5}, '
+    '"globals": {"pi_eta": [0.5988223651364917, 2.4244481552122368, 0.8262173438480535], '
+    '"components": [{"h1": [-1.9013754370193479, -0.6472123638408834], '
+    '"h2": [[6.840827952631709, 1.080571678413921], [1.080571678413921, '
+    '3.406107783500974]], "h3": 1.1466392042228208, "h4": 7.14663920422282}, '
+    '{"h1": [1.4041237413475045, -3.148863364523627], "h2": [[6.435977484082408, '
+    '-3.465868002265226], [-3.465868002265226, 8.169266322043036]], '
+    '"h3": 3.038835459248059, "h4": 9.038835459248059}, {"h1": [-0.08550707336697488, '
+    '2.0865195470025966], "h2": [[2.9602049009409055, -0.19590688510901702], '
+    '[-0.19590688510901702, 7.808347709238148]], "h3": 1.0082753365291206, '
+    '"h4": 7.00827533652912}], "workers": {"alpha_taus": [[9.30994420351554, '
+    '1.232752646846153], [9.499109170855169, 1.0059368777857018]], '
+    '"beta_taus": [[9.279747353153848, 1.00255579648446], [9.3165631222143, '
+    '1.0133908291448321]]}}, "recognition": {"sizes": [2, 2], "heads": {"loc": 2, '
+    '"prec_raw": 2}, "clamp": {}, "weights": [[[0.5971748306658208, -0.24242941989525119], '
+    '[0.689365553352741, -0.4423924863880782]]], "biases": [[-0.0019949165381827694, '
+    '-0.0020011136154727896]], "head_weights": {"loc": [[469.4438935059312, '
+    '-497.74387244194315], [-137.82112857179177, -619.4226862434252]], '
+    '"prec_raw": [[0.5060194944796365, 0.46689105964132976], [-0.5111885490588861, '
+    '0.03658219418715608]]}, "head_biases": {"loc": [0.0018986341304062125, '
+    '0.0019372969520450821], "prec_raw": [99.99806709667642, 100.00165572927445]}}, '
+    '"decoder": {"sizes": [2, 2], "heads": {"mean": 2, "logvar": 2}, '
+    '"clamp": {"logvar": [-8.0, 8.0]}, "weights": [[[-0.34392318131114447, '
+    '-0.013499933098782148], [0.07333368537759348, -0.554976925595048]]], '
+    '"biases": [[-0.0003801634560948562, -0.0019354601811088267]], '
+    '"head_weights": {"mean": [[0.5134954458372216, -0.311800676857066], '
+    '[-0.0729135901809646, -0.624417516678206]], "logvar": [[-0.7051653928216053, '
+    '-0.43307926554488396], [-0.22585177555464211, 0.6035924294272526]]}, '
+    '"head_biases": {"mean": [0.0017545127370156772, 0.0017730868373515792], '
+    '"logvar": [-0.0019653523628250158, -0.001979896188714036]}}, "worker_prior": [1.0, '
+    '1.0], "local_sweeps": 4, "local_tol": 1e-06}'
+)
+
+
+def test_saved_model_document_round_trips_byte_for_byte():
+    doc = json.loads(SAVED_MODEL_JSON)
+    model = BayesModel.from_dict(doc)
+    assert (model.glob.n_components, model.glob.latent_dim, model.glob.n_workers) == (3, 2, 2)
+    assert json.dumps(model.to_dict()) == SAVED_MODEL_JSON
 
 
 def test_config_validation():
