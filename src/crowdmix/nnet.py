@@ -391,9 +391,11 @@ class Mlp:
         self.sizes = [int(s) for s in sizes]
         self.heads = {str(k): int(v) for k, v in heads.items()}
         self.clamp = {str(k): (float(lo), float(hi)) for k, (lo, hi) in (clamp or {}).items()}
-        for name in self.clamp:
+        for name, (lo, hi) in self.clamp.items():
             if name not in self.heads:
                 raise ValueError(f"clamped head '{name}' not among heads")
+            if not lo < hi:
+                raise ValueError(f"clamp for head '{name}' needs lo < hi")
         self.weights = []
         self.biases = []
         for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):

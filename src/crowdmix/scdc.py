@@ -4,10 +4,12 @@ Encoder networks produce the cluster posterior q(z|o) and the
 per-cluster latent posterior q(x|z,o); mixing weights, component
 Gaussians and worker accuracies are deterministic points optimized
 jointly with the networks by stochastic gradient ascent of the evidence
-lower bound.  The discrete cluster sum is carried analytically (one
-encoder/decoder evaluation per component per item), and annotations
-enter through the closed-form expectation of the two-coin worker
-likelihood over pairs of cluster posteriors.
+lower bound.  The discrete cluster sum is carried analytically: every
+item is paired with every component in one stacked item-major batch
+(row i*K + k is item i under component k) that goes through the latent
+encoder and the decoder once.  Annotations enter through the
+closed-form expectation of the two-coin worker likelihood over pairs of
+cluster posteriors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .nnet import (
     TrainingDivergence,
     backward,
     clip,
-    concat,
     constant,
     diag_gaussian_loglik,
     exp,
@@ -238,60 +239,67 @@ def elbo_local(
 
     Per item: sum_k q(z=k|o) [log pi_k - log q(z=k|o)
     - KL(q(x|k,o) || N(mu_k, sigma2_k)) + log p(o | x_hat_k)], with one
-    reparameterized latent draw per (item, component, sample).  Returns
-    the scaled total as a tape tensor; `scale` carries the N/|B| batch
-    correction.  `noise` (shape (samples, K, batch, d)) overrides the
-    random draws.  `kl_weight` < 1 damps the Gaussian-KL pull of the
-    per-cluster latent posteriors toward the point components (warmup
-    against early contraction); at 1 this is the exact bound.
-    `component_logvar_floor` bounds the component log-variances from
-    below inside the KL only, keeping the mixture components from
-    contracting into high-precision traps that drag all latent
-    posteriors together; `None` uses the raw parameters.
+    reparameterized latent draw per (item, component, sample).  All
+    (item, component) pairs pass through the latent encoder, the
+    Gaussian KL and the decoder as one stacked item-major batch: row
+    i*K + k holds item i under component k, so the per-pair terms
+    reshape straight to an (n, K) table.  Returns the scaled total as a
+    tape tensor; `scale` carries the N/|B| batch correction.  `noise`
+    (shape (samples, K, batch, d), at least one sample) overrides the
+    random draws; noise[s, k, i] perturbs row i*K + k.  `kl_weight` < 1
+    damps the Gaussian-KL pull of the per-cluster latent posteriors
+    toward the point components (warmup against early contraction); at
+    1 this is the exact bound.  `component_logvar_floor` bounds the
+    component log-variances from below inside the KL only, keeping the
+    mixture components from contracting into high-precision traps that
+    drag all latent posteriors together; `None` uses the raw parameters.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
     k_comp, d = point.n_components, point.latent_dim
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     if noise is None:
         if rng is None:
             raise ValueError("need an rng when no noise is supplied")
         noise = rng.standard_normal((n_samples, k_comp, n, d))
     else:
         noise = np.asarray(noise, dtype=float)
-        if noise.shape != (noise.shape[0], k_comp, n, d):
-            raise ValueError("noise must have shape (samples, components, batch, dim)")
+        if noise.ndim != 4 or noise.shape[0] < 1 or noise.shape[1:] != (k_comp, n, d):
+            raise ValueError(
+                "noise must have shape (samples, components, batch, dim) "
+                "with at least one sample"
+            )
     z_heads = posterior.encoder_z.forward(obs)
     _check_finite(z_heads, "cluster encoder")
     log_q_z = log_softmax(z_heads["logits"], axis=-1)
     q_z = exp(log_q_z)
 
-    per_component = []
-    for k in range(k_comp):
-        indicator = np.zeros((n, k_comp))
-        indicator[:, k] = 1.0
-        x_heads = posterior.encoder_x.forward(np.concatenate([indicator, obs], axis=1))
-        _check_finite(x_heads, "latent encoder")
-        mean, logvar = x_heads["mean"], x_heads["logvar"]
-        mu_k = take_rows(point.means, [k])        # (1, d)
-        lv_k = take_rows(point.log_vars, [k])     # (1, d)
-        if component_logvar_floor is not None:
-            lv_k = clip(lv_k, component_logvar_floor, 60.0)
-        centered = mean - mu_k
-        kl_terms = (
-            lv_k - logvar + (exp(logvar) + centered * centered) * exp(-lv_k) - 1.0
-        )
-        kl_k = tensor_sum(kl_terms, axis=-1) * 0.5            # (n,)
-        std = exp(logvar * 0.5)
-        recon_k = None
-        for eps in noise[:, k]:
-            draw = reparameterize(mean, std, eps)
-            dec = decoder.forward(draw)
-            _check_finite(dec, "decoder")
-            row = diag_gaussian_loglik(obs, dec["mean"], dec["logvar"])  # (n,)
-            recon_k = row if recon_k is None else recon_k + row
-        recon_k = recon_k * (1.0 / noise.shape[0])
-        per_component.append(reshape(recon_k - kl_k * kl_weight, (n, 1)))
-    rows = concat(per_component, axis=1)                      # (n, K)
+    stacked_obs = np.repeat(obs, k_comp, axis=0)              # (n*K, D)
+    indicator = np.tile(np.eye(k_comp), (n, 1))               # (n*K, K)
+    x_heads = posterior.encoder_x.forward(np.concatenate([indicator, stacked_obs], axis=1))
+    _check_finite(x_heads, "latent encoder")
+    mean, logvar = x_heads["mean"], x_heads["logvar"]         # (n*K, d)
+    lv = point.log_vars                                       # (K, d)
+    if component_logvar_floor is not None:
+        lv = clip(lv, component_logvar_floor, 60.0)
+    mean_view = reshape(mean, (n, k_comp, d))
+    logvar_view = reshape(logvar, (n, k_comp, d))
+    centered = mean_view - point.means
+    kl_terms = (
+        lv - logvar_view + (exp(logvar_view) + centered * centered) * exp(-lv) - 1.0
+    )
+    kl = tensor_sum(kl_terms, axis=-1) * 0.5                  # (n, K)
+    std = exp(logvar * 0.5)
+    recon = None
+    for eps in noise.transpose(0, 2, 1, 3).reshape(noise.shape[0], n * k_comp, d):
+        draw = reparameterize(mean, std, eps)
+        dec = decoder.forward(draw)
+        _check_finite(dec, "decoder")
+        row = diag_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"])  # (n*K,)
+        recon = row if recon is None else recon + row
+    recon = reshape(recon * (1.0 / noise.shape[0]), (n, k_comp))
+    rows = recon - kl * kl_weight                             # (n, K)
     log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
     total = tensor_sum(mul(q_z, log_pi - log_q_z + rows))
     return total * scale
@@ -399,6 +407,8 @@ class ScdcConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.annotation_batch_size is not None and self.annotation_batch_size < 1:
+            raise ValueError("annotation_batch_size must be at least 1")
         if self.lr < 0.0:
             raise ValueError("lr must be non-negative")
         if self.worker_lr is not None and self.worker_lr < 0.0:
@@ -415,6 +425,10 @@ class ScdcConfig:
             raise ValueError("kl_warmup must lie in [0, 1]")
         if not 0.0 <= self.annotation_delay <= 1.0:
             raise ValueError("annotation_delay must lie in [0, 1]")
+        for name in ("logvar_clamp", "encoder_logvar_clamp"):
+            bounds = getattr(self, name)
+            if bounds is not None and not bounds[0] < bounds[1]:
+                raise ValueError(f"{name} must be a (lo, hi) pair with lo < hi")
 
 
 @dataclass
