@@ -7,25 +7,40 @@ context manager); backward() walks the record in reverse, so nodes are
 visited in reverse topological order exactly once.  Tensors wrap float64
 numpy arrays of any shape and broadcast like numpy.  With no active tape
 all operations are plain numpy evaluation.
+
+The engine keeps a network step lean:
+
+- affine() records one node for a dense layer, h @ W + b with an optional
+  ReLU, in place of three; Mlp.forward uses it for every layer and head.
+- The vector-Jacobian products of matmul, mul, sub, div, einsum2 and
+  affine compute a parent's gradient only when that parent requires one.
+- backward() clears each recorded output's adjoint once it has passed it
+  to the parents, so only leaves keep a .grad and a second backward over
+  the same tape adds exactly one more gradient.
+- Adam and SgdMomentum keep their moments in one flat vector and step
+  every parameter that has a gradient at once.  The step is atomic: a
+  non-finite gradient anywhere is rejected before any parameter or
+  moment changes.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
 
-_ACTIVE = threading.local()
+
+class _Active(threading.local):
+    def __init__(self):
+        self.stack = []
 
 
-def _tape_stack():
-    if not hasattr(_ACTIVE, "stack"):
-        _ACTIVE.stack = []
-    return _ACTIVE.stack
+_ACTIVE = _Active()
 
 
 def _current_tape():
-    stack = _tape_stack()
+    stack = _ACTIVE.stack
     return stack[-1] if stack else None
 
 
@@ -45,11 +60,11 @@ class Tape:
         return len(self._nodes)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _ACTIVE.stack.pop()
         return False
 
 
@@ -117,6 +132,8 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad over the axes numpy broadcasting introduced."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -126,33 +143,45 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _record(data, parents, vjp) -> Tensor:
+    """Wrap data as an operation's output.  vjp maps the output's adjoint
+    to one gradient per parent, None for a parent that requires none."""
     parents = tuple(parents)
     requires = any(p.requires for p in parents)
     out = Tensor(data, requires=requires)
-    tape = _current_tape()
-    if tape is not None and requires:
-        tape._nodes.append((out, parents, vjp))
+    if requires:
+        tape = _current_tape()
+        if tape is not None:
+            tape._nodes.append((out, parents, vjp))
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray):
+def _accumulate(t: Tensor, grad):
     if not t.requires:
         return
-    grad = _unbroadcast(np.asarray(grad, dtype=float), t.data.shape)
+    if not isinstance(grad, np.ndarray):
+        grad = np.asarray(grad, dtype=float)
+    grad = _unbroadcast(grad, t.data.shape)
     t.grad = grad if t.grad is None else t.grad + grad
 
 
 def backward(tape: Tape, output: Tensor):
-    """Seed d(output)/d(output) = 1 and accumulate adjoints tape-reversed."""
+    """Seed d(output)/d(output) = 1 and accumulate adjoints tape-reversed.
+
+    Each recorded output's adjoint is released once propagated, so after
+    the call only tensors the tape did not produce (the leaves) hold a
+    gradient, and calling again adds the same leaf gradients once more.
+    """
     if output.data.size != 1:
         raise ValueError("backward seed must be a scalar output")
     output.grad = np.ones_like(output.data)
     for out, parents, vjp in reversed(tape._nodes):
-        if out.grad is None:
+        g = out.grad
+        if g is None:
             continue
-        for p, g in zip(parents, vjp(out.grad)):
-            if g is not None:
-                _accumulate(p, g)
+        for p, pg in zip(parents, vjp(g)):
+            if pg is not None:
+                _accumulate(p, pg)
+        out.grad = None
 
 
 def zero_grads(params):
@@ -169,17 +198,30 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _record(a.data - b.data, (a, b), lambda g: (g, -g))
+    def vjp(g):
+        return g if a.requires else None, -g if b.requires else None
+
+    return _record(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _record(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    def vjp(g):
+        return (
+            g * b.data if a.requires else None,
+            g * a.data if b.requires else None,
+        )
+
+    return _record(a.data * b.data, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _record(
-        a.data / b.data, (a, b), lambda g: (g / b.data, -g * a.data / b.data**2)
-    )
+    def vjp(g):
+        return (
+            g / b.data if a.requires else None,
+            -g * a.data / b.data**2 if b.requires else None,
+        )
+
+    return _record(a.data / b.data, (a, b), vjp)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -246,9 +288,39 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _record(
-        a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g)
-    )
+    def vjp(g):
+        return (
+            g @ b.data.T if a.requires else None,
+            a.data.T @ g if b.requires else None,
+        )
+
+    return _record(a.data @ b.data, (a, b), vjp)
+
+
+def affine(h: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One node for the dense layer h @ W + b, through a ReLU if relu.
+
+    h is (n, in), W is (in, out) and b is (out,).  The value and every
+    gradient equal those of relu(add(matmul(h, W), b)), or of
+    add(matmul(h, W), b) without the ReLU, bit for bit.
+    """
+    out = h.data @ W.data
+    out += b.data
+    mask = None
+    if relu:
+        mask = out > 0.0
+        out *= mask
+
+    def vjp(g):
+        if mask is not None:
+            g = g * mask
+        return (
+            g @ W.data.T if h.requires else None,
+            h.data.T @ g if W.requires else None,
+            g.sum(axis=0) if b.requires else None,
+        )
+
+    return _record(out, (h, W, b), vjp)
 
 
 def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
@@ -265,8 +337,8 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
             raise ValueError(f"unilateral reduction in '{spec}' not supported")
 
     def vjp(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data)
-        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g)
+        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data) if a.requires else None
+        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g) if b.requires else None
         return ga, gb
 
     return _record(np.einsum(spec, a.data, b.data), (a, b), vjp)
@@ -431,10 +503,10 @@ class Mlp:
             )
         h = x
         for W, b in zip(self.weights, self.biases):
-            h = relu(add(matmul(h, W), b))
+            h = affine(h, W, b, relu=True)
         out = {}
         for name in self.heads:
-            y = add(matmul(h, self.head_weights[name]), self.head_biases[name])
+            y = affine(h, self.head_weights[name], self.head_biases[name])
             if name in self.clamp:
                 lo, hi = self.clamp[name]
                 y = clip(y, lo, hi)
@@ -474,38 +546,75 @@ class Mlp:
 # optimizers
 
 
-def _finite_grad(p: Tensor) -> np.ndarray | None:
-    if p.grad is None:
-        return None
-    if not np.all(np.isfinite(p.grad)):
-        raise TrainingDivergence("non-finite gradient")
-    return p.grad
+class _FlatOptimizer:
+    """Parameters laid end to end in one flat vector.
 
+    A step gathers the gradients that are present into one vector in
+    parameter order, updates the matching slices of the flat moment
+    buffers with elementwise expressions and adds each parameter's slice
+    of the update back.  Parameters whose gradient is None keep their
+    value and their moments.
+    """
 
-class SgdMomentum:
-    """v <- momentum * v + g; param <- param +/- lr * v."""
-
-    def __init__(self, params, lr: float, momentum: float = 0.9, maximize: bool = False):
+    def __init__(self, params):
         self.params = list(params)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.sign = 1.0 if maximize else -1.0
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self._offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
 
-    def step(self):
-        for p, v in zip(self.params, self.velocity):
-            g = _finite_grad(p)
-            if g is None:
-                continue
-            v *= self.momentum
-            v += g
-            p.data = p.data + self.sign * self.lr * v
+    def _gather(self):
+        """(present parameter indices, their flat positions, concatenated
+        gradient or None); raises TrainingDivergence before anything is
+        written when a gradient is not finite."""
+        present = [i for i, p in enumerate(self.params) if p.grad is not None]
+        if not present:
+            return present, None, None
+        g = np.concatenate([np.ravel(self.params[i].grad) for i in present])
+        if len(present) == len(self.params):
+            where, size = slice(None), self._offsets[-1]
+        else:
+            where = np.concatenate(
+                [np.arange(self._offsets[i], self._offsets[i + 1]) for i in present]
+            )
+            size = where.size
+        if g.size != size:
+            raise ValueError("gradient sizes do not match their parameters")
+        if not np.all(np.isfinite(g)):
+            raise TrainingDivergence("non-finite gradient")
+        return present, where, g
+
+    def _scatter(self, present, update: np.ndarray):
+        start = 0
+        for i in present:
+            p = self.params[i]
+            stop = start + p.data.size
+            p.data = p.data + update[start:stop].reshape(p.data.shape)
+            start = stop
 
     def zero_grad(self):
         zero_grads(self.params)
 
 
-class Adam:
+class SgdMomentum(_FlatOptimizer):
+    """v <- momentum * v + g; param <- param +/- lr * v."""
+
+    def __init__(self, params, lr: float, momentum: float = 0.9, maximize: bool = False):
+        super().__init__(params)
+        self.lr = float(lr)
+        self.momentum = float(momentum)
+        self.sign = 1.0 if maximize else -1.0
+        self.velocity = np.zeros(self._offsets[-1])
+
+    def step(self):
+        present, where, g = self._gather()
+        if g is None:
+            return
+        v = self.velocity[where]
+        v *= self.momentum
+        v += g
+        self.velocity[where] = v
+        self._scatter(present, self.sign * self.lr * v)
+
+
+class Adam(_FlatOptimizer):
     """Adaptive-moment estimation with bias correction."""
 
     def __init__(
@@ -517,30 +626,28 @@ class Adam:
         eps: float = 1e-8,
         maximize: bool = False,
     ):
-        self.params = list(params)
+        super().__init__(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.sign = 1.0 if maximize else -1.0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros(self._offsets[-1])
+        self.v = np.zeros(self._offsets[-1])
         self.t = 0
 
     def step(self):
+        present, where, g = self._gather()
         self.t += 1
+        if g is None:
+            return
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = _finite_grad(p)
-            if g is None:
-                continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data = p.data + self.sign * self.lr * update
-
-    def zero_grad(self):
-        zero_grads(self.params)
+        m, v = self.m[where], self.v[where]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.m[where], self.v[where] = m, v
+        update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        self._scatter(present, self.sign * self.lr * update)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import log_softmax
 
 from .data import Dataset, minibatch_iterator
 from .expfam import (
@@ -252,6 +251,17 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     return AnnotationGraph(neighbors)
 
 
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """scipy.special.log_softmax(x, axis=-1) by the same numpy operations,
+    without scipy's array-API dispatch, which costs more than the
+    arithmetic on a working set."""
+    x_max = np.max(x, axis=-1, keepdims=True)
+    x_max[~np.isfinite(x_max)] = 0
+    tmp = x - x_max
+    with np.errstate(divide="ignore"):
+        return tmp - np.log(np.sum(np.exp(tmp), axis=-1, keepdims=True))
+
+
 def update_local_z(base_logits, neighbors, log_resp) -> np.ndarray:
     """One pass of coordinate refreshes on every q(z_i).
 
@@ -272,11 +282,11 @@ def update_local_z(base_logits, neighbors, log_resp) -> np.ndarray:
     for idx in graph.classes:
         free[idx] = False
     if np.any(free):
-        out[free] = log_softmax(base[free], axis=-1)
+        out[free] = _log_softmax_rows(base[free])
         resp[free] = np.exp(out[free])
     for idx, (starts, other, weight) in zip(graph.classes, graph.class_edges):
         messages = np.add.reduceat(weight[:, None] * resp[other], starts, axis=0)
-        out[idx] = log_softmax(base[idx] + messages, axis=-1)
+        out[idx] = _log_softmax_rows(base[idx] + messages)
         resp[idx] = np.exp(out[idx])
     return out
 

@@ -6,7 +6,10 @@ from crowdmix.nnet import (
     Mlp,
     SgdMomentum,
     Tape,
+    Tensor,
     TrainingDivergence,
+    add,
+    affine,
     backward,
     cholesky,
     clip,
@@ -14,17 +17,20 @@ from crowdmix.nnet import (
     constant,
     diag_embed,
     diag_part,
+    div,
     einsum2,
     exp,
     log,
     logsumexp,
     mat_inv,
+    matmul,
     mul,
     parameter,
     relu,
     reparameterize,
     sigmoid,
     softplus,
+    sub,
     take_rows,
     tensor_sum,
     zero_grads,
@@ -373,3 +379,224 @@ def test_sgd_nonfinite_gradient_raises():
     p.grad = np.array(np.inf)
     with pytest.raises(TrainingDivergence):
         opt.step()
+
+
+# ---------------------------------------------------------------------------
+# lean engine: fused affine node, constant-aware products, released adjoints
+
+
+def _affine_value_and_grads(build, h_requires, seed):
+    rng = np.random.default_rng(seed)
+    h = Tensor(rng.standard_normal((6, 4)), requires=h_requires)
+    W = parameter(rng.standard_normal((4, 5)))
+    b = parameter(rng.standard_normal(5))
+    weight = constant(rng.standard_normal((6, 5)))
+    with Tape() as tape:
+        out = build(h, W, b)
+        loss = tensor_sum(mul(mul(out, out), weight))
+    backward(tape, loss)
+    return out.data, h.grad, W.grad, b.grad
+
+
+@pytest.mark.parametrize("h_requires", [False, True])
+@pytest.mark.parametrize("with_relu", [False, True])
+def test_affine_equals_matmul_add_relu_exactly(h_requires, with_relu):
+    def fused(h, W, b):
+        return affine(h, W, b, relu=with_relu)
+
+    def unfused(h, W, b):
+        out = add(matmul(h, W), b)
+        return relu(out) if with_relu else out
+
+    got = _affine_value_and_grads(fused, h_requires, seed=30)
+    want = _affine_value_and_grads(unfused, h_requires, seed=30)
+    if with_relu:
+        assert np.any(want[0] == 0.0) and np.any(want[0] > 0.0)
+    assert (got[1] is None) == (not h_requires)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_affine_relu_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    h = parameter(rng.standard_normal((3, 4)))
+    W = parameter(rng.standard_normal((4, 2)))
+    b = parameter(rng.standard_normal(2))
+    weight = constant(rng.standard_normal((3, 2)))
+
+    def build():
+        return tensor_sum(mul(affine(h, W, b, relu=True), weight))
+
+    assert _fd_max_rel_err(build, [h, W, b]) < 1e-6
+
+
+@pytest.mark.parametrize("op", ["matmul", "mul", "sub", "div", "einsum2", "affine"])
+@pytest.mark.parametrize("constant_slot", [0, 1])
+def test_constant_parent_gets_no_gradient(op, constant_slot):
+    rng = np.random.default_rng(32)
+    shapes = {"matmul": [(3, 4), (4, 2)], "einsum2": [(3, 4), (4, 2)], "affine": [(3, 4), (4, 2)]}
+    a_shape, b_shape = shapes.get(op, [(3, 2), (3, 2)])
+    operands = [
+        Tensor(rng.uniform(0.5, 2.0, a_shape), requires=constant_slot != 0),
+        Tensor(rng.uniform(0.5, 2.0, b_shape), requires=constant_slot != 1),
+    ]
+    bias = parameter(rng.standard_normal(2))
+    build = {
+        "matmul": lambda a, b: matmul(a, b),
+        "mul": lambda a, b: mul(a, b),
+        "sub": lambda a, b: sub(a, b),
+        "div": lambda a, b: div(a, b),
+        "einsum2": lambda a, b: einsum2("ij,jk->ik", a, b),
+        "affine": lambda a, b: affine(a, b, bias, relu=True),
+    }[op]
+    with Tape() as tape:
+        loss = tensor_sum(build(*operands))
+    out, parents, vjp = tape._nodes[0]
+    grads = vjp(np.ones_like(out.data))
+    assert grads[constant_slot] is None
+    assert grads[1 - constant_slot].shape == operands[1 - constant_slot].shape
+    backward(tape, loss)
+    assert operands[constant_slot].grad is None
+    assert operands[1 - constant_slot].grad is not None
+
+
+def test_mlp_forward_records_one_node_per_layer_head_and_clamp():
+    rng = np.random.default_rng(33)
+    net = Mlp([3, 6, 5], {"mean": 2, "logvar": 2, "logits": 4}, rng, clamp={"logvar": (-4.0, 4.0)})
+    tape = Tape()
+    net.forward(rng.standard_normal((7, 3)), tape=tape)
+    assert len(tape) == 2 + 3 + 1
+
+
+def test_second_backward_adds_exactly_one_more_leaf_gradient():
+    w = parameter(np.array([0.3, -0.2, 0.1]))
+    tape = Tape()
+    with tape:
+        y = tensor_sum(exp(mul(w, constant(3.0))))
+    backward(tape, y)
+    once = w.grad.copy()
+    backward(tape, y)
+    assert np.array_equal(w.grad, 2.0 * once)
+    assert all(out.grad is None for out, _, _ in tape._nodes)
+
+
+# ---------------------------------------------------------------------------
+# flat optimizer step
+
+
+class ReferenceSgd:
+    """Per-parameter momentum SGD: the loop the flat step replaces."""
+
+    def __init__(self, params, lr, momentum, maximize):
+        self.params = params
+        self.lr, self.momentum = lr, momentum
+        self.sign = 1.0 if maximize else -1.0
+        self.velocity = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        for p, v in zip(self.params, self.velocity):
+            if p.grad is None:
+                continue
+            v *= self.momentum
+            v += p.grad
+            p.data = p.data + self.sign * self.lr * v
+
+
+class ReferenceAdam:
+    """Per-parameter Adam: the loop the flat step replaces."""
+
+    def __init__(self, params, lr, maximize, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.sign = 1.0 if maximize else -1.0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.data = p.data + self.sign * self.lr * update
+
+
+def _param_set(rng):
+    return [
+        parameter(rng.standard_normal((3, 4))),
+        parameter(rng.standard_normal(5)),
+        parameter(rng.standard_normal(())),
+        parameter(rng.standard_normal((2, 1))),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("maximize", [False, True])
+def test_flat_step_equals_per_parameter_reference(kind, maximize):
+    rng = np.random.default_rng(34)
+    flat_params = _param_set(rng)
+    ref_params = [parameter(p.data.copy()) for p in flat_params]
+    if kind == "adam":
+        flat = Adam(flat_params, lr=0.05, maximize=maximize)
+        ref = ReferenceAdam(ref_params, lr=0.05, maximize=maximize)
+    else:
+        flat = SgdMomentum(flat_params, lr=0.05, momentum=0.8, maximize=maximize)
+        ref = ReferenceSgd(ref_params, lr=0.05, momentum=0.8, maximize=maximize)
+    for step in range(10):
+        for i, (p, q) in enumerate(zip(flat_params, ref_params)):
+            # parameter 1 has no gradient on every third step, parameter 3 on odd steps
+            missing = (i == 1 and step % 3 == 0) or (i == 3 and step % 2 == 1)
+            g = None if missing else rng.standard_normal(p.data.shape) * 10.0 ** rng.uniform(-3, 1)
+            p.grad = g
+            q.grad = None if g is None else g.copy()
+        flat.step()
+        ref.step()
+        for p, q in zip(flat_params, ref_params):
+            assert np.array_equal(p.data, q.data)
+            assert p.data.shape == q.data.shape
+
+
+def _optimizer_state(opt):
+    if isinstance(opt, Adam):
+        return opt.m.copy(), opt.v.copy(), opt.t
+    return (opt.velocity.copy(),)
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejected_step_changes_nothing(kind, bad):
+    p = parameter(np.array([1.0]))
+    q = parameter(np.array([2.0, 3.0]))
+    opt = Adam([p, q], lr=0.1) if kind == "adam" else SgdMomentum([p, q], lr=0.1)
+    for first_step in (True, False):
+        p.grad = np.array([0.5])
+        q.grad = np.array([0.25, bad])
+        values = [p.data.copy(), q.data.copy()]
+        state = _optimizer_state(opt)
+        with pytest.raises(TrainingDivergence):
+            opt.step()
+        assert np.array_equal(p.data, values[0]) and np.array_equal(q.data, values[1])
+        for before, after in zip(state, _optimizer_state(opt)):
+            assert np.array_equal(before, after)
+        if first_step:
+            assert all(np.all(np.asarray(s) == 0) for s in state)
+            q.grad = np.array([0.25, 0.5])
+            opt.step()
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_step_rejects_gradient_of_the_wrong_size(kind):
+    p = parameter(np.array([1.0, 2.0]))
+    opt = Adam([p], lr=0.1) if kind == "adam" else SgdMomentum([p], lr=0.1)
+    p.grad = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="gradient sizes"):
+        opt.step()
+    assert np.array_equal(p.data, [1.0, 2.0])

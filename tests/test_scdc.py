@@ -3,6 +3,7 @@ against the per-component loop, enumeration oracles for both ELBO terms,
 finite-difference gradients, determinism, model round trips, divergence
 restore and input validation."""
 
+import hashlib
 import itertools
 import json
 
@@ -446,3 +447,40 @@ def test_dataset_of_one_item_trains():
     result = train_scdc(dataset, None, ScdcConfig(**{**SMALL, "epochs": 1}),
                         np.random.default_rng(0))
     assert len(result.history) == 1 and not result.diverged
+
+
+# History and sha256 of the sorted-key model JSON of a 2-epoch run on
+# small_problem(0), recorded with the per-node tape engine and the
+# per-parameter optimizers (numpy 2.4, OpenBLAS, x86-64).  The lean engine
+# must reproduce them bit for bit.
+RECORDED_RUNS = {
+    "adam": (
+        [
+            {"epoch": 0, "objective": -260.0935834531627, "effective_k": 4,
+             "accuracy": 0.7333333333333333, "nmi": 0.7089943690268218},
+            {"epoch": 1, "objective": -257.1720801131327, "effective_k": 4,
+             "accuracy": 0.6666666666666666, "nmi": 0.7611702597222879},
+        ],
+        "f9c400d472c465adda7851dd0387dd2c1919ce804230d1c4561925470b888141",
+    ),
+    "sgd": (
+        [
+            {"epoch": 0, "objective": -254.36212816356422, "effective_k": 4,
+             "accuracy": 0.65, "nmi": 0.6739514064754304},
+            {"epoch": 1, "objective": -229.75280343435352, "effective_k": 4,
+             "accuracy": 0.5333333333333333, "nmi": 0.3723314636461869},
+        ],
+        "7b1b6024b3c69a1da49c0482331df89685797f23f2fbf3c61a78005477323bbf",
+    ),
+}
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_training_reproduces_the_recorded_run(optimizer):
+    dataset, store = small_problem(0)
+    config = ScdcConfig(**SMALL, optimizer=optimizer)
+    result = train_scdc(dataset, store, config, np.random.default_rng(7))
+    history, digest = RECORDED_RUNS[optimizer]
+    assert result.history == history
+    model_json = json.dumps(result.model.to_dict(), sort_keys=True)
+    assert hashlib.sha256(model_json.encode()).hexdigest() == digest

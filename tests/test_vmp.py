@@ -2,6 +2,7 @@
 natural-gradient training loop, checked against quadrature and
 enumeration oracles."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -36,6 +37,7 @@ from crowdmix.vmp import (
     BayesModel,
     LocalVariational,
     RecognitionPotential,
+    _log_softmax_rows,
     _network_objective,
     annotation_graph,
     block_coordinate_local,
@@ -837,3 +839,54 @@ def test_config_validation():
         BayesConfig(local_sweeps=0)
     with pytest.raises(ValueError):
         BayesConfig(net_lr=-1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_softmax_rows_equals_scipy_exactly(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 7)) * 10.0 ** rng.uniform(-2, 3, size=(30, 1))
+    x[rng.random(x.shape) < 0.15] = -np.inf
+    x[3] = -np.inf
+    x[4, 2] = np.inf
+    x[5, 1] = np.nan
+    assert np.array_equal(_log_softmax_rows(x), log_softmax(x, axis=-1), equal_nan=True)
+
+
+# History and sha256 of the sorted-key model JSON of a 2-epoch run on
+# tiny_problem(), recorded with the per-node tape engine, the per-parameter
+# optimizers and scipy's log_softmax in the q(z) step (numpy 2.4, OpenBLAS,
+# x86-64).  The current code must reproduce them bit for bit.
+RECORDED_RUNS = {
+    "adam": (
+        [
+            {"epoch": 0, "objective": -1274.7640362917691, "effective_k": 4,
+             "accuracy": 0.65, "nmi": 0.5284607689658716},
+            {"epoch": 1, "objective": -1019.2885802780362, "effective_k": 4,
+             "accuracy": 0.65, "nmi": 0.5165719394406421},
+        ],
+        "ab888071021a997b2d4b60df3ba392bba48193fc81b533a268d7ae3a311fec18",
+    ),
+    "sgd": (
+        [
+            {"epoch": 0, "objective": -1323.0548661525827, "effective_k": 4,
+             "accuracy": 0.875, "nmi": 0.7309939874448214},
+            {"epoch": 1, "objective": -1141.355526365286, "effective_k": 4,
+             "accuracy": 0.925, "nmi": 0.82171259303577},
+        ],
+        "c993587390657e2f00a9c5925be9337372c1fcee2d91e37deeb3d217dd03167b",
+    ),
+}
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_training_reproduces_the_recorded_run(optimizer):
+    dataset, store = tiny_problem()
+    config = BayesConfig(
+        n_components=4, latent_dim=2, epochs=2, batch_size=40, net_optimizer=optimizer
+    )
+    result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
+    history, digest = RECORDED_RUNS[optimizer]
+    assert result.history == history
+    model_json = json.dumps(result.model.to_dict(), sort_keys=True)
+    assert hashlib.sha256(model_json.encode()).hexdigest() == digest
