@@ -30,8 +30,8 @@ def run(seed: int, annotated: bool, overrides: dict):
     dt = time.time() - t0
     preds = result.model.predict(dataset.observations)
     return {
-        "acc": clustering_accuracy(dataset.labels, preds),
-        "nmi": nmi(dataset.labels, preds),
+        "acc": clustering_accuracy(preds, dataset.labels),
+        "nmi": nmi(preds, dataset.labels),
         "k": effective_components(result.model.glob, min(0.5, 2.0 / dataset.n_items)),
         "sec": dt,
         "div": result.diverged,

@@ -291,32 +291,21 @@ def beta_natural_gradient(
     return grad_a, grad_b
 
 
-def sample_annotation_minibatch(store: AnnotationStore, batch_size: int, rng):
-    """Uniform without-replacement triple sample plus its N_a/|S| scale."""
+def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch_size: int, rng):
+    """Uniform without-replacement triple sample, joined with a data batch.
+
+    Returns the working set (the sorted union of `batch` and the sampled
+    triples' items), the sampled triples renumbered onto working-set
+    positions, and the N_a/|S| scale.  A `batch_size` of at least the
+    store's size takes every triple and draws nothing from `rng`.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     n = store.n_annotations
-    if batch_size >= n:
-        return store, 1.0
-    rows = rng.choice(n, size=batch_size, replace=False)
-    return store.select(np.sort(rows)), n / float(batch_size)
-
-
-def restrict_store(store: AnnotationStore | None, items: np.ndarray) -> AnnotationStore | None:
-    """Renumber triples onto positions within `items` (sorted, unique).
-
-    Keeps the triples whose both items lie in `items`; returns None when
-    there are none, so a working set without annotations carries no store.
-    """
-    if store is None or store.n_annotations == 0:
-        return None
-    t = store.triples
-    keep = np.isin(t[:, 0], items) & np.isin(t[:, 1], items)
-    if not np.any(keep):
-        return None
-    t = t[keep]
-    renumbered = np.stack(
-        [np.searchsorted(items, t[:, 0]), np.searchsorted(items, t[:, 1]), t[:, 2], t[:, 3]],
-        axis=1,
-    )
-    return AnnotationStore(renumbered, n_items=items.size, n_workers=store.n_workers)
+    t, scale = store.triples, 1.0
+    if batch_size < n:
+        t = t[np.sort(rng.choice(n, size=batch_size, replace=False))]
+        scale = n / float(batch_size)
+    working = np.unique(np.concatenate([batch, t[:, :2].ravel()]))
+    renumbered = np.column_stack([np.searchsorted(working, t[:, :2]), t[:, 2:]])
+    return working, AnnotationStore(renumbered, working.size, store.n_workers), scale

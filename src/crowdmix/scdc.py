@@ -4,24 +4,25 @@ Encoder networks produce the cluster posterior q(z|o) and the
 per-cluster latent posterior q(x|z,o); mixing weights, component
 Gaussians and worker accuracies are deterministic points optimized
 jointly with the networks by stochastic gradient ascent of the evidence
-lower bound.  The discrete cluster sum is carried analytically: every
-item is paired with every component in one stacked item-major batch
-(row i*K + k is item i under component k) that goes through the latent
-encoder and the decoder once.  Annotations enter through the
-closed-form expectation of the two-coin worker likelihood over pairs of
-cluster posteriors.
+lower bound, one optimizer over every parameter.  The discrete cluster
+sum is carried analytically: every item is paired with every component
+in one stacked item-major batch (row i*K + k is item i under component
+k) that goes through the latent encoder and the decoder once.
+Annotations enter through the closed-form expectation of the two-coin
+worker likelihood over pairs of cluster posteriors.  `driver.fit` runs
+the minibatch loop; `train_scdc` supplies the parameters and the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 from scipy.special import log_softmax as np_log_softmax
 
 from .data import Dataset, minibatch_iterator
+from .driver import TrainResult, Update, check_config, fit
 from .metrics import clustering_accuracy, nmi
 from .nnet import (
     Adam,
@@ -31,7 +32,6 @@ from .nnet import (
     Tensor,
     TrainingDivergence,
     backward,
-    clip,
     constant,
     diag_gaussian_loglik,
     exp,
@@ -45,7 +45,7 @@ from .nnet import (
     tensor_sum,
     zero_grads,
 )
-from .relational import AnnotationStore, restrict_store, sample_annotation_minibatch
+from .relational import AnnotationStore, sample_annotation_minibatch
 
 
 @dataclass
@@ -177,45 +177,6 @@ def predict_cluster(posterior: AmortizedPosterior, observations) -> np.ndarray:
     return np.argmax(posterior.cluster_logits(observations), axis=1)
 
 
-def _reseed_mixture(
-    point: PointParams,
-    posterior: AmortizedPosterior,
-    observations,
-    rng: np.random.Generator,
-    logvar_floor: float,
-) -> None:
-    """Refit the point mixture to the current latent cloud in place.
-
-    Takes each item's latent mean under its most probable cluster, runs
-    k-means++ on those codes, and resets component means to the centroids,
-    log-variances to the within-centroid spread (bounded below), and
-    mixing weights to the smoothed assignment counts.  The encoder
-    organizes the latent space long before gradient steps can drag the
-    randomly placed components onto it; refitting skips that dead time.
-    """
-    obs = np.atleast_2d(np.asarray(observations, dtype=float))
-    n = obs.shape[0]
-    k_comp, d = point.n_components, point.latent_dim
-    labels = np.argmax(posterior.cluster_logits(obs), axis=1)
-    onehot = np.eye(k_comp)[labels]
-    latents = posterior.encoder_x.forward(np.concatenate([onehot, obs], axis=1))[
-        "mean"
-    ].data
-    centers, assign = kmeans2(latents, k_comp, minit="++", seed=rng)
-    counts = np.bincount(assign, minlength=k_comp)
-    global_var = latents.var(axis=0) + 1e-6
-    log_vars = np.empty((k_comp, d))
-    for k in range(k_comp):
-        if counts[k] > 1:
-            sq = (latents[assign == k] - centers[k]) ** 2
-            log_vars[k] = np.log(sq.mean(axis=0) + 1e-6)
-        else:
-            log_vars[k] = np.log(global_var)
-    point.means.data[:] = centers
-    point.log_vars.data[:] = np.maximum(log_vars, logvar_floor)
-    point.pi_logits.data[:] = np.log((counts + 1.0) / (n + k_comp))
-
-
 def _check_finite(heads: dict, what: str) -> None:
     for value in heads.values():
         if not np.all(np.isfinite(value.data)):
@@ -233,7 +194,6 @@ def elbo_local(
     n_samples: int = 1,
     scale: float = 1.0,
     kl_weight: float = 1.0,
-    component_logvar_floor: float | None = None,
 ):
     """Data-term ELBO over a batch, cluster sum taken analytically.
 
@@ -249,10 +209,7 @@ def elbo_local(
     random draws; noise[s, k, i] perturbs row i*K + k.  `kl_weight` < 1
     damps the Gaussian-KL pull of the per-cluster latent posteriors
     toward the point components (warmup against early contraction); at
-    1 this is the exact bound.  `component_logvar_floor` bounds the
-    component log-variances from below inside the KL only, keeping the
-    mixture components from contracting into high-precision traps that
-    drag all latent posteriors together; `None` uses the raw parameters.
+    1 this is the exact bound.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
@@ -281,8 +238,6 @@ def elbo_local(
     _check_finite(x_heads, "latent encoder")
     mean, logvar = x_heads["mean"], x_heads["logvar"]         # (n*K, d)
     lv = point.log_vars                                       # (K, d)
-    if component_logvar_floor is not None:
-        lv = clip(lv, component_logvar_floor, 60.0)
     mean_view = reshape(mean, (n, k_comp, d))
     logvar_view = reshape(logvar, (n, k_comp, d))
     centered = mean_view - point.means
@@ -348,7 +303,12 @@ def elbo_rel(
 
 @dataclass(frozen=True)
 class ScdcConfig:
-    """Settings for the amortized stochastic-gradient training loop."""
+    """Settings for the amortized stochastic-gradient training loop.
+
+    One optimizer steps every parameter at rate `lr`.  `kl_warmup` is
+    the fraction of updates over which the Gaussian-KL weight ramps
+    0 -> 1: off for the first half of the window, then linear.
+    """
 
     n_components: int = 15
     latent_dim: int = 2
@@ -357,78 +317,19 @@ class ScdcConfig:
     annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
     hidden: tuple[int, ...] = (40, 40)
     lr: float = 1e-3
-    worker_lr: float | None = None  # worker accuracy logits; with an adaptive
-                                    # optimizer each coordinate moves at most
-                                    # lr per update, so the two coins of a
-                                    # worker need a faster rate than the
-                                    # networks to traverse logit space within
-                                    # a short training budget
-    mixture_lr: float | None = None  # mixing weights and component Gaussians;
-                                     # same rationale — at the network rate the
-                                     # mixture barely moves over a short run,
-                                     # leaving overlapping components that keep
-                                     # the cluster posterior diffuse
-    mixture_delay: float = 0.0  # fraction of updates before mixture_lr takes
-                                # effect; a fast mixture from the start chases
-                                # the still-uniform cluster posterior and all
-                                # components collapse onto the latent centroid,
-                                # so sharpening waits until the encoder has
-                                # organized the latent space
-    mixture_reseed: bool = False  # at the mixture_delay boundary, re-seed the
-                                  # component means by k-means++ on the current
-                                  # per-item latent means and refit weights and
-                                  # variances from that assignment; the random
-                                  # initial components rarely line up with the
-                                  # organized latent cloud on their own
     optimizer: str = "adam"  # "adam" or "sgd"
     momentum: float = 0.9
     n_samples: int = 1
-    kl_warmup: float = 0.0   # fraction of updates over which the Gaussian-KL
-                             # weight ramps 0 -> 1 (off for the first half of
-                             # the window, then linear)
-    annotation_delay: float = 0.0  # fraction of updates to train on data only
-                                   # before the annotation term (and worker
-                                   # coins) switch on; lets the clustering
-                                   # stabilize before the coins calibrate
+    kl_warmup: float = 0.0
     init_spread: float = math.sqrt(3.0)
-    encoder_logvar_bias: float = 0.0  # starting log-variance of q(x|z,o)
     logvar_clamp: tuple[float, float] = (-8.0, 8.0)
-    encoder_logvar_clamp: tuple[float, float] | None = None  # clamp for the
-                                                 # latent-posterior head only
-                                                 # (None: use logvar_clamp)
-    component_logvar_floor: float | None = None  # lower bound on component
-                                                 # log-variances inside the KL
-                                                 # (None: unbounded)
 
     def __post_init__(self):
-        if self.n_components < 1 or self.latent_dim < 1:
-            raise ValueError("n_components and latent_dim must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.annotation_batch_size is not None and self.annotation_batch_size < 1:
-            raise ValueError("annotation_batch_size must be at least 1")
+        check_config(self)
         if self.lr < 0.0:
             raise ValueError("lr must be non-negative")
-        if self.worker_lr is not None and self.worker_lr < 0.0:
-            raise ValueError("worker_lr must be non-negative")
-        if self.mixture_lr is not None and self.mixture_lr < 0.0:
-            raise ValueError("mixture_lr must be non-negative")
-        if not 0.0 <= self.mixture_delay <= 1.0:
-            raise ValueError("mixture_delay must lie in [0, 1]")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if not 0.0 <= self.kl_warmup <= 1.0:
-            raise ValueError("kl_warmup must lie in [0, 1]")
-        if not 0.0 <= self.annotation_delay <= 1.0:
-            raise ValueError("annotation_delay must lie in [0, 1]")
-        for name in ("logvar_clamp", "encoder_logvar_clamp"):
-            bounds = getattr(self, name)
-            if bounds is not None and not bounds[0] < bounds[1]:
-                raise ValueError(f"{name} must be a (lo, hi) pair with lo < hi")
 
 
 @dataclass
@@ -465,149 +366,73 @@ class ScdcModel:
         )
 
 
-@dataclass
-class ScdcResult:
-    model: ScdcModel
-    history: list = field(default_factory=list)
-    diverged: bool = False
-
-
 def train_scdc(
     dataset: Dataset,
     store: AnnotationStore | None,
     config: ScdcConfig,
     rng: np.random.Generator,
-) -> ScdcResult:
+) -> TrainResult:
     """Stochastic gradient ascent of the amortized lower bound.
 
-    Each iteration pairs a uniform data minibatch with a proportional
-    annotation minibatch, builds the scaled data and annotation ELBO
-    terms on one tape, and steps every parameter (point mixture, point
-    workers, both encoders, decoder) along the gradient.  Divergence
-    restores the last finished epoch and sets the diverged flag.
+    Each update builds the scaled data and annotation ELBO terms on one
+    tape and steps every parameter (point mixture, point workers, both
+    encoders, decoder) along the gradient; `driver.fit` runs the loop.
     """
     obs = dataset.observations
-    n = dataset.n_items
     k_comp, d = config.n_components, config.latent_dim
-    n_ann = store.n_annotations if store is not None else 0
-    n_workers = store.n_workers if n_ann else 0
+    n_workers = store.n_workers if store is not None and store.n_annotations else 0
     point = PointParams.init(k_comp, d, n_workers, rng, mean_spread=config.init_spread)
-    enc_clamp = config.encoder_logvar_clamp or config.logvar_clamp
     posterior = AmortizedPosterior(
         encoder_z=Mlp([dataset.dim, *config.hidden], {"logits": k_comp}, rng),
         encoder_x=Mlp(
             [k_comp + dataset.dim, *config.hidden],
             {"mean": d, "logvar": d},
             rng,
-            clamp={"logvar": enc_clamp},
+            clamp={"logvar": config.logvar_clamp},
         ),
     )
-    posterior.encoder_x.head_biases["logvar"].data[:] = config.encoder_logvar_bias
     decoder = Mlp(
         [d, *config.hidden],
         {"mean": dataset.dim, "logvar": dataset.dim},
         rng,
         clamp={"logvar": config.logvar_clamp},
     )
-    net_params = (
+    params = (
         posterior.encoder_z.parameters()
         + posterior.encoder_x.parameters()
         + decoder.parameters()
+        + point.parameters()
     )
-    mixture_params = [point.pi_logits, point.means, point.log_vars]
-    params = net_params + mixture_params + [point.worker_logits]
-    mixture_lr = config.lr if config.mixture_lr is None else config.mixture_lr
-    groups = [
-        (net_params, config.lr),
-        (mixture_params, config.lr if config.mixture_delay > 0.0 else mixture_lr),
-        ([point.worker_logits], config.lr if config.worker_lr is None else config.worker_lr),
-    ]
     if config.optimizer == "adam":
-        def _make_opt(ps, lr):
-            return Adam(ps, lr=lr, maximize=True)
+        opt = Adam(params, lr=config.lr, maximize=True)
     else:
-        def _make_opt(ps, lr):
-            return SgdMomentum(ps, lr=lr, momentum=config.momentum, maximize=True)
-    opts = [_make_opt(ps, lr) for ps, lr in groups]
-    mixture_opt = opts[1]
-    threshold = min(0.5, 2.0 / n)
-    batches_per_epoch = -(-n // config.batch_size)
-    total_updates = config.epochs * batches_per_epoch
-    warmup_updates = round(config.kl_warmup * total_updates)
-    delay_updates = round(config.annotation_delay * total_updates)
-    mixture_delay_updates = round(config.mixture_delay * total_updates)
-    model = ScdcModel(point, posterior, decoder)
-    history: list[dict] = []
-    snapshot = [p.data.copy() for p in params]
-    updates = 0
-    reseeded = False
-    diverged = False
-    for epoch in range(config.epochs):
-        estimates = []
-        try:
-            for batch in minibatch_iterator(n, config.batch_size, rng):
-                batch = np.sort(batch)
-                local_store, rel_scale, working = None, 1.0, batch
-                if n_ann and updates + 1 > delay_updates:
-                    want = config.annotation_batch_size
-                    if want is None:
-                        want = max(1, round(n_ann * batch.size / n))
-                    sub, rel_scale = sample_annotation_minibatch(store, min(want, n_ann), rng)
-                    working = np.unique(np.concatenate([batch, sub.annotated_items]))
-                    local_store = restrict_store(sub, working)
-                noise = rng.standard_normal((config.n_samples, k_comp, batch.size, d))
-                updates += 1
-                if updates > mixture_delay_updates:
-                    if config.mixture_reseed and not reseeded:
-                        floor = config.component_logvar_floor
-                        _reseed_mixture(
-                            point, posterior, obs, rng,
-                            config.logvar_clamp[0] if floor is None else floor,
-                        )
-                        opts[1] = _make_opt(mixture_params, mixture_lr)
-                        mixture_opt = opts[1]
-                        reseeded = True
-                    mixture_opt.lr = mixture_lr
-                # Dead zone then linear ramp, as in the Bayesian loop.
-                if updates > warmup_updates:
-                    kl_weight = 1.0
-                else:
-                    half = 0.5 * (warmup_updates + 1.0)
-                    kl_weight = max(0.0, (updates - half) / half)
-                with Tape() as tape:
-                    total = elbo_local(
-                        obs[batch], point, posterior, decoder,
-                        noise=noise, scale=n / batch.size, kl_weight=kl_weight,
-                        component_logvar_floor=config.component_logvar_floor,
-                    )
-                    if local_store is not None:
-                        z_heads = posterior.encoder_z.forward(obs[working])
-                        _check_finite(z_heads, "cluster encoder")
-                        q_working = exp(log_softmax(z_heads["logits"], axis=-1))
-                        total = total + elbo_rel(local_store, q_working, point, scale=rel_scale)
-                backward(tape, total)
-                for opt in opts:
-                    opt.step()
-                zero_grads(params)
-                estimate = float(total.data)
-                if not np.isfinite(estimate):
-                    raise TrainingDivergence("non-finite objective estimate")
-                estimates.append(estimate)
-        except (TrainingDivergence, np.linalg.LinAlgError):
-            diverged = True
-            for p, saved in zip(params, snapshot):
-                p.data = saved
-            break
-        model = ScdcModel(point, posterior, decoder)
-        snapshot = [p.data.copy() for p in params]
-        record = {"epoch": epoch, "objective": float(np.mean(estimates))}
-        preds = model.predict(obs)
-        record["effective_k"] = int(np.sum(point.pi() > threshold))
-        if dataset.labels is not None:
-            record["accuracy"] = clustering_accuracy(dataset.labels, preds)
-            record["nmi"] = nmi(dataset.labels, preds)
-        else:
-            record["accuracy"] = float("nan")
-            record["nmi"] = float("nan")
-        history.append(record)
-    return ScdcResult(model=model, history=history, diverged=diverged)
+        opt = SgdMomentum(params, lr=config.lr, momentum=config.momentum, maximize=True)
+
+    def step(update: Update) -> float:
+        noise = rng.standard_normal((config.n_samples, k_comp, update.batch.size, d))
+        with Tape() as tape:
+            total = elbo_local(
+                obs[update.batch], point, posterior, decoder,
+                noise=noise, scale=update.data_scale, kl_weight=update.kl_weight,
+            )
+            if update.store is not None:
+                z_heads = posterior.encoder_z.forward(obs[update.working])
+                _check_finite(z_heads, "cluster encoder")
+                q_working = exp(log_softmax(z_heads["logits"], axis=-1))
+                total = total + elbo_rel(update.store, q_working, point, scale=update.rel_scale)
+        backward(tape, total)
+        opt.step()
+        zero_grads(params)
+        return float(total.data)
+
+    return fit(
+        dataset, store, config, rng,
+        params=params,
+        model=lambda: ScdcModel(point, posterior, decoder),
+        step=step,
+        effective_k=lambda model, threshold: int(np.sum(model.point.pi() > threshold)),
+        minibatch_iterator=minibatch_iterator,
+        sample_annotation_minibatch=sample_annotation_minibatch,
+        clustering_accuracy=clustering_accuracy,
+        nmi=nmi,
+    )

@@ -6,17 +6,19 @@ block-coordinate updates that carry pairwise annotation messages.
 Globals (mixing weights, components, worker accuracies) follow scaled
 stochastic natural gradients, while the recognition and decoder
 networks ascend reparameterization gradients of the objective through
-the final latent refresh.
+the final latent refresh.  `driver.fit` runs the minibatch loop;
+`train_bayes_scdc` supplies the parameters and the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, minibatch_iterator
+from .driver import TrainResult, Update, check_config, fit
 from .expfam import (
     BetaNat,
     dirichlet_expected_stats,
@@ -59,7 +61,6 @@ from .relational import (
     _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
-    restrict_store,
     sample_annotation_minibatch,
 )
 
@@ -527,22 +528,17 @@ class BayesConfig:
                                             # (0 disables the rescaling)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        check_config(self)
         if not 0.0 <= self.global_step <= 1.0:
             raise ValueError("global_step must lie in [0, 1]")
         if self.global_step_decay < 0.0:
             raise ValueError("global_step_decay must be non-negative")
-        if self.local_sweeps < 1 or self.n_samples < 1:
-            raise ValueError("local_sweeps and n_samples must be at least 1")
+        if self.local_sweeps < 1:
+            raise ValueError("local_sweeps must be at least 1")
         if self.net_lr < 0.0:
             raise ValueError("net_lr must be non-negative")
         if self.net_optimizer not in ("adam", "sgd"):
             raise ValueError("net_optimizer must be 'adam' or 'sgd'")
-        if not 0.0 <= self.kl_warmup <= 1.0:
-            raise ValueError("kl_warmup must lie in [0, 1]")
         if self.init_potential_precision <= 2.0 * PRECISION_FLOOR:
             raise ValueError("init_potential_precision must exceed the precision floor")
         if self.init_potential_spread < 0.0:
@@ -603,13 +599,6 @@ class BayesModel:
         )
 
 
-@dataclass
-class TrainResult:
-    model: BayesModel
-    history: list = field(default_factory=list)
-    diverged: bool = False
-
-
 def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight=1.0):
     """Tape graph of the objective terms the networks can influence.
 
@@ -662,21 +651,17 @@ def train_bayes_scdc(
     config: BayesConfig,
     rng: np.random.Generator,
 ) -> TrainResult:
-    """Stochastic natural-gradient training loop.
+    """Stochastic natural-gradient training.
 
-    Each iteration pairs a uniform data minibatch with a proportional
-    annotation minibatch, rebuilds the local posteriors of the combined
-    working set from scratch, steps the globals along their scaled
-    natural gradients, and follows reparameterization gradients of the
-    objective through both networks.  Divergence restores the last
-    finished epoch and sets the diverged flag on the result.
+    Each update rebuilds the local posteriors of the working set from
+    scratch, steps the globals along their scaled natural gradients, and
+    follows reparameterization gradients of the objective through both
+    networks; `driver.fit` runs the loop.
     """
     obs = dataset.observations
-    n = dataset.n_items
     prior = config.prior()
     d = prior.latent_dim
-    n_ann = store.n_annotations if store is not None else 0
-    n_workers = store.n_workers if n_ann else 0
+    n_workers = store.n_workers if store is not None and store.n_annotations else 0
     glob = init_global(
         prior,
         rng,
@@ -700,112 +685,65 @@ def train_bayes_scdc(
         opt = Adam(params, lr=config.net_lr, maximize=True)
     else:
         opt = SgdMomentum(params, lr=config.net_lr, momentum=config.net_momentum, maximize=True)
-    batches_per_epoch = -(-n // config.batch_size)
-    warmup_updates = round(config.kl_warmup * config.epochs * batches_per_epoch)
     worker_prior = (BetaNat.from_tau(*config.worker_prior), BetaNat.from_tau(*config.worker_prior))
-    threshold = min(0.5, 2.0 / n)
-    model = BayesModel(
-        prior, glob, recognition, decoder, config.worker_prior, config.local_sweeps, config.local_tol
-    )
-    history: list[dict] = []
-    snapshot = [p.data.copy() for p in params]
-    updates = 0
-    diverged = False
-    for epoch in range(config.epochs):
-        estimates = []
-        try:
-            for batch in minibatch_iterator(n, config.batch_size, rng):
-                batch = np.sort(batch)
-                if n_ann:
-                    want = config.annotation_batch_size
-                    if want is None:
-                        want = max(1, round(n_ann * batch.size / n))
-                    sub, rel_scale = sample_annotation_minibatch(store, min(want, n_ann), rng)
-                    working = np.unique(np.concatenate([batch, sub.annotated_items]))
-                    local_store = restrict_store(sub, working)
-                else:
-                    working = batch
-                    local_store, rel_scale = None, 1.0
-                rows = np.searchsorted(working, batch)
-                data_scale = n / batch.size
 
-                exps = global_expectations(glob)
-                potential = recognition_potential(recognition, obs[working])
-                local = block_coordinate_local(
-                    glob, potential, local_store, config.local_sweeps, config.local_tol
-                )
-                resp = local.resp
-
-                grads = mixture_natural_gradient(
-                    prior, resp[rows], local.x_mean[rows], local.x_cov[rows], glob, scale=data_scale
-                )
-                if n_workers and local_store is not None:
-                    grad_a, grad_b = beta_natural_gradient(
-                        local_store, resp, worker_prior, glob.workers, scale=rel_scale
-                    )
-                    grads = replace(grads, worker_alpha=grad_a, worker_beta=grad_b)
-                if config.global_step > 0.0:
-                    step = config.global_step / (1.0 + updates) ** config.global_step_decay
-                    new_glob = _stepped_globals(glob, grads, step)
-                else:
-                    new_glob = glob
-                updates += 1
-
-                noise = rng.standard_normal((config.n_samples, batch.size, d))
-                # Dead zone then linear ramp: the latent KL stays off for the
-                # first half of the warmup window while the decoder and the
-                # mixture settle on the confident initial potentials, then
-                # ramps to full strength by the window's end.
-                if updates > warmup_updates:
-                    kl_weight = 1.0
-                else:
-                    half = 0.5 * (warmup_updates + 1.0)
-                    kl_weight = max(0.0, (updates - half) / half)
-                with Tape() as tape:
-                    objective, recon = _network_objective(
-                        recognition, decoder, obs[batch], resp[rows], exps, noise, data_scale,
-                        kl_weight=kl_weight,
-                    )
-                backward(tape, objective)
-                opt.step()
-                zero_grads(params)
-
-                rel = 0.0
-                if local_store is not None and glob.workers is not None:
-                    rel = expected_rel_loglik(local_store, resp, glob.workers, scale=rel_scale)
-                estimate = (
-                    data_scale * (float(recon.data) - local_kl(exps, local, rows))
-                    + rel
-                    - global_kl(glob, prior, worker_prior)
-                )
-                if not np.isfinite(estimate):
-                    raise TrainingDivergence("non-finite objective estimate")
-                estimates.append(estimate)
-                glob = new_glob
-        except (TrainingDivergence, np.linalg.LinAlgError):
-            diverged = True
-            for p, saved in zip(params, snapshot):
-                p.data = saved
-            glob = model.glob
-            break
-        model = BayesModel(
-            prior,
-            glob,
-            recognition,
-            decoder,
-            config.worker_prior,
-            config.local_sweeps,
-            config.local_tol,
+    def step(update: Update) -> float:
+        nonlocal glob
+        rows, local_store = update.rows, update.store
+        exps = global_expectations(glob)
+        potential = recognition_potential(recognition, obs[update.working])
+        local = block_coordinate_local(
+            glob, potential, local_store, config.local_sweeps, config.local_tol
         )
-        snapshot = [p.data.copy() for p in params]
-        record = {"epoch": epoch, "objective": float(np.mean(estimates))}
-        predicted = model.predict(obs)
-        record["effective_k"] = effective_components(glob, threshold)
-        if dataset.labels is not None:
-            record["accuracy"] = clustering_accuracy(predicted, dataset.labels)
-            record["nmi"] = nmi(predicted, dataset.labels)
+        resp = local.resp
+
+        grads = mixture_natural_gradient(
+            prior, resp[rows], local.x_mean[rows], local.x_cov[rows], glob,
+            scale=update.data_scale,
+        )
+        if local_store is not None:
+            grad_a, grad_b = beta_natural_gradient(
+                local_store, resp, worker_prior, glob.workers, scale=update.rel_scale
+            )
+            grads = replace(grads, worker_alpha=grad_a, worker_beta=grad_b)
+        if config.global_step > 0.0:
+            rate = config.global_step / (1.0 + update.index) ** config.global_step_decay
+            new_glob = _stepped_globals(glob, grads, rate)
         else:
-            record["accuracy"] = float("nan")
-            record["nmi"] = float("nan")
-        history.append(record)
-    return TrainResult(model, history, diverged)
+            new_glob = glob
+
+        noise = rng.standard_normal((config.n_samples, update.batch.size, d))
+        with Tape() as tape:
+            objective, recon = _network_objective(
+                recognition, decoder, obs[update.batch], resp[rows], exps, noise,
+                update.data_scale, kl_weight=update.kl_weight,
+            )
+        backward(tape, objective)
+        opt.step()
+        zero_grads(params)
+
+        rel = 0.0
+        if local_store is not None and glob.workers is not None:
+            rel = expected_rel_loglik(local_store, resp, glob.workers, scale=update.rel_scale)
+        estimate = (
+            update.data_scale * (float(recon.data) - local_kl(exps, local, rows))
+            + rel
+            - global_kl(glob, prior, worker_prior)
+        )
+        glob = new_glob
+        return estimate
+
+    return fit(
+        dataset, store, config, rng,
+        params=params,
+        model=lambda: BayesModel(
+            prior, glob, recognition, decoder,
+            config.worker_prior, config.local_sweeps, config.local_tol,
+        ),
+        step=step,
+        effective_k=lambda model, threshold: effective_components(model.glob, threshold),
+        minibatch_iterator=minibatch_iterator,
+        sample_annotation_minibatch=sample_annotation_minibatch,
+        clustering_accuracy=clustering_accuracy,
+        nmi=nmi,
+    )

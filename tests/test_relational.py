@@ -13,7 +13,6 @@ from crowdmix.relational import (
     expected_rel_loglik,
     expected_worker_weights,
     message_weight,
-    restrict_store,
     sample_annotation_minibatch,
     worker_weight,
 )
@@ -316,10 +315,13 @@ def test_beta_gradient_true_negative_count():
 
 def test_minibatch_full_store():
     store = AnnotationStore([(0, 1, 0, 1), (0, 2, 0, 0)], 3, 1)
-    sub, scale = sample_annotation_minibatch(store, 2, np.random.default_rng(0))
-    assert scale == 1.0 and sub.n_annotations == 2
-    sub, scale = sample_annotation_minibatch(store, 10, np.random.default_rng(0))
-    assert scale == 1.0 and sub.n_annotations == 2
+    for size in (2, 10):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        working, sub, scale = sample_annotation_minibatch(store, np.array([0]), size, rng)
+        assert scale == 1.0 and sub.n_annotations == 2
+        assert working.tolist() == [0, 1, 2]
+        assert rng.bit_generator.state == state   # nothing drawn
 
 
 def test_minibatch_estimator_exactly_unbiased():
@@ -342,20 +344,37 @@ def test_minibatch_estimator_exactly_unbiased():
 def test_minibatch_deterministic_replay():
     triples = [(0, 1, 0, 1), (0, 2, 0, 0), (1, 2, 0, 1), (1, 3, 0, 0), (2, 3, 0, 1)]
     store = AnnotationStore(triples, 4, 1)
-    a, _ = sample_annotation_minibatch(store, 2, np.random.default_rng(7))
-    b, _ = sample_annotation_minibatch(store, 2, np.random.default_rng(7))
+    batch = np.array([0])
+    _, a, _ = sample_annotation_minibatch(store, batch, 2, np.random.default_rng(7))
+    _, b, _ = sample_annotation_minibatch(store, batch, 2, np.random.default_rng(7))
     assert np.array_equal(a.triples, b.triples)
 
 
-def test_restrict_store_renumbers_onto_working_set_positions():
+def test_sample_annotation_minibatch_renumbers_onto_working_set_positions():
     store = AnnotationStore(
         [(1, 4, 0, 1), (4, 7, 1, 0), (2, 7, 0, 1), (1, 7, 1, 1)], n_items=9, n_workers=2
     )
-    working = np.array([1, 4, 7])
-    local = restrict_store(store, working)
-    assert (local.n_items, local.n_workers) == (3, 2)
-    # (2, 7) leaves: item 2 is outside the working set
-    assert local.triples.tolist() == [[0, 1, 0, 1], [0, 2, 1, 1], [1, 2, 1, 0]]
-    assert restrict_store(store, np.array([0, 2, 3])) is None
-    assert restrict_store(None, working) is None
-    assert restrict_store(store.select([]), working) is None
+    working, local, scale = sample_annotation_minibatch(
+        store, np.array([4, 8]), 4, np.random.default_rng(0)
+    )
+    assert working.tolist() == [1, 2, 4, 7, 8] and scale == 1.0
+    assert (local.n_items, local.n_workers) == (5, 2)
+    assert local.triples.tolist() == [[0, 2, 0, 1], [0, 3, 1, 1], [1, 3, 0, 1], [2, 3, 1, 0]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_annotation_minibatch_takes_the_selected_triples(seed):
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(rng.choice(30, size=2, replace=False))) for _ in range(40)}
+    triples = [(i, j, int(rng.integers(3)), int(rng.integers(2))) for i, j in sorted(pairs)]
+    store = AnnotationStore(triples, n_items=30, n_workers=3)
+    batch = np.sort(rng.choice(30, size=6, replace=False))
+    working, local, scale = sample_annotation_minibatch(
+        store, batch, 7, np.random.default_rng(seed)
+    )
+    rows = np.sort(np.random.default_rng(seed).choice(store.n_annotations, 7, replace=False))
+    expected = store.select(rows)
+    assert scale == store.n_annotations / 7
+    assert np.array_equal(working, np.unique(np.concatenate([batch, expected.annotated_items])))
+    back = np.column_stack([working[local.triples[:, :2]], local.triples[:, 2:]])
+    assert np.array_equal(back, expected.triples)

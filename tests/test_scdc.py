@@ -1,7 +1,7 @@
 """Amortized SCDC terms and training loop: the stacked component batch
 against the per-component loop, enumeration oracles for both ELBO terms,
-finite-difference gradients, determinism, model round trips, divergence
-restore and input validation."""
+finite-difference gradients, determinism, model round trips and input
+validation."""
 
 import hashlib
 import itertools
@@ -12,13 +12,11 @@ import pytest
 from scipy import stats
 from scipy.special import log_softmax as np_log_softmax
 
-from crowdmix import scdc
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.nnet import (
     Mlp,
     Tape,
     backward,
-    clip,
     concat,
     diag_gaussian_loglik,
     exp,
@@ -42,6 +40,7 @@ from crowdmix.scdc import (
     elbo_rel,
     train_scdc,
 )
+from crowdmix.vmp import BayesConfig
 
 DIM = 2      # observation width
 LATENT = 2   # latent width
@@ -49,7 +48,6 @@ LATENT = 2   # latent width
 
 def per_component_elbo_local(
     observations, point, posterior, decoder, *, noise, scale=1.0, kl_weight=1.0,
-    component_logvar_floor=None,
 ):
     """Per-component reference for elbo_local: one latent-encoder and one
     decoder pass per component, columns joined with concat.  The stacked
@@ -70,8 +68,6 @@ def per_component_elbo_local(
         mean, logvar = x_heads["mean"], x_heads["logvar"]
         mu_k = take_rows(point.means, [k])
         lv_k = take_rows(point.log_vars, [k])
-        if component_logvar_floor is not None:
-            lv_k = clip(lv_k, component_logvar_floor, 60.0)
         centered = mean - mu_k
         kl_terms = (
             lv_k - logvar + (exp(logvar) + centered * centered) * exp(-lv_k) - 1.0
@@ -145,19 +141,15 @@ def assert_rel_close(actual, expected, tol):
 
 
 @pytest.mark.parametrize(
-    "k_comp, n_samples, kl_weight, floor",
-    list(itertools.product((1, 2, 5), (1, 3), (0.3, 1.0), (None, -2.0))),
+    "k_comp, n_samples, kl_weight", list(itertools.product((1, 2, 5), (1, 3), (0.3, 1.0)))
 )
-def test_stacked_elbo_local_matches_component_loop(k_comp, n_samples, kl_weight, floor):
+def test_stacked_elbo_local_matches_component_loop(k_comp, n_samples, kl_weight):
     rng = np.random.default_rng(100 + 10 * k_comp + n_samples)
     point, posterior, decoder = make_parts(k_comp, rng)
-    if floor is not None:
-        point.log_vars.data[0, 0] = -3.5   # one coordinate held at the floor
-        point.log_vars.data[-1, -1] = 0.5
     obs = rng.standard_normal((7, DIM))
     noise = rng.standard_normal((n_samples, k_comp, obs.shape[0], LATENT))
     params = all_parameters(point, posterior, decoder)
-    kwargs = dict(noise=noise, scale=3.5, kl_weight=kl_weight, component_logvar_floor=floor)
+    kwargs = dict(noise=noise, scale=3.5, kl_weight=kl_weight)
     value, grads = value_and_grads(
         lambda: elbo_local(obs, point, posterior, decoder, **kwargs), params
     )
@@ -195,7 +187,7 @@ def test_elbo_local_draws_noise_from_rng_in_component_major_order():
 # enumeration oracles
 
 
-def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight, floor):
+def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight):
     """Per-item, per-component sum in plain numpy: univariate Gaussian KLs
     and scipy log-densities, one network evaluation per (item, component)."""
     k_comp = point.n_components
@@ -206,12 +198,9 @@ def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight,
         for k in range(k_comp):
             heads = posterior.encoder_x.forward(np.concatenate([np.eye(k_comp)[k], o])[None])
             m, lv = heads["mean"].data[0], heads["logvar"].data[0]
-            prior_lv = point.log_vars.data[k]
-            if floor is not None:
-                prior_lv = np.maximum(prior_lv, floor)
             kl = sum(
                 0.5 * (plv - qlv) + (np.exp(qlv) + (qm - pm) ** 2) / (2.0 * np.exp(plv)) - 0.5
-                for qm, qlv, pm, plv in zip(m, lv, point.means.data[k], prior_lv)
+                for qm, qlv, pm, plv in zip(m, lv, point.means.data[k], point.log_vars.data[k])
             )
             recon = 0.0
             for eps in noise[:, k, i]:
@@ -223,18 +212,17 @@ def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight,
     return scale * total
 
 
-@pytest.mark.parametrize("kl_weight, floor", [(1.0, None), (0.3, -2.0)])
-def test_elbo_local_two_components_against_explicit_sum(kl_weight, floor):
+@pytest.mark.parametrize("kl_weight", [1.0, 0.3])
+def test_elbo_local_two_components_against_explicit_sum(kl_weight):
     rng = np.random.default_rng(31)
     point, posterior, decoder = make_parts(2, rng)
     point.log_vars.data[0, 1] = -2.7
     obs = rng.standard_normal((5, DIM))
     noise = rng.standard_normal((2, 2, 5, LATENT))
     value = elbo_local(
-        obs, point, posterior, decoder, noise=noise, scale=1.7, kl_weight=kl_weight,
-        component_logvar_floor=floor,
+        obs, point, posterior, decoder, noise=noise, scale=1.7, kl_weight=kl_weight
     )
-    expected = explicit_elbo_local(obs, point, posterior, decoder, noise, 1.7, kl_weight, floor)
+    expected = explicit_elbo_local(obs, point, posterior, decoder, noise, 1.7, kl_weight)
     assert float(value.data) == pytest.approx(expected, rel=1e-12)
 
 
@@ -292,24 +280,19 @@ def check_finite_differences(evaluate, build, coordinates, h=1e-6, tol=1e-6):
         assert by_id[id(tensor)][index] == pytest.approx(numeric, rel=tol, abs=tol)
 
 
-@pytest.mark.parametrize("floor", [None, -2.0])
-def test_elbo_local_gradient_finite_differences(floor):
+def test_elbo_local_gradient_finite_differences():
     rng = np.random.default_rng(51)
     point, posterior, decoder = make_parts(3, rng)
     obs = rng.standard_normal((5, DIM))
     noise = rng.standard_normal((2, 3, 5, LATENT))
 
     def build():
-        return elbo_local(
-            obs, point, posterior, decoder, noise=noise, scale=2.0, kl_weight=0.7,
-            component_logvar_floor=floor,
-        )
+        return elbo_local(obs, point, posterior, decoder, noise=noise, scale=2.0, kl_weight=0.7)
 
     coordinates = [
         (t, idx)
         for t in (point.pi_logits, point.means, point.log_vars)
         for idx in np.ndindex(t.data.shape)
-        if not (t is point.log_vars and floor is not None and abs(t.data[idx] - floor) < 1e-3)
     ]
     for net in (posterior.encoder_z, posterior.encoder_x, decoder):
         for t in net.parameters():
@@ -372,30 +355,6 @@ def test_model_json_round_trip_predicts_the_same(with_annotations):
     assert clone.to_dict() == model.to_dict()
 
 
-def test_divergence_restores_last_epoch_snapshot(monkeypatch):
-    dataset, store = small_problem(2)
-    config = ScdcConfig(**SMALL)
-    finished = train_scdc(
-        dataset, store, ScdcConfig(**{**SMALL, "epochs": 1}), np.random.default_rng(4)
-    )
-    updates_per_epoch = -(-dataset.n_items // config.batch_size)
-    calls = []
-
-    def poisoned(*args, **kwargs):
-        calls.append(None)
-        total = elbo_local(*args, **kwargs)
-        # second update of the second epoch: one update of that epoch has
-        # already moved the parameters away from the snapshot
-        return total * float("nan") if len(calls) == updates_per_epoch + 2 else total
-
-    monkeypatch.setattr(scdc, "elbo_local", poisoned)
-    result = train_scdc(dataset, store, config, np.random.default_rng(4))
-    assert result.diverged
-    assert len(calls) == updates_per_epoch + 2
-    assert result.history == finished.history
-    assert result.model.to_dict() == finished.model.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # input validation
 
@@ -421,19 +380,24 @@ def test_elbo_local_rejects_bad_noise_and_sample_count():
         ("annotation_batch_size", -3),
         ("logvar_clamp", (2.0, 2.0)),
         ("logvar_clamp", (3.0, -3.0)),
-        ("encoder_logvar_clamp", (1.0, 0.0)),
+        ("epochs", -1),
+        ("batch_size", 0),
+        ("kl_warmup", 1.5),
+        ("kl_warmup", -0.1),
+        ("n_components", 0),
+        ("latent_dim", 0),
+        ("n_samples", 0),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
-    with pytest.raises(ValueError, match=f"^{field}"):
-        ScdcConfig(**{field: value})
+    for config in (ScdcConfig, BayesConfig):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            config(**{field: value})
 
 
 def test_config_accepts_valid_batch_and_clamps():
-    config = ScdcConfig(
-        annotation_batch_size=1, logvar_clamp=(-1.0, 1.0), encoder_logvar_clamp=(-4.0, 0.0)
-    )
-    assert config.annotation_batch_size == 1
+    for config in (ScdcConfig, BayesConfig):
+        assert config(annotation_batch_size=1, logvar_clamp=(-1.0, 1.0)).annotation_batch_size == 1
 
 
 @pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, -2.0)])
