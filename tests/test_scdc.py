@@ -1,7 +1,7 @@
 """Amortized SCDC terms and training loop: the stacked component batch
 against the per-component loop, enumeration oracles for both ELBO terms,
-finite-difference gradients, determinism, model round trips and input
-validation."""
+finite-difference gradients, determinism, model round trips, divergence
+restore and input validation."""
 
 import hashlib
 import itertools
@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 from scipy.special import log_softmax as np_log_softmax
 
+from crowdmix import scdc
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.nnet import (
     Mlp,
@@ -141,11 +142,15 @@ def assert_rel_close(actual, expected, tol):
 
 
 @pytest.mark.parametrize(
-    "k_comp, n_samples, kl_weight", list(itertools.product((1, 2, 5), (1, 3), (0.3, 1.0)))
+    "k_comp, n_samples, kl_weight, narrow",
+    list(itertools.product((1, 2, 5), (1, 3), (0.3, 1.0), (None, -2.0))),
 )
-def test_stacked_elbo_local_matches_component_loop(k_comp, n_samples, kl_weight):
+def test_stacked_elbo_local_matches_component_loop(k_comp, n_samples, kl_weight, narrow):
     rng = np.random.default_rng(100 + 10 * k_comp + n_samples)
     point, posterior, decoder = make_parts(k_comp, rng)
+    if narrow is not None:
+        point.log_vars.data[0, 0] = narrow   # one narrow coordinate, one wide
+        point.log_vars.data[-1, -1] = 0.5
     obs = rng.standard_normal((7, DIM))
     noise = rng.standard_normal((n_samples, k_comp, obs.shape[0], LATENT))
     params = all_parameters(point, posterior, decoder)
@@ -212,11 +217,13 @@ def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight)
     return scale * total
 
 
-@pytest.mark.parametrize("kl_weight", [1.0, 0.3])
-def test_elbo_local_two_components_against_explicit_sum(kl_weight):
+@pytest.mark.parametrize("kl_weight, narrow", [(1.0, None), (0.3, -2.0)])
+def test_elbo_local_two_components_against_explicit_sum(kl_weight, narrow):
     rng = np.random.default_rng(31)
     point, posterior, decoder = make_parts(2, rng)
     point.log_vars.data[0, 1] = -2.7
+    if narrow is not None:
+        point.log_vars.data[1, 0] = narrow
     obs = rng.standard_normal((5, DIM))
     noise = rng.standard_normal((2, 2, 5, LATENT))
     value = elbo_local(
@@ -280,9 +287,12 @@ def check_finite_differences(evaluate, build, coordinates, h=1e-6, tol=1e-6):
         assert by_id[id(tensor)][index] == pytest.approx(numeric, rel=tol, abs=tol)
 
 
-def test_elbo_local_gradient_finite_differences():
+@pytest.mark.parametrize("narrow", [None, -2.0])
+def test_elbo_local_gradient_finite_differences(narrow):
     rng = np.random.default_rng(51)
     point, posterior, decoder = make_parts(3, rng)
+    if narrow is not None:
+        point.log_vars.data[0, 0] = narrow
     obs = rng.standard_normal((5, DIM))
     noise = rng.standard_normal((2, 3, 5, LATENT))
 
@@ -353,6 +363,30 @@ def test_model_json_round_trip_predicts_the_same(with_annotations):
         clone.cluster_probs(dataset.observations), model.cluster_probs(dataset.observations)
     )
     assert clone.to_dict() == model.to_dict()
+
+
+def test_divergence_restores_last_epoch_snapshot(monkeypatch):
+    dataset, store = small_problem(2)
+    config = ScdcConfig(**SMALL)
+    finished = train_scdc(
+        dataset, store, ScdcConfig(**{**SMALL, "epochs": 1}), np.random.default_rng(4)
+    )
+    updates_per_epoch = -(-dataset.n_items // config.batch_size)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        total = elbo_local(*args, **kwargs)
+        # second update of the second epoch: one update of that epoch has
+        # already moved the parameters away from the snapshot
+        return total * float("nan") if len(calls) == updates_per_epoch + 2 else total
+
+    monkeypatch.setattr(scdc, "elbo_local", poisoned)
+    result = train_scdc(dataset, store, config, np.random.default_rng(4))
+    assert result.diverged
+    assert len(calls) == updates_per_epoch + 2
+    assert result.history == finished.history
+    assert result.model.to_dict() == finished.model.to_dict()
 
 
 # ---------------------------------------------------------------------------
