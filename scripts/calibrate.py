@@ -2,29 +2,37 @@
 
 Usage: python3 scripts/calibrate.py [key=value ...]
 Keys: any BayesConfig field, plus seeds=10 annotated=1/0 quiet=1/0.
+A field's value is parsed by the type of its default: tuples as
+comma-separated lists (hidden=40,40), fields that default to None by
+their annotated type.
 """
 
+import dataclasses
 import sys
 import time
+import typing
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from crowdmix.data import WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.metrics import clustering_accuracy, nmi
 from crowdmix.mixture import effective_components
 from crowdmix.vmp import BayesConfig, train_bayes_scdc
 
+# the script's own keys and their defaults
+SCRIPT_KEYS = {"seeds": 10, "annotated": 1, "quiet": 0}
 
-def run(seed: int, annotated: bool, overrides: dict):
+
+def run(seed: int, annotated: bool, config: BayesConfig):
     rng = np.random.default_rng(seed)
     dataset = pinwheel_generate(5, 100, rng=rng)
     store = None
     if annotated:
         pool = WorkerPool.homogeneous(20, 0.9, 0.9)
         store = simulate_annotations(dataset, pool, 49, 100, rng)
-    config = BayesConfig(**overrides)
     t0 = time.time()
     result = train_bayes_scdc(dataset, store, config, rng)
     dt = time.time() - t0
@@ -39,32 +47,62 @@ def run(seed: int, annotated: bool, overrides: dict):
     }
 
 
-def main():
+def _field_type(field: dataclasses.Field, hints: dict) -> type:
+    """The type a field's value parses to: its default's, or for a None
+    default the non-None member of its annotation."""
+    if field.default is not None:
+        return type(field.default)
+    return next(t for t in typing.get_args(hints[field.name]) if t is not type(None))
+
+
+def parse_args(args) -> tuple[dict, BayesConfig]:
+    """Script settings and the BayesConfig from `key=value` arguments.
+
+    Raises SystemExit with a message that names the bad argument.
+    """
+    settings = dict(SCRIPT_KEYS)
+    fields = {f.name: f for f in dataclasses.fields(BayesConfig)}
+    hints = typing.get_type_hints(BayesConfig)
     overrides = {}
-    seeds = 10
-    annotated = True
-    quiet = False
-    for arg in sys.argv[1:]:
-        key, value = arg.split("=", 1)
-        if key == "seeds":
-            seeds = int(value)
-        elif key == "annotated":
-            annotated = bool(int(value))
-        elif key == "quiet":
-            quiet = bool(int(value))
-        elif key in ("hidden",):
-            overrides[key] = tuple(int(v) for v in value.split(",") if v)
-        elif key in ("n_components", "latent_dim", "epochs", "batch_size", "local_sweeps", "n_samples", "annotation_batch_size"):
-            overrides[key] = int(value)
-        elif key in ("worker_init", "worker_prior", "logvar_clamp"):
-            overrides[key] = tuple(float(v) for v in value.split(","))
+    for arg in args:
+        key, sep, value = arg.partition("=")
+        if not sep:
+            raise SystemExit(f"expected key=value, got {arg!r}")
+        if key in settings:
+            kind = int
+        elif key in fields:
+            kind = _field_type(fields[key], hints)
         else:
-            overrides[key] = float(value)
-    rows = [run(s, annotated, overrides) for s in range(seeds)]
+            known = ", ".join([*SCRIPT_KEYS, *fields])
+            raise SystemExit(f"unknown key {key!r}; known keys: {known}")
+        try:
+            if kind is tuple:
+                item = type(fields[key].default[0])
+                parsed = tuple(item(v) for v in value.split(",") if v)
+            else:
+                parsed = kind(value)
+        except ValueError:
+            raise SystemExit(f"{key}: cannot parse {value!r} as {kind.__name__}") from None
+        if key in settings:
+            settings[key] = parsed
+        else:
+            overrides[key] = parsed
+    if settings["seeds"] < 1:
+        raise SystemExit(f"seeds must be at least 1, got {settings['seeds']}")
+    try:
+        config = BayesConfig(**overrides)
+    except ValueError as err:
+        raise SystemExit(f"bad BayesConfig: {err}") from None
+    return settings, config
+
+
+def main():
+    settings, config = parse_args(sys.argv[1:])
+    rows = [run(s, bool(settings["annotated"]), config) for s in range(settings["seeds"])]
     accs = sorted(r["acc"] for r in rows)
     nmis = sorted(r["nmi"] for r in rows)
     ks = sorted(r["k"] for r in rows)
-    if not quiet:
+    if not settings["quiet"]:
         for s, r in enumerate(rows):
             print(
                 f"seed {s}: acc {r['acc']:.3f} nmi {r['nmi']:.3f} K {r['k']:2d} "

@@ -27,10 +27,18 @@ shape ().
 
 Log partitions drop additive constants that do not depend on eta; the
 gradient identity above holds exactly for the expressions used here.
+
+Records are immutable: their arrays are read-only and an update builds
+a new record.  So everything derived from a record is computed once per
+record and kept on it: the standard parameters of a NIW, log|S| (whose
+Cholesky factorization is the positive-definiteness check of S), the
+expected statistics and the log partition.  Later calls return the kept
+values, which are read-only too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +54,29 @@ def _readonly(x, shape=None) -> np.ndarray:
         raise ValueError("natural parameters must be finite")
     a.setflags(write=False)
     return a
+
+
+def _once_per_record(compute):
+    """Run `compute(record)` once per record and keep the result on it.
+
+    Records are frozen, so the result stays valid for the record's life.
+    Array results are made read-only, so no caller can change what the
+    next one gets.  A call that raises keeps nothing and raises again.
+    """
+    key = "_" + compute.__name__
+
+    @functools.wraps(compute)
+    def once(record):
+        kept = record.__dict__
+        if key not in kept:
+            value = compute(record)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            kept[key] = value
+        return kept[key]
+
+    return once
 
 
 def _half_offsets(d: int) -> np.ndarray:
@@ -160,6 +191,7 @@ class NiwNat:
         outer = m[..., :, None] * m[..., None, :]
         return cls(kappa[..., None] * m, S + kappa[..., None, None] * outer, kappa, nu + d + 2.0)
 
+    @_once_per_record
     def to_standard(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return (m, kappa, S, nu); S is symmetrized against numeric drift."""
         d = self.dim
@@ -171,6 +203,12 @@ class NiwNat:
         if np.any(nu <= d - 1.0):
             raise ValueError(f"recovered nu = {nu} must exceed d - 1 = {d - 1}")
         return m, kappa, S, nu
+
+    @_once_per_record
+    def scale_logdet(self) -> np.ndarray:
+        """log|S| per member.  Its Cholesky factorization raises LinAlgError
+        unless every recovered S is positive definite."""
+        return _logdet(self.to_standard()[2])
 
 
 class NiwExpectedStats(NamedTuple):
@@ -186,6 +224,7 @@ class NiwExpectedStats(NamedTuple):
 # expected sufficient statistics
 
 
+@_once_per_record
 def dirichlet_expected_stats(p: DirichletNat) -> np.ndarray:
     """E[log pi_k] = psi(alpha_k) - psi(sum_j alpha_j); for a Beta,
     (E[log a], E[log(1 - a)]) = (psi(tau1) - psi(tau1 + tau2), psi(tau2) - psi(tau1 + tau2))."""
@@ -193,10 +232,11 @@ def dirichlet_expected_stats(p: DirichletNat) -> np.ndarray:
     return digamma(alpha) - digamma(alpha.sum(axis=-1, keepdims=True))
 
 
+@_once_per_record
 def niw_expected_stats(p: NiwNat) -> NiwExpectedStats:
     m, kappa, S, nu = p.to_standard()
     d = p.dim
-    logdet_S = _logdet(S)
+    logdet_S = p.scale_logdet()
     Sinv_m = np.linalg.solve(S, m[..., None])[..., 0]
     Sinv = np.linalg.inv(S)
     Sinv = 0.5 * (Sinv + np.swapaxes(Sinv, -1, -2))
@@ -216,17 +256,27 @@ def niw_expected_stats(p: NiwNat) -> NiwExpectedStats:
 def log_partition(p) -> np.ndarray:
     """log Z(eta) per batch member, up to constants independent of eta."""
     if isinstance(p, DirichletNat):
-        alpha = p.alpha
-        return np.sum(gammaln(alpha), axis=-1) - gammaln(alpha.sum(axis=-1))
+        return _dirichlet_log_partition(p)
     if isinstance(p, NiwNat):
-        _, kappa, S, nu = p.to_standard()
-        d = p.dim
-        return (
-            nu / 2.0 * (d * np.log(2.0) - _logdet(S))
-            + multivariate_gammaln(nu / 2.0, d)
-            - d / 2.0 * np.log(kappa)
-        )
+        return _niw_log_partition(p)
     raise TypeError(f"unsupported family: {type(p).__name__}")
+
+
+@_once_per_record
+def _dirichlet_log_partition(p: DirichletNat) -> np.ndarray:
+    alpha = p.alpha
+    return np.sum(gammaln(alpha), axis=-1) - gammaln(alpha.sum(axis=-1))
+
+
+@_once_per_record
+def _niw_log_partition(p: NiwNat) -> np.ndarray:
+    _, kappa, _, nu = p.to_standard()
+    d = p.dim
+    return (
+        nu / 2.0 * (d * np.log(2.0) - p.scale_logdet())
+        + multivariate_gammaln(nu / 2.0, d)
+        - d / 2.0 * np.log(kappa)
+    )
 
 
 # ---------------------------------------------------------------------------

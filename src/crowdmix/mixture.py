@@ -78,6 +78,10 @@ class MixturePrior:
         object.__setattr__(self, "kappa0", float(self.kappa0))
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "nu0", float(self.nu0))
+        # one record of each prior family, so whatever is derived from it
+        # is computed once per prior
+        object.__setattr__(self, "_pi_nat", DirichletNat.from_alpha(np.full(K, self.alpha0)))
+        object.__setattr__(self, "_niw_nat", NiwNat.from_standard(m0, self.kappa0, s0, self.nu0))
 
     @classmethod
     def default(
@@ -103,10 +107,10 @@ class MixturePrior:
         )
 
     def pi_nat(self) -> DirichletNat:
-        return DirichletNat.from_alpha(np.full(self.n_components, self.alpha0))
+        return self._pi_nat
 
     def niw_nat(self) -> NiwNat:
-        return NiwNat.from_standard(self.m0, self.kappa0, self.s0, self.nu0)
+        return self._niw_nat
 
     def to_dict(self) -> dict:
         return {
@@ -352,8 +356,9 @@ def apply_natural_gradient(
             c.h3 + step * grads.h3,
             c.h4 + step * grads.h4,
         )
-        _, _, S, _ = components.to_standard()
-        np.linalg.cholesky(S)  # every stepped scale must stay positive definite
+        # recovers nu and S, checks nu > d - 1, and factors S, which must
+        # stay positive definite; the record keeps the factorization's log|S|
+        components.scale_logdet()
         workers = current.workers
         if grads.worker_alpha is not None:
             if workers is None:

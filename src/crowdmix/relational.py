@@ -108,9 +108,6 @@ class AnnotationStore:
     def has(self, i: int, j: int, m: int) -> bool:
         return self.label(i, j, m) is not None
 
-    def select(self, rows) -> "AnnotationStore":
-        return AnnotationStore(self.triples[np.asarray(rows, dtype=int)], self.n_items, self.n_workers)
-
 
 # ---------------------------------------------------------------------------
 # worker accuracies: point values or Beta posteriors

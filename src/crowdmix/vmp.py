@@ -13,7 +13,9 @@ the final latent refresh.  `driver.fit` runs the minibatch loop;
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -201,55 +203,105 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
     )
 
 
-class AnnotationGraph(list):
-    """Per-item (other item, message weight) neighbor lists, colored.
+class AnnotationGraph(Sequence):
+    """Colored annotation graph of a working set.
 
-    On construction the linked items (those with a nonempty list) are
-    colored greedily in index order: each takes the smallest color that
-    none of its already colored neighbors has.  No edge therefore joins
-    two items of one class, and the lowest linked item is in class 0.
-    `classes` holds each class as a sorted index array, in color order;
-    `class_edges` holds per class the edges of its items, grouped by item
-    in class order, as (first-edge offsets, other items, weights).  Both
-    are fixed at construction.
+    Built from half-edges: an edge (item, other, weight) for each end of
+    every annotation, each item's edges in triple order.  `linked` marks
+    the items with at least one edge.  They are colored greedily in index
+    order: each takes the smallest color that none of its lower-indexed
+    neighbors has.  No edge therefore joins two items of one class, and
+    the lowest linked item is in class 0.  `classes` holds each class as
+    a sorted index array, in color order; `class_edges` holds per class
+    the edges of its items, grouped by item in class order, as
+    (first-edge offsets, other items, weights).  All are fixed at
+    construction.  The graph also reads as a sequence of per-item
+    (other item, weight) lists, which are made on first access.
     """
 
-    def __init__(self, neighbors):
-        super().__init__(neighbors)
-        color = {}
-        for p, nb in enumerate(self):
-            if nb:
-                taken = {color.get(q) for q, _ in nb}
-                c = 0
-                while c in taken:
-                    c += 1
-                color[p] = c
-        by_color = [[] for _ in range(max(color.values(), default=-1) + 1)]
-        for p, c in color.items():
-            by_color[c].append(p)
-        self.classes = [np.array(items, dtype=int) for items in by_color]
-        self.class_edges = []
-        for items in by_color:
-            other, weight = zip(*(edge for p in items for edge in self[p]))
-            sizes = [len(self[p]) for p in items]
+    def __init__(self, n_items: int, item, other, weight):
+        item = np.asarray(item, dtype=int)
+        other = np.asarray(other, dtype=int)
+        self.linked = np.bincount(item, minlength=n_items) > 0
+        color = _greedy_colors(n_items, item, other)
+        # one stable sort groups the edges by class, then by item, and keeps
+        # each item's edges in their given order
+        order = np.argsort(color[item] * n_items + item, kind="stable")
+        item, self._other = item[order], other[order]
+        self._weight = np.asarray(weight, dtype=float)[order]
+        starts = np.flatnonzero(np.diff(item, prepend=-1))  # each item's first edge
+        self._items, self._bounds = item[starts], np.append(starts, item.size)
+        class_bounds = np.cumsum(np.bincount(color[self._items])).tolist()
+        self.classes, self.class_edges = [], []
+        for lo, hi in zip([0] + class_bounds, class_bounds):
+            first, last = self._bounds[lo], self._bounds[hi]
+            self.classes.append(self._items[lo:hi])
             self.class_edges.append(
-                (np.cumsum([0] + sizes[:-1]), np.array(other, dtype=int), np.array(weight, dtype=float))
+                (starts[lo:hi] - first, self._other[first:last], self._weight[first:last])
             )
+
+    @classmethod
+    def from_lists(cls, neighbors) -> "AnnotationGraph":
+        """From per-item lists of (other item, weight) pairs."""
+        item = [p for p, nb in enumerate(neighbors) for _ in nb]
+        edges = [edge for nb in neighbors for edge in nb]
+        return cls(len(neighbors), item, [q for q, _ in edges], [w for _, w in edges])
+
+    def __len__(self) -> int:
+        return self.linked.size
+
+    def __getitem__(self, p):
+        return self._lists[p]
+
+    def __iter__(self):
+        return iter(self._lists)
+
+    @cached_property
+    def _lists(self) -> list:
+        edges = list(zip(self._other.tolist(), self._weight.tolist()))
+        lists = [[] for _ in range(len(self))]
+        bounds = self._bounds.tolist()
+        for p, lo, hi in zip(self._items.tolist(), bounds, bounds[1:]):
+            lists[p] = edges[lo:hi]
+        return lists
+
+
+def _greedy_colors(n_items: int, item: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Greedy index-order colors of the items, 0 for unlinked ones.
+
+    The greedy color of p is the smallest color that none of its
+    lower-indexed neighbors has, which defines every color from those of
+    lower items, so it is the one fixed point of that rule.  Applying the
+    rule to all items at once settles at least one more level of the
+    lower-to-higher edge order per pass, and the passes stop at the fixed
+    point.
+    """
+    lower = other < item
+    other = other[lower]
+    rows, row = np.unique(item[lower], return_inverse=True)  # items with lower neighbors
+    color = np.zeros(n_items, dtype=int)
+    while rows.size:
+        held = color[other]
+        # the smallest color missing from a set is at most its largest plus one
+        taken = np.zeros((rows.size, held.max() + 2), dtype=bool)
+        taken[row, held] = True
+        fresh = np.argmin(taken, axis=1)
+        if np.array_equal(fresh, color[rows]):
+            break
+        color[rows] = fresh
+    return color
 
 
 def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> AnnotationGraph:
-    """Neighbor lists of (other item, message weight) per working-set item."""
-    neighbors = [[] for _ in range(n_items)]
+    """Colored graph of message weights between working-set items."""
     if store is None or workers is None or store.n_annotations == 0:
-        return AnnotationGraph(neighbors)
+        return AnnotationGraph(n_items, [], [], [])
     t = store.triples
     if t[:, :2].max() >= n_items:
         raise ValueError("store must be indexed by working-set position")
     weights = _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
-    for i, j, w in zip(t[:, 0].tolist(), t[:, 1].tolist(), weights.tolist()):
-        neighbors[i].append((j, w))
-        neighbors[j].append((i, w))
-    return AnnotationGraph(neighbors)
+    # both ends of each triple in turn, so each item's edges keep triple order
+    return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -275,13 +327,13 @@ def update_local_z(base_logits, neighbors, log_resp) -> np.ndarray:
     is exact coordinate ascent, visiting the items in class order.
     `neighbors` is an AnnotationGraph or plain per-item neighbor lists.
     """
-    graph = neighbors if isinstance(neighbors, AnnotationGraph) else AnnotationGraph(neighbors)
+    graph = neighbors
+    if not isinstance(graph, AnnotationGraph):
+        graph = AnnotationGraph.from_lists(neighbors)
     base = np.asarray(base_logits, dtype=float)
     out = np.array(log_resp, dtype=float)
     resp = np.exp(out)
-    free = np.ones(base.shape[0], dtype=bool)
-    for idx in graph.classes:
-        free[idx] = False
+    free = ~graph.linked
     if np.any(free):
         out[free] = _log_softmax_rows(base[free])
         resp[free] = np.exp(out[free])

@@ -4,13 +4,23 @@ Everything here recomputes expectations by numerical integration over
 the variational densities (scipy.stats pdfs + scipy.integrate.quad) or
 by explicit enumeration, never through the digamma/log-partition
 bracket identities the library itself uses, so agreement is a genuine
-two-route check.  Scalar (d=1, K=2) cases only.
+two-route check.  Scalar (d=1, K=2) cases only.  `select_triples` is the
+plain row selection that the annotation samplers are checked against.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, stats
+
+from crowdmix.relational import AnnotationStore
+
+
+def select_triples(store: AnnotationStore, rows) -> AnnotationStore:
+    """The store of the given rows of `store.triples`, on the same items and workers."""
+    return AnnotationStore(
+        store.triples[np.asarray(rows, dtype=int)], store.n_items, store.n_workers
+    )
 
 
 def quad(f, lo, hi):

@@ -155,6 +155,64 @@ def test_batched_records_compute_what_their_members_do():
         assert log_partition(dirichlet)[b] == log_partition(member)
 
 
+def _random_records(rng):
+    K, d = 3, 2
+    A = rng.standard_normal((K, d, d))
+    S = A @ np.swapaxes(A, -1, -2) + d * np.eye(d)
+    niw = NiwNat.from_standard(
+        rng.standard_normal((K, d)), rng.uniform(0.5, 3.0, K), S, d + rng.uniform(1.0, 4.0, K)
+    )
+    return (
+        niw,
+        DirichletNat.from_alpha(rng.uniform(0.5, 8.0, size=(2, 4))),
+        BetaNat.from_tau(rng.uniform(0.5, 8.0, 5), rng.uniform(0.5, 8.0, 5)),
+    )
+
+
+def _derived(record):
+    """Everything a record keeps, as a flat list of arrays."""
+    out = [log_partition(record)]
+    if isinstance(record, NiwNat):
+        out += [*record.to_standard(), record.scale_logdet(), *niw_expected_stats(record)]
+    else:
+        out.append(dirichlet_expected_stats(record))
+    return [np.asarray(a) for a in out]
+
+
+def test_kept_statistics_equal_those_of_a_fresh_equal_record():
+    for record in _random_records(np.random.default_rng(23)):
+        first = _derived(record)
+        kept = _derived(record)
+        fields = [getattr(record, f) for f in ("h1", "h2", "h3", "h4") if hasattr(record, f)]
+        fresh = _derived(type(record)(*(fields or [record.eta])))
+        for a, b, c in zip(first, kept, fresh):
+            assert a.dtype == c.dtype and np.array_equal(a, c)
+            assert np.array_equal(b, c)
+    niw = _random_records(np.random.default_rng(23))[0]
+    assert niw_expected_stats(niw) is niw_expected_stats(niw)
+    assert niw.to_standard() is niw.to_standard()
+    assert log_partition(niw) is log_partition(niw)
+
+
+def test_kept_statistics_are_read_only():
+    for record in _random_records(np.random.default_rng(24)):
+        for a in _derived(record):
+            if a.ndim:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+
+
+def test_a_failed_derivation_keeps_nothing_and_fails_again():
+    p = NiwNat.from_standard(np.zeros(2), 1.0, np.eye(2), 4.0)
+    bad_nu = NiwNat(p.h1, p.h2, p.h3, np.array(4.5))  # nu = 0.5 <= d - 1
+    bad_scale = NiwNat(p.h1, -np.eye(2), p.h3, p.h4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nu"):
+            niw_expected_stats(bad_nu)
+        with pytest.raises(np.linalg.LinAlgError):
+            log_partition(bad_scale)
+
+
 # ---------------------------------------------------------------------------
 # Beta
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from crowdmix import expfam
 from crowdmix.expfam import (
     BetaNat,
     DirichletNat,
@@ -261,9 +262,48 @@ def test_step_rejection_and_bad_steps():
     )
     with pytest.raises(StepRejected):
         apply_natural_gradient(current, bad_scale, step=1.0)
+    d = prior.latent_dim
+    for nu in (d - 1.0, d - 1.5):  # nu <= d - 1 on one component
+        h4 = current.components.h4.copy()
+        h4[1] = nu + d + 2.0
+        bad_nu = dataclasses.replace(_zero_grads(current), h4=h4 - current.components.h4)
+        with pytest.raises(StepRejected, match="nu"):
+            apply_natural_gradient(current, bad_nu, step=1.0)
     for step in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             apply_natural_gradient(current, _zero_grads(current), step=step)
+
+
+def test_a_stepped_record_factors_its_scale_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    prior = MixturePrior.default(3, 2)
+    current = init_global(prior, rng)
+    q_z, means, covs = _random_instance(rng, n=6, k=3)
+    grads = mixture_natural_gradient(prior, q_z, means, covs, current)
+    calls = []
+    original = expfam._logdet
+    monkeypatch.setattr(expfam, "_logdet", lambda S: calls.append(S.shape) or original(S))
+    stepped = apply_natural_gradient(current, grads, step=0.5)
+    assert calls == [(3, 2, 2)]
+    stats = niw_expected_stats(stepped.components)
+    log_z = expfam.log_partition(stepped.components)
+    global_expectations(stepped)
+    assert calls == [(3, 2, 2)]
+    fresh = NiwNat(*(getattr(stepped.components, f) for f in ("h1", "h2", "h3", "h4")))
+    monkeypatch.setattr(expfam, "_logdet", original)
+    for kept, want in zip(stats, niw_expected_stats(fresh)):
+        assert np.array_equal(kept, want)
+    assert np.array_equal(log_z, expfam.log_partition(fresh))
+
+
+def test_prior_records_are_built_once():
+    prior = MixturePrior.default(4, 2)
+    assert prior.pi_nat() is prior.pi_nat()
+    assert prior.niw_nat() is prior.niw_nat()
+    fresh = NiwNat.from_standard(prior.m0, prior.kappa0, prior.s0, prior.nu0)
+    for f in ("h1", "h2", "h3", "h4"):
+        assert np.array_equal(getattr(prior.niw_nat(), f), getattr(fresh, f))
+    assert np.array_equal(prior.pi_nat().eta, np.full(4, prior.alpha0) - 1.0)
 
 
 # ---------------------------------------------------------------------------

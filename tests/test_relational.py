@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import select_triples
 
 from crowdmix.expfam import BetaNat
 from crowdmix.relational import (
@@ -335,7 +336,7 @@ def test_minibatch_estimator_exactly_unbiased():
     for size in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), size))
         est = [
-            expected_rel_loglik(store.select(list(rows)), q, workers, scale=n / size)
+            expected_rel_loglik(select_triples(store, rows), q, workers, scale=n / size)
             for rows in subsets
         ]
         assert abs(np.mean(est) - full) < 1e-12
@@ -373,7 +374,7 @@ def test_sample_annotation_minibatch_takes_the_selected_triples(seed):
         store, batch, 7, np.random.default_rng(seed)
     )
     rows = np.sort(np.random.default_rng(seed).choice(store.n_annotations, 7, replace=False))
-    expected = store.select(rows)
+    expected = select_triples(store, rows)
     assert scale == store.n_annotations / 7
     assert np.array_equal(working, np.unique(np.concatenate([batch, expected.annotated_items])))
     back = np.column_stack([working[local.triples[:, :2]], local.triples[:, 2:]])

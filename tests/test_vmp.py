@@ -28,11 +28,13 @@ from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
     PointWorkers,
+    _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
 )
 from crowdmix.vmp import (
     PRECISION_FLOOR,
+    AnnotationGraph,
     BayesConfig,
     BayesModel,
     LocalVariational,
@@ -313,6 +315,84 @@ def test_class_update_equals_sequential_updates_in_class_order(seed):
     assert np.max(np.abs(by_index - expected)) > 1e-6
 
 
+def reference_graph(store, workers, n_items):
+    """Reference for annotation_graph: per-item neighbor lists built triple
+    by triple and colored greedily item by item in Python loops.  Returns
+    (neighbors, classes, class_edges)."""
+    neighbors = [[] for _ in range(n_items)]
+    if store is not None and store.n_annotations:
+        t = store.triples
+        weights = _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
+        for i, j, w in zip(t[:, 0].tolist(), t[:, 1].tolist(), weights.tolist()):
+            neighbors[i].append((j, w))
+            neighbors[j].append((i, w))
+    color = {}
+    for p, nb in enumerate(neighbors):
+        if nb:
+            taken = {color.get(q) for q, _ in nb}
+            c = 0
+            while c in taken:
+                c += 1
+            color[p] = c
+    by_color = [[] for _ in range(max(color.values(), default=-1) + 1)]
+    for p, c in color.items():
+        by_color[c].append(p)
+    classes = [np.array(items, dtype=int) for items in by_color]
+    class_edges = []
+    for items in by_color:
+        other, weight = zip(*(edge for p in items for edge in neighbors[p]))
+        sizes = [len(neighbors[p]) for p in items]
+        class_edges.append(
+            (np.cumsum([0] + sizes[:-1]), np.array(other, dtype=int), np.array(weight, dtype=float))
+        )
+    return neighbors, classes, class_edges
+
+
+def clique_store(n_items, n_linked):
+    pairs = [(i, j) for i in range(n_linked) for j in range(i + 1, n_linked)]
+    return AnnotationStore(
+        [(i, j, k % 2, k % 3 == 0) for k, (i, j) in enumerate(pairs)], n_items, n_workers=2
+    )
+
+
+GRAPH_CASES = {
+    **{f"random-{seed}": seed for seed in range(10)},
+    "none": None,
+    "empty": AnnotationStore([], n_items=5, n_workers=2),
+    "one-triple": AnnotationStore([(3, 1, 1, 0)], n_items=5, n_workers=2),
+    "star": AnnotationStore(
+        [(2, q, q % 2, q % 2) for q in (0, 1, 3, 4, 5, 6)] + [(6, 2, 1, 1)], n_items=7, n_workers=2
+    ),
+    "clique-6": clique_store(6, 6),
+    "trailing-unlinked": clique_store(11, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_numpy_graph_equals_the_per_item_loop(case):
+    rng = np.random.default_rng(7)
+    store = GRAPH_CASES[case]
+    if isinstance(store, int):
+        rng = np.random.default_rng(store)
+        store = random_annotations(rng)
+    n_items = 6 if store is None else store.n_items
+    workers = random_workers(rng, 2 if store is None else store.n_workers)
+    graph = annotation_graph(store, workers, n_items)
+    neighbors, classes, class_edges = reference_graph(store, workers, n_items)
+    assert [list(nb) for nb in graph] == neighbors
+    assert [graph[p] for p in range(n_items)] == neighbors
+    assert graph.linked.tolist() == [bool(nb) for nb in neighbors]
+    if case == "clique-6":
+        assert len(classes) == 6
+    for built in (graph, AnnotationGraph.from_lists(neighbors)):
+        assert len(built.classes) == len(classes)
+        assert len(built.class_edges) == len(class_edges)
+        for got, want in zip(built.classes, classes):
+            assert np.array_equal(got, want)
+        for got, want in zip(built.class_edges, class_edges):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def grid_instance():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=one_worker())
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], n_items=3, n_workers=1)
@@ -590,7 +670,7 @@ def test_final_objective_annotation_minibatches_are_unbiased():
 
     estimates = []
     for rows in combinations(range(3), 2):
-        sub = store.select(list(rows))
+        sub = oracles.select_triples(store, rows)
         estimates.append(
             final_objective(
                 glob, TEST_PRIOR, local, potential=pot, store=sub, rel_scale=3.0 / 2.0
