@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relational import AnnotationStore, worker_weight
+from .relational import AnnotationStore, expected_worker_weights
+
+# Point accuracies are clamped this far inside (0, 1) before any log.
+ACCURACY_CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,9 @@ class WorkerPool:
     """Ground-truth per-worker accuracies used by the simulator.
 
     Accuracies lie in (0, 1]; the boundary value 1 gives a noiseless
-    worker (the model-side estimates stay strictly interior).
+    worker.  `log_stats()` is the worker protocol of `relational`, so
+    the true pool enters the same likelihood and weight functions as the
+    model-side estimates.
     """
 
     alpha: np.ndarray
@@ -83,9 +88,13 @@ class WorkerPool:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array(
-            [worker_weight(a, b) for a, b in zip(self.alpha, self.beta)]
-        )
+        return expected_worker_weights(self)
+
+    def log_stats(self) -> np.ndarray:
+        """(M, 4) rows of (log a, log(1-a), log b, log(1-b)), with the
+        accuracies clamped to [ACCURACY_CLAMP, 1 - ACCURACY_CLAMP]."""
+        a, b = (np.clip(x, ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP) for x in (self.alpha, self.beta))
+        return np.stack([np.log(a), np.log1p(-a), np.log(b), np.log1p(-b)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,14 @@ def fit(
 
     `model()` builds the trained state from the current parameters, before
     training and after each finished epoch.  A `TrainingDivergence` or
-    `LinAlgError`, or a non-finite estimate, stops training and restores
-    `params` (tape tensors) to the last finished epoch.  The last four
-    arguments are the trainer module's own names, so that hooks patched on
-    that module see every call.  `rng` is drawn from in a fixed order: the
-    batch permutation, then per update the annotation sample, then `step`.
+    `LinAlgError` from an update or from predicting with the epoch's
+    model, a non-finite estimate, or non-finite parameters at the end of
+    an epoch stop training and restore `params` (tape tensors) to the
+    last finished epoch; an epoch is finished once its model has
+    predicted.  The last four arguments are the trainer module's own
+    names, so that hooks patched on that module see every call.  `rng`
+    is drawn from in a fixed order: the batch permutation, then per
+    update the annotation sample, then `step`.
     """
     obs, n = dataset.observations, dataset.n_items
     n_ann = store.n_annotations if store is not None else 0
@@ -123,13 +126,17 @@ def fit(
                 if not np.isfinite(estimate):
                     raise TrainingDivergence("non-finite objective estimate")
                 estimates.append(estimate)
+            # an update can overflow the parameters from a finite gradient
+            if not all(np.all(np.isfinite(p.data)) for p in params):
+                raise TrainingDivergence("non-finite parameters")
+            finished = model()
+            predicted = finished.predict(obs)
         except (TrainingDivergence, np.linalg.LinAlgError):
             for p, saved in zip(params, snapshot):
                 p.data = saved
             return TrainResult(current, history, diverged=True)
-        current = model()
+        current = finished
         snapshot = [p.data.copy() for p in params]
-        predicted = current.predict(obs)
         record = {
             "epoch": epoch,
             "objective": float(np.mean(estimates)),

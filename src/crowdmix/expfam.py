@@ -277,45 +277,3 @@ def _niw_log_partition(p: NiwNat) -> np.ndarray:
         + multivariate_gammaln(nu / 2.0, d)
         - d / 2.0 * np.log(kappa)
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient identity check
-
-
-def _flatten_family(p):
-    """Coordinate vector, log partition on coordinates, and E[t] vector of an unbatched record."""
-    if isinstance(p, DirichletNat):
-        return p.eta.copy(), lambda v: log_partition(type(p)(v)), dirichlet_expected_stats(p)
-    if isinstance(p, NiwNat):
-        d = p.dim
-        vec = np.concatenate([p.h1, p.h2.ravel(), [p.h3, p.h4]])
-        fn = lambda v: log_partition(NiwNat(v[:d], v[d:d + d * d].reshape(d, d), v[-2], v[-1]))
-        e = niw_expected_stats(p)
-        expected = np.concatenate(
-            [e.mean_prec, e.neg_half_prec.ravel(), [e.neg_half_mahal, e.neg_half_logdet]]
-        )
-        return vec, fn, expected
-    raise TypeError(f"unsupported family: {type(p).__name__}")
-
-
-def grad_log_partition_check(p, epsilon: float = 1e-5) -> float:
-    """Max abs deviation between central-difference grad log Z and E[t(x)].
-
-    Raises ValueError if a +/- epsilon step leaves the family's valid
-    natural-parameter domain.
-    """
-    vec, fn, expected = _flatten_family(p)
-    grad = np.empty_like(vec)
-    for i in range(vec.shape[0]):
-        hi = vec.copy()
-        lo = vec.copy()
-        hi[i] += epsilon
-        lo[i] -= epsilon
-        try:
-            grad[i] = (fn(hi) - fn(lo)) / (2.0 * epsilon)
-        except (ValueError, np.linalg.LinAlgError) as err:
-            raise ValueError(
-                f"epsilon={epsilon} leaves the valid domain at coordinate {i}"
-            ) from err
-    return float(np.max(np.abs(grad - expected)))

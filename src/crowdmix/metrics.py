@@ -93,8 +93,9 @@ def clustering_accuracy(pred, true) -> float:
 def worker_weight_recovery(estimated, true) -> float:
     """Spearman rank correlation between estimated and true worker weights.
 
-    Either argument may be a weight array or a worker model (anything
-    expected_worker_weights accepts).
+    Either argument may be a weight array or anything with the worker
+    protocol's `log_stats()`: a `BetaWorkers` posterior, the amortized
+    trainer's `PointParams`, or the true `data.WorkerPool`.
     """
     est = _as_weights(estimated)
     ref = _as_weights(true)

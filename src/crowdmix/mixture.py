@@ -2,7 +2,7 @@
 
 Conjugate priors (Dirichlet over mixing weights, one shared NIW over
 every component's mean and covariance), the variational posterior over
-the globals, generative sampling, and the natural-gradient coordinate
+the globals, and the natural-gradient coordinate
 updates whose step-1 fixed point is the textbook conjugate posterior.
 """
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import invwishart
 
 from .expfam import (
     BetaNat,
@@ -238,46 +237,6 @@ def init_global(
     )
     workers = BetaWorkers.constant_init(n_workers, *worker_init) if n_workers else None
     return GlobalVariational(pi, components, workers)
-
-
-def sample_generative(params, n: int, rng: np.random.Generator, decoder=None):
-    """Draw (labels, latents, observations) from the generative model.
-
-    `params` is either a GlobalVariational, in which case the mixture
-    parameters are first drawn from the variational posterior, or a
-    (pi, means, covs) triple of point values; covs may be (K, d, d)
-    matrices or (K, d) diagonals.  With a decoder the observations are
-    N(mean, diag exp(logvar)) draws from its heads; without one they are
-    the latents themselves.
-    """
-    if isinstance(params, GlobalVariational):
-        pi = rng.dirichlet(params.pi.alpha)
-        means, covs = [], []
-        for m, kappa, S, nu in zip(*params.components.to_standard()):
-            cov = np.atleast_2d(invwishart.rvs(df=nu, scale=S, random_state=rng))
-            means.append(rng.multivariate_normal(m, cov / kappa))
-            covs.append(cov)
-        means = np.array(means)
-        covs = np.array(covs)
-    else:
-        pi, means, covs = params
-        pi = np.asarray(pi, dtype=float)
-        means = np.asarray(means, dtype=float)
-        covs = np.asarray(covs, dtype=float)
-        if covs.ndim == 2:
-            covs = np.array([np.diag(row) for row in covs])
-    labels = rng.choice(pi.shape[0], size=n, p=pi / pi.sum())
-    chols = np.linalg.cholesky(covs)
-    noise = rng.standard_normal((n, means.shape[1]))
-    latents = means[labels] + np.einsum("nij,nj->ni", chols[labels], noise)
-    if decoder is None:
-        observations = latents.copy()
-    else:
-        heads = decoder.forward(latents)
-        mean = heads["mean"].data
-        std = np.exp(0.5 * heads["logvar"].data)
-        observations = mean + std * rng.standard_normal(mean.shape)
-    return labels, latents, observations
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays, plus the
 small feedforward networks (ReLU hidden stack, named linear heads) and
-optimizers used for training.
+the Adam optimizer used for training.
 
 A Tape records operations in execution order while it is active (it is a
 context manager); backward() walks the record in reverse, so nodes are
@@ -17,8 +17,8 @@ The engine keeps a network step lean:
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
-- Adam and SgdMomentum keep their moments in one flat vector and step
-  every parameter that has a gradient at once.  The step is atomic: a
+- Adam keeps its moments in one flat vector and steps every parameter
+  that has a gradient at once.  The step is atomic: a
   non-finite gradient anywhere is rejected before any parameter or
   moment changes.
 """
@@ -543,30 +543,48 @@ class Mlp:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 
 
-class _FlatOptimizer:
-    """Parameters laid end to end in one flat vector.
+class Adam:
+    """Adaptive-moment estimation with bias correction.
 
-    A step gathers the gradients that are present into one vector in
-    parameter order, updates the matching slices of the flat moment
-    buffers with elementwise expressions and adds each parameter's slice
-    of the update back.  Parameters whose gradient is None keep their
-    value and their moments.
+    The parameters lie end to end in one flat vector.  A step gathers
+    the gradients that are present into one vector in parameter order,
+    updates the matching slices of the flat moment buffers with
+    elementwise expressions and adds each parameter's slice of the
+    update back.  Parameters whose gradient is None keep their value and
+    their moments.
     """
 
-    def __init__(self, params):
+    def __init__(
+        self,
+        params,
+        lr: float,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+        maximize: bool = False,
+    ):
         self.params = list(params)
         self._offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.sign = 1.0 if maximize else -1.0
+        self.m = np.zeros(self._offsets[-1])
+        self.v = np.zeros(self._offsets[-1])
+        self.t = 0
 
-    def _gather(self):
-        """(present parameter indices, their flat positions, concatenated
-        gradient or None); raises TrainingDivergence before anything is
-        written when a gradient is not finite."""
+    def step(self):
+        """Step every parameter that has a gradient.  A gradient of the
+        wrong size or a non-finite one raises before any parameter or
+        moment changes."""
         present = [i for i, p in enumerate(self.params) if p.grad is not None]
         if not present:
-            return present, None, None
+            self.t += 1
+            return
         g = np.concatenate([np.ravel(self.params[i].grad) for i in present])
         if len(present) == len(self.params):
             where, size = slice(None), self._offsets[-1]
@@ -579,68 +597,7 @@ class _FlatOptimizer:
             raise ValueError("gradient sizes do not match their parameters")
         if not np.all(np.isfinite(g)):
             raise TrainingDivergence("non-finite gradient")
-        return present, where, g
-
-    def _scatter(self, present, update: np.ndarray):
-        start = 0
-        for i in present:
-            p = self.params[i]
-            stop = start + p.data.size
-            p.data = p.data + update[start:stop].reshape(p.data.shape)
-            start = stop
-
-    def zero_grad(self):
-        zero_grads(self.params)
-
-
-class SgdMomentum(_FlatOptimizer):
-    """v <- momentum * v + g; param <- param +/- lr * v."""
-
-    def __init__(self, params, lr: float, momentum: float = 0.9, maximize: bool = False):
-        super().__init__(params)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.sign = 1.0 if maximize else -1.0
-        self.velocity = np.zeros(self._offsets[-1])
-
-    def step(self):
-        present, where, g = self._gather()
-        if g is None:
-            return
-        v = self.velocity[where]
-        v *= self.momentum
-        v += g
-        self.velocity[where] = v
-        self._scatter(present, self.sign * self.lr * v)
-
-
-class Adam(_FlatOptimizer):
-    """Adaptive-moment estimation with bias correction."""
-
-    def __init__(
-        self,
-        params,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        maximize: bool = False,
-    ):
-        super().__init__(params)
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.sign = 1.0 if maximize else -1.0
-        self.m = np.zeros(self._offsets[-1])
-        self.v = np.zeros(self._offsets[-1])
-        self.t = 0
-
-    def step(self):
-        present, where, g = self._gather()
         self.t += 1
-        if g is None:
-            return
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
         m, v = self.m[where], self.v[where]
@@ -649,5 +606,10 @@ class Adam(_FlatOptimizer):
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         self.m[where], self.v[where] = m, v
-        update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-        self._scatter(present, self.sign * self.lr * update)
+        update = self.sign * self.lr * ((m / b1t) / (np.sqrt(v / b2t) + self.eps))
+        start = 0
+        for i in present:
+            p = self.params[i]
+            stop = start + p.data.size
+            p.data = p.data + update[start:stop].reshape(p.data.shape)
+            start = stop

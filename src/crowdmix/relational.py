@@ -9,6 +9,13 @@ not, so
 
 Labels are symmetric in (i, j) and stored canonically with i < j; absence
 of a triple is the "unobserved" indicator state.
+
+The likelihood pieces read worker accuracies through one protocol: an
+object whose `log_stats()` returns (M, 4) rows of (log a, log(1-a),
+log b, log(1-b)), as expectations for the Beta posteriors of
+`BetaWorkers`.  The point providers are `scdc.PointParams` (the
+amortized trainer's logits) and `data.WorkerPool` (the simulator's true
+accuracies).
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import BetaNat, dirichlet_expected_stats
-
-ACCURACY_CLAMP = 1e-6
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -77,11 +82,6 @@ class AnnotationStore:
             raise ValueError(f"triple {row}: {messages[int(np.argmax(problems[:, row]))]}")
         self.triples = np.column_stack([keys[first], label[order][first]])
         self.triples.setflags(write=False)
-        self._codes = self._code(*self.triples[:, :3].T)
-
-    def _code(self, lo, hi, m):
-        """Integer key, increasing in (lo, hi, m) order for in-range triples."""
-        return (lo * self.n_items + hi) * self.n_workers + m
 
     @property
     def n_annotations(self) -> int:
@@ -93,54 +93,9 @@ class AnnotationStore:
             return np.empty(0, dtype=int)
         return np.unique(self.triples[:, :2])
 
-    @property
-    def n_labeled(self) -> int:
-        return self.annotated_items.size
-
-    def label(self, i: int, j: int, m: int):
-        """Label for (i, j) by worker m in either orientation, or None."""
-        key = (min(i, j), max(i, j), int(m))
-        pos = int(np.searchsorted(self._codes, self._code(*key)))
-        if pos < self.n_annotations and tuple(self.triples[pos, :3].tolist()) == key:
-            return int(self.triples[pos, 3])
-        return None
-
-    def has(self, i: int, j: int, m: int) -> bool:
-        return self.label(i, j, m) is not None
-
 
 # ---------------------------------------------------------------------------
-# worker accuracies: point values or Beta posteriors
-
-
-def _clamped(values) -> np.ndarray:
-    return np.clip(np.asarray(values, dtype=float), ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
-
-
-class PointWorkers:
-    """Point worker accuracies, clamped away from {0, 1} before any log."""
-
-    def __init__(self, alpha, beta):
-        self.alpha = _clamped(alpha)
-        self.beta = _clamped(beta)
-        if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
-            raise ValueError("alpha and beta must be equal-length vectors")
-
-    @property
-    def n_workers(self) -> int:
-        return self.alpha.shape[0]
-
-    def log_stats(self) -> np.ndarray:
-        """(M, 4) rows of (log a, log(1-a), log b, log(1-b))."""
-        return np.stack(
-            [
-                np.log(self.alpha),
-                np.log1p(-self.alpha),
-                np.log(self.beta),
-                np.log1p(-self.beta),
-            ],
-            axis=1,
-        )
+# worker accuracies: Beta posteriors
 
 
 class BetaWorkers:
@@ -194,18 +149,6 @@ class BetaWorkers:
 # likelihood pieces
 
 
-def annotation_log_likelihood(label: int, same_cluster: bool, alpha_m: float, beta_m: float) -> float:
-    """log p(L = label | pair relation, worker accuracies), point form."""
-    if label not in (0, 1):
-        raise ValueError("label must be 0 or 1")
-    for v in (alpha_m, beta_m):
-        if not 0.0 < v < 1.0:
-            raise ValueError("accuracies must lie strictly inside (0, 1)")
-    if same_cluster:
-        return float(np.log(alpha_m) if label == 1 else np.log1p(-alpha_m))
-    return float(np.log1p(-beta_m) if label == 1 else np.log(beta_m))
-
-
 def _message_weights(labels: np.ndarray, log_stats: np.ndarray) -> np.ndarray:
     """w = E[log((1-a)/b)] + L (E[log(a/(1-a))] + E[log(b/(1-b))]) per triple."""
     base = log_stats[:, 1] - log_stats[:, 2]
@@ -213,25 +156,8 @@ def _message_weights(labels: np.ndarray, log_stats: np.ndarray) -> np.ndarray:
     return base + labels * swing
 
 
-def message_weight(store: AnnotationStore, i: int, j: int, m: int, workers) -> float:
-    """Weight of the z-message along annotation (i, j, m); 0 if unannotated."""
-    label = store.label(i, j, m)
-    if label is None:
-        return 0.0
-    ls = workers.log_stats()[m : m + 1]
-    return float(_message_weights(np.array([label], dtype=float), ls)[0])
-
-
-def worker_weight(alpha_m: float, beta_m: float) -> float:
-    """log(a/(1-a)) + log(b/(1-b)); the effective vote weight of a worker."""
-    for v in (alpha_m, beta_m):
-        if not 0.0 < v < 1.0:
-            raise ValueError("accuracies must lie strictly inside (0, 1)")
-    return float(np.log(alpha_m / (1.0 - alpha_m)) + np.log(beta_m / (1.0 - beta_m)))
-
-
 def expected_worker_weights(workers) -> np.ndarray:
-    """Per-worker expected log-odds weight under the worker representation."""
+    """Per-worker expected vote weight E[log(a/(1-a))] + E[log(b/(1-b))]."""
     ls = workers.log_stats()
     return (ls[:, 0] - ls[:, 1]) + (ls[:, 2] - ls[:, 3])
 

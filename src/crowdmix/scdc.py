@@ -4,7 +4,7 @@ Encoder networks produce the cluster posterior q(z|o) and the
 per-cluster latent posterior q(x|z,o); mixing weights, component
 Gaussians and worker accuracies are deterministic points optimized
 jointly with the networks by stochastic gradient ascent of the evidence
-lower bound, one optimizer over every parameter.  The discrete cluster
+lower bound, one Adam optimizer over every parameter.  The discrete cluster
 sum is carried analytically: every item is paired with every component
 in one stacked item-major batch (row i*K + k is item i under component
 k) that goes through the latent encoder and the decoder once.
@@ -27,7 +27,6 @@ from .metrics import clustering_accuracy, nmi
 from .nnet import (
     Adam,
     Mlp,
-    SgdMomentum,
     Tape,
     Tensor,
     TrainingDivergence,
@@ -113,11 +112,6 @@ class PointParams:
 
     def pi(self) -> np.ndarray:
         return np.exp(np_log_softmax(self.pi_logits.data))
-
-    def worker_accuracies(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sensitivity, specificity) arrays, each in (0, 1)."""
-        a = 1.0 / (1.0 + np.exp(-self.worker_logits.data))
-        return a[:, 0], a[:, 1]
 
     def log_stats(self) -> np.ndarray:
         """(M, 4) rows of (log a, log(1-a), log b, log(1-b)).
@@ -305,8 +299,8 @@ def elbo_rel(
 class ScdcConfig:
     """Settings for the amortized stochastic-gradient training loop.
 
-    One optimizer steps every parameter at rate `lr`.  `kl_warmup` is
-    the fraction of updates over which the Gaussian-KL weight ramps
+    One Adam optimizer steps every parameter at rate `lr`.  `kl_warmup`
+    is the fraction of updates over which the Gaussian-KL weight ramps
     0 -> 1: off for the first half of the window, then linear.
     """
 
@@ -317,8 +311,6 @@ class ScdcConfig:
     annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
     hidden: tuple[int, ...] = (40, 40)
     lr: float = 1e-3
-    optimizer: str = "adam"  # "adam" or "sgd"
-    momentum: float = 0.9
     n_samples: int = 1
     kl_warmup: float = 0.0
     init_spread: float = math.sqrt(3.0)
@@ -328,8 +320,6 @@ class ScdcConfig:
         check_config(self)
         if self.lr < 0.0:
             raise ValueError("lr must be non-negative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
 
 
 @dataclass
@@ -403,10 +393,7 @@ def train_scdc(
         + decoder.parameters()
         + point.parameters()
     )
-    if config.optimizer == "adam":
-        opt = Adam(params, lr=config.lr, maximize=True)
-    else:
-        opt = SgdMomentum(params, lr=config.lr, momentum=config.momentum, maximize=True)
+    opt = Adam(params, lr=config.lr, maximize=True)
 
     def step(update: Update) -> float:
         noise = rng.standard_normal((config.n_samples, k_comp, update.batch.size, d))

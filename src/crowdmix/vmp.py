@@ -42,7 +42,6 @@ from .mixture import (
 from .nnet import (
     Adam,
     Mlp,
-    SgdMomentum,
     Tape,
     TrainingDivergence,
     backward,
@@ -461,6 +460,16 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior, worker_prior=None) -
     return float(inner - log_z)
 
 
+def potential_bracket(potential: RecognitionPotential, local: LocalVariational, rows=None) -> float:
+    """<psi, E t(x)> summed over the items: the data term with the
+    recognition potentials standing in for the decoder."""
+    if rows is None:
+        rows = slice(None)
+    mean, cov = local.x_mean[rows], local.x_cov[rows]
+    second_diag = np.diagonal(cov, axis1=1, axis2=2) + mean**2
+    return float(np.sum(potential.h[rows] * mean) + np.sum(potential.j_diag[rows] * second_diag))
+
+
 def surrogate_elbo(
     glob: GlobalVariational,
     prior: MixturePrior,
@@ -475,58 +484,33 @@ def surrogate_elbo(
     is an exact coordinate maximization of this quantity, so it must not
     decrease along the inner loop.
     """
-    exps = global_expectations(glob)
-    mean, cov = local.x_mean, local.x_cov
-    second_diag = np.diagonal(cov, axis1=1, axis2=2) + mean**2
-    data = float(np.sum(potential.h * mean) + np.sum(potential.j_diag * second_diag))
-    rel = 0.0
-    if store is not None and glob.workers is not None:
-        rel = expected_rel_loglik(store, local.resp, glob.workers)
-    return data + rel - local_kl(exps, local) - global_kl(glob, prior, worker_prior)
+    return final_objective(
+        glob, prior, local, global_expectations(glob), potential_bracket(potential, local),
+        store, worker_prior,
+    )
 
 
 def final_objective(
     glob: GlobalVariational,
     prior: MixturePrior,
     local: LocalVariational,
-    potential: RecognitionPotential | None = None,
+    exps: GlobalExpectations,
+    data: float,
     store: AnnotationStore | None = None,
     worker_prior=None,
-    observations=None,
-    decoder: Mlp | None = None,
-    rng: np.random.Generator | None = None,
     data_scale: float = 1.0,
     rel_scale: float = 1.0,
     rows=None,
 ) -> float:
-    """Monte-Carlo estimate of the training objective.
+    """Estimate of the training objective from its data term.
 
-    With a decoder the data term draws one reparameterized latent sample
-    per item; without one the potential bracket <psi, E t(x)> stands in.
-    `rows` restricts the per-item data and local-KL terms, e.g. to the
-    data minibatch inside a larger working set; `store` must be indexed
-    like `local`.  Scales restore full-data magnitudes from minibatches.
+    `data` is the expected data log-likelihood of the items in `rows`:
+    the decoder's reconstruction, or `potential_bracket` in its place.
+    `exps` are the expectations of `glob`.  `rows` restricts the local
+    KL the same way, e.g. to the data minibatch inside a larger working
+    set; `store` must be indexed like `local`.  Scales restore full-data
+    magnitudes from minibatches.
     """
-    exps = global_expectations(glob)
-    if rows is None:
-        rows = np.arange(local.n_items)
-    rows = np.asarray(rows, dtype=int)
-    mean, cov = local.x_mean[rows], local.x_cov[rows]
-    if decoder is not None:
-        if observations is None or rng is None:
-            raise ValueError("the decoder data term needs observations and an rng")
-        obs = np.asarray(observations, dtype=float)[rows]
-        noise = rng.standard_normal(mean.shape)
-        draws = mean + np.einsum("nij,nj->ni", np.linalg.cholesky(cov), noise)
-        heads = decoder.forward(draws)
-        data = float(np.sum(diag_gaussian_loglik(obs, heads["mean"], heads["logvar"]).data))
-    else:
-        if potential is None:
-            raise ValueError("need a decoder or a potential for the data term")
-        second_diag = np.diagonal(cov, axis1=1, axis2=2) + mean**2
-        data = float(
-            np.sum(potential.h[rows] * mean) + np.sum(potential.j_diag[rows] * second_diag)
-        )
     rel = 0.0
     if store is not None and glob.workers is not None:
         rel = expected_rel_loglik(store, local.resp, glob.workers, scale=rel_scale)
@@ -546,7 +530,11 @@ def final_objective(
 
 @dataclass(frozen=True)
 class BayesConfig:
-    """Settings for the natural-gradient training loop."""
+    """Settings for the natural-gradient training loop.
+
+    The globals follow natural-gradient steps of size `global_step`; one
+    Adam optimizer steps both networks at rate `net_lr`.
+    """
 
     n_components: int = 15
     latent_dim: int = 2
@@ -555,13 +543,11 @@ class BayesConfig:
     annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
     hidden: tuple[int, ...] = (40, 40)
     net_lr: float = 1e-3
-    net_momentum: float = 0.9
     global_step: float = 0.05
     global_step_decay: float = 0.0  # step_t = global_step / (1 + t)^decay
     local_sweeps: int = 4
     local_tol: float = 1e-6
     n_samples: int = 1
-    net_optimizer: str = "adam"  # "adam" or "sgd"
     kl_warmup: float = 1.0   # fraction of updates over which the latent KL
                              # weight in the network gradient ramps 0 -> 1
     alpha0: float | None = None  # default 0.05 / n_components
@@ -589,8 +575,6 @@ class BayesConfig:
             raise ValueError("local_sweeps must be at least 1")
         if self.net_lr < 0.0:
             raise ValueError("net_lr must be non-negative")
-        if self.net_optimizer not in ("adam", "sgd"):
-            raise ValueError("net_optimizer must be 'adam' or 'sgd'")
         if self.init_potential_precision <= 2.0 * PRECISION_FLOOR:
             raise ValueError("init_potential_precision must exceed the precision floor")
         if self.init_potential_spread < 0.0:
@@ -733,10 +717,7 @@ def train_bayes_scdc(
         clamp={"logvar": config.logvar_clamp},
     )
     params = recognition.parameters() + decoder.parameters()
-    if config.net_optimizer == "adam":
-        opt = Adam(params, lr=config.net_lr, maximize=True)
-    else:
-        opt = SgdMomentum(params, lr=config.net_lr, momentum=config.net_momentum, maximize=True)
+    opt = Adam(params, lr=config.net_lr, maximize=True)
     worker_prior = (BetaNat.from_tau(*config.worker_prior), BetaNat.from_tau(*config.worker_prior))
 
     def step(update: Update) -> float:
@@ -774,13 +755,9 @@ def train_bayes_scdc(
         opt.step()
         zero_grads(params)
 
-        rel = 0.0
-        if local_store is not None and glob.workers is not None:
-            rel = expected_rel_loglik(local_store, resp, glob.workers, scale=update.rel_scale)
-        estimate = (
-            update.data_scale * (float(recon.data) - local_kl(exps, local, rows))
-            + rel
-            - global_kl(glob, prior, worker_prior)
+        estimate = final_objective(
+            glob, prior, local, exps, float(recon.data), local_store, worker_prior,
+            update.data_scale, update.rel_scale, rows,
         )
         glob = new_glob
         return estimate

@@ -5,7 +5,10 @@ the variational densities (scipy.stats pdfs + scipy.integrate.quad) or
 by explicit enumeration, never through the digamma/log-partition
 bracket identities the library itself uses, so agreement is a genuine
 two-route check.  Scalar (d=1, K=2) cases only.  `select_triples` is the
-plain row selection that the annotation samplers are checked against.
+plain row selection that the annotation samplers are checked against;
+`annotation_log_likelihood` is the two-coin likelihood of one label, and
+`grad_log_partition_check` checks grad log Z = E[t] by central
+differences.
 """
 
 import math
@@ -13,6 +16,13 @@ import math
 import numpy as np
 from scipy import integrate, stats
 
+from crowdmix.expfam import (
+    DirichletNat,
+    NiwNat,
+    dirichlet_expected_stats,
+    log_partition,
+    niw_expected_stats,
+)
 from crowdmix.relational import AnnotationStore
 
 
@@ -21,6 +31,18 @@ def select_triples(store: AnnotationStore, rows) -> AnnotationStore:
     return AnnotationStore(
         store.triples[np.asarray(rows, dtype=int)], store.n_items, store.n_workers
     )
+
+
+def annotation_log_likelihood(label: int, same_cluster: bool, alpha_m: float, beta_m: float) -> float:
+    """log p(L = label | pair relation, worker accuracies), point form."""
+    if label not in (0, 1):
+        raise ValueError("label must be 0 or 1")
+    for v in (alpha_m, beta_m):
+        if not 0.0 < v < 1.0:
+            raise ValueError("accuracies must lie strictly inside (0, 1)")
+    if same_cluster:
+        return float(np.log(alpha_m) if label == 1 else np.log1p(-alpha_m))
+    return float(np.log1p(-beta_m) if label == 1 else np.log(beta_m))
 
 
 def quad(f, lo, hi):
@@ -172,3 +194,45 @@ def final_objective_oracle(
         glob += beta_kl(tau_a, worker_prior_tau)
         glob += beta_kl(tau_b, worker_prior_tau)
     return data + rel - local - glob
+
+
+# ---------------------------------------------------------------------------
+# gradient identity check: central differences of log Z against E[t]
+
+
+def _flatten_family(p):
+    """Coordinate vector, log partition on coordinates, and E[t] vector of an unbatched record."""
+    if isinstance(p, DirichletNat):
+        return p.eta.copy(), lambda v: log_partition(type(p)(v)), dirichlet_expected_stats(p)
+    if isinstance(p, NiwNat):
+        d = p.dim
+        vec = np.concatenate([p.h1, p.h2.ravel(), [p.h3, p.h4]])
+        fn = lambda v: log_partition(NiwNat(v[:d], v[d:d + d * d].reshape(d, d), v[-2], v[-1]))
+        e = niw_expected_stats(p)
+        expected = np.concatenate(
+            [e.mean_prec, e.neg_half_prec.ravel(), [e.neg_half_mahal, e.neg_half_logdet]]
+        )
+        return vec, fn, expected
+    raise TypeError(f"unsupported family: {type(p).__name__}")
+
+
+def grad_log_partition_check(p, epsilon: float = 1e-5) -> float:
+    """Max abs deviation between central-difference grad log Z and E[t(x)].
+
+    Raises ValueError if a +/- epsilon step leaves the family's valid
+    natural-parameter domain.
+    """
+    vec, fn, expected = _flatten_family(p)
+    grad = np.empty_like(vec)
+    for i in range(vec.shape[0]):
+        hi = vec.copy()
+        lo = vec.copy()
+        hi[i] += epsilon
+        lo[i] -= epsilon
+        try:
+            grad[i] = (fn(hi) - fn(lo)) / (2.0 * epsilon)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            raise ValueError(
+                f"epsilon={epsilon} leaves the valid domain at coordinate {i}"
+            ) from err
+    return float(np.max(np.abs(grad - expected)))

@@ -16,14 +16,14 @@ _SPEC.loader.exec_module(calibrate)
 def test_values_parse_by_the_type_of_each_field():
     settings, config = calibrate.parse_args(
         [
-            "net_optimizer=sgd", "epochs=3", "net_lr=0.01", "hidden=20,30",
+            "local_sweeps=2", "epochs=3", "net_lr=0.01", "hidden=20,30",
             "worker_init=5,1.5", "alpha0=0.2", "annotation_batch_size=40",
             "seeds=2", "annotated=0",
         ]
     )
     assert settings == {"seeds": 2, "annotated": 0, "quiet": 0}
     assert config == BayesConfig(
-        net_optimizer="sgd", epochs=3, net_lr=0.01, hidden=(20, 30),
+        local_sweeps=2, epochs=3, net_lr=0.01, hidden=(20, 30),
         worker_init=(5.0, 1.5), alpha0=0.2, annotation_batch_size=40,
     )
     assert calibrate.parse_args([]) == (calibrate.SCRIPT_KEYS, BayesConfig())
@@ -37,7 +37,7 @@ def test_values_parse_by_the_type_of_each_field():
         (["epochs=x"], "epochs: cannot parse 'x' as int"),
         (["hidden=4,a"], "hidden: cannot parse"),
         (["epochs"], "expected key=value"),
-        (["net_optimizer=rmsprop"], "net_optimizer must be"),
+        (["global_step=2"], "global_step must lie"),
     ],
 )
 def test_bad_arguments_are_named(args, message):

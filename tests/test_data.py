@@ -18,7 +18,7 @@ from crowdmix.data import (
     save_observations,
     simulate_annotations,
 )
-from crowdmix.relational import AnnotationStore, worker_weight
+from crowdmix.relational import AnnotationStore
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_worker_pool_validation_and_weights():
         WorkerPool(np.array([0.9]), np.array([0.9, 0.8]))
     pool = WorkerPool.homogeneous(3, 0.9, 0.8)
     assert pool.n_workers == 3
-    np.testing.assert_allclose(pool.weights, worker_weight(0.9, 0.8))
+    np.testing.assert_allclose(pool.weights, np.log(0.9 / 0.1) + np.log(0.8 / 0.2))
     WorkerPool.homogeneous(2, 1.0, 1.0)  # noiseless boundary allowed
 
 

@@ -1,5 +1,6 @@
 """The shared training loop: what each update is handed, and, through
-both trainers, that a divergence restores the last finished epoch."""
+both trainers, that a divergence inside an epoch or at its end restores
+the last finished epoch."""
 
 from dataclasses import replace
 
@@ -57,6 +58,46 @@ def test_divergence_restores_the_last_finished_epoch(trainer, monkeypatch):
     assert result.diverged
     assert len(calls) == updates_per_epoch + 2
     assert len(finished.history) == 1
+    assert result.history == finished.history
+    assert result.model.to_dict() == finished.model.to_dict()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "trainer, value",
+    [
+        pytest.param("bayes", np.nan, id="bayes"),
+        pytest.param("scdc", np.nan, id="scdc"),
+        # finite, but the recognition network overflows when the epoch's
+        # model predicts
+        pytest.param("bayes", 1e308, id="bayes-overflow"),
+    ],
+)
+def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
+    trainer, value, monkeypatch
+):
+    # An update can overflow parameters from a finite gradient; the last
+    # update of the second epoch leaves one bad parameter, which only the
+    # end-of-epoch check or the epoch's evaluation can see.
+    module, train, config, _ = TRAINERS[trainer]
+    dataset, store = small_problem(2)
+    finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
+    updates_per_epoch = -(-dataset.n_items // config.batch_size)
+    original = module.zero_grads
+    calls = []
+
+    def poisoned(params):
+        calls.append(None)
+        original(params)
+        if len(calls) == 2 * updates_per_epoch:
+            poisoned_data = params[0].data.copy()
+            poisoned_data[...] = value
+            params[0].data = poisoned_data
+
+    monkeypatch.setattr(module, "zero_grads", poisoned)
+    result = train(dataset, store, config, np.random.default_rng(4))
+    assert len(calls) == 2 * updates_per_epoch
+    assert result.diverged
     assert result.history == finished.history
     assert result.model.to_dict() == finished.model.to_dict()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import grad_log_partition_check
 from scipy.special import digamma
 from scipy.stats import invwishart
 
@@ -8,7 +9,6 @@ from crowdmix.expfam import (
     DirichletNat,
     NiwNat,
     dirichlet_expected_stats,
-    grad_log_partition_check,
     log_partition,
     niw_expected_stats,
 )

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from crowdmix.data import WorkerPool
 from crowdmix.metrics import (
     clustering_accuracy,
     contingency_table,
@@ -12,7 +13,6 @@ from crowdmix.metrics import (
     nmi,
     worker_weight_recovery,
 )
-from crowdmix.relational import PointWorkers, worker_weight
 
 
 def _brute_force_assignment(cost):
@@ -209,8 +209,8 @@ def test_worker_recovery_exact_and_reversed():
 
 def test_worker_recovery_accepts_worker_models():
     acc = np.array([0.95, 0.9, 0.85, 0.8, 0.75])
-    pool = PointWorkers(acc, acc)
-    truth = np.array([worker_weight(a, a) for a in acc])
+    pool = WorkerPool(acc, acc)
+    truth = 2.0 * np.log(acc / (1.0 - acc))
     assert worker_weight_recovery(pool, truth) == pytest.approx(1.0)
 
 

@@ -24,9 +24,7 @@ from crowdmix.mixture import (
     global_expectations,
     init_global,
     mixture_natural_gradient,
-    sample_generative,
 )
-from crowdmix.nnet import Mlp
 from crowdmix.relational import AnnotationStore, BetaWorkers, beta_natural_gradient
 
 
@@ -371,78 +369,6 @@ def test_global_expectations_stack_per_component_values():
         np.testing.assert_allclose(exp.neg_half_prec[k], stats.neg_half_prec, atol=0)
         assert exp.neg_half_mahal[k] == stats.neg_half_mahal
         assert exp.neg_half_logdet[k] == stats.neg_half_logdet
-
-
-# ---------------------------------------------------------------------------
-# generative sampling
-
-
-def test_sample_generative_one_hot_mixing_weights():
-    rng = np.random.default_rng(31)
-    pi = np.array([0.0, 0.0, 1.0])
-    means = np.array([[0.0, 0.0], [5.0, 5.0], [-3.0, 2.0]])
-    covs = np.tile(np.eye(2), (3, 1, 1))
-    labels, latents, obs = sample_generative((pi, means, covs), 200, rng)
-    assert np.all(labels == 2)
-    assert latents.shape == (200, 2)
-    np.testing.assert_allclose(obs, latents)
-
-
-def test_sample_generative_degenerate_covariance_pins_latents():
-    rng = np.random.default_rng(32)
-    pi = np.array([0.5, 0.5])
-    means = np.array([[1.0, -1.0], [4.0, 4.0]])
-    covs = np.tile(1e-12 * np.eye(2), (2, 1, 1))
-    labels, latents, _ = sample_generative((pi, means, covs), 500, rng)
-    assert np.max(np.abs(latents - means[labels])) < 1e-5
-
-
-def test_sample_generative_label_frequencies():
-    rng = np.random.default_rng(33)
-    pi = np.array([0.2, 0.3, 0.5])
-    means = np.zeros((3, 2))
-    covs = np.tile(np.eye(2), (3, 1, 1))
-    n = 100_000
-    labels, _, _ = sample_generative((pi, means, covs), n, rng)
-    freq = np.bincount(labels, minlength=3) / n
-    se = np.sqrt(pi * (1 - pi) / n)
-    assert np.all(np.abs(freq - pi) < 3 * se)
-
-
-def test_sample_generative_diagonal_covariances():
-    rng = np.random.default_rng(34)
-    pi = np.array([1.0, 0.0])
-    means = np.zeros((2, 2))
-    diag = np.array([[4.0, 0.25], [1.0, 1.0]])
-    _, latents, _ = sample_generative((pi, means, diag), 50_000, rng)
-    np.testing.assert_allclose(latents.std(axis=0), [2.0, 0.5], rtol=0.05)
-
-
-def test_sample_generative_from_variational_posterior():
-    rng = np.random.default_rng(35)
-    prior = MixturePrior.default(3, 2)
-    glob = init_global(prior, rng)
-    labels, latents, obs = sample_generative(glob, 64, np.random.default_rng(1))
-    labels2, latents2, _ = sample_generative(glob, 64, np.random.default_rng(1))
-    assert labels.shape == (64,) and latents.shape == (64, 2) and obs.shape == (64, 2)
-    assert np.all((labels >= 0) & (labels < 3))
-    np.testing.assert_allclose(latents, latents2, atol=0)
-    assert np.array_equal(labels, labels2)
-
-
-def test_sample_generative_with_decoder_heads():
-    rng = np.random.default_rng(36)
-    net = Mlp([2, 4], {"mean": 3, "logvar": 3}, rng)
-    for p in net.parameters():
-        p.data[...] = 0.0
-    pi = np.array([1.0, 0.0])
-    means = np.zeros((2, 2))
-    covs = np.tile(np.eye(2), (2, 1, 1))
-    _, _, obs = sample_generative((pi, means, covs), 20_000, rng, decoder=net)
-    assert obs.shape == (20_000, 3)
-    # zeroed heads give o ~ N(0, I) regardless of the latents
-    np.testing.assert_allclose(obs.mean(axis=0), np.zeros(3), atol=0.05)
-    np.testing.assert_allclose(obs.std(axis=0), np.ones(3), rtol=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from crowdmix.nnet import (
     Adam,
     Mlp,
-    SgdMomentum,
     Tape,
     Tensor,
     TrainingDivergence,
@@ -321,40 +320,19 @@ def test_reparameterize_gradient_flows():
 
 def test_zero_gradient_leaves_params():
     p = parameter(np.array([1.0, 2.0]))
-    opt = SgdMomentum([p], lr=0.1)
+    opt = Adam([p], lr=0.1)
     p.grad = np.zeros(2)
     opt.step()
     assert np.allclose(p.data, [1.0, 2.0])
 
 
-def test_sgd_descent_step():
-    p = parameter(np.array(1.0))
-    opt = SgdMomentum([p], lr=0.1, momentum=0.0, maximize=False)
-    p.grad = np.array(1.0)
-    opt.step()
-    assert np.allclose(p.data, 0.9)
-
-
-def test_momentum_unroll():
-    p = parameter(np.array(0.0))
-    opt = SgdMomentum([p], lr=0.1, momentum=0.9, maximize=False)
-    p.grad = np.array(1.0)
-    opt.step()
-    first = -float(p.data)
-    p.grad = np.array(1.0)
-    before = float(p.data)
-    opt.step()
-    second = before - float(p.data)
-    assert abs(first - 0.1) < 1e-12
-    assert abs(second - 0.19) < 1e-12
-
-
 def test_ascent_moves_along_gradient():
-    p = parameter(np.array(0.0))
-    opt = SgdMomentum([p], lr=0.5, momentum=0.0, maximize=True)
-    p.grad = np.array(2.0)
+    # Adam's first step moves each coordinate by lr * g / (|g| + eps)
+    p = parameter(np.array([0.0, 0.0]))
+    opt = Adam([p], lr=0.5, maximize=True)
+    p.grad = np.array([2.0, -3.0])
     opt.step()
-    assert float(p.data) == 1.0
+    np.testing.assert_allclose(p.data, [0.5, -0.5], rtol=1e-8)
 
 
 def test_adam_deterministic_and_finite_check():
@@ -369,14 +347,6 @@ def test_adam_deterministic_and_finite_check():
     opt2.step()
     assert np.array_equal(first, q.data)
     p.grad = np.array([np.nan])
-    with pytest.raises(TrainingDivergence):
-        opt.step()
-
-
-def test_sgd_nonfinite_gradient_raises():
-    p = parameter(np.array(1.0))
-    opt = SgdMomentum([p], lr=0.1)
-    p.grad = np.array(np.inf)
     with pytest.raises(TrainingDivergence):
         opt.step()
 
@@ -481,25 +451,7 @@ def test_second_backward_adds_exactly_one_more_leaf_gradient():
 
 
 # ---------------------------------------------------------------------------
-# flat optimizer step
-
-
-class ReferenceSgd:
-    """Per-parameter momentum SGD: the loop the flat step replaces."""
-
-    def __init__(self, params, lr, momentum, maximize):
-        self.params = params
-        self.lr, self.momentum = lr, momentum
-        self.sign = 1.0 if maximize else -1.0
-        self.velocity = [np.zeros_like(p.data) for p in params]
-
-    def step(self):
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v += p.grad
-            p.data = p.data + self.sign * self.lr * v
+# flat Adam step
 
 
 class ReferenceAdam:
@@ -538,18 +490,15 @@ def _param_set(rng):
     ]
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
+# `kind` names the optimizer in the ids of the tests below.
+@pytest.mark.parametrize("kind", ["adam"])
 @pytest.mark.parametrize("maximize", [False, True])
 def test_flat_step_equals_per_parameter_reference(kind, maximize):
     rng = np.random.default_rng(34)
     flat_params = _param_set(rng)
     ref_params = [parameter(p.data.copy()) for p in flat_params]
-    if kind == "adam":
-        flat = Adam(flat_params, lr=0.05, maximize=maximize)
-        ref = ReferenceAdam(ref_params, lr=0.05, maximize=maximize)
-    else:
-        flat = SgdMomentum(flat_params, lr=0.05, momentum=0.8, maximize=maximize)
-        ref = ReferenceSgd(ref_params, lr=0.05, momentum=0.8, maximize=maximize)
+    flat = Adam(flat_params, lr=0.05, maximize=maximize)
+    ref = ReferenceAdam(ref_params, lr=0.05, maximize=maximize)
     for step in range(10):
         for i, (p, q) in enumerate(zip(flat_params, ref_params)):
             # parameter 1 has no gradient on every third step, parameter 3 on odd steps
@@ -565,17 +514,15 @@ def test_flat_step_equals_per_parameter_reference(kind, maximize):
 
 
 def _optimizer_state(opt):
-    if isinstance(opt, Adam):
-        return opt.m.copy(), opt.v.copy(), opt.t
-    return (opt.velocity.copy(),)
+    return opt.m.copy(), opt.v.copy(), opt.t
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("kind", ["adam"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rejected_step_changes_nothing(kind, bad):
     p = parameter(np.array([1.0]))
     q = parameter(np.array([2.0, 3.0]))
-    opt = Adam([p, q], lr=0.1) if kind == "adam" else SgdMomentum([p, q], lr=0.1)
+    opt = Adam([p, q], lr=0.1)
     for first_step in (True, False):
         p.grad = np.array([0.5])
         q.grad = np.array([0.25, bad])
@@ -592,10 +539,10 @@ def test_rejected_step_changes_nothing(kind, bad):
             opt.step()
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("kind", ["adam"])
 def test_step_rejects_gradient_of_the_wrong_size(kind):
     p = parameter(np.array([1.0, 2.0]))
-    opt = Adam([p], lr=0.1) if kind == "adam" else SgdMomentum([p], lr=0.1)
+    opt = Adam([p], lr=0.1)
     p.grad = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="gradient sizes"):
         opt.step()

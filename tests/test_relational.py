@@ -2,21 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import select_triples
+from oracles import annotation_log_likelihood, select_triples
 
+from crowdmix.data import WorkerPool
 from crowdmix.expfam import BetaNat
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
-    PointWorkers,
-    annotation_log_likelihood,
+    _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
     expected_worker_weights,
-    message_weight,
     sample_annotation_minibatch,
-    worker_weight,
 )
+from crowdmix.vmp import annotation_graph
 
 LN9 = np.log(9.0)
 
@@ -29,8 +28,7 @@ def test_store_canonicalizes_orientation():
     store = AnnotationStore([(3, 1, 0, 1), (1, 3, 0, 1)], n_items=5, n_workers=1)
     assert store.n_annotations == 1
     assert tuple(store.triples[0]) == (1, 3, 0, 1)
-    assert store.label(1, 3, 0) == 1
-    assert store.label(3, 1, 0) == 1
+    assert AnnotationStore([(3, 1, 0, 1)], 5, 1).triples.tolist() == [[1, 3, 0, 1]]
 
 
 def test_store_rejects_bad_triples():
@@ -49,9 +47,7 @@ def test_store_rejects_bad_triples():
 def test_store_counts():
     store = AnnotationStore([(0, 1, 0, 1), (2, 3, 1, 0), (0, 2, 1, 1)], 6, 2)
     assert store.n_annotations == 3
-    assert store.n_labeled == 4
     assert list(store.annotated_items) == [0, 1, 2, 3]
-    assert not store.has(4, 5, 0)
 
 
 def loop_canonical(triples, n_items, n_workers):
@@ -117,13 +113,7 @@ def test_store_canonicalization_matches_the_loop_reference():
         if isinstance(expected, str):
             continue
         store = AnnotationStore(np.array(triples, dtype=int).reshape(-1, 4), n_items, n_workers)
-        index = {(i, j, m): l for i, j, m, l in expected}
-        for i in range(n_items):
-            for j in range(n_items):
-                for m in range(n_workers):
-                    want = index.get((min(i, j), max(i, j), m))
-                    assert store.label(i, j, m) == want
-                    assert store.has(i, j, m) == (want is not None)
+        assert [tuple(row) for row in store.triples.tolist()] == expected
 
 
 def test_store_names_a_row_of_the_wrong_length():
@@ -152,20 +142,29 @@ def test_annotation_log_likelihood_boundary():
         annotation_log_likelihood(1, True, 0.5, 0.0)
 
 
+def message_weights(store, workers) -> np.ndarray:
+    """The message weight of each stored triple."""
+    t = store.triples
+    return _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
+
+
 def test_message_weight_point_examples():
-    workers = PointWorkers([0.9], [0.9])
+    workers = WorkerPool.homogeneous(1, 0.9, 0.9)
     pos = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     neg = AnnotationStore([(0, 1, 0, 0)], 2, 1)
-    assert abs(message_weight(pos, 0, 1, 0, workers) - LN9) < 1e-12
-    assert abs(message_weight(neg, 0, 1, 0, workers) + LN9) < 1e-12
-    assert message_weight(pos, 0, 2 - 1, 0, workers) == message_weight(pos, 1, 0, 0, workers)
+    assert abs(message_weights(pos, workers)[0] - LN9) < 1e-12
+    assert abs(message_weights(neg, workers)[0] + LN9) < 1e-12
+    flipped = AnnotationStore([(1, 0, 0, 1)], 2, 1)
+    assert message_weights(flipped, workers)[0] == message_weights(pos, workers)[0]
 
 
 def test_message_weight_unannotated_is_zero():
     store = AnnotationStore([(0, 1, 0, 1)], 4, 2)
-    workers = PointWorkers([0.9, 0.7], [0.9, 0.7])
-    assert message_weight(store, 2, 3, 0, workers) == 0.0
-    assert message_weight(store, 0, 1, 1, workers) == 0.0
+    graph = annotation_graph(store, WorkerPool([0.9, 0.7], [0.9, 0.7]), 4)
+    # only the annotated pair exchanges messages, only along worker 0's label
+    assert graph.linked.tolist() == [True, True, False, False]
+    assert graph[2] == [] and graph[3] == []
+    assert graph[0] == [(1, pytest.approx(LN9, abs=1e-12))]
 
 
 def test_message_weight_is_same_vs_diff_log_likelihood_gap():
@@ -174,7 +173,7 @@ def test_message_weight_is_same_vs_diff_log_likelihood_gap():
         for a in grid:
             for b in grid:
                 store = AnnotationStore([(0, 1, 0, label)], 2, 1)
-                w = message_weight(store, 0, 1, 0, PointWorkers([a], [b]))
+                w = message_weights(store, WorkerPool([a], [b]))[0]
                 gap = annotation_log_likelihood(label, True, a, b) - annotation_log_likelihood(
                     label, False, a, b
                 )
@@ -182,24 +181,51 @@ def test_message_weight_is_same_vs_diff_log_likelihood_gap():
 
 
 def test_worker_weight_values_and_ordering():
-    assert worker_weight(0.5, 0.5) == 0.0
-    assert abs(worker_weight(0.9, 0.9) - 2.0 * LN9) < 1e-12
-    assert abs(worker_weight(0.75, 0.75) - 2.0 * np.log(3.0)) < 1e-12
+    def weight(a, b):
+        return WorkerPool([a], [b]).weights[0]
+
+    assert weight(0.5, 0.5) == 0.0
+    assert abs(weight(0.9, 0.9) - 2.0 * LN9) < 1e-12
+    assert abs(weight(0.75, 0.75) - 2.0 * np.log(3.0)) < 1e-12
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = rng.uniform(0.05, 0.95, size=2)
         eps = rng.uniform(0.01, 0.04)
-        assert worker_weight(min(a + eps, 0.99), b) > worker_weight(a, b)
-        assert worker_weight(a, min(b + eps, 0.99)) > worker_weight(a, b)
+        assert weight(min(a + eps, 0.99), b) > weight(a, b)
+        assert weight(a, min(b + eps, 0.99)) > weight(a, b)
     with pytest.raises(ValueError):
-        worker_weight(0.0, 0.5)
+        weight(0.0, 0.5)
 
 
 def test_expected_worker_weights_matches_point():
-    workers = PointWorkers([0.9, 0.75], [0.8, 0.6])
-    weights = expected_worker_weights(workers)
-    assert abs(weights[0] - worker_weight(0.9, 0.8)) < 1e-12
-    assert abs(weights[1] - worker_weight(0.75, 0.6)) < 1e-12
+    alpha, beta = np.array([0.9, 0.75]), np.array([0.8, 0.6])
+    weights = expected_worker_weights(WorkerPool(alpha, beta))
+    np.testing.assert_allclose(
+        weights, np.log(alpha / (1 - alpha)) + np.log(beta / (1 - beta)), rtol=0, atol=1e-12
+    )
+
+
+def point_workers_log_stats(alpha, beta) -> np.ndarray:
+    """The (M, 4) rows of the point-worker class WorkerPool replaced:
+    accuracies clipped to [1e-6, 1 - 1e-6], then the four logs."""
+    a, b = (np.clip(np.asarray(v, dtype=float), 1e-6, 1.0 - 1e-6) for v in (alpha, beta))
+    return np.stack([np.log(a), np.log1p(-a), np.log(b), np.log1p(-b)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [([0.9], [0.9]), ([0.9, 0.7], [0.8, 0.6]), ([1.0, 0.5, 1e-9], [1.0, 1.0 - 1e-9, 0.3])],
+)
+def test_worker_pool_log_stats_equal_the_point_worker_rows(alpha, beta):
+    pool = WorkerPool(alpha, beta)
+    assert np.array_equal(pool.log_stats(), point_workers_log_stats(alpha, beta))
+    assert np.all(np.isfinite(pool.log_stats())) and np.all(np.isfinite(pool.weights))
+
+
+def test_noiseless_pool_has_finite_weights():
+    weights = WorkerPool.homogeneous(3, 1.0, 1.0).weights
+    assert np.all(np.isfinite(weights)) and np.all(weights == weights[0])
+    assert weights[0] > WorkerPool.homogeneous(1, 0.999, 0.999).weights[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +254,20 @@ def _brute_force_rel(store, q_z, workers):
 
 def test_expected_rel_loglik_empty():
     store = AnnotationStore([], 3, 1)
-    assert expected_rel_loglik(store, np.full((3, 2), 0.5), PointWorkers([0.9], [0.9])) == 0.0
+    assert expected_rel_loglik(store, np.full((3, 2), 0.5), WorkerPool.homogeneous(1, 0.9, 0.9)) == 0.0
 
 
 def test_expected_rel_loglik_point_mass():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    value = expected_rel_loglik(store, q, PointWorkers([0.9], [0.9]))
+    value = expected_rel_loglik(store, q, WorkerPool.homogeneous(1, 0.9, 0.9))
     assert abs(value - np.log(0.9)) < 1e-12
 
 
 def test_expected_rel_loglik_uniform_two_items():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.full((2, 2), 0.5)
-    value = expected_rel_loglik(store, q, PointWorkers([0.9], [0.9]))
+    value = expected_rel_loglik(store, q, WorkerPool.homogeneous(1, 0.9, 0.9))
     expect = 0.5 * np.log(0.9) + 0.5 * np.log(0.1)
     assert abs(value - expect) < 1e-12
     assert abs(value - (0.5 * LN9 + np.log(0.1))) < 1e-12
@@ -261,7 +287,7 @@ def test_expected_rel_loglik_matches_brute_force():
                     triples.append((i, j, m, int(rng.integers(0, 2))))
         store = AnnotationStore(triples, n, m_workers)
         q = rng.dirichlet(np.ones(k), size=n)
-        workers = PointWorkers(rng.uniform(0.2, 0.95, m_workers), rng.uniform(0.2, 0.95, m_workers))
+        workers = WorkerPool(rng.uniform(0.2, 0.95, m_workers), rng.uniform(0.2, 0.95, m_workers))
         value = expected_rel_loglik(store, q, workers)
         assert abs(value - _brute_force_rel(store, q, workers)) < 1e-10
 
@@ -330,7 +356,7 @@ def test_minibatch_estimator_exactly_unbiased():
     store = AnnotationStore(triples, 4, 2)
     rng = np.random.default_rng(2)
     q = rng.dirichlet(np.ones(3), size=4)
-    workers = PointWorkers([0.9, 0.7], [0.8, 0.6])
+    workers = WorkerPool([0.9, 0.7], [0.8, 0.6])
     full = expected_rel_loglik(store, q, workers)
     n = store.n_annotations
     for size in range(1, n + 1):

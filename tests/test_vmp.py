@@ -27,7 +27,6 @@ from crowdmix.nnet import Mlp, Tape, TrainingDivergence, backward, zero_grads
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
-    PointWorkers,
     _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
@@ -47,6 +46,7 @@ from crowdmix.vmp import (
     final_objective,
     global_kl,
     local_kl,
+    potential_bracket,
     recognition_potential,
     surrogate_elbo,
     train_bayes_scdc,
@@ -233,11 +233,11 @@ def test_point_mass_neighbor_message_shifts_one_coordinate():
 
 def test_annotation_graph_weight_matches_point_worker_log_odds():
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
-    graph = annotation_graph(store, PointWorkers([0.9], [0.9]), 2)
+    graph = annotation_graph(store, WorkerPool.homogeneous(1, 0.9, 0.9), 2)
     assert graph[0] == [(1, pytest.approx(math.log(9.0), abs=1e-12))]
     assert graph[1] == [(0, pytest.approx(math.log(9.0), abs=1e-12))]
     with pytest.raises(ValueError):
-        annotation_graph(store, PointWorkers([0.9], [0.9]), 1)
+        annotation_graph(store, WorkerPool.homogeneous(1, 0.9, 0.9), 1)
 
 
 def sequential_local_z(base, neighbors, log_resp, order):
@@ -635,9 +635,17 @@ def objective_instance():
     return glob, store, local, pot
 
 
+def objective(glob, local, pot, store=None, rel_scale=1.0, rows=None):
+    """final_objective with the potential bracket as its data term."""
+    return final_objective(
+        glob, TEST_PRIOR, local, global_expectations(glob), potential_bracket(pot, local, rows),
+        store, rel_scale=rel_scale, rows=rows,
+    )
+
+
 def test_final_objective_matches_quadrature_and_enumeration_oracle():
     glob, store, local, pot = objective_instance()
-    value = final_objective(glob, TEST_PRIOR, local, potential=pot, store=store)
+    value = objective(glob, local, pot, store)
     expected = oracles.final_objective_oracle(
         TEST_ALPHAS,
         TEST_COMPONENTS,
@@ -652,6 +660,7 @@ def test_final_objective_matches_quadrature_and_enumeration_oracle():
         worker_taus=[((3.0, 2.0), (4.0, 1.0))],
     )
     assert abs(value - expected) < 1e-6
+    assert value == surrogate_elbo(glob, TEST_PRIOR, local, pot, store)
 
 
 def test_final_objective_annotation_minibatches_are_unbiased():
@@ -665,24 +674,20 @@ def test_final_objective_annotation_minibatches_are_unbiased():
     pot = RecognitionPotential(
         np.array([[0.4], [-0.3], [0.1]]), np.array([[-0.9], [-1.2], [-0.7]])
     )
-    full = final_objective(glob, TEST_PRIOR, local, potential=pot, store=store)
+    full = objective(glob, local, pot, store)
     from itertools import combinations
 
     estimates = []
     for rows in combinations(range(3), 2):
         sub = oracles.select_triples(store, rows)
-        estimates.append(
-            final_objective(
-                glob, TEST_PRIOR, local, potential=pot, store=sub, rel_scale=3.0 / 2.0
-            )
-        )
+        estimates.append(objective(glob, local, pot, sub, rel_scale=3.0 / 2.0))
     assert abs(np.mean(estimates) - full) < 1e-10
 
 
 def test_final_objective_without_store_drops_the_relational_term():
     glob, store, local, pot = objective_instance()
-    with_rel = final_objective(glob, TEST_PRIOR, local, potential=pot, store=store)
-    without = final_objective(glob, TEST_PRIOR, local, potential=pot)
+    with_rel = objective(glob, local, pot, store)
+    without = objective(glob, local, pot)
     rel = expected_rel_loglik(store, local.resp, glob.workers)
     assert abs(with_rel - without - rel) < 1e-12
 
@@ -690,34 +695,10 @@ def test_final_objective_without_store_drops_the_relational_term():
 def test_final_objective_row_restriction_is_additive():
     glob, store, local, pot = objective_instance()
     gkl = global_kl(glob, TEST_PRIOR)
-    full = final_objective(glob, TEST_PRIOR, local, potential=pot)
-    part0 = final_objective(glob, TEST_PRIOR, local, potential=pot, rows=[0])
-    part1 = final_objective(glob, TEST_PRIOR, local, potential=pot, rows=[1])
+    full = objective(glob, local, pot)
+    part0 = objective(glob, local, pot, rows=[0])
+    part1 = objective(glob, local, pot, rows=[1])
     assert abs((full + gkl) - ((part0 + gkl) + (part1 + gkl))) < 1e-12
-
-
-def test_final_objective_decoder_term_is_rng_deterministic():
-    glob, store, local, pot = objective_instance()
-    decoder = Mlp([1, 6], {"mean": 2, "logvar": 2}, np.random.default_rng(2))
-    obs = np.array([[0.3, -0.5], [1.0, 0.2]])
-    a = final_objective(
-        glob, TEST_PRIOR, local, store=store, observations=obs, decoder=decoder,
-        rng=np.random.default_rng(42),
-    )
-    b = final_objective(
-        glob, TEST_PRIOR, local, store=store, observations=obs, decoder=decoder,
-        rng=np.random.default_rng(42),
-    )
-    c = final_objective(
-        glob, TEST_PRIOR, local, store=store, observations=obs, decoder=decoder,
-        rng=np.random.default_rng(43),
-    )
-    assert a == b
-    assert a != c
-    with pytest.raises(ValueError):
-        final_objective(glob, TEST_PRIOR, local, store=store, decoder=decoder)
-    with pytest.raises(ValueError):
-        final_objective(glob, TEST_PRIOR, local)
 
 
 # ---------------------------------------------------------------------------
@@ -826,22 +807,6 @@ def test_training_without_annotations_runs_and_reports():
     assert len(result.history) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_training_divergence_restores_last_finished_epoch():
-    dataset, store = tiny_problem()
-    config = BayesConfig(
-        n_components=4, latent_dim=2, epochs=4, batch_size=40,
-        net_lr=1e12, net_optimizer="sgd",
-    )
-    result = train_bayes_scdc(dataset, store, config, np.random.default_rng(5))
-    assert result.diverged
-    assert len(result.history) < 4
-    for p in result.model.recognition.parameters() + result.model.decoder.parameters():
-        assert np.all(np.isfinite(p.data))
-    preds = result.model.predict(dataset.observations)
-    assert preds.shape == (dataset.n_items,)
-
-
 def test_unlabeled_data_reports_nan_metrics():
     dataset, store = tiny_problem()
     unlabeled = Dataset(dataset.observations)
@@ -947,24 +912,13 @@ RECORDED_RUNS = {
         ],
         "ab888071021a997b2d4b60df3ba392bba48193fc81b533a268d7ae3a311fec18",
     ),
-    "sgd": (
-        [
-            {"epoch": 0, "objective": -1323.0548661525827, "effective_k": 4,
-             "accuracy": 0.875, "nmi": 0.7309939874448214},
-            {"epoch": 1, "objective": -1141.355526365286, "effective_k": 4,
-             "accuracy": 0.925, "nmi": 0.82171259303577},
-        ],
-        "c993587390657e2f00a9c5925be9337372c1fcee2d91e37deeb3d217dd03167b",
-    ),
 }
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("optimizer", ["adam"])
 def test_training_reproduces_the_recorded_run(optimizer):
     dataset, store = tiny_problem()
-    config = BayesConfig(
-        n_components=4, latent_dim=2, epochs=2, batch_size=40, net_optimizer=optimizer
-    )
+    config = BayesConfig(n_components=4, latent_dim=2, epochs=2, batch_size=40)
     result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
     history, digest = RECORDED_RUNS[optimizer]
     assert result.history == history
