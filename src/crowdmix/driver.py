@@ -21,6 +21,9 @@ from .data import Dataset
 from .nnet import TrainingDivergence
 from .relational import AnnotationStore
 
+# Clip interval of both trainers' log-variance heads.
+LOGVAR_CLAMP = (-8.0, 8.0)
+
 
 def check_config(config) -> None:
     """Reject bad values of the fields every trainer config shares,
@@ -28,14 +31,14 @@ def check_config(config) -> None:
     for name in ("n_components", "latent_dim", "batch_size", "n_samples"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be at least 1")
+    if any(width < 1 for width in config.hidden):
+        raise ValueError("hidden widths must be at least 1")
     if config.epochs < 0:
         raise ValueError("epochs must be non-negative")
     if config.annotation_batch_size is not None and config.annotation_batch_size < 1:
         raise ValueError("annotation_batch_size must be at least 1")
     if not 0.0 <= config.kl_warmup <= 1.0:
         raise ValueError("kl_warmup must lie in [0, 1]")
-    if not config.logvar_clamp[0] < config.logvar_clamp[1]:
-        raise ValueError("logvar_clamp must be a (lo, hi) pair with lo < hi")
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,6 @@ class Update:
     """What one update trains on.  `store` holds the sampled triples
     renumbered onto `working` positions, or None without annotations."""
 
-    index: int           # updates before this one
     batch: np.ndarray    # sorted data-minibatch items
     working: np.ndarray  # sorted union of batch and annotated items
     rows: np.ndarray     # positions of batch within working
@@ -120,7 +122,7 @@ def fit(
                 # strength by the window's end.
                 kl_weight = 1.0 if updates > warmup_updates else max(0.0, (updates - half) / half)
                 estimate = step(Update(
-                    updates - 1, batch, working, np.searchsorted(working, batch),
+                    batch, working, np.searchsorted(working, batch),
                     local_store, n / batch.size, rel_scale, kl_weight,
                 ))
                 if not np.isfinite(estimate):

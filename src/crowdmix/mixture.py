@@ -88,21 +88,18 @@ class MixturePrior:
         n_components: int,
         latent_dim: int,
         alpha0: float | None = None,
-        kappa0: float = 0.5,
-        s0_scale: float | None = None,
-        nu0: float | None = None,
     ) -> "MixturePrior":
-        """Weak sparsity-inducing prior: alpha0 = 0.05/K, m0 = 0, kappa0 = 0.5,
-        s0 = (d + kappa0) I, nu0 = d + kappa0, unless given."""
-        d = latent_dim
+        """Weak sparsity-inducing prior: alpha0 = 0.05/K unless given,
+        m0 = 0, kappa0 = 0.5, s0 = (d + kappa0) I and nu0 = d + kappa0."""
+        d, kappa0 = latent_dim, 0.5
         return cls(
             n_components=n_components,
             latent_dim=d,
             alpha0=(0.05 / n_components) if alpha0 is None else alpha0,
             m0=np.zeros(d),
             kappa0=kappa0,
-            s0=((d + kappa0) if s0_scale is None else s0_scale) * np.eye(d),
-            nu0=(d + kappa0) if nu0 is None else nu0,
+            s0=(d + kappa0) * np.eye(d),
+            nu0=d + kappa0,
         )
 
     def pi_nat(self) -> DirichletNat:
@@ -219,21 +216,19 @@ def init_global(
     rng: np.random.Generator,
     n_workers: int = 0,
     init_spread: float = math.sqrt(3.0),
-    init_kappa: float = 1.0,
     worker_init: tuple[float, float] = (10.0, 1.0),
 ) -> GlobalVariational:
     """Random variational starting point.
 
     Mixing-weight concentrations start uniform on (1, 2); component
     locations are zero-mean Gaussian draws with standard deviation
-    init_spread, each with kappa = init_kappa, S = (d + init_kappa) I
-    and matching nu; worker posteriors start at Beta(*worker_init).
+    init_spread, each with kappa = 1, S = (d + 1) I and nu = d + 1;
+    worker posteriors start at Beta(*worker_init).
     """
     K, d = prior.n_components, prior.latent_dim
     pi = DirichletNat.from_alpha(rng.uniform(1.0, 2.0, size=K))
-    scale = (d + init_kappa) * np.eye(d)
     components = NiwNat.from_standard(
-        init_spread * rng.standard_normal((K, d)), init_kappa, scale, d + init_kappa
+        init_spread * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
     )
     workers = BetaWorkers.constant_init(n_workers, *worker_init) if n_workers else None
     return GlobalVariational(pi, components, workers)
@@ -272,15 +267,13 @@ def mixture_natural_gradient(
 
     The step-1 fixed point is the conjugate update: prior natural
     parameters plus scaled responsibility-weighted local moments.
-    q_z is (n, K) responsibilities, means (n, d), covs (n, d, d) full
-    matrices or (n, d) diagonals; scale is the minibatch factor N/|B|.
+    q_z is (n, K) responsibilities, means (n, d), covs (n, d, d); scale
+    is the minibatch factor N/|B|.
     """
     K, d = current.n_components, current.latent_dim
     q_z = np.asarray(q_z, dtype=float).reshape(-1, K)
     means = np.asarray(means, dtype=float).reshape(-1, d)
     covs = np.asarray(covs, dtype=float)
-    if covs.ndim == 2:
-        covs = covs[:, :, None] * np.eye(d)
     counts = q_z.sum(axis=0)
     first = q_z.T @ means
     second = np.einsum(

@@ -12,7 +12,7 @@ The engine keeps a network step lean:
 
 - affine() records one node for a dense layer, h @ W + b with an optional
   ReLU, in place of three; Mlp.forward uses it for every layer and head.
-- The vector-Jacobian products of matmul, mul, sub, div, einsum2 and
+- The vector-Jacobian products of matmul, mul, sub, einsum2 and
   affine compute a parent's gradient only when that parent requires one.
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
@@ -105,17 +105,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
     def __neg__(self):
         return mul(self, constant(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def constant(data) -> Tensor:
@@ -214,21 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data * b.data, (a, b), vjp)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (
-            g / b.data if a.requires else None,
-            -g * a.data / b.data**2 if b.requires else None,
-        )
-
-    return _record(a.data / b.data, (a, b), vjp)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    e = float(exponent)
-    return _record(a.data**e, (a,), lambda g: (g * e * a.data ** (e - 1.0),))
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _record(out, (a,), lambda g: (g * out,))
@@ -236,11 +215,6 @@ def exp(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     return _record(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _record(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -252,11 +226,6 @@ def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
     sig = 1.0 / (1.0 + np.exp(-a.data))
     return _record(out, (a,), lambda g: (g * sig,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -346,17 +315,6 @@ def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -491,10 +449,7 @@ class Mlp:
             params.append(self.head_biases[name])
         return params
 
-    def forward(self, x, tape: Tape | None = None) -> dict:
-        if tape is not None and tape is not _current_tape():
-            with tape:
-                return self.forward(x)
+    def forward(self, x) -> dict:
         if not isinstance(x, Tensor):
             x = Tensor(np.atleast_2d(np.asarray(x, dtype=float)), requires=False)
         if x.data.shape[-1] != self.sizes[0]:

@@ -87,12 +87,6 @@ class AnnotationStore:
     def n_annotations(self) -> int:
         return self.triples.shape[0]
 
-    @property
-    def annotated_items(self) -> np.ndarray:
-        if self.n_annotations == 0:
-            return np.empty(0, dtype=int)
-        return np.unique(self.triples[:, :2])
-
 
 # ---------------------------------------------------------------------------
 # worker accuracies: Beta posteriors
@@ -131,11 +125,6 @@ class BetaWorkers:
     @property
     def beta_taus(self) -> np.ndarray:
         return self.beta_nat.tau
-
-    @property
-    def mean_accuracies(self) -> tuple[np.ndarray, np.ndarray]:
-        ta, tb = self.alpha_taus, self.beta_taus
-        return ta[:, 0] / ta.sum(axis=1), tb[:, 0] / tb.sum(axis=1)
 
     def log_stats(self) -> np.ndarray:
         """(M, 4) rows of (E log a, E log(1-a), E log b, E log(1-b))."""
@@ -186,13 +175,12 @@ def beta_natural_gradient(
     prior: tuple[BetaNat, BetaNat],
     current: BetaWorkers,
     scale: float = 1.0,
-    m: int | None = None,
 ):
     """Natural gradients of the objective in the worker Beta parameters.
 
     Fixed point: posterior = prior + (scaled) expected confusion counts,
     counting each canonical i < j triple once.  Returns (M, 2) arrays for
-    the alpha and beta parameters, or the m-th rows when m is given.
+    the alpha and beta parameters.
     """
     q_z = np.asarray(q_z, dtype=float)
     M = current.n_workers
@@ -209,8 +197,6 @@ def beta_natural_gradient(
     prior_a, prior_b = prior
     grad_a = prior_a.eta + scale * counts_a - current.alpha_nat.eta
     grad_b = prior_b.eta + scale * counts_b - current.beta_nat.eta
-    if m is not None:
-        return grad_a[m], grad_b[m]
     return grad_a, grad_b
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import log_softmax as np_log_softmax
 
 from .data import Dataset, minibatch_iterator
-from .driver import TrainResult, Update, check_config, fit
+from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, fit
 from .metrics import clustering_accuracy, nmi
 from .nnet import (
     Adam,
@@ -83,14 +83,13 @@ class PointParams:
         latent_dim: int,
         n_workers: int,
         rng: np.random.Generator,
-        mean_spread: float = math.sqrt(3.0),
     ) -> "PointParams":
-        """Uniform mixing weights, spread means, unit variances, and
-        worker accuracies sampled uniformly on (0, 1)."""
+        """Uniform mixing weights, means drawn N(0, 3 I), unit variances,
+        and worker accuracies sampled uniformly on (0, 1)."""
         u = rng.uniform(1e-3, 1.0 - 1e-3, size=(n_workers, 2))
         return cls(
             pi_logits=parameter(np.zeros(n_components)),
-            means=parameter(mean_spread * rng.standard_normal((n_components, latent_dim))),
+            means=parameter(math.sqrt(3.0) * rng.standard_normal((n_components, latent_dim))),
             log_vars=parameter(np.zeros((n_components, latent_dim))),
             worker_logits=parameter(np.log(u / (1.0 - u))),
         )
@@ -301,7 +300,9 @@ class ScdcConfig:
 
     One Adam optimizer steps every parameter at rate `lr`.  `kl_warmup`
     is the fraction of updates over which the Gaussian-KL weight ramps
-    0 -> 1: off for the first half of the window, then linear.
+    0 -> 1: off for the first half of the window, then linear.  Fixed
+    values: component means start N(0, 3 I), and the log-variance heads
+    are clipped to `driver.LOGVAR_CLAMP`, (-8, 8).
     """
 
     n_components: int = 15
@@ -313,8 +314,6 @@ class ScdcConfig:
     lr: float = 1e-3
     n_samples: int = 1
     kl_warmup: float = 0.0
-    init_spread: float = math.sqrt(3.0)
-    logvar_clamp: tuple[float, float] = (-8.0, 8.0)
 
     def __post_init__(self):
         check_config(self)
@@ -371,21 +370,21 @@ def train_scdc(
     obs = dataset.observations
     k_comp, d = config.n_components, config.latent_dim
     n_workers = store.n_workers if store is not None and store.n_annotations else 0
-    point = PointParams.init(k_comp, d, n_workers, rng, mean_spread=config.init_spread)
+    point = PointParams.init(k_comp, d, n_workers, rng)
     posterior = AmortizedPosterior(
         encoder_z=Mlp([dataset.dim, *config.hidden], {"logits": k_comp}, rng),
         encoder_x=Mlp(
             [k_comp + dataset.dim, *config.hidden],
             {"mean": d, "logvar": d},
             rng,
-            clamp={"logvar": config.logvar_clamp},
+            clamp={"logvar": LOGVAR_CLAMP},
         ),
     )
     decoder = Mlp(
         [d, *config.hidden],
         {"mean": dataset.dim, "logvar": dataset.dim},
         rng,
-        clamp={"logvar": config.logvar_clamp},
+        clamp={"logvar": LOGVAR_CLAMP},
     )
     params = (
         posterior.encoder_z.parameters()

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, minibatch_iterator
-from .driver import TrainResult, Update, check_config, fit
+from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, fit
 from .expfam import (
     BetaNat,
     dirichlet_expected_stats,
@@ -71,6 +71,11 @@ PRECISION_FLOOR = 1e-4
 
 # Most halvings of a rejected global step before giving up.
 MAX_STEP_HALVINGS = 30
+
+# Starting diagonal precision of the evidence potentials, and the
+# per-coordinate standard deviation of their implied means.
+INIT_POTENTIAL_PRECISION = 200.0
+INIT_POTENTIAL_SPREAD = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -135,34 +140,30 @@ def recognition_potential(net: Mlp, observations) -> RecognitionPotential:
     return RecognitionPotential(loc, j_diag)
 
 
-def _calibrate_recognition_init(
-    net: Mlp, observations, precision: float, spread: float, max_items: int = 2048
-) -> None:
+def _calibrate_recognition_init(net: Mlp, observations, max_items: int = 2048) -> None:
     """Start the evidence potentials confident and well separated.
 
     Sets the raw-precision head bias so potentials begin with diagonal
-    precision close to ``precision``, then rescales the location head so the
-    implied potential means (h divided by the precision) have an average
-    per-coordinate standard deviation of ``spread`` over the given
-    observations.  Diffuse potentials cannot anchor the latent posteriors:
-    the mixture then contracts every q(x) onto one high-precision component
-    before the networks learn anything, and no amount of later training
-    recovers the lost structure.  ``spread=0`` skips the location rescaling.
+    precision close to INIT_POTENTIAL_PRECISION, then rescales the location
+    head so the implied potential means (h divided by the precision) have
+    an average per-coordinate standard deviation of INIT_POTENTIAL_SPREAD
+    over the given observations.  Diffuse potentials cannot anchor the
+    latent posteriors: the mixture then contracts every q(x) onto one
+    high-precision component before the networks learn anything, and no
+    amount of later training recovers the lost structure.
     """
-    half = precision / 2.0 - PRECISION_FLOOR
+    half = INIT_POTENTIAL_PRECISION / 2.0 - PRECISION_FLOOR
     # inverse softplus, stable for both small and large targets
     raw_bias = half + math.log(-math.expm1(-half))
     net.head_biases["prec_raw"].data[:] = raw_bias
-    if spread == 0.0:
-        return
     obs = np.asarray(observations, dtype=float)[:max_items]
     heads = net.forward(obs)
     item_precision = 2.0 * (np.logaddexp(0.0, heads["prec_raw"].data) + PRECISION_FLOOR)
     implied_means = heads["loc"].data / item_precision
     current = float(np.mean(np.std(implied_means, axis=0)))
     if current > 0.0:
-        net.head_weights["loc"].data *= spread / current
-        net.head_biases["loc"].data *= spread / current
+        net.head_weights["loc"].data *= INIT_POTENTIAL_SPREAD / current
+        net.head_biases["loc"].data *= INIT_POTENTIAL_SPREAD / current
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +533,22 @@ def final_objective(
 class BayesConfig:
     """Settings for the natural-gradient training loop.
 
-    The globals follow natural-gradient steps of size `global_step`; one
-    Adam optimizer steps both networks at rate `net_lr`.
+    The globals follow natural-gradient steps of constant size
+    `global_step`; one Adam optimizer steps both networks at rate
+    `net_lr`.  Worker posteriors start at Beta(*worker_init).  Fixed
+    values:
+
+    - the prior (`MixturePrior.default`): kappa0 = 0.5,
+      S0 = (d + kappa0) I and nu0 = d + kappa0, with Beta(1, 1) on every
+      worker accuracy;
+    - the initial globals (`init_global`): component locations drawn
+      N(0, 3 I), each with kappa = 1;
+    - the initial evidence potentials: precision 200
+      (INIT_POTENTIAL_PRECISION) and spread 1 (INIT_POTENTIAL_SPREAD);
+    - the local step stops early once its largest parameter change
+      drops below 1e-6;
+    - the decoder's log-variance head is clipped to
+      `driver.LOGVAR_CLAMP`, (-8, 8).
     """
 
     n_components: int = 15
@@ -544,46 +559,26 @@ class BayesConfig:
     hidden: tuple[int, ...] = (40, 40)
     net_lr: float = 1e-3
     global_step: float = 0.05
-    global_step_decay: float = 0.0  # step_t = global_step / (1 + t)^decay
     local_sweeps: int = 4
-    local_tol: float = 1e-6
     n_samples: int = 1
     kl_warmup: float = 1.0   # fraction of updates over which the latent KL
                              # weight in the network gradient ramps 0 -> 1
     alpha0: float | None = None  # default 0.05 / n_components
-    kappa0: float = 0.5
-    s0_scale: float | None = None  # default latent_dim + kappa0
-    nu0: float | None = None       # default latent_dim + kappa0
-    init_spread: float = math.sqrt(3.0)
-    init_kappa: float = 1.0
     worker_init: tuple[float, float] = (10.0, 1.0)
-    worker_prior: tuple[float, float] = (1.0, 1.0)
-    logvar_clamp: tuple[float, float] = (-8.0, 8.0)
-    init_potential_precision: float = 200.0  # starting diagonal precision of
-                                             # the evidence potentials
-    init_potential_spread: float = 1.0      # target per-coordinate std of the
-                                            # implied potential means at init
-                                            # (0 disables the rescaling)
 
     def __post_init__(self):
         check_config(self)
         if not 0.0 <= self.global_step <= 1.0:
             raise ValueError("global_step must lie in [0, 1]")
-        if self.global_step_decay < 0.0:
-            raise ValueError("global_step_decay must be non-negative")
         if self.local_sweeps < 1:
             raise ValueError("local_sweeps must be at least 1")
         if self.net_lr < 0.0:
             raise ValueError("net_lr must be non-negative")
-        if self.init_potential_precision <= 2.0 * PRECISION_FLOOR:
-            raise ValueError("init_potential_precision must exceed the precision floor")
-        if self.init_potential_spread < 0.0:
-            raise ValueError("init_potential_spread must be non-negative")
+        if not all(tau > 0.0 for tau in self.worker_init):
+            raise ValueError("worker_init entries must be positive")
 
     def prior(self) -> MixturePrior:
-        return MixturePrior.default(
-            self.n_components, self.latent_dim, self.alpha0, self.kappa0, self.s0_scale, self.nu0
-        )
+        return MixturePrior.default(self.n_components, self.latent_dim, self.alpha0)
 
 
 @dataclass
@@ -698,36 +693,25 @@ def train_bayes_scdc(
     prior = config.prior()
     d = prior.latent_dim
     n_workers = store.n_workers if store is not None and store.n_annotations else 0
-    glob = init_global(
-        prior,
-        rng,
-        n_workers=n_workers,
-        init_spread=config.init_spread,
-        init_kappa=config.init_kappa,
-        worker_init=config.worker_init,
-    )
+    glob = init_global(prior, rng, n_workers=n_workers, worker_init=config.worker_init)
     recognition = Mlp([dataset.dim, *config.hidden], {"loc": d, "prec_raw": d}, rng)
-    _calibrate_recognition_init(
-        recognition, obs, config.init_potential_precision, config.init_potential_spread
-    )
+    _calibrate_recognition_init(recognition, obs)
     decoder = Mlp(
         [d, *config.hidden],
         {"mean": dataset.dim, "logvar": dataset.dim},
         rng,
-        clamp={"logvar": config.logvar_clamp},
+        clamp={"logvar": LOGVAR_CLAMP},
     )
     params = recognition.parameters() + decoder.parameters()
     opt = Adam(params, lr=config.net_lr, maximize=True)
-    worker_prior = (BetaNat.from_tau(*config.worker_prior), BetaNat.from_tau(*config.worker_prior))
+    worker_prior = default_worker_prior()
 
     def step(update: Update) -> float:
         nonlocal glob
         rows, local_store = update.rows, update.store
         exps = global_expectations(glob)
         potential = recognition_potential(recognition, obs[update.working])
-        local = block_coordinate_local(
-            glob, potential, local_store, config.local_sweeps, config.local_tol
-        )
+        local = block_coordinate_local(glob, potential, local_store, config.local_sweeps)
         resp = local.resp
 
         grads = mixture_natural_gradient(
@@ -740,8 +724,7 @@ def train_bayes_scdc(
             )
             grads = replace(grads, worker_alpha=grad_a, worker_beta=grad_b)
         if config.global_step > 0.0:
-            rate = config.global_step / (1.0 + update.index) ** config.global_step_decay
-            new_glob = _stepped_globals(glob, grads, rate)
+            new_glob = _stepped_globals(glob, grads, config.global_step)
         else:
             new_glob = glob
 
@@ -766,8 +749,7 @@ def train_bayes_scdc(
         dataset, store, config, rng,
         params=params,
         model=lambda: BayesModel(
-            prior, glob, recognition, decoder,
-            config.worker_prior, config.local_sweeps, config.local_tol,
+            prior, glob, recognition, decoder, local_sweeps=config.local_sweeps
         ),
         step=step,
         effective_k=lambda model, threshold: effective_components(model.glob, threshold),

@@ -107,7 +107,7 @@ def test_simulate_counts_match_protocol():
                                  rng=np.random.default_rng(4))
     assert store.n_annotations == 980
     assert store.n_workers == 20
-    assert store.annotated_items.shape[0] <= 100
+    assert np.unique(store.triples[:, :2]).size <= 100
     t = store.triples
     assert np.all(t[:, 0] < t[:, 1])
     np.testing.assert_array_equal(np.bincount(t[:, 2]), np.full(20, 49))

@@ -128,7 +128,6 @@ def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotate
     )
     # 60 items in batches of 20: 12 updates, the first 6 in the warmup
     # window, of which the first half has the KL off
-    assert [u.index for u in updates] == list(range(12))
     assert [u.kl_weight for u in updates] == pytest.approx(
         [0.0, 0.0, 0.0, 1 / 7, 3 / 7, 5 / 7] + [1.0] * 6
     )

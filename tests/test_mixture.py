@@ -163,18 +163,6 @@ def test_single_point_appends_sufficient_statistics():
     assert abs(updated.components.h3[0] - niw0.h3) < 1e-12
 
 
-def test_diagonal_covariances_match_expanded_form():
-    rng = np.random.default_rng(11)
-    prior = MixturePrior.default(2, 3)
-    current = init_global(prior, rng)
-    q_z, means, _ = _random_instance(rng, n=6, k=2, d=3)
-    diag = rng.uniform(0.1, 2.0, size=(6, 3))
-    full = np.array([np.diag(row) for row in diag])
-    a = mixture_natural_gradient(prior, q_z, means, diag, current)
-    b = mixture_natural_gradient(prior, q_z, means, full, current)
-    np.testing.assert_allclose(a.h2, b.h2, atol=1e-14)
-
-
 def test_minibatch_gradients_are_unbiased():
     from itertools import combinations
 
@@ -343,9 +331,8 @@ def test_init_global_distributions_and_determinism():
         assert kappa == pytest.approx(1.0)
         np.testing.assert_allclose(s, 4.0 * np.eye(3), atol=1e-12)
         assert nu == pytest.approx(4.0)
-    ma, mb = a.workers.mean_accuracies
-    np.testing.assert_allclose(ma, [10 / 11, 10 / 11])
-    np.testing.assert_allclose(mb, [10 / 11, 10 / 11])
+    np.testing.assert_array_equal(a.workers.alpha_taus, [[10.0, 1.0], [10.0, 1.0]])
+    np.testing.assert_array_equal(a.workers.beta_taus, [[10.0, 1.0], [10.0, 1.0]])
 
 
 def test_init_global_zero_spread_centers_all_components():

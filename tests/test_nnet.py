@@ -12,11 +12,9 @@ from crowdmix.nnet import (
     backward,
     cholesky,
     clip,
-    concat,
     constant,
     diag_embed,
     diag_part,
-    div,
     einsum2,
     exp,
     log,
@@ -27,7 +25,6 @@ from crowdmix.nnet import (
     parameter,
     relu,
     reparameterize,
-    sigmoid,
     softplus,
     sub,
     take_rows,
@@ -165,7 +162,7 @@ def test_mlp_gradient_matches_finite_differences():
     def build():
         heads = net.forward(x)
         return tensor_sum(mul(heads["mean"], heads["mean"])) + tensor_sum(
-            sigmoid(heads["logvar"])
+            softplus(heads["logvar"])
         )
 
     assert _fd_max_rel_err(build, net.parameters(), eps=1e-5) < 1e-4
@@ -251,9 +248,8 @@ def test_misc_op_gradients():
 
     def build():
         rows = take_rows(a, idx)
-        cat = concat([rows, exp(rows)], axis=1)
-        lse = logsumexp(cat, axis=1)
-        s = softplus(a / b) + relu(a) + clip(a, -0.5, 0.5)
+        lse = logsumexp(mul(rows, exp(rows)), axis=1)
+        s = softplus(mul(a, b)) + relu(a) + clip(a, -0.5, 0.5)
         return tensor_sum(lse) + tensor_sum(s) + tensor_sum(mul(b, b))
 
     assert _fd_max_rel_err(build, [a, b]) < 1e-4
@@ -400,7 +396,7 @@ def test_affine_relu_matches_finite_differences():
     assert _fd_max_rel_err(build, [h, W, b]) < 1e-6
 
 
-@pytest.mark.parametrize("op", ["matmul", "mul", "sub", "div", "einsum2", "affine"])
+@pytest.mark.parametrize("op", ["matmul", "mul", "sub", "einsum2", "affine"])
 @pytest.mark.parametrize("constant_slot", [0, 1])
 def test_constant_parent_gets_no_gradient(op, constant_slot):
     rng = np.random.default_rng(32)
@@ -415,7 +411,6 @@ def test_constant_parent_gets_no_gradient(op, constant_slot):
         "matmul": lambda a, b: matmul(a, b),
         "mul": lambda a, b: mul(a, b),
         "sub": lambda a, b: sub(a, b),
-        "div": lambda a, b: div(a, b),
         "einsum2": lambda a, b: einsum2("ij,jk->ik", a, b),
         "affine": lambda a, b: affine(a, b, bias, relu=True),
     }[op]
@@ -433,8 +428,8 @@ def test_constant_parent_gets_no_gradient(op, constant_slot):
 def test_mlp_forward_records_one_node_per_layer_head_and_clamp():
     rng = np.random.default_rng(33)
     net = Mlp([3, 6, 5], {"mean": 2, "logvar": 2, "logits": 4}, rng, clamp={"logvar": (-4.0, 4.0)})
-    tape = Tape()
-    net.forward(rng.standard_normal((7, 3)), tape=tape)
+    with Tape() as tape:
+        net.forward(rng.standard_normal((7, 3)))
     assert len(tape) == 2 + 3 + 1
 
 

@@ -14,11 +14,11 @@ from scipy.special import log_softmax as np_log_softmax
 
 from crowdmix import scdc
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
+from crowdmix.driver import LOGVAR_CLAMP
 from crowdmix.nnet import (
     Mlp,
     Tape,
     backward,
-    concat,
     diag_gaussian_loglik,
     exp,
     log_softmax,
@@ -41,7 +41,7 @@ from crowdmix.scdc import (
     elbo_rel,
     train_scdc,
 )
-from crowdmix.vmp import BayesConfig
+from crowdmix.vmp import BayesConfig, train_bayes_scdc
 
 DIM = 2      # observation width
 LATENT = 2   # latent width
@@ -51,8 +51,9 @@ def per_component_elbo_local(
     observations, point, posterior, decoder, *, noise, scale=1.0, kl_weight=1.0,
 ):
     """Per-component reference for elbo_local: one latent-encoder and one
-    decoder pass per component, columns joined with concat.  The stacked
-    batch must reproduce its value and gradients."""
+    decoder pass per component, each column placed into the (n, K) table
+    by a one-hot mask.  The stacked batch must reproduce its value and
+    gradients."""
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
     k_comp = point.n_components
@@ -60,7 +61,7 @@ def per_component_elbo_local(
     _check_finite(z_heads, "cluster encoder")
     log_q_z = log_softmax(z_heads["logits"], axis=-1)
     q_z = exp(log_q_z)
-    per_component = []
+    rows = None
     for k in range(k_comp):
         indicator = np.zeros((n, k_comp))
         indicator[:, k] = 1.0
@@ -83,8 +84,8 @@ def per_component_elbo_local(
             row = diag_gaussian_loglik(obs, dec["mean"], dec["logvar"])
             recon_k = row if recon_k is None else recon_k + row
         recon_k = recon_k * (1.0 / noise.shape[0])
-        per_component.append(reshape(recon_k - kl_k * kl_weight, (n, 1)))
-    rows = concat(per_component, axis=1)
+        column = reshape(recon_k - kl_k * kl_weight, (n, 1)) * np.eye(k_comp)[k]
+        rows = column if rows is None else rows + column
     log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
     total = tensor_sum(mul(q_z, log_pi - log_q_z + rows))
     return total * scale
@@ -412,8 +413,6 @@ def test_elbo_local_rejects_bad_noise_and_sample_count():
     [
         ("annotation_batch_size", 0),
         ("annotation_batch_size", -3),
-        ("logvar_clamp", (2.0, 2.0)),
-        ("logvar_clamp", (3.0, -3.0)),
         ("epochs", -1),
         ("batch_size", 0),
         ("kl_warmup", 1.5),
@@ -421,6 +420,9 @@ def test_elbo_local_rejects_bad_noise_and_sample_count():
         ("n_components", 0),
         ("latent_dim", 0),
         ("n_samples", 0),
+        ("hidden", (0,)),
+        ("hidden", (-2,)),
+        ("hidden", (40, 0)),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
@@ -430,8 +432,15 @@ def test_config_rejects_bad_values_naming_the_field(field, value):
 
 
 def test_config_accepts_valid_batch_and_clamps():
-    for config in (ScdcConfig, BayesConfig):
-        assert config(annotation_batch_size=1, logvar_clamp=(-1.0, 1.0)).annotation_batch_size == 1
+    """A one-triple annotation batch is valid, and both trainers clip
+    every log-variance head to the one shared interval."""
+    dataset = Dataset(np.random.default_rng(0).standard_normal((6, DIM)), None)
+    for config, train in ((ScdcConfig, train_scdc), (BayesConfig, train_bayes_scdc)):
+        assert config(annotation_batch_size=1).annotation_batch_size == 1
+        model = train(dataset, None, config(epochs=0, hidden=(4,)), np.random.default_rng(1)).model
+        nets = [model.decoder] + ([model.posterior.encoder_x] if config is ScdcConfig else [])
+        assert [net.clamp for net in nets] == [{"logvar": LOGVAR_CLAMP}] * len(nets)
+    assert LOGVAR_CLAMP == (-8.0, 8.0)
 
 
 @pytest.mark.parametrize("bounds", [(1.0, 1.0), (2.0, -2.0)])

@@ -287,8 +287,9 @@ def test_color_classes_are_greedy_independent_sets(seed):
         for p in idx.tolist():
             assert p not in color
             color[p] = c
-    assert sorted(color) == store.annotated_items.tolist()
-    assert int(store.annotated_items[0]) in graph.classes[0]
+    annotated = np.unique(store.triples[:, :2])
+    assert sorted(color) == annotated.tolist()
+    assert int(annotated[0]) in graph.classes[0]
     for i, j, _, _ in store.triples.tolist():
         assert color[i] != color[j]
     # greedy in index order: the smallest color no lower-indexed neighbor holds
@@ -884,6 +885,9 @@ def test_config_validation():
         BayesConfig(local_sweeps=0)
     with pytest.raises(ValueError):
         BayesConfig(net_lr=-1.0)
+    for worker_init in ((0.0, 1.0), (10.0, -1.0), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="^worker_init"):
+            BayesConfig(worker_init=worker_init)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
