@@ -158,16 +158,13 @@ def simulate_annotations(
     pairs_per_worker: int,
     subset_size: int,
     rng: np.random.Generator,
-    balanced: bool = False,
 ) -> AnnotationStore:
     """Noisy pairwise same-cluster annotations from simulated workers.
 
     A subset of items is drawn once; every worker then labels its own
     without-replacement sample of item pairs from that subset.  A pair
     from the same cluster is labeled 1 with probability alpha_m, a pair
-    from different clusters is labeled 0 with probability beta_m.  With
-    `balanced`, each worker's pairs are half same-cluster and half
-    different-cluster (ground truth permitting).
+    from different clusters is labeled 0 with probability beta_m.
     """
     if dataset.labels is None:
         raise ValueError("simulation needs ground-truth labels")
@@ -185,32 +182,10 @@ def simulate_annotations(
     subset = rng.choice(dataset.n_items, size=subset_size, replace=False)
     labels = dataset.labels[subset]
 
-    if balanced:
-        iu, ju = np.triu_indices(subset_size, k=1)
-        same_ids = np.where(labels[iu] == labels[ju])[0]
-        diff_ids = np.where(labels[iu] != labels[ju])[0]
-
     triples = []
     for m in range(pool.n_workers):
-        if balanced:
-            want_same = min(pairs_per_worker // 2, same_ids.shape[0])
-            want_diff = min(pairs_per_worker - want_same, diff_ids.shape[0])
-            want_same = min(pairs_per_worker - want_diff, same_ids.shape[0])
-            if want_same + want_diff < pairs_per_worker:
-                warnings.warn(
-                    f"worker {m}: only {want_same + want_diff} pairs available "
-                    f"under the balanced constraint"
-                )
-            ids = np.concatenate(
-                [
-                    rng.choice(same_ids, size=want_same, replace=False),
-                    rng.choice(diff_ids, size=want_diff, replace=False),
-                ]
-            )
-            a, b = iu[ids], ju[ids]
-        else:
-            ids = rng.choice(max_pairs, size=pairs_per_worker, replace=False)
-            a, b = _decode_pair_ids(np.sort(ids), subset_size)
+        ids = rng.choice(max_pairs, size=pairs_per_worker, replace=False)
+        a, b = _decode_pair_ids(np.sort(ids), subset_size)
         same = labels[a] == labels[b]
         # same-cluster pairs: 1 w.p. alpha; different: 0 w.p. beta
         u = rng.uniform(size=a.shape[0])

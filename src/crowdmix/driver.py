@@ -28,7 +28,7 @@ LOGVAR_CLAMP = (-8.0, 8.0)
 def check_config(config) -> None:
     """Reject bad values of the fields every trainer config shares,
     naming the field first in the message."""
-    for name in ("n_components", "latent_dim", "batch_size", "n_samples"):
+    for name in ("n_components", "latent_dim", "batch_size"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be at least 1")
     if any(width < 1 for width in config.hidden):

@@ -57,37 +57,12 @@ def nmi(pred, true) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def hungarian_solve(cost) -> np.ndarray:
-    """Minimum-total-cost assignment for a finite cost matrix.
-
-    Rectangular inputs are padded to square with zero-cost entries.
-    Returns the permutation perm with row r assigned to column perm[r]
-    of the padded square problem.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a matrix")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost entries must be finite")
-    n = max(cost.shape)
-    padded = np.zeros((n, n))
-    padded[: cost.shape[0], : cost.shape[1]] = cost
-    rows, cols = linear_sum_assignment(padded)
-    perm = np.empty(n, dtype=int)
-    perm[rows] = cols
-    return perm
-
-
 def clustering_accuracy(pred, true) -> float:
     """Fraction of items matched under the best one-to-one mapping from
-    predicted to true labels (Hungarian on the negated contingency)."""
+    predicted to true labels (Hungarian on the contingency table)."""
     counts = contingency_table(pred, true)
-    perm = hungarian_solve(-counts.astype(float))
-    kp, kt = counts.shape
-    matched = sum(
-        int(counts[r, perm[r]]) for r in range(kp) if perm[r] < kt
-    )
-    return matched / float(counts.sum())
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    return int(counts[rows, cols].sum()) / float(counts.sum())
 
 
 def worker_weight_recovery(estimated, true) -> float:

@@ -215,20 +215,19 @@ def init_global(
     prior: MixturePrior,
     rng: np.random.Generator,
     n_workers: int = 0,
-    init_spread: float = math.sqrt(3.0),
     worker_init: tuple[float, float] = (10.0, 1.0),
 ) -> GlobalVariational:
     """Random variational starting point.
 
     Mixing-weight concentrations start uniform on (1, 2); component
     locations are zero-mean Gaussian draws with standard deviation
-    init_spread, each with kappa = 1, S = (d + 1) I and nu = d + 1;
+    sqrt(3), each with kappa = 1, S = (d + 1) I and nu = d + 1;
     worker posteriors start at Beta(*worker_init).
     """
     K, d = prior.n_components, prior.latent_dim
     pi = DirichletNat.from_alpha(rng.uniform(1.0, 2.0, size=K))
     components = NiwNat.from_standard(
-        init_spread * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
+        math.sqrt(3.0) * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
     )
     workers = BetaWorkers.constant_init(n_workers, *worker_init) if n_workers else None
     return GlobalVariational(pi, components, workers)

@@ -481,19 +481,32 @@ class Mlp:
 
     @classmethod
     def from_state(cls, state: dict) -> "Mlp":
+        """Network from a `state_dict` document.  Every saved array must
+        have the shape that `sizes` and `heads` give it."""
         net = cls(
             state["sizes"],
             state["heads"],
             np.random.default_rng(0),
             clamp={k: tuple(v) for k, v in state.get("clamp", {}).items()},
         )
-        for w, saved in zip(net.weights, state["weights"]):
-            w.data = np.asarray(saved, dtype=float)
-        for b, saved in zip(net.biases, state["biases"]):
-            b.data = np.asarray(saved, dtype=float)
-        for name in net.heads:
-            net.head_weights[name].data = np.asarray(state["head_weights"][name], dtype=float)
-            net.head_biases[name].data = np.asarray(state["head_biases"][name], dtype=float)
+        n_layers = len(net.weights)
+        for key in ("weights", "biases"):
+            if len(state[key]) != n_layers:
+                raise ValueError(f"{key} has {len(state[key])} layers, sizes give {n_layers}")
+        slots = [
+            (f"{key}[{i}]", getattr(net, key)[i], state[key][i])
+            for key in ("weights", "biases") for i in range(n_layers)
+        ] + [
+            (f"{key}['{name}']", getattr(net, key)[name], state[key][name])
+            for key in ("head_weights", "head_biases") for name in net.heads
+        ]
+        for label, tensor, saved in slots:
+            value = np.asarray(saved, dtype=float)
+            if value.shape != tensor.data.shape:
+                raise ValueError(
+                    f"{label} has shape {value.shape}, the network needs {tensor.data.shape}"
+                )
+            tensor.data = value
         return net
 
 

@@ -7,10 +7,12 @@ jointly with the networks by stochastic gradient ascent of the evidence
 lower bound, one Adam optimizer over every parameter.  The discrete cluster
 sum is carried analytically: every item is paired with every component
 in one stacked item-major batch (row i*K + k is item i under component
-k) that goes through the latent encoder and the decoder once.
-Annotations enter through the closed-form expectation of the two-coin
-worker likelihood over pairs of cluster posteriors.  `driver.fit` runs
-the minibatch loop; `train_scdc` supplies the parameters and the step.
+k) that goes through the latent encoder and the decoder once, with one
+reparameterized latent draw per row.  Annotations enter through the
+closed-form expectation of the two-coin worker likelihood over pairs of
+cluster posteriors.  `ScdcModel` holds the point parameters and the
+three networks; `driver.fit` runs the minibatch loop; `train_scdc`
+supplies the parameters and the step.
 """
 
 from __future__ import annotations
@@ -145,89 +147,43 @@ class PointParams:
         )
 
 
-@dataclass
-class AmortizedPosterior:
-    """Encoder pair: observation -> cluster logits, (cluster, observation)
-    -> diagonal Gaussian over the latent code."""
-
-    encoder_z: Mlp
-    encoder_x: Mlp
-
-    @property
-    def n_components(self) -> int:
-        return self.encoder_z.heads["logits"]
-
-    def cluster_logits(self, observations) -> np.ndarray:
-        obs = np.atleast_2d(np.asarray(observations, dtype=float))
-        return self.encoder_z.forward(obs)["logits"].data
-
-    def cluster_log_probs(self, observations) -> np.ndarray:
-        return np_log_softmax(self.cluster_logits(observations), axis=1)
-
-
-def predict_cluster(posterior: AmortizedPosterior, observations) -> np.ndarray:
-    """Most probable cluster per item (lowest index on ties)."""
-    return np.argmax(posterior.cluster_logits(observations), axis=1)
-
-
 def _check_finite(heads: dict, what: str) -> None:
     for value in heads.values():
         if not np.all(np.isfinite(value.data)):
             raise TrainingDivergence(f"{what} produced non-finite outputs")
 
 
-def elbo_local(
-    observations,
-    point: PointParams,
-    posterior: AmortizedPosterior,
-    decoder: Mlp,
-    rng: np.random.Generator | None = None,
-    *,
-    noise: np.ndarray | None = None,
-    n_samples: int = 1,
-    scale: float = 1.0,
-    kl_weight: float = 1.0,
-):
+def elbo_local(observations, model: "ScdcModel", noise, scale: float, kl_weight: float):
     """Data-term ELBO over a batch, cluster sum taken analytically.
 
     Per item: sum_k q(z=k|o) [log pi_k - log q(z=k|o)
     - KL(q(x|k,o) || N(mu_k, sigma2_k)) + log p(o | x_hat_k)], with one
-    reparameterized latent draw per (item, component, sample).  All
-    (item, component) pairs pass through the latent encoder, the
-    Gaussian KL and the decoder as one stacked item-major batch: row
-    i*K + k holds item i under component k, so the per-pair terms
-    reshape straight to an (n, K) table.  Returns the scaled total as a
-    tape tensor; `scale` carries the N/|B| batch correction.  `noise`
-    (shape (samples, K, batch, d), at least one sample) overrides the
-    random draws; noise[s, k, i] perturbs row i*K + k.  `kl_weight` < 1
-    damps the Gaussian-KL pull of the per-cluster latent posteriors
-    toward the point components (warmup against early contraction); at
-    1 this is the exact bound.
+    reparameterized latent draw per (item, component).  All (item,
+    component) pairs pass through the latent encoder, the Gaussian KL
+    and the decoder as one stacked item-major batch: row i*K + k holds
+    item i under component k, so the per-pair terms reshape straight to
+    an (n, K) table.  `noise` has shape (K, n, d); noise[k, i] perturbs
+    row i*K + k.  Returns the scaled total as a tape tensor; `scale`
+    carries the N/|B| batch correction.  `kl_weight` < 1 damps the
+    Gaussian-KL pull of the per-cluster latent posteriors toward the
+    point components (warmup against early contraction); at 1 this is
+    the exact bound.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
+    point = model.point
     k_comp, d = point.n_components, point.latent_dim
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if noise is None:
-        if rng is None:
-            raise ValueError("need an rng when no noise is supplied")
-        noise = rng.standard_normal((n_samples, k_comp, n, d))
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.ndim != 4 or noise.shape[0] < 1 or noise.shape[1:] != (k_comp, n, d):
-            raise ValueError(
-                "noise must have shape (samples, components, batch, dim) "
-                "with at least one sample"
-            )
-    z_heads = posterior.encoder_z.forward(obs)
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (k_comp, n, d):
+        raise ValueError("noise must have shape (components, batch, dim)")
+    z_heads = model.encoder_z.forward(obs)
     _check_finite(z_heads, "cluster encoder")
     log_q_z = log_softmax(z_heads["logits"], axis=-1)
     q_z = exp(log_q_z)
 
     stacked_obs = np.repeat(obs, k_comp, axis=0)              # (n*K, D)
     indicator = np.tile(np.eye(k_comp), (n, 1))               # (n*K, K)
-    x_heads = posterior.encoder_x.forward(np.concatenate([indicator, stacked_obs], axis=1))
+    x_heads = model.encoder_x.forward(np.concatenate([indicator, stacked_obs], axis=1))
     _check_finite(x_heads, "latent encoder")
     mean, logvar = x_heads["mean"], x_heads["logvar"]         # (n*K, d)
     lv = point.log_vars                                       # (K, d)
@@ -238,39 +194,25 @@ def elbo_local(
         lv - logvar_view + (exp(logvar_view) + centered * centered) * exp(-lv) - 1.0
     )
     kl = tensor_sum(kl_terms, axis=-1) * 0.5                  # (n, K)
-    std = exp(logvar * 0.5)
-    recon = None
-    for eps in noise.transpose(0, 2, 1, 3).reshape(noise.shape[0], n * k_comp, d):
-        draw = reparameterize(mean, std, eps)
-        dec = decoder.forward(draw)
-        _check_finite(dec, "decoder")
-        row = diag_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"])  # (n*K,)
-        recon = row if recon is None else recon + row
-    recon = reshape(recon * (1.0 / noise.shape[0]), (n, k_comp))
+    eps = noise.transpose(1, 0, 2).reshape(n * k_comp, d)    # row i*K + k: noise[k, i]
+    dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), eps))
+    _check_finite(dec, "decoder")
+    recon = reshape(diag_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"]), (n, k_comp))
     rows = recon - kl * kl_weight                             # (n, K)
     log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
     total = tensor_sum(mul(q_z, log_pi - log_q_z + rows))
     return total * scale
 
 
-def elbo_rel(
-    store: AnnotationStore | None,
-    q_z,
-    point: PointParams,
-    scale: float = 1.0,
-):
+def elbo_rel(store: AnnotationStore, q_z: Tensor, point: PointParams, scale: float):
     """Annotation-term ELBO: closed-form pair expectation per triple.
 
     For annotation (i, j, m, L): with p_same = sum_k q(z_i=k) q(z_j=k),
     the expected two-coin log-likelihood is p_same log Bern(L; a_m) +
-    (1 - p_same) log Bern(L; 1 - b_m).  `q_z` holds cluster posteriors
-    aligned with the store's item indexing (tape tensor or array);
-    `scale` carries the Na/|S| subsample correction.
+    (1 - p_same) log Bern(L; 1 - b_m).  `q_z` is the tape tensor of
+    cluster posteriors aligned with the store's item indexing; `scale`
+    carries the Na/|S| subsample correction.
     """
-    if store is None or store.n_annotations == 0:
-        return constant(0.0)
-    if not isinstance(q_z, Tensor):
-        q_z = constant(np.asarray(q_z, dtype=float))
     if q_z.data.shape[0] != store.n_items:
         raise ValueError("q_z rows must match the store's item count")
     t = store.triples
@@ -301,8 +243,9 @@ class ScdcConfig:
     One Adam optimizer steps every parameter at rate `lr`.  `kl_warmup`
     is the fraction of updates over which the Gaussian-KL weight ramps
     0 -> 1: off for the first half of the window, then linear.  Fixed
-    values: component means start N(0, 3 I), and the log-variance heads
-    are clipped to `driver.LOGVAR_CLAMP`, (-8, 8).
+    values: each update makes one reparameterized latent draw per
+    (item, component), component means start N(0, 3 I), and the
+    log-variance heads are clipped to `driver.LOGVAR_CLAMP`, (-8, 8).
     """
 
     n_components: int = 15
@@ -312,7 +255,6 @@ class ScdcConfig:
     annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
     hidden: tuple[int, ...] = (40, 40)
     lr: float = 1e-3
-    n_samples: int = 1
     kl_warmup: float = 0.0
 
     def __post_init__(self):
@@ -323,23 +265,36 @@ class ScdcConfig:
 
 @dataclass
 class ScdcModel:
-    """Trained state: point parameters, encoder pair, and decoder."""
+    """Trained state: point parameters and three networks.
+
+    `encoder_z` maps an observation to cluster logits, `encoder_x` a
+    (one-hot cluster, observation) row to a diagonal Gaussian over the
+    latent code, and `decoder` a latent code to a diagonal Gaussian over
+    the observation.
+    """
 
     point: PointParams
-    posterior: AmortizedPosterior
+    encoder_z: Mlp
+    encoder_x: Mlp
     decoder: Mlp
 
-    def predict(self, observations) -> np.ndarray:
-        return predict_cluster(self.posterior, observations)
+    def parameters(self) -> list:
+        return (
+            self.encoder_z.parameters()
+            + self.encoder_x.parameters()
+            + self.decoder.parameters()
+            + self.point.parameters()
+        )
 
-    def cluster_probs(self, observations) -> np.ndarray:
-        return np.exp(self.posterior.cluster_log_probs(observations))
+    def predict(self, observations) -> np.ndarray:
+        """Most probable cluster per item (lowest index on ties)."""
+        return np.argmax(self.encoder_z.forward(observations)["logits"].data, axis=1)
 
     def to_dict(self) -> dict:
         return {
             "point": self.point.to_dict(),
-            "encoder_z": self.posterior.encoder_z.state_dict(),
-            "encoder_x": self.posterior.encoder_x.state_dict(),
+            "encoder_z": self.encoder_z.state_dict(),
+            "encoder_x": self.encoder_x.state_dict(),
             "decoder": self.decoder.state_dict(),
         }
 
@@ -347,10 +302,8 @@ class ScdcModel:
     def from_dict(cls, doc: dict) -> "ScdcModel":
         return cls(
             point=PointParams.from_dict(doc["point"]),
-            posterior=AmortizedPosterior(
-                encoder_z=Mlp.from_state(doc["encoder_z"]),
-                encoder_x=Mlp.from_state(doc["encoder_x"]),
-            ),
+            encoder_z=Mlp.from_state(doc["encoder_z"]),
+            encoder_x=Mlp.from_state(doc["encoder_x"]),
             decoder=Mlp.from_state(doc["decoder"]),
         )
 
@@ -370,8 +323,8 @@ def train_scdc(
     obs = dataset.observations
     k_comp, d = config.n_components, config.latent_dim
     n_workers = store.n_workers if store is not None and store.n_annotations else 0
-    point = PointParams.init(k_comp, d, n_workers, rng)
-    posterior = AmortizedPosterior(
+    model = ScdcModel(
+        point=PointParams.init(k_comp, d, n_workers, rng),
         encoder_z=Mlp([dataset.dim, *config.hidden], {"logits": k_comp}, rng),
         encoder_x=Mlp(
             [k_comp + dataset.dim, *config.hidden],
@@ -379,33 +332,27 @@ def train_scdc(
             rng,
             clamp={"logvar": LOGVAR_CLAMP},
         ),
+        decoder=Mlp(
+            [d, *config.hidden],
+            {"mean": dataset.dim, "logvar": dataset.dim},
+            rng,
+            clamp={"logvar": LOGVAR_CLAMP},
+        ),
     )
-    decoder = Mlp(
-        [d, *config.hidden],
-        {"mean": dataset.dim, "logvar": dataset.dim},
-        rng,
-        clamp={"logvar": LOGVAR_CLAMP},
-    )
-    params = (
-        posterior.encoder_z.parameters()
-        + posterior.encoder_x.parameters()
-        + decoder.parameters()
-        + point.parameters()
-    )
+    params = model.parameters()
     opt = Adam(params, lr=config.lr, maximize=True)
 
     def step(update: Update) -> float:
-        noise = rng.standard_normal((config.n_samples, k_comp, update.batch.size, d))
+        noise = rng.standard_normal((k_comp, update.batch.size, d))
         with Tape() as tape:
             total = elbo_local(
-                obs[update.batch], point, posterior, decoder,
-                noise=noise, scale=update.data_scale, kl_weight=update.kl_weight,
+                obs[update.batch], model, noise, update.data_scale, update.kl_weight
             )
             if update.store is not None:
-                z_heads = posterior.encoder_z.forward(obs[update.working])
+                z_heads = model.encoder_z.forward(obs[update.working])
                 _check_finite(z_heads, "cluster encoder")
                 q_working = exp(log_softmax(z_heads["logits"], axis=-1))
-                total = total + elbo_rel(update.store, q_working, point, scale=update.rel_scale)
+                total = total + elbo_rel(update.store, q_working, model.point, update.rel_scale)
         backward(tape, total)
         opt.step()
         zero_grads(params)
@@ -414,7 +361,7 @@ def train_scdc(
     return fit(
         dataset, store, config, rng,
         params=params,
-        model=lambda: ScdcModel(point, posterior, decoder),
+        model=lambda: model,
         step=step,
         effective_k=lambda model, threshold: int(np.sum(model.point.pi() > threshold)),
         minibatch_iterator=minibatch_iterator,

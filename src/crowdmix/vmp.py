@@ -140,23 +140,23 @@ def recognition_potential(net: Mlp, observations) -> RecognitionPotential:
     return RecognitionPotential(loc, j_diag)
 
 
-def _calibrate_recognition_init(net: Mlp, observations, max_items: int = 2048) -> None:
+def _calibrate_recognition_init(net: Mlp, observations) -> None:
     """Start the evidence potentials confident and well separated.
 
     Sets the raw-precision head bias so potentials begin with diagonal
     precision close to INIT_POTENTIAL_PRECISION, then rescales the location
     head so the implied potential means (h divided by the precision) have
     an average per-coordinate standard deviation of INIT_POTENTIAL_SPREAD
-    over the given observations.  Diffuse potentials cannot anchor the
-    latent posteriors: the mixture then contracts every q(x) onto one
-    high-precision component before the networks learn anything, and no
-    amount of later training recovers the lost structure.
+    over the first 2048 of the given observations.  Diffuse potentials
+    cannot anchor the latent posteriors: the mixture then contracts every
+    q(x) onto one high-precision component before the networks learn
+    anything, and no amount of later training recovers the lost structure.
     """
     half = INIT_POTENTIAL_PRECISION / 2.0 - PRECISION_FLOOR
     # inverse softplus, stable for both small and large targets
     raw_bias = half + math.log(-math.expm1(-half))
     net.head_biases["prec_raw"].data[:] = raw_bias
-    obs = np.asarray(observations, dtype=float)[:max_items]
+    obs = np.asarray(observations, dtype=float)[:2048]
     heads = net.forward(obs)
     item_precision = 2.0 * (np.logaddexp(0.0, heads["prec_raw"].data) + PRECISION_FLOOR)
     implied_means = heads["loc"].data / item_precision
@@ -240,13 +240,6 @@ class AnnotationGraph(Sequence):
                 (starts[lo:hi] - first, self._other[first:last], self._weight[first:last])
             )
 
-    @classmethod
-    def from_lists(cls, neighbors) -> "AnnotationGraph":
-        """From per-item lists of (other item, weight) pairs."""
-        item = [p for p, nb in enumerate(neighbors) for _ in nb]
-        edges = [edge for nb in neighbors for edge in nb]
-        return cls(len(neighbors), item, [q for q, _ in edges], [w for _, w in edges])
-
     def __len__(self) -> int:
         return self.linked.size
 
@@ -325,19 +318,16 @@ def update_local_z(base_logits, neighbors, log_resp) -> np.ndarray:
     before it.  No edge joins two items of one class, so refreshing a
     class at once equals refreshing its items one after another: the pass
     is exact coordinate ascent, visiting the items in class order.
-    `neighbors` is an AnnotationGraph or plain per-item neighbor lists.
+    `neighbors` is the working set's AnnotationGraph.
     """
-    graph = neighbors
-    if not isinstance(graph, AnnotationGraph):
-        graph = AnnotationGraph.from_lists(neighbors)
     base = np.asarray(base_logits, dtype=float)
     out = np.array(log_resp, dtype=float)
     resp = np.exp(out)
-    free = ~graph.linked
+    free = ~neighbors.linked
     if np.any(free):
         out[free] = _log_softmax_rows(base[free])
         resp[free] = np.exp(out[free])
-    for idx, (starts, other, weight) in zip(graph.classes, graph.class_edges):
+    for idx, (starts, other, weight) in zip(neighbors.classes, neighbors.class_edges):
         messages = np.add.reduceat(weight[:, None] * resp[other], starts, axis=0)
         out[idx] = _log_softmax_rows(base[idx] + messages)
         resp[idx] = np.exp(out[idx])
@@ -535,8 +525,9 @@ class BayesConfig:
 
     The globals follow natural-gradient steps of constant size
     `global_step`; one Adam optimizer steps both networks at rate
-    `net_lr`.  Worker posteriors start at Beta(*worker_init).  Fixed
-    values:
+    `net_lr`, along a gradient estimated from one reparameterized latent
+    draw per batch item.  Worker posteriors start at Beta(*worker_init).
+    Fixed values:
 
     - the prior (`MixturePrior.default`): kappa0 = 0.5,
       S0 = (d + kappa0) I and nu0 = d + kappa0, with Beta(1, 1) on every
@@ -560,7 +551,6 @@ class BayesConfig:
     net_lr: float = 1e-3
     global_step: float = 0.05
     local_sweeps: int = 4
-    n_samples: int = 1
     kl_warmup: float = 1.0   # fraction of updates over which the latent KL
                              # weight in the network gradient ramps 0 -> 1
     alpha0: float | None = None  # default 0.05 / n_components
@@ -630,14 +620,16 @@ class BayesModel:
         )
 
 
-def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight=1.0):
+def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
     """Tape graph of the objective terms the networks can influence.
 
     Rebuilds the final q(x) refresh with responsibilities held constant:
     recon + kl_weight * (log Z(eta_x) - <psi, E t(x)>), summed over the
-    batch.  `kl_weight` < 1 damps the pull of q(x) toward the mixture
-    conditional (warmup against potential collapse); at 1 the gradient
-    is exactly that of the training objective.  Returns the (scaled)
+    batch.  recon is the decoder log-likelihood of one reparameterized
+    draw per item from q(x), x = mean + chol(cov) noise, with `noise` of
+    shape (n, d).  `kl_weight` < 1 damps the pull of q(x) toward the
+    mixture conditional (warmup against potential collapse); at 1 the
+    gradient is exactly that of the training objective.  Returns the (scaled)
     objective and reconstruction tensors.
     """
     c_h = constant(resp @ exps.mean_prec)
@@ -653,14 +645,8 @@ def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_
     log_z = tensor_sum(mean * h_tot) * 0.5 - tensor_sum(log(diag_part(cholesky(prec))))
     second_diag = diag_part(cov) + mean * mean
     psi_term = tensor_sum(psi_h * mean) + tensor_sum(j_diag * second_diag)
-    chol_cov = cholesky(cov)
-    recon = None
-    for eps in noise:
-        draw = mean + einsum2("nij,nj->ni", chol_cov, constant(eps))
-        dec = decoder.forward(draw)
-        row_ll = diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"])
-        recon = tensor_sum(row_ll) if recon is None else recon + tensor_sum(row_ll)
-    recon = recon * (1.0 / noise.shape[0])
+    dec = decoder.forward(mean + einsum2("nij,nj->ni", cholesky(cov), constant(noise)))
+    recon = tensor_sum(diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"]))
     objective = (recon + (log_z - psi_term) * kl_weight) * data_scale
     return objective, recon
 
@@ -728,7 +714,7 @@ def train_bayes_scdc(
         else:
             new_glob = glob
 
-        noise = rng.standard_normal((config.n_samples, update.batch.size, d))
+        noise = rng.standard_normal((update.batch.size, d))
         with Tape() as tape:
             objective, recon = _network_objective(
                 recognition, decoder, obs[update.batch], resp[rows], exps, noise,

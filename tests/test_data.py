@@ -150,18 +150,6 @@ def test_simulate_clamps_excess_pairs_with_warning():
     assert store.n_annotations == 2 * 6  # C(4,2) per worker
 
 
-def test_simulate_balanced_pair_types():
-    ds = _two_blob_dataset(20)
-    pool = WorkerPool.homogeneous(4, 0.9, 0.9)
-    store = simulate_annotations(ds, pool, pairs_per_worker=10, subset_size=40,
-                                 rng=np.random.default_rng(9), balanced=True)
-    t = store.triples
-    for m in range(4):
-        rows = t[t[:, 2] == m]
-        same = ds.labels[rows[:, 0]] == ds.labels[rows[:, 1]]
-        assert same.sum() == 5 and (~same).sum() == 5
-
-
 def test_simulate_requires_labels():
     ds = Dataset(np.zeros((10, 2)))
     pool = WorkerPool.homogeneous(1, 0.9, 0.9)

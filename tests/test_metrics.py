@@ -9,24 +9,9 @@ from crowdmix.data import WorkerPool
 from crowdmix.metrics import (
     clustering_accuracy,
     contingency_table,
-    hungarian_solve,
     nmi,
     worker_weight_recovery,
 )
-
-
-def _brute_force_assignment(cost):
-    """Exhaustive minimum over all permutations of the padded square matrix."""
-    cost = np.asarray(cost, dtype=float)
-    n = max(cost.shape)
-    padded = np.zeros((n, n))
-    padded[: cost.shape[0], : cost.shape[1]] = cost
-    best, best_perm = np.inf, None
-    for perm in permutations(range(n)):
-        total = sum(padded[r, perm[r]] for r in range(n))
-        if total < best:
-            best, best_perm = total, perm
-    return best, np.array(best_perm)
 
 
 def _brute_force_accuracy(pred, true):
@@ -103,54 +88,6 @@ def test_nmi_symmetry_and_permutation_invariance():
         assert nmi(a, b) == pytest.approx(nmi(b, a), abs=1e-12)
         relabel = rng.permutation(4)
         assert nmi(relabel[a], b) == pytest.approx(nmi(a, b), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# hungarian
-
-
-def test_hungarian_identity_cost():
-    cost = np.ones((4, 4)) - np.eye(4)
-    np.testing.assert_array_equal(hungarian_solve(cost), np.arange(4))
-
-
-def test_hungarian_matches_brute_force_three_by_three():
-    rng = np.random.default_rng(6)
-    cost = rng.integers(0, 10, size=(3, 3)).astype(float)
-    perm = hungarian_solve(cost)
-    best, _ = _brute_force_assignment(cost)
-    assert sum(cost[r, perm[r]] for r in range(3)) == pytest.approx(best)
-
-
-def test_hungarian_row_constant_invariance():
-    rng = np.random.default_rng(7)
-    cost = rng.uniform(size=(4, 4))
-    perm = hungarian_solve(cost)
-    shifted = cost.copy()
-    shifted[2] += 13.5
-    np.testing.assert_array_equal(hungarian_solve(shifted), perm)
-
-
-def test_hungarian_matches_brute_force_up_to_six():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        cost = rng.uniform(-5, 5, size=(n, m))
-        perm = hungarian_solve(cost)
-        size = max(n, m)
-        padded = np.zeros((size, size))
-        padded[:n, :m] = cost
-        achieved = sum(padded[r, perm[r]] for r in range(size))
-        best, _ = _brute_force_assignment(cost)
-        assert achieved == pytest.approx(best, abs=1e-12)
-
-
-def test_hungarian_validation():
-    with pytest.raises(ValueError):
-        hungarian_solve(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        hungarian_solve(np.array([[np.inf, 1.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -335,15 +335,6 @@ def test_init_global_distributions_and_determinism():
     np.testing.assert_array_equal(a.workers.beta_taus, [[10.0, 1.0], [10.0, 1.0]])
 
 
-def test_init_global_zero_spread_centers_all_components():
-    prior = MixturePrior.default(3, 2)
-    glob = init_global(prior, np.random.default_rng(22), init_spread=0.0)
-    for comp in _members(glob.components):
-        m, _, _, _ = comp.to_standard()
-        np.testing.assert_allclose(m, np.zeros(2), atol=0)
-    assert glob.workers is None
-
-
 def test_global_expectations_stack_per_component_values():
     rng = np.random.default_rng(23)
     prior = MixturePrior.default(3, 2)

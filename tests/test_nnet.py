@@ -130,6 +130,35 @@ def test_state_dict_roundtrip():
     assert np.array_equal(a["logvar"].data, b["logvar"].data)
 
 
+def _head_bias_of_width_one(state):
+    state["head_biases"]["mean"] = [0.5]
+
+
+def _truncated_weights(state):
+    state["weights"] = state["weights"][:1]
+
+
+def _transposed_first_weight(state):
+    state["weights"][0] = np.asarray(state["weights"][0]).T.tolist()
+
+
+@pytest.mark.parametrize(
+    "corrupt, name",
+    [
+        (_head_bias_of_width_one, r"head_biases\['mean'\]"),
+        (_truncated_weights, "weights"),
+        (_transposed_first_weight, r"weights\[0\]"),
+    ],
+    ids=["head-bias-width", "truncated-weights", "transposed-weight"],
+)
+def test_from_state_rejects_arrays_that_do_not_fit(corrupt, name):
+    net = Mlp([3, 7, 5], {"mean": 2, "logvar": 2}, np.random.default_rng(13))
+    state = net.state_dict()
+    corrupt(state)
+    with pytest.raises(ValueError, match=f"^{name} has"):
+        Mlp.from_state(state)
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 

@@ -19,6 +19,7 @@ from crowdmix.nnet import (
     Mlp,
     Tape,
     backward,
+    constant,
     diag_gaussian_loglik,
     exp,
     log_softmax,
@@ -32,7 +33,6 @@ from crowdmix.nnet import (
 )
 from crowdmix.relational import AnnotationStore
 from crowdmix.scdc import (
-    AmortizedPosterior,
     PointParams,
     ScdcConfig,
     ScdcModel,
@@ -47,17 +47,16 @@ DIM = 2      # observation width
 LATENT = 2   # latent width
 
 
-def per_component_elbo_local(
-    observations, point, posterior, decoder, *, noise, scale=1.0, kl_weight=1.0,
-):
+def per_component_elbo_local(observations, model, noise, scale, kl_weight):
     """Per-component reference for elbo_local: one latent-encoder and one
     decoder pass per component, each column placed into the (n, K) table
     by a one-hot mask.  The stacked batch must reproduce its value and
     gradients."""
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
+    point = model.point
     k_comp = point.n_components
-    z_heads = posterior.encoder_z.forward(obs)
+    z_heads = model.encoder_z.forward(obs)
     _check_finite(z_heads, "cluster encoder")
     log_q_z = log_softmax(z_heads["logits"], axis=-1)
     q_z = exp(log_q_z)
@@ -65,7 +64,7 @@ def per_component_elbo_local(
     for k in range(k_comp):
         indicator = np.zeros((n, k_comp))
         indicator[:, k] = 1.0
-        x_heads = posterior.encoder_x.forward(np.concatenate([indicator, obs], axis=1))
+        x_heads = model.encoder_x.forward(np.concatenate([indicator, obs], axis=1))
         _check_finite(x_heads, "latent encoder")
         mean, logvar = x_heads["mean"], x_heads["logvar"]
         mu_k = take_rows(point.means, [k])
@@ -75,15 +74,9 @@ def per_component_elbo_local(
             lv_k - logvar + (exp(logvar) + centered * centered) * exp(-lv_k) - 1.0
         )
         kl_k = tensor_sum(kl_terms, axis=-1) * 0.5
-        std = exp(logvar * 0.5)
-        recon_k = None
-        for eps in noise[:, k]:
-            draw = reparameterize(mean, std, eps)
-            dec = decoder.forward(draw)
-            _check_finite(dec, "decoder")
-            row = diag_gaussian_loglik(obs, dec["mean"], dec["logvar"])
-            recon_k = row if recon_k is None else recon_k + row
-        recon_k = recon_k * (1.0 / noise.shape[0])
+        dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), noise[k]))
+        _check_finite(dec, "decoder")
+        recon_k = diag_gaussian_loglik(obs, dec["mean"], dec["logvar"])
         column = reshape(recon_k - kl_k * kl_weight, (n, 1)) * np.eye(k_comp)[k]
         rows = column if rows is None else rows + column
     log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
@@ -91,30 +84,21 @@ def per_component_elbo_local(
     return total * scale
 
 
-def make_parts(k_comp, rng, n_workers=3, hidden=(8,)):
+def make_model(k_comp, rng, n_workers=3, hidden=(8,)):
     """Point parameters away from their initial values, and small networks."""
     point = PointParams.init(k_comp, LATENT, n_workers, rng)
     point.pi_logits.data[:] = rng.standard_normal(k_comp)
     point.log_vars.data[:] = rng.normal(-1.0, 1.5, size=(k_comp, LATENT))
-    posterior = AmortizedPosterior(
+    return ScdcModel(
+        point=point,
         encoder_z=Mlp([DIM, *hidden], {"logits": k_comp}, rng),
         encoder_x=Mlp(
             [k_comp + DIM, *hidden], {"mean": LATENT, "logvar": LATENT}, rng,
             clamp={"logvar": (-8.0, 8.0)},
         ),
-    )
-    decoder = Mlp(
-        [LATENT, *hidden], {"mean": DIM, "logvar": DIM}, rng, clamp={"logvar": (-8.0, 8.0)}
-    )
-    return point, posterior, decoder
-
-
-def all_parameters(point, posterior, decoder):
-    return (
-        point.parameters()
-        + posterior.encoder_z.parameters()
-        + posterior.encoder_x.parameters()
-        + decoder.parameters()
+        decoder=Mlp(
+            [LATENT, *hidden], {"mean": DIM, "logvar": DIM}, rng, clamp={"logvar": (-8.0, 8.0)}
+        ),
     )
 
 
@@ -143,24 +127,21 @@ def assert_rel_close(actual, expected, tol):
 
 
 @pytest.mark.parametrize(
-    "k_comp, n_samples, kl_weight, narrow",
+    "k_comp, n_items, kl_weight, narrow",
     list(itertools.product((1, 2, 5), (1, 3), (0.3, 1.0), (None, -2.0))),
 )
-def test_stacked_elbo_local_matches_component_loop(k_comp, n_samples, kl_weight, narrow):
-    rng = np.random.default_rng(100 + 10 * k_comp + n_samples)
-    point, posterior, decoder = make_parts(k_comp, rng)
+def test_stacked_elbo_local_matches_component_loop(k_comp, n_items, kl_weight, narrow):
+    rng = np.random.default_rng(100 + 10 * k_comp + n_items)
+    model = make_model(k_comp, rng)
     if narrow is not None:
-        point.log_vars.data[0, 0] = narrow   # one narrow coordinate, one wide
-        point.log_vars.data[-1, -1] = 0.5
-    obs = rng.standard_normal((7, DIM))
-    noise = rng.standard_normal((n_samples, k_comp, obs.shape[0], LATENT))
-    params = all_parameters(point, posterior, decoder)
-    kwargs = dict(noise=noise, scale=3.5, kl_weight=kl_weight)
-    value, grads = value_and_grads(
-        lambda: elbo_local(obs, point, posterior, decoder, **kwargs), params
-    )
+        model.point.log_vars.data[0, 0] = narrow   # one narrow coordinate, one wide
+        model.point.log_vars.data[-1, -1] = 0.5
+    obs = rng.standard_normal((n_items, DIM))
+    noise = rng.standard_normal((k_comp, n_items, LATENT))
+    params = model.parameters()
+    value, grads = value_and_grads(lambda: elbo_local(obs, model, noise, 3.5, kl_weight), params)
     ref_value, ref_grads = value_and_grads(
-        lambda: per_component_elbo_local(obs, point, posterior, decoder, **kwargs), params
+        lambda: per_component_elbo_local(obs, model, noise, 3.5, kl_weight), params
     )
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
     for grad, ref in zip(grads, ref_grads):
@@ -171,49 +152,37 @@ def test_elbo_local_tape_does_not_grow_with_components():
     lengths = []
     for k_comp in (2, 8):
         rng = np.random.default_rng(5)
-        point, posterior, decoder = make_parts(k_comp, rng)
+        model = make_model(k_comp, rng)
         obs = rng.standard_normal((6, DIM))
         with Tape() as tape:
-            elbo_local(obs, point, posterior, decoder, rng, n_samples=2)
+            elbo_local(obs, model, rng.standard_normal((k_comp, 6, LATENT)), 1.0, 1.0)
         lengths.append(len(tape))
     assert lengths[0] == lengths[1]
-
-
-def test_elbo_local_draws_noise_from_rng_in_component_major_order():
-    rng = np.random.default_rng(8)
-    point, posterior, decoder = make_parts(3, rng)
-    obs = rng.standard_normal((4, DIM))
-    drawn = elbo_local(obs, point, posterior, decoder, np.random.default_rng(21), n_samples=2)
-    noise = np.random.default_rng(21).standard_normal((2, 3, 4, LATENT))
-    given = elbo_local(obs, point, posterior, decoder, noise=noise)
-    assert float(drawn.data) == float(given.data)
 
 
 # ---------------------------------------------------------------------------
 # enumeration oracles
 
 
-def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight):
+def explicit_elbo_local(obs, model, noise, scale, kl_weight):
     """Per-item, per-component sum in plain numpy: univariate Gaussian KLs
     and scipy log-densities, one network evaluation per (item, component)."""
+    point = model.point
     k_comp = point.n_components
     log_pi = np_log_softmax(point.pi_logits.data)
     total = 0.0
     for i, o in enumerate(obs):
-        log_q = np_log_softmax(posterior.encoder_z.forward(o[None])["logits"].data[0])
+        log_q = np_log_softmax(model.encoder_z.forward(o[None])["logits"].data[0])
         for k in range(k_comp):
-            heads = posterior.encoder_x.forward(np.concatenate([np.eye(k_comp)[k], o])[None])
+            heads = model.encoder_x.forward(np.concatenate([np.eye(k_comp)[k], o])[None])
             m, lv = heads["mean"].data[0], heads["logvar"].data[0]
             kl = sum(
                 0.5 * (plv - qlv) + (np.exp(qlv) + (qm - pm) ** 2) / (2.0 * np.exp(plv)) - 0.5
                 for qm, qlv, pm, plv in zip(m, lv, point.means.data[k], point.log_vars.data[k])
             )
-            recon = 0.0
-            for eps in noise[:, k, i]:
-                dec = decoder.forward((m + np.exp(0.5 * lv) * eps)[None])
-                dm, dlv = dec["mean"].data[0], dec["logvar"].data[0]
-                recon += stats.norm.logpdf(o, dm, np.exp(0.5 * dlv)).sum()
-            recon /= noise.shape[0]
+            dec = model.decoder.forward((m + np.exp(0.5 * lv) * noise[k, i])[None])
+            dm, dlv = dec["mean"].data[0], dec["logvar"].data[0]
+            recon = stats.norm.logpdf(o, dm, np.exp(0.5 * dlv)).sum()
             total += np.exp(log_q[k]) * (log_pi[k] - log_q[k] - kl_weight * kl + recon)
     return scale * total
 
@@ -221,16 +190,14 @@ def explicit_elbo_local(obs, point, posterior, decoder, noise, scale, kl_weight)
 @pytest.mark.parametrize("kl_weight, narrow", [(1.0, None), (0.3, -2.0)])
 def test_elbo_local_two_components_against_explicit_sum(kl_weight, narrow):
     rng = np.random.default_rng(31)
-    point, posterior, decoder = make_parts(2, rng)
-    point.log_vars.data[0, 1] = -2.7
+    model = make_model(2, rng)
+    model.point.log_vars.data[0, 1] = -2.7
     if narrow is not None:
-        point.log_vars.data[1, 0] = narrow
+        model.point.log_vars.data[1, 0] = narrow
     obs = rng.standard_normal((5, DIM))
-    noise = rng.standard_normal((2, 2, 5, LATENT))
-    value = elbo_local(
-        obs, point, posterior, decoder, noise=noise, scale=1.7, kl_weight=kl_weight
-    )
-    expected = explicit_elbo_local(obs, point, posterior, decoder, noise, 1.7, kl_weight)
+    noise = rng.standard_normal((2, 5, LATENT))
+    value = elbo_local(obs, model, noise, 1.7, kl_weight)
+    expected = explicit_elbo_local(obs, model, noise, 1.7, kl_weight)
     assert float(value.data) == pytest.approx(expected, rel=1e-12)
 
 
@@ -258,13 +225,14 @@ def test_elbo_rel_against_triple_enumeration():
         same = log_a if label == 1 else log_1ma
         diff = log_1mb if label == 1 else log_b
         expected += p_same * same + (1.0 - p_same) * diff
-    value = elbo_rel(store, q, point, scale=2.5)
+    value = elbo_rel(store, constant(q), point, 2.5)
     assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
 
 
 def test_elbo_rel_without_annotations_is_zero():
     point = PointParams.init(2, LATENT, 0, np.random.default_rng(0))
-    assert float(elbo_rel(None, np.full((3, 2), 0.5), point).data) == 0.0
+    store = AnnotationStore([], n_items=3, n_workers=0)
+    assert float(elbo_rel(store, constant(np.full((3, 2), 0.5)), point, 1.0).data) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +259,22 @@ def check_finite_differences(evaluate, build, coordinates, h=1e-6, tol=1e-6):
 @pytest.mark.parametrize("narrow", [None, -2.0])
 def test_elbo_local_gradient_finite_differences(narrow):
     rng = np.random.default_rng(51)
-    point, posterior, decoder = make_parts(3, rng)
+    model = make_model(3, rng)
+    point = model.point
     if narrow is not None:
         point.log_vars.data[0, 0] = narrow
     obs = rng.standard_normal((5, DIM))
-    noise = rng.standard_normal((2, 3, 5, LATENT))
+    noise = rng.standard_normal((3, 5, LATENT))
 
     def build():
-        return elbo_local(obs, point, posterior, decoder, noise=noise, scale=2.0, kl_weight=0.7)
+        return elbo_local(obs, model, noise, 2.0, 0.7)
 
     coordinates = [
         (t, idx)
         for t in (point.pi_logits, point.means, point.log_vars)
         for idx in np.ndindex(t.data.shape)
     ]
-    for net in (posterior.encoder_z, posterior.encoder_x, decoder):
+    for net in (model.encoder_z, model.encoder_x, model.decoder):
         for t in net.parameters():
             coordinates.append((t, tuple(rng.integers(s) for s in t.data.shape)))
     check_finite_differences(lambda: float(build().data), build, coordinates)
@@ -319,7 +288,7 @@ def test_elbo_rel_gradient_finite_differences():
     logits = parameter(rng.standard_normal((n_items, 3)))
 
     def build():
-        return elbo_rel(store, exp(log_softmax(logits, axis=-1)), point, scale=1.5)
+        return elbo_rel(store, exp(log_softmax(logits, axis=-1)), point, 1.5)
 
     coordinates = [(logits, idx) for idx in np.ndindex(logits.data.shape)]
     coordinates += [(point.worker_logits, idx) for idx in np.ndindex(point.worker_logits.data.shape)]
@@ -360,9 +329,11 @@ def test_model_json_round_trip_predicts_the_same(with_annotations):
     clone = ScdcModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert clone.point.worker_logits.data.shape == (model.point.n_workers, 2)
     assert np.array_equal(clone.predict(dataset.observations), model.predict(dataset.observations))
-    assert np.array_equal(
-        clone.cluster_probs(dataset.observations), model.cluster_probs(dataset.observations)
-    )
+    for name in ("encoder_z", "encoder_x", "decoder"):
+        net, net_clone = getattr(model, name), getattr(clone, name)
+        x = np.random.default_rng(3).standard_normal((5, net.sizes[0]))
+        for head, value in net.forward(x).items():
+            assert np.array_equal(net_clone.forward(x)[head].data, value.data)
     assert clone.to_dict() == model.to_dict()
 
 
@@ -395,17 +366,21 @@ def test_divergence_restores_last_epoch_snapshot(monkeypatch):
 
 
 def test_elbo_local_rejects_bad_noise_and_sample_count():
+    """Noise must be one draw per (component, item): (K, n, d), with no
+    leading sample axis."""
     rng = np.random.default_rng(71)
-    point, posterior, decoder = make_parts(2, rng)
+    model = make_model(2, rng)
     obs = rng.standard_normal((3, DIM))
-    with pytest.raises(ValueError, match="noise"):
-        elbo_local(obs, point, posterior, decoder, noise=np.zeros((0, 2, 3, LATENT)))
-    with pytest.raises(ValueError, match="noise"):
-        elbo_local(obs, point, posterior, decoder, noise=np.float64(0.5))
-    with pytest.raises(ValueError, match="noise"):
-        elbo_local(obs, point, posterior, decoder, noise=np.zeros((1, 3, 3, LATENT)))
-    with pytest.raises(ValueError, match="n_samples"):
-        elbo_local(obs, point, posterior, decoder, rng, n_samples=0)
+    for noise in (
+        np.zeros((1, 2, 3, LATENT)),
+        np.zeros((0, 2, 3, LATENT)),
+        np.float64(0.5),
+        np.zeros((3, 3, LATENT)),
+        np.zeros((2, 4, LATENT)),
+        np.zeros((2, 3, LATENT + 1)),
+    ):
+        with pytest.raises(ValueError, match="noise"):
+            elbo_local(obs, model, noise, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -419,7 +394,7 @@ def test_elbo_local_rejects_bad_noise_and_sample_count():
         ("kl_warmup", -0.1),
         ("n_components", 0),
         ("latent_dim", 0),
-        ("n_samples", 0),
+        ("batch_size", -4),
         ("hidden", (0,)),
         ("hidden", (-2,)),
         ("hidden", (40, 0)),
@@ -438,7 +413,7 @@ def test_config_accepts_valid_batch_and_clamps():
     for config, train in ((ScdcConfig, train_scdc), (BayesConfig, train_bayes_scdc)):
         assert config(annotation_batch_size=1).annotation_batch_size == 1
         model = train(dataset, None, config(epochs=0, hidden=(4,)), np.random.default_rng(1)).model
-        nets = [model.decoder] + ([model.posterior.encoder_x] if config is ScdcConfig else [])
+        nets = [model.decoder] + ([model.encoder_x] if config is ScdcConfig else [])
         assert [net.clamp for net in nets] == [{"logvar": LOGVAR_CLAMP}] * len(nets)
     assert LOGVAR_CLAMP == (-8.0, 8.0)
 

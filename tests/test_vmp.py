@@ -218,14 +218,14 @@ def test_symmetric_items_get_uniform_responsibilities():
     glob = scalar_glob([2.0, 2.0], [comp, comp])
     exps = global_expectations(glob)
     base = exps.log_pi + component_logits(exps, np.array([[0.7]]), np.array([[[0.5]]]))
-    out = update_local_z(base, [[]], np.full((1, 2), -math.log(2.0)))
+    out = update_local_z(base, AnnotationGraph(1, [], [], []), np.full((1, 2), -math.log(2.0)))
     assert np.allclose(np.exp(out), 0.5, atol=1e-12)
 
 
 def test_point_mass_neighbor_message_shifts_one_coordinate():
     base = np.array([[0.3, -0.2], [0.0, 0.0]])
     log_resp = np.log(np.array([[0.5, 0.5], [1e-300, 1.0]]))
-    neighbors = [[(1, math.log(9.0))], [(0, math.log(9.0))]]
+    neighbors = AnnotationGraph(2, [0, 1], [1, 0], [math.log(9.0)] * 2)
     out = update_local_z(base, neighbors, log_resp)
     expected = log_softmax(base[0] + math.log(9.0) * np.array([0.0, 1.0]))
     assert np.allclose(out[0], expected, atol=1e-12)
@@ -309,8 +309,6 @@ def test_class_update_equals_sequential_updates_in_class_order(seed):
     order = np.concatenate(graph.classes)
     expected = sequential_local_z(base, graph, log_resp, order)
     assert np.max(np.abs(update_local_z(base, graph, log_resp) - expected)) < 1e-12
-    plain = [list(nb) for nb in graph]
-    assert np.max(np.abs(update_local_z(base, plain, log_resp) - expected)) < 1e-12
     # the visiting order matters, so the comparison above is not vacuous
     by_index = sequential_local_z(base, graph, log_resp, np.sort(order))
     assert np.max(np.abs(by_index - expected)) > 1e-6
@@ -385,13 +383,12 @@ def test_numpy_graph_equals_the_per_item_loop(case):
     assert graph.linked.tolist() == [bool(nb) for nb in neighbors]
     if case == "clique-6":
         assert len(classes) == 6
-    for built in (graph, AnnotationGraph.from_lists(neighbors)):
-        assert len(built.classes) == len(classes)
-        assert len(built.class_edges) == len(class_edges)
-        for got, want in zip(built.classes, classes):
-            assert np.array_equal(got, want)
-        for got, want in zip(built.class_edges, class_edges):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(graph.classes) == len(classes)
+    assert len(graph.class_edges) == len(class_edges)
+    for got, want in zip(graph.classes, classes):
+        assert np.array_equal(got, want)
+    for got, want in zip(graph.class_edges, class_edges):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def grid_instance():
@@ -715,18 +712,18 @@ def test_network_objective_gradients_match_finite_differences():
     decoder = Mlp([2, 5], {"mean": 2, "logvar": 2}, rng, clamp={"logvar": (-8.0, 8.0)})
     obs = rng.normal(size=(3, 2))
     resp = rng.dirichlet(np.ones(2), size=3)
-    noise = rng.standard_normal((1, 3, 2))
+    noise = rng.standard_normal((3, 2))
     params = recognition.parameters() + decoder.parameters()
 
     with Tape() as tape:
         objective, _ = _network_objective(
-            recognition, decoder, obs, resp, exps, noise, data_scale=1.7
+            recognition, decoder, obs, resp, exps, noise, 1.7, 1.0
         )
     backward(tape, objective)
 
     def value() -> float:
         obj, _ = _network_objective(
-            recognition, decoder, obs, resp, exps, noise, data_scale=1.7
+            recognition, decoder, obs, resp, exps, noise, 1.7, 1.0
         )
         return float(obj.data)
 
