@@ -275,9 +275,8 @@ def mixture_natural_gradient(
     covs = np.asarray(covs, dtype=float)
     counts = q_z.sum(axis=0)
     first = q_z.T @ means
-    second = np.einsum(
-        "nk,nij->kij", q_z, covs + means[:, :, None] * means[:, None, :]
-    )
+    moments = covs + means[:, :, None] * means[:, None, :]
+    second = (q_z.T @ moments.reshape(-1, d * d)).reshape(K, d, d)
     niw0, comps = prior.niw_nat(), current.components
     return GlobalGrads(
         pi=prior.pi_nat().eta + scale * counts - current.pi.eta,

@@ -153,21 +153,25 @@ def _check_finite(heads: dict, what: str) -> None:
             raise TrainingDivergence(f"{what} produced non-finite outputs")
 
 
-def elbo_local(observations, model: "ScdcModel", noise, scale: float, kl_weight: float):
+def elbo_local(
+    observations, logits: Tensor, model: "ScdcModel", noise, scale: float, kl_weight: float
+):
     """Data-term ELBO over a batch, cluster sum taken analytically.
 
     Per item: sum_k q(z=k|o) [log pi_k - log q(z=k|o)
     - KL(q(x|k,o) || N(mu_k, sigma2_k)) + log p(o | x_hat_k)], with one
-    reparameterized latent draw per (item, component).  All (item,
-    component) pairs pass through the latent encoder, the Gaussian KL
-    and the decoder as one stacked item-major batch: row i*K + k holds
-    item i under component k, so the per-pair terms reshape straight to
-    an (n, K) table.  `noise` has shape (K, n, d); noise[k, i] perturbs
-    row i*K + k.  Returns the scaled total as a tape tensor; `scale`
-    carries the N/|B| batch correction.  `kl_weight` < 1 damps the
-    Gaussian-KL pull of the per-cluster latent posteriors toward the
-    point components (warmup against early contraction); at 1 this is
-    the exact bound.
+    reparameterized latent draw per (item, component).  `logits` is the
+    (n, K) tape tensor of the cluster encoder's logits for the batch
+    items; the caller runs the encoder, so one pass can serve the
+    annotation term too.  All (item, component) pairs pass through the
+    latent encoder, the Gaussian KL and the decoder as one stacked
+    item-major batch: row i*K + k holds item i under component k, so the
+    per-pair terms reshape straight to an (n, K) table.  `noise` has
+    shape (K, n, d); noise[k, i] perturbs row i*K + k.  Returns the
+    scaled total as a tape tensor; `scale` carries the N/|B| batch
+    correction.  `kl_weight` < 1 damps the Gaussian-KL pull of the
+    per-cluster latent posteriors toward the point components (warmup
+    against early contraction); at 1 this is the exact bound.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
@@ -176,9 +180,9 @@ def elbo_local(observations, model: "ScdcModel", noise, scale: float, kl_weight:
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (k_comp, n, d):
         raise ValueError("noise must have shape (components, batch, dim)")
-    z_heads = model.encoder_z.forward(obs)
-    _check_finite(z_heads, "cluster encoder")
-    log_q_z = log_softmax(z_heads["logits"], axis=-1)
+    if logits.data.shape != (n, k_comp):
+        raise ValueError("logits must have shape (batch, components)")
+    log_q_z = log_softmax(logits, axis=-1)
     q_z = exp(log_q_z)
 
     stacked_obs = np.repeat(obs, k_comp, axis=0)              # (n*K, D)
@@ -345,13 +349,16 @@ def train_scdc(
     def step(update: Update) -> float:
         noise = rng.standard_normal((k_comp, update.batch.size, d))
         with Tape() as tape:
+            # the working set contains the batch: one encoder pass serves both terms
+            z_heads = model.encoder_z.forward(obs[update.working])
+            _check_finite(z_heads, "cluster encoder")
+            logits = z_heads["logits"]
             total = elbo_local(
-                obs[update.batch], model, noise, update.data_scale, update.kl_weight
+                obs[update.batch], take_rows(logits, update.rows), model, noise,
+                update.data_scale, update.kl_weight,
             )
             if update.store is not None:
-                z_heads = model.encoder_z.forward(obs[update.working])
-                _check_finite(z_heads, "cluster encoder")
-                q_working = exp(log_softmax(z_heads["logits"], axis=-1))
+                q_working = exp(log_softmax(logits, axis=-1))
                 total = total + elbo_rel(update.store, q_working, model.point, update.rel_scale)
         backward(tape, total)
         opt.step()

@@ -2,12 +2,17 @@
 
 The recognition network emits diagonal Gaussian evidence potentials;
 cluster responsibilities and latent Gaussians are refined jointly by
-block-coordinate updates that carry pairwise annotation messages.
-Globals (mixing weights, components, worker accuracies) follow scaled
-stochastic natural gradients, while the recognition and decoder
-networks ascend reparameterization gradients of the objective through
-the final latent refresh.  `driver.fit` runs the minibatch loop;
-`train_bayes_scdc` supplies the parameters and the step.
+block-coordinate updates that carry pairwise annotation messages.  Each
+q(x) refresh mixes the K component statistics by the responsibilities
+with one matmul on their (K, d*d) view and factors every item's
+precision once, by a Cholesky kernel that loops over d and computes
+over all items at once; `predict` runs the same local step over the
+whole dataset.  Globals (mixing weights, components, worker
+accuracies) follow scaled stochastic natural gradients, while the
+recognition and decoder networks ascend reparameterization gradients
+of the objective through the final latent refresh.  `driver.fit` runs
+the minibatch loop; `train_bayes_scdc` supplies the parameters and the
+step.
 """
 
 from __future__ import annotations
@@ -170,22 +175,77 @@ def _calibrate_recognition_init(net: Mlp, observations) -> None:
 # block-coordinate local updates
 
 
+def _spd_inverse_logdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and log-determinants of a batch of (n, d, d) SPD matrices.
+
+    One Cholesky factor A = L L^T per entry, by the column loop, then
+    M = L^-1 by forward substitution: A^-1 = M^T M, computed once per
+    upper-triangle entry and mirrored, so it is exactly symmetric, and
+    log|A| = sum_j log(L_jj^2).  Reads the lower triangle only.  The loops
+    run over d and every operation over the n entries at once, on (n,)
+    vectors of a (d, d, n) copy: batched LAPACK makes one call per small
+    matrix.  Raises LinAlgError unless every pivot L_jj^2 is > 0 (a NaN
+    fails too).
+    """
+    n, d, _ = a.shape
+    t = np.ascontiguousarray(a.transpose(1, 2, 0))
+    low = [[None] * d for _ in range(d)]
+    logdet = np.zeros(n)
+    for j in range(d):
+        pivot = t[j, j]
+        for k in range(j):
+            pivot = pivot - low[j][k] * low[j][k]
+        if not (pivot > 0.0).all():
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        logdet += np.log(pivot)
+        low[j][j] = np.sqrt(pivot)
+        for i in range(j + 1, d):
+            s = t[i, j]
+            for k in range(j):
+                s = s - low[i][k] * low[j][k]
+            low[i][j] = s / low[j][j]
+    inv_low = [[None] * d for _ in range(d)]
+    for i in range(d):
+        inv_low[i][i] = 1.0 / low[i][i]
+        for j in range(i):
+            s = low[i][j] * inv_low[j][j]
+            for k in range(j + 1, i):
+                s = s + low[i][k] * inv_low[k][j]
+            inv_low[i][j] = -s * inv_low[i][i]
+    out = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(i, d):
+            s = inv_low[j][i] * inv_low[j][j]
+            for k in range(j + 1, d):
+                s = s + inv_low[k][i] * inv_low[k][j]
+            out[:, i, j] = s
+            out[:, j, i] = s
+    return out, logdet
+
+
+def _mix(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_k w_nk A_k for (n, K) weights and (K, d, d) matrices: one matmul
+    on the (K, d*d) view."""
+    k, d, _ = mats.shape
+    return (weights @ mats.reshape(k, d * d)).reshape(-1, d, d)
+
+
 def update_local_x(resp, exps: GlobalExpectations, potential: RecognitionPotential):
     """Coordinate refresh of every q(x_i) given responsibilities.
 
     Natural parameters are the responsibility-weighted expected Gaussian
     parameters plus the evidence potential; returns (h, j, mean, cov).
+    One Cholesky per item factors its precision -2 j, which gives the
+    covariance, exactly symmetric, and fails with LinAlgError unless j is
+    negative definite.
     """
     resp = np.asarray(resp, dtype=float)
     d = exps.mean_prec.shape[1]
     x_h = resp @ exps.mean_prec + potential.h
-    x_j = np.einsum("nk,kij->nij", resp, exps.neg_half_prec)
+    x_j = _mix(resp, exps.neg_half_prec)
     idx = np.arange(d)
     x_j[:, idx, idx] += potential.j_diag
-    prec = -2.0 * x_j
-    np.linalg.cholesky(prec)  # fails unless every x_j is negative definite
-    x_cov = np.linalg.inv(prec)
-    x_cov = 0.5 * (x_cov + np.swapaxes(x_cov, -1, -2))
+    x_cov, _ = _spd_inverse_logdet(-2.0 * x_j)
     x_mean = np.einsum("nij,nj->ni", x_cov, x_h)
     return x_h, x_j, x_mean, x_cov
 
@@ -194,10 +254,11 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
     """Per item and component: <E t(mu_k, Sigma_k), (E t(x_i), 1)>."""
     x_mean = np.asarray(x_mean, dtype=float)
     x_cov = np.asarray(x_cov, dtype=float)
+    n, d = x_mean.shape
     second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
     return (
         x_mean @ exps.mean_prec.T
-        + np.einsum("nij,kij->nk", second, exps.neg_half_prec)
+        + second.reshape(n, d * d) @ exps.neg_half_prec.reshape(-1, d * d).T
         + exps.neg_half_mahal
         + exps.neg_half_logdet
     )
@@ -388,9 +449,10 @@ def block_coordinate_local(
 
 def _gaussian_log_partitions(x_h, x_mean, x_j) -> np.ndarray:
     """log Z of each local Gaussian, constants dropped as everywhere else."""
-    sign, logdet = np.linalg.slogdet(-2.0 * x_j)
-    if np.any(sign <= 0):
-        raise ValueError("x_j must be negative definite")
+    try:
+        _, logdet = _spd_inverse_logdet(-2.0 * x_j)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("x_j must be negative definite") from err
     return 0.5 * np.einsum("ni,ni->n", x_mean, x_h) - 0.5 * logdet
 
 
@@ -414,7 +476,7 @@ def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> fl
     cov = local.x_cov[rows]
     second = cov + mean[:, :, None] * mean[:, None, :]
     dh = local.x_h[rows] - r @ exps.mean_prec
-    dj = local.x_j[rows] - np.einsum("nk,kij->nij", r, exps.neg_half_prec)
+    dj = local.x_j[rows] - _mix(r, exps.neg_half_prec)
     inner = np.einsum("ni,ni->n", dh, mean) + np.einsum("nij,nij->n", dj, second)
     log_z = _gaussian_log_partitions(local.x_h[rows], mean, local.x_j[rows])
     kl_x = float(np.sum(inner - log_z - r @ (exps.neg_half_mahal + exps.neg_half_logdet)))
@@ -633,7 +695,7 @@ def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_
     objective and reconstruction tensors.
     """
     c_h = constant(resp @ exps.mean_prec)
-    c_j = constant(np.einsum("nk,kij->nij", resp, exps.neg_half_prec))
+    c_j = constant(_mix(resp, exps.neg_half_prec))
     heads = recognition.forward(obs_batch)
     psi_h = heads["loc"]
     j_diag = -softplus(heads["prec_raw"]) - PRECISION_FLOOR

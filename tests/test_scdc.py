@@ -84,6 +84,11 @@ def per_component_elbo_local(observations, model, noise, scale, kl_weight):
     return total * scale
 
 
+def z_logits(model, obs):
+    """Cluster-encoder logits of the batch, the tensor elbo_local takes."""
+    return model.encoder_z.forward(obs)["logits"]
+
+
 def make_model(k_comp, rng, n_workers=3, hidden=(8,)):
     """Point parameters away from their initial values, and small networks."""
     point = PointParams.init(k_comp, LATENT, n_workers, rng)
@@ -139,7 +144,9 @@ def test_stacked_elbo_local_matches_component_loop(k_comp, n_items, kl_weight, n
     obs = rng.standard_normal((n_items, DIM))
     noise = rng.standard_normal((k_comp, n_items, LATENT))
     params = model.parameters()
-    value, grads = value_and_grads(lambda: elbo_local(obs, model, noise, 3.5, kl_weight), params)
+    value, grads = value_and_grads(
+        lambda: elbo_local(obs, z_logits(model, obs), model, noise, 3.5, kl_weight), params
+    )
     ref_value, ref_grads = value_and_grads(
         lambda: per_component_elbo_local(obs, model, noise, 3.5, kl_weight), params
     )
@@ -154,8 +161,9 @@ def test_elbo_local_tape_does_not_grow_with_components():
         rng = np.random.default_rng(5)
         model = make_model(k_comp, rng)
         obs = rng.standard_normal((6, DIM))
+        noise = rng.standard_normal((k_comp, 6, LATENT))
         with Tape() as tape:
-            elbo_local(obs, model, rng.standard_normal((k_comp, 6, LATENT)), 1.0, 1.0)
+            elbo_local(obs, z_logits(model, obs), model, noise, 1.0, 1.0)
         lengths.append(len(tape))
     assert lengths[0] == lengths[1]
 
@@ -196,7 +204,7 @@ def test_elbo_local_two_components_against_explicit_sum(kl_weight, narrow):
         model.point.log_vars.data[1, 0] = narrow
     obs = rng.standard_normal((5, DIM))
     noise = rng.standard_normal((2, 5, LATENT))
-    value = elbo_local(obs, model, noise, 1.7, kl_weight)
+    value = elbo_local(obs, z_logits(model, obs), model, noise, 1.7, kl_weight)
     expected = explicit_elbo_local(obs, model, noise, 1.7, kl_weight)
     assert float(value.data) == pytest.approx(expected, rel=1e-12)
 
@@ -267,7 +275,7 @@ def test_elbo_local_gradient_finite_differences(narrow):
     noise = rng.standard_normal((3, 5, LATENT))
 
     def build():
-        return elbo_local(obs, model, noise, 2.0, 0.7)
+        return elbo_local(obs, z_logits(model, obs), model, noise, 2.0, 0.7)
 
     coordinates = [
         (t, idx)
@@ -380,7 +388,20 @@ def test_elbo_local_rejects_bad_noise_and_sample_count():
         np.zeros((2, 3, LATENT + 1)),
     ):
         with pytest.raises(ValueError, match="noise"):
-            elbo_local(obs, model, noise, 1.0, 1.0)
+            elbo_local(obs, z_logits(model, obs), model, noise, 1.0, 1.0)
+
+
+def test_elbo_local_rejects_logits_not_of_the_batch():
+    """The logits must be the batch rows, not those of a larger working
+    set, and have one column per component."""
+    rng = np.random.default_rng(72)
+    model = make_model(2, rng)
+    obs = rng.standard_normal((3, DIM))
+    noise = np.zeros((2, 3, LATENT))
+    working = np.concatenate([obs, rng.standard_normal((2, DIM))])
+    for logits in (z_logits(model, working), constant(np.zeros((3, 3)))):
+        with pytest.raises(ValueError, match="logits"):
+            elbo_local(obs, logits, model, noise, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -432,9 +453,9 @@ def test_dataset_of_one_item_trains():
 
 
 # History and sha256 of the sorted-key model JSON of a 2-epoch run on
-# small_problem(0), recorded with the per-node tape engine and the
-# per-parameter optimizers (numpy 2.4, OpenBLAS, x86-64).  The lean engine
-# must reproduce them bit for bit.
+# small_problem(0), recorded with one cluster-encoder pass per update over
+# the working set (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change
+# the last bits).  The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
@@ -443,7 +464,7 @@ RECORDED_RUNS = {
             {"epoch": 1, "objective": -257.1720801131327, "effective_k": 4,
              "accuracy": 0.6666666666666666, "nmi": 0.7611702597222879},
         ],
-        "f9c400d472c465adda7851dd0387dd2c1919ce804230d1c4561925470b888141",
+        "c2e4eb6882cef2487f2719b342e73d71e064b589eff22ac2cf97180218b0903a",
     ),
 }
 

@@ -38,8 +38,11 @@ from crowdmix.vmp import (
     BayesModel,
     LocalVariational,
     RecognitionPotential,
+    _gaussian_log_partitions,
     _log_softmax_rows,
+    _mix,
     _network_objective,
+    _spd_inverse_logdet,
     annotation_graph,
     block_coordinate_local,
     component_logits,
@@ -207,6 +210,95 @@ def test_local_x_precision_always_negative_definite():
     _, x_j, _, _ = update_local_x(resp, exps, pot)
     eigs = np.linalg.eigvalsh(x_j)
     assert np.all(eigs < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-entry Cholesky kernel and the contractions with the K components
+
+
+def random_spd(rng, n, d):
+    """SPD matrices with eigenvalues of at least 2d, so log|A| > 0."""
+    b = rng.standard_normal((n, d, d))
+    return b @ np.swapaxes(b, 1, 2) + 2.0 * d * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 7, 400])
+def test_spd_kernel_matches_numpy_inverse_and_logdet(d, n):
+    a = random_spd(np.random.default_rng(10 * d + n), n, d)
+    inv, logdet = _spd_inverse_logdet(a)
+    expected = np.linalg.inv(a)
+    sign, expected_logdet = np.linalg.slogdet(a)
+    assert np.all(sign == 1.0)
+    assert inv.shape == (n, d, d) and logdet.shape == (n,)
+    assert np.max(np.abs(inv - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(logdet - expected_logdet) / np.abs(expected_logdet)) <= 1e-12
+    assert np.array_equal(inv, np.swapaxes(inv, 1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spd_kernel_rejects_matrices_that_are_not_positive_definite(d):
+    rng = np.random.default_rng(d)
+    indefinite = np.eye(d)
+    indefinite[-1, -1] = -0.5
+    singular = np.diag(np.arange(d - 1.0, -1.0, -1.0))  # last pivot exactly 0
+    nan_entry = random_spd(rng, 1, d)[0]
+    nan_entry[-1, 0] = nan_entry[0, -1] = np.nan
+    for bad in (indefinite, singular, nan_entry):
+        batch = random_spd(rng, 5, d)
+        batch[3] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _spd_inverse_logdet(batch)
+
+
+def test_local_x_update_raises_linalg_error_on_a_positive_precision_bracket():
+    """Expectations that make some x_j indefinite fail with the error the
+    training loop catches."""
+    rng = np.random.default_rng(4)
+    exps = global_expectations(init_global(MixturePrior.default(3, 2), rng))
+    exps = exps._replace(neg_half_prec=-exps.neg_half_prec)
+    pot = RecognitionPotential(rng.standard_normal((6, 2)), np.full((6, 2), -1e-3))
+    with pytest.raises(np.linalg.LinAlgError):
+        update_local_x(rng.dirichlet(np.ones(3), size=6), exps, pot)
+
+
+def test_gaussian_log_partitions_reject_non_negative_definite_j():
+    x_j = -np.tile(np.eye(2), (4, 1, 1))
+    _gaussian_log_partitions(np.ones((4, 2)), np.ones((4, 2)), x_j)
+    x_j[2, 1, 1] = 0.0
+    with pytest.raises(ValueError, match="negative definite"):
+        _gaussian_log_partitions(np.ones((4, 2)), np.ones((4, 2)), x_j)
+
+
+def test_component_contractions_equal_einsum():
+    rng = np.random.default_rng(8)
+    n, K, d = 30, 5, 3
+    exps = global_expectations(init_global(MixturePrior.default(K, d), rng))
+    resp = rng.dirichlet(np.ones(K), size=n)
+    x_mean = rng.standard_normal((n, d))
+    x_cov = np.linalg.inv(random_spd(rng, n, d))
+
+    def close(actual, expected):
+        return np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    assert close(
+        _mix(resp, exps.neg_half_prec), np.einsum("nk,kij->nij", resp, exps.neg_half_prec)
+    )
+    second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
+    assert close(
+        component_logits(exps, x_mean, x_cov),
+        x_mean @ exps.mean_prec.T
+        + np.einsum("nij,kij->nk", second, exps.neg_half_prec)
+        + exps.neg_half_mahal
+        + exps.neg_half_logdet,
+    )
+    prior = MixturePrior.default(K, d)
+    glob = init_global(prior, rng)
+    grads = mixture_natural_gradient(prior, resp, x_mean, x_cov, glob, scale=3.0)
+    expected_h2 = (
+        prior.niw_nat().h2 + 3.0 * np.einsum("nk,nij->kij", resp, second) - glob.components.h2
+    )
+    assert close(grads.h2, expected_h2)
 
 
 # ---------------------------------------------------------------------------
@@ -900,18 +992,19 @@ def test_log_softmax_rows_equals_scipy_exactly(seed):
 
 
 # History and sha256 of the sorted-key model JSON of a 2-epoch run on
-# tiny_problem(), recorded with the per-node tape engine, the per-parameter
-# optimizers and scipy's log_softmax in the q(z) step (numpy 2.4, OpenBLAS,
-# x86-64).  The current code must reproduce them bit for bit.
+# tiny_problem(), recorded with the per-entry Cholesky kernel in the local
+# q(x) step and the K-component contractions as matmuls (numpy 2.4.6,
+# OpenBLAS, x86-64; another BLAS may change the last bits).  The current
+# code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
-            {"epoch": 0, "objective": -1274.7640362917691, "effective_k": 4,
+            {"epoch": 0, "objective": -1274.7640362917718, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5284607689658716},
-            {"epoch": 1, "objective": -1019.2885802780362, "effective_k": 4,
+            {"epoch": 1, "objective": -1019.2885802780371, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5165719394406421},
         ],
-        "ab888071021a997b2d4b60df3ba392bba48193fc81b533a268d7ae3a311fec18",
+        "29873ec080bb6c57bbb47b645b350206794c5f76019492e49f98058ab24a6a9c",
     ),
 }
 
