@@ -2,17 +2,20 @@
 
 The recognition network emits diagonal Gaussian evidence potentials;
 cluster responsibilities and latent Gaussians are refined jointly by
-block-coordinate updates that carry pairwise annotation messages.  Each
-q(x) refresh mixes the K component statistics by the responsibilities
-with one matmul on their (K, d*d) view and factors every item's
-precision once, by a Cholesky kernel that loops over d and computes
-over all items at once; `predict` runs the same local step over the
-whole dataset.  Globals (mixing weights, components, worker
-accuracies) follow scaled stochastic natural gradients, while the
-recognition and decoder networks ascend reparameterization gradients
-of the objective through the final latent refresh.  `driver.fit` runs
-the minibatch loop; `train_bayes_scdc` supplies the parameters and the
-step.
+block-coordinate updates that carry pairwise annotation messages.  Inside
+the local step the responsibilities and component logits are stored
+component-major, as (K, n) arrays, so every softmax reduces over axis 0,
+across items, and never along a K-wide last axis; the step takes and
+returns (n, K) responsibilities.  Each q(x) refresh mixes the K
+component statistics by the responsibilities with one matmul on their
+(K, d*d) view and factors every item's precision once, by a Cholesky
+kernel that loops over d and computes over all items at once; `predict`
+runs the same local step over the whole dataset.  Globals (mixing
+weights, components, worker accuracies) follow scaled stochastic natural
+gradients, while the recognition and decoder networks ascend
+reparameterization gradients of the objective through the final latent
+refresh.  `driver.fit` runs the minibatch loop; `train_bayes_scdc`
+supplies the parameters and the step.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ class LocalVariational:
     x_j: np.ndarray       # (n, d, d), negative definite
     x_mean: np.ndarray    # (n, d)
     x_cov: np.ndarray     # (n, d, d)
+    x_logdet: np.ndarray  # (n,), log|-2 x_j|
 
     @property
     def resp(self) -> np.ndarray:
@@ -234,10 +238,11 @@ def update_local_x(resp, exps: GlobalExpectations, potential: RecognitionPotenti
     """Coordinate refresh of every q(x_i) given responsibilities.
 
     Natural parameters are the responsibility-weighted expected Gaussian
-    parameters plus the evidence potential; returns (h, j, mean, cov).
-    One Cholesky per item factors its precision -2 j, which gives the
-    covariance, exactly symmetric, and fails with LinAlgError unless j is
-    negative definite.
+    parameters plus the evidence potential; `resp` is (n, K).  Returns
+    (h, j, mean, cov, log|-2 j|).  One Cholesky per item factors its
+    precision -2 j, which gives the covariance, exactly symmetric, and its
+    log-determinant, and fails with LinAlgError unless j is negative
+    definite.
     """
     resp = np.asarray(resp, dtype=float)
     d = exps.mean_prec.shape[1]
@@ -245,22 +250,26 @@ def update_local_x(resp, exps: GlobalExpectations, potential: RecognitionPotenti
     x_j = _mix(resp, exps.neg_half_prec)
     idx = np.arange(d)
     x_j[:, idx, idx] += potential.j_diag
-    x_cov, _ = _spd_inverse_logdet(-2.0 * x_j)
+    x_cov, x_logdet = _spd_inverse_logdet(-2.0 * x_j)
     x_mean = np.einsum("nij,nj->ni", x_cov, x_h)
-    return x_h, x_j, x_mean, x_cov
+    return x_h, x_j, x_mean, x_cov, x_logdet
 
 
 def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
-    """Per item and component: <E t(mu_k, Sigma_k), (E t(x_i), 1)>."""
+    """Per component and item: <E t(mu_k, Sigma_k), (E t(x_i), 1)>.
+
+    Component-major, (K, n), straight from the matmuls with the (K, d) and
+    (K, d*d) component statistics, plus one (K, 1) column of the
+    Mahalanobis and log-determinant terms.
+    """
     x_mean = np.asarray(x_mean, dtype=float)
     x_cov = np.asarray(x_cov, dtype=float)
     n, d = x_mean.shape
     second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
     return (
-        x_mean @ exps.mean_prec.T
-        + second.reshape(n, d * d) @ exps.neg_half_prec.reshape(-1, d * d).T
-        + exps.neg_half_mahal
-        + exps.neg_half_logdet
+        exps.mean_prec @ x_mean.T
+        + exps.neg_half_prec.reshape(-1, d * d) @ second.reshape(n, d * d).T
+        + (exps.neg_half_mahal + exps.neg_half_logdet)[:, None]
     )
 
 
@@ -358,41 +367,46 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
 
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    """scipy.special.log_softmax(x, axis=-1) by the same numpy operations,
+def _log_softmax_columns(x: np.ndarray) -> np.ndarray:
+    """scipy.special.log_softmax(x, axis=0) by the same numpy operations,
     without scipy's array-API dispatch, which costs more than the
-    arithmetic on a working set."""
-    x_max = np.max(x, axis=-1, keepdims=True)
+    arithmetic on a working set.  On a (K, n) array every reduction runs
+    across the items."""
+    x_max = np.max(x, axis=0, keepdims=True)
     x_max[~np.isfinite(x_max)] = 0
     tmp = x - x_max
     with np.errstate(divide="ignore"):
-        return tmp - np.log(np.sum(np.exp(tmp), axis=-1, keepdims=True))
+        return tmp - np.log(np.sum(np.exp(tmp), axis=0, keepdims=True))
 
 
-def update_local_z(base_logits, neighbors, log_resp) -> np.ndarray:
+def update_local_z(base_logits, neighbors, log_resp) -> tuple[np.ndarray, np.ndarray]:
     """One pass of coordinate refreshes on every q(z_i).
 
-    base_logits holds E[log pi] plus the component brackets.  Items
-    without annotation messages update in one shot.  The linked items
-    update one color class of the annotation graph at a time, in color
-    order, each class seeing the freshest responsibilities of the classes
-    before it.  No edge joins two items of one class, so refreshing a
-    class at once equals refreshing its items one after another: the pass
-    is exact coordinate ascent, visiting the items in class order.
-    `neighbors` is the working set's AnnotationGraph.
+    Component-major: base_logits, log_resp and both results are (K, n).
+    base_logits holds E[log pi] plus the component brackets.  Returns
+    the new log responsibilities and their exponentials.  When the graph
+    links no item, the pass is one softmax over the whole array.
+    Otherwise the unlinked items update in one shot, then the linked items
+    one color class of the annotation graph at a time, in color order,
+    each class seeing the freshest responsibilities of the classes before
+    it.  No edge joins two items of one class, so refreshing a class at
+    once equals refreshing its items one after another: the pass is exact
+    coordinate ascent, visiting the items in class order.  `neighbors` is
+    the working set's AnnotationGraph.
     """
     base = np.asarray(base_logits, dtype=float)
+    if not neighbors.classes:
+        out = _log_softmax_columns(base)
+        return out, np.exp(out)
     out = np.array(log_resp, dtype=float)
-    resp = np.exp(out)
     free = ~neighbors.linked
-    if np.any(free):
-        out[free] = _log_softmax_rows(base[free])
-        resp[free] = np.exp(out[free])
+    out[:, free] = _log_softmax_columns(base[:, free])
+    resp = np.exp(out)
     for idx, (starts, other, weight) in zip(neighbors.classes, neighbors.class_edges):
-        messages = np.add.reduceat(weight[:, None] * resp[other], starts, axis=0)
-        out[idx] = _log_softmax_rows(base[idx] + messages)
-        resp[idx] = np.exp(out[idx])
-    return out
+        messages = np.add.reduceat(resp[:, other] * weight, starts, axis=1)
+        out[:, idx] = _log_softmax_columns(base[:, idx] + messages)
+        resp[:, idx] = np.exp(out[:, idx])
+    return out, resp
 
 
 def block_coordinate_local(
@@ -407,14 +421,16 @@ def block_coordinate_local(
 
     `store`, when given, must be indexed by working-set position.  Runs
     at most `sweeps` rounds from uniform responsibilities (or the given
-    start), stops early once the largest parameter change drops below
-    `tol`, and always ends on a q(x) refresh so the returned Gaussians
-    are consistent with the returned responsibilities.  The annotation
-    graph is built and colored once per call; every q(z) pass then
-    refreshes the unlinked items together and the linked items one color
-    class at a time, in color order.  Items of one class share no edge,
-    so each pass is exact coordinate ascent in that item order and the
-    surrogate ELBO cannot decrease along the sweeps.
+    (n, K) start), stops early once the largest parameter change drops
+    below `tol`, and always ends on a q(x) refresh so the returned
+    Gaussians are consistent with the returned responsibilities.  The
+    annotation graph is built and colored once per call; every q(z) pass
+    then refreshes the unlinked items together and the linked items one
+    color class at a time, in color order.  Items of one class share no
+    edge, so each pass is exact coordinate ascent in that item order and
+    the surrogate ELBO cannot decrease along the sweeps.  The
+    responsibilities are held component-major, (K, n), between the
+    transpose on entry and the one on exit.
     """
     n = potential.n_items
     if sweeps < 1:
@@ -422,38 +438,35 @@ def block_coordinate_local(
     exps = global_expectations(glob)
     K = exps.log_pi.shape[0]
     if init_log_resp is None:
-        log_resp = np.full((n, K), -math.log(K))
+        log_resp = np.full((K, n), -math.log(K))
     else:
-        log_resp = np.array(init_log_resp, dtype=float)
+        log_resp = np.asarray(init_log_resp, dtype=float)
+        if log_resp.shape != (n, K):
+            raise ValueError(
+                f"init_log_resp must have shape (n, K) = {(n, K)}, got {log_resp.shape}"
+            )
+        log_resp = np.ascontiguousarray(log_resp.T)
+    log_pi = exps.log_pi[:, None]
     neighbors = annotation_graph(store, glob.workers, n)
-    x_h, x_j, x_mean, x_cov = update_local_x(np.exp(log_resp), exps, potential)
+    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(np.exp(log_resp).T, exps, potential)
     for _ in range(sweeps):
-        base = exps.log_pi + component_logits(exps, x_mean, x_cov)
-        new_log_resp = update_local_z(base, neighbors, log_resp)
-        new_x = update_local_x(np.exp(new_log_resp), exps, potential)
+        base = log_pi + component_logits(exps, x_mean, x_cov)
+        new_log_resp, resp = update_local_z(base, neighbors, log_resp)
+        new_x = update_local_x(resp.T, exps, potential)
         delta = max(
             np.max(np.abs(new_log_resp - log_resp)),
             np.max(np.abs(new_x[0] - x_h)),
             np.max(np.abs(new_x[1] - x_j)),
         )
         log_resp = new_log_resp
-        x_h, x_j, x_mean, x_cov = new_x
+        x_h, x_j, x_mean, x_cov, x_logdet = new_x
         if delta < tol:
             break
-    return LocalVariational(log_resp, x_h, x_j, x_mean, x_cov)
+    return LocalVariational(np.ascontiguousarray(log_resp.T), x_h, x_j, x_mean, x_cov, x_logdet)
 
 
 # ---------------------------------------------------------------------------
 # objective pieces
-
-
-def _gaussian_log_partitions(x_h, x_mean, x_j) -> np.ndarray:
-    """log Z of each local Gaussian, constants dropped as everywhere else."""
-    try:
-        _, logdet = _spd_inverse_logdet(-2.0 * x_j)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("x_j must be negative definite") from err
-    return 0.5 * np.einsum("ni,ni->n", x_mean, x_h) - 0.5 * logdet
 
 
 def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> float:
@@ -461,8 +474,10 @@ def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> fl
 
     z part: sum_k r_ik (log r_ik - E[log pi_k]); x part is the bracket
     <eta_i - mixture evidence, E t(x_i)> - log Z(eta_i) plus the
-    responsibility-weighted expected component log partitions.  `rows`
-    restricts the sum (e.g. to the data minibatch of a working set).
+    responsibility-weighted expected component log partitions.  log Z
+    reads the log-determinants `update_local_x` computed, constants
+    dropped as everywhere else.  `rows` restricts the sum (e.g. to the
+    data minibatch of a working set).
     """
     if rows is None:
         rows = np.arange(local.n_items)
@@ -478,7 +493,7 @@ def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> fl
     dh = local.x_h[rows] - r @ exps.mean_prec
     dj = local.x_j[rows] - _mix(r, exps.neg_half_prec)
     inner = np.einsum("ni,ni->n", dh, mean) + np.einsum("nij,nij->n", dj, second)
-    log_z = _gaussian_log_partitions(local.x_h[rows], mean, local.x_j[rows])
+    log_z = 0.5 * np.einsum("ni,ni->n", mean, local.x_h[rows]) - 0.5 * local.x_logdet[rows]
     kl_x = float(np.sum(inner - log_z - r @ (exps.neg_half_mahal + exps.neg_half_logdet)))
     return kl_z + kl_x
 

@@ -38,8 +38,7 @@ from crowdmix.vmp import (
     BayesModel,
     LocalVariational,
     RecognitionPotential,
-    _gaussian_log_partitions,
-    _log_softmax_rows,
+    _log_softmax_columns,
     _mix,
     _network_objective,
     _spd_inverse_logdet,
@@ -85,12 +84,14 @@ def scalar_local(resp, means, variances) -> LocalVariational:
     variances = np.asarray(variances, dtype=float).reshape(-1)
     log_resp = np.full_like(resp, -np.inf)
     np.log(resp, out=log_resp, where=resp > 0.0)
+    x_j = (-0.5 / variances)[:, None, None]
     return LocalVariational(
         log_resp=log_resp,
         x_h=(means / variances)[:, None],
-        x_j=(-0.5 / variances)[:, None, None],
+        x_j=x_j,
         x_mean=means[:, None],
         x_cov=variances[:, None, None],
+        x_logdet=np.linalg.slogdet(-2.0 * x_j)[1],
     )
 
 
@@ -175,7 +176,7 @@ def test_identical_components_uniform_resp_reduce_to_single_component():
     glob = scalar_glob([1.0, 1.0], [comp, comp])
     exps = global_expectations(glob)
     pot = RecognitionPotential(np.zeros((1, 1)), np.full((1, 1), -1e-13))
-    x_h, x_j, _, _ = update_local_x(np.array([[0.5, 0.5]]), exps, pot)
+    x_h, x_j, _, _, _ = update_local_x(np.array([[0.5, 0.5]]), exps, pot)
     assert abs(x_h[0, 0] - exps.mean_prec[0, 0]) < 1e-10
     assert abs(x_j[0, 0, 0] - exps.neg_half_prec[0, 0, 0]) < 1e-10
 
@@ -185,7 +186,7 @@ def test_local_x_update_matches_scalar_arithmetic():
     exps = global_expectations(glob)
     pot = RecognitionPotential(np.array([[0.5]]), np.array([[-1.0]]))
     resp = np.array([[0.3, 0.7]])
-    x_h, x_j, x_mean, x_cov = update_local_x(resp, exps, pot)
+    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp, exps, pot)
     expected_h = expected_j = 0.0
     for r, (m, _, s, nu) in zip(resp[0], TEST_COMPONENTS):
         expected_h += r * nu * m / s
@@ -196,6 +197,7 @@ def test_local_x_update_matches_scalar_arithmetic():
     assert abs(x_j[0, 0, 0] - expected_j) < 1e-12
     assert abs(x_cov[0, 0, 0] - 1.0 / (-2.0 * expected_j)) < 1e-12
     assert abs(x_mean[0, 0] - expected_h / (-2.0 * expected_j)) < 1e-12
+    assert abs(x_logdet[0] - math.log(-2.0 * expected_j)) < 1e-12
 
 
 def test_local_x_precision_always_negative_definite():
@@ -207,9 +209,11 @@ def test_local_x_precision_always_negative_definite():
     pot = RecognitionPotential(
         rng.normal(size=(20, 3), scale=4.0), -np.exp(rng.normal(size=(20, 3), scale=2.0))
     )
-    _, x_j, _, _ = update_local_x(resp, exps, pot)
+    _, x_j, _, _, x_logdet = update_local_x(resp, exps, pot)
     eigs = np.linalg.eigvalsh(x_j)
     assert np.all(eigs < 0.0)
+    expected_logdet = np.linalg.slogdet(-2.0 * x_j)[1]
+    assert np.max(np.abs(x_logdet - expected_logdet)) <= 1e-12 * np.max(np.abs(expected_logdet))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +266,6 @@ def test_local_x_update_raises_linalg_error_on_a_positive_precision_bracket():
         update_local_x(rng.dirichlet(np.ones(3), size=6), exps, pot)
 
 
-def test_gaussian_log_partitions_reject_non_negative_definite_j():
-    x_j = -np.tile(np.eye(2), (4, 1, 1))
-    _gaussian_log_partitions(np.ones((4, 2)), np.ones((4, 2)), x_j)
-    x_j[2, 1, 1] = 0.0
-    with pytest.raises(ValueError, match="negative definite"):
-        _gaussian_log_partitions(np.ones((4, 2)), np.ones((4, 2)), x_j)
-
-
 def test_component_contractions_equal_einsum():
     rng = np.random.default_rng(8)
     n, K, d = 30, 5, 3
@@ -286,7 +282,7 @@ def test_component_contractions_equal_einsum():
     )
     second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
     assert close(
-        component_logits(exps, x_mean, x_cov),
+        component_logits(exps, x_mean, x_cov).T,
         x_mean @ exps.mean_prec.T
         + np.einsum("nij,kij->nk", second, exps.neg_half_prec)
         + exps.neg_half_mahal
@@ -309,8 +305,8 @@ def test_symmetric_items_get_uniform_responsibilities():
     comp = (0.4, 2.5, 1.8, 3.0)
     glob = scalar_glob([2.0, 2.0], [comp, comp])
     exps = global_expectations(glob)
-    base = exps.log_pi + component_logits(exps, np.array([[0.7]]), np.array([[[0.5]]]))
-    out = update_local_z(base, AnnotationGraph(1, [], [], []), np.full((1, 2), -math.log(2.0)))
+    base = exps.log_pi[:, None] + component_logits(exps, np.array([[0.7]]), np.array([[[0.5]]]))
+    out, _ = update_local_z(base, AnnotationGraph(1, [], [], []), np.full((2, 1), -math.log(2.0)))
     assert np.allclose(np.exp(out), 0.5, atol=1e-12)
 
 
@@ -318,7 +314,7 @@ def test_point_mass_neighbor_message_shifts_one_coordinate():
     base = np.array([[0.3, -0.2], [0.0, 0.0]])
     log_resp = np.log(np.array([[0.5, 0.5], [1e-300, 1.0]]))
     neighbors = AnnotationGraph(2, [0, 1], [1, 0], [math.log(9.0)] * 2)
-    out = update_local_z(base, neighbors, log_resp)
+    out = update_local_z(base.T, neighbors, log_resp.T)[0].T
     expected = log_softmax(base[0] + math.log(9.0) * np.array([0.0, 1.0]))
     assert np.allclose(out[0], expected, atol=1e-12)
 
@@ -400,7 +396,7 @@ def test_class_update_equals_sequential_updates_in_class_order(seed):
     log_resp = log_softmax(rng.normal(size=(store.n_items, K), scale=2.0), axis=-1)
     order = np.concatenate(graph.classes)
     expected = sequential_local_z(base, graph, log_resp, order)
-    assert np.max(np.abs(update_local_z(base, graph, log_resp) - expected)) < 1e-12
+    assert np.max(np.abs(update_local_z(base.T, graph, log_resp.T)[0].T - expected)) < 1e-12
     # the visiting order matters, so the comparison above is not vacuous
     by_index = sequential_local_z(base, graph, log_resp, np.sort(order))
     assert np.max(np.abs(by_index - expected)) > 1e-6
@@ -459,8 +455,8 @@ GRAPH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
-def test_numpy_graph_equals_the_per_item_loop(case):
+def graph_case(case):
+    """(rng, store, workers, n_items) of one GRAPH_CASES entry."""
     rng = np.random.default_rng(7)
     store = GRAPH_CASES[case]
     if isinstance(store, int):
@@ -468,6 +464,12 @@ def test_numpy_graph_equals_the_per_item_loop(case):
         store = random_annotations(rng)
     n_items = 6 if store is None else store.n_items
     workers = random_workers(rng, 2 if store is None else store.n_workers)
+    return rng, store, workers, n_items
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_numpy_graph_equals_the_per_item_loop(case):
+    _, store, workers, n_items = graph_case(case)
     graph = annotation_graph(store, workers, n_items)
     neighbors, classes, class_edges = reference_graph(store, workers, n_items)
     assert [list(nb) for nb in graph] == neighbors
@@ -483,6 +485,106 @@ def test_numpy_graph_equals_the_per_item_loop(case):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+# Row-major references for the component-major local step: (n, K)
+# responsibilities and logits, every softmax along the K-wide last axis.
+
+
+def log_softmax_rows(x):
+    x_max = np.max(x, axis=-1, keepdims=True)
+    x_max[~np.isfinite(x_max)] = 0
+    tmp = x - x_max
+    with np.errstate(divide="ignore"):
+        return tmp - np.log(np.sum(np.exp(tmp), axis=-1, keepdims=True))
+
+
+def component_logits_rows(exps, x_mean, x_cov):
+    n, d = x_mean.shape
+    second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
+    return (
+        x_mean @ exps.mean_prec.T
+        + second.reshape(n, d * d) @ exps.neg_half_prec.reshape(-1, d * d).T
+        + exps.neg_half_mahal
+        + exps.neg_half_logdet
+    )
+
+
+def update_local_z_rows(base, neighbors, log_resp):
+    """The unlinked items by a boolean gather and scatter, then the linked
+    items one color class at a time."""
+    out = np.array(log_resp, dtype=float)
+    resp = np.exp(out)
+    free = ~neighbors.linked
+    if np.any(free):
+        out[free] = log_softmax_rows(base[free])
+        resp[free] = np.exp(out[free])
+    for idx, (starts, other, weight) in zip(neighbors.classes, neighbors.class_edges):
+        messages = np.add.reduceat(weight[:, None] * resp[other], starts, axis=0)
+        out[idx] = log_softmax_rows(base[idx] + messages)
+        resp[idx] = np.exp(out[idx])
+    return out
+
+
+def local_step_rows(glob, potential, store, sweeps, tol):
+    """Log responsibilities of block_coordinate_local from uniform ones."""
+    exps = global_expectations(glob)
+    n, K = potential.n_items, exps.log_pi.shape[0]
+    log_resp = np.full((n, K), -math.log(K))
+    neighbors = annotation_graph(store, glob.workers, n)
+    x_h, x_j, x_mean, x_cov, _ = update_local_x(np.exp(log_resp), exps, potential)
+    for _ in range(sweeps):
+        base = exps.log_pi + component_logits_rows(exps, x_mean, x_cov)
+        new_log_resp = update_local_z_rows(base, neighbors, log_resp)
+        new_x = update_local_x(np.exp(new_log_resp), exps, potential)
+        delta = max(
+            np.max(np.abs(new_log_resp - log_resp)),
+            np.max(np.abs(new_x[0] - x_h)),
+            np.max(np.abs(new_x[1] - x_j)),
+        )
+        log_resp = new_log_resp
+        x_h, x_j, x_mean, x_cov, _ = new_x
+        if delta < tol:
+            break
+    return log_resp
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_component_major_local_z_equals_the_row_major_reference(case):
+    """Covers graphs that link no item, some items and every item
+    (clique-6), with K = 15 so the softmax sums run in another order."""
+    rng, store, workers, n_items = graph_case(case)
+    graph = annotation_graph(store, workers, n_items)
+    K, d = 15, 2
+    exps = global_expectations(init_global(MixturePrior.default(K, d), rng))
+    x_mean = rng.standard_normal((n_items, d))
+    x_cov = np.linalg.inv(random_spd(rng, n_items, d))
+    logits = component_logits(exps, x_mean, x_cov)
+    expected_logits = component_logits_rows(exps, x_mean, x_cov)
+    assert logits.shape == (K, n_items)
+    assert np.max(np.abs(logits.T - expected_logits)) <= 1e-12 * np.max(np.abs(expected_logits))
+    base = rng.normal(size=(n_items, K), scale=2.0)
+    log_resp = log_softmax(rng.normal(size=(n_items, K), scale=2.0), axis=-1)
+    out, resp = update_local_z(base.T, graph, log_resp.T)
+    assert np.max(np.abs(out.T - update_local_z_rows(base, graph, log_resp))) < 1e-12
+    assert np.array_equal(resp, np.exp(out))
+
+
+def test_predict_equals_the_argmax_of_the_row_major_local_step():
+    dataset, store = tiny_problem()
+    config = BayesConfig(latent_dim=2, epochs=2, batch_size=40)
+    model = train_bayes_scdc(dataset, store, config, np.random.default_rng(7)).model
+    potential = recognition_potential(model.recognition, dataset.observations)
+    for annotations in (store, None):
+        expected = local_step_rows(
+            model.glob, potential, annotations, model.local_sweeps, model.local_tol
+        )
+        local = model.local_posterior(dataset.observations, annotations)
+        assert np.max(np.abs(local.log_resp - expected)) < 1e-9
+    # predict passes no store
+    assert np.array_equal(
+        model.predict(dataset.observations), np.argmax(np.exp(expected), axis=1)
+    )
+
+
 def grid_instance():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=one_worker())
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], n_items=3, n_workers=1)
@@ -496,15 +598,13 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     glob, store, pot = grid_instance()
     exps = global_expectations(glob)
     local = block_coordinate_local(glob, pot, store, sweeps=2, tol=0.0)
-    base = exps.log_pi + component_logits(exps, local.x_mean, local.x_cov)
+    base = exps.log_pi[:, None] + component_logits(exps, local.x_mean, local.x_cov)
     graph = annotation_graph(store, glob.workers, 3)
-    updated = update_local_z(base, graph, local.log_resp)
+    updated = update_local_z(base, graph, local.log_resp.T)[0].T
 
     # item 0 updates first, so its refresh uses exactly the input state
     def surrogate_at(t: float) -> float:
-        cand = LocalVariational(
-            np.array(local.log_resp), local.x_h, local.x_j, local.x_mean, local.x_cov
-        )
+        cand = replace(local, log_resp=np.array(local.log_resp))
         cand.log_resp[0] = np.log([t, 1.0 - t])
         return surrogate_elbo(glob, TEST_PRIOR, cand, pot, store)
 
@@ -514,6 +614,13 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     t_updated = float(np.exp(updated[0, 0]))
     assert abs(t_updated - best) < 1e-3
     assert surrogate_at(t_updated) >= max(values) - 1e-8
+
+
+def test_init_log_resp_of_another_shape_is_named():
+    glob, store, pot = grid_instance()  # n = 3 items, K = 2 components
+    for bad in (np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match="init_log_resp"):
+            block_coordinate_local(glob, pot, store, init_log_resp=bad)
 
 
 def test_block_coordinate_reaches_a_fixed_point():
@@ -981,30 +1088,32 @@ def test_config_validation():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_log_softmax_rows_equals_scipy_exactly(seed):
+def test_log_softmax_columns_equals_scipy_exactly(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((30, 7)) * 10.0 ** rng.uniform(-2, 3, size=(30, 1))
+    x = rng.standard_normal((7, 30)) * 10.0 ** rng.uniform(-2, 3, size=(1, 30))
     x[rng.random(x.shape) < 0.15] = -np.inf
-    x[3] = -np.inf
-    x[4, 2] = np.inf
-    x[5, 1] = np.nan
-    assert np.array_equal(_log_softmax_rows(x), log_softmax(x, axis=-1), equal_nan=True)
+    x[:, 3] = -np.inf
+    x[2, 4] = np.inf
+    x[1, 5] = np.nan
+    assert np.array_equal(_log_softmax_columns(x), log_softmax(x, axis=0), equal_nan=True)
 
 
 # History and sha256 of the sorted-key model JSON of a 2-epoch run on
-# tiny_problem(), recorded with the per-entry Cholesky kernel in the local
-# q(x) step and the K-component contractions as matmuls (numpy 2.4.6,
-# OpenBLAS, x86-64; another BLAS may change the last bits).  The current
-# code must reproduce them bit for bit.
+# tiny_problem(), recorded with the local step holding its responsibilities
+# and component logits component-major, (K, n), and adding the
+# Mahalanobis and log-determinant terms of the logits as one (K, 1)
+# column, besides the per-entry Cholesky kernel in the local q(x) step
+# (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change the last bits).
+# The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
-            {"epoch": 0, "objective": -1274.7640362917718, "effective_k": 4,
+            {"epoch": 0, "objective": -1274.7640362917716, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5284607689658716},
-            {"epoch": 1, "objective": -1019.2885802780371, "effective_k": 4,
+            {"epoch": 1, "objective": -1019.2885802780378, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5165719394406421},
         ],
-        "29873ec080bb6c57bbb47b645b350206794c5f76019492e49f98058ab24a6a9c",
+        "5cd639ac8d12ffe824bd1b9f1edcb9b85fb3ac194655de8ad97dc3622625da58",
     ),
 }
 
