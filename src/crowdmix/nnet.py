@@ -88,28 +88,28 @@ class Tensor:
 
     # operator sugar; constants are wrapped as non-differentiable tensors
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, as_tensor(other))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(as_tensor(other), self)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, as_tensor(other))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, as_tensor(other))
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(as_tensor(other), self)
 
     def __neg__(self):
         return mul(self, constant(-1.0))
 
     def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return matmul(self, as_tensor(other))
 
 
 def constant(data) -> Tensor:
@@ -120,7 +120,7 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=float), requires=True)
 
 
-def _as_tensor(x) -> Tensor:
+def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
@@ -224,7 +224,8 @@ def relu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):   # exp(-a) = inf below a = -709 gives sig = 0
+        sig = 1.0 / (1.0 + np.exp(-a.data))
     return _record(out, (a,), lambda g: (g * sig,))
 
 
@@ -388,16 +389,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def reparameterize(mean: Tensor, std: Tensor, noise) -> Tensor:
     """x = mean + std * noise with std constrained positive."""
-    mean = _as_tensor(mean)
-    std = _as_tensor(std)
+    mean = as_tensor(mean)
+    std = as_tensor(std)
     if np.any(std.data <= 0.0):
         raise ValueError("std must be positive")
-    return add(mean, mul(std, _as_tensor(noise)))
+    return add(mean, mul(std, as_tensor(noise)))
 
 
 def diag_gaussian_loglik(x, mean: Tensor, logvar: Tensor) -> Tensor:
     """Row sums of log N(x; mean, diag exp(logvar)); x is treated as data."""
-    x = _as_tensor(x)
+    x = as_tensor(x)
     centered = sub(x, mean)
     quad = mul(mul(centered, centered), exp(-logvar))
     per_dim = add(add(quad, logvar), constant(np.log(2.0 * np.pi)))

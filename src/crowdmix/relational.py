@@ -10,12 +10,16 @@ not, so
 Labels are symmetric in (i, j) and stored canonically with i < j; absence
 of a triple is the "unobserved" indicator state.
 
-The likelihood pieces read worker accuracies through one protocol: an
-object whose `log_stats()` returns (M, 4) rows of (log a, log(1-a),
+Worker accuracies enter through one protocol: an object whose
+`log_stats()` returns a numpy array of (M, 4) rows (log a, log(1-a),
 log b, log(1-b)), as expectations for the Beta posteriors of
 `BetaWorkers`.  The point providers are `scdc.PointParams` (the
 amortized trainer's logits) and `data.WorkerPool` (the simulator's true
-accuracies).
+accuracies).  One function, `expected_rel_loglik`, gives the expected
+two-coin log-likelihood to both trainers, on the `nnet` tape: the
+Bayesian trainer passes the rows as numpy constants, the amortized one
+as a tensor of its worker logits.  The Bayesian message weights come
+from the same per-triple terms, its confusion counts from the same p_same.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import BetaNat, dirichlet_expected_stats
+from .nnet import Tensor, as_tensor, mul, reshape, take_rows, tensor_sum
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -137,36 +142,57 @@ class BetaWorkers:
 # ---------------------------------------------------------------------------
 # likelihood pieces
 
+# Per triple (i, j, m, L) the expected log-likelihood is w p_same + c, with
+# w = <ls, A> and c = <ls, B> for the worker's log_stats row ls,
+# A = (L, 1-L, -(1-L), -L) and B = (0, 0, 1-L, L).  Both are linear in L:
+# w = u + L v and c = s + L r, with u = log((1-a)/b), the vote weight
+# v = log(a/(1-a)) + log(b/(1-b)), s = log b and r = log((1-b)/b).
+# ls @ _DIFFERENCES is (u, log(a/(1-a)), log(b/(1-b)), log b), @ _CONTRASTS
+# (u, v, s, r), and @ _BY_LABEL (u, u + v, s, s + r): w and c for L = 0, 1.
+# Every entry of each product sums at most two nonzero terms, so its
+# rounding does not depend on the order the terms add in.
+_DIFFERENCES = np.array([[0, 1, 0, 0], [1, -1, 0, 0], [-1, 0, 1, 1], [0, 0, -1, 0]], float)
+_CONTRASTS = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, -1], [0, 0, 1, 0]], float)
+_BY_LABEL = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], float)
 
-def _message_weights(labels: np.ndarray, log_stats: np.ndarray) -> np.ndarray:
-    """w = E[log((1-a)/b)] + L (E[log(a/(1-a))] + E[log(b/(1-b))]) per triple."""
-    base = log_stats[:, 1] - log_stats[:, 2]
-    swing = (log_stats[:, 0] - log_stats[:, 1]) + (log_stats[:, 2] - log_stats[:, 3])
-    return base + labels * swing
+
+def _worker_contrasts(log_stats) -> Tensor:
+    """(M, 4) rows (u, v, s, r) of the (M, 4) log_stats rows."""
+    return (as_tensor(log_stats) @ _DIFFERENCES) @ _CONTRASTS
+
+
+def _same_cluster_prob(store: AnnotationStore, q_z) -> Tensor:
+    """p_same = sum_k q(z_i=k) q(z_j=k) per stored triple; q_z is (n_items, K)."""
+    q_z = as_tensor(q_z)
+    if q_z.data.ndim != 2 or q_z.data.shape[0] != store.n_items:
+        raise ValueError(f"q_z has shape {q_z.data.shape}, the store needs {store.n_items} rows")
+    t = store.triples
+    return tensor_sum(mul(take_rows(q_z, t[:, 0]), take_rows(q_z, t[:, 1])), axis=-1)
+
+
+def two_coin_terms(store: AnnotationStore, log_stats) -> tuple[Tensor, Tensor]:
+    """Per stored triple, w = <ls_m, A> and c = <ls_m, B>: its expected
+    log-likelihood is w p_same + c.  w, the gap E log p(L | same) -
+    E log p(L | different), weighs the message between q(z_i) and q(z_j)."""
+    table = reshape(_worker_contrasts(log_stats) @ _BY_LABEL, (-1,))  # (M * 4,)
+    at = 4 * store.triples[:, 2] + store.triples[:, 3]
+    return take_rows(table, at), take_rows(table, at + 2)
 
 
 def expected_worker_weights(workers) -> np.ndarray:
     """Per-worker expected vote weight E[log(a/(1-a))] + E[log(b/(1-b))]."""
-    ls = workers.log_stats()
-    return (ls[:, 0] - ls[:, 1]) + (ls[:, 2] - ls[:, 3])
+    return _worker_contrasts(workers.log_stats()).data[:, 1]
 
 
-def expected_rel_loglik(store: AnnotationStore, q_z: np.ndarray, workers, scale: float = 1.0) -> float:
-    """E_q log p(L | Z, alpha, beta) summed over the stored triples.
+def expected_rel_loglik(store: AnnotationStore, q_z, log_stats, scale: float = 1.0) -> Tensor:
+    """E_q log p(L | Z, alpha, beta) summed over the stored triples, times scale.
 
-    Per triple: w * <E t(z_i), E t(z_j)> + E[L log((1-b)/b) + log b],
-    with w the message weight above.
+    Per triple: w p_same + c, with the terms of `two_coin_terms`.  `q_z`
+    (n_items, K) and `log_stats` (M, 4) may be tape tensors or numpy
+    arrays; arrays enter as constants, so they record no node.
     """
-    if store.n_annotations == 0:
-        return 0.0
-    t = store.triples
-    q_z = np.asarray(q_z, dtype=float)
-    ls = workers.log_stats()[t[:, 2]]
-    labels = t[:, 3].astype(float)
-    w = _message_weights(labels, ls)
-    p_same = np.sum(q_z[t[:, 0]] * q_z[t[:, 1]], axis=1)
-    const = labels * (ls[:, 3] - ls[:, 2]) + ls[:, 2]
-    return float(scale * np.sum(w * p_same + const))
+    weight, const = two_coin_terms(store, log_stats)
+    return tensor_sum(mul(weight, _same_cluster_prob(store, q_z)) + const) * scale
 
 
 def beta_natural_gradient(
@@ -179,24 +205,19 @@ def beta_natural_gradient(
     """Natural gradients of the objective in the worker Beta parameters.
 
     Fixed point: posterior = prior + (scaled) expected confusion counts,
-    counting each canonical i < j triple once.  Returns (M, 2) arrays for
-    the alpha and beta parameters.
+    counting each canonical i < j triple once.  Triple t adds the row
+    A p_same + B = (L p, (1-L) p, (1-L)(1-p), L (1-p)) to its worker's
+    counts, the gradient of its expected log-likelihood in log_stats.
+    Returns (M, 2) arrays for the alpha and beta parameters.
     """
-    q_z = np.asarray(q_z, dtype=float)
-    M = current.n_workers
-    counts_a = np.zeros((M, 2))
-    counts_b = np.zeros((M, 2))
-    if store.n_annotations > 0:
-        t = store.triples
-        labels = t[:, 3].astype(float)
-        p_same = np.sum(q_z[t[:, 0]] * q_z[t[:, 1]], axis=1)
-        np.add.at(counts_a, t[:, 2], p_same[:, None] * np.stack([labels, 1.0 - labels], axis=1))
-        np.add.at(
-            counts_b, t[:, 2], (1.0 - p_same)[:, None] * np.stack([1.0 - labels, labels], axis=1)
-        )
+    p = _same_cluster_prob(store, q_z).data[:, None]
+    labels, flipped = store.triples[:, 3:].astype(float), 1.0 - store.triples[:, 3:]
+    counts = np.zeros((current.n_workers, 4))
+    rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
+    np.add.at(counts, store.triples[:, 2], rows)
     prior_a, prior_b = prior
-    grad_a = prior_a.eta + scale * counts_a - current.alpha_nat.eta
-    grad_b = prior_b.eta + scale * counts_b - current.beta_nat.eta
+    grad_a = prior_a.eta + scale * counts[:, :2] - current.alpha_nat.eta
+    grad_b = prior_b.eta + scale * counts[:, 2:] - current.beta_nat.eta
     return grad_a, grad_b
 
 

@@ -10,9 +10,10 @@ in one stacked item-major batch (row i*K + k is item i under component
 k) that goes through the latent encoder and the decoder once, with one
 reparameterized latent draw per row.  Annotations enter through the
 closed-form expectation of the two-coin worker likelihood over pairs of
-cluster posteriors.  `ScdcModel` holds the point parameters and the
-three networks; `driver.fit` runs the minibatch loop; `train_scdc`
-supplies the parameters and the step.
+cluster posteriors, `relational.expected_rel_loglik`, with the worker
+rows built on the tape from the point logits.  `ScdcModel` holds the
+point parameters and the three networks; `driver.fit` runs the minibatch
+loop; `train_scdc` supplies the parameters and the step.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .nnet import (
     Tensor,
     TrainingDivergence,
     backward,
-    constant,
     diag_gaussian_loglik,
     exp,
     log_softmax,
@@ -46,7 +46,10 @@ from .nnet import (
     tensor_sum,
     zero_grads,
 )
-from .relational import AnnotationStore, sample_annotation_minibatch
+from .relational import AnnotationStore, expected_rel_loglik, sample_annotation_minibatch
+
+# worker_logits @ SIGNS = (l_a, -l_a, l_b, -l_b), whose log sigmoids are log_stats
+SIGNS = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
 
 
 @dataclass
@@ -114,18 +117,13 @@ class PointParams:
     def pi(self) -> np.ndarray:
         return np.exp(np_log_softmax(self.pi_logits.data))
 
-    def log_stats(self) -> np.ndarray:
-        """(M, 4) rows of (log a, log(1-a), log b, log(1-b)).
+    def log_stats_tensor(self) -> Tensor:
+        """(M, 4) rows (log a, log(1-a), log b, log(1-b)) on the tape."""
+        return -softplus(-(self.worker_logits @ SIGNS))
 
-        Same layout as the Bayesian worker representation, so weight and
-        likelihood helpers accept point parameters directly.
-        """
-        logits = self.worker_logits.data
-        log_acc = -np.logaddexp(0.0, -logits)    # log sigmoid
-        log_miss = -np.logaddexp(0.0, logits)    # log (1 - sigmoid)
-        return np.stack(
-            [log_acc[:, 0], log_miss[:, 0], log_acc[:, 1], log_miss[:, 1]], axis=1
-        )
+    def log_stats(self) -> np.ndarray:
+        """The worker protocol of `relational`: `log_stats_tensor` as an array."""
+        return self.log_stats_tensor().data
 
     def to_dict(self) -> dict:
         return {
@@ -137,13 +135,17 @@ class PointParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PointParams":
+        """Parameters from a `to_dict` document; `worker_logits` must be (M, 2)."""
+        worker_logits = np.asarray(doc["worker_logits"], dtype=float)
+        if worker_logits.shape == (0,):   # to_dict writes no workers as []
+            worker_logits = worker_logits.reshape(0, 2)
+        if worker_logits.ndim != 2 or worker_logits.shape[1] != 2:
+            raise ValueError(f"worker_logits has shape {worker_logits.shape}, need (M, 2)")
         return cls(
             pi_logits=parameter(np.asarray(doc["pi_logits"], dtype=float)),
             means=parameter(np.asarray(doc["means"], dtype=float)),
             log_vars=parameter(np.asarray(doc["log_vars"], dtype=float)),
-            worker_logits=parameter(
-                np.asarray(doc["worker_logits"], dtype=float).reshape(-1, 2)
-            ),
+            worker_logits=parameter(worker_logits),
         )
 
 
@@ -211,33 +213,13 @@ def elbo_local(
 def elbo_rel(store: AnnotationStore, q_z: Tensor, point: PointParams, scale: float):
     """Annotation-term ELBO: closed-form pair expectation per triple.
 
-    For annotation (i, j, m, L): with p_same = sum_k q(z_i=k) q(z_j=k),
-    the expected two-coin log-likelihood is p_same log Bern(L; a_m) +
-    (1 - p_same) log Bern(L; 1 - b_m).  `q_z` is the tape tensor of
-    cluster posteriors aligned with the store's item indexing; `scale`
-    carries the Na/|S| subsample correction.
+    `relational.expected_rel_loglik` of the cluster posteriors `q_z`,
+    aligned with the store's item indexing, and of the point workers'
+    log_stats rows built on the tape, so the gradient reaches both the
+    cluster encoder and the worker logits.  `scale` carries the Na/|S|
+    subsample correction.
     """
-    if q_z.data.shape[0] != store.n_items:
-        raise ValueError("q_z rows must match the store's item count")
-    t = store.triples
-    q_i = take_rows(q_z, t[:, 0])
-    q_j = take_rows(q_z, t[:, 1])
-    p_same = tensor_sum(mul(q_i, q_j), axis=-1)               # (T,)
-    logits = take_rows(point.worker_logits, t[:, 2])          # (T, 2)
-    log_acc = -softplus(-logits)                              # log sigmoid
-    log_miss = -softplus(logits)                              # log (1 - sigmoid)
-    labels = constant(t[:, 3].astype(float))
-    flipped = constant(1.0 - t[:, 3].astype(float))
-
-    def column(tensor, idx):
-        picker = constant(np.eye(2)[idx][None, :])
-        return tensor_sum(mul(tensor, picker), axis=-1)
-
-    # Bernoulli log-probabilities per triple under "same" and "different"
-    same_ll = mul(labels, column(log_acc, 0)) + mul(flipped, column(log_miss, 0))
-    diff_ll = mul(labels, column(log_miss, 1)) + mul(flipped, column(log_acc, 1))
-    value = mul(p_same, same_ll - diff_ll) + diff_ll
-    return tensor_sum(value) * scale
+    return expected_rel_loglik(store, q_z, point.log_stats_tensor(), scale)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,10 @@ from .nnet import (
 )
 from .relational import (
     AnnotationStore,
-    _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
     sample_annotation_minibatch,
+    two_coin_terms,
 )
 
 # Added below -softplus(raw) so evidence precisions stay bounded away
@@ -362,7 +362,7 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     t = store.triples
     if t[:, :2].max() >= n_items:
         raise ValueError("store must be indexed by working-set position")
-    weights = _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
+    weights = two_coin_terms(store, workers.log_stats())[0].data
     # both ends of each triple in turn, so each item's edges keep triple order
     return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
@@ -581,7 +581,8 @@ def final_objective(
     """
     rel = 0.0
     if store is not None and glob.workers is not None:
-        rel = expected_rel_loglik(store, local.resp, glob.workers, scale=rel_scale)
+        ls = glob.workers.log_stats()
+        rel = float(expected_rel_loglik(store, local.resp, ls, scale=rel_scale).data)
     value = (
         data_scale * (data - local_kl(exps, local, rows))
         + rel
@@ -650,21 +651,18 @@ class BayesConfig:
 
 @dataclass
 class BayesModel:
-    """Trained state: prior, global posteriors and both networks."""
+    """Trained state: prior, global posteriors and both networks.  Saved
+    `worker_prior` and `local_tol` keys, which nothing read, are ignored."""
 
     prior: MixturePrior
     glob: GlobalVariational
     recognition: Mlp
     decoder: Mlp
-    worker_prior: tuple[float, float] = (1.0, 1.0)
     local_sweeps: int = 4
-    local_tol: float = 1e-6
 
     def local_posterior(self, observations, store: AnnotationStore | None = None) -> LocalVariational:
         potential = recognition_potential(self.recognition, observations)
-        return block_coordinate_local(
-            self.glob, potential, store, sweeps=self.local_sweeps, tol=self.local_tol
-        )
+        return block_coordinate_local(self.glob, potential, store, sweeps=self.local_sweeps)
 
     def responsibilities(self, observations) -> np.ndarray:
         return self.local_posterior(observations).resp
@@ -679,9 +677,7 @@ class BayesModel:
             "globals": self.glob.to_dict(),
             "recognition": self.recognition.state_dict(),
             "decoder": self.decoder.state_dict(),
-            "worker_prior": list(self.worker_prior),
             "local_sweeps": int(self.local_sweeps),
-            "local_tol": float(self.local_tol),
         }
 
     @classmethod
@@ -691,9 +687,7 @@ class BayesModel:
             glob=GlobalVariational.from_dict(doc["globals"]),
             recognition=Mlp.from_state(doc["recognition"]),
             decoder=Mlp.from_state(doc["decoder"]),
-            worker_prior=tuple(float(v) for v in doc.get("worker_prior", (1.0, 1.0))),
             local_sweeps=int(doc.get("local_sweeps", 4)),
-            local_tol=float(doc.get("local_tol", 1e-6)),
         )
 
 

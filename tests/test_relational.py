@@ -9,12 +9,12 @@ from crowdmix.expfam import BetaNat
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
-    _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
     expected_worker_weights,
     sample_annotation_minibatch,
 )
+from crowdmix.scdc import PointParams
 from crowdmix.vmp import annotation_graph
 
 LN9 = np.log(9.0)
@@ -142,10 +142,18 @@ def test_annotation_log_likelihood_boundary():
         annotation_log_likelihood(1, True, 0.5, 0.0)
 
 
+def reference_message_weights(labels: np.ndarray, log_stats: np.ndarray) -> np.ndarray:
+    """w = E[log((1-a)/b)] + L (E[log(a/(1-a))] + E[log(b/(1-b))]) per triple,
+    from the triples' labels and their workers' log_stats rows."""
+    base = log_stats[:, 1] - log_stats[:, 2]
+    swing = (log_stats[:, 0] - log_stats[:, 1]) + (log_stats[:, 2] - log_stats[:, 3])
+    return base + labels * swing
+
+
 def message_weights(store, workers) -> np.ndarray:
     """The message weight of each stored triple."""
     t = store.triples
-    return _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
+    return reference_message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
 
 
 def test_message_weight_point_examples():
@@ -252,22 +260,27 @@ def _brute_force_rel(store, q_z, workers):
     return total
 
 
+def rel_loglik(store, q_z, workers, scale=1.0) -> float:
+    """expected_rel_loglik of a worker provider, as a float."""
+    return float(expected_rel_loglik(store, q_z, workers.log_stats(), scale).data)
+
+
 def test_expected_rel_loglik_empty():
     store = AnnotationStore([], 3, 1)
-    assert expected_rel_loglik(store, np.full((3, 2), 0.5), WorkerPool.homogeneous(1, 0.9, 0.9)) == 0.0
+    assert rel_loglik(store, np.full((3, 2), 0.5), WorkerPool.homogeneous(1, 0.9, 0.9)) == 0.0
 
 
 def test_expected_rel_loglik_point_mass():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    value = expected_rel_loglik(store, q, WorkerPool.homogeneous(1, 0.9, 0.9))
+    value = rel_loglik(store, q, WorkerPool.homogeneous(1, 0.9, 0.9))
     assert abs(value - np.log(0.9)) < 1e-12
 
 
 def test_expected_rel_loglik_uniform_two_items():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.full((2, 2), 0.5)
-    value = expected_rel_loglik(store, q, WorkerPool.homogeneous(1, 0.9, 0.9))
+    value = rel_loglik(store, q, WorkerPool.homogeneous(1, 0.9, 0.9))
     expect = 0.5 * np.log(0.9) + 0.5 * np.log(0.1)
     assert abs(value - expect) < 1e-12
     assert abs(value - (0.5 * LN9 + np.log(0.1))) < 1e-12
@@ -288,15 +301,28 @@ def test_expected_rel_loglik_matches_brute_force():
         store = AnnotationStore(triples, n, m_workers)
         q = rng.dirichlet(np.ones(k), size=n)
         workers = WorkerPool(rng.uniform(0.2, 0.95, m_workers), rng.uniform(0.2, 0.95, m_workers))
-        value = expected_rel_loglik(store, q, workers)
+        value = rel_loglik(store, q, workers)
         assert abs(value - _brute_force_rel(store, q, workers)) < 1e-10
 
         posts = BetaWorkers.from_taus(
             [(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(m_workers)],
             [(rng.uniform(1, 9), rng.uniform(1, 9)) for _ in range(m_workers)],
         )
-        value = expected_rel_loglik(store, q, posts)
+        value = rel_loglik(store, q, posts)
         assert abs(value - _brute_force_rel(store, q, posts)) < 1e-10
+
+        # the amortized trainer's point workers, their rows built on the tape
+        point = PointParams.init(k, 2, m_workers, np.random.default_rng(trial))
+        value = float(expected_rel_loglik(store, q, point.log_stats_tensor()).data)
+        assert abs(value - _brute_force_rel(store, q, point)) < 1e-10
+
+
+@pytest.mark.parametrize("rows", [2, 7])
+def test_expected_rel_loglik_names_a_q_z_of_another_height(rows):
+    store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
+    log_stats = WorkerPool.homogeneous(1, 0.9, 0.9).log_stats()
+    with pytest.raises(ValueError, match="q_z"):
+        expected_rel_loglik(store, np.full((rows, 2), 0.5), log_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +361,15 @@ def test_beta_gradient_true_negative_count():
     assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
 
 
+@pytest.mark.parametrize("rows", [2, 7])
+def test_beta_gradient_names_a_q_z_of_another_height(rows):
+    store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
+    prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
+    current = BetaWorkers.constant_init(1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="q_z"):
+        beta_natural_gradient(store, np.full((rows, 2), 0.5), prior, current)
+
+
 # ---------------------------------------------------------------------------
 # annotation minibatches
 
@@ -356,12 +391,12 @@ def test_minibatch_estimator_exactly_unbiased():
     rng = np.random.default_rng(2)
     q = rng.dirichlet(np.ones(3), size=4)
     workers = WorkerPool([0.9, 0.7], [0.8, 0.6])
-    full = expected_rel_loglik(store, q, workers)
+    full = rel_loglik(store, q, workers)
     n = store.n_annotations
     for size in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), size))
         est = [
-            expected_rel_loglik(select_triples(store, rows), q, workers, scale=n / size)
+            rel_loglik(select_triples(store, rows), q, workers, scale=n / size)
             for rows in subsets
         ]
         assert abs(np.mean(est) - full) < 1e-12

@@ -31,7 +31,7 @@ from crowdmix.nnet import (
     tensor_sum,
     zero_grads,
 )
-from crowdmix.relational import AnnotationStore
+from crowdmix.relational import AnnotationStore, BetaWorkers, expected_rel_loglik
 from crowdmix.scdc import (
     PointParams,
     ScdcConfig,
@@ -218,6 +218,18 @@ def random_store(rng, n_items, n_workers, n_triples):
     return AnnotationStore(triples, n_items=n_items, n_workers=n_workers)
 
 
+def enumerate_triples(store, q, log_stats) -> float:
+    """Expected two-coin log-likelihood summed triple by triple."""
+    expected = 0.0
+    for i, j, m, label in store.triples:
+        p_same = float(q[i] @ q[j])
+        log_a, log_1ma, log_b, log_1mb = log_stats[m]
+        same = log_a if label == 1 else log_1ma
+        diff = log_1mb if label == 1 else log_b
+        expected += p_same * same + (1.0 - p_same) * diff
+    return expected
+
+
 def test_elbo_rel_against_triple_enumeration():
     rng = np.random.default_rng(41)
     n_items, n_workers = 9, 4
@@ -226,15 +238,35 @@ def test_elbo_rel_against_triple_enumeration():
     point.worker_logits.data[:] = 2.0 * rng.standard_normal((n_workers, 2))
     q = np.exp(np_log_softmax(rng.standard_normal((n_items, 3)), axis=1))
     log_stats = point.log_stats()   # (log a, log 1-a, log b, log 1-b)
-    expected = 0.0
-    for i, j, m, label in store.triples:
-        p_same = float(q[i] @ q[j])
-        log_a, log_1ma, log_b, log_1mb = log_stats[m]
-        same = log_a if label == 1 else log_1ma
-        diff = log_1mb if label == 1 else log_b
-        expected += p_same * same + (1.0 - p_same) * diff
+    expected = enumerate_triples(store, q, log_stats)
     value = elbo_rel(store, constant(q), point, 2.5)
     assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
+
+    # the numpy worker providers through the same function
+    for workers in (
+        WorkerPool(rng.uniform(0.05, 1.0, n_workers), rng.uniform(0.05, 1.0, n_workers)),
+        BetaWorkers.from_taus(*rng.uniform(0.5, 20, (2, n_workers, 2))),
+    ):
+        value = expected_rel_loglik(store, q, workers.log_stats(), 2.5)
+        expected = enumerate_triples(store, q, workers.log_stats())
+        assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
+
+
+def point_log_stats_reference(logits: np.ndarray) -> np.ndarray:
+    """(log a, log(1-a), log b, log(1-b)) rows of sigmoid accuracies, in numpy."""
+    log_acc = -np.logaddexp(0.0, -logits)    # log sigmoid
+    log_miss = -np.logaddexp(0.0, logits)    # log (1 - sigmoid)
+    return np.stack([log_acc[:, 0], log_miss[:, 0], log_acc[:, 1], log_miss[:, 1]], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_point_log_stats_equal_the_numpy_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    point = PointParams.init(2, LATENT, 6, rng)
+    point.worker_logits.data[:] *= 10.0 ** rng.uniform(-3, 1.5, size=(6, 2))
+    point.worker_logits.data[0] = 0.0
+    point.worker_logits.data[1] = [800.0, -800.0]
+    assert np.array_equal(point.log_stats(), point_log_stats_reference(point.worker_logits.data))
 
 
 def test_elbo_rel_without_annotations_is_zero():
@@ -343,6 +375,16 @@ def test_model_json_round_trip_predicts_the_same(with_annotations):
         for head, value in net.forward(x).items():
             assert np.array_equal(net_clone.forward(x)[head].data, value.data)
     assert clone.to_dict() == model.to_dict()
+
+
+@pytest.mark.parametrize(
+    "worker_logits", [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.1, 0.2, 0.3]], ids=["2x3", "length-3"]
+)
+def test_point_params_name_worker_logits_of_another_shape(worker_logits):
+    doc = PointParams.init(2, LATENT, 3, np.random.default_rng(0)).to_dict()
+    doc["worker_logits"] = worker_logits
+    with pytest.raises(ValueError, match="^worker_logits"):
+        PointParams.from_dict(doc)
 
 
 def test_divergence_restores_last_epoch_snapshot(monkeypatch):
@@ -454,8 +496,9 @@ def test_dataset_of_one_item_trains():
 
 # History and sha256 of the sorted-key model JSON of a 2-epoch run on
 # small_problem(0), recorded with one cluster-encoder pass per update over
-# the working set (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change
-# the last bits).  The current code must reproduce them bit for bit.
+# the working set and the annotation term from relational.expected_rel_loglik
+# (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change the last bits).
+# The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
@@ -464,7 +507,7 @@ RECORDED_RUNS = {
             {"epoch": 1, "objective": -257.1720801131327, "effective_k": 4,
              "accuracy": 0.6666666666666666, "nmi": 0.7611702597222879},
         ],
-        "c2e4eb6882cef2487f2719b342e73d71e064b589eff22ac2cf97180218b0903a",
+        "58f5b48792ae27ac142a02ee977c00711342a60a16c61e8246c5a14313c258ff",
     ),
 }
 

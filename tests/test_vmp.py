@@ -12,6 +12,7 @@ import pytest
 from scipy.special import log_softmax
 
 import oracles
+from test_relational import reference_message_weights
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.expfam import BetaNat, DirichletNat, NiwNat
 from crowdmix.mixture import (
@@ -27,7 +28,6 @@ from crowdmix.nnet import Mlp, Tape, TrainingDivergence, backward, zero_grads
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
-    _message_weights,
     beta_natural_gradient,
     expected_rel_loglik,
 )
@@ -409,7 +409,7 @@ def reference_graph(store, workers, n_items):
     neighbors = [[] for _ in range(n_items)]
     if store is not None and store.n_annotations:
         t = store.triples
-        weights = _message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
+        weights = reference_message_weights(t[:, 3].astype(float), workers.log_stats()[t[:, 2]])
         for i, j, w in zip(t[:, 0].tolist(), t[:, 1].tolist(), weights.tolist()):
             neighbors[i].append((j, w))
             neighbors[j].append((i, w))
@@ -575,7 +575,7 @@ def test_predict_equals_the_argmax_of_the_row_major_local_step():
     potential = recognition_potential(model.recognition, dataset.observations)
     for annotations in (store, None):
         expected = local_step_rows(
-            model.glob, potential, annotations, model.local_sweeps, model.local_tol
+            model.glob, potential, annotations, model.local_sweeps, 1e-6
         )
         local = model.local_posterior(dataset.observations, annotations)
         assert np.max(np.abs(local.log_resp - expected)) < 1e-9
@@ -885,7 +885,7 @@ def test_final_objective_without_store_drops_the_relational_term():
     glob, store, local, pot = objective_instance()
     with_rel = objective(glob, local, pot, store)
     without = objective(glob, local, pot)
-    rel = expected_rel_loglik(store, local.resp, glob.workers)
+    rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats()).data)
     assert abs(with_rel - without - rel) < 1e-12
 
 
@@ -1026,7 +1026,8 @@ def test_bayes_model_round_trips_through_dict():
 
 
 # BayesModel.to_dict() of a trained K = 3, d = 2 model with M = 2 workers,
-# written by json.dumps before the globals were stacked into batched records.
+# written by json.dumps before the globals were stacked into batched records,
+# re-recorded without the worker_prior and local_tol keys.
 SAVED_MODEL_JSON = (
     '{"prior": {"n_components": 3, "latent_dim": 2, "alpha0": 0.016666666666666666, '
     '"m0": [0.0, 0.0], "kappa0": 0.5, "s0": [[2.5, 0.0], [0.0, 2.5]], "nu0": 2.5}, '
@@ -1058,8 +1059,13 @@ SAVED_MODEL_JSON = (
     '[-0.0729135901809646, -0.624417516678206]], "logvar": [[-0.7051653928216053, '
     '-0.43307926554488396], [-0.22585177555464211, 0.6035924294272526]]}, '
     '"head_biases": {"mean": [0.0017545127370156772, 0.0017730868373515792], '
-    '"logvar": [-0.0019653523628250158, -0.001979896188714036]}}, "worker_prior": [1.0, '
-    '1.0], "local_sweeps": 4, "local_tol": 1e-06}'
+    '"logvar": [-0.0019653523628250158, -0.001979896188714036]}}, "local_sweeps": 4}'
+)
+# The same document as written while BayesModel still kept the worker prior
+# and the local tolerance, which nothing read.
+SAVED_MODEL_JSON_WITH_DROPPED_KEYS = SAVED_MODEL_JSON.replace(
+    '"local_sweeps": 4}',
+    '"worker_prior": [1.0, 1.0], "local_sweeps": 4, "local_tol": 1e-06}',
 )
 
 
@@ -1067,6 +1073,11 @@ def test_saved_model_document_round_trips_byte_for_byte():
     doc = json.loads(SAVED_MODEL_JSON)
     model = BayesModel.from_dict(doc)
     assert (model.glob.n_components, model.glob.latent_dim, model.glob.n_workers) == (3, 2, 2)
+    assert json.dumps(model.to_dict()) == SAVED_MODEL_JSON
+
+
+def test_saved_model_document_with_the_dropped_keys_still_loads():
+    model = BayesModel.from_dict(json.loads(SAVED_MODEL_JSON_WITH_DROPPED_KEYS))
     assert json.dumps(model.to_dict()) == SAVED_MODEL_JSON
 
 
@@ -1104,6 +1115,8 @@ def test_log_softmax_columns_equals_scipy_exactly(seed):
 # Mahalanobis and log-determinant terms of the logits as one (K, 1)
 # column, besides the per-entry Cholesky kernel in the local q(x) step
 # (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change the last bits).
+# The digest was taken again once the model JSON stopped writing the
+# worker_prior and local_tol keys; the history did not move.
 # The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
@@ -1113,7 +1126,7 @@ RECORDED_RUNS = {
             {"epoch": 1, "objective": -1019.2885802780378, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5165719394406421},
         ],
-        "5cd639ac8d12ffe824bd1b9f1edcb9b85fb3ac194655de8ad97dc3622625da58",
+        "d89b0c17820b698b89e4de30e73e8ecb547e817962638cac71c828095aa133b7",
     ),
 }
 
