@@ -30,10 +30,12 @@ gradient identity above holds exactly for the expressions used here.
 
 Records are immutable: their arrays are read-only and an update builds
 a new record.  So everything derived from a record is computed once per
-record and kept on it: the standard parameters of a NIW, log|S| (whose
-Cholesky factorization is the positive-definiteness check of S), the
-expected statistics and the log partition.  Later calls return the kept
-values, which are read-only too.
+record and kept on it: the standard parameters of a NIW, one
+`nnet.spd_factor` result for its S, the expected statistics and the log
+partition.  That one factorization is the positive-definiteness check
+of S and gives log|S| and the S^-1 and S^-1 m of the expected
+statistics; nothing else here factors a matrix.  Later calls return the
+kept values, which are read-only too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, gammaln
+
+from .nnet import spd_factor
 
 
 def _readonly(x, shape=None) -> np.ndarray:
@@ -94,12 +98,6 @@ def multivariate_gammaln(a, d: int) -> np.ndarray:
     return d * (d - 1) / 4.0 * np.log(np.pi) + np.sum(
         gammaln(np.asarray(a, dtype=float)[..., None] + _half_offsets(d)), axis=-1
     )
-
-
-def _logdet(S: np.ndarray) -> np.ndarray:
-    """log-determinants of symmetric positive definite (..., d, d) matrices."""
-    L = np.linalg.cholesky(S)  # raises LinAlgError if one is not positive definite
-    return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +203,14 @@ class NiwNat:
         return m, kappa, S, nu
 
     @_once_per_record
+    def scale_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`spd_factor` of every recovered S: (S^-1, log|S|, chol(S^-1)).
+        Raises LinAlgError unless every S is positive definite."""
+        return spd_factor(self.to_standard()[2])
+
     def scale_logdet(self) -> np.ndarray:
-        """log|S| per member.  Its Cholesky factorization raises LinAlgError
-        unless every recovered S is positive definite."""
-        return _logdet(self.to_standard()[2])
+        """log|S| per member, from `scale_factor`."""
+        return self.scale_factor()[1]
 
 
 class NiwExpectedStats(NamedTuple):
@@ -234,12 +236,10 @@ def dirichlet_expected_stats(p: DirichletNat) -> np.ndarray:
 
 @_once_per_record
 def niw_expected_stats(p: NiwNat) -> NiwExpectedStats:
-    m, kappa, S, nu = p.to_standard()
+    m, kappa, _, nu = p.to_standard()
     d = p.dim
-    logdet_S = p.scale_logdet()
-    Sinv_m = np.linalg.solve(S, m[..., None])[..., 0]
-    Sinv = np.linalg.inv(S)
-    Sinv = 0.5 * (Sinv + np.swapaxes(Sinv, -1, -2))
+    Sinv, logdet_S, _ = p.scale_factor()
+    Sinv_m = (Sinv @ m[..., None])[..., 0]
     m_Sinv_m = (m[..., None, :] @ Sinv_m[..., :, None])[..., 0, 0]
     return NiwExpectedStats(
         mean_prec=nu[..., None] * Sinv_m,

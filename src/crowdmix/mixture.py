@@ -67,7 +67,6 @@ class MixturePrior:
             raise ValueError(f"m0 must have shape ({d},), got {m0.shape}")
         if s0.shape != (d, d) or not np.allclose(s0, s0.T, atol=1e-8):
             raise ValueError("s0 must be a symmetric (d, d) matrix")
-        np.linalg.cholesky(s0)  # positive-definiteness check
         m0.setflags(write=False)
         s0.setflags(write=False)
         object.__setattr__(self, "n_components", K)
@@ -81,6 +80,7 @@ class MixturePrior:
         # is computed once per prior
         object.__setattr__(self, "_pi_nat", DirichletNat.from_alpha(np.full(K, self.alpha0)))
         object.__setattr__(self, "_niw_nat", NiwNat.from_standard(m0, self.kappa0, s0, self.nu0))
+        self._niw_nat.scale_logdet()  # factors S, which must be positive definite
 
     @classmethod
     def default(
@@ -134,6 +134,7 @@ class MixturePrior:
 
 # JSON keys of one component's natural parameters, in NiwNat field order.
 _NIW_KEYS = ("h1", "h2", "h3", "h4")
+_WORKER_KEYS = ("alpha_taus", "beta_taus")  # the workers' (M, 2) Beta parameters
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,21 @@ class GlobalVariational:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GlobalVariational":
+        """Globals from a `to_dict` document.  Components whose S is not
+        positive definite, and worker tau arrays that are not (M, 2), fail
+        here with a ValueError that names the field."""
         pi = DirichletNat(np.array(doc["pi_eta"], dtype=float))
-        comps = NiwNat(*(np.array([c[key] for c in doc["components"]]) for key in _NIW_KEYS))
+        try:
+            comps = NiwNat(*(np.array([c[key] for c in doc["components"]]) for key in _NIW_KEYS))
+            comps.scale_logdet()  # recovers nu and S and factors S
+        except (ValueError, np.linalg.LinAlgError) as err:
+            raise ValueError(f"components: {err}") from err
         workers = None
         if doc.get("workers") is not None:
-            taus = doc["workers"]
+            taus = {key: np.array(doc["workers"][key], dtype=float) for key in _WORKER_KEYS}
+            for key, t in taus.items():
+                if t.size and (t.ndim != 2 or t.shape[1] != 2):
+                    raise ValueError(f"workers.{key} has shape {t.shape}, need (M, 2)")
             workers = BetaWorkers.from_taus(taus["alpha_taus"], taus["beta_taus"])
         return cls(pi, comps, workers)
 
@@ -307,7 +318,7 @@ def apply_natural_gradient(
             c.h4 + step * grads.h4,
         )
         # recovers nu and S, checks nu > d - 1, and factors S, which must
-        # stay positive definite; the record keeps the factorization's log|S|
+        # stay positive definite; the record keeps the factorization
         components.scale_logdet()
         workers = current.workers
         if grads.worker_alpha is not None:

@@ -17,6 +17,10 @@ The engine keeps a network step lean:
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
+- spd_factor is the package's one factorization of symmetric positive
+  definite matrices, a per-entry Cholesky giving the inverse, the
+  log-determinant and the Cholesky factor of the inverse; the tape op
+  inverse_cholesky wraps it and needs no inverse in its gradient.
 - Adam keeps its moments in one flat vector and steps every parameter
   that has a gradient at once.  The step is atomic: a
   non-finite gradient anywhere is rejected before any parameter or
@@ -351,36 +355,77 @@ def diag_embed(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g[..., rng, rng],))
 
 
-def _swap(x):
-    return np.swapaxes(x, -1, -2)
+def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse, log-determinant and root of SPD (..., d, d) matrices A.
+
+    One Cholesky factorization per entry, of the order-reversed matrix
+    J A J = L L^T (J the exchange matrix), by the column loop; M = L^-1 by
+    forward substitution.  A^-1 = J M^T M J is computed once per
+    upper-triangle entry and mirrored, so it is exactly symmetric;
+    log|A| = sum_j log(L_jj^2); the root C = J M^T J is lower triangular
+    with C C^T = A^-1: the Cholesky factor of A^-1.  Reads the lower
+    triangle of A only.  The loops run over d and every operation over all
+    entries at once: batched LAPACK makes one call per small matrix.
+    Raises LinAlgError unless every pivot L_jj^2 is > 0 (a NaN fails too).
+    """
+    a = np.asarray(a, dtype=float)
+    batch, d = a.shape[:-2], a.shape[-1]
+    t = np.ascontiguousarray(a.reshape(-1, d, d).transpose(1, 2, 0))
+    n, r = t.shape[2], d - 1
+    # (J A J)_ij = A_{r-j, r-i} for i >= j, from the lower triangle of A
+    low = [[None] * d for _ in range(d)]
+    logdet = np.zeros(n)
+    for j in range(d):
+        pivot = t[r - j, r - j]
+        for k in range(j):
+            pivot = pivot - low[j][k] * low[j][k]
+        if not (pivot > 0.0).all():
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        logdet += np.log(pivot)
+        low[j][j] = np.sqrt(pivot)
+        for i in range(j + 1, d):
+            s = t[r - j, r - i]
+            for k in range(j):
+                s = s - low[i][k] * low[j][k]
+            low[i][j] = s / low[j][j]
+    inv_low = [[None] * d for _ in range(d)]
+    for i in range(d):
+        inv_low[i][i] = 1.0 / low[i][i]
+        for j in range(i):
+            s = low[i][j] * inv_low[j][j]
+            for k in range(j + 1, i):
+                s = s + low[i][k] * inv_low[k][j]
+            inv_low[i][j] = -s * inv_low[i][i]
+    inverse = np.empty((n, d, d))
+    root = np.zeros((n, d, d))
+    for i in range(d):
+        for j in range(i, d):
+            s = inv_low[j][i] * inv_low[j][j]
+            for k in range(j + 1, d):
+                s = s + inv_low[k][i] * inv_low[k][j]
+            inverse[:, r - i, r - j] = s
+            inverse[:, r - j, r - i] = s
+            root[:, r - i, r - j] = inv_low[j][i]
+    return inverse.reshape(a.shape), logdet.reshape(batch), root.reshape(a.shape)
 
 
-def mat_inv(a: Tensor) -> Tensor:
-    """Batched matrix inverse on the trailing two axes."""
-    inv = np.linalg.inv(a.data)
+def inverse_cholesky(a: Tensor) -> Tensor:
+    """Lower Cholesky factor C of A^-1 for SPD (..., d, d) A, by `spd_factor`.
+    Its VJP, for symmetric perturbations of A, is Murray's Cholesky VJP
+    composed with the inverse, Abar = -sym(C Phi(C^T Cbar) C^T), where Phi
+    keeps the lower triangle and halves the diagonal; C^T A C = I, so no
+    matrix is inverted."""
+    root = spd_factor(a.data)[2]
+    root_t = np.swapaxes(root, -1, -2)
+    rng = np.arange(root.shape[-1])
 
     def vjp(g):
-        it = _swap(inv)
-        return (-it @ g @ it,)
-
-    return _record(inv, (a,), vjp)
-
-
-def cholesky(a: Tensor) -> Tensor:
-    """Batched lower Cholesky factor; input must be symmetric positive definite."""
-    L = np.linalg.cholesky(a.data)
-    n = a.data.shape[-1]
-    rng = np.arange(n)
-
-    def vjp(g):
-        P = _swap(L) @ g
-        phi = np.tril(P)
+        phi = np.tril(root_t @ g)
         phi[..., rng, rng] *= 0.5
-        Linv = np.linalg.inv(L)
-        M = _swap(Linv) @ phi @ Linv
-        return (0.5 * (M + _swap(M)),)
+        m = root @ phi @ root_t
+        return (-0.5 * (m + np.swapaxes(m, -1, -2)),)
 
-    return _record(L, (a,), vjp)
+    return _record(root, (a,), vjp)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

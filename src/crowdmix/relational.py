@@ -31,11 +31,13 @@ from .nnet import Tensor, as_tensor, mul, reshape, take_rows, tensor_sum
 
 
 def _triple_array(triples) -> np.ndarray:
-    """The triples as an (n, 4) integer array; a row of another length is named."""
+    """The triples as an (n, 4) integer array.  A row of another length,
+    or one with an entry that is not a whole number, is named.  Integer
+    input skips the whole-number check, and an int array is not copied."""
     if len(triples) == 0:
         return np.empty((0, 4), dtype=int)
     try:
-        t = np.array(triples, dtype=int)
+        t = np.asarray(triples)
     except ValueError as err:  # ragged rows
         row = next((r for r, triple in enumerate(triples) if len(triple) != 4), None)
         if row is None:
@@ -43,7 +45,18 @@ def _triple_array(triples) -> np.ndarray:
         raise ValueError(f"triple {row}: expected (i, j, m, label)") from err
     if t.ndim != 2 or t.shape[1] != 4:
         raise ValueError("triple 0: expected (i, j, m, label)")
-    return t
+    if t.dtype.kind in "biu":
+        return t.astype(int, copy=False)
+    values = t.astype(float)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        ints = values.astype(int)
+    whole = np.all(ints == values, axis=1)
+    if not whole.all():
+        row = int(np.argmin(whole))
+        raise ValueError(
+            f"triple {row}: entries must be whole numbers, got {tuple(values[row].tolist())}"
+        )
+    return ints
 
 
 class AnnotationStore:
@@ -57,6 +70,9 @@ class AnnotationStore:
     def __init__(self, triples, n_items: int, n_workers: int):
         self.n_items = int(n_items)
         self.n_workers = int(n_workers)
+        for name, count in (("n_items", self.n_items), ("n_workers", self.n_workers)):
+            if count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
         i, j, m, label = _triple_array(triples).T
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         # stable sort by key: the first row of each key group is its earliest

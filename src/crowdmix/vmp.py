@@ -8,14 +8,15 @@ component-major, as (K, n) arrays, so every softmax reduces over axis 0,
 across items, and never along a K-wide last axis; the step takes and
 returns (n, K) responsibilities.  Each q(x) refresh mixes the K
 component statistics by the responsibilities with one matmul on their
-(K, d*d) view and factors every item's precision once, by a Cholesky
-kernel that loops over d and computes over all items at once; `predict`
-runs the same local step over the whole dataset.  Globals (mixing
-weights, components, worker accuracies) follow scaled stochastic natural
-gradients, while the recognition and decoder networks ascend
-reparameterization gradients of the objective through the final latent
-refresh.  `driver.fit` runs the minibatch loop; `train_bayes_scdc`
-supplies the parameters and the step.
+(K, d*d) view and factors every item's precision once, by
+`nnet.spd_factor`, the package's one Cholesky kernel, which loops over d
+and computes over all items at once; `predict` runs the same local step
+over the whole dataset.  Globals (mixing weights, components, worker
+accuracies) follow scaled stochastic natural gradients, while the
+recognition and decoder networks ascend reparameterization gradients of
+the objective through the final latent refresh, whose precisions one
+`nnet.inverse_cholesky` node factors.  `driver.fit` runs the minibatch
+loop; `train_bayes_scdc` supplies the parameters and the step.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ from .nnet import (
     Tape,
     TrainingDivergence,
     backward,
-    cholesky,
     constant,
     diag_embed,
     diag_gaussian_loglik,
     diag_part,
     einsum2,
+    inverse_cholesky,
     log,
-    mat_inv,
     softplus,
+    spd_factor,
     tensor_sum,
     zero_grads,
 )
@@ -179,54 +180,6 @@ def _calibrate_recognition_init(net: Mlp, observations) -> None:
 # block-coordinate local updates
 
 
-def _spd_inverse_logdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses and log-determinants of a batch of (n, d, d) SPD matrices.
-
-    One Cholesky factor A = L L^T per entry, by the column loop, then
-    M = L^-1 by forward substitution: A^-1 = M^T M, computed once per
-    upper-triangle entry and mirrored, so it is exactly symmetric, and
-    log|A| = sum_j log(L_jj^2).  Reads the lower triangle only.  The loops
-    run over d and every operation over the n entries at once, on (n,)
-    vectors of a (d, d, n) copy: batched LAPACK makes one call per small
-    matrix.  Raises LinAlgError unless every pivot L_jj^2 is > 0 (a NaN
-    fails too).
-    """
-    n, d, _ = a.shape
-    t = np.ascontiguousarray(a.transpose(1, 2, 0))
-    low = [[None] * d for _ in range(d)]
-    logdet = np.zeros(n)
-    for j in range(d):
-        pivot = t[j, j]
-        for k in range(j):
-            pivot = pivot - low[j][k] * low[j][k]
-        if not (pivot > 0.0).all():
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        logdet += np.log(pivot)
-        low[j][j] = np.sqrt(pivot)
-        for i in range(j + 1, d):
-            s = t[i, j]
-            for k in range(j):
-                s = s - low[i][k] * low[j][k]
-            low[i][j] = s / low[j][j]
-    inv_low = [[None] * d for _ in range(d)]
-    for i in range(d):
-        inv_low[i][i] = 1.0 / low[i][i]
-        for j in range(i):
-            s = low[i][j] * inv_low[j][j]
-            for k in range(j + 1, i):
-                s = s + low[i][k] * inv_low[k][j]
-            inv_low[i][j] = -s * inv_low[i][i]
-    out = np.empty((n, d, d))
-    for i in range(d):
-        for j in range(i, d):
-            s = inv_low[j][i] * inv_low[j][j]
-            for k in range(j + 1, d):
-                s = s + inv_low[k][i] * inv_low[k][j]
-            out[:, i, j] = s
-            out[:, j, i] = s
-    return out, logdet
-
-
 def _mix(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_k w_nk A_k for (n, K) weights and (K, d, d) matrices: one matmul
     on the (K, d*d) view."""
@@ -250,7 +203,7 @@ def update_local_x(resp, exps: GlobalExpectations, potential: RecognitionPotenti
     x_j = _mix(resp, exps.neg_half_prec)
     idx = np.arange(d)
     x_j[:, idx, idx] += potential.j_diag
-    x_cov, x_logdet = _spd_inverse_logdet(-2.0 * x_j)
+    x_cov, x_logdet, _ = spd_factor(-2.0 * x_j)
     x_mean = np.einsum("nij,nj->ni", x_cov, x_h)
     return x_h, x_j, x_mean, x_cov, x_logdet
 
@@ -660,6 +613,10 @@ class BayesModel:
     decoder: Mlp
     local_sweeps: int = 4
 
+    def __post_init__(self):
+        if self.local_sweeps < 1:
+            raise ValueError(f"local_sweeps must be at least 1, got {self.local_sweeps}")
+
     def local_posterior(self, observations, store: AnnotationStore | None = None) -> LocalVariational:
         potential = recognition_potential(self.recognition, observations)
         return block_coordinate_local(self.glob, potential, store, sweeps=self.local_sweeps)
@@ -697,11 +654,12 @@ def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_
     Rebuilds the final q(x) refresh with responsibilities held constant:
     recon + kl_weight * (log Z(eta_x) - <psi, E t(x)>), summed over the
     batch.  recon is the decoder log-likelihood of one reparameterized
-    draw per item from q(x), x = mean + chol(cov) noise, with `noise` of
-    shape (n, d).  `kl_weight` < 1 damps the pull of q(x) toward the
-    mixture conditional (warmup against potential collapse); at 1 the
-    gradient is exactly that of the training objective.  Returns the (scaled)
-    objective and reconstruction tensors.
+    draw per item from q(x), x = mean + C noise, with `noise` of shape
+    (n, d); C = chol(cov), from one `inverse_cholesky` node, also gives
+    cov = C C^T and log|cov|.  `kl_weight` < 1 damps the pull of q(x)
+    toward the mixture conditional (warmup against potential collapse); at
+    1 the gradient is exactly that of the training objective.  Returns the
+    (scaled) objective and reconstruction tensors.
     """
     c_h = constant(resp @ exps.mean_prec)
     c_j = constant(_mix(resp, exps.neg_half_prec))
@@ -709,14 +667,14 @@ def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_
     psi_h = heads["loc"]
     j_diag = -softplus(heads["prec_raw"]) - PRECISION_FLOOR
     x_j = c_j + diag_embed(j_diag)
-    prec = x_j * (-2.0)
-    cov = mat_inv(prec)
+    root = inverse_cholesky(x_j * (-2.0))
+    cov = einsum2("nij,nkj->nik", root, root)
     h_tot = c_h + psi_h
     mean = einsum2("nij,nj->ni", cov, h_tot)
-    log_z = tensor_sum(mean * h_tot) * 0.5 - tensor_sum(log(diag_part(cholesky(prec))))
+    log_z = tensor_sum(mean * h_tot) * 0.5 + tensor_sum(log(diag_part(root)))
     second_diag = diag_part(cov) + mean * mean
     psi_term = tensor_sum(psi_h * mean) + tensor_sum(j_diag * second_diag)
-    dec = decoder.forward(mean + einsum2("nij,nj->ni", cholesky(cov), constant(noise)))
+    dec = decoder.forward(mean + einsum2("nij,nj->ni", root, constant(noise)))
     recon = tensor_sum(diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"]))
     objective = (recon + (log_z - psi_term) * kl_weight) * data_scale
     return objective, recon

@@ -267,8 +267,8 @@ def test_a_stepped_record_factors_its_scale_once(monkeypatch):
     q_z, means, covs = _random_instance(rng, n=6, k=3)
     grads = mixture_natural_gradient(prior, q_z, means, covs, current)
     calls = []
-    original = expfam._logdet
-    monkeypatch.setattr(expfam, "_logdet", lambda S: calls.append(S.shape) or original(S))
+    original = expfam.spd_factor
+    monkeypatch.setattr(expfam, "spd_factor", lambda S: calls.append(S.shape) or original(S))
     stepped = apply_natural_gradient(current, grads, step=0.5)
     assert calls == [(3, 2, 2)]
     stats = niw_expected_stats(stepped.components)
@@ -276,7 +276,7 @@ def test_a_stepped_record_factors_its_scale_once(monkeypatch):
     global_expectations(stepped)
     assert calls == [(3, 2, 2)]
     fresh = NiwNat(*(getattr(stepped.components, f) for f in ("h1", "h2", "h3", "h4")))
-    monkeypatch.setattr(expfam, "_logdet", original)
+    monkeypatch.setattr(expfam, "spd_factor", original)
     for kept, want in zip(stats, niw_expected_stats(fresh)):
         assert np.array_equal(kept, want)
     assert np.array_equal(log_z, expfam.log_partition(fresh))

@@ -10,22 +10,22 @@ from crowdmix.nnet import (
     add,
     affine,
     backward,
-    cholesky,
     clip,
     constant,
     diag_embed,
     diag_part,
     einsum2,
     exp,
+    inverse_cholesky,
     log,
     logsumexp,
-    mat_inv,
     matmul,
     mul,
     parameter,
     relu,
     reparameterize,
     softplus,
+    spd_factor,
     sub,
     take_rows,
     tensor_sum,
@@ -236,37 +236,46 @@ def test_backward_rejects_nonscalar():
 
 
 def test_matrix_op_gradients():
-    rng = np.random.default_rng(6)
-    A = parameter(rng.standard_normal((3, 3)))
-    M = rng.standard_normal((3, 3))
-    M = M + M.T
+    """S = A A^T + d I moves symmetrically with A, so finite differences in A
+    check inverse_cholesky's gradient on symmetric perturbations of S."""
+    for d in (1, 2, 3, 4):
+        rng = np.random.default_rng(6 + d)
+        A = parameter(rng.standard_normal((d, d)))
+        M = rng.standard_normal((d, d))
 
-    def build_chol():
-        S = einsum2("ij,kj->ik", A, A) + constant(3.0 * np.eye(3))
-        return tensor_sum(mul(cholesky(S), constant(np.tril(M))))
+        def build():
+            S = einsum2("ij,kj->ik", A, A) + constant(d * np.eye(d))
+            return tensor_sum(mul(inverse_cholesky(S), constant(np.tril(M))))
 
-    assert _fd_max_rel_err(build_chol, [A]) < 1e-4
+        assert _fd_max_rel_err(build, [A]) < 1e-4, d
 
-    def build_inv():
-        S = einsum2("ij,kj->ik", A, A) + constant(3.0 * np.eye(3))
-        return tensor_sum(mul(mat_inv(S), constant(M)))
 
-    assert _fd_max_rel_err(build_inv, [A]) < 1e-4
+def test_spd_factor_keeps_the_batch_shape():
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((2, 3, 3, 3))
+    a = b @ np.swapaxes(b, -1, -2) + 6.0 * np.eye(3)
+    inv, logdet, root = spd_factor(a)
+    assert inv.shape == root.shape == (2, 3, 3, 3) and logdet.shape == (2, 3)
+    single = spd_factor(a[1, 2])
+    assert single[0].shape == single[2].shape == (3, 3) and single[1].shape == ()
+    for batched, one in zip((inv, logdet, root), single):
+        assert np.array_equal(batched[1, 2], one)
+    assert np.array_equal(inverse_cholesky(constant(a)).data, root)
 
 
 def test_batched_matrix_op_gradients():
-    rng = np.random.default_rng(7)
-    A = parameter(rng.standard_normal((4, 2, 2)))
-    M = rng.standard_normal((4, 2, 2))
+    for d in (1, 2, 3, 4):
+        rng = np.random.default_rng(7 + d)
+        A = parameter(rng.standard_normal((4, d, d)))
+        M = rng.standard_normal((4, d, d))
 
-    def build():
-        S = einsum2("nij,nkj->nik", A, A) + constant(2.0 * np.eye(2))
-        L = cholesky(S)
-        B = mat_inv(S)
-        out = tensor_sum(mul(L, constant(np.tril(M)))) + tensor_sum(mul(B, constant(M)))
-        return out + tensor_sum(log(diag_part(S))) + tensor_sum(diag_embed(diag_part(L)))
+        def build():
+            S = einsum2("nij,nkj->nik", A, A) + constant(2.0 * np.eye(d))
+            C = inverse_cholesky(S)
+            out = tensor_sum(mul(C, constant(np.tril(M))))
+            return out + tensor_sum(log(diag_part(S))) + tensor_sum(diag_embed(diag_part(C)))
 
-    assert _fd_max_rel_err(build, [A]) < 1e-4
+        assert _fd_max_rel_err(build, [A]) < 1e-4, d
 
 
 def test_misc_op_gradients():

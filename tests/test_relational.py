@@ -124,6 +124,25 @@ def test_store_names_a_row_of_the_wrong_length():
         assert str(err.value) == expected
 
 
+def test_store_names_a_triple_that_is_not_whole_numbers():
+    cases = [
+        ([(0, 1.5, 0, 1)], 0),
+        (np.array([[0, 1, 0, 1], [0, 2.7, 1, 0]]), 1),
+        ([(0, 1, 0, 1), (0, 2, 0, float("nan"))], 1),
+        ([(0, 1, float("inf"), 1)], 0),
+    ]
+    for triples, row in cases:
+        with pytest.raises(ValueError, match=f"^triple {row}: entries must be whole numbers"):
+            AnnotationStore(triples, 3, 2)
+    assert AnnotationStore([(0, 2.0, 1.0, 0)], 3, 2).triples.tolist() == [[0, 2, 1, 0]]
+
+
+def test_store_rejects_a_negative_count():
+    for n_items, n_workers, name in ((-3, 2, "n_items"), (3, -1, "n_workers")):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            AnnotationStore([], n_items, n_workers)
+
+
 # ---------------------------------------------------------------------------
 # likelihood pieces
 

@@ -24,7 +24,7 @@ from crowdmix.mixture import (
     mixture_natural_gradient,
     apply_natural_gradient,
 )
-from crowdmix.nnet import Mlp, Tape, TrainingDivergence, backward, zero_grads
+from crowdmix.nnet import Mlp, Tape, TrainingDivergence, backward, spd_factor, zero_grads
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
@@ -41,7 +41,6 @@ from crowdmix.vmp import (
     _log_softmax_columns,
     _mix,
     _network_objective,
-    _spd_inverse_logdet,
     annotation_graph,
     block_coordinate_local,
     component_logits,
@@ -217,7 +216,8 @@ def test_local_x_precision_always_negative_definite():
 
 
 # ---------------------------------------------------------------------------
-# per-entry Cholesky kernel and the contractions with the K components
+# the per-entry Cholesky kernel of the local step (nnet.spd_factor) and the
+# contractions with the K components
 
 
 def random_spd(rng, n, d):
@@ -230,14 +230,17 @@ def random_spd(rng, n, d):
 @pytest.mark.parametrize("n", [1, 7, 400])
 def test_spd_kernel_matches_numpy_inverse_and_logdet(d, n):
     a = random_spd(np.random.default_rng(10 * d + n), n, d)
-    inv, logdet = _spd_inverse_logdet(a)
+    inv, logdet, root = spd_factor(a)
     expected = np.linalg.inv(a)
     sign, expected_logdet = np.linalg.slogdet(a)
+    expected_root = np.linalg.cholesky(expected)
     assert np.all(sign == 1.0)
-    assert inv.shape == (n, d, d) and logdet.shape == (n,)
+    assert inv.shape == root.shape == (n, d, d) and logdet.shape == (n,)
     assert np.max(np.abs(inv - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.max(np.abs(logdet - expected_logdet) / np.abs(expected_logdet)) <= 1e-12
     assert np.array_equal(inv, np.swapaxes(inv, 1, 2))
+    assert np.max(np.abs(root - expected_root)) <= 1e-12 * np.max(np.abs(expected_root))
+    assert np.array_equal(root, np.tril(root))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -252,7 +255,7 @@ def test_spd_kernel_rejects_matrices_that_are_not_positive_definite(d):
         batch = random_spd(rng, 5, d)
         batch[3] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            _spd_inverse_logdet(batch)
+            spd_factor(batch)
 
 
 def test_local_x_update_raises_linalg_error_on_a_positive_precision_bracket():
@@ -1081,6 +1084,34 @@ def test_saved_model_document_with_the_dropped_keys_still_loads():
     assert json.dumps(model.to_dict()) == SAVED_MODEL_JSON
 
 
+def _set(path, value):
+    """Corrupts a model document: sets doc[path[0]]...[path[-1]] to value."""
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_set(["globals", "workers", "alpha_taus"], [[9.0, 1.0, 1.0], [9.0, 1.0, 1.0]]),
+         "workers.alpha_taus"),
+        (_set(["globals", "workers", "beta_taus"], [9.0, 1.0]), "workers.beta_taus"),
+        # S = h2 - h1 h1^T / h3 has S_22 = 1 - 3.15^2 / 3.04 < 0
+        (_set(["globals", "components", 1, "h2"], [[1.0, 0.0], [0.0, 1.0]]), "components"),
+        (_set(["local_sweeps"], 0), "local_sweeps"),
+    ],
+    ids=["alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps"],
+)
+def test_saved_model_document_names_a_field_that_cannot_load(corrupt, field):
+    doc = json.loads(SAVED_MODEL_JSON)
+    corrupt(doc)
+    with pytest.raises(ValueError, match=f"^{field}[ :]"):
+        BayesModel.from_dict(doc)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BayesConfig(epochs=-1)
@@ -1113,20 +1144,20 @@ def test_log_softmax_columns_equals_scipy_exactly(seed):
 # tiny_problem(), recorded with the local step holding its responsibilities
 # and component logits component-major, (K, n), and adding the
 # Mahalanobis and log-determinant terms of the logits as one (K, 1)
-# column, besides the per-entry Cholesky kernel in the local q(x) step
+# column, and with nnet.spd_factor, which factors the order-reversed
+# matrix, as the one factorization of the local q(x) step, the NIW
+# statistics and the network objective
 # (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change the last bits).
-# The digest was taken again once the model JSON stopped writing the
-# worker_prior and local_tol keys; the history did not move.
 # The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
             {"epoch": 0, "objective": -1274.7640362917716, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5284607689658716},
-            {"epoch": 1, "objective": -1019.2885802780378, "effective_k": 4,
+            {"epoch": 1, "objective": -1019.2885802780362, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5165719394406421},
         ],
-        "d89b0c17820b698b89e4de30e73e8ecb547e817962638cac71c828095aa133b7",
+        "6a42cf8e79e115262171d408677e1528c5ec95147b395db62e5e4bdadba6e5b8",
     ),
 }
 
