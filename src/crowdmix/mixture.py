@@ -1,9 +1,10 @@
 """Latent Gaussian-mixture globals.
 
 Conjugate priors (Dirichlet over mixing weights, one shared NIW over
-every component's mean and covariance), the variational posterior over
-the globals, and the natural-gradient coordinate
-updates whose step-1 fixed point is the textbook conjugate posterior.
+every component's mean and covariance, Beta(1, 1) on every worker
+accuracy), the variational posterior over the globals, and the
+natural-gradient coordinate updates whose step-1 fixed point is the
+textbook conjugate posterior.
 """
 
 from __future__ import annotations
@@ -34,10 +35,17 @@ class StepRejected(RuntimeError):
 
 @dataclass(frozen=True)
 class MixturePrior:
-    """Conjugate prior for a K-component latent Gaussian mixture in R^d.
+    """Conjugate prior for a K-component latent Gaussian mixture in R^d and
+    its workers.
 
-    Dirichlet(alpha0, ..., alpha0) over the mixing weights and the same
-    NIW(m0, kappa0, s0, nu0) over each component's (mu, Sigma).
+    Dirichlet(alpha0, ..., alpha0) over the mixing weights, the same
+    NIW(m0, kappa0, s0, nu0) over each component's (mu, Sigma) and
+    Beta(1, 1) on each worker's two accuracies.  Each family's prior is
+    one record, built here: `pi_nat()`, `niw_nat()` and `worker_nat()`,
+    a BetaNat of batch shape (2,) that broadcasts over the workers.  The
+    worker prior is fixed, so it is no field and `to_dict` leaves it out.
+    An s0 that is not positive definite raises a LinAlgError, which is a
+    ValueError, naming s0.
     """
 
     n_components: int
@@ -80,7 +88,11 @@ class MixturePrior:
         # is computed once per prior
         object.__setattr__(self, "_pi_nat", DirichletNat.from_alpha(np.full(K, self.alpha0)))
         object.__setattr__(self, "_niw_nat", NiwNat.from_standard(m0, self.kappa0, s0, self.nu0))
-        self._niw_nat.scale_logdet()  # factors S, which must be positive definite
+        object.__setattr__(self, "_worker_nat", BetaNat.from_tau(np.ones(2), np.ones(2)))
+        try:
+            self._niw_nat.scale_logdet()  # factors S
+        except np.linalg.LinAlgError as err:  # a ValueError
+            raise np.linalg.LinAlgError(f"s0 must be positive definite: {err}") from err
 
     @classmethod
     def default(
@@ -107,6 +119,9 @@ class MixturePrior:
 
     def niw_nat(self) -> NiwNat:
         return self._niw_nat
+
+    def worker_nat(self) -> BetaNat:
+        return self._worker_nat
 
     def to_dict(self) -> dict:
         return {
@@ -141,8 +156,8 @@ _WORKER_KEYS = ("alpha_taus", "beta_taus")  # the workers' (M, 2) Beta parameter
 class GlobalVariational:
     """Variational posterior over the mixture globals and, when present,
     the per-worker accuracy pairs.  `components` is one NIW record of
-    batch shape (K,).  Instances are immutable snapshots; updates
-    construct a new one."""
+    batch shape (K,), `workers` one Beta record of batch shape (M, 2).
+    Instances are immutable snapshots; updates construct a new one."""
 
     pi: DirichletNat
     components: NiwNat
@@ -174,19 +189,20 @@ class GlobalVariational:
             "components": [dict(zip(_NIW_KEYS, row)) for row in rows],
             "workers": None,
         }
-        if self.workers is not None:
-            doc["workers"] = {
-                "alpha_taus": self.workers.alpha_taus.tolist(),
-                "beta_taus": self.workers.beta_taus.tolist(),
-            }
+        if self.workers is not None:  # the (M, 2, 2) taus as (M, 2) alpha and beta arrays
+            doc["workers"] = dict(zip(_WORKER_KEYS, self.workers.tau.swapaxes(0, 1).tolist()))
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GlobalVariational":
-        """Globals from a `to_dict` document.  Components whose S is not
-        positive definite, and worker tau arrays that are not (M, 2), fail
-        here with a ValueError that names the field."""
-        pi = DirichletNat(np.array(doc["pi_eta"], dtype=float))
+        """Globals from a `to_dict` document.  Mixing-weight parameters out
+        of the Dirichlet domain, components whose S is not positive
+        definite, and worker tau arrays that are not (M, 2) or not
+        positive fail here with a ValueError that names the field."""
+        try:
+            pi = DirichletNat(np.array(doc["pi_eta"], dtype=float))
+        except ValueError as err:
+            raise ValueError(f"pi_eta: {err}") from err
         try:
             comps = NiwNat(*(np.array([c[key] for c in doc["components"]]) for key in _NIW_KEYS))
             comps.scale_logdet()  # recovers nu and S and factors S
@@ -194,11 +210,16 @@ class GlobalVariational:
             raise ValueError(f"components: {err}") from err
         workers = None
         if doc.get("workers") is not None:
-            taus = {key: np.array(doc["workers"][key], dtype=float) for key in _WORKER_KEYS}
-            for key, t in taus.items():
+            taus = [np.array(doc["workers"][key], dtype=float) for key in _WORKER_KEYS]
+            for key, t in zip(_WORKER_KEYS, taus):
                 if t.size and (t.ndim != 2 or t.shape[1] != 2):
                     raise ValueError(f"workers.{key} has shape {t.shape}, need (M, 2)")
-            workers = BetaWorkers.from_taus(taus["alpha_taus"], taus["beta_taus"])
+                if len(t) != len(taus[0]):
+                    raise ValueError(f"workers.{key} has {len(t)} rows, alpha_taus {len(taus[0])}")
+                # the Beta domain, eta = tau - 1 > -1, checked per key before stacking
+                if not np.all(np.isfinite(t) & (t - 1.0 > -1.0)):
+                    raise ValueError(f"workers.{key} entries must be finite and positive")
+            workers = BetaWorkers.from_taus(*taus)
         return cls(pi, comps, workers)
 
 
@@ -233,14 +254,15 @@ def init_global(
     Mixing-weight concentrations start uniform on (1, 2); component
     locations are zero-mean Gaussian draws with standard deviation
     sqrt(3), each with kappa = 1, S = (d + 1) I and nu = d + 1;
-    worker posteriors start at Beta(*worker_init).
+    both posteriors of every worker start at Beta(*worker_init).
     """
     K, d = prior.n_components, prior.latent_dim
     pi = DirichletNat.from_alpha(rng.uniform(1.0, 2.0, size=K))
     components = NiwNat.from_standard(
         math.sqrt(3.0) * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
     )
-    workers = BetaWorkers.constant_init(n_workers, *worker_init) if n_workers else None
+    worker_eta = np.tile(np.subtract(worker_init, 1.0), (n_workers, 2, 1))
+    workers = BetaWorkers(worker_eta) if n_workers else None
     return GlobalVariational(pi, components, workers)
 
 
@@ -252,7 +274,7 @@ def init_global(
 class GlobalGrads:
     """Natural-gradient direction for the global variational parameters.
 
-    Worker blocks are optional; when absent the worker posteriors pass
+    The worker block is optional; when absent the worker posteriors pass
     through apply_natural_gradient unchanged.
     """
 
@@ -261,8 +283,7 @@ class GlobalGrads:
     h2: np.ndarray               # (K, d, d)
     h3: np.ndarray               # (K,)
     h4: np.ndarray               # (K,)
-    worker_alpha: np.ndarray | None = None  # (M, 2)
-    worker_beta: np.ndarray | None = None   # (M, 2)
+    workers: np.ndarray | None = None  # (M, 2, 2)
 
 
 def mixture_natural_gradient(
@@ -321,13 +342,10 @@ def apply_natural_gradient(
         # stay positive definite; the record keeps the factorization
         components.scale_logdet()
         workers = current.workers
-        if grads.worker_alpha is not None:
+        if grads.workers is not None:
             if workers is None:
                 raise ValueError("worker gradients supplied without worker posteriors")
-            workers = BetaWorkers(
-                BetaNat(workers.alpha_nat.eta + step * grads.worker_alpha),
-                BetaNat(workers.beta_nat.eta + step * grads.worker_beta),
-            )
+            workers = BetaWorkers(workers.eta + step * grads.workers)
     except (ValueError, np.linalg.LinAlgError) as err:
         raise StepRejected(f"step {step} left the valid domain: {err}") from err
     return GlobalVariational(pi, components, workers)

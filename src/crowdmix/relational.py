@@ -13,13 +13,17 @@ of a triple is the "unobserved" indicator state.
 Worker accuracies enter through one protocol: an object whose
 `log_stats()` returns a numpy array of (M, 4) rows (log a, log(1-a),
 log b, log(1-b)), as expectations for the Beta posteriors of
-`BetaWorkers`.  The point providers are `scdc.PointParams` (the
-amortized trainer's logits) and `data.WorkerPool` (the simulator's true
-accuracies).  One function, `expected_rel_loglik`, gives the expected
-two-coin log-likelihood to both trainers, on the `nnet` tape: the
-Bayesian trainer passes the rows as numpy constants, the amortized one
-as a tensor of its worker logits.  The Bayesian message weights come
-from the same per-triple terms, its confusion counts from the same p_same.
+`BetaWorkers`.  Those posteriors are one `expfam.BetaNat` record of batch
+shape (M, 2), q(alpha_m) then q(beta_m) in row m; their prior, Beta(1, 1)
+on every accuracy, is `mixture.MixturePrior.worker_nat()`, and
+`beta_natural_gradient` returns one (M, 2, 2) step for the record's eta.
+The point providers are `scdc.PointParams` (the amortized trainer's
+logits) and `data.WorkerPool` (the simulator's true accuracies).  One
+function, `expected_rel_loglik`, gives the expected two-coin
+log-likelihood to both trainers, on the `nnet` tape: the Bayesian
+trainer passes the rows as numpy constants, the amortized one as a
+tensor of its worker logits.  The Bayesian message weights come from
+the same per-triple terms, its confusion counts from the same p_same.
 """
 
 from __future__ import annotations
@@ -113,46 +117,37 @@ class AnnotationStore:
 # worker accuracies: Beta posteriors
 
 
-class BetaWorkers:
-    """Beta posteriors q(alpha_m), q(beta_m) as two BetaNat records of batch
-    shape (M,); logs enter as expectations."""
+class BetaWorkers(BetaNat):
+    """Beta posteriors of every worker as one BetaNat record of batch shape
+    (M, 2), eta (M, 2, 2): row m holds q(alpha_m), then q(beta_m).  Logs
+    enter as expectations."""
 
-    def __init__(self, alpha_nat: BetaNat, beta_nat: BetaNat):
-        if not (isinstance(alpha_nat, BetaNat) and isinstance(beta_nat, BetaNat)):
-            raise TypeError("posteriors must be BetaNat")
-        if alpha_nat.eta.ndim != 2 or alpha_nat.eta.shape != beta_nat.eta.shape:
-            raise ValueError("need one (alpha, beta) posterior pair per worker")
-        self.alpha_nat = alpha_nat
-        self.beta_nat = beta_nat
+    def __post_init__(self):
+        super().__post_init__()
+        if self.eta.ndim != 3 or self.eta.shape[1] != 2:
+            raise ValueError(f"BetaWorkers needs an eta of shape (M, 2, 2), got {self.eta.shape}")
 
     @classmethod
     def from_taus(cls, alpha_taus, beta_taus) -> "BetaWorkers":
         """From (M, 2) arrays of Beta parameters, one row per worker."""
-        return cls(*(BetaNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus)))
-
-    @classmethod
-    def constant_init(cls, n_workers: int, tau1: float, tau2: float) -> "BetaWorkers":
-        taus = np.tile([tau1, tau2], (n_workers, 1))
-        return cls.from_taus(taus, taus)
+        taus = [np.reshape(t, (len(t), 2)) for t in (alpha_taus, beta_taus)]
+        return cls(np.stack(taus, axis=1) - 1.0)
 
     @property
     def n_workers(self) -> int:
-        return self.alpha_nat.eta.shape[0]
+        return self.eta.shape[0]
 
     @property
     def alpha_taus(self) -> np.ndarray:
-        return self.alpha_nat.tau
+        return self.tau[:, 0]
 
     @property
     def beta_taus(self) -> np.ndarray:
-        return self.beta_nat.tau
+        return self.tau[:, 1]
 
     def log_stats(self) -> np.ndarray:
         """(M, 4) rows of (E log a, E log(1-a), E log b, E log(1-b))."""
-        return np.concatenate(
-            [dirichlet_expected_stats(self.alpha_nat), dirichlet_expected_stats(self.beta_nat)],
-            axis=1,
-        )
+        return dirichlet_expected_stats(self).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +209,25 @@ def expected_rel_loglik(store: AnnotationStore, q_z, log_stats, scale: float = 1
 def beta_natural_gradient(
     store: AnnotationStore,
     q_z: np.ndarray,
-    prior: tuple[BetaNat, BetaNat],
+    prior: BetaNat,
     current: BetaWorkers,
     scale: float = 1.0,
-):
-    """Natural gradients of the objective in the worker Beta parameters.
+) -> np.ndarray:
+    """Natural gradient of the objective in the worker Beta parameters.
 
     Fixed point: posterior = prior + (scaled) expected confusion counts,
     counting each canonical i < j triple once.  Triple t adds the row
     A p_same + B = (L p, (1-L) p, (1-L)(1-p), L (1-p)) to its worker's
     counts, the gradient of its expected log-likelihood in log_stats.
-    Returns (M, 2) arrays for the alpha and beta parameters.
+    `prior` is one worker's record, batch shape (2,), broadcast over the
+    workers.  Returns the (M, 2, 2) step for `current.eta`.
     """
     p = _same_cluster_prob(store, q_z).data[:, None]
     labels, flipped = store.triples[:, 3:].astype(float), 1.0 - store.triples[:, 3:]
     counts = np.zeros((current.n_workers, 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
     np.add.at(counts, store.triples[:, 2], rows)
-    prior_a, prior_b = prior
-    grad_a = prior_a.eta + scale * counts[:, :2] - current.alpha_nat.eta
-    grad_b = prior_b.eta + scale * counts[:, 2:] - current.beta_nat.eta
-    return grad_a, grad_b
+    return prior.eta + scale * counts.reshape(-1, 2, 2) - current.eta
 
 
 def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch_size: int, rng):

@@ -30,12 +30,7 @@ import numpy as np
 
 from .data import Dataset, minibatch_iterator
 from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, fit
-from .expfam import (
-    BetaNat,
-    dirichlet_expected_stats,
-    log_partition,
-    niw_expected_stats,
-)
+from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
     GlobalExpectations,
@@ -368,37 +363,27 @@ def block_coordinate_local(
     store: AnnotationStore | None = None,
     sweeps: int = 4,
     tol: float = 1e-6,
-    init_log_resp=None,
 ) -> LocalVariational:
     """Alternate q(x) / q(z) coordinate updates for one working set.
 
     `store`, when given, must be indexed by working-set position.  Runs
-    at most `sweeps` rounds from uniform responsibilities (or the given
-    (n, K) start), stops early once the largest parameter change drops
-    below `tol`, and always ends on a q(x) refresh so the returned
-    Gaussians are consistent with the returned responsibilities.  The
-    annotation graph is built and colored once per call; every q(z) pass
-    then refreshes the unlinked items together and the linked items one
-    color class at a time, in color order.  Items of one class share no
-    edge, so each pass is exact coordinate ascent in that item order and
-    the surrogate ELBO cannot decrease along the sweeps.  The
-    responsibilities are held component-major, (K, n), between the
-    transpose on entry and the one on exit.
+    at most `sweeps` rounds from uniform responsibilities, stops early
+    once the largest parameter change drops below `tol`, and always ends
+    on a q(x) refresh so the returned Gaussians are consistent with the
+    returned responsibilities.  The annotation graph is built and colored
+    once per call; every q(z) pass then refreshes the unlinked items
+    together and the linked items one color class at a time, in color
+    order.  Items of one class share no edge, so each pass is exact
+    coordinate ascent in that item order and the surrogate ELBO cannot
+    decrease along the sweeps.  The responsibilities are held
+    component-major, (K, n), up to the transpose on exit.
     """
     n = potential.n_items
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     exps = global_expectations(glob)
     K = exps.log_pi.shape[0]
-    if init_log_resp is None:
-        log_resp = np.full((K, n), -math.log(K))
-    else:
-        log_resp = np.asarray(init_log_resp, dtype=float)
-        if log_resp.shape != (n, K):
-            raise ValueError(
-                f"init_log_resp must have shape (n, K) = {(n, K)}, got {log_resp.shape}"
-            )
-        log_resp = np.ascontiguousarray(log_resp.T)
+    log_resp = np.full((K, n), -math.log(K))
     log_pi = exps.log_pi[:, None]
     neighbors = annotation_graph(store, glob.workers, n)
     x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(np.exp(log_resp).T, exps, potential)
@@ -451,22 +436,17 @@ def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> fl
     return kl_z + kl_x
 
 
-def default_worker_prior() -> tuple[BetaNat, BetaNat]:
-    """Uniform Beta(1, 1) priors on every worker accuracy."""
-    return BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0)
+def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
+    """KL(q || p) summed over mixing weights, workers and components.
 
-
-def global_kl(glob: GlobalVariational, prior: MixturePrior, worker_prior=None) -> float:
-    """KL(q || p) summed over mixing weights, components and workers.
-
-    Each family contributes <eta_q - eta_p, E_q t> - (log Z_q - log Z_p),
-    summed over its batch against the one shared prior record; the worker
-    prior defaults to Beta(1, 1) on every accuracy.
+    Each posterior record is paired with its prior record: `pi_nat()`,
+    `worker_nat()` (Beta(1, 1) on every accuracy) and `niw_nat()`.  Each
+    pair contributes <eta_q - eta_p, E_q t> - (log Z_q - log Z_p), summed
+    over the posterior's batch, across which the prior record broadcasts.
     """
     dirichlets = [(glob.pi, prior.pi_nat())]  # the worker Betas are two-state Dirichlets
     if glob.workers is not None:
-        prior_a, prior_b = worker_prior if worker_prior is not None else default_worker_prior()
-        dirichlets += [(glob.workers.alpha_nat, prior_a), (glob.workers.beta_nat, prior_b)]
+        dirichlets.append((glob.workers, prior.worker_nat()))
     niw0, comps = prior.niw_nat(), glob.components
     stats = niw_expected_stats(comps)
     brackets = [(q.eta - p0.eta, dirichlet_expected_stats(q)) for q, p0 in dirichlets] + [
@@ -497,7 +477,6 @@ def surrogate_elbo(
     local: LocalVariational,
     potential: RecognitionPotential,
     store: AnnotationStore | None = None,
-    worker_prior=None,
 ) -> float:
     """Full-batch bound with <psi, E t(x)> standing in for the decoder.
 
@@ -506,8 +485,7 @@ def surrogate_elbo(
     decrease along the inner loop.
     """
     return final_objective(
-        glob, prior, local, global_expectations(glob), potential_bracket(potential, local),
-        store, worker_prior,
+        glob, prior, local, global_expectations(glob), potential_bracket(potential, local), store
     )
 
 
@@ -518,7 +496,6 @@ def final_objective(
     exps: GlobalExpectations,
     data: float,
     store: AnnotationStore | None = None,
-    worker_prior=None,
     data_scale: float = 1.0,
     rel_scale: float = 1.0,
     rows=None,
@@ -536,11 +513,7 @@ def final_objective(
     if store is not None and glob.workers is not None:
         ls = glob.workers.log_stats()
         rel = float(expected_rel_loglik(store, local.resp, ls, scale=rel_scale).data)
-    value = (
-        data_scale * (data - local_kl(exps, local, rows))
-        + rel
-        - global_kl(glob, prior, worker_prior)
-    )
+    value = data_scale * (data - local_kl(exps, local, rows)) + rel - global_kl(glob, prior)
     if not np.isfinite(value):
         raise TrainingDivergence("non-finite objective estimate")
     return float(value)
@@ -561,8 +534,9 @@ class BayesConfig:
     Fixed values:
 
     - the prior (`MixturePrior.default`): kappa0 = 0.5,
-      S0 = (d + kappa0) I and nu0 = d + kappa0, with Beta(1, 1) on every
-      worker accuracy;
+      S0 = (d + kappa0) I and nu0 = d + kappa0, and its one worker
+      record, `worker_nat()`, Beta(1, 1) on both accuracies of every
+      worker;
     - the initial globals (`init_global`): component locations drawn
       N(0, 3 I), each with kappa = 1;
     - the initial evidence potentials: precision 200
@@ -604,8 +578,9 @@ class BayesConfig:
 
 @dataclass
 class BayesModel:
-    """Trained state: prior, global posteriors and both networks.  Saved
-    `worker_prior` and `local_tol` keys, which nothing read, are ignored."""
+    """Trained state: prior, global posteriors and both networks.  Older
+    documents' keys for the worker prior and the local tolerance, which
+    nothing read, are ignored."""
 
     prior: MixturePrior
     glob: GlobalVariational
@@ -639,8 +614,12 @@ class BayesModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BayesModel":
+        try:
+            prior = MixturePrior.from_dict(doc["prior"])
+        except ValueError as err:
+            raise ValueError(f"prior: {err}") from err
         return cls(
-            prior=MixturePrior.from_dict(doc["prior"]),
+            prior=prior,
             glob=GlobalVariational.from_dict(doc["globals"]),
             recognition=Mlp.from_state(doc["recognition"]),
             decoder=Mlp.from_state(doc["decoder"]),
@@ -719,7 +698,6 @@ def train_bayes_scdc(
     )
     params = recognition.parameters() + decoder.parameters()
     opt = Adam(params, lr=config.net_lr, maximize=True)
-    worker_prior = default_worker_prior()
 
     def step(update: Update) -> float:
         nonlocal glob
@@ -734,10 +712,9 @@ def train_bayes_scdc(
             scale=update.data_scale,
         )
         if local_store is not None:
-            grad_a, grad_b = beta_natural_gradient(
-                local_store, resp, worker_prior, glob.workers, scale=update.rel_scale
-            )
-            grads = replace(grads, worker_alpha=grad_a, worker_beta=grad_b)
+            grads = replace(grads, workers=beta_natural_gradient(
+                local_store, resp, prior.worker_nat(), glob.workers, scale=update.rel_scale
+            ))
         if config.global_step > 0.0:
             new_glob = _stepped_globals(glob, grads, config.global_step)
         else:
@@ -754,7 +731,7 @@ def train_bayes_scdc(
         zero_grads(params)
 
         estimate = final_objective(
-            glob, prior, local, exps, float(recon.data), local_store, worker_prior,
+            glob, prior, local, exps, float(recon.data), local_store,
             update.data_scale, update.rel_scale, rows,
         )
         glob = new_glob

@@ -8,7 +8,6 @@ import pytest
 
 from crowdmix import expfam
 from crowdmix.expfam import (
-    BetaNat,
     DirichletNat,
     NiwNat,
     dirichlet_expected_stats,
@@ -225,9 +224,8 @@ def test_worker_gradient_application_reaches_count_fixed_point():
     current = init_global(prior, rng, n_workers=1, worker_init=(10.0, 1.0))
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     q_z = np.array([[1.0, 0.0], [1.0, 0.0]])  # certainly the same cluster
-    worker_prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
-    ga, gb = beta_natural_gradient(store, q_z, worker_prior, current.workers)
-    grads = dataclasses.replace(_zero_grads(current), worker_alpha=ga, worker_beta=gb)
+    grad = beta_natural_gradient(store, q_z, prior.worker_nat(), current.workers)
+    grads = dataclasses.replace(_zero_grads(current), workers=grad)
     updated = apply_natural_gradient(current, grads, step=1.0)
     np.testing.assert_allclose(updated.workers.alpha_taus[0], [2.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(updated.workers.beta_taus[0], [1.0, 1.0], atol=1e-12)

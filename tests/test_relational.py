@@ -5,7 +5,8 @@ import pytest
 from oracles import annotation_log_likelihood, select_triples
 
 from crowdmix.data import WorkerPool
-from crowdmix.expfam import BetaNat
+from crowdmix.expfam import BetaNat, dirichlet_expected_stats
+from crowdmix.mixture import MixturePrior
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
@@ -18,6 +19,7 @@ from crowdmix.scdc import PointParams
 from crowdmix.vmp import annotation_graph
 
 LN9 = np.log(9.0)
+WORKER_PRIOR = MixturePrior.default(2, 1).worker_nat()  # Beta(1, 1) on both accuracies
 
 
 # ---------------------------------------------------------------------------
@@ -348,34 +350,39 @@ def test_expected_rel_loglik_names_a_q_z_of_another_height(rows):
 # Beta natural gradients
 
 
+def uniform_workers(n_workers: int) -> BetaWorkers:
+    """Beta(1, 1) posteriors on both accuracies of every worker."""
+    return BetaWorkers.from_taus(np.ones((n_workers, 2)), np.ones((n_workers, 2)))
+
+
 def test_beta_gradient_empty_store_fixed_point():
     store = AnnotationStore([], 3, 2)
-    prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
-    current = BetaWorkers.constant_init(2, 1.0, 1.0)
-    ga, gb = beta_natural_gradient(store, np.full((3, 2), 0.5), prior, current)
+    grad = beta_natural_gradient(store, np.full((3, 2), 0.5), WORKER_PRIOR, uniform_workers(2))
+    ga, gb = grad[:, 0], grad[:, 1]
     assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
 
 
 def test_beta_gradient_true_positive_count():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
-    current = BetaWorkers.constant_init(1, 1.0, 1.0)
-    ga, gb = beta_natural_gradient(store, q, prior, current)
+    grad = beta_natural_gradient(store, q, WORKER_PRIOR, uniform_workers(1))
+    ga, gb = grad[:, 0], grad[:, 1]
     assert np.allclose(ga[0], [1.0, 0.0])
     assert np.allclose(gb[0], [0.0, 0.0])
     # at posterior Beta(2,1) the gradient vanishes
     at_fix = BetaWorkers.from_taus([(2.0, 1.0)], [(1.0, 1.0)])
-    ga, gb = beta_natural_gradient(store, q, prior, at_fix)
+    grad = beta_natural_gradient(store, q, WORKER_PRIOR, at_fix)
+    ga, gb = grad[:, 0], grad[:, 1]
     assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
 
 
 def test_beta_gradient_true_negative_count():
     store = AnnotationStore([(0, 1, 0, 0)], 2, 1)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
-    prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
     at_fix = BetaWorkers.from_taus([(1.0, 1.0)], [(2.0, 1.0)])
-    ga, gb = beta_natural_gradient(store, q, prior, at_fix)
+    grad = beta_natural_gradient(store, q, WORKER_PRIOR, at_fix)
+    ga, gb = grad[:, 0], grad[:, 1]
+    assert grad.shape == (1, 2, 2)
     assert ga.shape == gb.shape == (1, 2)
     assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
 
@@ -383,10 +390,62 @@ def test_beta_gradient_true_negative_count():
 @pytest.mark.parametrize("rows", [2, 7])
 def test_beta_gradient_names_a_q_z_of_another_height(rows):
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
-    prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
-    current = BetaWorkers.constant_init(1, 1.0, 1.0)
     with pytest.raises(ValueError, match="q_z"):
-        beta_natural_gradient(store, np.full((rows, 2), 0.5), prior, current)
+        beta_natural_gradient(store, np.full((rows, 2), 0.5), WORKER_PRIOR, uniform_workers(1))
+
+
+def reference_log_stats(alpha_taus, beta_taus) -> np.ndarray:
+    """The per-coin log_stats formula the two-record workers used: one
+    Beta record per coin, their expectations side by side."""
+    alpha, beta = (BetaNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus))
+    return np.concatenate([dirichlet_expected_stats(alpha), dirichlet_expected_stats(beta)], axis=1)
+
+
+def reference_beta_gradient(store, q_z, alpha_taus, beta_taus, scale):
+    """The per-coin Beta(1, 1) natural gradients the two-record workers
+    used: (M, 2) arrays for the alpha and the beta posteriors."""
+    q_z = np.asarray(q_z)
+    p = np.sum(q_z[store.triples[:, 0]] * q_z[store.triples[:, 1]], axis=-1)[:, None]
+    labels, flipped = store.triples[:, 3:].astype(float), 1.0 - store.triples[:, 3:]
+    counts = np.zeros((len(alpha_taus), 4))
+    rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
+    np.add.at(counts, store.triples[:, 2], rows)
+    prior_a, prior_b = BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0)
+    alpha, beta = (BetaNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus))
+    grad_a = prior_a.eta + scale * counts[:, :2] - alpha.eta
+    grad_b = prior_b.eta + scale * counts[:, 2:] - beta.eta
+    return grad_a, grad_b
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_workers", [0, 1, 7])
+def test_stacked_workers_equal_the_per_coin_formulas_bit_for_bit(seed, n_workers):
+    rng = np.random.default_rng(seed)
+    alpha_taus, beta_taus = rng.uniform(0.05, 40.0, size=(2, n_workers, 2))
+    workers = BetaWorkers.from_taus(alpha_taus, beta_taus)
+    # the taus come back through eta = tau - 1, as they did from each coin's record
+    assert np.array_equal(workers.alpha_taus, alpha_taus - 1.0 + 1.0)
+    assert np.array_equal(workers.beta_taus, beta_taus - 1.0 + 1.0)
+    assert np.array_equal(workers.log_stats(), reference_log_stats(alpha_taus, beta_taus))
+    n_items, k = 9, 3
+    triples = [
+        (i, j, m, int(rng.integers(2)))
+        for m in range(n_workers)
+        for i, j in itertools.combinations(range(n_items), 2)
+        if rng.random() < 0.3
+    ]
+    store = AnnotationStore(triples, n_items, n_workers)
+    q = rng.dirichlet(np.ones(k), size=n_items)
+    grad = beta_natural_gradient(store, q, WORKER_PRIOR, workers, scale=2.5)
+    grad_a, grad_b = reference_beta_gradient(store, q, alpha_taus, beta_taus, 2.5)
+    assert grad.shape == (n_workers, 2, 2)
+    assert np.array_equal(grad[:, 0], grad_a) and np.array_equal(grad[:, 1], grad_b)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 3, 2), (3, 2, 3), (2, 2, 2, 2), (2,)])
+def test_workers_need_an_eta_of_shape_m_2_2(shape):
+    with pytest.raises(ValueError, match="eta"):
+        BetaWorkers(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

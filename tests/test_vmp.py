@@ -14,7 +14,7 @@ from scipy.special import log_softmax
 import oracles
 from test_relational import reference_message_weights
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
-from crowdmix.expfam import BetaNat, DirichletNat, NiwNat
+from crowdmix.expfam import DirichletNat, NiwNat
 from crowdmix.mixture import (
     GlobalExpectations,
     GlobalVariational,
@@ -619,19 +619,31 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     assert surrogate_at(t_updated) >= max(values) - 1e-8
 
 
-def test_init_log_resp_of_another_shape_is_named():
-    glob, store, pot = grid_instance()  # n = 3 items, K = 2 components
-    for bad in (np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(3)):
-        with pytest.raises(ValueError, match="init_log_resp"):
-            block_coordinate_local(glob, pot, store, init_log_resp=bad)
+def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
+    """`sweeps` rounds of block_coordinate_local's coordinate updates, from
+    the responsibilities of `local` instead of uniform ones."""
+    exps = global_expectations(glob)
+    graph = annotation_graph(store, glob.workers, pot.n_items)
+    log_resp = np.ascontiguousarray(local.log_resp.T)
+    x = update_local_x(np.exp(log_resp).T, exps, pot)
+    for _ in range(sweeps):
+        base = exps.log_pi[:, None] + component_logits(exps, x[2], x[3])
+        log_resp, resp = update_local_z(base, graph, log_resp)
+        x = update_local_x(resp.T, exps, pot)
+    return LocalVariational(np.ascontiguousarray(log_resp.T), *x)
+
+
+def local_after(glob, pot, store, sweeps) -> LocalVariational:
+    """The local step's state after exactly `sweeps` sweeps from uniform
+    responsibilities: tol = 0 never stops early, so it is the state after
+    `sweeps - 1` sweeps, swept once more."""
+    return block_coordinate_local(glob, pot, store, sweeps=sweeps, tol=0.0)
 
 
 def test_block_coordinate_reaches_a_fixed_point():
     glob, store, pot = grid_instance()
-    local = block_coordinate_local(glob, pot, store, sweeps=80, tol=0.0)
-    again = block_coordinate_local(
-        glob, pot, store, sweeps=1, tol=0.0, init_log_resp=local.log_resp
-    )
+    local = local_after(glob, pot, store, 80)
+    again = local_after(glob, pot, store, 81)
     assert np.max(np.abs(again.log_resp - local.log_resp)) < 1e-8
     assert np.max(np.abs(again.x_h - local.x_h)) < 1e-8
     assert np.max(np.abs(again.x_j - local.x_j)) < 1e-8
@@ -652,13 +664,10 @@ def test_block_coordinate_is_order_independent_without_annotations():
 
 def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates():
     glob, store, pot = grid_instance()
-    local = block_coordinate_local(glob, pot, store, sweeps=1, tol=0.0)
-    values = [surrogate_elbo(glob, TEST_PRIOR, local, pot, store)]
-    for _ in range(50):
-        local = block_coordinate_local(
-            glob, pot, store, sweeps=1, tol=0.0, init_log_resp=local.log_resp
-        )
-        values.append(surrogate_elbo(glob, TEST_PRIOR, local, pot, store))
+    values = [
+        surrogate_elbo(glob, TEST_PRIOR, local_after(glob, pot, store, sweeps), pot, store)
+        for sweeps in range(1, 52)
+    ]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-8)
 
@@ -673,13 +682,10 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_cla
         rng.normal(size=(store.n_items, 2), scale=2.0),
         -np.exp(rng.normal(size=(store.n_items, 2))),
     )
-    local = block_coordinate_local(glob, pot, store, sweeps=1, tol=0.0)
-    values = [surrogate_elbo(glob, prior, local, pot, store)]
-    for _ in range(30):
-        local = block_coordinate_local(
-            glob, pot, store, sweeps=1, tol=0.0, init_log_resp=local.log_resp
-        )
-        values.append(surrogate_elbo(glob, prior, local, pot, store))
+    values = [
+        surrogate_elbo(glob, prior, local_after(glob, pot, store, sweeps), pot, store)
+        for sweeps in range(1, 32)
+    ]
     assert np.all(np.diff(values) >= -1e-8)
     assert values[-1] > values[0]
 
@@ -687,22 +693,19 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_cla
 def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     glob, store, pot = grid_instance()
     prior = TEST_PRIOR
-    worker_prior = (BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0))
     local = block_coordinate_local(glob, pot, store, sweeps=30, tol=0.0)
     value = surrogate_elbo(glob, prior, local, pot, store)
     for _ in range(5):
         grads = mixture_natural_gradient(
             prior, local.resp, local.x_mean, local.x_cov, glob, scale=1.0
         )
-        grad_a, grad_b = beta_natural_gradient(store, local.resp, worker_prior, glob.workers)
-        grads = replace(grads, worker_alpha=grad_a, worker_beta=grad_b)
+        grad = beta_natural_gradient(store, local.resp, prior.worker_nat(), glob.workers)
+        grads = replace(grads, workers=grad)
         glob = apply_natural_gradient(glob, grads, 1.0)
         new_value = surrogate_elbo(glob, prior, local, pot, store)
         assert new_value >= value - 1e-8
         value = new_value
-        local = block_coordinate_local(
-            glob, pot, store, sweeps=10, tol=0.0, init_log_resp=local.log_resp
-        )
+        local = resume_local(glob, pot, store, local, sweeps=10)
         new_value = surrogate_elbo(glob, prior, local, pot, store)
         assert new_value >= value - 1e-8
         value = new_value
@@ -783,13 +786,12 @@ def test_global_kl_beta_block_matches_hand_value_and_quadrature():
 def test_global_kl_worker_block_matches_beta_oracles_for_many_workers():
     rng = np.random.default_rng(8)
     workers = random_workers(rng, 5)
-    worker_prior = (BetaNat.from_tau(2.0, 0.7), BetaNat.from_tau(1.5, 3.0))
     glob_base = GlobalVariational(TEST_PRIOR.pi_nat(), prior_components(TEST_PRIOR))
     glob = replace(glob_base, workers=workers)
-    value = global_kl(glob, TEST_PRIOR, worker_prior) - global_kl(glob_base, TEST_PRIOR)
+    value = global_kl(glob, TEST_PRIOR) - global_kl(glob_base, TEST_PRIOR)
     expected = sum(
-        oracles.beta_kl(tuple(tau), tuple(p0.tau))
-        for taus, p0 in zip((workers.alpha_taus, workers.beta_taus), worker_prior)
+        oracles.beta_kl(tuple(tau), (1.0, 1.0))
+        for taus in (workers.alpha_taus, workers.beta_taus)
         for tau in taus
     )
     assert abs(value - expected) < 1e-7
@@ -797,7 +799,7 @@ def test_global_kl_worker_block_matches_beta_oracles_for_many_workers():
 
 def test_zero_workers_give_empty_stats_and_add_no_kl():
     bare = global_kl(scalar_glob(TEST_ALPHAS, TEST_COMPONENTS), TEST_PRIOR)
-    for workers in (BetaWorkers.constant_init(0, 10.0, 1.0), BetaWorkers.from_taus([], [])):
+    for workers in (BetaWorkers(np.zeros((0, 2, 2))), BetaWorkers.from_taus([], [])):
         assert workers.n_workers == 0
         assert workers.alpha_taus.shape == (0, 2) and workers.beta_taus.shape == (0, 2)
         assert workers.log_stats().shape == (0, 4)
@@ -1102,8 +1104,17 @@ def _set(path, value):
         # S = h2 - h1 h1^T / h3 has S_22 = 1 - 3.15^2 / 3.04 < 0
         (_set(["globals", "components", 1, "h2"], [[1.0, 0.0], [0.0, 1.0]]), "components"),
         (_set(["local_sweeps"], 0), "local_sweeps"),
+        (_set(["prior", "s0"], [[1.0, 0.0], [0.0, -1.0]]), "prior: s0"),
+        (_set(["globals", "pi_eta"], [0.5, -1.5, 0.3]), "pi_eta"),
+        (_set(["globals", "workers", "alpha_taus"], [[9.0, -1.0], [9.0, 1.0]]),
+         "workers.alpha_taus"),
+        (_set(["globals", "workers", "beta_taus"], [[9.0, 1.0], [0.0, 1.0]]), "workers.beta_taus"),
+        (_set(["globals", "workers", "beta_taus"], [[9.0, 1.0]]), "workers.beta_taus"),
     ],
-    ids=["alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps"],
+    ids=[
+        "alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps", "prior-s0-not-pd",
+        "pi-eta-below-domain", "alpha-tau-negative", "beta-tau-zero", "beta-taus-one-row",
+    ],
 )
 def test_saved_model_document_names_a_field_that_cannot_load(corrupt, field):
     doc = json.loads(SAVED_MODEL_JSON)
