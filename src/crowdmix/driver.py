@@ -13,6 +13,7 @@ parameters and hands `fit` one step function per update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Any, Callable
 
 import numpy as np
@@ -25,18 +26,25 @@ from .relational import AnnotationStore
 LOGVAR_CLAMP = (-8.0, 8.0)
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer (numpy integers are) or is
+    below `least`, naming the field first in the message."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def check_config(config) -> None:
     """Reject bad values of the fields every trainer config shares,
     naming the field first in the message."""
     for name in ("n_components", "latent_dim", "batch_size"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1")
-    if any(width < 1 for width in config.hidden):
-        raise ValueError("hidden widths must be at least 1")
-    if config.epochs < 0:
-        raise ValueError("epochs must be non-negative")
-    if config.annotation_batch_size is not None and config.annotation_batch_size < 1:
-        raise ValueError("annotation_batch_size must be at least 1")
+        check_count(name, getattr(config, name), 1)
+    for width in config.hidden:
+        check_count("hidden widths", width, 1)
+    check_count("epochs", config.epochs, 0)
+    if config.annotation_batch_size is not None:
+        check_count("annotation_batch_size", config.annotation_batch_size, 1)
     if not 0.0 <= config.kl_warmup <= 1.0:
         raise ValueError("kl_warmup must lie in [0, 1]")
 
@@ -89,10 +97,14 @@ def fit(
     model, a non-finite estimate, or non-finite parameters at the end of
     an epoch stop training and restore `params` (tape tensors) to the
     last finished epoch; an epoch is finished once its model has
-    predicted.  The last four arguments are the trainer module's own
-    names, so that hooks patched on that module see every call.  `rng`
-    is drawn from in a fixed order: the batch permutation, then per
-    update the annotation sample, then `step`.
+    predicted.  Each value is checked where it is made: `Mlp.forward`
+    checks every network output, `Adam.step` every gradient,
+    `mixture.apply_natural_gradient` every global step, and this loop
+    alone checks the estimate `step` returns.  The last four arguments
+    are the trainer module's own names, so that hooks patched on that
+    module see every call.  `rng` is drawn from in a fixed order: the
+    batch permutation, then per update the annotation sample, then
+    `step`.
     """
     obs, n = dataset.observations, dataset.n_items
     n_ann = store.n_annotations if store is not None else 0

@@ -22,11 +22,8 @@ from .expfam import (
     dirichlet_expected_stats,
     niw_expected_stats,
 )
+from .nnet import TrainingDivergence
 from .relational import BetaWorkers
-
-
-class StepRejected(RuntimeError):
-    """A natural-gradient step left the valid natural-parameter domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +321,23 @@ def apply_natural_gradient(
 ) -> GlobalVariational:
     """eta <- eta + step * grad with every family invariant revalidated.
 
-    Raises StepRejected when the stepped parameters leave the valid
-    domain; the caller may retry with a smaller step.
+    The gradients of `mixture_natural_gradient` and
+    `relational.beta_natural_gradient` are eta_hat - eta, where eta_hat,
+    the prior plus scaled expected statistics, is itself a valid record.
+    A step of size rho in (0, 1] then moves to (1 - rho) eta + rho eta_hat,
+    a convex combination, and every domain is convex: eta > -1 for the
+    Dirichlet and Beta records; kappa > 0, nu > d - 1 and
+    [[h2, h1], [h1^T, h3]] positive definite for the NIW records.  Such a
+    step cannot leave the domain, so a stepped record that fails its
+    family's check means the inputs were not finite or not valid: it
+    raises TrainingDivergence with the family's message, and `driver.fit`
+    restores the last finished epoch.  A step outside (0, 1], or worker
+    gradients without worker posteriors, is a ValueError.
     """
     if not 0.0 < step <= 1.0:
         raise ValueError(f"step must lie in (0, 1], got {step}")
+    if grads.workers is not None and current.workers is None:
+        raise ValueError("worker gradients supplied without worker posteriors")
     try:
         pi = DirichletNat(current.pi.eta + step * grads.pi)
         c = current.components
@@ -343,11 +352,9 @@ def apply_natural_gradient(
         components.scale_logdet()
         workers = current.workers
         if grads.workers is not None:
-            if workers is None:
-                raise ValueError("worker gradients supplied without worker posteriors")
             workers = BetaWorkers(workers.eta + step * grads.workers)
     except (ValueError, np.linalg.LinAlgError) as err:
-        raise StepRejected(f"step {step} left the valid domain: {err}") from err
+        raise TrainingDivergence(f"step {step} left the valid domain: {err}") from err
     return GlobalVariational(pi, components, workers)
 
 

@@ -12,6 +12,8 @@ The engine keeps a network step lean:
 
 - affine() records one node for a dense layer, h @ W + b with an optional
   ReLU, in place of three; Mlp.forward uses it for every layer and head.
+- Mlp.forward is the one check that a network's outputs are finite: a
+  head that is not, after its clamp, raises TrainingDivergence naming it.
 - The vector-Jacobian products of matmul, mul, sub, einsum2 and
   affine compute a parent's gradient only when that parent requires one.
 - backward() clears each recorded output's adjoint once it has passed it
@@ -49,7 +51,8 @@ def _current_tape():
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when a gradient or objective stops being finite."""
+    """Raised when a network output, a gradient, an objective estimate or
+    a global step stops being finite or valid."""
 
 
 class Tape:
@@ -460,7 +463,10 @@ class Mlp:
     sizes gives [input width, hidden widths...]; heads maps a head name to
     its output width.  Heads listed in `clamp` are clipped to the given
     (lo, hi) interval after the linear map (used for log-variance heads).
-    Weights start uniform in +/- 1/sqrt(fan-in), biases at zero.
+    `forward` raises TrainingDivergence, naming the head, when a head
+    holds a value that is not finite after its clamp: a clamped head
+    clips an infinity, but not a NaN.  Weights start uniform in
+    +/- 1/sqrt(fan-in), biases at zero.
     """
 
     def __init__(self, sizes, heads, rng, clamp=None):
@@ -511,6 +517,8 @@ class Mlp:
             if name in self.clamp:
                 lo, hi = self.clamp[name]
                 y = clip(y, lo, hi)
+            if not np.isfinite(y.data).all():
+                raise TrainingDivergence(f"network head '{name}' produced non-finite outputs")
             out[name] = y
         return out
 

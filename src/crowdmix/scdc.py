@@ -32,7 +32,6 @@ from .nnet import (
     Mlp,
     Tape,
     Tensor,
-    TrainingDivergence,
     backward,
     diag_gaussian_loglik,
     exp,
@@ -149,12 +148,6 @@ class PointParams:
         )
 
 
-def _check_finite(heads: dict, what: str) -> None:
-    for value in heads.values():
-        if not np.all(np.isfinite(value.data)):
-            raise TrainingDivergence(f"{what} produced non-finite outputs")
-
-
 def elbo_local(
     observations, logits: Tensor, model: "ScdcModel", noise, scale: float, kl_weight: float
 ):
@@ -190,7 +183,6 @@ def elbo_local(
     stacked_obs = np.repeat(obs, k_comp, axis=0)              # (n*K, D)
     indicator = np.tile(np.eye(k_comp), (n, 1))               # (n*K, K)
     x_heads = model.encoder_x.forward(np.concatenate([indicator, stacked_obs], axis=1))
-    _check_finite(x_heads, "latent encoder")
     mean, logvar = x_heads["mean"], x_heads["logvar"]         # (n*K, d)
     lv = point.log_vars                                       # (K, d)
     mean_view = reshape(mean, (n, k_comp, d))
@@ -202,7 +194,6 @@ def elbo_local(
     kl = tensor_sum(kl_terms, axis=-1) * 0.5                  # (n, K)
     eps = noise.transpose(1, 0, 2).reshape(n * k_comp, d)    # row i*K + k: noise[k, i]
     dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), eps))
-    _check_finite(dec, "decoder")
     recon = reshape(diag_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"]), (n, k_comp))
     rows = recon - kl * kl_weight                             # (n, K)
     log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
@@ -245,8 +236,8 @@ class ScdcConfig:
 
     def __post_init__(self):
         check_config(self)
-        if self.lr < 0.0:
-            raise ValueError("lr must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and non-negative")
 
 
 @dataclass
@@ -332,9 +323,7 @@ def train_scdc(
         noise = rng.standard_normal((k_comp, update.batch.size, d))
         with Tape() as tape:
             # the working set contains the batch: one encoder pass serves both terms
-            z_heads = model.encoder_z.forward(obs[update.working])
-            _check_finite(z_heads, "cluster encoder")
-            logits = z_heads["logits"]
+            logits = model.encoder_z.forward(obs[update.working])["logits"]
             total = elbo_local(
                 obs[update.batch], take_rows(logits, update.rows), model, noise,
                 update.data_scale, update.kl_weight,

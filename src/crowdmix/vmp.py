@@ -29,14 +29,13 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, minibatch_iterator
-from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, fit
+from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, check_count, fit
 from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
     GlobalExpectations,
     GlobalVariational,
     MixturePrior,
-    StepRejected,
     apply_natural_gradient,
     effective_components,
     global_expectations,
@@ -72,9 +71,6 @@ from .relational import (
 # Added below -softplus(raw) so evidence precisions stay bounded away
 # from singular even when the raw head saturates at large negatives.
 PRECISION_FLOOR = 1e-4
-
-# Most halvings of a rejected global step before giving up.
-MAX_STEP_HALVINGS = 30
 
 # Starting diagonal precision of the evidence potentials, and the
 # per-coordinate standard deviation of their implied means.
@@ -135,14 +131,11 @@ def recognition_potential(net: Mlp, observations) -> RecognitionPotential:
 
     The raw precision head passes through -softplus(.) - PRECISION_FLOOR,
     so the potential is always a proper (strictly negative) diagonal.
+    `Mlp.forward` raises TrainingDivergence when a head is not finite.
     """
     heads = net.forward(np.asarray(observations, dtype=float))
-    loc = heads["loc"].data
-    raw = heads["prec_raw"].data
-    if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(raw))):
-        raise TrainingDivergence("recognition network produced non-finite outputs")
-    j_diag = -np.logaddexp(0.0, raw) - PRECISION_FLOOR
-    return RecognitionPotential(loc, j_diag)
+    j_diag = -np.logaddexp(0.0, heads["prec_raw"].data) - PRECISION_FLOOR
+    return RecognitionPotential(heads["loc"].data, j_diag)
 
 
 def _calibrate_recognition_init(net: Mlp, observations) -> None:
@@ -507,16 +500,14 @@ def final_objective(
     `exps` are the expectations of `glob`.  `rows` restricts the local
     KL the same way, e.g. to the data minibatch inside a larger working
     set; `store` must be indexed like `local`.  Scales restore full-data
-    magnitudes from minibatches.
+    magnitudes from minibatches.  The estimate may come out non-finite;
+    `driver.fit` checks what the step returns.
     """
     rel = 0.0
     if store is not None and glob.workers is not None:
         ls = glob.workers.log_stats()
         rel = float(expected_rel_loglik(store, local.resp, ls, scale=rel_scale).data)
-    value = data_scale * (data - local_kl(exps, local, rows)) + rel - global_kl(glob, prior)
-    if not np.isfinite(value):
-        raise TrainingDivergence("non-finite objective estimate")
-    return float(value)
+    return float(data_scale * (data - local_kl(exps, local, rows)) + rel - global_kl(glob, prior))
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +556,13 @@ class BayesConfig:
         check_config(self)
         if not 0.0 <= self.global_step <= 1.0:
             raise ValueError("global_step must lie in [0, 1]")
-        if self.local_sweeps < 1:
-            raise ValueError("local_sweeps must be at least 1")
-        if self.net_lr < 0.0:
-            raise ValueError("net_lr must be non-negative")
-        if not all(tau > 0.0 for tau in self.worker_init):
-            raise ValueError("worker_init entries must be positive")
+        check_count("local_sweeps", self.local_sweeps, 1)
+        if not 0.0 <= self.net_lr < math.inf:
+            raise ValueError("net_lr must be finite and non-negative")
+        if not all(0.0 < tau < math.inf for tau in self.worker_init):
+            raise ValueError("worker_init entries must be finite and positive")
+        if self.alpha0 is not None and not 0.0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be finite and positive")
 
     def prior(self) -> MixturePrior:
         return MixturePrior.default(self.n_components, self.latent_dim, self.alpha0)
@@ -659,17 +651,6 @@ def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_
     return objective, recon
 
 
-def _stepped_globals(glob, grads, step) -> GlobalVariational:
-    """Apply the natural-gradient step, halving it while it gets rejected."""
-    trial = step
-    for _ in range(MAX_STEP_HALVINGS):
-        try:
-            return apply_natural_gradient(glob, grads, trial)
-        except StepRejected:
-            trial *= 0.5
-    raise TrainingDivergence("global natural-gradient step kept leaving the valid domain")
-
-
 def train_bayes_scdc(
     dataset: Dataset,
     store: AnnotationStore | None,
@@ -716,7 +697,7 @@ def train_bayes_scdc(
                 local_store, resp, prior.worker_nat(), glob.workers, scale=update.rel_scale
             ))
         if config.global_step > 0.0:
-            new_glob = _stepped_globals(glob, grads, config.global_step)
+            new_glob = apply_natural_gradient(glob, grads, config.global_step)
         else:
             new_glob = glob
 

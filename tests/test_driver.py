@@ -71,6 +71,8 @@ def test_divergence_restores_the_last_finished_epoch(trainer, monkeypatch):
         # finite, but the recognition network overflows when the epoch's
         # model predicts
         pytest.param("bayes", 1e308, id="bayes-overflow"),
+        # the cluster encoder overflows when the epoch's model predicts
+        pytest.param("scdc", 1e308, id="scdc-overflow"),
     ],
 )
 def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
@@ -98,6 +100,31 @@ def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
     result = train(dataset, store, config, np.random.default_rng(4))
     assert len(calls) == 2 * updates_per_epoch
     assert result.diverged
+    assert result.history == finished.history
+    assert result.model.to_dict() == finished.model.to_dict()
+
+
+def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
+    # A global gradient that takes kappa below zero at any step size the
+    # trainer uses; a smaller step would still be valid.
+    module, train, config, _ = TRAINERS["bayes"]
+    dataset, store = small_problem(2)
+    finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
+    updates_per_epoch = -(-dataset.n_items // config.batch_size)
+    original = module.mixture_natural_gradient
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        grads = original(*args, **kwargs)
+        if len(calls) == updates_per_epoch + 2:
+            grads = replace(grads, h3=grads.h3 - 1e6)
+        return grads
+
+    monkeypatch.setattr(module, "mixture_natural_gradient", poisoned)
+    result = train(dataset, store, config, np.random.default_rng(4))
+    assert result.diverged
+    assert len(calls) == updates_per_epoch + 2
     assert result.history == finished.history
     assert result.model.to_dict() == finished.model.to_dict()
 

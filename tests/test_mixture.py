@@ -17,13 +17,13 @@ from crowdmix.mixture import (
     GlobalGrads,
     GlobalVariational,
     MixturePrior,
-    StepRejected,
     apply_natural_gradient,
     effective_components,
     global_expectations,
     init_global,
     mixture_natural_gradient,
 )
+from crowdmix.nnet import TrainingDivergence
 from crowdmix.relational import AnnotationStore, BetaWorkers, beta_natural_gradient
 
 
@@ -236,26 +236,81 @@ def test_step_rejection_and_bad_steps():
     prior = MixturePrior.default(2, 2)
     current = init_global(prior, rng)
     bad_kappa = dataclasses.replace(_zero_grads(current), h3=np.full(2, -5.0))
-    with pytest.raises(StepRejected):
+    with pytest.raises(TrainingDivergence, match="kappa"):
         apply_natural_gradient(current, bad_kappa, step=1.0)
     bad_alpha = dataclasses.replace(_zero_grads(current), pi=np.full(2, -10.0))
-    with pytest.raises(StepRejected):
+    with pytest.raises(TrainingDivergence):
         apply_natural_gradient(current, bad_alpha, step=1.0)
     bad_scale = dataclasses.replace(
         _zero_grads(current), h2=np.array([-100.0 * np.eye(2)] * 2)
     )
-    with pytest.raises(StepRejected):
+    with pytest.raises(TrainingDivergence):
         apply_natural_gradient(current, bad_scale, step=1.0)
     d = prior.latent_dim
     for nu in (d - 1.0, d - 1.5):  # nu <= d - 1 on one component
         h4 = current.components.h4.copy()
         h4[1] = nu + d + 2.0
         bad_nu = dataclasses.replace(_zero_grads(current), h4=h4 - current.components.h4)
-        with pytest.raises(StepRejected, match="nu"):
+        with pytest.raises(TrainingDivergence, match="nu"):
             apply_natural_gradient(current, bad_nu, step=1.0)
     for step in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             apply_natural_gradient(current, _zero_grads(current), step=step)
+    no_posteriors = dataclasses.replace(_zero_grads(current), workers=np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="worker"):
+        apply_natural_gradient(current, no_posteriors, step=1.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
+    """Both gradients are eta_hat - eta with eta_hat a valid record, so a
+    step of any size in (0, 1] lands on (1 - rho) eta + rho eta_hat, inside
+    every family's convex domain, and is never rejected."""
+    rng = np.random.default_rng(seed)
+    k, d, m, n = 4, 2, 3, 12
+    prior = MixturePrior.default(k, d)
+    a = rng.standard_normal((k, d, d))
+    current = GlobalVariational(
+        DirichletNat.from_alpha(rng.uniform(0.01, 5.0, size=k)),
+        NiwNat.from_standard(
+            rng.standard_normal((k, d)) * 3.0, rng.uniform(0.1, 5.0, size=k),
+            a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d), d - 1.0 + rng.uniform(0.01, 5.0, size=k),
+        ),
+        BetaWorkers.from_taus(rng.uniform(0.1, 10.0, (m, 2)), rng.uniform(0.1, 10.0, (m, 2))),
+    )
+    q_z = rng.dirichlet(np.full(k, 0.5), size=n)
+    _, means, covs = _random_instance(rng, n=n, k=k, d=d)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = rng.choice(len(pairs), size=20, replace=False)
+    store = AnnotationStore(
+        [(*pairs[p], rng.integers(m), rng.integers(2)) for p in picked], n_items=n, n_workers=m
+    )
+    scale = rng.uniform(1.0, 10.0)
+    grads = dataclasses.replace(
+        mixture_natural_gradient(prior, q_z, means, covs, current, scale=scale),
+        workers=beta_natural_gradient(
+            store, q_z, prior.worker_nat(), current.workers, scale=rng.uniform(1.0, 10.0)
+        ),
+    )
+    c = current.components
+    blocks = [
+        (current.pi.eta, grads.pi, lambda g: g.pi.eta),
+        (current.workers.eta, grads.workers, lambda g: g.workers.eta),
+        (c.h1, grads.h1, lambda g: g.components.h1),
+        (c.h2, grads.h2, lambda g: g.components.h2),
+        (c.h3, grads.h3, lambda g: g.components.h3),
+        (c.h4, grads.h4, lambda g: g.components.h4),
+    ]
+    # the fixed point eta_hat = eta + grad is a valid record of each family
+    DirichletNat(current.pi.eta + grads.pi)
+    BetaWorkers(current.workers.eta + grads.workers)
+    NiwNat(*(eta + g for eta, g, _ in blocks[2:])).scale_logdet()
+    for rho in (1e-12, 0.05, 0.5, 1.0):
+        stepped = apply_natural_gradient(current, grads, rho)
+        for eta, g, read in blocks:
+            np.testing.assert_allclose(
+                read(stepped), (1.0 - rho) * eta + rho * (eta + g), rtol=1e-12, atol=1e-12
+            )
 
 
 def test_a_stepped_record_factors_its_scale_once(monkeypatch):

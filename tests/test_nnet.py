@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crowdmix.data import Dataset
 from crowdmix.nnet import (
     Adam,
     Mlp,
@@ -31,6 +32,7 @@ from crowdmix.nnet import (
     tensor_sum,
     zero_grads,
 )
+from crowdmix.scdc import ScdcConfig, train_scdc
 
 
 def _fd_max_rel_err(build_loss, params, eps=1e-6):
@@ -117,6 +119,32 @@ def test_logvar_clamp():
     assert np.all(out >= -8.0) and np.all(out <= 8.0)
     var = np.exp(out)
     assert np.all(var >= np.exp(-8.0)) and np.all(var <= np.exp(8.0))
+
+
+@pytest.mark.parametrize("head", ["mean", "logvar", "logits"])
+def test_a_nan_in_any_head_raises_naming_the_head(head):
+    net = Mlp([2, 4], {"mean": 2, "logvar": 2, "logits": 3}, np.random.default_rng(3),
+              clamp={"logvar": (-8.0, 8.0)})
+    net.head_biases[head].data[0] = np.nan
+    with pytest.raises(TrainingDivergence, match=f"'{head}'"):
+        net.forward(np.ones((3, 2)))
+
+
+def test_an_infinite_clamped_head_is_clipped_not_raised():
+    net = Mlp([2, 4], {"mean": 2, "logvar": 2}, np.random.default_rng(4),
+              clamp={"logvar": (-8.0, 8.0)})
+    net.head_biases["logvar"].data = np.array([np.inf, -np.inf])
+    out = net.forward(np.ones((3, 2)))["logvar"].data
+    assert np.all(out == [8.0, -8.0])
+
+
+def test_scdc_predict_with_a_nan_weight_raises():
+    dataset = Dataset(np.random.default_rng(5).standard_normal((6, 2)))
+    model = train_scdc(dataset, None, ScdcConfig(epochs=0, hidden=(4,)),
+                       np.random.default_rng(6)).model
+    model.encoder_z.weights[0].data[0, 0] = np.nan
+    with pytest.raises(TrainingDivergence, match="'logits'"):
+        model.predict(dataset.observations)
 
 
 def test_state_dict_roundtrip():

@@ -36,7 +36,6 @@ from crowdmix.scdc import (
     PointParams,
     ScdcConfig,
     ScdcModel,
-    _check_finite,
     elbo_local,
     elbo_rel,
     train_scdc,
@@ -57,7 +56,6 @@ def per_component_elbo_local(observations, model, noise, scale, kl_weight):
     point = model.point
     k_comp = point.n_components
     z_heads = model.encoder_z.forward(obs)
-    _check_finite(z_heads, "cluster encoder")
     log_q_z = log_softmax(z_heads["logits"], axis=-1)
     q_z = exp(log_q_z)
     rows = None
@@ -65,7 +63,6 @@ def per_component_elbo_local(observations, model, noise, scale, kl_weight):
         indicator = np.zeros((n, k_comp))
         indicator[:, k] = 1.0
         x_heads = model.encoder_x.forward(np.concatenate([indicator, obs], axis=1))
-        _check_finite(x_heads, "latent encoder")
         mean, logvar = x_heads["mean"], x_heads["logvar"]
         mu_k = take_rows(point.means, [k])
         lv_k = take_rows(point.log_vars, [k])
@@ -75,7 +72,6 @@ def per_component_elbo_local(observations, model, noise, scale, kl_weight):
         )
         kl_k = tensor_sum(kl_terms, axis=-1) * 0.5
         dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), noise[k]))
-        _check_finite(dec, "decoder")
         recon_k = diag_gaussian_loglik(obs, dec["mean"], dec["logvar"])
         column = reshape(recon_k - kl_k * kl_weight, (n, 1)) * np.eye(k_comp)[k]
         rows = column if rows is None else rows + column
@@ -461,12 +457,33 @@ def test_elbo_local_rejects_logits_not_of_the_batch():
         ("hidden", (0,)),
         ("hidden", (-2,)),
         ("hidden", (40, 0)),
+        ("hidden", (40.5,)),
+        ("epochs", 2.5),
+        ("batch_size", 50.0),
+        ("n_components", "15"),
+        ("latent_dim", 2.0),
+        ("annotation_batch_size", 1.5),
+        ("kl_warmup", float("nan")),
     ],
 )
 def test_config_rejects_bad_values_naming_the_field(field, value):
     for config in (ScdcConfig, BayesConfig):
         with pytest.raises(ValueError, match=f"^{field}"):
             config(**{field: value})
+
+
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+def test_config_rejects_a_learning_rate_that_is_not_finite_and_non_negative(lr):
+    with pytest.raises(ValueError, match="^lr"):
+        ScdcConfig(lr=lr)
+
+
+def test_config_accepts_numpy_integer_counts():
+    counts = {"n_components": 4, "latent_dim": 2, "epochs": 3, "batch_size": 10,
+              "annotation_batch_size": 5}
+    for config in (ScdcConfig, BayesConfig):
+        numpy_config = config(**{k: np.int64(v) for k, v in counts.items()}, hidden=(np.int32(8),))
+        assert numpy_config == config(**counts, hidden=(8,))
 
 
 def test_config_accepts_valid_batch_and_clamps():

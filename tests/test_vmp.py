@@ -1130,13 +1130,23 @@ def test_config_validation():
         BayesConfig(batch_size=0)
     with pytest.raises(ValueError):
         BayesConfig(global_step=1.5)
-    with pytest.raises(ValueError):
-        BayesConfig(local_sweeps=0)
-    with pytest.raises(ValueError):
-        BayesConfig(net_lr=-1.0)
-    for worker_init in ((0.0, 1.0), (10.0, -1.0), (float("nan"), 1.0)):
+    for net_lr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^net_lr"):
+            BayesConfig(net_lr=net_lr)
+    for local_sweeps in (0, 2.5):
+        with pytest.raises(ValueError, match="^local_sweeps"):
+            BayesConfig(local_sweeps=local_sweeps)
+    with pytest.raises(ValueError, match="^epochs"):
+        BayesConfig(epochs=2.5)
+    for worker_init in (
+        (0.0, 1.0), (10.0, -1.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf"))
+    ):
         with pytest.raises(ValueError, match="^worker_init"):
             BayesConfig(worker_init=worker_init)
+    for alpha0 in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^alpha0"):
+            BayesConfig(alpha0=alpha0)
+    assert BayesConfig(epochs=np.int64(2), local_sweeps=np.int32(3)).local_sweeps == 3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
