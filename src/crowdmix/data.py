@@ -1,9 +1,7 @@
 """Datasets and simulated crowds.
 
 Pinwheel generation, worker-annotation simulation against ground-truth
-labels, plain-text file I/O for observations/labels/annotations, and
-the minibatch index iterator.  Every writer/reader pair round-trips
-bit-exactly.
+labels, and the minibatch index iterator.
 """
 
 from __future__ import annotations
@@ -193,118 +191,6 @@ def simulate_annotations(
         for ai, bi, li in zip(subset[a], subset[b], lab):
             triples.append((int(ai), int(bi), m, int(li)))
     return AnnotationStore(triples, n_items=dataset.n_items, n_workers=pool.n_workers)
-
-
-# ---------------------------------------------------------------------------
-# file I/O
-
-
-def save_observations(path, observations: np.ndarray) -> None:
-    observations = np.asarray(observations, dtype=float)
-    with open(path, "w") as fh:
-        for row in observations:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def load_observations(path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no observation rows")
-    return np.array(rows, dtype=float)
-
-
-def save_labels(path, labels: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for v in np.asarray(labels, dtype=int):
-            fh.write(f"{v}\n")
-
-
-def load_labels(path) -> np.ndarray:
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: labels must be integers, got {line!r}"
-                ) from None
-    if not values:
-        raise ValueError(f"{path}: no label rows")
-    return np.array(values, dtype=int)
-
-
-def save_dataset(obs_path, labels_path, dataset: Dataset) -> None:
-    save_observations(obs_path, dataset.observations)
-    if labels_path is not None:
-        if dataset.labels is None:
-            raise ValueError("dataset has no labels to save")
-        save_labels(labels_path, dataset.labels)
-
-
-def load_dataset(obs_path, labels_path=None) -> Dataset:
-    observations = load_observations(obs_path)
-    labels = load_labels(labels_path) if labels_path is not None else None
-    return Dataset(observations, labels)
-
-
-def save_annotations(path, store: AnnotationStore) -> None:
-    with open(path, "w") as fh:
-        for i, j, m, label in store.triples:
-            fh.write(f"{i},{j},{m},{label}\n")
-
-
-def load_annotations(path, n_items: int | None = None, n_workers: int | None = None) -> AnnotationStore:
-    """Parse canonical `i,j,m,label` rows.
-
-    Item and worker counts default to one past the largest index seen.
-    """
-    triples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected i,j,m,label, got {line!r}"
-                )
-            try:
-                i, j, m, label = (int(p) for p in parts)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: fields must be integers, got {line!r}"
-                ) from None
-            triples.append((i, j, m, label))
-    if n_items is None:
-        n_items = 1 + max(max(t[0], t[1]) for t in triples) if triples else 0
-    if n_workers is None:
-        n_workers = 1 + max(t[2] for t in triples) if triples else 0
-    try:
-        return AnnotationStore(triples, n_items=n_items, n_workers=n_workers)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

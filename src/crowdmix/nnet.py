@@ -87,9 +87,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -536,7 +533,7 @@ class Mlp:
     @classmethod
     def from_state(cls, state: dict) -> "Mlp":
         """Network from a `state_dict` document.  Every saved array must
-        have the shape that `sizes` and `heads` give it."""
+        be finite and have the shape that `sizes` and `heads` give it."""
         net = cls(
             state["sizes"],
             state["heads"],
@@ -560,6 +557,8 @@ class Mlp:
                 raise ValueError(
                     f"{label} has shape {value.shape}, the network needs {tensor.data.shape}"
                 )
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{label} has non-finite values")
             tensor.data = value
         return net
 

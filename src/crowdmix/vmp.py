@@ -355,14 +355,12 @@ def block_coordinate_local(
     potential: RecognitionPotential,
     store: AnnotationStore | None = None,
     sweeps: int = 4,
-    tol: float = 1e-6,
 ) -> LocalVariational:
     """Alternate q(x) / q(z) coordinate updates for one working set.
 
     `store`, when given, must be indexed by working-set position.  Runs
-    at most `sweeps` rounds from uniform responsibilities, stops early
-    once the largest parameter change drops below `tol`, and always ends
-    on a q(x) refresh so the returned Gaussians are consistent with the
+    exactly `sweeps` rounds from uniform responsibilities and ends on a
+    q(x) refresh, so the returned Gaussians are consistent with the
     returned responsibilities.  The annotation graph is built and colored
     once per call; every q(z) pass then refreshes the unlinked items
     together and the linked items one color class at a time, in color
@@ -382,17 +380,8 @@ def block_coordinate_local(
     x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(np.exp(log_resp).T, exps, potential)
     for _ in range(sweeps):
         base = log_pi + component_logits(exps, x_mean, x_cov)
-        new_log_resp, resp = update_local_z(base, neighbors, log_resp)
-        new_x = update_local_x(resp.T, exps, potential)
-        delta = max(
-            np.max(np.abs(new_log_resp - log_resp)),
-            np.max(np.abs(new_x[0] - x_h)),
-            np.max(np.abs(new_x[1] - x_j)),
-        )
-        log_resp = new_log_resp
-        x_h, x_j, x_mean, x_cov, x_logdet = new_x
-        if delta < tol:
-            break
+        log_resp, resp = update_local_z(base, neighbors, log_resp)
+        x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp.T, exps, potential)
     return LocalVariational(np.ascontiguousarray(log_resp.T), x_h, x_j, x_mean, x_cov, x_logdet)
 
 
@@ -532,8 +521,6 @@ class BayesConfig:
       N(0, 3 I), each with kappa = 1;
     - the initial evidence potentials: precision 200
       (INIT_POTENTIAL_PRECISION) and spread 1 (INIT_POTENTIAL_SPREAD);
-    - the local step stops early once its largest parameter change
-      drops below 1e-6;
     - the decoder's log-variance head is clipped to
       `driver.LOGVAR_CLAMP`, (-8, 8).
     """
@@ -581,8 +568,7 @@ class BayesModel:
     local_sweeps: int = 4
 
     def __post_init__(self):
-        if self.local_sweeps < 1:
-            raise ValueError(f"local_sweeps must be at least 1, got {self.local_sweeps}")
+        check_count("local_sweeps", self.local_sweeps, 1)
 
     def local_posterior(self, observations, store: AnnotationStore | None = None) -> LocalVariational:
         potential = recognition_potential(self.recognition, observations)
@@ -615,7 +601,7 @@ class BayesModel:
             glob=GlobalVariational.from_dict(doc["globals"]),
             recognition=Mlp.from_state(doc["recognition"]),
             decoder=Mlp.from_state(doc["decoder"]),
-            local_sweeps=int(doc.get("local_sweeps", 4)),
+            local_sweeps=doc.get("local_sweeps", 4),
         )
 
 

@@ -1,4 +1,4 @@
-"""Dataset generation, annotation simulation, and file I/O tests."""
+"""Dataset generation, annotation simulation and minibatch tests."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,10 @@ import pytest
 from crowdmix.data import (
     Dataset,
     WorkerPool,
-    load_annotations,
-    load_dataset,
-    load_labels,
-    load_observations,
     minibatch_iterator,
     pinwheel_generate,
-    save_annotations,
-    save_dataset,
-    save_labels,
-    save_observations,
     simulate_annotations,
 )
-from crowdmix.relational import AnnotationStore
 
 
 # ---------------------------------------------------------------------------
@@ -163,81 +154,6 @@ def test_simulate_determinism():
     a = simulate_annotations(ds, pool, 30, 50, np.random.default_rng(11))
     b = simulate_annotations(ds, pool, 30, 50, np.random.default_rng(11))
     np.testing.assert_array_equal(a.triples, b.triples)
-
-
-# ---------------------------------------------------------------------------
-# file I/O
-
-
-def test_observation_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(12)
-    obs = np.concatenate(
-        [rng.standard_normal((5, 3)), [[np.pi, 1e-300, -1.0 / 3.0]]], axis=0
-    )
-    path = tmp_path / "obs.csv"
-    save_observations(path, obs)
-    np.testing.assert_array_equal(load_observations(path), obs)
-
-
-def test_dataset_round_trip(tmp_path):
-    ds = pinwheel_generate(3, 10, rng=np.random.default_rng(13))
-    save_dataset(tmp_path / "o.csv", tmp_path / "l.txt", ds)
-    back = load_dataset(tmp_path / "o.csv", tmp_path / "l.txt")
-    np.testing.assert_array_equal(back.observations, ds.observations)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    no_labels = load_dataset(tmp_path / "o.csv")
-    assert no_labels.labels is None
-
-
-def test_labels_round_trip_and_errors(tmp_path):
-    path = tmp_path / "labels.txt"
-    save_labels(path, [0, 2, 1])
-    np.testing.assert_array_equal(load_labels(path), [0, 2, 1])
-    path.write_text("0\nx\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_labels(path)
-    path.write_text("")
-    with pytest.raises(ValueError, match="no label rows"):
-        load_labels(path)
-
-
-def test_observation_parse_errors_name_the_line(tmp_path):
-    path = tmp_path / "obs.csv"
-    path.write_text("1.0,2.0\n3.0,oops\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_observations(path)
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_observations(path)
-
-
-def test_annotation_round_trip_and_canonicalization(tmp_path):
-    store = AnnotationStore([(0, 3, 1, 1), (1, 2, 0, 0)], n_items=4, n_workers=2)
-    path = tmp_path / "ann.csv"
-    save_annotations(path, store)
-    back = load_annotations(path, n_items=4, n_workers=2)
-    np.testing.assert_array_equal(back.triples, store.triples)
-
-    path.write_text("3,1,0,1\n")
-    flipped = load_annotations(path)
-    np.testing.assert_array_equal(flipped.triples, [[1, 3, 0, 1]])
-    assert flipped.n_items == 4 and flipped.n_workers == 1
-
-
-def test_annotation_parse_errors(tmp_path):
-    path = tmp_path / "ann.csv"
-    path.write_text("0,1,0\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_annotations(path)
-    path.write_text("0,1,zero,1\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_annotations(path)
-    path.write_text("0,1,5,1\n")
-    with pytest.raises(ValueError, match="worker"):
-        load_annotations(path, n_items=2, n_workers=2)
-    path.write_text("0,1,0,2\n")
-    with pytest.raises(ValueError):
-        load_annotations(path, n_items=2, n_workers=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from scipy.special import log_softmax
 
 import oracles
 from test_relational import reference_message_weights
+from crowdmix import vmp
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.expfam import DirichletNat, NiwNat
 from crowdmix.mixture import (
@@ -527,26 +528,17 @@ def update_local_z_rows(base, neighbors, log_resp):
     return out
 
 
-def local_step_rows(glob, potential, store, sweeps, tol):
+def local_step_rows(glob, potential, store, sweeps):
     """Log responsibilities of block_coordinate_local from uniform ones."""
     exps = global_expectations(glob)
     n, K = potential.n_items, exps.log_pi.shape[0]
     log_resp = np.full((n, K), -math.log(K))
     neighbors = annotation_graph(store, glob.workers, n)
-    x_h, x_j, x_mean, x_cov, _ = update_local_x(np.exp(log_resp), exps, potential)
+    _, _, x_mean, x_cov, _ = update_local_x(np.exp(log_resp), exps, potential)
     for _ in range(sweeps):
         base = exps.log_pi + component_logits_rows(exps, x_mean, x_cov)
-        new_log_resp = update_local_z_rows(base, neighbors, log_resp)
-        new_x = update_local_x(np.exp(new_log_resp), exps, potential)
-        delta = max(
-            np.max(np.abs(new_log_resp - log_resp)),
-            np.max(np.abs(new_x[0] - x_h)),
-            np.max(np.abs(new_x[1] - x_j)),
-        )
-        log_resp = new_log_resp
-        x_h, x_j, x_mean, x_cov, _ = new_x
-        if delta < tol:
-            break
+        log_resp = update_local_z_rows(base, neighbors, log_resp)
+        _, _, x_mean, x_cov, _ = update_local_x(np.exp(log_resp), exps, potential)
     return log_resp
 
 
@@ -577,9 +569,7 @@ def test_predict_equals_the_argmax_of_the_row_major_local_step():
     model = train_bayes_scdc(dataset, store, config, np.random.default_rng(7)).model
     potential = recognition_potential(model.recognition, dataset.observations)
     for annotations in (store, None):
-        expected = local_step_rows(
-            model.glob, potential, annotations, model.local_sweeps, 1e-6
-        )
+        expected = local_step_rows(model.glob, potential, annotations, model.local_sweeps)
         local = model.local_posterior(dataset.observations, annotations)
         assert np.max(np.abs(local.log_resp - expected)) < 1e-9
     # predict passes no store
@@ -600,7 +590,7 @@ def grid_instance():
 def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     glob, store, pot = grid_instance()
     exps = global_expectations(glob)
-    local = block_coordinate_local(glob, pot, store, sweeps=2, tol=0.0)
+    local = block_coordinate_local(glob, pot, store, sweeps=2)
     base = exps.log_pi[:, None] + component_logits(exps, local.x_mean, local.x_cov)
     graph = annotation_graph(store, glob.workers, 3)
     updated = update_local_z(base, graph, local.log_resp.T)[0].T
@@ -635,9 +625,21 @@ def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
 
 def local_after(glob, pot, store, sweeps) -> LocalVariational:
     """The local step's state after exactly `sweeps` sweeps from uniform
-    responsibilities: tol = 0 never stops early, so it is the state after
-    `sweeps - 1` sweeps, swept once more."""
-    return block_coordinate_local(glob, pot, store, sweeps=sweeps, tol=0.0)
+    responsibilities: the state after `sweeps - 1` sweeps, swept once more."""
+    return block_coordinate_local(glob, pot, store, sweeps=sweeps)
+
+
+def test_block_coordinate_runs_every_sweep_past_convergence(monkeypatch):
+    """The step converges on this instance well before 80 sweeps (see the
+    fixed-point test below) and still runs all of them."""
+    glob, store, pot = grid_instance()
+    calls = []
+    original = vmp.update_local_z
+    monkeypatch.setattr(
+        vmp, "update_local_z", lambda *args: calls.append(None) or original(*args)
+    )
+    block_coordinate_local(glob, pot, store, sweeps=80)
+    assert len(calls) == 80
 
 
 def test_block_coordinate_reaches_a_fixed_point():
@@ -693,7 +695,7 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_cla
 def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     glob, store, pot = grid_instance()
     prior = TEST_PRIOR
-    local = block_coordinate_local(glob, pot, store, sweeps=30, tol=0.0)
+    local = block_coordinate_local(glob, pot, store, sweeps=30)
     value = surrogate_elbo(glob, prior, local, pot, store)
     for _ in range(5):
         grads = mixture_natural_gradient(
@@ -1104,6 +1106,9 @@ def _set(path, value):
         # S = h2 - h1 h1^T / h3 has S_22 = 1 - 3.15^2 / 3.04 < 0
         (_set(["globals", "components", 1, "h2"], [[1.0, 0.0], [0.0, 1.0]]), "components"),
         (_set(["local_sweeps"], 0), "local_sweeps"),
+        (_set(["local_sweeps"], 2.9), "local_sweeps"),
+        (_set(["local_sweeps"], "3"), "local_sweeps"),
+        (_set(["recognition", "weights", 0, 0, 0], float("nan")), r"weights\[0\]"),
         (_set(["prior", "s0"], [[1.0, 0.0], [0.0, -1.0]]), "prior: s0"),
         (_set(["globals", "pi_eta"], [0.5, -1.5, 0.3]), "pi_eta"),
         (_set(["globals", "workers", "alpha_taus"], [[9.0, -1.0], [9.0, 1.0]]),
@@ -1112,7 +1117,8 @@ def _set(path, value):
         (_set(["globals", "workers", "beta_taus"], [[9.0, 1.0]]), "workers.beta_taus"),
     ],
     ids=[
-        "alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps", "prior-s0-not-pd",
+        "alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps", "fractional-sweeps",
+        "string-sweeps", "nan-recognition-weight", "prior-s0-not-pd",
         "pi-eta-below-domain", "alpha-tau-negative", "beta-tau-zero", "beta-taus-one-row",
     ],
 )
