@@ -180,7 +180,7 @@ def simulate_annotations(
     subset = rng.choice(dataset.n_items, size=subset_size, replace=False)
     labels = dataset.labels[subset]
 
-    triples = []
+    triples = []  # one (n, 4) integer array per worker; a pool has at least one
     for m in range(pool.n_workers):
         ids = rng.choice(max_pairs, size=pairs_per_worker, replace=False)
         a, b = _decode_pair_ids(np.sort(ids), subset_size)
@@ -188,8 +188,8 @@ def simulate_annotations(
         # same-cluster pairs: 1 w.p. alpha; different: 0 w.p. beta
         u = rng.uniform(size=a.shape[0])
         lab = np.where(same, u < pool.alpha[m], u >= pool.beta[m]).astype(int)
-        for ai, bi, li in zip(subset[a], subset[b], lab):
-            triples.append((int(ai), int(bi), m, int(li)))
+        triples.append(np.column_stack([subset[a], subset[b], np.full(a.size, m), lab]))
+    triples = np.concatenate(triples)
     return AnnotationStore(triples, n_items=dataset.n_items, n_workers=pool.n_workers)
 
 

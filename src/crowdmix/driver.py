@@ -27,9 +27,9 @@ LOGVAR_CLAMP = (-8.0, 8.0)
 
 
 def check_count(name: str, value, least: int) -> None:
-    """Reject a count that is not an integer (numpy integers are) or is
-    below `least`, naming the field first in the message."""
-    if not isinstance(value, Integral):
+    """Reject a count that is not an integer (numpy integers are, a bool
+    is not) or is below `least`, naming the field first in the message."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
@@ -98,8 +98,8 @@ def fit(
     an epoch stop training and restore `params` (tape tensors) to the
     last finished epoch; an epoch is finished once its model has
     predicted.  Each value is checked where it is made: `Mlp.forward`
-    checks every network output, `Adam.step` every gradient,
-    `mixture.apply_natural_gradient` every global step, and this loop
+    checks every network output, `Adam.step` every gradient, `mixture`
+    every global target and global step, and this loop
     alone checks the estimate `step` returns.  The last four arguments
     are the trainer module's own names, so that hooks patched on that
     module see every call.  `rng` is drawn from in a fixed order: the

@@ -5,8 +5,8 @@ convention
 
     p(x) = exp{ <eta, t(x)> - log Z(eta) } h(x),
 
-so that grad_eta log Z(eta) = E[t(x)].  The three families used by the
-model:
+so that grad_eta log Z(eta) = E[t(x)].  The families used by the model,
+the Beta being the two-state Dirichlet with alpha = (tau1, tau2):
 
     Dirichlet    eta = alpha - 1,            t(pi) = log pi
     NIW          eta = (kappa m,
@@ -21,9 +21,9 @@ model:
 A record holds a whole batch of distributions of one family: leading
 axes index the batch and trailing axes the parameter, so a Dirichlet's
 eta is (..., K), a NIW's h1 (..., d), h2 (..., d, d), h3 and h4 (...),
-and a Beta's eta (..., 2).  Every expectation, log partition and domain
-check below works over the batch at once; an unbatched record has batch
-shape ().
+and a Beta's (..., 2): a Beta record is a `DirichletNat`.  Every
+expectation, log partition and domain check below works over the batch
+at once; an unbatched record has batch shape ().
 
 Log partitions drop additive constants that do not depend on eta; the
 gradient identity above holds exactly for the expressions used here.
@@ -127,23 +127,6 @@ class DirichletNat:
         return self.eta + 1.0
 
 
-class BetaNat(DirichletNat):
-    """Betas over (0, 1), the two-state Dirichlets: eta (..., 2) = (tau1 - 1, tau2 - 1), tau > 0."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.eta.shape[-1] != 2:
-            raise ValueError(f"Beta eta needs a last axis of length 2, got shape {self.eta.shape}")
-
-    @classmethod
-    def from_tau(cls, tau1, tau2) -> "BetaNat":
-        return cls(np.stack([tau1, tau2], axis=-1) - 1.0)
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.alpha
-
-
 @dataclass(frozen=True)
 class NiwNat:
     """Normal-inverse-Wishart over (mu, Sigma) in natural form.
@@ -208,10 +191,6 @@ class NiwNat:
         Raises LinAlgError unless every S is positive definite."""
         return spd_factor(self.to_standard()[2])
 
-    def scale_logdet(self) -> np.ndarray:
-        """log|S| per member, from `scale_factor`."""
-        return self.scale_factor()[1]
-
 
 class NiwExpectedStats(NamedTuple):
     """E[t(mu, Sigma)] blocks under NIWs with standard parameters (m, kappa, S, nu)."""
@@ -273,7 +252,7 @@ def _niw_log_partition(p: NiwNat) -> np.ndarray:
     _, kappa, _, nu = p.to_standard()
     d = p.dim
     return (
-        nu / 2.0 * (d * np.log(2.0) - p.scale_logdet())
+        nu / 2.0 * (d * np.log(2.0) - p.scale_factor()[1])
         + multivariate_gammaln(nu / 2.0, d)
         - d / 2.0 * np.log(kappa)
     )

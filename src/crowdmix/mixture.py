@@ -2,9 +2,11 @@
 
 Conjugate priors (Dirichlet over mixing weights, one shared NIW over
 every component's mean and covariance, Beta(1, 1) on every worker
-accuracy), the variational posterior over the globals, and the
-natural-gradient coordinate updates whose step-1 fixed point is the
-textbook conjugate posterior.
+accuracy), the variational posterior over the globals, one record per
+family, and its natural-gradient steps: a minibatch gives a target
+record eta_hat per family, the prior plus the scaled expected statistics,
+and a step of size rho moves each record eta to (1 - rho) eta + rho eta_hat,
+at rho = 1 the textbook conjugate posterior.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .driver import check_count
 from .expfam import (
-    BetaNat,
     DirichletNat,
     NiwNat,
     dirichlet_expected_stats,
@@ -39,7 +41,7 @@ class MixturePrior:
     NIW(m0, kappa0, s0, nu0) over each component's (mu, Sigma) and
     Beta(1, 1) on each worker's two accuracies.  Each family's prior is
     one record, built here: `pi_nat()`, `niw_nat()` and `worker_nat()`,
-    a BetaNat of batch shape (2,) that broadcasts over the workers.  The
+    a Beta record of batch shape (2,) that broadcasts over the workers.  The
     worker prior is fixed, so it is no field and `to_dict` leaves it out.
     An s0 that is not positive definite raises a LinAlgError, which is a
     ValueError, naming s0.
@@ -54,12 +56,9 @@ class MixturePrior:
     nu0: float
 
     def __post_init__(self):
-        K = int(self.n_components)
-        d = int(self.latent_dim)
-        if K < 2:
-            raise ValueError("need at least two components")
-        if d < 1:
-            raise ValueError("latent dimension must be positive")
+        check_count("n_components", self.n_components, 2)
+        check_count("latent_dim", self.latent_dim, 1)
+        K, d = int(self.n_components), int(self.latent_dim)
         if not self.alpha0 > 0.0:
             raise ValueError("alpha0 must be positive")
         if not self.kappa0 > 0.0:
@@ -85,9 +84,9 @@ class MixturePrior:
         # is computed once per prior
         object.__setattr__(self, "_pi_nat", DirichletNat.from_alpha(np.full(K, self.alpha0)))
         object.__setattr__(self, "_niw_nat", NiwNat.from_standard(m0, self.kappa0, s0, self.nu0))
-        object.__setattr__(self, "_worker_nat", BetaNat.from_tau(np.ones(2), np.ones(2)))
+        object.__setattr__(self, "_worker_nat", DirichletNat(np.zeros((2, 2))))
         try:
-            self._niw_nat.scale_logdet()  # factors S
+            self._niw_nat.scale_factor()  # factors S
         except np.linalg.LinAlgError as err:  # a ValueError
             raise np.linalg.LinAlgError(f"s0 must be positive definite: {err}") from err
 
@@ -117,7 +116,7 @@ class MixturePrior:
     def niw_nat(self) -> NiwNat:
         return self._niw_nat
 
-    def worker_nat(self) -> BetaNat:
+    def worker_nat(self) -> DirichletNat:
         return self._worker_nat
 
     def to_dict(self) -> dict:
@@ -186,8 +185,8 @@ class GlobalVariational:
             "components": [dict(zip(_NIW_KEYS, row)) for row in rows],
             "workers": None,
         }
-        if self.workers is not None:  # the (M, 2, 2) taus as (M, 2) alpha and beta arrays
-            doc["workers"] = dict(zip(_WORKER_KEYS, self.workers.tau.swapaxes(0, 1).tolist()))
+        if self.workers is not None:
+            doc["workers"] = {key: getattr(self.workers, key).tolist() for key in _WORKER_KEYS}
         return doc
 
     @classmethod
@@ -202,7 +201,7 @@ class GlobalVariational:
             raise ValueError(f"pi_eta: {err}") from err
         try:
             comps = NiwNat(*(np.array([c[key] for c in doc["components"]]) for key in _NIW_KEYS))
-            comps.scale_logdet()  # recovers nu and S and factors S
+            comps.scale_factor()  # recovers nu and S and factors S
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ValueError(f"components: {err}") from err
         workers = None
@@ -267,38 +266,20 @@ def init_global(
 # natural-gradient updates
 
 
-@dataclass(frozen=True)
-class GlobalGrads:
-    """Natural-gradient direction for the global variational parameters.
-
-    The worker block is optional; when absent the worker posteriors pass
-    through apply_natural_gradient unchanged.
-    """
-
-    pi: np.ndarray               # (K,)
-    h1: np.ndarray               # (K, d)
-    h2: np.ndarray               # (K, d, d)
-    h3: np.ndarray               # (K,)
-    h4: np.ndarray               # (K,)
-    workers: np.ndarray | None = None  # (M, 2, 2)
-
-
 def mixture_natural_gradient(
-    prior: MixturePrior,
-    q_z: np.ndarray,
-    means: np.ndarray,
-    covs: np.ndarray,
-    current: GlobalVariational,
-    scale: float = 1.0,
-) -> GlobalGrads:
-    """Natural gradients for the Dirichlet and NIW blocks.
+    prior: MixturePrior, q_z: np.ndarray, means: np.ndarray, covs: np.ndarray, scale: float = 1.0
+) -> GlobalVariational:
+    """Minibatch target of the Dirichlet and NIW records, with no workers:
+    the prior natural parameters plus scaled responsibility-weighted local
+    moments, the conjugate posterior of the minibatch.
 
-    The step-1 fixed point is the conjugate update: prior natural
-    parameters plus scaled responsibility-weighted local moments.
     q_z is (n, K) responsibilities, means (n, d), covs (n, d, d); scale
-    is the minibatch factor N/|B|.
+    is the minibatch factor N/|B|.  The natural gradient at a posterior
+    eta is the target's eta minus eta.  Responsibilities lie in [0, 1],
+    so the Dirichlet target is valid; a non-finite moment makes the NIW
+    target fail, which raises TrainingDivergence.
     """
-    K, d = current.n_components, current.latent_dim
+    K, d = prior.n_components, prior.latent_dim
     q_z = np.asarray(q_z, dtype=float).reshape(-1, K)
     means = np.asarray(means, dtype=float).reshape(-1, d)
     covs = np.asarray(covs, dtype=float)
@@ -306,53 +287,56 @@ def mixture_natural_gradient(
     first = q_z.T @ means
     moments = covs + means[:, :, None] * means[:, None, :]
     second = (q_z.T @ moments.reshape(-1, d * d)).reshape(K, d, d)
-    niw0, comps = prior.niw_nat(), current.components
-    return GlobalGrads(
-        pi=prior.pi_nat().eta + scale * counts - current.pi.eta,
-        h1=niw0.h1 + scale * first - comps.h1,
-        h2=niw0.h2 + scale * second - comps.h2,
-        h3=niw0.h3 + scale * counts - comps.h3,
-        h4=niw0.h4 + scale * counts - comps.h4,
-    )
+    niw0 = prior.niw_nat()
+    try:
+        components = NiwNat(
+            niw0.h1 + scale * first,
+            niw0.h2 + scale * second,
+            niw0.h3 + scale * counts,
+            niw0.h4 + scale * counts,
+        )
+    except ValueError as err:
+        raise TrainingDivergence(f"minibatch statistics: {err}") from err
+    return GlobalVariational(DirichletNat(prior.pi_nat().eta + scale * counts), components)
 
 
 def apply_natural_gradient(
-    current: GlobalVariational, grads: GlobalGrads, step: float
+    current: GlobalVariational, target: GlobalVariational, step: float
 ) -> GlobalVariational:
-    """eta <- eta + step * grad with every family invariant revalidated.
+    """Move each record eta of `current` to eta + step * (eta_hat - eta),
+    eta_hat its record in `target`, with every family invariant revalidated.
 
-    The gradients of `mixture_natural_gradient` and
-    `relational.beta_natural_gradient` are eta_hat - eta, where eta_hat,
-    the prior plus scaled expected statistics, is itself a valid record.
-    A step of size rho in (0, 1] then moves to (1 - rho) eta + rho eta_hat,
-    a convex combination, and every domain is convex: eta > -1 for the
-    Dirichlet and Beta records; kappa > 0, nu > d - 1 and
+    The targets of `mixture_natural_gradient` and
+    `relational.beta_natural_gradient` are valid records, so a step of
+    size rho in [0, 1] lands on the convex combination
+    (1 - rho) eta + rho eta_hat, and every domain is convex: eta > -1 for
+    the Dirichlet and Beta records; kappa > 0, nu > d - 1 and
     [[h2, h1], [h1^T, h3]] positive definite for the NIW records.  Such a
     step cannot leave the domain, so a stepped record that fails its
     family's check means the inputs were not finite or not valid: it
     raises TrainingDivergence with the family's message, and `driver.fit`
-    restores the last finished epoch.  A step outside (0, 1], or worker
-    gradients without worker posteriors, is a ValueError.
+    restores the last finished epoch.  A step of 0 keeps every record's
+    values; workers without a target pass through.  A step outside
+    [0, 1], or a worker target without worker posteriors, is a ValueError.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must lie in (0, 1], got {step}")
-    if grads.workers is not None and current.workers is None:
-        raise ValueError("worker gradients supplied without worker posteriors")
+    if not 0.0 <= step <= 1.0:
+        raise ValueError(f"step must lie in [0, 1], got {step}")
+    if target.workers is not None and current.workers is None:
+        raise ValueError("worker target supplied without worker posteriors")
+
+    def toward(eta, eta_hat):
+        return eta + step * (eta_hat - eta)
+
     try:
-        pi = DirichletNat(current.pi.eta + step * grads.pi)
-        c = current.components
-        components = NiwNat(
-            c.h1 + step * grads.h1,
-            c.h2 + step * grads.h2,
-            c.h3 + step * grads.h3,
-            c.h4 + step * grads.h4,
-        )
+        pi = DirichletNat(toward(current.pi.eta, target.pi.eta))
+        c, t = current.components, target.components
+        components = NiwNat(*(toward(getattr(c, key), getattr(t, key)) for key in _NIW_KEYS))
         # recovers nu and S, checks nu > d - 1, and factors S, which must
         # stay positive definite; the record keeps the factorization
-        components.scale_logdet()
+        components.scale_factor()
         workers = current.workers
-        if grads.workers is not None:
-            workers = BetaWorkers(workers.eta + step * grads.workers)
+        if target.workers is not None:
+            workers = BetaWorkers(toward(workers.eta, target.workers.eta))
     except (ValueError, np.linalg.LinAlgError) as err:
         raise TrainingDivergence(f"step {step} left the valid domain: {err}") from err
     return GlobalVariational(pi, components, workers)

@@ -13,10 +13,10 @@ of a triple is the "unobserved" indicator state.
 Worker accuracies enter through one protocol: an object whose
 `log_stats()` returns a numpy array of (M, 4) rows (log a, log(1-a),
 log b, log(1-b)), as expectations for the Beta posteriors of
-`BetaWorkers`.  Those posteriors are one `expfam.BetaNat` record of batch
-shape (M, 2), q(alpha_m) then q(beta_m) in row m; their prior, Beta(1, 1)
-on every accuracy, is `mixture.MixturePrior.worker_nat()`, and
-`beta_natural_gradient` returns one (M, 2, 2) step for the record's eta.
+`BetaWorkers`.  Those posteriors are one two-state Dirichlet record of
+batch shape (M, 2), q(alpha_m) then q(beta_m) in row m; their prior,
+Beta(1, 1) on every accuracy, is `mixture.MixturePrior.worker_nat()`, and
+`beta_natural_gradient` returns the minibatch target record they step to.
 The point providers are `scdc.PointParams` (the amortized trainer's
 logits) and `data.WorkerPool` (the simulator's true accuracies).  One
 function, `expected_rel_loglik`, gives the expected two-coin
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expfam import BetaNat, dirichlet_expected_stats
+from .expfam import DirichletNat, dirichlet_expected_stats
 from .nnet import Tensor, as_tensor, mul, reshape, take_rows, tensor_sum
 
 
@@ -117,14 +117,14 @@ class AnnotationStore:
 # worker accuracies: Beta posteriors
 
 
-class BetaWorkers(BetaNat):
-    """Beta posteriors of every worker as one BetaNat record of batch shape
-    (M, 2), eta (M, 2, 2): row m holds q(alpha_m), then q(beta_m).  Logs
-    enter as expectations."""
+class BetaWorkers(DirichletNat):
+    """Beta posteriors of every worker as one two-state Dirichlet record of
+    batch shape (M, 2), eta (M, 2, 2): row m holds q(alpha_m), then
+    q(beta_m).  Logs enter as expectations."""
 
     def __post_init__(self):
         super().__post_init__()
-        if self.eta.ndim != 3 or self.eta.shape[1] != 2:
+        if self.eta.shape[1:] != (2, 2):
             raise ValueError(f"BetaWorkers needs an eta of shape (M, 2, 2), got {self.eta.shape}")
 
     @classmethod
@@ -139,11 +139,11 @@ class BetaWorkers(BetaNat):
 
     @property
     def alpha_taus(self) -> np.ndarray:
-        return self.tau[:, 0]
+        return self.alpha[:, 0]
 
     @property
     def beta_taus(self) -> np.ndarray:
-        return self.tau[:, 1]
+        return self.alpha[:, 1]
 
     def log_stats(self) -> np.ndarray:
         """(M, 4) rows of (E log a, E log(1-a), E log b, E log(1-b))."""
@@ -207,27 +207,25 @@ def expected_rel_loglik(store: AnnotationStore, q_z, log_stats, scale: float = 1
 
 
 def beta_natural_gradient(
-    store: AnnotationStore,
-    q_z: np.ndarray,
-    prior: BetaNat,
-    current: BetaWorkers,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Natural gradient of the objective in the worker Beta parameters.
+    store: AnnotationStore, q_z: np.ndarray, prior: DirichletNat, scale: float = 1.0
+) -> BetaWorkers:
+    """Minibatch target of the worker Beta posteriors: the prior plus the
+    (scaled) expected confusion counts, counting each canonical i < j
+    triple once.
 
-    Fixed point: posterior = prior + (scaled) expected confusion counts,
-    counting each canonical i < j triple once.  Triple t adds the row
-    A p_same + B = (L p, (1-L) p, (1-L)(1-p), L (1-p)) to its worker's
-    counts, the gradient of its expected log-likelihood in log_stats.
-    `prior` is one worker's record, batch shape (2,), broadcast over the
-    workers.  Returns the (M, 2, 2) step for `current.eta`.
+    Triple t adds the row A p_same + B = (L p, (1-L) p, (1-L)(1-p),
+    L (1-p)) to its worker's counts, the gradient of its expected
+    log-likelihood in log_stats.  `prior` is one worker's Beta record,
+    batch shape (2,), broadcast over the store's workers.  The natural
+    gradient at posteriors eta is the target's eta minus eta.  p_same
+    lies in [0, 1], so the target is always a valid record.
     """
     p = _same_cluster_prob(store, q_z).data[:, None]
     labels, flipped = store.triples[:, 3:].astype(float), 1.0 - store.triples[:, 3:]
-    counts = np.zeros((current.n_workers, 4))
+    counts = np.zeros((store.n_workers, 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
     np.add.at(counts, store.triples[:, 2], rows)
-    return prior.eta + scale * counts.reshape(-1, 2, 2) - current.eta
+    return BetaWorkers(prior.eta + scale * counts.reshape(-1, 2, 2))
 
 
 def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch_size: int, rng):

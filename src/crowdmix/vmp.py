@@ -541,6 +541,7 @@ class BayesConfig:
 
     def __post_init__(self):
         check_config(self)
+        check_count("n_components", self.n_components, 2)
         if not 0.0 <= self.global_step <= 1.0:
             raise ValueError("global_step must lie in [0, 1]")
         check_count("local_sweeps", self.local_sweeps, 1)
@@ -569,6 +570,10 @@ class BayesModel:
 
     def __post_init__(self):
         check_count("local_sweeps", self.local_sweeps, 1)
+        for name in ("n_components", "latent_dim"):
+            ours, theirs = getattr(self.prior, name), getattr(self.glob, name)
+            if ours != theirs:
+                raise ValueError(f"prior.{name} is {ours}, the globals' is {theirs}")
 
     def local_posterior(self, observations, store: AnnotationStore | None = None) -> LocalVariational:
         potential = recognition_potential(self.recognition, observations)
@@ -646,7 +651,7 @@ def train_bayes_scdc(
     """Stochastic natural-gradient training.
 
     Each update rebuilds the local posteriors of the working set from
-    scratch, steps the globals along their scaled natural gradients, and
+    scratch, moves each global record a step toward its minibatch target, and
     follows reparameterization gradients of the objective through both
     networks; `driver.fit` runs the loop.
     """
@@ -674,18 +679,14 @@ def train_bayes_scdc(
         local = block_coordinate_local(glob, potential, local_store, config.local_sweeps)
         resp = local.resp
 
-        grads = mixture_natural_gradient(
-            prior, resp[rows], local.x_mean[rows], local.x_cov[rows], glob,
-            scale=update.data_scale,
+        target = mixture_natural_gradient(
+            prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
         )
         if local_store is not None:
-            grads = replace(grads, workers=beta_natural_gradient(
-                local_store, resp, prior.worker_nat(), glob.workers, scale=update.rel_scale
+            target = replace(target, workers=beta_natural_gradient(
+                local_store, resp, prior.worker_nat(), scale=update.rel_scale
             ))
-        if config.global_step > 0.0:
-            new_glob = apply_natural_gradient(glob, grads, config.global_step)
-        else:
-            new_glob = glob
+        new_glob = apply_natural_gradient(glob, target, config.global_step)
 
         noise = rng.standard_normal((update.batch.size, d))
         with Tape() as tape:

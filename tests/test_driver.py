@@ -9,6 +9,7 @@ import pytest
 
 from crowdmix import data, relational, scdc, vmp
 from crowdmix.driver import fit
+from crowdmix.expfam import NiwNat
 from crowdmix.metrics import clustering_accuracy, nmi
 
 # Trainer module, training function, 2-epoch config, and a function of the
@@ -105,8 +106,9 @@ def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
 
 
 def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
-    # A global gradient that takes kappa below zero at any step size the
-    # trainer uses; a smaller step would still be valid.
+    # A target whose nu lies so far below d - 1 that the trainer's step
+    # takes the components' nu below it too.  The NIW constructor checks
+    # no nu, so the target is built and only the step fails.
     module, train, config, _ = TRAINERS["bayes"]
     dataset, store = small_problem(2)
     finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
@@ -116,12 +118,38 @@ def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
 
     def poisoned(*args, **kwargs):
         calls.append(None)
-        grads = original(*args, **kwargs)
+        target = original(*args, **kwargs)
         if len(calls) == updates_per_epoch + 2:
-            grads = replace(grads, h3=grads.h3 - 1e6)
-        return grads
+            c = target.components
+            target = replace(target, components=NiwNat(c.h1, c.h2, c.h3, c.h4 - 1e6))
+        return target
 
     monkeypatch.setattr(module, "mixture_natural_gradient", poisoned)
+    result = train(dataset, store, config, np.random.default_rng(4))
+    assert result.diverged
+    assert len(calls) == updates_per_epoch + 2
+    assert result.history == finished.history
+    assert result.model.to_dict() == finished.model.to_dict()
+
+
+def test_non_finite_local_statistics_restore_the_last_finished_epoch(monkeypatch):
+    # A NaN latent mean in the second update of the second epoch: the
+    # minibatch target of the components cannot be built from it.
+    module, train, config, _ = TRAINERS["bayes"]
+    dataset, store = small_problem(2)
+    finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
+    updates_per_epoch = -(-dataset.n_items // config.batch_size)
+    original = module.block_coordinate_local
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        local = original(*args, **kwargs)
+        if len(calls) == updates_per_epoch + 2:
+            local.x_mean[0, 0] = np.nan
+        return local
+
+    monkeypatch.setattr(module, "block_coordinate_local", poisoned)
     result = train(dataset, store, config, np.random.default_rng(4))
     assert result.diverged
     assert len(calls) == updates_per_epoch + 2

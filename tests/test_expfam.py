@@ -5,13 +5,13 @@ from scipy.special import digamma
 from scipy.stats import invwishart
 
 from crowdmix.expfam import (
-    BetaNat,
     DirichletNat,
     NiwNat,
     dirichlet_expected_stats,
     log_partition,
     niw_expected_stats,
 )
+from crowdmix.relational import BetaWorkers
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +138,11 @@ def test_batched_records_compute_what_their_members_do():
             np.testing.assert_array_equal(batched[k], single)
         assert log_z[k] == log_partition(member)
     taus = rng.uniform(0.5, 8.0, size=(5, 2))
-    beta = BetaNat.from_tau(taus[:, 0], taus[:, 1])
+    beta = DirichletNat.from_alpha(taus)  # a Beta record: a last axis of length 2
     alphas = rng.uniform(0.5, 8.0, size=(2, 3))
     dirichlet = DirichletNat.from_alpha(alphas)
     for m in range(5):
-        member = BetaNat.from_tau(*taus[m])
+        member = DirichletNat.from_alpha(taus[m])
         np.testing.assert_array_equal(
             dirichlet_expected_stats(beta)[m], dirichlet_expected_stats(member)
         )
@@ -165,7 +165,7 @@ def _random_records(rng):
     return (
         niw,
         DirichletNat.from_alpha(rng.uniform(0.5, 8.0, size=(2, 4))),
-        BetaNat.from_tau(rng.uniform(0.5, 8.0, 5), rng.uniform(0.5, 8.0, 5)),
+        DirichletNat.from_alpha(rng.uniform(0.5, 8.0, (5, 2))),  # Betas
     )
 
 
@@ -173,7 +173,7 @@ def _derived(record):
     """Everything a record keeps, as a flat list of arrays."""
     out = [log_partition(record)]
     if isinstance(record, NiwNat):
-        out += [*record.to_standard(), record.scale_logdet(), *niw_expected_stats(record)]
+        out += [*record.to_standard(), *record.scale_factor(), *niw_expected_stats(record)]
     else:
         out.append(dirichlet_expected_stats(record))
     return [np.asarray(a) for a in out]
@@ -218,26 +218,27 @@ def test_a_failed_derivation_keeps_nothing_and_fails_again():
 
 
 def test_beta_uniform():
-    stats = dirichlet_expected_stats(BetaNat.from_tau(1.0, 1.0))
+    stats = dirichlet_expected_stats(DirichletNat.from_alpha([1.0, 1.0]))
     assert np.allclose(stats, [-1.0, -1.0], atol=1e-12)
 
 
 def test_beta_ten_one():
-    stats = dirichlet_expected_stats(BetaNat.from_tau(10.0, 1.0))
+    stats = dirichlet_expected_stats(DirichletNat.from_alpha([10.0, 1.0]))
     assert abs(stats[0] + 0.1) < 1e-12
 
 
 def test_beta_rejects_a_last_axis_other_than_two():
-    with pytest.raises(ValueError):
-        BetaNat(np.zeros(3))
-    with pytest.raises(ValueError):
-        BetaNat(np.zeros((4, 3)))
+    # a Dirichlet record with 3 states is no Beta record of the workers
+    with pytest.raises(ValueError, match="eta"):
+        BetaWorkers(np.zeros((1, 2, 3)))
+    with pytest.raises(ValueError, match="eta"):
+        BetaWorkers(np.zeros((4, 2, 3)))
 
 
 def test_beta_nine_one_monte_carlo():
     rng = np.random.default_rng(11)
     draws = rng.beta(9.0, 1.0, size=1_000_000)
-    stats = dirichlet_expected_stats(BetaNat.from_tau(9.0, 1.0))
+    stats = dirichlet_expected_stats(DirichletNat.from_alpha([9.0, 1.0]))
     assert abs(stats[0] - np.log(draws).mean()) < 1e-3
 
 
@@ -246,7 +247,7 @@ def test_beta_nine_one_monte_carlo():
 
 
 def test_log_partition_values():
-    assert abs(log_partition(BetaNat.from_tau(1.0, 1.0))) < 1e-12
+    assert abs(log_partition(DirichletNat.from_alpha([1.0, 1.0]))) < 1e-12
     assert abs(log_partition(DirichletNat.from_alpha([1.0, 1.0, 1.0])) + np.log(2.0)) < 1e-12
 
 
@@ -255,7 +256,7 @@ def test_log_partition_values():
 
 
 def test_grad_check_beta_example():
-    assert grad_log_partition_check(BetaNat.from_tau(3.0, 2.0), 1e-5) < 1e-5
+    assert grad_log_partition_check(DirichletNat.from_alpha([3.0, 2.0]), 1e-5) < 1e-5
 
 
 def test_grad_check_dirichlet_example():
@@ -270,7 +271,7 @@ def test_grad_check_niw_example():
 def _random_family_points(rng):
     k = int(rng.integers(2, 5))
     yield DirichletNat.from_alpha(rng.uniform(0.5, 6.0, size=k)), 1e-4
-    yield BetaNat.from_tau(rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0)), 1e-4
+    yield DirichletNat.from_alpha(rng.uniform(0.5, 8.0, 2)), 1e-4  # a Beta
     d = int(rng.integers(1, 4))
     B = rng.standard_normal((d, d))
     S = B @ B.T + d * np.eye(d)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from crowdmix.expfam import (
     niw_expected_stats,
 )
 from crowdmix.mixture import (
-    GlobalGrads,
     GlobalVariational,
     MixturePrior,
     apply_natural_gradient,
@@ -74,14 +74,21 @@ def _stacked_prior_components(prior):
     )
 
 
-def _zero_grads(glob):
-    k, d = glob.n_components, glob.latent_dim
-    return GlobalGrads(
-        pi=np.zeros(k),
-        h1=np.zeros((k, d)),
-        h2=np.zeros((k, d, d)),
-        h3=np.zeros(k),
-        h4=np.zeros(k),
+def _arrays(glob):
+    """The natural-parameter arrays of the mixing weights and components."""
+    c = glob.components
+    return glob.pi.eta, c.h1, c.h2, c.h3, c.h4
+
+
+def _raw_target(glob, workers=None, **arrays):
+    """A target holding glob's arrays, with those named in `arrays`
+    (pi, h1, ..., h4) replaced, as plain unvalidated arrays: a step toward
+    it can leave a family's domain."""
+    fields = dict(zip(("pi", "h1", "h2", "h3", "h4"), _arrays(glob)), **arrays)
+    return SimpleNamespace(
+        pi=SimpleNamespace(eta=fields.pop("pi")),
+        components=SimpleNamespace(**fields),
+        workers=None if workers is None else SimpleNamespace(eta=workers),
     )
 
 
@@ -94,8 +101,9 @@ def test_step_one_update_matches_conjugate_oracle():
     prior = MixturePrior.default(2, 2)
     q_z, means, covs = _random_instance(rng)
     current = init_global(prior, rng)
-    grads = mixture_natural_gradient(prior, q_z, means, covs, current)
-    updated = apply_natural_gradient(current, grads, step=1.0)
+    target = mixture_natural_gradient(prior, q_z, means, covs)
+    assert target.workers is None
+    updated = apply_natural_gradient(current, target, step=1.0)
 
     alpha_star, comps = _conjugate_posterior(prior, q_z, means, covs)
     np.testing.assert_allclose(updated.pi.alpha, alpha_star, atol=1e-10)
@@ -112,13 +120,12 @@ def test_full_batch_update_is_idempotent():
     prior = MixturePrior.default(3, 2)
     q_z, means, covs = _random_instance(rng, n=12, k=3)
     start = init_global(prior, rng)
-    posterior = apply_natural_gradient(
-        start, mixture_natural_gradient(prior, q_z, means, covs, start), step=1.0
-    )
-    grads = mixture_natural_gradient(prior, q_z, means, covs, posterior)
-    for block in (grads.pi, grads.h1, grads.h2, grads.h3, grads.h4):
-        assert np.max(np.abs(block)) < 1e-10
-    again = apply_natural_gradient(posterior, grads, step=1.0)
+    target = mixture_natural_gradient(prior, q_z, means, covs)
+    posterior = apply_natural_gradient(start, target, step=1.0)
+    # the natural gradient at the posterior, target - posterior, vanishes
+    for hat, eta in zip(_arrays(target), _arrays(posterior)):
+        assert np.max(np.abs(hat - eta)) < 1e-10
+    again = apply_natural_gradient(posterior, target, step=1.0)
     np.testing.assert_allclose(again.pi.eta, posterior.pi.eta, atol=1e-10)
     for a, b in zip(_members(again.components), _members(posterior.components)):
         np.testing.assert_allclose(a.h2, b.h2, atol=1e-10)
@@ -128,10 +135,10 @@ def test_zero_data_fixed_point_is_prior():
     rng = np.random.default_rng(9)
     prior = MixturePrior.default(2, 2)
     current = init_global(prior, rng)
-    grads = mixture_natural_gradient(
-        prior, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2, 2)), current
+    target = mixture_natural_gradient(
+        prior, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2, 2))
     )
-    updated = apply_natural_gradient(current, grads, step=1.0)
+    updated = apply_natural_gradient(current, target, step=1.0)
     np.testing.assert_allclose(updated.pi.alpha, np.full(2, prior.alpha0), atol=1e-12)
     niw0 = prior.niw_nat()
     for comp in _members(updated.components):
@@ -147,10 +154,8 @@ def test_single_point_appends_sufficient_statistics():
     current = init_global(prior, rng)
     x0 = np.array([0.7, -1.2])
     q_z = np.array([[0.0, 1.0]])
-    grads = mixture_natural_gradient(
-        prior, q_z, x0[None, :], np.zeros((1, 2, 2)), current
-    )
-    updated = apply_natural_gradient(current, grads, step=1.0)
+    target = mixture_natural_gradient(prior, q_z, x0[None, :], np.zeros((1, 2, 2)))
+    updated = apply_natural_gradient(current, target, step=1.0)
     niw0 = prior.niw_nat()
     np.testing.assert_allclose(updated.components.h1[1], niw0.h1 + x0, atol=1e-12)
     np.testing.assert_allclose(
@@ -165,37 +170,28 @@ def test_single_point_appends_sufficient_statistics():
 def test_minibatch_gradients_are_unbiased():
     from itertools import combinations
 
+    # the targets' mean over all minibatches is the full-data target, so the
+    # gradients target - eta at any eta are unbiased too
     rng = np.random.default_rng(12)
     prior = MixturePrior.default(2, 2)
-    current = init_global(prior, rng)
     q_z, means, covs = _random_instance(rng, n=4, k=2)
-    full = mixture_natural_gradient(prior, q_z, means, covs, current, scale=1.0)
+    full = mixture_natural_gradient(prior, q_z, means, covs, scale=1.0)
     batches = list(combinations(range(4), 2))
-    acc = _zero_grads(current)
+    acc = [np.zeros_like(a) for a in _arrays(full)]
     for rows in batches:
         rows = list(rows)
-        g = mixture_natural_gradient(
-            prior, q_z[rows], means[rows], covs[rows], current, scale=4 / 2
-        )
-        acc = GlobalGrads(
-            pi=acc.pi + g.pi / len(batches),
-            h1=acc.h1 + g.h1 / len(batches),
-            h2=acc.h2 + g.h2 / len(batches),
-            h3=acc.h3 + g.h3 / len(batches),
-            h4=acc.h4 + g.h4 / len(batches),
-        )
-    np.testing.assert_allclose(acc.pi, full.pi, atol=1e-12)
-    np.testing.assert_allclose(acc.h1, full.h1, atol=1e-12)
-    np.testing.assert_allclose(acc.h2, full.h2, atol=1e-12)
-    np.testing.assert_allclose(acc.h3, full.h3, atol=1e-12)
-    np.testing.assert_allclose(acc.h4, full.h4, atol=1e-12)
+        t = mixture_natural_gradient(prior, q_z[rows], means[rows], covs[rows], scale=4 / 2)
+        acc = [a + b / len(batches) for a, b in zip(acc, _arrays(t))]
+    for a, b in zip(acc, _arrays(full)):
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
     rng = np.random.default_rng(13)
     prior = MixturePrior.default(2, 2)
     current = init_global(prior, rng, n_workers=2)
-    updated = apply_natural_gradient(current, _zero_grads(current), step=1.0)
+    # a target equal to the current records, without a worker target
+    updated = apply_natural_gradient(current, dataclasses.replace(current, workers=None), 1.0)
     np.testing.assert_allclose(updated.pi.eta, current.pi.eta, atol=0)
     for a, b in zip(_members(updated.components), _members(current.components)):
         np.testing.assert_allclose(a.h1, b.h1, atol=0)
@@ -203,14 +199,16 @@ def test_zero_gradient_leaves_parameters_unchanged():
     assert updated.workers is current.workers
 
 
-def test_two_half_steps_equal_one_full_step():
+def test_two_half_steps_equal_one_step_of_three_quarters():
+    # each step keeps 1 - rho of the distance to the target: two of 1/2
+    # keep 1/4 of it, as one of 3/4 does
     rng = np.random.default_rng(14)
     prior = MixturePrior.default(2, 2)
     q_z, means, covs = _random_instance(rng, n=5)
     current = init_global(prior, rng)
-    grads = mixture_natural_gradient(prior, q_z, means, covs, current)
-    one = apply_natural_gradient(current, grads, step=1.0)
-    two = apply_natural_gradient(apply_natural_gradient(current, grads, 0.5), grads, 0.5)
+    target = mixture_natural_gradient(prior, q_z, means, covs)
+    one = apply_natural_gradient(current, target, step=0.75)
+    two = apply_natural_gradient(apply_natural_gradient(current, target, 0.5), target, 0.5)
     np.testing.assert_allclose(two.pi.eta, one.pi.eta, atol=1e-12)
     for a, b in zip(_members(two.components), _members(one.components)):
         np.testing.assert_allclose(a.h1, b.h1, atol=1e-12)
@@ -224,9 +222,10 @@ def test_worker_gradient_application_reaches_count_fixed_point():
     current = init_global(prior, rng, n_workers=1, worker_init=(10.0, 1.0))
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     q_z = np.array([[1.0, 0.0], [1.0, 0.0]])  # certainly the same cluster
-    grad = beta_natural_gradient(store, q_z, prior.worker_nat(), current.workers)
-    grads = dataclasses.replace(_zero_grads(current), workers=grad)
-    updated = apply_natural_gradient(current, grads, step=1.0)
+    target = dataclasses.replace(
+        current, workers=beta_natural_gradient(store, q_z, prior.worker_nat())
+    )
+    updated = apply_natural_gradient(current, target, step=1.0)
     np.testing.assert_allclose(updated.workers.alpha_taus[0], [2.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(updated.workers.beta_taus[0], [1.0, 1.0], atol=1e-12)
 
@@ -235,37 +234,37 @@ def test_step_rejection_and_bad_steps():
     rng = np.random.default_rng(16)
     prior = MixturePrior.default(2, 2)
     current = init_global(prior, rng)
-    bad_kappa = dataclasses.replace(_zero_grads(current), h3=np.full(2, -5.0))
+    c = current.components
+    bad_kappa = _raw_target(current, h3=c.h3 - 5.0)
     with pytest.raises(TrainingDivergence, match="kappa"):
         apply_natural_gradient(current, bad_kappa, step=1.0)
-    bad_alpha = dataclasses.replace(_zero_grads(current), pi=np.full(2, -10.0))
+    bad_alpha = _raw_target(current, pi=current.pi.eta - 10.0)
     with pytest.raises(TrainingDivergence):
         apply_natural_gradient(current, bad_alpha, step=1.0)
-    bad_scale = dataclasses.replace(
-        _zero_grads(current), h2=np.array([-100.0 * np.eye(2)] * 2)
-    )
+    bad_scale = _raw_target(current, h2=c.h2 - 100.0 * np.eye(2))
     with pytest.raises(TrainingDivergence):
         apply_natural_gradient(current, bad_scale, step=1.0)
     d = prior.latent_dim
     for nu in (d - 1.0, d - 1.5):  # nu <= d - 1 on one component
-        h4 = current.components.h4.copy()
+        h4 = c.h4.copy()
         h4[1] = nu + d + 2.0
-        bad_nu = dataclasses.replace(_zero_grads(current), h4=h4 - current.components.h4)
+        # a record, since its constructor checks no nu
+        bad_nu = dataclasses.replace(current, components=NiwNat(c.h1, c.h2, c.h3, h4))
         with pytest.raises(TrainingDivergence, match="nu"):
             apply_natural_gradient(current, bad_nu, step=1.0)
-    for step in (0.0, -0.1, 1.5):
+    for step in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            apply_natural_gradient(current, _zero_grads(current), step=step)
-    no_posteriors = dataclasses.replace(_zero_grads(current), workers=np.zeros((1, 2, 2)))
+            apply_natural_gradient(current, current, step=step)
+    no_posteriors = _raw_target(current, workers=np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="worker"):
         apply_natural_gradient(current, no_posteriors, step=1.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
-    """Both gradients are eta_hat - eta with eta_hat a valid record, so a
-    step of any size in (0, 1] lands on (1 - rho) eta + rho eta_hat, inside
-    every family's convex domain, and is never rejected."""
+    """Both targets eta_hat are valid records, so a step of any size in
+    [0, 1] lands on (1 - rho) eta + rho eta_hat, inside every family's
+    convex domain, and is never rejected."""
     rng = np.random.default_rng(seed)
     k, d, m, n = 4, 2, 3, 12
     prior = MixturePrior.default(k, d)
@@ -286,30 +285,27 @@ def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
         [(*pairs[p], rng.integers(m), rng.integers(2)) for p in picked], n_items=n, n_workers=m
     )
     scale = rng.uniform(1.0, 10.0)
-    grads = dataclasses.replace(
-        mixture_natural_gradient(prior, q_z, means, covs, current, scale=scale),
-        workers=beta_natural_gradient(
-            store, q_z, prior.worker_nat(), current.workers, scale=rng.uniform(1.0, 10.0)
-        ),
+    target = dataclasses.replace(
+        mixture_natural_gradient(prior, q_z, means, covs, scale=scale),
+        workers=beta_natural_gradient(store, q_z, prior.worker_nat(), scale=rng.uniform(1.0, 10.0)),
     )
-    c = current.components
+    # the target is a valid record of each family: the constructors checked
+    # the Dirichlet and Beta domains and kappa, this checks nu and S
+    target.components.scale_factor()
     blocks = [
-        (current.pi.eta, grads.pi, lambda g: g.pi.eta),
-        (current.workers.eta, grads.workers, lambda g: g.workers.eta),
-        (c.h1, grads.h1, lambda g: g.components.h1),
-        (c.h2, grads.h2, lambda g: g.components.h2),
-        (c.h3, grads.h3, lambda g: g.components.h3),
-        (c.h4, grads.h4, lambda g: g.components.h4),
+        lambda g: g.pi.eta,
+        lambda g: g.workers.eta,
+        lambda g: g.components.h1,
+        lambda g: g.components.h2,
+        lambda g: g.components.h3,
+        lambda g: g.components.h4,
     ]
-    # the fixed point eta_hat = eta + grad is a valid record of each family
-    DirichletNat(current.pi.eta + grads.pi)
-    BetaWorkers(current.workers.eta + grads.workers)
-    NiwNat(*(eta + g for eta, g, _ in blocks[2:])).scale_logdet()
-    for rho in (1e-12, 0.05, 0.5, 1.0):
-        stepped = apply_natural_gradient(current, grads, rho)
-        for eta, g, read in blocks:
+    for rho in (0.0, 1e-12, 0.05, 0.5, 1.0):
+        stepped = apply_natural_gradient(current, target, rho)
+        for read in blocks:
             np.testing.assert_allclose(
-                read(stepped), (1.0 - rho) * eta + rho * (eta + g), rtol=1e-12, atol=1e-12
+                read(stepped), (1.0 - rho) * read(current) + rho * read(target),
+                rtol=1e-12, atol=1e-12,
             )
 
 
@@ -318,11 +314,11 @@ def test_a_stepped_record_factors_its_scale_once(monkeypatch):
     prior = MixturePrior.default(3, 2)
     current = init_global(prior, rng)
     q_z, means, covs = _random_instance(rng, n=6, k=3)
-    grads = mixture_natural_gradient(prior, q_z, means, covs, current)
+    target = mixture_natural_gradient(prior, q_z, means, covs)
     calls = []
     original = expfam.spd_factor
     monkeypatch.setattr(expfam, "spd_factor", lambda S: calls.append(S.shape) or original(S))
-    stepped = apply_natural_gradient(current, grads, step=0.5)
+    stepped = apply_natural_gradient(current, target, step=0.5)
     assert calls == [(3, 2, 2)]
     stats = niw_expected_stats(stepped.components)
     log_z = expfam.log_partition(stepped.components)

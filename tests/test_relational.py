@@ -5,7 +5,7 @@ import pytest
 from oracles import annotation_log_likelihood, select_triples
 
 from crowdmix.data import WorkerPool
-from crowdmix.expfam import BetaNat, dirichlet_expected_stats
+from crowdmix.expfam import DirichletNat, dirichlet_expected_stats
 from crowdmix.mixture import MixturePrior
 from crowdmix.relational import (
     AnnotationStore,
@@ -357,47 +357,45 @@ def uniform_workers(n_workers: int) -> BetaWorkers:
 
 def test_beta_gradient_empty_store_fixed_point():
     store = AnnotationStore([], 3, 2)
-    grad = beta_natural_gradient(store, np.full((3, 2), 0.5), WORKER_PRIOR, uniform_workers(2))
-    ga, gb = grad[:, 0], grad[:, 1]
-    assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
+    target = beta_natural_gradient(store, np.full((3, 2), 0.5), WORKER_PRIOR)
+    assert isinstance(target, BetaWorkers) and target.n_workers == 2
+    # the target is the prior, so the gradient at the prior vanishes
+    assert np.allclose(target.eta - uniform_workers(2).eta, 0.0)
 
 
 def test_beta_gradient_true_positive_count():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    grad = beta_natural_gradient(store, q, WORKER_PRIOR, uniform_workers(1))
-    ga, gb = grad[:, 0], grad[:, 1]
-    assert np.allclose(ga[0], [1.0, 0.0])
-    assert np.allclose(gb[0], [0.0, 0.0])
-    # at posterior Beta(2,1) the gradient vanishes
+    target = beta_natural_gradient(store, q, WORKER_PRIOR)
+    grad = target.eta - uniform_workers(1).eta
+    assert np.allclose(grad[0, 0], [1.0, 0.0])
+    assert np.allclose(grad[0, 1], [0.0, 0.0])
+    # the target is the posterior Beta(2, 1), where the gradient vanishes
     at_fix = BetaWorkers.from_taus([(2.0, 1.0)], [(1.0, 1.0)])
-    grad = beta_natural_gradient(store, q, WORKER_PRIOR, at_fix)
-    ga, gb = grad[:, 0], grad[:, 1]
-    assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
+    assert np.allclose(target.eta - at_fix.eta, 0.0)
 
 
 def test_beta_gradient_true_negative_count():
     store = AnnotationStore([(0, 1, 0, 0)], 2, 1)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     at_fix = BetaWorkers.from_taus([(1.0, 1.0)], [(2.0, 1.0)])
-    grad = beta_natural_gradient(store, q, WORKER_PRIOR, at_fix)
-    ga, gb = grad[:, 0], grad[:, 1]
-    assert grad.shape == (1, 2, 2)
-    assert ga.shape == gb.shape == (1, 2)
-    assert np.allclose(ga, 0.0) and np.allclose(gb, 0.0)
+    target = beta_natural_gradient(store, q, WORKER_PRIOR)
+    assert target.eta.shape == (1, 2, 2)
+    assert target.alpha_taus.shape == target.beta_taus.shape == (1, 2)
+    assert np.allclose(target.eta - at_fix.eta, 0.0)
 
 
 @pytest.mark.parametrize("rows", [2, 7])
 def test_beta_gradient_names_a_q_z_of_another_height(rows):
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
     with pytest.raises(ValueError, match="q_z"):
-        beta_natural_gradient(store, np.full((rows, 2), 0.5), WORKER_PRIOR, uniform_workers(1))
+        beta_natural_gradient(store, np.full((rows, 2), 0.5), WORKER_PRIOR)
 
 
 def reference_log_stats(alpha_taus, beta_taus) -> np.ndarray:
     """The per-coin log_stats formula the two-record workers used: one
     Beta record per coin, their expectations side by side."""
-    alpha, beta = (BetaNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus))
+    alpha, beta = (DirichletNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus))
     return np.concatenate([dirichlet_expected_stats(alpha), dirichlet_expected_stats(beta)], axis=1)
 
 
@@ -410,8 +408,8 @@ def reference_beta_gradient(store, q_z, alpha_taus, beta_taus, scale):
     counts = np.zeros((len(alpha_taus), 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
     np.add.at(counts, store.triples[:, 2], rows)
-    prior_a, prior_b = BetaNat.from_tau(1.0, 1.0), BetaNat.from_tau(1.0, 1.0)
-    alpha, beta = (BetaNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus))
+    prior_a, prior_b = DirichletNat.from_alpha([1.0, 1.0]), DirichletNat.from_alpha([1.0, 1.0])
+    alpha, beta = (DirichletNat(np.reshape(t, (len(t), 2)) - 1.0) for t in (alpha_taus, beta_taus))
     grad_a = prior_a.eta + scale * counts[:, :2] - alpha.eta
     grad_b = prior_b.eta + scale * counts[:, 2:] - beta.eta
     return grad_a, grad_b
@@ -436,7 +434,8 @@ def test_stacked_workers_equal_the_per_coin_formulas_bit_for_bit(seed, n_workers
     ]
     store = AnnotationStore(triples, n_items, n_workers)
     q = rng.dirichlet(np.ones(k), size=n_items)
-    grad = beta_natural_gradient(store, q, WORKER_PRIOR, workers, scale=2.5)
+    # the gradient is the target minus the posteriors, as the step takes it
+    grad = beta_natural_gradient(store, q, WORKER_PRIOR, scale=2.5).eta - workers.eta
     grad_a, grad_b = reference_beta_gradient(store, q, alpha_taus, beta_taus, 2.5)
     assert grad.shape == (n_workers, 2, 2)
     assert np.array_equal(grad[:, 0], grad_a) and np.array_equal(grad[:, 1], grad_b)

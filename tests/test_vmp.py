@@ -293,12 +293,9 @@ def test_component_contractions_equal_einsum():
         + exps.neg_half_logdet,
     )
     prior = MixturePrior.default(K, d)
-    glob = init_global(prior, rng)
-    grads = mixture_natural_gradient(prior, resp, x_mean, x_cov, glob, scale=3.0)
-    expected_h2 = (
-        prior.niw_nat().h2 + 3.0 * np.einsum("nk,nij->kij", resp, second) - glob.components.h2
-    )
-    assert close(grads.h2, expected_h2)
+    target = mixture_natural_gradient(prior, resp, x_mean, x_cov, scale=3.0)
+    expected_h2 = prior.niw_nat().h2 + 3.0 * np.einsum("nk,nij->kij", resp, second)
+    assert close(target.components.h2, expected_h2)
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +695,11 @@ def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     local = block_coordinate_local(glob, pot, store, sweeps=30)
     value = surrogate_elbo(glob, prior, local, pot, store)
     for _ in range(5):
-        grads = mixture_natural_gradient(
-            prior, local.resp, local.x_mean, local.x_cov, glob, scale=1.0
+        target = replace(
+            mixture_natural_gradient(prior, local.resp, local.x_mean, local.x_cov, scale=1.0),
+            workers=beta_natural_gradient(store, local.resp, prior.worker_nat()),
         )
-        grad = beta_natural_gradient(store, local.resp, prior.worker_nat(), glob.workers)
-        grads = replace(grads, workers=grad)
-        glob = apply_natural_gradient(glob, grads, 1.0)
+        glob = apply_natural_gradient(glob, target, 1.0)
         new_value = surrogate_elbo(glob, prior, local, pot, store)
         assert new_value >= value - 1e-8
         value = new_value
@@ -1115,11 +1111,22 @@ def _set(path, value):
          "workers.alpha_taus"),
         (_set(["globals", "workers", "beta_taus"], [[9.0, 1.0], [0.0, 1.0]]), "workers.beta_taus"),
         (_set(["globals", "workers", "beta_taus"], [[9.0, 1.0]]), "workers.beta_taus"),
+        (_set(["local_sweeps"], True), "local_sweeps"),
+        (_set(["prior", "n_components"], 2.9), "prior: n_components"),
+        (_set(["prior", "n_components"], "3"), "prior: n_components"),
+        (_set(["prior", "n_components"], 1), "prior: n_components"),
+        (_set(["prior", "latent_dim"], True), "prior: latent_dim"),
+        (_set(["prior", "latent_dim"], 0), "prior: latent_dim"),
+        # valid priors that disagree with the K = 3, d = 2 globals
+        (_set(["prior", "n_components"], 7), r"prior\.n_components"),
+        (_set(["prior"], MixturePrior.default(3, 3).to_dict()), r"prior\.latent_dim"),
     ],
     ids=[
         "alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps", "fractional-sweeps",
         "string-sweeps", "nan-recognition-weight", "prior-s0-not-pd",
         "pi-eta-below-domain", "alpha-tau-negative", "beta-tau-zero", "beta-taus-one-row",
+        "bool-sweeps", "fractional-components", "string-components", "one-component",
+        "bool-latent-dim", "zero-latent-dim", "prior-of-other-k", "prior-of-other-d",
     ],
 )
 def test_saved_model_document_names_a_field_that_cannot_load(corrupt, field):
@@ -1132,6 +1139,10 @@ def test_saved_model_document_names_a_field_that_cannot_load(corrupt, field):
 def test_config_validation():
     with pytest.raises(ValueError):
         BayesConfig(epochs=-1)
+    for name, value in (("n_components", 1), ("n_components", True), ("latent_dim", True),
+                        ("epochs", True), ("local_sweeps", True), ("batch_size", False)):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            BayesConfig(**{name: value})
     with pytest.raises(ValueError):
         BayesConfig(batch_size=0)
     with pytest.raises(ValueError):
