@@ -34,9 +34,14 @@ class Dataset:
         obs.setflags(write=False)
         object.__setattr__(self, "observations", obs)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=int)
-            if labels.shape != (obs.shape[0],):
+            values = np.asarray(self.labels, dtype=float)
+            if values.shape != (obs.shape[0],):
                 raise ValueError("labels must be one integer per observation")
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+                labels = values.astype(int)
+            if not np.array_equal(labels, values):
+                first = int(np.argmax(labels != values))
+                raise ValueError(f"label {first} must be a whole number, got {values[first]}")
             if labels.min() < 0:
                 raise ValueError("labels must be nonnegative")
             labels.setflags(write=False)

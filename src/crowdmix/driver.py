@@ -7,46 +7,68 @@ on.  `fit` owns the epochs and minibatches, the annotation sample and
 working set with the scales that restore full-data magnitudes, the
 warmup ramp of the latent KL weight, the per-epoch snapshot that a
 divergence restores, and the history rows.  A trainer builds its
-parameters and hands `fit` one step function per update.
+parameters and hands `fit` one step function per update.  Both trainer
+configs derive `TrainConfig`; `gaussian_mlp` builds their Gaussian heads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Any, Callable
 
 import numpy as np
 
 from .data import Dataset
-from .nnet import TrainingDivergence
+from .nnet import Mlp, TrainingDivergence, check_count
 from .relational import AnnotationStore
 
 # Clip interval of both trainers' log-variance heads.
 LOGVAR_CLAMP = (-8.0, 8.0)
 
 
-def check_count(name: str, value, least: int) -> None:
-    """Reject a count that is not an integer (numpy integers are, a bool
-    is not) or is below `least`, naming the field first in the message."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
+@dataclass(frozen=True)
+class TrainConfig:
+    """The settings both trainers share; a bad value fails naming its field.
+    `hidden` holds every network's hidden widths, `lr` is the Adam rate, and
+    `kl_warmup` the fraction of updates over which the latent KL weight
+    ramps 0 -> 1: off for the first half of the window, then linear."""
+
+    n_components: int = 15
+    latent_dim: int = 2
+    epochs: int = 20
+    batch_size: int = 50
+    annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
+    hidden: tuple[int, ...] = (40, 40)
+    lr: float = 1e-3
+    kl_warmup: float = 0.0
+
+    def __post_init__(self):
+        for name in ("n_components", "latent_dim", "batch_size"):
+            check_count(name, getattr(self, name), 1)
+        for width in self.hidden:
+            check_count("hidden widths", width, 1)
+        check_count("epochs", self.epochs, 0)
+        if self.annotation_batch_size is not None:
+            check_count("annotation_batch_size", self.annotation_batch_size, 1)
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and non-negative")
+        if not 0.0 <= self.kl_warmup <= 1.0:
+            raise ValueError("kl_warmup must lie in [0, 1]")
 
 
-def check_config(config) -> None:
-    """Reject bad values of the fields every trainer config shares,
-    naming the field first in the message."""
-    for name in ("n_components", "latent_dim", "batch_size"):
-        check_count(name, getattr(config, name), 1)
-    for width in config.hidden:
-        check_count("hidden widths", width, 1)
-    check_count("epochs", config.epochs, 0)
-    if config.annotation_batch_size is not None:
-        check_count("annotation_batch_size", config.annotation_batch_size, 1)
-    if not 0.0 <= config.kl_warmup <= 1.0:
-        raise ValueError("kl_warmup must lie in [0, 1]")
+def gaussian_mlp(sizes, width: int, rng: np.random.Generator) -> Mlp:
+    """Network with a diagonal Gaussian head pair of `width` outputs each:
+    "mean", and "logvar" clipped to LOGVAR_CLAMP."""
+    return Mlp(sizes, {"mean": width, "logvar": width}, rng, clamp={"logvar": LOGVAR_CLAMP})
+
+
+def load_field(doc: dict, key: str, load: Callable[[Any], Any]):
+    """`load(doc[key])`, a ValueError's message prefixed with `key`."""
+    try:
+        return load(doc[key])
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -82,7 +104,6 @@ def fit(
     params: list,
     model: Callable[[], Any],
     step: Callable[[Update], float],
-    effective_k: Callable[[Any, float], int],
     minibatch_iterator,
     sample_annotation_minibatch,
     clustering_accuracy,
@@ -92,7 +113,9 @@ def fit(
     returns the update's objective estimate.
 
     `model()` builds the trained state from the current parameters, before
-    training and after each finished epoch.  A `TrainingDivergence` or
+    training and after each finished epoch; it has `predict(observations)`
+    and `effective_k(threshold)`, the number of mixing weights above
+    min(0.5, 2 / N).  A `TrainingDivergence` or
     `LinAlgError` from an update or from predicting with the epoch's
     model, a non-finite estimate, or non-finite parameters at the end of
     an epoch stop training and restore `params` (tape tensors) to the
@@ -154,7 +177,7 @@ def fit(
         record = {
             "epoch": epoch,
             "objective": float(np.mean(estimates)),
-            "effective_k": effective_k(current, threshold),
+            "effective_k": current.effective_k(threshold),
         }
         if dataset.labels is not None:
             record["accuracy"] = clustering_accuracy(predicted, dataset.labels)

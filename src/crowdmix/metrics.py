@@ -59,9 +59,10 @@ def nmi(pred, true) -> float:
 
 def clustering_accuracy(pred, true) -> float:
     """Fraction of items matched under the best one-to-one mapping from
-    predicted to true labels (Hungarian on the contingency table)."""
+    predicted to true labels (Hungarian on the contingency table, as the
+    least-cost assignment of the negated counts)."""
     counts = contingency_table(pred, true)
-    rows, cols = linear_sum_assignment(counts, maximize=True)
+    rows, cols = linear_sum_assignment(-counts)
     return int(counts[rows, cols].sum()) / float(counts.sum())
 
 

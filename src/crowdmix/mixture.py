@@ -17,14 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .driver import check_count
 from .expfam import (
     DirichletNat,
     NiwNat,
     dirichlet_expected_stats,
     niw_expected_stats,
 )
-from .nnet import TrainingDivergence
+from .nnet import TrainingDivergence, check_count
 from .relational import BetaWorkers
 
 
@@ -273,7 +272,7 @@ def mixture_natural_gradient(
     the prior natural parameters plus scaled responsibility-weighted local
     moments, the conjugate posterior of the minibatch.
 
-    q_z is (n, K) responsibilities, means (n, d), covs (n, d, d); scale
+    q_z is (n, K) cluster probabilities, means (n, d), covs (n, d, d); scale
     is the minibatch factor N/|B|.  The natural gradient at a posterior
     eta is the target's eta minus eta.  Responsibilities lie in [0, 1],
     so the Dirichlet target is valid; a non-finite moment makes the NIW

@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays, plus the
-small feedforward networks (ReLU hidden stack, named linear heads) and
-the Adam optimizer used for training.
+small feedforward networks (ReLU hidden stack, named linear heads),
+the Adam optimizer used for training, and `check_count`, the package's
+one check of an integer count.
 
 A Tape records operations in execution order while it is active (it is a
 context manager); backward() walks the record in reverse, so nodes are
@@ -23,16 +24,17 @@ The engine keeps a network step lean:
   definite matrices, a per-entry Cholesky giving the inverse, the
   log-determinant and the Cholesky factor of the inverse; the tape op
   inverse_cholesky wraps it and needs no inverse in its gradient.
-- Adam keeps its moments in one flat vector and steps every parameter
-  that has a gradient at once.  The step is atomic: a
-  non-finite gradient anywhere is rejected before any parameter or
-  moment changes.
+- Adam(params, lr) ascends, stepping every parameter at once from flat
+  gradient and moment vectors; a missing gradient counts as zero.  The
+  step is atomic: a non-finite gradient anywhere is rejected before any
+  parameter or moment changes.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +55,15 @@ def _current_tape():
 class TrainingDivergence(RuntimeError):
     """Raised when a network output, a gradient, an objective estimate or
     a global step stops being finite or valid."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer (numpy integers are, a bool
+    is not) or is below `least`, naming the field first in the message."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 class Tape:
@@ -568,69 +579,47 @@ class Mlp:
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction.
+    """Adaptive-moment ascent with bias correction (Kingma & Ba 2015), at
+    the paper's constants BETA1, BETA2 and EPS.
 
-    The parameters lie end to end in one flat vector.  A step gathers
-    the gradients that are present into one vector in parameter order,
-    updates the matching slices of the flat moment buffers with
-    elementwise expressions and adds each parameter's slice of the
-    update back.  Parameters whose gradient is None keep their value and
-    their moments.
+    The parameters lie end to end in one flat vector, and so do the
+    gradient and both moment buffers.  A step writes each gradient into
+    its slice, updates the moments with elementwise expressions and adds
+    each parameter's slice of the update back.
     """
 
-    def __init__(
-        self,
-        params,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        maximize: bool = False,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self._offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.sign = 1.0 if maximize else -1.0
         self.m = np.zeros(self._offsets[-1])
         self.v = np.zeros(self._offsets[-1])
         self.t = 0
 
     def step(self):
-        """Step every parameter that has a gradient.  A gradient of the
-        wrong size or a non-finite one raises before any parameter or
-        moment changes."""
-        present = [i for i, p in enumerate(self.params) if p.grad is not None]
-        if not present:
-            self.t += 1
-            return
-        g = np.concatenate([np.ravel(self.params[i].grad) for i in present])
-        if len(present) == len(self.params):
-            where, size = slice(None), self._offsets[-1]
-        else:
-            where = np.concatenate(
-                [np.arange(self._offsets[i], self._offsets[i + 1]) for i in present]
-            )
-            size = where.size
-        if g.size != size:
-            raise ValueError("gradient sizes do not match their parameters")
+        """Step every parameter up its gradient, zero for one the objective
+        does not reach (no .grad).  A gradient of the wrong size or a
+        non-finite one raises before any parameter or moment changes."""
+        spans = list(zip(self.params, self._offsets, self._offsets[1:]))
+        g = np.zeros(self._offsets[-1])
+        for p, lo, hi in spans:
+            if p.grad is not None:
+                if np.size(p.grad) != hi - lo:
+                    raise ValueError("gradient sizes do not match their parameters")
+                g[lo:hi] = np.ravel(p.grad)
         if not np.all(np.isfinite(g)):
             raise TrainingDivergence("non-finite gradient")
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        m, v = self.m[where], self.v[where]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        self.m[where], self.v[where] = m, v
-        update = self.sign * self.lr * ((m / b1t) / (np.sqrt(v / b2t) + self.eps))
-        start = 0
-        for i in present:
-            p = self.params[i]
-            stop = start + p.data.size
-            p.data = p.data + update[start:stop].reshape(p.data.shape)
-            start = stop
+        b1t = 1.0 - self.BETA1**self.t
+        b2t = 1.0 - self.BETA2**self.t
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * g
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * g * g
+        update = self.lr * ((self.m / b1t) / (np.sqrt(self.v / b2t) + self.EPS))
+        for p, lo, hi in spans:
+            p.data = p.data + update[lo:hi].reshape(p.data.shape)

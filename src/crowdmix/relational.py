@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import DirichletNat, dirichlet_expected_stats
-from .nnet import Tensor, as_tensor, mul, reshape, take_rows, tensor_sum
+from .nnet import Tensor, as_tensor, check_count, mul, reshape, take_rows, tensor_sum
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -68,15 +68,14 @@ class AnnotationStore:
 
     Triples are stored once per (min(i, j), max(i, j), m) key, sorted by
     key.  A duplicate in either orientation must repeat the label; the
-    first bad triple, in input order, is named in the ValueError.
+    first bad triple, in input order, is named in the ValueError.  Both
+    counts must be integers, not bools, and at least 0.
     """
 
     def __init__(self, triples, n_items: int, n_workers: int):
-        self.n_items = int(n_items)
-        self.n_workers = int(n_workers)
-        for name, count in (("n_items", self.n_items), ("n_workers", self.n_workers)):
-            if count < 0:
-                raise ValueError(f"{name} must be non-negative, got {count}")
+        check_count("n_items", n_items, 0)
+        check_count("n_workers", n_workers, 0)
+        self.n_items, self.n_workers = int(n_items), int(n_workers)
         i, j, m, label = _triple_array(triples).T
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         # stable sort by key: the first row of each key group is its earliest

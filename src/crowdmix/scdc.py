@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import log_softmax as np_log_softmax
 
 from .data import Dataset, minibatch_iterator
-from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, fit
+from .driver import TrainConfig, TrainResult, Update, fit, gaussian_mlp, load_field
 from .metrics import clustering_accuracy, nmi
 from .nnet import (
     Adam,
@@ -214,30 +214,12 @@ def elbo_rel(store: AnnotationStore, q_z: Tensor, point: PointParams, scale: flo
 
 
 @dataclass(frozen=True)
-class ScdcConfig:
-    """Settings for the amortized stochastic-gradient training loop.
-
-    One Adam optimizer steps every parameter at rate `lr`.  `kl_warmup`
-    is the fraction of updates over which the Gaussian-KL weight ramps
-    0 -> 1: off for the first half of the window, then linear.  Fixed
-    values: each update makes one reparameterized latent draw per
-    (item, component), component means start N(0, 3 I), and the
-    log-variance heads are clipped to `driver.LOGVAR_CLAMP`, (-8, 8).
-    """
-
-    n_components: int = 15
-    latent_dim: int = 2
-    epochs: int = 20
-    batch_size: int = 50
-    annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
-    hidden: tuple[int, ...] = (40, 40)
-    lr: float = 1e-3
-    kl_warmup: float = 0.0
-
-    def __post_init__(self):
-        check_config(self)
-        if not 0.0 <= self.lr < math.inf:
-            raise ValueError("lr must be finite and non-negative")
+class ScdcConfig(TrainConfig):
+    """Settings for the amortized stochastic-gradient training loop: the
+    shared `driver.TrainConfig`, with nothing added.  Adam steps the point
+    parameters too.  Fixed values: each update makes one reparameterized
+    latent draw per (item, component), component means start N(0, 3 I),
+    and the log-variance heads are clipped to `driver.LOGVAR_CLAMP`."""
 
 
 @dataclass
@@ -267,6 +249,10 @@ class ScdcModel:
         """Most probable cluster per item (lowest index on ties)."""
         return np.argmax(self.encoder_z.forward(observations)["logits"].data, axis=1)
 
+    def effective_k(self, threshold: float) -> int:
+        """Number of point mixing weights above `threshold`."""
+        return int(np.sum(self.point.pi() > threshold))
+
     def to_dict(self) -> dict:
         return {
             "point": self.point.to_dict(),
@@ -279,9 +265,9 @@ class ScdcModel:
     def from_dict(cls, doc: dict) -> "ScdcModel":
         return cls(
             point=PointParams.from_dict(doc["point"]),
-            encoder_z=Mlp.from_state(doc["encoder_z"]),
-            encoder_x=Mlp.from_state(doc["encoder_x"]),
-            decoder=Mlp.from_state(doc["decoder"]),
+            encoder_z=load_field(doc, "encoder_z", Mlp.from_state),
+            encoder_x=load_field(doc, "encoder_x", Mlp.from_state),
+            decoder=load_field(doc, "decoder", Mlp.from_state),
         )
 
 
@@ -303,21 +289,11 @@ def train_scdc(
     model = ScdcModel(
         point=PointParams.init(k_comp, d, n_workers, rng),
         encoder_z=Mlp([dataset.dim, *config.hidden], {"logits": k_comp}, rng),
-        encoder_x=Mlp(
-            [k_comp + dataset.dim, *config.hidden],
-            {"mean": d, "logvar": d},
-            rng,
-            clamp={"logvar": LOGVAR_CLAMP},
-        ),
-        decoder=Mlp(
-            [d, *config.hidden],
-            {"mean": dataset.dim, "logvar": dataset.dim},
-            rng,
-            clamp={"logvar": LOGVAR_CLAMP},
-        ),
+        encoder_x=gaussian_mlp([k_comp + dataset.dim, *config.hidden], d, rng),
+        decoder=gaussian_mlp([d, *config.hidden], dataset.dim, rng),
     )
     params = model.parameters()
-    opt = Adam(params, lr=config.lr, maximize=True)
+    opt = Adam(params, config.lr)
 
     def step(update: Update) -> float:
         noise = rng.standard_normal((k_comp, update.batch.size, d))
@@ -332,6 +308,7 @@ def train_scdc(
                 q_working = exp(log_softmax(logits, axis=-1))
                 total = total + elbo_rel(update.store, q_working, model.point, update.rel_scale)
         backward(tape, total)
+        # step before the tape is freed: the other order lets glibc trim and re-fault its memory
         opt.step()
         zero_grads(params)
         return float(total.data)
@@ -341,7 +318,6 @@ def train_scdc(
         params=params,
         model=lambda: model,
         step=step,
-        effective_k=lambda model, threshold: int(np.sum(model.point.pi() > threshold)),
         minibatch_iterator=minibatch_iterator,
         sample_annotation_minibatch=sample_annotation_minibatch,
         clustering_accuracy=clustering_accuracy,

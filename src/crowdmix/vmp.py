@@ -1,13 +1,13 @@
 """Natural-gradient variational inference for the Bayesian variant.
 
 The recognition network emits diagonal Gaussian evidence potentials;
-cluster responsibilities and latent Gaussians are refined jointly by
+cluster posteriors q(z) and latent Gaussians are refined jointly by
 block-coordinate updates that carry pairwise annotation messages.  Inside
-the local step the responsibilities and component logits are stored
+the local step the q(z) probabilities and component logits are stored
 component-major, as (K, n) arrays, so every softmax reduces over axis 0,
 across items, and never along a K-wide last axis; the step takes and
-returns (n, K) responsibilities.  Each q(x) refresh mixes the K
-component statistics by the responsibilities with one matmul on their
+returns (n, K) q(z) probabilities.  Each q(x) refresh mixes the K
+component statistics by the q(z) probabilities with one matmul on their
 (K, d*d) view and factors every item's precision once, by
 `nnet.spd_factor`, the package's one Cholesky kernel, which loops over d
 and computes over all items at once; `predict` runs the same local step
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, minibatch_iterator
-from .driver import LOGVAR_CLAMP, TrainResult, Update, check_config, check_count, fit
+from .driver import TrainConfig, TrainResult, Update, fit, gaussian_mlp, load_field
 from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
@@ -48,6 +48,7 @@ from .nnet import (
     Tape,
     TrainingDivergence,
     backward,
+    check_count,
     constant,
     diag_embed,
     diag_gaussian_loglik,
@@ -110,7 +111,7 @@ class RecognitionPotential:
 class LocalVariational:
     """Local posteriors for one working set: categorical q(z), Gaussian q(x)."""
 
-    log_resp: np.ndarray  # (n, K), normalized log responsibilities
+    log_resp: np.ndarray  # (n, K), normalized log q(z) probabilities
     x_h: np.ndarray       # (n, d)
     x_j: np.ndarray       # (n, d, d), negative definite
     x_mean: np.ndarray    # (n, d)
@@ -176,7 +177,7 @@ def _mix(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def update_local_x(resp, exps: GlobalExpectations, potential: RecognitionPotential):
-    """Coordinate refresh of every q(x_i) given responsibilities.
+    """Coordinate refresh of every q(x_i) given q(z) probabilities.
 
     Natural parameters are the responsibility-weighted expected Gaussian
     parameters plus the evidence potential; `resp` is (n, K).  Returns
@@ -325,11 +326,11 @@ def update_local_z(base_logits, neighbors, log_resp) -> tuple[np.ndarray, np.nda
 
     Component-major: base_logits, log_resp and both results are (K, n).
     base_logits holds E[log pi] plus the component brackets.  Returns
-    the new log responsibilities and their exponentials.  When the graph
+    the new log q(z) probabilities and their exponentials.  When the graph
     links no item, the pass is one softmax over the whole array.
     Otherwise the unlinked items update in one shot, then the linked items
     one color class of the annotation graph at a time, in color order,
-    each class seeing the freshest responsibilities of the classes before
+    each class seeing the freshest q(z) probabilities of the classes before
     it.  No edge joins two items of one class, so refreshing a class at
     once equals refreshing its items one after another: the pass is exact
     coordinate ascent, visiting the items in class order.  `neighbors` is
@@ -359,14 +360,14 @@ def block_coordinate_local(
     """Alternate q(x) / q(z) coordinate updates for one working set.
 
     `store`, when given, must be indexed by working-set position.  Runs
-    exactly `sweeps` rounds from uniform responsibilities and ends on a
+    exactly `sweeps` rounds from uniform q(z) probabilities and ends on a
     q(x) refresh, so the returned Gaussians are consistent with the
-    returned responsibilities.  The annotation graph is built and colored
+    returned q(z) probabilities.  The annotation graph is built and colored
     once per call; every q(z) pass then refreshes the unlinked items
     together and the linked items one color class at a time, in color
     order.  Items of one class share no edge, so each pass is exact
     coordinate ascent in that item order and the surrogate ELBO cannot
-    decrease along the sweeps.  The responsibilities are held
+    decrease along the sweeps.  The q(z) probabilities are held
     component-major, (K, n), up to the transpose on exit.
     """
     n = potential.n_items
@@ -504,14 +505,14 @@ def final_objective(
 
 
 @dataclass(frozen=True)
-class BayesConfig:
-    """Settings for the natural-gradient training loop.
+class BayesConfig(TrainConfig):
+    """Settings for the natural-gradient training loop: `driver.TrainConfig`
+    with `kl_warmup` 1 and K >= 2, plus four fields.
 
     The globals follow natural-gradient steps of constant size
-    `global_step`; one Adam optimizer steps both networks at rate
-    `net_lr`, along a gradient estimated from one reparameterized latent
-    draw per batch item.  Worker posteriors start at Beta(*worker_init).
-    Fixed values:
+    `global_step`; the Adam optimizer steps both networks, along a
+    gradient estimated from one reparameterized latent draw per batch
+    item.  Worker posteriors start at Beta(*worker_init).  Fixed values:
 
     - the prior (`MixturePrior.default`): kappa0 = 0.5,
       S0 = (d + kappa0) I and nu0 = d + kappa0, and its one worker
@@ -525,28 +526,18 @@ class BayesConfig:
       `driver.LOGVAR_CLAMP`, (-8, 8).
     """
 
-    n_components: int = 15
-    latent_dim: int = 2
-    epochs: int = 20
-    batch_size: int = 50
-    annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
-    hidden: tuple[int, ...] = (40, 40)
-    net_lr: float = 1e-3
+    kl_warmup: float = 1.0
     global_step: float = 0.05
     local_sweeps: int = 4
-    kl_warmup: float = 1.0   # fraction of updates over which the latent KL
-                             # weight in the network gradient ramps 0 -> 1
     alpha0: float | None = None  # default 0.05 / n_components
     worker_init: tuple[float, float] = (10.0, 1.0)
 
     def __post_init__(self):
-        check_config(self)
+        super().__post_init__()
         check_count("n_components", self.n_components, 2)
         if not 0.0 <= self.global_step <= 1.0:
             raise ValueError("global_step must lie in [0, 1]")
         check_count("local_sweeps", self.local_sweeps, 1)
-        if not 0.0 <= self.net_lr < math.inf:
-            raise ValueError("net_lr must be finite and non-negative")
         if not all(0.0 < tau < math.inf for tau in self.worker_init):
             raise ValueError("worker_init entries must be finite and positive")
         if self.alpha0 is not None and not 0.0 < self.alpha0 < math.inf:
@@ -575,16 +566,15 @@ class BayesModel:
             if ours != theirs:
                 raise ValueError(f"prior.{name} is {ours}, the globals' is {theirs}")
 
-    def local_posterior(self, observations, store: AnnotationStore | None = None) -> LocalVariational:
-        potential = recognition_potential(self.recognition, observations)
-        return block_coordinate_local(self.glob, potential, store, sweeps=self.local_sweeps)
-
-    def responsibilities(self, observations) -> np.ndarray:
-        return self.local_posterior(observations).resp
-
     def predict(self, observations) -> np.ndarray:
         """Most probable component per item (lowest index on ties)."""
-        return np.argmax(self.responsibilities(observations), axis=1)
+        potential = recognition_potential(self.recognition, observations)
+        local = block_coordinate_local(self.glob, potential, sweeps=self.local_sweeps)
+        return np.argmax(local.resp, axis=1)
+
+    def effective_k(self, threshold: float) -> int:
+        """`effective_components` of the global posterior."""
+        return effective_components(self.glob, threshold)
 
     def to_dict(self) -> dict:
         return {
@@ -597,15 +587,11 @@ class BayesModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BayesModel":
-        try:
-            prior = MixturePrior.from_dict(doc["prior"])
-        except ValueError as err:
-            raise ValueError(f"prior: {err}") from err
         return cls(
-            prior=prior,
+            prior=load_field(doc, "prior", MixturePrior.from_dict),
             glob=GlobalVariational.from_dict(doc["globals"]),
-            recognition=Mlp.from_state(doc["recognition"]),
-            decoder=Mlp.from_state(doc["decoder"]),
+            recognition=load_field(doc, "recognition", Mlp.from_state),
+            decoder=load_field(doc, "decoder", Mlp.from_state),
             local_sweeps=doc.get("local_sweeps", 4),
         )
 
@@ -613,7 +599,7 @@ class BayesModel:
 def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
     """Tape graph of the objective terms the networks can influence.
 
-    Rebuilds the final q(x) refresh with responsibilities held constant:
+    Rebuilds the final q(x) refresh with q(z) probabilities held constant:
     recon + kl_weight * (log Z(eta_x) - <psi, E t(x)>), summed over the
     batch.  recon is the decoder log-likelihood of one reparameterized
     draw per item from q(x), x = mean + C noise, with `noise` of shape
@@ -662,14 +648,9 @@ def train_bayes_scdc(
     glob = init_global(prior, rng, n_workers=n_workers, worker_init=config.worker_init)
     recognition = Mlp([dataset.dim, *config.hidden], {"loc": d, "prec_raw": d}, rng)
     _calibrate_recognition_init(recognition, obs)
-    decoder = Mlp(
-        [d, *config.hidden],
-        {"mean": dataset.dim, "logvar": dataset.dim},
-        rng,
-        clamp={"logvar": LOGVAR_CLAMP},
-    )
+    decoder = gaussian_mlp([d, *config.hidden], dataset.dim, rng)
     params = recognition.parameters() + decoder.parameters()
-    opt = Adam(params, lr=config.net_lr, maximize=True)
+    opt = Adam(params, config.lr)
 
     def step(update: Update) -> float:
         nonlocal glob
@@ -695,6 +676,7 @@ def train_bayes_scdc(
                 update.data_scale, kl_weight=update.kl_weight,
             )
         backward(tape, objective)
+        # step before the tape is freed: the other order lets glibc trim and re-fault its memory
         opt.step()
         zero_grads(params)
 
@@ -712,7 +694,6 @@ def train_bayes_scdc(
             prior, glob, recognition, decoder, local_sweeps=config.local_sweeps
         ),
         step=step,
-        effective_k=lambda model, threshold: effective_components(model.glob, threshold),
         minibatch_iterator=minibatch_iterator,
         sample_annotation_minibatch=sample_annotation_minibatch,
         clustering_accuracy=clustering_accuracy,

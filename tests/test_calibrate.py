@@ -16,14 +16,14 @@ _SPEC.loader.exec_module(calibrate)
 def test_values_parse_by_the_type_of_each_field():
     settings, config = calibrate.parse_args(
         [
-            "local_sweeps=2", "epochs=3", "net_lr=0.01", "hidden=20,30",
+            "local_sweeps=2", "epochs=3", "lr=0.01", "hidden=20,30",
             "worker_init=5,1.5", "alpha0=0.2", "annotation_batch_size=40",
             "seeds=2", "annotated=0",
         ]
     )
     assert settings == {"seeds": 2, "annotated": 0, "quiet": 0}
     assert config == BayesConfig(
-        local_sweeps=2, epochs=3, net_lr=0.01, hidden=(20, 30),
+        local_sweeps=2, epochs=3, lr=0.01, hidden=(20, 30),
         worker_init=(5.0, 1.5), alpha0=0.2, annotation_batch_size=40,
     )
     assert calibrate.parse_args([]) == (calibrate.SCRIPT_KEYS, BayesConfig())

@@ -25,8 +25,11 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), labels=[0, 1])
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), labels=[-1, 0])
-    ds = Dataset(np.zeros((3, 2)), labels=[0, 1, 1])
-    assert ds.n_items == 3 and ds.dim == 2
+    for labels, first in (([0.5, 1.7], 0), ([0, 1.5], 1), ([1, float("nan")], 1)):
+        with pytest.raises(ValueError, match=f"^label {first} must be a whole number"):
+            Dataset(np.zeros((2, 2)), labels=labels)
+    ds = Dataset(np.zeros((3, 2)), labels=[0, 1.0, 1])
+    assert ds.n_items == 3 and ds.dim == 2 and ds.labels.tolist() == [0, 1, 1]
 
 
 def test_worker_pool_validation_and_weights():

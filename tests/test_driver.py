@@ -161,6 +161,9 @@ class ConstantModel:
     def predict(self, observations):
         return np.zeros(len(observations), dtype=int)
 
+    def effective_k(self, threshold):
+        return 1
+
 
 @pytest.mark.parametrize("annotated", [True, False])
 def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotated):
@@ -176,7 +179,6 @@ def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotate
     result = fit(
         dataset, store, config, np.random.default_rng(0),
         params=[], model=ConstantModel, step=step,
-        effective_k=lambda model, threshold: 1,
         minibatch_iterator=data.minibatch_iterator,
         sample_annotation_minibatch=relational.sample_annotation_minibatch,
         clustering_accuracy=clustering_accuracy, nmi=nmi,

@@ -141,8 +141,17 @@ def test_store_names_a_triple_that_is_not_whole_numbers():
 
 def test_store_rejects_a_negative_count():
     for n_items, n_workers, name in ((-3, 2, "n_items"), (3, -1, "n_workers")):
-        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0"):
             AnnotationStore([], n_items, n_workers)
+
+
+def test_store_rejects_a_count_that_is_not_an_integer():
+    for n_items, n_workers, name in ((2.9, 1, "n_items"), (2, True, "n_workers"),
+                                     ("3", 1, "n_items")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            AnnotationStore([(0, 1, 0, 1)], n_items, n_workers)
+    store = AnnotationStore([(0, 1, 0, 1)], np.int64(2), np.int32(1))
+    assert (store.n_items, store.n_workers) == (2, 1) and type(store.n_items) is int
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_point_params_name_worker_logits_of_another_shape(worker_logits):
 def test_model_document_with_a_non_finite_decoder_bias_does_not_load():
     doc = json.loads(json.dumps(make_model(3, np.random.default_rng(0)).to_dict()))
     doc["decoder"]["head_biases"]["mean"][0] = float("inf")
-    with pytest.raises(ValueError, match=r"^head_biases\['mean'\] has non-finite values"):
+    with pytest.raises(ValueError, match=r"^decoder: head_biases\['mean'\] has non-finite values"):
         ScdcModel.from_dict(doc)
 
 

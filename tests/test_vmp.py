@@ -567,7 +567,7 @@ def test_predict_equals_the_argmax_of_the_row_major_local_step():
     potential = recognition_potential(model.recognition, dataset.observations)
     for annotations in (store, None):
         expected = local_step_rows(model.glob, potential, annotations, model.local_sweeps)
-        local = model.local_posterior(dataset.observations, annotations)
+        local = block_coordinate_local(model.glob, potential, annotations, model.local_sweeps)
         assert np.max(np.abs(local.log_resp - expected)) < 1e-9
     # predict passes no store
     assert np.array_equal(
@@ -963,7 +963,7 @@ def tiny_problem(seed=0, n_per=40, workers=4, pairs=30, subset=60):
 def test_zero_step_training_leaves_parameters_at_initialization():
     dataset, store = tiny_problem()
     base = BayesConfig(n_components=4, latent_dim=2, batch_size=40)
-    frozen = replace(base, epochs=1, global_step=0.0, net_lr=0.0)
+    frozen = replace(base, epochs=1, global_step=0.0, lr=0.0)
     init_only = replace(base, epochs=0)
     trained = train_bayes_scdc(dataset, store, frozen, np.random.default_rng(123))
     reference = train_bayes_scdc(dataset, store, init_only, np.random.default_rng(123))
@@ -1104,7 +1104,8 @@ def _set(path, value):
         (_set(["local_sweeps"], 0), "local_sweeps"),
         (_set(["local_sweeps"], 2.9), "local_sweeps"),
         (_set(["local_sweeps"], "3"), "local_sweeps"),
-        (_set(["recognition", "weights", 0, 0, 0], float("nan")), r"weights\[0\]"),
+        (_set(["recognition", "weights", 0, 0, 0], float("nan")), r"recognition: weights\[0\]"),
+        (_set(["decoder", "weights", 0, 0, 0], float("nan")), r"decoder: weights\[0\]"),
         (_set(["prior", "s0"], [[1.0, 0.0], [0.0, -1.0]]), "prior: s0"),
         (_set(["globals", "pi_eta"], [0.5, -1.5, 0.3]), "pi_eta"),
         (_set(["globals", "workers", "alpha_taus"], [[9.0, -1.0], [9.0, 1.0]]),
@@ -1123,7 +1124,7 @@ def _set(path, value):
     ],
     ids=[
         "alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps", "fractional-sweeps",
-        "string-sweeps", "nan-recognition-weight", "prior-s0-not-pd",
+        "string-sweeps", "nan-recognition-weight", "nan-decoder-weight", "prior-s0-not-pd",
         "pi-eta-below-domain", "alpha-tau-negative", "beta-tau-zero", "beta-taus-one-row",
         "bool-sweeps", "fractional-components", "string-components", "one-component",
         "bool-latent-dim", "zero-latent-dim", "prior-of-other-k", "prior-of-other-d",
@@ -1147,9 +1148,9 @@ def test_config_validation():
         BayesConfig(batch_size=0)
     with pytest.raises(ValueError):
         BayesConfig(global_step=1.5)
-    for net_lr in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^net_lr"):
-            BayesConfig(net_lr=net_lr)
+    for lr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^lr"):
+            BayesConfig(lr=lr)
     for local_sweeps in (0, 2.5):
         with pytest.raises(ValueError, match="^local_sweeps"):
             BayesConfig(local_sweeps=local_sweeps)
