@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nnet import check_count
 from .relational import AnnotationStore, expected_worker_weights
 
 # Point accuracies are clamped this far inside (0, 1) before any log.
@@ -118,8 +119,8 @@ def pinwheel_generate(
     (1, 0), then rotates them counterclockwise by the arm's base angle
     plus rate * exp(radial), which warps the arm into a spiral.
     """
-    if clusters < 1 or per_cluster < 1:
-        raise ValueError("cluster counts must be positive")
+    check_count("clusters", clusters, 1)
+    check_count("per_cluster", per_cluster, 1)
     if radial_std < 0 or tangential_std < 0:
         raise ValueError("noise scales must be nonnegative")
     if rng is None:
@@ -171,10 +172,10 @@ def simulate_annotations(
     """
     if dataset.labels is None:
         raise ValueError("simulation needs ground-truth labels")
-    if not 2 <= subset_size <= dataset.n_items:
+    check_count("subset_size", subset_size, 2)
+    if subset_size > dataset.n_items:
         raise ValueError("subset_size must lie in [2, N]")
-    if pairs_per_worker < 1:
-        raise ValueError("pairs_per_worker must be positive")
+    check_count("pairs_per_worker", pairs_per_worker, 1)
     max_pairs = math.comb(subset_size, 2)
     if pairs_per_worker > max_pairs:
         warnings.warn(

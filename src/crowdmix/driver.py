@@ -63,6 +63,21 @@ def gaussian_mlp(sizes, width: int, rng: np.random.Generator) -> Mlp:
     return Mlp(sizes, {"mean": width, "logvar": width}, rng, clamp={"logvar": LOGVAR_CLAMP})
 
 
+def check_network(field: str, net: Mlp, heads: dict, n_in=None) -> None:
+    """Reject a network whose head names are not the keys of `heads`, or
+    whose widths differ from those given, with a ValueError naming `field`.
+    Each head name, and `n_in` unless None, maps to (width, what fixes it)."""
+    if sorted(net.heads) != sorted(heads):
+        raise ValueError(f"{field}: heads {sorted(net.heads)}, need {sorted(heads)}")
+    for name, (width, source) in heads.items():
+        if net.heads[name] != width:
+            raise ValueError(
+                f"{field}: head '{name}' has {net.heads[name]} outputs, {source} is {width}"
+            )
+    if n_in is not None and net.sizes[0] != n_in[0]:
+        raise ValueError(f"{field}: input width {net.sizes[0]}, {n_in[1]} is {n_in[0]}")
+
+
 def load_field(doc: dict, key: str, load: Callable[[Any], Any]):
     """`load(doc[key])`, a ValueError's message prefixed with `key`."""
     try:

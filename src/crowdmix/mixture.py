@@ -2,11 +2,12 @@
 
 Conjugate priors (Dirichlet over mixing weights, one shared NIW over
 every component's mean and covariance, Beta(1, 1) on every worker
-accuracy), the variational posterior over the globals, one record per
-family, and its natural-gradient steps: a minibatch gives a target
-record eta_hat per family, the prior plus the scaled expected statistics,
-and a step of size rho moves each record eta to (1 - rho) eta + rho eta_hat,
-at rho = 1 the textbook conjugate posterior.
+accuracy), fixed by K, d and the Dirichlet's alpha0; the variational
+posterior over the globals, one record per family; and its
+natural-gradient steps: a minibatch gives a target record eta_hat per
+family, the prior plus the scaled expected statistics, and a step of
+size rho moves each record eta to (1 - rho) eta + rho eta_hat, at
+rho = 1 the textbook conjugate posterior.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .expfam import (
     dirichlet_expected_stats,
     niw_expected_stats,
 )
-from .nnet import TrainingDivergence, check_count
+from .nnet import TrainingDivergence
 from .relational import BetaWorkers
 
 
@@ -31,83 +32,31 @@ from .relational import BetaWorkers
 # prior and variational state
 
 
-@dataclass(frozen=True)
+# Pseudo-count of the NIW prior's mean; the prior's mean is 0,
+# S0 = (d + KAPPA0) I and nu0 = d + KAPPA0.
+KAPPA0 = 0.5
+
+
 class MixturePrior:
     """Conjugate prior for a K-component latent Gaussian mixture in R^d and
-    its workers.
+    its workers, fixed but for alpha0 (0.05 / K unless given).
 
     Dirichlet(alpha0, ..., alpha0) over the mixing weights, the same
-    NIW(m0, kappa0, s0, nu0) over each component's (mu, Sigma) and
-    Beta(1, 1) on each worker's two accuracies.  Each family's prior is
-    one record, built here: `pi_nat()`, `niw_nat()` and `worker_nat()`,
-    a Beta record of batch shape (2,) that broadcasts over the workers.  The
-    worker prior is fixed, so it is no field and `to_dict` leaves it out.
-    An s0 that is not positive definite raises a LinAlgError, which is a
-    ValueError, naming s0.
+    NIW(0, KAPPA0, (d + KAPPA0) I, d + KAPPA0) over each component's
+    (mu, Sigma) and Beta(1, 1) on each worker's two accuracies.  Each
+    family's prior is one record, built once here: `pi_nat()`, `niw_nat()`
+    and `worker_nat()`, a Beta record of batch shape (2,) that broadcasts
+    over the workers.  `BayesConfig` checks K, d and alpha0.
     """
 
-    n_components: int
-    latent_dim: int
-    alpha0: float
-    m0: np.ndarray
-    kappa0: float
-    s0: np.ndarray
-    nu0: float
-
-    def __post_init__(self):
-        check_count("n_components", self.n_components, 2)
-        check_count("latent_dim", self.latent_dim, 1)
-        K, d = int(self.n_components), int(self.latent_dim)
-        if not self.alpha0 > 0.0:
-            raise ValueError("alpha0 must be positive")
-        if not self.kappa0 > 0.0:
-            raise ValueError("kappa0 must be positive")
-        if not self.nu0 > d - 1.0:
-            raise ValueError(f"nu0 = {self.nu0} must exceed d - 1 = {d - 1}")
-        m0 = np.array(self.m0, dtype=float)
-        s0 = np.array(self.s0, dtype=float)
-        if m0.shape != (d,):
-            raise ValueError(f"m0 must have shape ({d},), got {m0.shape}")
-        if s0.shape != (d, d) or not np.allclose(s0, s0.T, atol=1e-8):
-            raise ValueError("s0 must be a symmetric (d, d) matrix")
-        m0.setflags(write=False)
-        s0.setflags(write=False)
-        object.__setattr__(self, "n_components", K)
-        object.__setattr__(self, "latent_dim", d)
-        object.__setattr__(self, "alpha0", float(self.alpha0))
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "kappa0", float(self.kappa0))
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "nu0", float(self.nu0))
-        # one record of each prior family, so whatever is derived from it
-        # is computed once per prior
-        object.__setattr__(self, "_pi_nat", DirichletNat.from_alpha(np.full(K, self.alpha0)))
-        object.__setattr__(self, "_niw_nat", NiwNat.from_standard(m0, self.kappa0, s0, self.nu0))
-        object.__setattr__(self, "_worker_nat", DirichletNat(np.zeros((2, 2))))
-        try:
-            self._niw_nat.scale_factor()  # factors S
-        except np.linalg.LinAlgError as err:  # a ValueError
-            raise np.linalg.LinAlgError(f"s0 must be positive definite: {err}") from err
-
-    @classmethod
-    def default(
-        cls,
-        n_components: int,
-        latent_dim: int,
-        alpha0: float | None = None,
-    ) -> "MixturePrior":
-        """Weak sparsity-inducing prior: alpha0 = 0.05/K unless given,
-        m0 = 0, kappa0 = 0.5, s0 = (d + kappa0) I and nu0 = d + kappa0."""
-        d, kappa0 = latent_dim, 0.5
-        return cls(
-            n_components=n_components,
-            latent_dim=d,
-            alpha0=(0.05 / n_components) if alpha0 is None else alpha0,
-            m0=np.zeros(d),
-            kappa0=kappa0,
-            s0=(d + kappa0) * np.eye(d),
-            nu0=d + kappa0,
-        )
+    def __init__(self, n_components: int, latent_dim: int, alpha0: float | None = None):
+        K, d = n_components, latent_dim
+        self.n_components, self.latent_dim = K, d
+        alpha0 = 0.05 / K if alpha0 is None else alpha0
+        self._pi_nat = DirichletNat.from_alpha(np.full(K, alpha0))
+        s0 = (d + KAPPA0) * np.eye(d)
+        self._niw_nat = NiwNat.from_standard(np.zeros(d), KAPPA0, s0, d + KAPPA0)
+        self._worker_nat = DirichletNat(np.zeros((2, 2)))
 
     def pi_nat(self) -> DirichletNat:
         return self._pi_nat
@@ -117,29 +66,6 @@ class MixturePrior:
 
     def worker_nat(self) -> DirichletNat:
         return self._worker_nat
-
-    def to_dict(self) -> dict:
-        return {
-            "n_components": self.n_components,
-            "latent_dim": self.latent_dim,
-            "alpha0": self.alpha0,
-            "m0": self.m0.tolist(),
-            "kappa0": self.kappa0,
-            "s0": self.s0.tolist(),
-            "nu0": self.nu0,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MixturePrior":
-        return cls(
-            n_components=doc["n_components"],
-            latent_dim=doc["latent_dim"],
-            alpha0=doc["alpha0"],
-            m0=np.array(doc["m0"], dtype=float),
-            kappa0=doc["kappa0"],
-            s0=np.array(doc["s0"], dtype=float),
-            nu0=doc["nu0"],
-        )
 
 
 # JSON keys of one component's natural parameters, in NiwNat field order.

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import log_softmax as np_log_softmax
 
 from .data import Dataset, minibatch_iterator
-from .driver import TrainConfig, TrainResult, Update, fit, gaussian_mlp, load_field
+from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp, load_field
 from .metrics import clustering_accuracy, nmi
 from .nnet import (
     Adam,
@@ -236,6 +236,15 @@ class ScdcModel:
     encoder_z: Mlp
     encoder_x: Mlp
     decoder: Mlp
+
+    def __post_init__(self):
+        k = (self.point.n_components, "the point parameters' n_components")
+        d = (self.point.latent_dim, "the point parameters' latent_dim")
+        obs_dim = (self.encoder_z.sizes[0], "the encoder_z input width")
+        x_in = (k[0] + obs_dim[0], "n_components + the encoder_z input width")
+        check_network("encoder_z", self.encoder_z, {"logits": k})
+        check_network("encoder_x", self.encoder_x, {"mean": d, "logvar": d}, n_in=x_in)
+        check_network("decoder", self.decoder, {"mean": obs_dim, "logvar": obs_dim}, n_in=d)
 
     def parameters(self) -> list:
         return (

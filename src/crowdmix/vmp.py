@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, minibatch_iterator
-from .driver import TrainConfig, TrainResult, Update, fit, gaussian_mlp, load_field
+from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp, load_field
 from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
@@ -444,34 +444,6 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
     return float(inner - log_z)
 
 
-def potential_bracket(potential: RecognitionPotential, local: LocalVariational, rows=None) -> float:
-    """<psi, E t(x)> summed over the items: the data term with the
-    recognition potentials standing in for the decoder."""
-    if rows is None:
-        rows = slice(None)
-    mean, cov = local.x_mean[rows], local.x_cov[rows]
-    second_diag = np.diagonal(cov, axis1=1, axis2=2) + mean**2
-    return float(np.sum(potential.h[rows] * mean) + np.sum(potential.j_diag[rows] * second_diag))
-
-
-def surrogate_elbo(
-    glob: GlobalVariational,
-    prior: MixturePrior,
-    local: LocalVariational,
-    potential: RecognitionPotential,
-    store: AnnotationStore | None = None,
-) -> float:
-    """Full-batch bound with <psi, E t(x)> standing in for the decoder.
-
-    Every block-coordinate local update and every step-1 global update
-    is an exact coordinate maximization of this quantity, so it must not
-    decrease along the inner loop.
-    """
-    return final_objective(
-        glob, prior, local, global_expectations(glob), potential_bracket(potential, local), store
-    )
-
-
 def final_objective(
     glob: GlobalVariational,
     prior: MixturePrior,
@@ -486,7 +458,7 @@ def final_objective(
     """Estimate of the training objective from its data term.
 
     `data` is the expected data log-likelihood of the items in `rows`:
-    the decoder's reconstruction, or `potential_bracket` in its place.
+    the decoder's reconstruction, or a stand-in for it.
     `exps` are the expectations of `glob`.  `rows` restricts the local
     KL the same way, e.g. to the data minibatch inside a larger working
     set; `store` must be indexed like `local`.  Scales restore full-data
@@ -514,10 +486,9 @@ class BayesConfig(TrainConfig):
     gradient estimated from one reparameterized latent draw per batch
     item.  Worker posteriors start at Beta(*worker_init).  Fixed values:
 
-    - the prior (`MixturePrior.default`): kappa0 = 0.5,
-      S0 = (d + kappa0) I and nu0 = d + kappa0, and its one worker
-      record, `worker_nat()`, Beta(1, 1) on both accuracies of every
-      worker;
+    - the prior (`MixturePrior`) but for alpha0: m0 = 0, kappa0 = 0.5
+      (`mixture.KAPPA0`), S0 = (d + kappa0) I and nu0 = d + kappa0, and
+      Beta(1, 1) on both accuracies of every worker;
     - the initial globals (`init_global`): component locations drawn
       N(0, 3 I), each with kappa = 1;
     - the initial evidence potentials: precision 200
@@ -543,17 +514,15 @@ class BayesConfig(TrainConfig):
         if self.alpha0 is not None and not 0.0 < self.alpha0 < math.inf:
             raise ValueError("alpha0 must be finite and positive")
 
-    def prior(self) -> MixturePrior:
-        return MixturePrior.default(self.n_components, self.latent_dim, self.alpha0)
-
 
 @dataclass
 class BayesModel:
-    """Trained state: prior, global posteriors and both networks.  Older
-    documents' keys for the worker prior and the local tolerance, which
-    nothing read, are ignored."""
+    """Trained state: global posteriors and both networks, whose widths
+    must match the globals' latent_dim and each other's observation width.
+    The prior, which `predict` never reads, is not stored; older
+    documents' keys for the prior, the worker prior and the local
+    tolerance are ignored."""
 
-    prior: MixturePrior
     glob: GlobalVariational
     recognition: Mlp
     decoder: Mlp
@@ -561,10 +530,10 @@ class BayesModel:
 
     def __post_init__(self):
         check_count("local_sweeps", self.local_sweeps, 1)
-        for name in ("n_components", "latent_dim"):
-            ours, theirs = getattr(self.prior, name), getattr(self.glob, name)
-            if ours != theirs:
-                raise ValueError(f"prior.{name} is {ours}, the globals' is {theirs}")
+        d = (self.glob.latent_dim, "the globals' latent_dim")
+        obs_dim = (self.recognition.sizes[0], "the recognition input width")
+        check_network("recognition", self.recognition, {"loc": d, "prec_raw": d})
+        check_network("decoder", self.decoder, {"mean": obs_dim, "logvar": obs_dim}, n_in=d)
 
     def predict(self, observations) -> np.ndarray:
         """Most probable component per item (lowest index on ties)."""
@@ -578,7 +547,6 @@ class BayesModel:
 
     def to_dict(self) -> dict:
         return {
-            "prior": self.prior.to_dict(),
             "globals": self.glob.to_dict(),
             "recognition": self.recognition.state_dict(),
             "decoder": self.decoder.state_dict(),
@@ -588,7 +556,6 @@ class BayesModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "BayesModel":
         return cls(
-            prior=load_field(doc, "prior", MixturePrior.from_dict),
             glob=GlobalVariational.from_dict(doc["globals"]),
             recognition=load_field(doc, "recognition", Mlp.from_state),
             decoder=load_field(doc, "decoder", Mlp.from_state),
@@ -642,7 +609,7 @@ def train_bayes_scdc(
     networks; `driver.fit` runs the loop.
     """
     obs = dataset.observations
-    prior = config.prior()
+    prior = MixturePrior(config.n_components, config.latent_dim, config.alpha0)
     d = prior.latent_dim
     n_workers = store.n_workers if store is not None and store.n_annotations else 0
     glob = init_global(prior, rng, n_workers=n_workers, worker_init=config.worker_init)
@@ -690,9 +657,7 @@ def train_bayes_scdc(
     return fit(
         dataset, store, config, rng,
         params=params,
-        model=lambda: BayesModel(
-            prior, glob, recognition, decoder, local_sweeps=config.local_sweeps
-        ),
+        model=lambda: BayesModel(glob, recognition, decoder, local_sweeps=config.local_sweeps),
         step=step,
         minibatch_iterator=minibatch_iterator,
         sample_annotation_minibatch=sample_annotation_minibatch,

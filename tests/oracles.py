@@ -8,7 +8,9 @@ two-route check.  Scalar (d=1, K=2) cases only.  `select_triples` is the
 plain row selection that the annotation samplers are checked against;
 `annotation_log_likelihood` is the two-coin likelihood of one label, and
 `grad_log_partition_check` checks grad log Z = E[t] by central
-differences.
+differences.  `surrogate_elbo`, the decoder-free bound the local and
+global coordinate updates must not decrease, is built from the library's
+own terms, with `potential_bracket` as its data term.
 """
 
 import math
@@ -23,7 +25,9 @@ from crowdmix.expfam import (
     log_partition,
     niw_expected_stats,
 )
+from crowdmix.mixture import global_expectations
 from crowdmix.relational import AnnotationStore
+from crowdmix.vmp import final_objective
 
 
 def select_triples(store: AnnotationStore, rows) -> AnnotationStore:
@@ -194,6 +198,32 @@ def final_objective_oracle(
         glob += beta_kl(tau_a, worker_prior_tau)
         glob += beta_kl(tau_b, worker_prior_tau)
     return data + rel - local - glob
+
+
+# ---------------------------------------------------------------------------
+# decoder-free surrogate bound, through the library's own terms
+
+
+def potential_bracket(potential, local, rows=None) -> float:
+    """<psi, E t(x)> summed over the items: the data term with the
+    recognition potentials standing in for the decoder."""
+    if rows is None:
+        rows = slice(None)
+    mean, cov = local.x_mean[rows], local.x_cov[rows]
+    second_diag = np.diagonal(cov, axis1=1, axis2=2) + mean**2
+    return float(np.sum(potential.h[rows] * mean) + np.sum(potential.j_diag[rows] * second_diag))
+
+
+def surrogate_elbo(glob, prior, local, potential, store=None) -> float:
+    """Full-batch bound with <psi, E t(x)> standing in for the decoder.
+
+    Every block-coordinate local update and every step-1 global update
+    is an exact coordinate maximization of this quantity, so it must not
+    decrease along the inner loop.
+    """
+    return final_objective(
+        glob, prior, local, global_expectations(glob), potential_bracket(potential, local), store
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,23 @@ def test_pinwheel_validation():
         pinwheel_generate(3, 10, radial_std=-1.0, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize(
+    "name", ["clusters", "per_cluster", "pairs_per_worker", "subset_size"]
+)
+def test_generator_counts_must_be_integers(name, value):
+    pinwheel = {"clusters": 3, "per_cluster": 10}
+    simulate = {"pairs_per_worker": 5, "subset_size": 10}
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        if name in pinwheel:
+            pinwheel_generate(**{**pinwheel, name: value}, rng=rng)
+        else:
+            ds = pinwheel_generate(**pinwheel, rng=rng)
+            pool = WorkerPool.homogeneous(2, 0.9, 0.9)
+            simulate_annotations(ds, pool, **{**simulate, name: value}, rng=rng)
+
+
 # ---------------------------------------------------------------------------
 # annotation simulation
 

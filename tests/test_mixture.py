@@ -31,21 +31,22 @@ def _conjugate_posterior(prior, q_z, means, covs):
     """Scatter-form weighted conjugate update, written in standard
     parameters so it shares no code path with the natural-gradient route."""
     K, d = prior.n_components, prior.latent_dim
-    alpha_star = np.full(K, prior.alpha0) + q_z.sum(axis=0)
+    m0, kappa0, s0, nu0 = prior.niw_nat().to_standard()
+    alpha_star = prior.pi_nat().alpha + q_z.sum(axis=0)
     comps = []
     for k in range(K):
         r = q_z[:, k]
         nk = r.sum()
-        kappa_star = prior.kappa0 + nk
-        nu_star = prior.nu0 + nk
+        kappa_star = kappa0 + nk
+        nu_star = nu0 + nk
         xbar = (r[:, None] * means).sum(axis=0) / nk if nk > 0 else np.zeros(d)
         second = np.zeros((d, d))
         for i in range(means.shape[0]):
             second += r[i] * (covs[i] + np.outer(means[i], means[i]))
         scatter = second - nk * np.outer(xbar, xbar)
-        dev = xbar - prior.m0
-        m_star = (prior.kappa0 * prior.m0 + nk * xbar) / kappa_star
-        s_star = prior.s0 + scatter + (prior.kappa0 * nk / kappa_star) * np.outer(dev, dev)
+        dev = xbar - m0
+        m_star = (kappa0 * m0 + nk * xbar) / kappa_star
+        s_star = s0 + scatter + (kappa0 * nk / kappa_star) * np.outer(dev, dev)
         comps.append((m_star, kappa_star, s_star, nu_star))
     return alpha_star, comps
 
@@ -69,8 +70,9 @@ def _members(niw):
 
 def _stacked_prior_components(prior):
     """The prior NIW repeated once per component."""
+    _, kappa0, s0, nu0 = prior.niw_nat().to_standard()
     return NiwNat.from_standard(
-        np.zeros((prior.n_components, prior.latent_dim)), prior.kappa0, prior.s0, prior.nu0
+        np.zeros((prior.n_components, prior.latent_dim)), kappa0, s0, nu0
     )
 
 
@@ -98,7 +100,7 @@ def _raw_target(glob, workers=None, **arrays):
 
 def test_step_one_update_matches_conjugate_oracle():
     rng = np.random.default_rng(7)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     q_z, means, covs = _random_instance(rng)
     current = init_global(prior, rng)
     target = mixture_natural_gradient(prior, q_z, means, covs)
@@ -117,7 +119,7 @@ def test_step_one_update_matches_conjugate_oracle():
 
 def test_full_batch_update_is_idempotent():
     rng = np.random.default_rng(8)
-    prior = MixturePrior.default(3, 2)
+    prior = MixturePrior(3, 2)
     q_z, means, covs = _random_instance(rng, n=12, k=3)
     start = init_global(prior, rng)
     target = mixture_natural_gradient(prior, q_z, means, covs)
@@ -133,13 +135,13 @@ def test_full_batch_update_is_idempotent():
 
 def test_zero_data_fixed_point_is_prior():
     rng = np.random.default_rng(9)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     current = init_global(prior, rng)
     target = mixture_natural_gradient(
         prior, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2, 2))
     )
     updated = apply_natural_gradient(current, target, step=1.0)
-    np.testing.assert_allclose(updated.pi.alpha, np.full(2, prior.alpha0), atol=1e-12)
+    np.testing.assert_allclose(updated.pi.alpha, np.full(2, 0.05 / 2), atol=1e-12)
     niw0 = prior.niw_nat()
     for comp in _members(updated.components):
         np.testing.assert_allclose(comp.h1, niw0.h1, atol=1e-12)
@@ -150,7 +152,7 @@ def test_zero_data_fixed_point_is_prior():
 
 def test_single_point_appends_sufficient_statistics():
     rng = np.random.default_rng(10)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     current = init_global(prior, rng)
     x0 = np.array([0.7, -1.2])
     q_z = np.array([[0.0, 1.0]])
@@ -173,7 +175,7 @@ def test_minibatch_gradients_are_unbiased():
     # the targets' mean over all minibatches is the full-data target, so the
     # gradients target - eta at any eta are unbiased too
     rng = np.random.default_rng(12)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     q_z, means, covs = _random_instance(rng, n=4, k=2)
     full = mixture_natural_gradient(prior, q_z, means, covs, scale=1.0)
     batches = list(combinations(range(4), 2))
@@ -188,7 +190,7 @@ def test_minibatch_gradients_are_unbiased():
 
 def test_zero_gradient_leaves_parameters_unchanged():
     rng = np.random.default_rng(13)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     current = init_global(prior, rng, n_workers=2)
     # a target equal to the current records, without a worker target
     updated = apply_natural_gradient(current, dataclasses.replace(current, workers=None), 1.0)
@@ -203,7 +205,7 @@ def test_two_half_steps_equal_one_step_of_three_quarters():
     # each step keeps 1 - rho of the distance to the target: two of 1/2
     # keep 1/4 of it, as one of 3/4 does
     rng = np.random.default_rng(14)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     q_z, means, covs = _random_instance(rng, n=5)
     current = init_global(prior, rng)
     target = mixture_natural_gradient(prior, q_z, means, covs)
@@ -218,7 +220,7 @@ def test_two_half_steps_equal_one_step_of_three_quarters():
 
 def test_worker_gradient_application_reaches_count_fixed_point():
     rng = np.random.default_rng(15)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     current = init_global(prior, rng, n_workers=1, worker_init=(10.0, 1.0))
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     q_z = np.array([[1.0, 0.0], [1.0, 0.0]])  # certainly the same cluster
@@ -232,7 +234,7 @@ def test_worker_gradient_application_reaches_count_fixed_point():
 
 def test_step_rejection_and_bad_steps():
     rng = np.random.default_rng(16)
-    prior = MixturePrior.default(2, 2)
+    prior = MixturePrior(2, 2)
     current = init_global(prior, rng)
     c = current.components
     bad_kappa = _raw_target(current, h3=c.h3 - 5.0)
@@ -267,7 +269,7 @@ def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
     convex domain, and is never rejected."""
     rng = np.random.default_rng(seed)
     k, d, m, n = 4, 2, 3, 12
-    prior = MixturePrior.default(k, d)
+    prior = MixturePrior(k, d)
     a = rng.standard_normal((k, d, d))
     current = GlobalVariational(
         DirichletNat.from_alpha(rng.uniform(0.01, 5.0, size=k)),
@@ -311,7 +313,7 @@ def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
 
 def test_a_stepped_record_factors_its_scale_once(monkeypatch):
     rng = np.random.default_rng(17)
-    prior = MixturePrior.default(3, 2)
+    prior = MixturePrior(3, 2)
     current = init_global(prior, rng)
     q_z, means, covs = _random_instance(rng, n=6, k=3)
     target = mixture_natural_gradient(prior, q_z, means, covs)
@@ -332,13 +334,10 @@ def test_a_stepped_record_factors_its_scale_once(monkeypatch):
 
 
 def test_prior_records_are_built_once():
-    prior = MixturePrior.default(4, 2)
+    prior = MixturePrior(4, 2)
     assert prior.pi_nat() is prior.pi_nat()
     assert prior.niw_nat() is prior.niw_nat()
-    fresh = NiwNat.from_standard(prior.m0, prior.kappa0, prior.s0, prior.nu0)
-    for f in ("h1", "h2", "h3", "h4"):
-        assert np.array_equal(getattr(prior.niw_nat(), f), getattr(fresh, f))
-    assert np.array_equal(prior.pi_nat().eta, np.full(4, prior.alpha0) - 1.0)
+    assert prior.worker_nat() is prior.worker_nat()
 
 
 # ---------------------------------------------------------------------------
@@ -346,29 +345,21 @@ def test_prior_records_are_built_once():
 
 
 def test_default_prior_values():
-    prior = MixturePrior.default(15, 2)
-    assert prior.alpha0 == pytest.approx(0.05 / 15)
-    assert prior.kappa0 == 0.5
-    np.testing.assert_allclose(prior.m0, np.zeros(2))
-    np.testing.assert_allclose(prior.s0, 2.5 * np.eye(2))
-    assert prior.nu0 == 2.5
-
-
-def test_prior_validation():
-    with pytest.raises(ValueError):
-        MixturePrior(2, 2, 0.0, np.zeros(2), 0.5, np.eye(2), 2.5)
-    with pytest.raises(ValueError):
-        MixturePrior(2, 2, 0.1, np.zeros(2), -1.0, np.eye(2), 2.5)
-    with pytest.raises(ValueError):
-        MixturePrior(2, 2, 0.1, np.zeros(2), 0.5, np.eye(2), 0.5)
-    with pytest.raises(ValueError):
-        MixturePrior(2, 2, 0.1, np.zeros(3), 0.5, np.eye(2), 2.5)
-    with pytest.raises(np.linalg.LinAlgError):
-        MixturePrior(2, 2, 0.1, np.zeros(2), 0.5, -np.eye(2), 2.5)
+    """The records equal those of the NIW(0, 0.5, (d + 0.5) I, d + 0.5) and
+    Dirichlet(0.05 / K) prior, and Beta(1, 1), bit for bit."""
+    for k, d, alpha0 in ((15, 2, None), (3, 1, None), (4, 3, 0.7)):
+        prior = MixturePrior(k, d, alpha0)
+        niw = NiwNat.from_standard(np.zeros(d), 0.5, (d + 0.5) * np.eye(d), d + 0.5)
+        for f in ("h1", "h2", "h3", "h4"):
+            assert np.array_equal(getattr(prior.niw_nat(), f), getattr(niw, f))
+        alpha = np.full(k, 0.05 / k if alpha0 is None else alpha0)
+        assert np.array_equal(prior.pi_nat().eta, DirichletNat.from_alpha(alpha).eta)
+        assert np.array_equal(prior.worker_nat().eta, np.zeros((2, 2)))
+        assert (prior.n_components, prior.latent_dim) == (k, d)
 
 
 def test_init_global_distributions_and_determinism():
-    prior = MixturePrior.default(4, 3)
+    prior = MixturePrior(4, 3)
     a = init_global(prior, np.random.default_rng(21), n_workers=2)
     b = init_global(prior, np.random.default_rng(21), n_workers=2)
     np.testing.assert_allclose(a.pi.eta, b.pi.eta, atol=0)
@@ -386,7 +377,7 @@ def test_init_global_distributions_and_determinism():
 
 def test_global_expectations_stack_per_component_values():
     rng = np.random.default_rng(23)
-    prior = MixturePrior.default(3, 2)
+    prior = MixturePrior(3, 2)
     glob = init_global(prior, rng)
     exp = global_expectations(glob)
     np.testing.assert_allclose(exp.log_pi, dirichlet_expected_stats(glob.pi), atol=0)
@@ -405,7 +396,7 @@ def test_global_expectations_stack_per_component_values():
 def test_effective_components_uniform():
     glob = GlobalVariational(
         pi=DirichletNat.from_alpha(np.ones(6)),
-        components=_stacked_prior_components(MixturePrior.default(6, 2)),
+        components=_stacked_prior_components(MixturePrior(6, 2)),
     )
     assert effective_components(glob, threshold=0.5 / 6) == 6
 
@@ -414,7 +405,7 @@ def test_effective_components_dominant():
     alpha = np.concatenate([[99.0], np.full(14, 1.0 / 14)])
     glob = GlobalVariational(
         pi=DirichletNat.from_alpha(alpha),
-        components=_stacked_prior_components(MixturePrior.default(15, 2)),
+        components=_stacked_prior_components(MixturePrior(15, 2)),
     )
     assert effective_components(glob, threshold=0.02) == 1
     for bad in (0.0, 1.0, -0.5):
@@ -424,12 +415,8 @@ def test_effective_components_dominant():
 
 def test_serialization_round_trips_exactly():
     rng = np.random.default_rng(41)
-    prior = MixturePrior.default(3, 2)
+    prior = MixturePrior(3, 2)
     glob = init_global(prior, rng, n_workers=2)
-
-    prior2 = MixturePrior.from_dict(json.loads(json.dumps(prior.to_dict())))
-    assert prior2.alpha0 == prior.alpha0 and prior2.nu0 == prior.nu0
-    np.testing.assert_allclose(prior2.s0, prior.s0, atol=0)
 
     glob2 = GlobalVariational.from_dict(json.loads(json.dumps(glob.to_dict())))
     np.testing.assert_allclose(glob2.pi.eta, glob.pi.eta, atol=0)
@@ -446,7 +433,7 @@ def test_serialization_round_trips_exactly():
 
 
 def test_global_variational_validation():
-    prior = MixturePrior.default(3, 2)
+    prior = MixturePrior(3, 2)
     rng = np.random.default_rng(42)
     glob = init_global(prior, rng)
     c = glob.components

@@ -19,7 +19,7 @@ from crowdmix.scdc import PointParams
 from crowdmix.vmp import annotation_graph
 
 LN9 = np.log(9.0)
-WORKER_PRIOR = MixturePrior.default(2, 1).worker_nat()  # Beta(1, 1) on both accuracies
+WORKER_PRIOR = MixturePrior(2, 1).worker_nat()  # Beta(1, 1) on both accuracies
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ restore and input validation."""
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,35 @@ def test_model_document_with_a_non_finite_decoder_bias_does_not_load():
     doc = json.loads(json.dumps(make_model(3, np.random.default_rng(0)).to_dict()))
     doc["decoder"]["head_biases"]["mean"][0] = float("inf")
     with pytest.raises(ValueError, match=r"^decoder: head_biases\['mean'\] has non-finite values"):
+        ScdcModel.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, sizes, heads, message",
+    [
+        ("encoder_z", [DIM, 8], {"logits": 5},
+         "encoder_z: head 'logits' has 5 outputs, the point parameters' n_components is 3"),
+        ("encoder_z", [DIM, 8], {"mean": 3}, "encoder_z: heads ['mean'], need ['logits']"),
+        ("encoder_x", [DIM + 2, 8], {"mean": LATENT, "logvar": LATENT},
+         "encoder_x: input width 4, n_components + the encoder_z input width is 5"),
+        ("encoder_x", [3 + DIM, 8], {"mean": 3, "logvar": 3},
+         "encoder_x: head 'mean' has 3 outputs, the point parameters' latent_dim is 2"),
+        ("decoder", [3, 8], {"mean": DIM, "logvar": DIM},
+         "decoder: input width 3, the point parameters' latent_dim is 2"),
+        ("decoder", [LATENT, 8], {"mean": 3, "logvar": 3},
+         "decoder: head 'mean' has 3 outputs, the encoder_z input width is 2"),
+    ],
+    ids=[
+        "encoder-z-logits", "encoder-z-head-names", "encoder-x-input", "encoder-x-latent",
+        "decoder-input", "decoder-output",
+    ],
+)
+def test_model_document_with_a_network_of_another_width_does_not_load(
+    field, sizes, heads, message
+):
+    doc = json.loads(json.dumps(make_model(3, np.random.default_rng(0)).to_dict()))
+    doc[field] = Mlp(sizes, heads, np.random.default_rng(1)).state_dict()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ScdcModel.from_dict(doc)
 
 
