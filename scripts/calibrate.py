@@ -1,16 +1,15 @@
 """Run the pinwheel protocols over seeds for a given configuration.
 
 Usage: python3 scripts/calibrate.py [key=value ...]
-Keys: any BayesConfig field, plus seeds=10 annotated=1/0 quiet=1/0.
-A field's value is parsed by the type of its default: tuples as
-comma-separated lists (hidden=40,40), fields that default to None by
-their annotated type.
+Keys: the BayesConfig fields n_components, latent_dim, epochs,
+batch_size, hidden, lr and kl_warmup, plus seeds=10 annotated=1/0
+quiet=1/0.  A field's value is parsed by the type of its default, a
+tuple as a comma-separated list (hidden=40,40).
 """
 
 import dataclasses
 import sys
 import time
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +47,6 @@ def run(seed: int, annotated: bool, config: BayesConfig):
     }
 
 
-def _field_type(field: dataclasses.Field, hints: dict) -> type:
-    """The type a field's value parses to: its default's, or for a None
-    default the non-None member of its annotation."""
-    if field.default is not None:
-        return type(field.default)
-    return next(t for t in typing.get_args(hints[field.name]) if t is not type(None))
-
-
 def parse_args(args) -> tuple[dict, BayesConfig]:
     """Script settings and the BayesConfig from `key=value` arguments.
 
@@ -63,7 +54,6 @@ def parse_args(args) -> tuple[dict, BayesConfig]:
     """
     settings = dict(SCRIPT_KEYS)
     fields = {f.name: f for f in dataclasses.fields(BayesConfig)}
-    hints = typing.get_type_hints(BayesConfig)
     overrides = {}
     for arg in args:
         key, sep, value = arg.partition("=")
@@ -72,7 +62,7 @@ def parse_args(args) -> tuple[dict, BayesConfig]:
         if key in settings:
             kind = int
         elif key in fields:
-            kind = _field_type(fields[key], hints)
+            kind = type(fields[key].default)
         else:
             known = ", ".join([*SCRIPT_KEYS, *fields])
             raise SystemExit(f"unknown key {key!r}; known keys: {known}")

@@ -84,6 +84,7 @@ class WorkerPool:
 
     @classmethod
     def homogeneous(cls, n_workers: int, alpha: float, beta: float) -> "WorkerPool":
+        check_count("n_workers", n_workers, 1)
         return cls(np.full(n_workers, alpha), np.full(n_workers, beta))
 
     @property
@@ -205,8 +206,8 @@ def simulate_annotations(
 
 def minibatch_iterator(n_items: int, batch_size: int, rng: np.random.Generator):
     """One epoch of uniformly shuffled index batches covering 0..n-1."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    check_count("n_items", n_items, 1)
+    check_count("batch_size", batch_size, 1)
     order = rng.permutation(n_items)
     for start in range(0, n_items, batch_size):
         yield order[start : start + batch_size]

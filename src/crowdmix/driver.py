@@ -30,15 +30,16 @@ LOGVAR_CLAMP = (-8.0, 8.0)
 @dataclass(frozen=True)
 class TrainConfig:
     """The settings both trainers share; a bad value fails naming its field.
-    `hidden` holds every network's hidden widths, `lr` is the Adam rate, and
-    `kl_warmup` the fraction of updates over which the latent KL weight
-    ramps 0 -> 1: off for the first half of the window, then linear."""
+    `hidden` is the tuple of every network's hidden widths, `lr` the Adam
+    rate, and `kl_warmup` the fraction of updates over which the latent KL
+    weight ramps 0 -> 1: off for the first half of the window, then linear.
+    Each update samples max(1, round(N_a |B| / N)) of the N_a annotations
+    for a data minibatch B of the N items, at most N_a since |B| <= N."""
 
     n_components: int = 15
     latent_dim: int = 2
     epochs: int = 20
     batch_size: int = 50
-    annotation_batch_size: int | None = None  # default: n_annotations * |B| / N
     hidden: tuple[int, ...] = (40, 40)
     lr: float = 1e-3
     kl_warmup: float = 0.0
@@ -46,11 +47,11 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("n_components", "latent_dim", "batch_size"):
             check_count(name, getattr(self, name), 1)
+        if not isinstance(self.hidden, tuple):
+            raise ValueError(f"hidden must be a tuple of widths, got {self.hidden!r}")
         for width in self.hidden:
             check_count("hidden widths", width, 1)
         check_count("epochs", self.epochs, 0)
-        if self.annotation_batch_size is not None:
-            check_count("annotation_batch_size", self.annotation_batch_size, 1)
         if not 0.0 <= self.lr < math.inf:
             raise ValueError("lr must be finite and non-negative")
         if not 0.0 <= self.kl_warmup <= 1.0:
@@ -142,9 +143,12 @@ def fit(
     are the trainer module's own names, so that hooks patched on that
     module see every call.  `rng` is drawn from in a fixed order: the
     batch permutation, then per update the annotation sample, then
-    `step`.
+    `step`.  A store numbering another count of items than the dataset
+    raises an IndexError, before any draw.
     """
     obs, n = dataset.observations, dataset.n_items
+    if store is not None and store.n_items != n:
+        raise IndexError(f"store indexes {store.n_items} items, the dataset has {n}")
     n_ann = store.n_annotations if store is not None else 0
     warmup_updates = round(config.kl_warmup * config.epochs * -(-n // config.batch_size))
     half = 0.5 * (warmup_updates + 1.0)
@@ -160,11 +164,8 @@ def fit(
                 batch = np.sort(batch)
                 working, local_store, rel_scale = batch, None, 1.0
                 if n_ann:
-                    want = config.annotation_batch_size
-                    if want is None:
-                        want = max(1, round(n_ann * batch.size / n))
                     working, local_store, rel_scale = sample_annotation_minibatch(
-                        store, batch, min(want, n_ann), rng
+                        store, batch, max(1, round(n_ann * batch.size / n)), rng
                     )
                 updates += 1
                 # Dead zone then linear ramp: the latent KL stays off for

@@ -36,6 +36,9 @@ from .relational import BetaWorkers
 # S0 = (d + KAPPA0) I and nu0 = d + KAPPA0.
 KAPPA0 = 0.5
 
+# Both accuracy posteriors of every worker start at Beta(*WORKER_INIT).
+WORKER_INIT = (10.0, 1.0)
+
 
 class MixturePrior:
     """Conjugate prior for a K-component latent Gaussian mixture in R^d and
@@ -46,7 +49,7 @@ class MixturePrior:
     (mu, Sigma) and Beta(1, 1) on each worker's two accuracies.  Each
     family's prior is one record, built once here: `pi_nat()`, `niw_nat()`
     and `worker_nat()`, a Beta record of batch shape (2,) that broadcasts
-    over the workers.  `BayesConfig` checks K, d and alpha0.
+    over the workers.  `BayesConfig` checks K and d.
     """
 
     def __init__(self, n_components: int, latent_dim: int, alpha0: float | None = None):
@@ -165,24 +168,21 @@ def global_expectations(glob: GlobalVariational) -> GlobalExpectations:
 
 
 def init_global(
-    prior: MixturePrior,
-    rng: np.random.Generator,
-    n_workers: int = 0,
-    worker_init: tuple[float, float] = (10.0, 1.0),
+    prior: MixturePrior, rng: np.random.Generator, n_workers: int = 0
 ) -> GlobalVariational:
     """Random variational starting point.
 
     Mixing-weight concentrations start uniform on (1, 2); component
     locations are zero-mean Gaussian draws with standard deviation
     sqrt(3), each with kappa = 1, S = (d + 1) I and nu = d + 1;
-    both posteriors of every worker start at Beta(*worker_init).
+    both posteriors of every worker start at Beta(*WORKER_INIT).
     """
     K, d = prior.n_components, prior.latent_dim
     pi = DirichletNat.from_alpha(rng.uniform(1.0, 2.0, size=K))
     components = NiwNat.from_standard(
         math.sqrt(3.0) * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
     )
-    worker_eta = np.tile(np.subtract(worker_init, 1.0), (n_workers, 2, 1))
+    worker_eta = np.tile(np.subtract(WORKER_INIT, 1.0), (n_workers, 2, 1))
     workers = BetaWorkers(worker_eta) if n_workers else None
     return GlobalVariational(pi, components, workers)
 

@@ -78,6 +78,11 @@ PRECISION_FLOOR = 1e-4
 INIT_POTENTIAL_PRECISION = 200.0
 INIT_POTENTIAL_SPREAD = 1.0
 
+# Size of every natural-gradient step of the globals, and the number of
+# q(z) / q(x) rounds of each local step, in training and in `predict`.
+GLOBAL_STEP = 0.05
+LOCAL_SWEEPS = 4
+
 
 # ---------------------------------------------------------------------------
 # local containers
@@ -355,7 +360,7 @@ def block_coordinate_local(
     glob: GlobalVariational,
     potential: RecognitionPotential,
     store: AnnotationStore | None = None,
-    sweeps: int = 4,
+    sweeps: int = LOCAL_SWEEPS,
 ) -> LocalVariational:
     """Alternate q(x) / q(z) coordinate updates for one working set.
 
@@ -479,18 +484,20 @@ def final_objective(
 @dataclass(frozen=True)
 class BayesConfig(TrainConfig):
     """Settings for the natural-gradient training loop: `driver.TrainConfig`
-    with `kl_warmup` 1 and K >= 2, plus four fields.
+    with `kl_warmup` 1 and K >= 2.
 
-    The globals follow natural-gradient steps of constant size
-    `global_step`; the Adam optimizer steps both networks, along a
-    gradient estimated from one reparameterized latent draw per batch
-    item.  Worker posteriors start at Beta(*worker_init).  Fixed values:
+    The globals follow natural-gradient steps of constant size; the Adam
+    optimizer steps both networks, along a gradient estimated from one
+    reparameterized latent draw per batch item.  Fixed values:
 
-    - the prior (`MixturePrior`) but for alpha0: m0 = 0, kappa0 = 0.5
+    - the global step size `GLOBAL_STEP`, 0.05, and `LOCAL_SWEEPS`, 4
+      local q(z) / q(x) rounds per working set;
+    - the prior (`MixturePrior`): alpha0 = 0.05 / K, m0 = 0, kappa0 = 0.5
       (`mixture.KAPPA0`), S0 = (d + kappa0) I and nu0 = d + kappa0, and
       Beta(1, 1) on both accuracies of every worker;
     - the initial globals (`init_global`): component locations drawn
-      N(0, 3 I), each with kappa = 1;
+      N(0, 3 I), each with kappa = 1, and worker posteriors at
+      Beta(*`mixture.WORKER_INIT`), Beta(10, 1);
     - the initial evidence potentials: precision 200
       (INIT_POTENTIAL_PRECISION) and spread 1 (INIT_POTENTIAL_SPREAD);
     - the decoder's log-variance head is clipped to
@@ -498,38 +505,25 @@ class BayesConfig(TrainConfig):
     """
 
     kl_warmup: float = 1.0
-    global_step: float = 0.05
-    local_sweeps: int = 4
-    alpha0: float | None = None  # default 0.05 / n_components
-    worker_init: tuple[float, float] = (10.0, 1.0)
 
     def __post_init__(self):
         super().__post_init__()
         check_count("n_components", self.n_components, 2)
-        if not 0.0 <= self.global_step <= 1.0:
-            raise ValueError("global_step must lie in [0, 1]")
-        check_count("local_sweeps", self.local_sweeps, 1)
-        if not all(0.0 < tau < math.inf for tau in self.worker_init):
-            raise ValueError("worker_init entries must be finite and positive")
-        if self.alpha0 is not None and not 0.0 < self.alpha0 < math.inf:
-            raise ValueError("alpha0 must be finite and positive")
 
 
 @dataclass
 class BayesModel:
     """Trained state: global posteriors and both networks, whose widths
     must match the globals' latent_dim and each other's observation width.
-    The prior, which `predict` never reads, is not stored; older
-    documents' keys for the prior, the worker prior and the local
-    tolerance are ignored."""
+    `predict` runs LOCAL_SWEEPS local rounds.  Older documents' keys for
+    the prior, the worker prior and the local tolerance are ignored; their
+    `local_sweeps` must be LOCAL_SWEEPS."""
 
     glob: GlobalVariational
     recognition: Mlp
     decoder: Mlp
-    local_sweeps: int = 4
 
     def __post_init__(self):
-        check_count("local_sweeps", self.local_sweeps, 1)
         d = (self.glob.latent_dim, "the globals' latent_dim")
         obs_dim = (self.recognition.sizes[0], "the recognition input width")
         check_network("recognition", self.recognition, {"loc": d, "prec_raw": d})
@@ -538,7 +532,7 @@ class BayesModel:
     def predict(self, observations) -> np.ndarray:
         """Most probable component per item (lowest index on ties)."""
         potential = recognition_potential(self.recognition, observations)
-        local = block_coordinate_local(self.glob, potential, sweeps=self.local_sweeps)
+        local = block_coordinate_local(self.glob, potential)
         return np.argmax(local.resp, axis=1)
 
     def effective_k(self, threshold: float) -> int:
@@ -550,16 +544,17 @@ class BayesModel:
             "globals": self.glob.to_dict(),
             "recognition": self.recognition.state_dict(),
             "decoder": self.decoder.state_dict(),
-            "local_sweeps": int(self.local_sweeps),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BayesModel":
+        sweeps = doc.get("local_sweeps", LOCAL_SWEEPS)
+        if type(sweeps) is not int or sweeps != LOCAL_SWEEPS:
+            raise ValueError(f"local_sweeps must be {LOCAL_SWEEPS}, got {sweeps!r}")
         return cls(
             glob=GlobalVariational.from_dict(doc["globals"]),
             recognition=load_field(doc, "recognition", Mlp.from_state),
             decoder=load_field(doc, "decoder", Mlp.from_state),
-            local_sweeps=doc.get("local_sweeps", 4),
         )
 
 
@@ -609,10 +604,10 @@ def train_bayes_scdc(
     networks; `driver.fit` runs the loop.
     """
     obs = dataset.observations
-    prior = MixturePrior(config.n_components, config.latent_dim, config.alpha0)
+    prior = MixturePrior(config.n_components, config.latent_dim)
     d = prior.latent_dim
     n_workers = store.n_workers if store is not None and store.n_annotations else 0
-    glob = init_global(prior, rng, n_workers=n_workers, worker_init=config.worker_init)
+    glob = init_global(prior, rng, n_workers=n_workers)
     recognition = Mlp([dataset.dim, *config.hidden], {"loc": d, "prec_raw": d}, rng)
     _calibrate_recognition_init(recognition, obs)
     decoder = gaussian_mlp([d, *config.hidden], dataset.dim, rng)
@@ -624,7 +619,7 @@ def train_bayes_scdc(
         rows, local_store = update.rows, update.store
         exps = global_expectations(glob)
         potential = recognition_potential(recognition, obs[update.working])
-        local = block_coordinate_local(glob, potential, local_store, config.local_sweeps)
+        local = block_coordinate_local(glob, potential, local_store)
         resp = local.resp
 
         target = mixture_natural_gradient(
@@ -634,7 +629,7 @@ def train_bayes_scdc(
             target = replace(target, workers=beta_natural_gradient(
                 local_store, resp, prior.worker_nat(), scale=update.rel_scale
             ))
-        new_glob = apply_natural_gradient(glob, target, config.global_step)
+        new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
 
         noise = rng.standard_normal((update.batch.size, d))
         with Tape() as tape:
@@ -657,7 +652,7 @@ def train_bayes_scdc(
     return fit(
         dataset, store, config, rng,
         params=params,
-        model=lambda: BayesModel(glob, recognition, decoder, local_sweeps=config.local_sweeps),
+        model=lambda: BayesModel(glob, recognition, decoder),
         step=step,
         minibatch_iterator=minibatch_iterator,
         sample_annotation_minibatch=sample_annotation_minibatch,

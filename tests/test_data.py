@@ -45,6 +45,12 @@ def test_worker_pool_validation_and_weights():
     WorkerPool.homogeneous(2, 1.0, 1.0)  # noiseless boundary allowed
 
 
+@pytest.mark.parametrize("n_workers", [2.5, True, 0])
+def test_homogeneous_pool_names_a_bad_worker_count(n_workers):
+    with pytest.raises(ValueError, match="^n_workers"):
+        WorkerPool.homogeneous(n_workers, 0.9, 0.9)
+
+
 # ---------------------------------------------------------------------------
 # pinwheel
 
@@ -199,3 +205,13 @@ def test_minibatch_iterator_determinism_and_validation():
         np.testing.assert_array_equal(x, y)
     with pytest.raises(ValueError):
         list(minibatch_iterator(5, 0, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize(
+    "n_items, batch_size, field",
+    [(10, True, "batch_size"), (10, 2.0, "batch_size"), (10, 0, "batch_size"),
+     (2.5, 2, "n_items"), (0, 2, "n_items")],
+)
+def test_minibatch_iterator_names_a_bad_count(n_items, batch_size, field):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        next(minibatch_iterator(n_items, batch_size, np.random.default_rng(0)))

@@ -169,7 +169,7 @@ class ConstantModel:
 def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotated):
     dataset, store = small_problem(3)
     store = store if annotated else None
-    config = scdc.ScdcConfig(epochs=4, batch_size=20, annotation_batch_size=5, kl_warmup=0.5)
+    config = scdc.ScdcConfig(epochs=4, batch_size=20, kl_warmup=0.5)
     updates = []
 
     def step(update):
@@ -193,10 +193,41 @@ def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotate
         assert np.array_equal(u.working[u.rows], u.batch)
         assert u.data_scale == 3.0
         if annotated:
-            assert u.store.n_items == u.working.size and u.store.n_annotations == 5
-            assert u.rel_scale == store.n_annotations / 5
+            # the 60 annotations sampled in proportion to the batch's 20 of 60 items
+            assert u.store.n_items == u.working.size and u.store.n_annotations == 20
+            assert u.rel_scale == 3.0
         else:
             assert u.working is u.batch and u.store is None and u.rel_scale == 1.0
     assert [row["epoch"] for row in result.history] == [0, 1, 2, 3]
     assert all(row["objective"] == 1.0 and row["effective_k"] == 1 for row in result.history)
     assert not result.diverged
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_a_store_for_another_dataset_fails_naming_both_counts(trainer):
+    """Both a store that indexes items the dataset lacks and one whose
+    triples all fall in range fail at once."""
+    _, train, config, _ = TRAINERS[trainer]
+    dataset, store = small_problem(5)  # 60 items
+    big = relational.AnnotationStore(store.triples, n_items=120, n_workers=store.n_workers)
+    with pytest.raises(IndexError, match="store indexes 120 items, the dataset has 60"):
+        train(dataset, big, config, np.random.default_rng(0))
+    larger = data.pinwheel_generate(3, 40, rng=np.random.default_rng(5))  # 120 items
+    with pytest.raises(IndexError, match="store indexes 60 items, the dataset has 120"):
+        train(larger, store, config, np.random.default_rng(0))
+
+
+def test_fit_rejects_a_store_for_another_dataset_before_drawing():
+    dataset, store = small_problem(6)
+    big = relational.AnnotationStore(store.triples, n_items=120, n_workers=store.n_workers)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(IndexError, match="120 items, the dataset has 60"):
+        fit(
+            dataset, big, scdc.ScdcConfig(), rng,
+            params=[], model=ConstantModel, step=lambda update: 1.0,
+            minibatch_iterator=data.minibatch_iterator,
+            sample_annotation_minibatch=relational.sample_annotation_minibatch,
+            clustering_accuracy=clustering_accuracy, nmi=nmi,
+        )
+    assert rng.bit_generator.state == before

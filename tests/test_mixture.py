@@ -221,7 +221,7 @@ def test_two_half_steps_equal_one_step_of_three_quarters():
 def test_worker_gradient_application_reaches_count_fixed_point():
     rng = np.random.default_rng(15)
     prior = MixturePrior(2, 2)
-    current = init_global(prior, rng, n_workers=1, worker_init=(10.0, 1.0))
+    current = init_global(prior, rng, n_workers=1)
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     q_z = np.array([[1.0, 0.0], [1.0, 0.0]])  # certainly the same cluster
     target = dataclasses.replace(

@@ -482,24 +482,22 @@ def test_elbo_local_rejects_logits_not_of_the_batch():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("annotation_batch_size", 0),
-        ("annotation_batch_size", -3),
         ("epochs", -1),
+        ("epochs", 2.5),
         ("batch_size", 0),
         ("kl_warmup", 1.5),
         ("kl_warmup", -0.1),
         ("n_components", 0),
         ("latent_dim", 0),
         ("batch_size", -4),
+        ("hidden", 40),
         ("hidden", (0,)),
         ("hidden", (-2,)),
         ("hidden", (40, 0)),
         ("hidden", (40.5,)),
-        ("epochs", 2.5),
         ("batch_size", 50.0),
         ("n_components", "15"),
         ("latent_dim", 2.0),
-        ("annotation_batch_size", 1.5),
         ("kl_warmup", float("nan")),
     ],
 )
@@ -516,19 +514,17 @@ def test_config_rejects_a_learning_rate_that_is_not_finite_and_non_negative(lr):
 
 
 def test_config_accepts_numpy_integer_counts():
-    counts = {"n_components": 4, "latent_dim": 2, "epochs": 3, "batch_size": 10,
-              "annotation_batch_size": 5}
+    counts = {"n_components": 4, "latent_dim": 2, "epochs": 3, "batch_size": 10}
     for config in (ScdcConfig, BayesConfig):
         numpy_config = config(**{k: np.int64(v) for k, v in counts.items()}, hidden=(np.int32(8),))
         assert numpy_config == config(**counts, hidden=(8,))
 
 
 def test_config_accepts_valid_batch_and_clamps():
-    """A one-triple annotation batch is valid, and both trainers clip
-    every log-variance head to the one shared interval."""
+    """Both trainers clip every log-variance head to the one shared
+    interval."""
     dataset = Dataset(np.random.default_rng(0).standard_normal((6, DIM)), None)
     for config, train in ((ScdcConfig, train_scdc), (BayesConfig, train_bayes_scdc)):
-        assert config(annotation_batch_size=1).annotation_batch_size == 1
         model = train(dataset, None, config(epochs=0, hidden=(4,)), np.random.default_rng(1)).model
         nets = [model.decoder] + ([model.encoder_x] if config is ScdcConfig else [])
         assert [net.clamp for net in nets] == [{"logvar": LOGVAR_CLAMP}] * len(nets)
