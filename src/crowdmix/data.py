@@ -75,8 +75,9 @@ class WorkerPool:
         beta = np.array(self.beta, dtype=float)
         if alpha.ndim != 1 or alpha.shape != beta.shape or alpha.shape[0] < 1:
             raise ValueError("alpha and beta must be equal-length vectors")
-        if np.any(alpha <= 0) or np.any(alpha > 1) or np.any(beta <= 0) or np.any(beta > 1):
-            raise ValueError("accuracies must lie in (0, 1]")
+        for name, x in (("alpha", alpha), ("beta", beta)):
+            if not np.all((x > 0) & (x <= 1)):  # NaN fails both comparisons
+                raise ValueError(f"{name}: accuracies must lie in (0, 1], got {x.tolist()}")
         alpha.setflags(write=False)
         beta.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -122,8 +123,11 @@ def pinwheel_generate(
     """
     check_count("clusters", clusters, 1)
     check_count("per_cluster", per_cluster, 1)
-    if radial_std < 0 or tangential_std < 0:
-        raise ValueError("noise scales must be nonnegative")
+    for name, value in (("radial_std", radial_std), ("tangential_std", tangential_std)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     if rng is None:
         rng = np.random.default_rng()
     base = np.linspace(0.0, 2.0 * np.pi, clusters, endpoint=False)

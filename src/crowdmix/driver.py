@@ -3,12 +3,14 @@
 Each update pairs a uniform data minibatch with a proportional uniform
 sample of the annotations; the union of the batch and the sampled
 triples' items is the working set the update infers local posteriors
-on.  `fit` owns the epochs and minibatches, the annotation sample and
+on; without annotations, the store is empty and the working set is the
+batch.  `fit` owns the epochs and minibatches, the annotation sample and
 working set with the scales that restore full-data magnitudes, the
 warmup ramp of the latent KL weight, the per-epoch snapshot that a
 divergence restores, and the history rows.  A trainer builds its
-parameters and hands `fit` one step function per update.  Both trainer
-configs derive `TrainConfig`; `gaussian_mlp` builds their Gaussian heads.
+parameters and its `training_store` and hands `fit` one step function
+per update.  Both trainer configs derive `TrainConfig`; `gaussian_mlp`
+builds their Gaussian heads.
 """
 
 from __future__ import annotations
@@ -87,15 +89,23 @@ def load_field(doc: dict, key: str, load: Callable[[Any], Any]):
         raise ValueError(f"{key}: {err}") from err
 
 
+def training_store(store: AnnotationStore | None, n_items: int) -> AnnotationStore:
+    """`store` when it holds a triple, otherwise a store of no triples and
+    no workers over `store.n_items` items, or `n_items` when `store` is None."""
+    if store is not None and store.n_annotations:
+        return store
+    return AnnotationStore([], n_items if store is None else store.n_items, 0)
+
+
 @dataclass(frozen=True)
 class Update:
     """What one update trains on.  `store` holds the sampled triples
-    renumbered onto `working` positions, or None without annotations."""
+    renumbered onto `working` positions, none without annotations."""
 
     batch: np.ndarray    # sorted data-minibatch items
     working: np.ndarray  # sorted union of batch and annotated items
     rows: np.ndarray     # positions of batch within working
-    store: AnnotationStore | None
+    store: AnnotationStore
     data_scale: float    # N / |B|
     rel_scale: float     # N_a / |S|
     kl_weight: float
@@ -113,7 +123,7 @@ class TrainResult:
 
 def fit(
     dataset: Dataset,
-    store: AnnotationStore | None,
+    store: AnnotationStore,
     config,
     rng: np.random.Generator,
     *,
@@ -128,28 +138,28 @@ def fit(
     """Run `config.epochs` epochs, calling `step` once per update; it
     returns the update's objective estimate.
 
-    `model()` builds the trained state from the current parameters, before
-    training and after each finished epoch; it has `predict(observations)`
-    and `effective_k(threshold)`, the number of mixing weights above
-    min(0.5, 2 / N).  A `TrainingDivergence` or
-    `LinAlgError` from an update or from predicting with the epoch's
-    model, a non-finite estimate, or non-finite parameters at the end of
-    an epoch stop training and restore `params` (tape tensors) to the
-    last finished epoch; an epoch is finished once its model has
-    predicted.  Each value is checked where it is made: `Mlp.forward`
-    checks every network output, `Adam.step` every gradient, `mixture`
-    every global target and global step, and this loop
-    alone checks the estimate `step` returns.  The last four arguments
-    are the trainer module's own names, so that hooks patched on that
-    module see every call.  `rng` is drawn from in a fixed order: the
-    batch permutation, then per update the annotation sample, then
-    `step`.  A store numbering another count of items than the dataset
+    `store` is the trainer's `training_store`.  `model()` builds the
+    trained state from the current parameters, before training and after
+    each finished epoch; it has `predict(observations)` and
+    `effective_k(threshold)`, the number of mixing weights above
+    min(0.5, 2 / N).  A `TrainingDivergence` or `LinAlgError` from an
+    update or from predicting with the epoch's model, a non-finite
+    estimate, or non-finite parameters at the end of an epoch stop
+    training and restore `params` (tape tensors) to the last finished
+    epoch; an epoch is finished once its model has predicted.  Each value
+    is checked where it is made: `Mlp.forward` checks every network
+    output, `Adam.step` every gradient, `mixture` every global target and
+    global step, and this loop alone checks the estimate `step` returns.
+    The last four arguments are the trainer module's own names, so that
+    hooks patched on that module see every call.  `rng` is drawn from in
+    a fixed order: the batch permutation, then per update the annotation
+    sample, then `step`; an empty store samples no triple and draws
+    nothing.  A store numbering another count of items than the dataset
     raises an IndexError, before any draw.
     """
     obs, n = dataset.observations, dataset.n_items
-    if store is not None and store.n_items != n:
+    if store.n_items != n:
         raise IndexError(f"store indexes {store.n_items} items, the dataset has {n}")
-    n_ann = store.n_annotations if store is not None else 0
     warmup_updates = round(config.kl_warmup * config.epochs * -(-n // config.batch_size))
     half = 0.5 * (warmup_updates + 1.0)
     threshold = min(0.5, 2.0 / n)
@@ -162,11 +172,9 @@ def fit(
         try:
             for batch in minibatch_iterator(n, config.batch_size, rng):
                 batch = np.sort(batch)
-                working, local_store, rel_scale = batch, None, 1.0
-                if n_ann:
-                    working, local_store, rel_scale = sample_annotation_minibatch(
-                        store, batch, max(1, round(n_ann * batch.size / n)), rng
-                    )
+                working, local_store, rel_scale = sample_annotation_minibatch(
+                    store, batch, max(1, round(store.n_annotations * batch.size / n)), rng
+                )
                 updates += 1
                 # Dead zone then linear ramp: the latent KL stays off for
                 # the first half of the warmup window, then reaches full

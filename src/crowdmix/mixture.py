@@ -74,22 +74,25 @@ class MixturePrior:
 # JSON keys of one component's natural parameters, in NiwNat field order.
 _NIW_KEYS = ("h1", "h2", "h3", "h4")
 _WORKER_KEYS = ("alpha_taus", "beta_taus")  # the workers' (M, 2) Beta parameters
+NO_WORKERS = BetaWorkers(np.zeros((0, 2, 2)))  # the Beta record of zero workers
 
 
 @dataclass(frozen=True)
 class GlobalVariational:
-    """Variational posterior over the mixture globals and, when present,
-    the per-worker accuracy pairs.  `components` is one NIW record of
-    batch shape (K,), `workers` one Beta record of batch shape (M, 2).
-    Instances are immutable snapshots; updates construct a new one."""
+    """Variational posterior over the mixture globals and the per-worker
+    accuracy pairs.  `components` is one NIW record of batch shape (K,),
+    `workers` one Beta record of batch shape (M, 2), M >= 0.  Instances
+    are immutable snapshots; updates construct a new one."""
 
     pi: DirichletNat
     components: NiwNat
-    workers: BetaWorkers | None = None
+    workers: BetaWorkers = NO_WORKERS
 
     def __post_init__(self):
         if not isinstance(self.components, NiwNat):
             raise TypeError("components must be one NiwNat of batch shape (K,)")
+        if not isinstance(self.workers, BetaWorkers):
+            raise TypeError("workers must be one BetaWorkers record of batch shape (M, 2)")
         if self.components.h3.shape != self.pi.eta.shape:
             raise ValueError("need one NIW component per mixing weight")
 
@@ -101,25 +104,19 @@ class GlobalVariational:
     def latent_dim(self) -> int:
         return self.components.dim
 
-    @property
-    def n_workers(self) -> int:
-        return 0 if self.workers is None else self.workers.n_workers
-
     def to_dict(self) -> dict:
         c = self.components
         rows = zip(c.h1.tolist(), c.h2.tolist(), c.h3.tolist(), c.h4.tolist())
-        doc = {
+        return {
             "pi_eta": self.pi.eta.tolist(),
             "components": [dict(zip(_NIW_KEYS, row)) for row in rows],
-            "workers": None,
+            "workers": {key: getattr(self.workers, key).tolist() for key in _WORKER_KEYS},
         }
-        if self.workers is not None:
-            doc["workers"] = {key: getattr(self.workers, key).tolist() for key in _WORKER_KEYS}
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GlobalVariational":
-        """Globals from a `to_dict` document.  Mixing-weight parameters out
+        """Globals from a `to_dict` document; an older document's null or
+        missing workers load as zero workers.  Mixing-weight parameters out
         of the Dirichlet domain, components whose S is not positive
         definite, and worker tau arrays that are not (M, 2) or not
         positive fail here with a ValueError that names the field."""
@@ -132,19 +129,17 @@ class GlobalVariational:
             comps.scale_factor()  # recovers nu and S and factors S
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ValueError(f"components: {err}") from err
-        workers = None
-        if doc.get("workers") is not None:
-            taus = [np.array(doc["workers"][key], dtype=float) for key in _WORKER_KEYS]
-            for key, t in zip(_WORKER_KEYS, taus):
-                if t.size and (t.ndim != 2 or t.shape[1] != 2):
-                    raise ValueError(f"workers.{key} has shape {t.shape}, need (M, 2)")
-                if len(t) != len(taus[0]):
-                    raise ValueError(f"workers.{key} has {len(t)} rows, alpha_taus {len(taus[0])}")
-                # the Beta domain, eta = tau - 1 > -1, checked per key before stacking
-                if not np.all(np.isfinite(t) & (t - 1.0 > -1.0)):
-                    raise ValueError(f"workers.{key} entries must be finite and positive")
-            workers = BetaWorkers.from_taus(*taus)
-        return cls(pi, comps, workers)
+        workers = doc.get("workers") or dict.fromkeys(_WORKER_KEYS, [])  # older documents: null
+        taus = [np.array(workers[key], dtype=float) for key in _WORKER_KEYS]
+        for key, t in zip(_WORKER_KEYS, taus):
+            if t.size and (t.ndim != 2 or t.shape[1] != 2):
+                raise ValueError(f"workers.{key} has shape {t.shape}, need (M, 2)")
+            if len(t) != len(taus[0]):
+                raise ValueError(f"workers.{key} has {len(t)} rows, alpha_taus {len(taus[0])}")
+            # the Beta domain, eta = tau - 1 > -1, checked per key before stacking
+            if not np.all(np.isfinite(t) & (t - 1.0 > -1.0)):
+                raise ValueError(f"workers.{key} entries must be finite and positive")
+        return cls(pi, comps, BetaWorkers.from_taus(*taus))
 
 
 class GlobalExpectations(NamedTuple):
@@ -182,8 +177,7 @@ def init_global(
     components = NiwNat.from_standard(
         math.sqrt(3.0) * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
     )
-    worker_eta = np.tile(np.subtract(WORKER_INIT, 1.0), (n_workers, 2, 1))
-    workers = BetaWorkers(worker_eta) if n_workers else None
+    workers = BetaWorkers(np.tile(np.subtract(WORKER_INIT, 1.0), (n_workers, 2, 1)))
     return GlobalVariational(pi, components, workers)
 
 
@@ -194,7 +188,7 @@ def init_global(
 def mixture_natural_gradient(
     prior: MixturePrior, q_z: np.ndarray, means: np.ndarray, covs: np.ndarray, scale: float = 1.0
 ) -> GlobalVariational:
-    """Minibatch target of the Dirichlet and NIW records, with no workers:
+    """Minibatch target of the Dirichlet and NIW records, with zero workers:
     the prior natural parameters plus scaled responsibility-weighted local
     moments, the conjugate posterior of the minibatch.
 
@@ -241,13 +235,14 @@ def apply_natural_gradient(
     family's check means the inputs were not finite or not valid: it
     raises TrainingDivergence with the family's message, and `driver.fit`
     restores the last finished epoch.  A step of 0 keeps every record's
-    values; workers without a target pass through.  A step outside
-    [0, 1], or a worker target without worker posteriors, is a ValueError.
+    values.  A step outside [0, 1], or a worker target for another number
+    of workers than the posteriors, is a ValueError.
     """
     if not 0.0 <= step <= 1.0:
         raise ValueError(f"step must lie in [0, 1], got {step}")
-    if target.workers is not None and current.workers is None:
-        raise ValueError("worker target supplied without worker posteriors")
+    m, m_hat = len(current.workers.eta), len(target.workers.eta)
+    if m_hat != m:
+        raise ValueError(f"worker target has {m_hat} rows, the worker posteriors {m}")
 
     def toward(eta, eta_hat):
         return eta + step * (eta_hat - eta)
@@ -259,9 +254,7 @@ def apply_natural_gradient(
         # recovers nu and S, checks nu > d - 1, and factors S, which must
         # stay positive definite; the record keeps the factorization
         components.scale_factor()
-        workers = current.workers
-        if target.workers is not None:
-            workers = BetaWorkers(toward(workers.eta, target.workers.eta))
+        workers = BetaWorkers(toward(current.workers.eta, target.workers.eta))
     except (ValueError, np.linalg.LinAlgError) as err:
         raise TrainingDivergence(f"step {step} left the valid domain: {err}") from err
     return GlobalVariational(pi, components, workers)

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import log_softmax as np_log_softmax
 
 from .data import Dataset, minibatch_iterator
-from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp, load_field
+from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp
+from .driver import load_field, training_store
 from .metrics import clustering_accuracy, nmi
 from .nnet import (
     Adam,
@@ -292,11 +293,11 @@ def train_scdc(
     tape and steps every parameter (point mixture, point workers, both
     encoders, decoder) along the gradient; `driver.fit` runs the loop.
     """
+    store = training_store(store, dataset.n_items)
     obs = dataset.observations
     k_comp, d = config.n_components, config.latent_dim
-    n_workers = store.n_workers if store is not None and store.n_annotations else 0
     model = ScdcModel(
-        point=PointParams.init(k_comp, d, n_workers, rng),
+        point=PointParams.init(k_comp, d, store.n_workers, rng),
         encoder_z=Mlp([dataset.dim, *config.hidden], {"logits": k_comp}, rng),
         encoder_x=gaussian_mlp([k_comp + dataset.dim, *config.hidden], d, rng),
         decoder=gaussian_mlp([d, *config.hidden], dataset.dim, rng),
@@ -313,9 +314,8 @@ def train_scdc(
                 obs[update.batch], take_rows(logits, update.rows), model, noise,
                 update.data_scale, update.kl_weight,
             )
-            if update.store is not None:
-                q_working = exp(log_softmax(logits, axis=-1))
-                total = total + elbo_rel(update.store, q_working, model.point, update.rel_scale)
+            q_working = exp(log_softmax(logits, axis=-1))
+            total = total + elbo_rel(update.store, q_working, model.point, update.rel_scale)
         backward(tape, total)
         # step before the tape is freed: the other order lets glibc trim and re-fault its memory
         opt.step()

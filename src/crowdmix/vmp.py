@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, minibatch_iterator
-from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp, load_field
+from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp
+from .driver import load_field, training_store
 from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
@@ -160,10 +161,8 @@ def _calibrate_recognition_init(net: Mlp, observations) -> None:
     # inverse softplus, stable for both small and large targets
     raw_bias = half + math.log(-math.expm1(-half))
     net.head_biases["prec_raw"].data[:] = raw_bias
-    obs = np.asarray(observations, dtype=float)[:2048]
-    heads = net.forward(obs)
-    item_precision = 2.0 * (np.logaddexp(0.0, heads["prec_raw"].data) + PRECISION_FLOOR)
-    implied_means = heads["loc"].data / item_precision
+    potential = recognition_potential(net, np.asarray(observations, dtype=float)[:2048])
+    implied_means = potential.h / (-2.0 * potential.j_diag)
     current = float(np.mean(np.std(implied_means, axis=0)))
     if current > 0.0:
         net.head_weights["loc"].data *= INIT_POTENTIAL_SPREAD / current
@@ -304,7 +303,7 @@ def _greedy_colors(n_items: int, item: np.ndarray, other: np.ndarray) -> np.ndar
 
 def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> AnnotationGraph:
     """Colored graph of message weights between working-set items."""
-    if store is None or workers is None or store.n_annotations == 0:
+    if store is None or store.n_annotations == 0:
         return AnnotationGraph(n_items, [], [], [])
     t = store.triples
     if t[:, :2].max() >= n_items:
@@ -432,9 +431,8 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
     pair contributes <eta_q - eta_p, E_q t> - (log Z_q - log Z_p), summed
     over the posterior's batch, across which the prior record broadcasts.
     """
-    dirichlets = [(glob.pi, prior.pi_nat())]  # the worker Betas are two-state Dirichlets
-    if glob.workers is not None:
-        dirichlets.append((glob.workers, prior.worker_nat()))
+    # the worker Betas are two-state Dirichlets; zero workers add nothing
+    dirichlets = [(glob.pi, prior.pi_nat()), (glob.workers, prior.worker_nat())]
     niw0, comps = prior.niw_nat(), glob.components
     stats = niw_expected_stats(comps)
     brackets = [(q.eta - p0.eta, dirichlet_expected_stats(q)) for q, p0 in dirichlets] + [
@@ -455,7 +453,7 @@ def final_objective(
     local: LocalVariational,
     exps: GlobalExpectations,
     data: float,
-    store: AnnotationStore | None = None,
+    store: AnnotationStore,
     data_scale: float = 1.0,
     rel_scale: float = 1.0,
     rows=None,
@@ -466,14 +464,11 @@ def final_objective(
     the decoder's reconstruction, or a stand-in for it.
     `exps` are the expectations of `glob`.  `rows` restricts the local
     KL the same way, e.g. to the data minibatch inside a larger working
-    set; `store` must be indexed like `local`.  Scales restore full-data
-    magnitudes from minibatches.  The estimate may come out non-finite;
-    `driver.fit` checks what the step returns.
+    set; `store`, indexed like `local`, may be empty.  Scales restore
+    full-data magnitudes from minibatches.  The estimate may come out
+    non-finite; `driver.fit` checks what the step returns.
     """
-    rel = 0.0
-    if store is not None and glob.workers is not None:
-        ls = glob.workers.log_stats()
-        rel = float(expected_rel_loglik(store, local.resp, ls, scale=rel_scale).data)
+    rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats(), rel_scale).data)
     return float(data_scale * (data - local_kl(exps, local, rows)) + rel - global_kl(glob, prior))
 
 
@@ -603,11 +598,11 @@ def train_bayes_scdc(
     follows reparameterization gradients of the objective through both
     networks; `driver.fit` runs the loop.
     """
+    store = training_store(store, dataset.n_items)
     obs = dataset.observations
     prior = MixturePrior(config.n_components, config.latent_dim)
     d = prior.latent_dim
-    n_workers = store.n_workers if store is not None and store.n_annotations else 0
-    glob = init_global(prior, rng, n_workers=n_workers)
+    glob = init_global(prior, rng, n_workers=store.n_workers)
     recognition = Mlp([dataset.dim, *config.hidden], {"loc": d, "prec_raw": d}, rng)
     _calibrate_recognition_init(recognition, obs)
     decoder = gaussian_mlp([d, *config.hidden], dataset.dim, rng)
@@ -625,10 +620,9 @@ def train_bayes_scdc(
         target = mixture_natural_gradient(
             prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
         )
-        if local_store is not None:
-            target = replace(target, workers=beta_natural_gradient(
-                local_store, resp, prior.worker_nat(), scale=update.rel_scale
-            ))
+        target = replace(target, workers=beta_natural_gradient(
+            local_store, resp, prior.worker_nat(), scale=update.rel_scale
+        ))
         new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
 
         noise = rng.standard_normal((update.batch.size, d))

@@ -214,7 +214,7 @@ def potential_bracket(potential, local, rows=None) -> float:
     return float(np.sum(potential.h[rows] * mean) + np.sum(potential.j_diag[rows] * second_diag))
 
 
-def surrogate_elbo(glob, prior, local, potential, store=None) -> float:
+def surrogate_elbo(glob, prior, local, potential, store) -> float:
     """Full-batch bound with <psi, E t(x)> standing in for the decoder.
 
     Every block-coordinate local update and every step-1 global update

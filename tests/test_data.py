@@ -45,6 +45,17 @@ def test_worker_pool_validation_and_weights():
     WorkerPool.homogeneous(2, 1.0, 1.0)  # noiseless boundary allowed
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_worker_pool_names_a_non_finite_accuracy(field, value):
+    accuracies = {"alpha": [0.9, 0.9], "beta": [0.9, 0.9]}
+    accuracies[field][0] = value
+    with pytest.raises(ValueError, match=f"^{field}: accuracies must lie in"):
+        WorkerPool(**accuracies)
+    with pytest.raises(ValueError, match=f"^{field}"):
+        WorkerPool.homogeneous(3, **{"alpha": 0.9, "beta": 0.9, field: value})
+
+
 @pytest.mark.parametrize("n_workers", [2.5, True, 0])
 def test_homogeneous_pool_names_a_bad_worker_count(n_workers):
     with pytest.raises(ValueError, match="^n_workers"):
@@ -86,6 +97,17 @@ def test_pinwheel_validation():
         pinwheel_generate(0, 10, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         pinwheel_generate(3, 10, radial_std=-1.0, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["radial_std", "tangential_std", "rate"])
+def test_pinwheel_names_a_non_finite_argument_before_drawing(name, value):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        pinwheel_generate(3, 10, **{name: value}, rng=rng)
+    assert rng.bit_generator.state == before
+    pinwheel_generate(3, 10, rate=-0.25, rng=rng)  # a negative rate winds the other way
 
 
 @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])

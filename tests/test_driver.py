@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crowdmix import data, relational, scdc, vmp
-from crowdmix.driver import fit
+from crowdmix.driver import fit, training_store
 from crowdmix.expfam import NiwNat
 from crowdmix.metrics import clustering_accuracy, nmi
 
@@ -168,7 +168,7 @@ class ConstantModel:
 @pytest.mark.parametrize("annotated", [True, False])
 def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotated):
     dataset, store = small_problem(3)
-    store = store if annotated else None
+    store = training_store(store if annotated else None, dataset.n_items)
     config = scdc.ScdcConfig(epochs=4, batch_size=20, kl_warmup=0.5)
     updates = []
 
@@ -197,10 +197,27 @@ def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotate
             assert u.store.n_items == u.working.size and u.store.n_annotations == 20
             assert u.rel_scale == 3.0
         else:
-            assert u.working is u.batch and u.store is None and u.rel_scale == 1.0
+            assert np.array_equal(u.working, u.batch) and u.store.n_annotations == 0
+            assert u.store.n_items == u.working.size and u.rel_scale == 1.0
     assert [row["epoch"] for row in result.history] == [0, 1, 2, 3]
     assert all(row["objective"] == 1.0 and row["effective_k"] == 1 for row in result.history)
     assert not result.diverged
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_training_without_annotations_is_training_on_an_empty_store(trainer):
+    """No store and a store of no triples give the same run: an empty
+    store informs no worker, so neither run builds one."""
+    _, train, config, _ = TRAINERS[trainer]
+    dataset, _ = small_problem(7)
+    runs = [
+        train(dataset, store, config, np.random.default_rng(8))
+        for store in (None, relational.AnnotationStore([], dataset.n_items, 3))
+    ]
+    assert runs[0].history == runs[1].history and len(runs[0].history) == config.epochs
+    labels = [run.model.predict(dataset.observations) for run in runs]
+    assert np.array_equal(labels[0], labels[1])
+    assert runs[0].model.to_dict() == runs[1].model.to_dict()
 
 
 @pytest.mark.parametrize("trainer", sorted(TRAINERS))

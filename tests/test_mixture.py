@@ -15,6 +15,7 @@ from crowdmix.expfam import (
     niw_expected_stats,
 )
 from crowdmix.mixture import (
+    NO_WORKERS,
     GlobalVariational,
     MixturePrior,
     apply_natural_gradient,
@@ -84,13 +85,13 @@ def _arrays(glob):
 
 def _raw_target(glob, workers=None, **arrays):
     """A target holding glob's arrays, with those named in `arrays`
-    (pi, h1, ..., h4) replaced, as plain unvalidated arrays: a step toward
-    it can leave a family's domain."""
+    (pi, h1, ..., h4) and the worker eta `workers` replaced, as plain
+    unvalidated arrays: a step toward it can leave a family's domain."""
     fields = dict(zip(("pi", "h1", "h2", "h3", "h4"), _arrays(glob)), **arrays)
     return SimpleNamespace(
         pi=SimpleNamespace(eta=fields.pop("pi")),
         components=SimpleNamespace(**fields),
-        workers=None if workers is None else SimpleNamespace(eta=workers),
+        workers=SimpleNamespace(eta=glob.workers.eta if workers is None else workers),
     )
 
 
@@ -104,7 +105,7 @@ def test_step_one_update_matches_conjugate_oracle():
     q_z, means, covs = _random_instance(rng)
     current = init_global(prior, rng)
     target = mixture_natural_gradient(prior, q_z, means, covs)
-    assert target.workers is None
+    assert target.workers is NO_WORKERS and target.workers.eta.shape == (0, 2, 2)
     updated = apply_natural_gradient(current, target, step=1.0)
 
     alpha_star, comps = _conjugate_posterior(prior, q_z, means, covs)
@@ -192,13 +193,14 @@ def test_zero_gradient_leaves_parameters_unchanged():
     rng = np.random.default_rng(13)
     prior = MixturePrior(2, 2)
     current = init_global(prior, rng, n_workers=2)
-    # a target equal to the current records, without a worker target
-    updated = apply_natural_gradient(current, dataclasses.replace(current, workers=None), 1.0)
+    # a target equal to the current records, the workers' among them
+    updated = apply_natural_gradient(current, current, 1.0)
     np.testing.assert_allclose(updated.pi.eta, current.pi.eta, atol=0)
     for a, b in zip(_members(updated.components), _members(current.components)):
         np.testing.assert_allclose(a.h1, b.h1, atol=0)
         np.testing.assert_allclose(a.h2, b.h2, atol=0)
-    assert updated.workers is current.workers
+    assert np.array_equal(updated.workers.eta, current.workers.eta)
+    assert updated.workers.eta.shape == (2, 2, 2)
 
 
 def test_two_half_steps_equal_one_step_of_three_quarters():
@@ -258,8 +260,22 @@ def test_step_rejection_and_bad_steps():
         with pytest.raises(ValueError):
             apply_natural_gradient(current, current, step=step)
     no_posteriors = _raw_target(current, workers=np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError, match="worker"):
+    with pytest.raises(ValueError, match="worker target has 1 rows, the worker posteriors 0"):
         apply_natural_gradient(current, no_posteriors, step=1.0)
+
+
+@pytest.mark.parametrize("target_workers", [0, 1, 3])
+def test_a_worker_target_for_other_workers_is_rejected(target_workers):
+    """One worker target would broadcast over two posteriors; the step
+    names both counts instead."""
+    rng = np.random.default_rng(18)
+    prior = MixturePrior(2, 2)
+    current = init_global(prior, rng, n_workers=2)
+    target = dataclasses.replace(
+        current, workers=init_global(prior, rng, n_workers=target_workers).workers
+    )
+    with pytest.raises(ValueError, match=f"worker target has {target_workers} rows, the worker posteriors 2"):
+        apply_natural_gradient(current, target, step=0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -426,10 +442,21 @@ def test_serialization_round_trips_exactly():
         assert a.h3 == b.h3 and a.h4 == b.h4
     np.testing.assert_allclose(glob2.workers.alpha_taus, glob.workers.alpha_taus, atol=0)
 
-    bare = GlobalVariational.from_dict(
-        json.loads(json.dumps(GlobalVariational(glob.pi, glob.components).to_dict()))
-    )
-    assert bare.workers is None
+    bare_doc = json.loads(json.dumps(GlobalVariational(glob.pi, glob.components).to_dict()))
+    assert bare_doc["workers"] == {"alpha_taus": [], "beta_taus": []}
+    bare = GlobalVariational.from_dict(bare_doc)
+    assert bare.workers.eta.shape == (0, 2, 2)
+
+
+def test_an_older_document_without_workers_loads_as_zero_workers():
+    glob = init_global(MixturePrior(3, 2), np.random.default_rng(43), n_workers=2)
+    doc = json.loads(json.dumps(glob.to_dict()))
+    del doc["workers"]
+    for legacy in ({**doc, "workers": None}, doc):
+        loaded = GlobalVariational.from_dict(legacy)
+        assert loaded.workers.eta.shape == (0, 2, 2)
+        assert np.array_equal(loaded.pi.eta, glob.pi.eta)
+        assert np.array_equal(loaded.components.h2, glob.components.h2)
 
 
 def test_global_variational_validation():
@@ -439,5 +466,7 @@ def test_global_variational_validation():
     c = glob.components
     with pytest.raises(ValueError):
         GlobalVariational(glob.pi, NiwNat(c.h1[:2], c.h2[:2], c.h3[:2], c.h4[:2]))
+    with pytest.raises(TypeError, match="workers"):  # no record of the workers
+        GlobalVariational(glob.pi, c, None)
     with pytest.raises(ValueError):  # components of two latent dimensions
         GlobalVariational(glob.pi, NiwNat(c.h1, np.tile(np.eye(3), (3, 1, 1)), c.h3, c.h4))

@@ -18,6 +18,7 @@ from crowdmix import vmp
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.expfam import DirichletNat, NiwNat
 from crowdmix.mixture import (
+    NO_WORKERS,
     GlobalExpectations,
     GlobalVariational,
     MixturePrior,
@@ -57,7 +58,7 @@ from crowdmix.vmp import (
 )
 
 
-def scalar_glob(alphas, components, workers=None) -> GlobalVariational:
+def scalar_glob(alphas, components, workers=NO_WORKERS) -> GlobalVariational:
     """K scalar components given as (m, kappa, S, nu) tuples."""
     m, kappa, s, nu = np.array(components, dtype=float).T
     return GlobalVariational(
@@ -786,8 +787,10 @@ def test_global_kl_worker_block_matches_beta_oracles_for_many_workers():
 
 
 def test_zero_workers_give_empty_stats_and_add_no_kl():
-    bare = global_kl(scalar_glob(TEST_ALPHAS, TEST_COMPONENTS), TEST_PRIOR)
-    for workers in (BetaWorkers(np.zeros((0, 2, 2))), BetaWorkers.from_taus([], [])):
+    # a worker at its Beta(1, 1) prior adds an exact 0 to the KL
+    at_prior = BetaWorkers.from_taus([(1.0, 1.0)], [(1.0, 1.0)])
+    bare = global_kl(scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=at_prior), TEST_PRIOR)
+    for workers in (NO_WORKERS, BetaWorkers(np.zeros((0, 2, 2))), BetaWorkers.from_taus([], [])):
         assert workers.n_workers == 0
         assert workers.alpha_taus.shape == (0, 2) and workers.beta_taus.shape == (0, 2)
         assert workers.log_stats().shape == (0, 4)
@@ -825,7 +828,7 @@ def objective_instance():
     return glob, store, local, pot
 
 
-def objective(glob, local, pot, store=None, rel_scale=1.0, rows=None):
+def objective(glob, local, pot, store, rel_scale=1.0, rows=None):
     """final_objective with the potential bracket as its data term."""
     return final_objective(
         glob, TEST_PRIOR, local, global_expectations(glob), potential_bracket(pot, local, rows),
@@ -877,7 +880,7 @@ def test_final_objective_annotation_minibatches_are_unbiased():
 def test_final_objective_without_store_drops_the_relational_term():
     glob, store, local, pot = objective_instance()
     with_rel = objective(glob, local, pot, store)
-    without = objective(glob, local, pot)
+    without = objective(glob, local, pot, AnnotationStore([], store.n_items, store.n_workers))
     rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats()).data)
     assert abs(with_rel - without - rel) < 1e-12
 
@@ -885,9 +888,10 @@ def test_final_objective_without_store_drops_the_relational_term():
 def test_final_objective_row_restriction_is_additive():
     glob, store, local, pot = objective_instance()
     gkl = global_kl(glob, TEST_PRIOR)
-    full = objective(glob, local, pot)
-    part0 = objective(glob, local, pot, rows=[0])
-    part1 = objective(glob, local, pot, rows=[1])
+    empty = AnnotationStore([], store.n_items, store.n_workers)
+    full = objective(glob, local, pot, empty)
+    part0 = objective(glob, local, pot, empty, rows=[0])
+    part1 = objective(glob, local, pot, empty, rows=[1])
     assert abs((full + gkl) - ((part0 + gkl) + (part1 + gkl))) < 1e-12
 
 
@@ -994,7 +998,7 @@ def test_training_without_annotations_runs_and_reports():
     config = BayesConfig(n_components=4, latent_dim=2, epochs=2, batch_size=40)
     result = train_bayes_scdc(dataset, None, config, np.random.default_rng(3))
     assert not result.diverged
-    assert result.model.glob.workers is None
+    assert result.model.glob.workers.eta.shape == (0, 2, 2)
     assert len(result.history) == 2
 
 
@@ -1066,7 +1070,7 @@ SAVED_MODEL_JSON_WITH_DROPPED_KEYS = SAVED_MODEL_JSON.replace(
 def test_saved_model_document_round_trips_byte_for_byte():
     doc = json.loads(SAVED_MODEL_JSON)
     model = BayesModel.from_dict(doc)
-    assert (model.glob.n_components, model.glob.latent_dim, model.glob.n_workers) == (3, 2, 2)
+    assert (model.glob.n_components, model.glob.latent_dim, model.glob.workers.n_workers) == (3, 2, 2)
     assert json.dumps(model.to_dict()) == SAVED_MODEL_JSON
 
 
