@@ -79,8 +79,10 @@ def worker_weight_recovery(estimated, true) -> float:
         raise ValueError("need matching 1-d weight collections")
     if est.shape[0] < 2:
         raise ValueError("need at least two workers to rank")
-    rho = spearmanr(est, ref).statistic
-    return float(rho)
+    for name, weights in (("estimated", est), ("true", ref)):
+        if not (np.all(np.isfinite(weights)) and np.ptp(weights) > 0):
+            raise ValueError(f"{name} weights must be finite and not all equal")
+    return float(spearmanr(est, ref).statistic)
 
 
 def _as_weights(x) -> np.ndarray:

@@ -468,16 +468,22 @@ def diag_gaussian_loglik(x, mean: Tensor, logvar: Tensor) -> Tensor:
 class Mlp:
     """ReLU hidden stack followed by named linear output heads.
 
-    sizes gives [input width, hidden widths...]; heads maps a head name to
-    its output width.  Heads listed in `clamp` are clipped to the given
-    (lo, hi) interval after the linear map (used for log-variance heads).
-    `forward` raises TrainingDivergence, naming the head, when a head
-    holds a value that is not finite after its clamp: a clamped head
-    clips an infinity, but not a NaN.  Weights start uniform in
-    +/- 1/sqrt(fan-in), biases at zero.
+    sizes gives [input width, hidden widths...] and heads maps a head name
+    to its output width, all positive integers.  Heads listed in `clamp`
+    are clipped to the given (lo, hi) interval after the linear map (used
+    for log-variance heads).  `forward` raises TrainingDivergence, naming
+    the head, when a head holds a value that is not finite after its
+    clamp: a clamped head clips an infinity, but not a NaN.  Weights start
+    uniform in +/- 1/sqrt(fan-in), biases at zero.
     """
 
     def __init__(self, sizes, heads, rng, clamp=None):
+        if len(sizes) == 0:
+            raise ValueError("sizes must give at least the input width")
+        for i, size in enumerate(sizes):
+            check_count(f"sizes[{i}]", size, 1)
+        for name, width in heads.items():
+            check_count(f"heads['{name}']", width, 1)
         self.sizes = [int(s) for s in sizes]
         self.heads = {str(k): int(v) for k, v in heads.items()}
         self.clamp = {str(k): (float(lo), float(hi)) for k, (lo, hi) in (clamp or {}).items()}
@@ -559,10 +565,12 @@ class Mlp:
             (f"{key}[{i}]", getattr(net, key)[i], state[key][i])
             for key in ("weights", "biases") for i in range(n_layers)
         ] + [
-            (f"{key}['{name}']", getattr(net, key)[name], state[key][name])
+            (f"{key}['{name}']", getattr(net, key)[name], state[key].get(name))
             for key in ("head_weights", "head_biases") for name in net.heads
         ]
         for label, tensor, saved in slots:
+            if saved is None:
+                raise ValueError(f"{label} has no saved array")
             value = np.asarray(saved, dtype=float)
             if value.shape != tensor.data.shape:
                 raise ValueError(

@@ -1,22 +1,23 @@
 """Natural-gradient variational inference for the Bayesian variant.
 
-The recognition network emits diagonal Gaussian evidence potentials;
-cluster posteriors q(z) and latent Gaussians are refined jointly by
+Each training update runs the recognition network once, on the tape, over
+the working set: its diagonal Gaussian evidence potentials (`evidence`)
+feed the local step, and the networks' gradient flows back through them.
+Cluster posteriors q(z) and latent Gaussians are refined jointly by
 block-coordinate updates that carry pairwise annotation messages.  Inside
 the local step the q(z) probabilities and component logits are stored
-component-major, as (K, n) arrays, so every softmax reduces over axis 0,
-across items, and never along a K-wide last axis; the step takes and
-returns (n, K) q(z) probabilities.  Each q(x) refresh mixes the K
-component statistics by the q(z) probabilities with one matmul on their
-(K, d*d) view and factors every item's precision once, by
-`nnet.spd_factor`, the package's one Cholesky kernel, which loops over d
-and computes over all items at once; `predict` runs the same local step
-over the whole dataset.  Globals (mixing weights, components, worker
-accuracies) follow scaled stochastic natural gradients, while the
-recognition and decoder networks ascend reparameterization gradients of
-the objective through the final latent refresh, whose precisions one
-`nnet.inverse_cholesky` node factors.  `driver.fit` runs the minibatch
-loop; `train_bayes_scdc` supplies the parameters and the step.
+component-major, as (K, n) arrays, so every softmax reduces over axis 0;
+the step takes and returns (n, K) q(z) probabilities.  Each q(x) refresh
+mixes the K component statistics by the q(z) probabilities with one
+matmul on their (K, d*d) view and factors every item's precision once,
+by `nnet.spd_factor`, the package's one Cholesky kernel; `predict` runs
+the same local step over the whole dataset.  Globals (mixing weights,
+components, worker accuracies) follow scaled stochastic natural
+gradients, while the recognition and decoder networks ascend
+reparameterization gradients of the objective through the final latent
+refresh, whose precisions one `nnet.inverse_cholesky` node factors.
+`driver.fit` runs the minibatch loop; `train_bayes_scdc` supplies the
+parameters and the step.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .nnet import (
     log,
     softplus,
     spd_factor,
+    take_rows,
     tensor_sum,
     zero_grads,
 )
@@ -133,16 +135,17 @@ class LocalVariational:
         return self.log_resp.shape[0]
 
 
-def recognition_potential(net: Mlp, observations) -> RecognitionPotential:
-    """Evidence potentials from the recognition network.
+def evidence(net: Mlp, observations):
+    """Evidence (h, j_diag), j_diag < 0, as tape tensors of one recognition
+    pass; `Mlp.forward` raises TrainingDivergence if a head is not finite."""
+    heads = net.forward(observations)
+    return heads["loc"], -softplus(heads["prec_raw"]) - PRECISION_FLOOR
 
-    The raw precision head passes through -softplus(.) - PRECISION_FLOOR,
-    so the potential is always a proper (strictly negative) diagonal.
-    `Mlp.forward` raises TrainingDivergence when a head is not finite.
-    """
-    heads = net.forward(np.asarray(observations, dtype=float))
-    j_diag = -np.logaddexp(0.0, heads["prec_raw"].data) - PRECISION_FLOOR
-    return RecognitionPotential(heads["loc"].data, j_diag)
+
+def recognition_potential(net: Mlp, observations) -> RecognitionPotential:
+    """`evidence` of the observations, as arrays."""
+    h, j_diag = evidence(net, observations)
+    return RecognitionPotential(h.data, j_diag.data)
 
 
 def _calibrate_recognition_init(net: Mlp, observations) -> None:
@@ -553,32 +556,30 @@ class BayesModel:
         )
 
 
-def _network_objective(recognition, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
+def _network_objective(h, j_diag, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
     """Tape graph of the objective terms the networks can influence.
 
-    Rebuilds the final q(x) refresh with q(z) probabilities held constant:
-    recon + kl_weight * (log Z(eta_x) - <psi, E t(x)>), summed over the
-    batch.  recon is the decoder log-likelihood of one reparameterized
-    draw per item from q(x), x = mean + C noise, with `noise` of shape
-    (n, d); C = chol(cov), from one `inverse_cholesky` node, also gives
-    cov = C C^T and log|cov|.  `kl_weight` < 1 damps the pull of q(x)
-    toward the mixture conditional (warmup against potential collapse); at
-    1 the gradient is exactly that of the training objective.  Returns the
-    (scaled) objective and reconstruction tensors.
+    `h` and `j_diag` are the batch rows of the working set's `evidence`
+    tensors.  Rebuilds the final q(x) refresh with q(z) probabilities held
+    constant: recon + kl_weight * (log Z(eta_x) - <psi, E t(x)>), summed
+    over the batch.  recon is the decoder log-likelihood of `obs_batch`
+    under one reparameterized draw per item from q(x), x = mean + C noise,
+    with `noise` of shape (n, d); C = chol(cov), from one `inverse_cholesky`
+    node, also gives cov = C C^T and log|cov|.  `kl_weight` < 1 damps the
+    pull of q(x) toward the mixture conditional (warmup against potential
+    collapse); at 1 the gradient is exactly that of the training
+    objective.  Returns the (scaled) objective and reconstruction tensors.
     """
     c_h = constant(resp @ exps.mean_prec)
     c_j = constant(_mix(resp, exps.neg_half_prec))
-    heads = recognition.forward(obs_batch)
-    psi_h = heads["loc"]
-    j_diag = -softplus(heads["prec_raw"]) - PRECISION_FLOOR
     x_j = c_j + diag_embed(j_diag)
     root = inverse_cholesky(x_j * (-2.0))
     cov = einsum2("nij,nkj->nik", root, root)
-    h_tot = c_h + psi_h
+    h_tot = c_h + h
     mean = einsum2("nij,nj->ni", cov, h_tot)
     log_z = tensor_sum(mean * h_tot) * 0.5 + tensor_sum(log(diag_part(root)))
     second_diag = diag_part(cov) + mean * mean
-    psi_term = tensor_sum(psi_h * mean) + tensor_sum(j_diag * second_diag)
+    psi_term = tensor_sum(h * mean) + tensor_sum(j_diag * second_diag)
     dec = decoder.forward(mean + einsum2("nij,nj->ni", root, constant(noise)))
     recon = tensor_sum(diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"]))
     objective = (recon + (log_z - psi_term) * kl_weight) * data_scale
@@ -591,12 +592,12 @@ def train_bayes_scdc(
     config: BayesConfig,
     rng: np.random.Generator,
 ) -> TrainResult:
-    """Stochastic natural-gradient training.
+    """Stochastic natural-gradient training; `driver.fit` runs the loop.
 
-    Each update rebuilds the local posteriors of the working set from
-    scratch, moves each global record a step toward its minibatch target, and
-    follows reparameterization gradients of the objective through both
-    networks; `driver.fit` runs the loop.
+    Each update runs the recognition network once, on the tape, over the
+    working set, rebuilds the local posteriors from that output, steps each
+    global record toward its minibatch target, and ascends both networks'
+    reparameterization gradients back through the same output.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -613,23 +614,22 @@ def train_bayes_scdc(
         nonlocal glob
         rows, local_store = update.rows, update.store
         exps = global_expectations(glob)
-        potential = recognition_potential(recognition, obs[update.working])
-        local = block_coordinate_local(glob, potential, local_store)
-        resp = local.resp
-
-        target = mixture_natural_gradient(
-            prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
-        )
-        target = replace(target, workers=beta_natural_gradient(
-            local_store, resp, prior.worker_nat(), scale=update.rel_scale
-        ))
-        new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
-
-        noise = rng.standard_normal((update.batch.size, d))
         with Tape() as tape:
+            h, j_diag = evidence(recognition, obs[update.working])
+            potential = RecognitionPotential(h.data, j_diag.data)
+            local = block_coordinate_local(glob, potential, local_store)
+            resp = local.resp
+            target = mixture_natural_gradient(
+                prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
+            )
+            target = replace(target, workers=beta_natural_gradient(
+                local_store, resp, prior.worker_nat(), scale=update.rel_scale
+            ))
+            new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
+            noise = rng.standard_normal((update.batch.size, d))
             objective, recon = _network_objective(
-                recognition, decoder, obs[update.batch], resp[rows], exps, noise,
-                update.data_scale, kl_weight=update.kl_weight,
+                take_rows(h, rows), take_rows(j_diag, rows), decoder, obs[update.batch],
+                resp[rows], exps, noise, update.data_scale, kl_weight=update.kl_weight,
             )
         backward(tape, objective)
         # step before the tape is freed: the other order lets glibc trim and re-fault its memory

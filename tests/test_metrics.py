@@ -156,3 +156,21 @@ def test_worker_recovery_validation():
         worker_weight_recovery([1.0], [1.0])
     with pytest.raises(ValueError):
         worker_weight_recovery([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.5, 0.5, 0.5],
+        WorkerPool.homogeneous(3, 0.9, 0.9),
+        [1.0, float("nan"), 2.0],
+        [1.0, float("inf"), 2.0],
+    ],
+    ids=["constant", "homogeneous-pool", "nan", "inf"],
+)
+def test_worker_recovery_names_weights_that_cannot_be_ranked(weights):
+    good = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="^estimated weights"):
+        worker_weight_recovery(weights, good)
+    with pytest.raises(ValueError, match="^true weights"):
+        worker_weight_recovery(good, weights)

@@ -170,14 +170,19 @@ def _transposed_first_weight(state):
     state["weights"][0] = np.asarray(state["weights"][0]).T.tolist()
 
 
+def _missing_head_weights(state):
+    del state["head_weights"]["logvar"]
+
+
 @pytest.mark.parametrize(
     "corrupt, name",
     [
         (_head_bias_of_width_one, r"head_biases\['mean'\]"),
         (_truncated_weights, "weights"),
         (_transposed_first_weight, r"weights\[0\]"),
+        (_missing_head_weights, r"head_weights\['logvar'\]"),
     ],
-    ids=["head-bias-width", "truncated-weights", "transposed-weight"],
+    ids=["head-bias-width", "truncated-weights", "transposed-weight", "missing-head-weights"],
 )
 def test_from_state_rejects_arrays_that_do_not_fit(corrupt, name):
     net = Mlp([3, 7, 5], {"mean": 2, "logvar": 2}, np.random.default_rng(13))
@@ -185,6 +190,25 @@ def test_from_state_rejects_arrays_that_do_not_fit(corrupt, name):
     corrupt(state)
     with pytest.raises(ValueError, match=f"^{name} has"):
         Mlp.from_state(state)
+
+
+@pytest.mark.parametrize(
+    "sizes, heads, name",
+    [
+        ([3, 3.9], {"out": 2}, r"sizes\[1\]"),
+        ([3, "4"], {"out": 2}, r"sizes\[1\]"),
+        ([True, 4], {"out": 2}, r"sizes\[0\]"),
+        ([3, 0], {"out": 2}, r"sizes\[1\]"),
+        ([], {"out": 2}, "sizes"),
+        ([3, 4], {"out": 2.7}, r"heads\['out'\]"),
+        ([3, 4], {"out": 0}, r"heads\['out'\]"),
+    ],
+    ids=["fractional-size", "string-size", "bool-size", "zero-size", "no-sizes",
+         "fractional-head", "zero-head"],
+)
+def test_mlp_names_a_width_that_is_not_a_positive_integer(sizes, heads, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        Mlp(sizes, heads, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,29 @@ def test_model_document_with_a_network_of_another_width_does_not_load(
         ScdcModel.from_dict(doc)
 
 
+def _fractional_hidden_width(state):
+    state["sizes"][1] = 8.5
+
+
+def _no_logits_bias(state):
+    del state["head_biases"]["logits"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_fractional_hidden_width, "encoder_z: sizes[1] must be an integer"),
+        (_no_logits_bias, "encoder_z: head_biases['logits'] has no saved array"),
+    ],
+    ids=["fractional-size", "missing-head-bias"],
+)
+def test_model_document_names_a_network_that_cannot_load(corrupt, message):
+    doc = json.loads(json.dumps(make_model(3, np.random.default_rng(0)).to_dict()))
+    corrupt(doc["encoder_z"])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        ScdcModel.from_dict(doc)
+
+
 def test_divergence_restores_last_epoch_snapshot(monkeypatch):
     dataset, store = small_problem(2)
     config = ScdcConfig(**SMALL)
