@@ -107,6 +107,14 @@ class AnnotationStore:
         self.triples = np.column_stack([keys[first], label[order][first]])
         self.triples.setflags(write=False)
 
+    @classmethod
+    def _of_canonical(cls, triples: np.ndarray, n_items: int, n_workers: int) -> "AnnotationStore":
+        """A store of valid, canonical integer rows, without `__init__`'s checks."""
+        store = cls.__new__(cls)
+        store.triples, store.n_items, store.n_workers = triples, n_items, n_workers
+        triples.setflags(write=False)
+        return store
+
     @property
     def n_annotations(self) -> int:
         return self.triples.shape[0]
@@ -233,10 +241,10 @@ def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch
     Returns the working set (the sorted union of `batch` and the sampled
     triples' items), the sampled triples renumbered onto working-set
     positions, and the N_a/|S| scale.  A `batch_size` of at least the
-    store's size takes every triple and draws nothing from `rng`.
+    store's size takes every triple and draws nothing from `rng`.  The
+    sample, sorted rows renumbered by an increasing map, stays canonical.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    check_count("batch_size", batch_size, 1)
     n = store.n_annotations
     t, scale = store.triples, 1.0
     if batch_size < n:
@@ -244,4 +252,4 @@ def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch
         scale = n / float(batch_size)
     working = np.unique(np.concatenate([batch, t[:, :2].ravel()]))
     renumbered = np.column_stack([np.searchsorted(working, t[:, :2]), t[:, 2:]])
-    return working, AnnotationStore(renumbered, working.size, store.n_workers), scale
+    return working, AnnotationStore._of_canonical(renumbered, working.size, store.n_workers), scale

@@ -7,11 +7,12 @@ Cluster posteriors q(z) and latent Gaussians are refined jointly by
 block-coordinate updates that carry pairwise annotation messages.  Inside
 the local step the q(z) probabilities and component logits are stored
 component-major, as (K, n) arrays, so every softmax reduces over axis 0;
-the step takes and returns (n, K) q(z) probabilities.  Each q(x) refresh
-mixes the K component statistics by the q(z) probabilities with one
-matmul on their (K, d*d) view and factors every item's precision once,
-by `nnet.spd_factor`, the package's one Cholesky kernel; `predict` runs
-the same local step over the whole dataset.  Globals (mixing weights,
+the step takes and returns (n, K) q(z) probabilities, and each q(z) pass
+reads the previous pass's probabilities, not their logs.  Each q(x)
+refresh mixes the K component statistics by the q(z) probabilities with
+one matmul on their (K, d*d) view and factors every item's precision
+once, by `nnet.spd_factor`, the package's one Cholesky kernel; `predict`
+runs the same local step over the whole dataset.  Globals (mixing weights,
 components, worker accuracies) follow scaled stochastic natural
 gradients, while the recognition and decoder networks ascend
 reparameterization gradients of the objective through the final latent
@@ -227,21 +228,22 @@ class AnnotationGraph(Sequence):
 
     Built from half-edges: an edge (item, other, weight) for each end of
     every annotation, each item's edges in triple order.  `linked` marks
-    the items with at least one edge.  They are colored greedily in index
-    order: each takes the smallest color that none of its lower-indexed
-    neighbors has.  No edge therefore joins two items of one class, and
-    the lowest linked item is in class 0.  `classes` holds each class as
-    a sorted index array, in color order; `class_edges` holds per class
-    the edges of its items, grouped by item in class order, as
-    (first-edge offsets, other items, weights).  All are fixed at
-    construction.  The graph also reads as a sequence of per-item
-    (other item, weight) lists, which are made on first access.
+    the items with at least one edge, and `free` indexes the others.  The
+    linked items are colored greedily in index order: each takes the
+    smallest color that none of its lower-indexed neighbors has.  No edge
+    therefore joins two items of one class, and the lowest linked item is
+    in class 0.  `classes` holds each class as a sorted index array, in
+    color order; `class_edges` holds per class the edges of its items,
+    grouped by item in class order, as (first-edge offsets, other items,
+    weights).  All are fixed at construction.  The graph also reads as a
+    sequence of per-item (other item, weight) lists, made on first access.
     """
 
     def __init__(self, n_items: int, item, other, weight):
         item = np.asarray(item, dtype=int)
         other = np.asarray(other, dtype=int)
         self.linked = np.bincount(item, minlength=n_items) > 0
+        self.free = np.flatnonzero(~self.linked)
         color = _greedy_colors(n_items, item, other)
         # one stable sort groups the edges by class, then by item, and keeps
         # each item's edges in their given order
@@ -321,40 +323,46 @@ def _log_softmax_columns(x: np.ndarray) -> np.ndarray:
     without scipy's array-API dispatch, which costs more than the
     arithmetic on a working set.  On a (K, n) array every reduction runs
     across the items."""
-    x_max = np.max(x, axis=0, keepdims=True)
+    x_max = np.maximum.reduce(x, axis=0, keepdims=True)
+    if np.isfinite(x_max).all():  # every column sums at least exp(0): no log(0)
+        tmp = x - x_max
+        return tmp - np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
     x_max[~np.isfinite(x_max)] = 0
     tmp = x - x_max
     with np.errstate(divide="ignore"):
-        return tmp - np.log(np.sum(np.exp(tmp), axis=0, keepdims=True))
+        return tmp - np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
 
 
-def update_local_z(base_logits, neighbors, log_resp) -> tuple[np.ndarray, np.ndarray]:
+def update_local_z(base_logits, neighbors, resp) -> tuple[np.ndarray, np.ndarray]:
     """One pass of coordinate refreshes on every q(z_i).
 
-    Component-major: base_logits, log_resp and both results are (K, n).
-    base_logits holds E[log pi] plus the component brackets.  Returns
-    the new log q(z) probabilities and their exponentials.  When the graph
-    links no item, the pass is one softmax over the whole array.
-    Otherwise the unlinked items update in one shot, then the linked items
-    one color class of the annotation graph at a time, in color order,
-    each class seeing the freshest q(z) probabilities of the classes before
-    it.  No edge joins two items of one class, so refreshing a class at
-    once equals refreshing its items one after another: the pass is exact
-    coordinate ascent, visiting the items in class order.  `neighbors` is
-    the working set's AnnotationGraph.
+    Component-major: base_logits, resp and both results are (K, n).
+    base_logits holds E[log pi] plus the component brackets, and resp the
+    previous pass's q(z) probabilities, read only as messages; the pass
+    updates a copy.  Returns the new log q(z) probabilities and their
+    exponentials.  When the graph links no item, the pass is one softmax
+    over the whole array.  Otherwise the unlinked items update in one
+    shot, then the linked items one color class of the annotation graph at
+    a time, in color order, each class seeing the freshest q(z)
+    probabilities of the classes before it.  No edge joins two items of
+    one class, so refreshing a class at once equals refreshing its items
+    one after another: the pass is exact coordinate ascent, visiting the
+    items in class order.  `neighbors` is the working set's AnnotationGraph.
     """
     base = np.asarray(base_logits, dtype=float)
     if not neighbors.classes:
         out = _log_softmax_columns(base)
         return out, np.exp(out)
-    out = np.array(log_resp, dtype=float)
-    free = ~neighbors.linked
-    out[:, free] = _log_softmax_columns(base[:, free])
-    resp = np.exp(out)
+    out = np.empty(base.shape)
+    resp = np.array(resp, dtype=float)
+    lr = _log_softmax_columns(base[:, neighbors.free])
+    out[:, neighbors.free] = lr
+    resp[:, neighbors.free] = np.exp(lr)
     for idx, (starts, other, weight) in zip(neighbors.classes, neighbors.class_edges):
         messages = np.add.reduceat(resp[:, other] * weight, starts, axis=1)
-        out[:, idx] = _log_softmax_columns(base[:, idx] + messages)
-        resp[:, idx] = np.exp(out[:, idx])
+        lr = _log_softmax_columns(base[:, idx] + messages)
+        out[:, idx] = lr
+        resp[:, idx] = np.exp(lr)
     return out, resp
 
 
@@ -372,23 +380,22 @@ def block_coordinate_local(
     returned q(z) probabilities.  The annotation graph is built and colored
     once per call; every q(z) pass then refreshes the unlinked items
     together and the linked items one color class at a time, in color
-    order.  Items of one class share no edge, so each pass is exact
-    coordinate ascent in that item order and the surrogate ELBO cannot
-    decrease along the sweeps.  The q(z) probabilities are held
+    order, from the last pass's probabilities.  Items of one class share
+    no edge, so each pass is exact coordinate ascent in that item order
+    and the surrogate ELBO cannot decrease along the sweeps.  q(z) is held
     component-major, (K, n), up to the transpose on exit.
     """
     n = potential.n_items
-    if sweeps < 1:
-        raise ValueError("sweeps must be at least 1")
+    check_count("sweeps", sweeps, 1)
     exps = global_expectations(glob)
     K = exps.log_pi.shape[0]
-    log_resp = np.full((K, n), -math.log(K))
+    resp = np.exp(np.full((K, n), -math.log(K)))
     log_pi = exps.log_pi[:, None]
     neighbors = annotation_graph(store, glob.workers, n)
-    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(np.exp(log_resp).T, exps, potential)
+    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp.T, exps, potential)
     for _ in range(sweeps):
         base = log_pi + component_logits(exps, x_mean, x_cov)
-        log_resp, resp = update_local_z(base, neighbors, log_resp)
+        log_resp, resp = update_local_z(base, neighbors, resp)
         x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp.T, exps, potential)
     return LocalVariational(np.ascontiguousarray(log_resp.T), x_h, x_j, x_mean, x_cov, x_logdet)
 

@@ -509,6 +509,44 @@ def test_sample_annotation_minibatch_renumbers_onto_working_set_positions():
     assert local.triples.tolist() == [[0, 2, 0, 1], [0, 3, 1, 1], [1, 3, 0, 1], [2, 3, 1, 0]]
 
 
+@pytest.mark.parametrize("batch_size", [True, 2.5, 2.0, 0])
+def test_sample_annotation_minibatch_names_a_bad_batch_size(batch_size):
+    store = AnnotationStore([(0, 1, 0, 1), (0, 2, 0, 0), (1, 2, 0, 1)], 3, 1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^batch_size"):
+        sample_annotation_minibatch(store, np.array([0]), batch_size, rng)
+    _, sample, scale = sample_annotation_minibatch(store, np.array([0]), np.int64(2), rng)
+    assert sample.n_annotations == 2 and scale == 1.5
+
+
+def random_canonical_store(rng, n_items=20, n_workers=4, n_pairs=25) -> AnnotationStore:
+    """A store built from triples in random orientation and order; pair
+    (2, 9) is labelled by every worker."""
+    labels = {(2, 9, m): int(rng.integers(2)) for m in range(n_workers)}
+    while len(labels) < n_pairs + n_workers - 1:
+        i, j = sorted(rng.choice(n_items, size=2, replace=False).tolist())
+        labels[i, j, int(rng.integers(n_workers))] = int(rng.integers(2))
+    triples = [(j, i, m, y) if rng.random() < 0.5 else (i, j, m, y)
+               for (i, j, m), y in labels.items()]
+    return AnnotationStore([triples[k] for k in rng.permutation(len(triples))], n_items, n_workers)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_store_is_already_canonical(seed):
+    """The sample skips the store's checks; validating it again changes nothing."""
+    rng = np.random.default_rng(seed)
+    stores = [random_canonical_store(rng), AnnotationStore([], 20, 4)]
+    assert np.sum(np.all(stores[0].triples[:, :2] == [2, 9], axis=1)) == 4
+    for store in stores:
+        for batch_size in (1, 7, max(store.n_annotations, 1), store.n_annotations + 5):
+            batch = rng.choice(20, size=5, replace=False)
+            _, sample, _ = sample_annotation_minibatch(store, batch, batch_size, rng)
+            again = AnnotationStore(sample.triples, sample.n_items, sample.n_workers)
+            assert again.triples.dtype == sample.triples.dtype
+            assert np.array_equal(again.triples, sample.triples)
+            assert sample.triples.dtype.kind == "i" and not sample.triples.flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sample_annotation_minibatch_takes_the_selected_triples(seed):
     rng = np.random.default_rng(seed)

@@ -307,15 +307,15 @@ def test_symmetric_items_get_uniform_responsibilities():
     glob = scalar_glob([2.0, 2.0], [comp, comp])
     exps = global_expectations(glob)
     base = exps.log_pi[:, None] + component_logits(exps, np.array([[0.7]]), np.array([[[0.5]]]))
-    out, _ = update_local_z(base, AnnotationGraph(1, [], [], []), np.full((2, 1), -math.log(2.0)))
+    out, _ = update_local_z(base, AnnotationGraph(1, [], [], []), np.full((2, 1), 0.5))
     assert np.allclose(np.exp(out), 0.5, atol=1e-12)
 
 
 def test_point_mass_neighbor_message_shifts_one_coordinate():
     base = np.array([[0.3, -0.2], [0.0, 0.0]])
-    log_resp = np.log(np.array([[0.5, 0.5], [1e-300, 1.0]]))
+    resp = np.array([[0.5, 0.5], [0.0, 1.0]])
     neighbors = AnnotationGraph(2, [0, 1], [1, 0], [math.log(9.0)] * 2)
-    out = update_local_z(base.T, neighbors, log_resp.T)[0].T
+    out = update_local_z(base.T, neighbors, resp.T)[0].T
     expected = log_softmax(base[0] + math.log(9.0) * np.array([0.0, 1.0]))
     assert np.allclose(out[0], expected, atol=1e-12)
 
@@ -397,7 +397,8 @@ def test_class_update_equals_sequential_updates_in_class_order(seed):
     log_resp = log_softmax(rng.normal(size=(store.n_items, K), scale=2.0), axis=-1)
     order = np.concatenate(graph.classes)
     expected = sequential_local_z(base, graph, log_resp, order)
-    assert np.max(np.abs(update_local_z(base.T, graph, log_resp.T)[0].T - expected)) < 1e-12
+    out = update_local_z(base.T, graph, np.exp(log_resp.T))[0].T
+    assert np.max(np.abs(out - expected)) < 1e-12
     # the visiting order matters, so the comparison above is not vacuous
     by_index = sequential_local_z(base, graph, log_resp, np.sort(order))
     assert np.max(np.abs(by_index - expected)) > 1e-6
@@ -555,9 +556,24 @@ def test_component_major_local_z_equals_the_row_major_reference(case):
     assert np.max(np.abs(logits.T - expected_logits)) <= 1e-12 * np.max(np.abs(expected_logits))
     base = rng.normal(size=(n_items, K), scale=2.0)
     log_resp = log_softmax(rng.normal(size=(n_items, K), scale=2.0), axis=-1)
-    out, resp = update_local_z(base.T, graph, log_resp.T)
+    out, resp = update_local_z(base.T, graph, np.exp(log_resp.T))
     assert np.max(np.abs(out.T - update_local_z_rows(base, graph, log_resp))) < 1e-12
     assert np.array_equal(resp, np.exp(out))
+
+
+def test_update_local_z_leaves_the_callers_probabilities_unchanged():
+    """The pass updates a copy class by class; the array passed in keeps
+    every entry, on a graph with several classes and some unlinked items."""
+    rng = np.random.default_rng(4)
+    store = random_annotations(rng)
+    graph = annotation_graph(store, random_workers(rng, store.n_workers), store.n_items)
+    assert len(graph.classes) >= 3 and graph.free.size > 0
+    base = rng.normal(size=(4, store.n_items), scale=2.0)
+    resp = np.exp(log_softmax(rng.normal(size=(4, store.n_items), scale=2.0), axis=0))
+    before = resp.copy()
+    _, updated = update_local_z(base, graph, resp)
+    assert np.array_equal(resp, before)
+    assert not np.any(np.all(updated == before, axis=0))  # every item moved
 
 
 def test_predict_equals_the_argmax_of_the_row_major_local_step():
@@ -590,7 +606,7 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     local = block_coordinate_local(glob, pot, store, sweeps=2)
     base = exps.log_pi[:, None] + component_logits(exps, local.x_mean, local.x_cov)
     graph = annotation_graph(store, glob.workers, 3)
-    updated = update_local_z(base, graph, local.log_resp.T)[0].T
+    updated = update_local_z(base, graph, local.resp.T)[0].T
 
     # item 0 updates first, so its refresh uses exactly the input state
     def surrogate_at(t: float) -> float:
@@ -612,10 +628,11 @@ def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
     exps = global_expectations(glob)
     graph = annotation_graph(store, glob.workers, pot.n_items)
     log_resp = np.ascontiguousarray(local.log_resp.T)
-    x = update_local_x(np.exp(log_resp).T, exps, pot)
+    resp = np.exp(log_resp)
+    x = update_local_x(resp.T, exps, pot)
     for _ in range(sweeps):
         base = exps.log_pi[:, None] + component_logits(exps, x[2], x[3])
-        log_resp, resp = update_local_z(base, graph, log_resp)
+        log_resp, resp = update_local_z(base, graph, resp)
         x = update_local_x(resp.T, exps, pot)
     return LocalVariational(np.ascontiguousarray(log_resp.T), *x)
 
@@ -637,6 +654,28 @@ def test_block_coordinate_runs_every_sweep_past_convergence(monkeypatch):
     )
     block_coordinate_local(glob, pot, store, sweeps=80)
     assert len(calls) == 80
+
+
+@pytest.mark.parametrize("sweeps", [True, 2.0, 0])
+def test_block_coordinate_names_a_bad_sweep_count(sweeps):
+    glob, store, pot = grid_instance()
+    with pytest.raises(ValueError, match="^sweeps"):
+        block_coordinate_local(glob, pot, store, sweeps=sweeps)
+    assert np.array_equal(
+        block_coordinate_local(glob, pot, store, sweeps=np.int64(2)).log_resp,
+        block_coordinate_local(glob, pot, store, sweeps=2).log_resp,
+    )
+
+
+def test_resumed_local_step_equals_the_uninterrupted_one():
+    """Checks that resume_local hands update_local_z probabilities: 3 sweeps
+    resumed for 4 more equal 7 sweeps to the last bit.  Passing the log
+    probabilities instead moves item 0 of this instance by 0.15."""
+    glob, store, pot = grid_instance()
+    resumed = resume_local(glob, pot, store, local_after(glob, pot, store, 3), sweeps=4)
+    straight = local_after(glob, pot, store, 7)
+    for field in ("log_resp", "x_h", "x_j", "x_mean", "x_cov", "x_logdet"):
+        assert np.array_equal(getattr(resumed, field), getattr(straight, field)), field
 
 
 def test_block_coordinate_reaches_a_fixed_point():
@@ -1237,6 +1276,21 @@ def test_log_softmax_columns_equals_scipy_exactly(seed):
     x[2, 4] = np.inf
     x[1, 5] = np.nan
     assert np.array_equal(_log_softmax_columns(x), log_softmax(x, axis=0), equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_softmax_columns_equals_scipy_exactly_on_finite_blocks_of_either_layout(seed):
+    """All-finite operands take the path without the non-finite guard, and
+    raise no warning.  A fancy column gather is F-ordered, a sum of blocks
+    C-ordered; numpy reduces the two in different orders."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((15, 40)) * 10.0 ** rng.uniform(-2, 3, size=(1, 40))
+    gathered = x[:, rng.permutation(40)[:25]]
+    assert gathered.flags.f_contiguous and not gathered.flags.c_contiguous
+    summed = gathered + rng.standard_normal(gathered.shape)
+    assert summed.flags.c_contiguous
+    for operand in (x, gathered, summed):
+        assert np.array_equal(_log_softmax_columns(operand), log_softmax(operand, axis=0))
 
 
 # History and sha256 of the sorted-key model JSON of a 2-epoch run on
