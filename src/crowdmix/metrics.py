@@ -70,8 +70,8 @@ def worker_weight_recovery(estimated, true) -> float:
     """Spearman rank correlation between estimated and true worker weights.
 
     Either argument may be a weight array or anything with the worker
-    protocol's `log_stats()`: a `BetaWorkers` posterior, the amortized
-    trainer's `PointParams`, or the true `data.WorkerPool`.
+    protocol's `log_stats()`: the `BetaWorkers` posterior either trainer
+    learns, or the true `data.WorkerPool`.
     """
     est = _as_weights(estimated)
     ref = _as_weights(true)

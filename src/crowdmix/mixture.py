@@ -1,11 +1,11 @@
 """Latent Gaussian-mixture globals.
 
 Conjugate priors (Dirichlet over mixing weights, one shared NIW over
-every component's mean and covariance, Beta(1, 1) on every worker
-accuracy), fixed by K, d and the Dirichlet's alpha0; the variational
-posterior over the globals, one record per family; and its
-natural-gradient steps: a minibatch gives a target record eta_hat per
-family, the prior plus the scaled expected statistics, and a step of
+every component's mean and covariance), fixed by K, d and the
+Dirichlet's alpha0; the workers' Beta(1, 1) is `relational.WORKER_PRIOR`.
+The variational posterior over the globals, one record per family; and
+its natural-gradient steps: a minibatch gives a target record eta_hat
+per family, the prior plus the scaled expected statistics, and a step of
 size rho moves each record eta to (1 - rho) eta + rho eta_hat, at
 rho = 1 the textbook conjugate posterior.
 """
@@ -36,20 +36,20 @@ from .relational import BetaWorkers
 # S0 = (d + KAPPA0) I and nu0 = d + KAPPA0.
 KAPPA0 = 0.5
 
-# Both accuracy posteriors of every worker start at Beta(*WORKER_INIT).
-WORKER_INIT = (10.0, 1.0)
+# Size of every natural-gradient step of the global records, the worker
+# posteriors of both trainers among them.
+GLOBAL_STEP = 0.05
 
 
 class MixturePrior:
-    """Conjugate prior for a K-component latent Gaussian mixture in R^d and
-    its workers, fixed but for alpha0 (0.05 / K unless given).
+    """Conjugate prior for a K-component latent Gaussian mixture in R^d,
+    fixed but for alpha0 (0.05 / K unless given).
 
-    Dirichlet(alpha0, ..., alpha0) over the mixing weights, the same
+    Dirichlet(alpha0, ..., alpha0) over the mixing weights and the same
     NIW(0, KAPPA0, (d + KAPPA0) I, d + KAPPA0) over each component's
-    (mu, Sigma) and Beta(1, 1) on each worker's two accuracies.  Each
-    family's prior is one record, built once here: `pi_nat()`, `niw_nat()`
-    and `worker_nat()`, a Beta record of batch shape (2,) that broadcasts
-    over the workers.  `BayesConfig` checks K and d.
+    (mu, Sigma).  Each family's prior is one record, built once here:
+    `pi_nat()` and `niw_nat()`; the workers' is `relational.WORKER_PRIOR`.
+    `BayesConfig` checks K and d.
     """
 
     def __init__(self, n_components: int, latent_dim: int, alpha0: float | None = None):
@@ -59,7 +59,6 @@ class MixturePrior:
         self._pi_nat = DirichletNat.from_alpha(np.full(K, alpha0))
         s0 = (d + KAPPA0) * np.eye(d)
         self._niw_nat = NiwNat.from_standard(np.zeros(d), KAPPA0, s0, d + KAPPA0)
-        self._worker_nat = DirichletNat(np.zeros((2, 2)))
 
     def pi_nat(self) -> DirichletNat:
         return self._pi_nat
@@ -67,13 +66,9 @@ class MixturePrior:
     def niw_nat(self) -> NiwNat:
         return self._niw_nat
 
-    def worker_nat(self) -> DirichletNat:
-        return self._worker_nat
-
 
 # JSON keys of one component's natural parameters, in NiwNat field order.
 _NIW_KEYS = ("h1", "h2", "h3", "h4")
-_WORKER_KEYS = ("alpha_taus", "beta_taus")  # the workers' (M, 2) Beta parameters
 NO_WORKERS = BetaWorkers(np.zeros((0, 2, 2)))  # the Beta record of zero workers
 
 
@@ -110,16 +105,15 @@ class GlobalVariational:
         return {
             "pi_eta": self.pi.eta.tolist(),
             "components": [dict(zip(_NIW_KEYS, row)) for row in rows],
-            "workers": {key: getattr(self.workers, key).tolist() for key in _WORKER_KEYS},
+            "workers": self.workers.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GlobalVariational":
-        """Globals from a `to_dict` document; an older document's null or
-        missing workers load as zero workers.  Mixing-weight parameters out
-        of the Dirichlet domain, components whose S is not positive
-        definite, and worker tau arrays that are not (M, 2) or not
-        positive fail here with a ValueError that names the field."""
+        """Globals from a `to_dict` document, the workers by
+        `BetaWorkers.from_dict`.  Mixing-weight parameters out of the
+        Dirichlet domain and components whose S is not positive definite
+        fail here with a ValueError that names the field."""
         try:
             pi = DirichletNat(np.array(doc["pi_eta"], dtype=float))
         except ValueError as err:
@@ -129,17 +123,7 @@ class GlobalVariational:
             comps.scale_factor()  # recovers nu and S and factors S
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ValueError(f"components: {err}") from err
-        workers = doc.get("workers") or dict.fromkeys(_WORKER_KEYS, [])  # older documents: null
-        taus = [np.array(workers[key], dtype=float) for key in _WORKER_KEYS]
-        for key, t in zip(_WORKER_KEYS, taus):
-            if t.size and (t.ndim != 2 or t.shape[1] != 2):
-                raise ValueError(f"workers.{key} has shape {t.shape}, need (M, 2)")
-            if len(t) != len(taus[0]):
-                raise ValueError(f"workers.{key} has {len(t)} rows, alpha_taus {len(taus[0])}")
-            # the Beta domain, eta = tau - 1 > -1, checked per key before stacking
-            if not np.all(np.isfinite(t) & (t - 1.0 > -1.0)):
-                raise ValueError(f"workers.{key} entries must be finite and positive")
-        return cls(pi, comps, BetaWorkers.from_taus(*taus))
+        return cls(pi, comps, BetaWorkers.from_dict(doc.get("workers")))
 
 
 class GlobalExpectations(NamedTuple):
@@ -169,16 +153,15 @@ def init_global(
 
     Mixing-weight concentrations start uniform on (1, 2); component
     locations are zero-mean Gaussian draws with standard deviation
-    sqrt(3), each with kappa = 1, S = (d + 1) I and nu = d + 1;
-    both posteriors of every worker start at Beta(*WORKER_INIT).
+    sqrt(3), each with kappa = 1, S = (d + 1) I and nu = d + 1; the
+    workers start at `BetaWorkers.init`.
     """
     K, d = prior.n_components, prior.latent_dim
     pi = DirichletNat.from_alpha(rng.uniform(1.0, 2.0, size=K))
     components = NiwNat.from_standard(
         math.sqrt(3.0) * rng.standard_normal((K, d)), 1.0, (d + 1.0) * np.eye(d), d + 1.0
     )
-    workers = BetaWorkers(np.tile(np.subtract(WORKER_INIT, 1.0), (n_workers, 2, 1)))
-    return GlobalVariational(pi, components, workers)
+    return GlobalVariational(pi, components, BetaWorkers.init(n_workers))
 
 
 # ---------------------------------------------------------------------------

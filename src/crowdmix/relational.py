@@ -12,18 +12,17 @@ of a triple is the "unobserved" indicator state.
 
 Worker accuracies enter through one protocol: an object whose
 `log_stats()` returns a numpy array of (M, 4) rows (log a, log(1-a),
-log b, log(1-b)), as expectations for the Beta posteriors of
-`BetaWorkers`.  Those posteriors are one two-state Dirichlet record of
-batch shape (M, 2), q(alpha_m) then q(beta_m) in row m; their prior,
-Beta(1, 1) on every accuracy, is `mixture.MixturePrior.worker_nat()`, and
-`beta_natural_gradient` returns the minibatch target record they step to.
-The point providers are `scdc.PointParams` (the amortized trainer's
-logits) and `data.WorkerPool` (the simulator's true accuracies).  One
-function, `expected_rel_loglik`, gives the expected two-coin
-log-likelihood to both trainers, on the `nnet` tape: the Bayesian
-trainer passes the rows as numpy constants, the amortized one as a
-tensor of its worker logits.  The Bayesian message weights come from
-the same per-triple terms, its confusion counts from the same p_same.
+log b, log(1-b)).  It has two providers.  `BetaWorkers`, the posterior
+both trainers learn, is one two-state Dirichlet record of batch shape
+(M, 2), q(alpha_m) then q(beta_m) in row m, whose rows are expectations;
+it starts at Beta(*WORKER_INIT), its prior is WORKER_PRIOR, Beta(1, 1) on
+every accuracy, and `beta_natural_gradient` returns the minibatch target
+record it steps to.  `data.WorkerPool` holds the simulator's true
+accuracies.  One function, `expected_rel_loglik`, gives the expected
+two-coin log-likelihood to both trainers, on the `nnet` tape: the worker
+rows enter as numpy constants, the amortized trainer's q(z) as a tensor.
+The Bayesian message weights come from the same per-triple terms, the
+confusion counts of both trainers from the same p_same.
 """
 
 from __future__ import annotations
@@ -124,6 +123,13 @@ class AnnotationStore:
 # worker accuracies: Beta posteriors
 
 
+# Both accuracy posteriors of every worker start at Beta(*WORKER_INIT).
+WORKER_INIT = (10.0, 1.0)
+# One worker's prior record, Beta(1, 1) on both accuracies, batch shape (2,).
+WORKER_PRIOR = DirichletNat(np.zeros((2, 2)))
+_TAU_KEYS = ("alpha_taus", "beta_taus")  # the document keys of the (M, 2) Beta parameters
+
+
 class BetaWorkers(DirichletNat):
     """Beta posteriors of every worker as one two-state Dirichlet record of
     batch shape (M, 2), eta (M, 2, 2): row m holds q(alpha_m), then
@@ -133,6 +139,11 @@ class BetaWorkers(DirichletNat):
         super().__post_init__()
         if self.eta.shape[1:] != (2, 2):
             raise ValueError(f"BetaWorkers needs an eta of shape (M, 2, 2), got {self.eta.shape}")
+
+    @classmethod
+    def init(cls, n_workers: int) -> "BetaWorkers":
+        """Both posteriors of every worker at Beta(*WORKER_INIT)."""
+        return cls(np.tile(np.subtract(WORKER_INIT, 1.0), (n_workers, 2, 1)))
 
     @classmethod
     def from_taus(cls, alpha_taus, beta_taus) -> "BetaWorkers":
@@ -155,6 +166,33 @@ class BetaWorkers(DirichletNat):
     def log_stats(self) -> np.ndarray:
         """(M, 4) rows of (E log a, E log(1-a), E log b, E log(1-b))."""
         return dirichlet_expected_stats(self).reshape(-1, 4)
+
+    def to_dict(self) -> dict:
+        return {key: getattr(self, key).tolist() for key in _TAU_KEYS}
+
+    @classmethod
+    def from_dict(cls, doc: dict | None) -> "BetaWorkers":
+        """Posteriors from a `to_dict` document, the `workers` key of a model
+        document; null, which older documents hold or their missing key
+        gives, loads as zero workers.  Tau arrays that are ragged, not
+        (M, 2) or not positive fail with a ValueError that names
+        `workers.<key>`."""
+        doc = doc or dict.fromkeys(_TAU_KEYS, [])
+        taus = []
+        for key in _TAU_KEYS:
+            try:
+                t = np.array(doc[key], dtype=float)
+                if t.size and (t.ndim != 2 or t.shape[1] != 2):
+                    raise ValueError(f"shape {t.shape}, need (M, 2)")
+                if taus and len(t) != len(taus[0]):
+                    raise ValueError(f"{len(t)} rows, alpha_taus {len(taus[0])}")
+                # the Beta domain, eta = tau - 1 > -1, checked per key before stacking
+                if not np.all(np.isfinite(t) & (t - 1.0 > -1.0)):
+                    raise ValueError("entries must be finite and positive")
+            except ValueError as err:
+                raise ValueError(f"workers.{key}: {err}") from err
+            taus.append(t)
+        return cls.from_taus(*taus)
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +252,25 @@ def expected_rel_loglik(store: AnnotationStore, q_z, log_stats, scale: float = 1
 
 
 def beta_natural_gradient(
-    store: AnnotationStore, q_z: np.ndarray, prior: DirichletNat, scale: float = 1.0
+    store: AnnotationStore, q_z: np.ndarray, scale: float = 1.0
 ) -> BetaWorkers:
-    """Minibatch target of the worker Beta posteriors: the prior plus the
+    """Minibatch target of the worker Beta posteriors: WORKER_PRIOR plus the
     (scaled) expected confusion counts, counting each canonical i < j
     triple once.
 
     Triple t adds the row A p_same + B = (L p, (1-L) p, (1-L)(1-p),
     L (1-p)) to its worker's counts, the gradient of its expected
-    log-likelihood in log_stats.  `prior` is one worker's Beta record,
-    batch shape (2,), broadcast over the store's workers.  The natural
-    gradient at posteriors eta is the target's eta minus eta.  p_same
-    lies in [0, 1], so the target is always a valid record.
+    log-likelihood in log_stats.  The prior record broadcasts over the
+    store's workers.  The natural gradient at posteriors eta is the
+    target's eta minus eta.  p_same lies in [0, 1], so the target is always
+    a valid record.
     """
     p = _same_cluster_prob(store, q_z).data[:, None]
     labels, flipped = store.triples[:, 3:].astype(float), 1.0 - store.triples[:, 3:]
     counts = np.zeros((store.n_workers, 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
     np.add.at(counts, store.triples[:, 2], rows)
-    return BetaWorkers(prior.eta + scale * counts.reshape(-1, 2, 2))
+    return BetaWorkers(WORKER_PRIOR.eta + scale * counts.reshape(-1, 2, 2))
 
 
 def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch_size: int, rng):

@@ -1,25 +1,28 @@
 """Amortized stochastic-gradient variant.
 
 Encoder networks produce the cluster posterior q(z|o) and the
-per-cluster latent posterior q(x|z,o); mixing weights, component
-Gaussians and worker accuracies are deterministic points optimized
-jointly with the networks by stochastic gradient ascent of the evidence
-lower bound, one Adam optimizer over every parameter.  The discrete cluster
-sum is carried analytically: every item is paired with every component
-in one stacked item-major batch (row i*K + k is item i under component
-k) that goes through the latent encoder and the decoder once, with one
+per-cluster latent posterior q(x|z,o); mixing weights and component
+Gaussians are deterministic points optimized jointly with the networks
+by stochastic gradient ascent of the evidence lower bound, one Adam
+optimizer over every tape parameter.  The discrete cluster sum is
+carried analytically: every item is paired with every component in one
+stacked item-major batch (row i*K + k is item i under component k) that
+goes through the latent encoder and the decoder once, with one
 reparameterized latent draw per row.  Annotations enter through the
 closed-form expectation of the two-coin worker likelihood over pairs of
 cluster posteriors, `relational.expected_rel_loglik`, with the worker
-rows built on the tape from the point logits.  `ScdcModel` holds the
-point parameters and the three networks; `driver.fit` runs the minibatch
-loop; `train_scdc` supplies the parameters and the step.
+rows of the Beta posteriors as constants.  The worker accuracies are the
+Bayesian trainer's `relational.BetaWorkers` record: after each Adam step
+it moves by `mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s
+target for the update's q(z).  `ScdcModel` holds the point parameters,
+the workers and the three networks; `driver.fit` runs the minibatch loop;
+`train_scdc` supplies the parameters and the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_softmax as np_log_softmax
@@ -28,6 +31,7 @@ from .data import Dataset, minibatch_iterator
 from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp
 from .driver import load_field, training_store
 from .metrics import clustering_accuracy, nmi
+from .mixture import GLOBAL_STEP
 from .nnet import (
     Adam,
     Mlp,
@@ -41,34 +45,27 @@ from .nnet import (
     parameter,
     reparameterize,
     reshape,
-    softplus,
     take_rows,
     tensor_sum,
     zero_grads,
 )
-from .relational import AnnotationStore, expected_rel_loglik, sample_annotation_minibatch
+from .relational import AnnotationStore, BetaWorkers, beta_natural_gradient
+from .relational import expected_rel_loglik, sample_annotation_minibatch
 
-# worker_logits @ SIGNS = (l_a, -l_a, l_b, -l_b), whose log sigmoids are log_stats
-SIGNS = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+_POINT_KEYS = ("pi_logits", "means", "log_vars")  # PointParams' fields and document keys
 
 
 @dataclass
 class PointParams:
-    """Deterministic mixture and worker parameters, stored as logits.
-
-    Mixing weights live as unnormalized logits, component Gaussians as
-    means and diagonal log-variances, worker accuracies as a logit pair
-    per worker (sensitivity, specificity).  Every derived quantity is a
-    proper probability by construction.
-    """
+    """Deterministic mixture parameters: mixing weights as unnormalized
+    logits, component Gaussians as means and diagonal log-variances."""
 
     pi_logits: Tensor     # (K,)
     means: Tensor         # (K, d)
     log_vars: Tensor      # (K, d)
-    worker_logits: Tensor  # (M, 2)
 
     def __post_init__(self):
-        for name in ("pi_logits", "means", "log_vars", "worker_logits"):
+        for name in _POINT_KEYS:
             value = getattr(self, name)
             if not np.all(np.isfinite(value.data)):
                 raise ValueError(f"{name} must be finite")
@@ -78,25 +75,14 @@ class PointParams:
             raise ValueError("means and log_vars must share their shape")
         if self.means.data.shape[0] != self.pi_logits.data.shape[0]:
             raise ValueError("component count mismatch between pi_logits and means")
-        if self.worker_logits.data.ndim != 2 or self.worker_logits.data.shape[1] != 2:
-            raise ValueError("worker_logits must be (M, 2)")
 
     @classmethod
-    def init(
-        cls,
-        n_components: int,
-        latent_dim: int,
-        n_workers: int,
-        rng: np.random.Generator,
-    ) -> "PointParams":
-        """Uniform mixing weights, means drawn N(0, 3 I), unit variances,
-        and worker accuracies sampled uniformly on (0, 1)."""
-        u = rng.uniform(1e-3, 1.0 - 1e-3, size=(n_workers, 2))
+    def init(cls, n_components: int, latent_dim: int, rng: np.random.Generator) -> "PointParams":
+        """Uniform mixing weights, means drawn N(0, 3 I), unit variances."""
         return cls(
             pi_logits=parameter(np.zeros(n_components)),
             means=parameter(math.sqrt(3.0) * rng.standard_normal((n_components, latent_dim))),
             log_vars=parameter(np.zeros((n_components, latent_dim))),
-            worker_logits=parameter(np.log(u / (1.0 - u))),
         )
 
     @property
@@ -107,46 +93,20 @@ class PointParams:
     def latent_dim(self) -> int:
         return self.means.data.shape[1]
 
-    @property
-    def n_workers(self) -> int:
-        return self.worker_logits.data.shape[0]
-
     def parameters(self) -> list:
-        return [self.pi_logits, self.means, self.log_vars, self.worker_logits]
+        return [getattr(self, key) for key in _POINT_KEYS]
 
     def pi(self) -> np.ndarray:
         return np.exp(np_log_softmax(self.pi_logits.data))
 
-    def log_stats_tensor(self) -> Tensor:
-        """(M, 4) rows (log a, log(1-a), log b, log(1-b)) on the tape."""
-        return -softplus(-(self.worker_logits @ SIGNS))
-
-    def log_stats(self) -> np.ndarray:
-        """The worker protocol of `relational`: `log_stats_tensor` as an array."""
-        return self.log_stats_tensor().data
-
     def to_dict(self) -> dict:
-        return {
-            "pi_logits": self.pi_logits.data.tolist(),
-            "means": self.means.data.tolist(),
-            "log_vars": self.log_vars.data.tolist(),
-            "worker_logits": self.worker_logits.data.tolist(),
-        }
+        return {key: getattr(self, key).data.tolist() for key in _POINT_KEYS}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PointParams":
-        """Parameters from a `to_dict` document; `worker_logits` must be (M, 2)."""
-        worker_logits = np.asarray(doc["worker_logits"], dtype=float)
-        if worker_logits.shape == (0,):   # to_dict writes no workers as []
-            worker_logits = worker_logits.reshape(0, 2)
-        if worker_logits.ndim != 2 or worker_logits.shape[1] != 2:
-            raise ValueError(f"worker_logits has shape {worker_logits.shape}, need (M, 2)")
-        return cls(
-            pi_logits=parameter(np.asarray(doc["pi_logits"], dtype=float)),
-            means=parameter(np.asarray(doc["means"], dtype=float)),
-            log_vars=parameter(np.asarray(doc["log_vars"], dtype=float)),
-            worker_logits=parameter(worker_logits),
-        )
+        """Parameters from a `to_dict` document; older documents' worker
+        logits are ignored."""
+        return cls(*(parameter(np.asarray(doc[key], dtype=float)) for key in _POINT_KEYS))
 
 
 def elbo_local(
@@ -202,38 +162,40 @@ def elbo_local(
     return total * scale
 
 
-def elbo_rel(store: AnnotationStore, q_z: Tensor, point: PointParams, scale: float):
+def elbo_rel(store: AnnotationStore, q_z: Tensor, workers: BetaWorkers, scale: float):
     """Annotation-term ELBO: closed-form pair expectation per triple.
 
     `relational.expected_rel_loglik` of the cluster posteriors `q_z`,
-    aligned with the store's item indexing, and of the point workers'
-    log_stats rows built on the tape, so the gradient reaches both the
-    cluster encoder and the worker logits.  `scale` carries the Na/|S|
-    subsample correction.
+    aligned with the store's item indexing, and of the workers' log_stats
+    rows as constants, so the gradient reaches the cluster encoder only.
+    `scale` carries the Na/|S| subsample correction.
     """
-    return expected_rel_loglik(store, q_z, point.log_stats_tensor(), scale)
+    return expected_rel_loglik(store, q_z, workers.log_stats(), scale)
 
 
 @dataclass(frozen=True)
 class ScdcConfig(TrainConfig):
     """Settings for the amortized stochastic-gradient training loop: the
     shared `driver.TrainConfig`, with nothing added.  Adam steps the point
-    parameters too.  Fixed values: each update makes one reparameterized
-    latent draw per (item, component), component means start N(0, 3 I),
-    and the log-variance heads are clipped to `driver.LOGVAR_CLAMP`."""
+    mixture too, not the workers.  Fixed values: each update makes one
+    reparameterized latent draw per (item, component), component means
+    start N(0, 3 I), the log-variance heads are clipped to
+    `driver.LOGVAR_CLAMP`, and the workers start and step as the Bayesian
+    trainer's do."""
 
 
 @dataclass
 class ScdcModel:
-    """Trained state: point parameters and three networks.
+    """Trained state: point parameters, worker posteriors and three networks.
 
     `encoder_z` maps an observation to cluster logits, `encoder_x` a
     (one-hot cluster, observation) row to a diagonal Gaussian over the
     latent code, and `decoder` a latent code to a diagonal Gaussian over
-    the observation.
+    the observation.  `predict` does not read the workers.
     """
 
     point: PointParams
+    workers: BetaWorkers
     encoder_z: Mlp
     encoder_x: Mlp
     decoder: Mlp
@@ -266,6 +228,7 @@ class ScdcModel:
     def to_dict(self) -> dict:
         return {
             "point": self.point.to_dict(),
+            "workers": self.workers.to_dict(),
             "encoder_z": self.encoder_z.state_dict(),
             "encoder_x": self.encoder_x.state_dict(),
             "decoder": self.decoder.state_dict(),
@@ -273,8 +236,11 @@ class ScdcModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScdcModel":
+        """Model from a `to_dict` document.  An older document, with worker
+        logits in `point` and no `workers`, loads with zero workers."""
         return cls(
-            point=PointParams.from_dict(doc["point"]),
+            point=load_field(doc, "point", PointParams.from_dict),
+            workers=BetaWorkers.from_dict(doc.get("workers")),
             encoder_z=load_field(doc, "encoder_z", Mlp.from_state),
             encoder_x=load_field(doc, "encoder_x", Mlp.from_state),
             decoder=load_field(doc, "decoder", Mlp.from_state),
@@ -290,14 +256,17 @@ def train_scdc(
     """Stochastic gradient ascent of the amortized lower bound.
 
     Each update builds the scaled data and annotation ELBO terms on one
-    tape and steps every parameter (point mixture, point workers, both
-    encoders, decoder) along the gradient; `driver.fit` runs the loop.
+    tape, steps every tape parameter (point mixture, both encoders,
+    decoder) along the gradient with Adam, then moves the worker record by
+    GLOBAL_STEP toward `beta_natural_gradient`'s target for the working
+    set's q(z), as the Bayesian trainer does; `driver.fit` runs the loop.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
     k_comp, d = config.n_components, config.latent_dim
     model = ScdcModel(
-        point=PointParams.init(k_comp, d, store.n_workers, rng),
+        point=PointParams.init(k_comp, d, rng),
+        workers=BetaWorkers.init(store.n_workers),
         encoder_z=Mlp([dataset.dim, *config.hidden], {"logits": k_comp}, rng),
         encoder_x=gaussian_mlp([k_comp + dataset.dim, *config.hidden], d, rng),
         decoder=gaussian_mlp([d, *config.hidden], dataset.dim, rng),
@@ -315,17 +284,21 @@ def train_scdc(
                 update.data_scale, update.kl_weight,
             )
             q_working = exp(log_softmax(logits, axis=-1))
-            total = total + elbo_rel(update.store, q_working, model.point, update.rel_scale)
+            total = total + elbo_rel(update.store, q_working, model.workers, update.rel_scale)
         backward(tape, total)
         # step before the tape is freed: the other order lets glibc trim and re-fault its memory
         opt.step()
         zero_grads(params)
+        target = beta_natural_gradient(update.store, q_working.data, scale=update.rel_scale)
+        eta = model.workers.eta
+        model.workers = BetaWorkers(eta + GLOBAL_STEP * (target.eta - eta))
         return float(total.data)
 
     return fit(
         dataset, store, config, rng,
         params=params,
-        model=lambda: model,
+        # a copy, so that a divergence returns the last finished epoch's workers
+        model=lambda: replace(model),
         step=step,
         minibatch_iterator=minibatch_iterator,
         sample_annotation_minibatch=sample_annotation_minibatch,

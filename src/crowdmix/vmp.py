@@ -36,6 +36,7 @@ from .driver import load_field, training_store
 from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
+    GLOBAL_STEP,
     GlobalExpectations,
     GlobalVariational,
     MixturePrior,
@@ -66,6 +67,7 @@ from .nnet import (
     zero_grads,
 )
 from .relational import (
+    WORKER_PRIOR,
     AnnotationStore,
     beta_natural_gradient,
     expected_rel_loglik,
@@ -82,9 +84,7 @@ PRECISION_FLOOR = 1e-4
 INIT_POTENTIAL_PRECISION = 200.0
 INIT_POTENTIAL_SPREAD = 1.0
 
-# Size of every natural-gradient step of the globals, and the number of
 # q(z) / q(x) rounds of each local step, in training and in `predict`.
-GLOBAL_STEP = 0.05
 LOCAL_SWEEPS = 4
 
 
@@ -437,12 +437,13 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
     """KL(q || p) summed over mixing weights, workers and components.
 
     Each posterior record is paired with its prior record: `pi_nat()`,
-    `worker_nat()` (Beta(1, 1) on every accuracy) and `niw_nat()`.  Each
-    pair contributes <eta_q - eta_p, E_q t> - (log Z_q - log Z_p), summed
-    over the posterior's batch, across which the prior record broadcasts.
+    `relational.WORKER_PRIOR` (Beta(1, 1) on every accuracy) and
+    `niw_nat()`.  Each pair contributes <eta_q - eta_p, E_q t> -
+    (log Z_q - log Z_p), summed over the posterior's batch, across which
+    the prior record broadcasts.
     """
     # the worker Betas are two-state Dirichlets; zero workers add nothing
-    dirichlets = [(glob.pi, prior.pi_nat()), (glob.workers, prior.worker_nat())]
+    dirichlets = [(glob.pi, prior.pi_nat()), (glob.workers, WORKER_PRIOR)]
     niw0, comps = prior.niw_nat(), glob.components
     stats = niw_expected_stats(comps)
     brackets = [(q.eta - p0.eta, dirichlet_expected_stats(q)) for q, p0 in dirichlets] + [
@@ -495,14 +496,15 @@ class BayesConfig(TrainConfig):
     optimizer steps both networks, along a gradient estimated from one
     reparameterized latent draw per batch item.  Fixed values:
 
-    - the global step size `GLOBAL_STEP`, 0.05, and `LOCAL_SWEEPS`, 4
+    - the global step size `mixture.GLOBAL_STEP`, 0.05, and `LOCAL_SWEEPS`, 4
       local q(z) / q(x) rounds per working set;
     - the prior (`MixturePrior`): alpha0 = 0.05 / K, m0 = 0, kappa0 = 0.5
       (`mixture.KAPPA0`), S0 = (d + kappa0) I and nu0 = d + kappa0, and
-      Beta(1, 1) on both accuracies of every worker;
+      Beta(1, 1) on both accuracies of every worker
+      (`relational.WORKER_PRIOR`);
     - the initial globals (`init_global`): component locations drawn
       N(0, 3 I), each with kappa = 1, and worker posteriors at
-      Beta(*`mixture.WORKER_INIT`), Beta(10, 1);
+      Beta(*`relational.WORKER_INIT`), Beta(10, 1);
     - the initial evidence potentials: precision 200
       (INIT_POTENTIAL_PRECISION) and spread 1 (INIT_POTENTIAL_SPREAD);
     - the decoder's log-variance head is clipped to
@@ -630,7 +632,7 @@ def train_bayes_scdc(
                 prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
             )
             target = replace(target, workers=beta_natural_gradient(
-                local_store, resp, prior.worker_nat(), scale=update.rel_scale
+                local_store, resp, scale=update.rel_scale
             ))
             new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
             noise = rng.standard_normal((update.batch.size, d))

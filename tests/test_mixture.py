@@ -25,7 +25,7 @@ from crowdmix.mixture import (
     mixture_natural_gradient,
 )
 from crowdmix.nnet import TrainingDivergence
-from crowdmix.relational import AnnotationStore, BetaWorkers, beta_natural_gradient
+from crowdmix.relational import WORKER_PRIOR, AnnotationStore, BetaWorkers, beta_natural_gradient
 
 
 def _conjugate_posterior(prior, q_z, means, covs):
@@ -226,9 +226,7 @@ def test_worker_gradient_application_reaches_count_fixed_point():
     current = init_global(prior, rng, n_workers=1)
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     q_z = np.array([[1.0, 0.0], [1.0, 0.0]])  # certainly the same cluster
-    target = dataclasses.replace(
-        current, workers=beta_natural_gradient(store, q_z, prior.worker_nat())
-    )
+    target = dataclasses.replace(current, workers=beta_natural_gradient(store, q_z))
     updated = apply_natural_gradient(current, target, step=1.0)
     np.testing.assert_allclose(updated.workers.alpha_taus[0], [2.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(updated.workers.beta_taus[0], [1.0, 1.0], atol=1e-12)
@@ -305,7 +303,7 @@ def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
     scale = rng.uniform(1.0, 10.0)
     target = dataclasses.replace(
         mixture_natural_gradient(prior, q_z, means, covs, scale=scale),
-        workers=beta_natural_gradient(store, q_z, prior.worker_nat(), scale=rng.uniform(1.0, 10.0)),
+        workers=beta_natural_gradient(store, q_z, scale=rng.uniform(1.0, 10.0)),
     )
     # the target is a valid record of each family: the constructors checked
     # the Dirichlet and Beta domains and kappa, this checks nu and S
@@ -353,7 +351,6 @@ def test_prior_records_are_built_once():
     prior = MixturePrior(4, 2)
     assert prior.pi_nat() is prior.pi_nat()
     assert prior.niw_nat() is prior.niw_nat()
-    assert prior.worker_nat() is prior.worker_nat()
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +367,8 @@ def test_default_prior_values():
             assert np.array_equal(getattr(prior.niw_nat(), f), getattr(niw, f))
         alpha = np.full(k, 0.05 / k if alpha0 is None else alpha0)
         assert np.array_equal(prior.pi_nat().eta, DirichletNat.from_alpha(alpha).eta)
-        assert np.array_equal(prior.worker_nat().eta, np.zeros((2, 2)))
         assert (prior.n_components, prior.latent_dim) == (k, d)
+    assert np.array_equal(WORKER_PRIOR.eta, np.zeros((2, 2)))
 
 
 def test_init_global_distributions_and_determinism():

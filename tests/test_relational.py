@@ -6,7 +6,7 @@ from oracles import annotation_log_likelihood, select_triples
 
 from crowdmix.data import WorkerPool
 from crowdmix.expfam import DirichletNat, dirichlet_expected_stats
-from crowdmix.mixture import MixturePrior
+from crowdmix.nnet import constant
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
@@ -15,11 +15,9 @@ from crowdmix.relational import (
     expected_worker_weights,
     sample_annotation_minibatch,
 )
-from crowdmix.scdc import PointParams
 from crowdmix.vmp import annotation_graph
 
 LN9 = np.log(9.0)
-WORKER_PRIOR = MixturePrior(2, 1).worker_nat()  # Beta(1, 1) on both accuracies
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +339,10 @@ def test_expected_rel_loglik_matches_brute_force():
         value = rel_loglik(store, q, posts)
         assert abs(value - _brute_force_rel(store, q, posts)) < 1e-10
 
-        # the amortized trainer's point workers, their rows built on the tape
-        point = PointParams.init(k, 2, m_workers, np.random.default_rng(trial))
-        value = float(expected_rel_loglik(store, q, point.log_stats_tensor()).data)
-        assert abs(value - _brute_force_rel(store, q, point)) < 1e-10
+        # the amortized trainer's path: its starting workers, q(z) on the tape
+        start = BetaWorkers.init(m_workers)
+        value = float(expected_rel_loglik(store, constant(q), start.log_stats()).data)
+        assert abs(value - _brute_force_rel(store, q, start)) < 1e-10
 
 
 @pytest.mark.parametrize("rows", [2, 7])
@@ -366,7 +364,7 @@ def uniform_workers(n_workers: int) -> BetaWorkers:
 
 def test_beta_gradient_empty_store_fixed_point():
     store = AnnotationStore([], 3, 2)
-    target = beta_natural_gradient(store, np.full((3, 2), 0.5), WORKER_PRIOR)
+    target = beta_natural_gradient(store, np.full((3, 2), 0.5))
     assert isinstance(target, BetaWorkers) and target.n_workers == 2
     # the target is the prior, so the gradient at the prior vanishes
     assert np.allclose(target.eta - uniform_workers(2).eta, 0.0)
@@ -375,7 +373,7 @@ def test_beta_gradient_empty_store_fixed_point():
 def test_beta_gradient_true_positive_count():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    target = beta_natural_gradient(store, q, WORKER_PRIOR)
+    target = beta_natural_gradient(store, q)
     grad = target.eta - uniform_workers(1).eta
     assert np.allclose(grad[0, 0], [1.0, 0.0])
     assert np.allclose(grad[0, 1], [0.0, 0.0])
@@ -388,7 +386,7 @@ def test_beta_gradient_true_negative_count():
     store = AnnotationStore([(0, 1, 0, 0)], 2, 1)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     at_fix = BetaWorkers.from_taus([(1.0, 1.0)], [(2.0, 1.0)])
-    target = beta_natural_gradient(store, q, WORKER_PRIOR)
+    target = beta_natural_gradient(store, q)
     assert target.eta.shape == (1, 2, 2)
     assert target.alpha_taus.shape == target.beta_taus.shape == (1, 2)
     assert np.allclose(target.eta - at_fix.eta, 0.0)
@@ -398,7 +396,7 @@ def test_beta_gradient_true_negative_count():
 def test_beta_gradient_names_a_q_z_of_another_height(rows):
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
     with pytest.raises(ValueError, match="q_z"):
-        beta_natural_gradient(store, np.full((rows, 2), 0.5), WORKER_PRIOR)
+        beta_natural_gradient(store, np.full((rows, 2), 0.5))
 
 
 def reference_log_stats(alpha_taus, beta_taus) -> np.ndarray:
@@ -444,7 +442,7 @@ def test_stacked_workers_equal_the_per_coin_formulas_bit_for_bit(seed, n_workers
     store = AnnotationStore(triples, n_items, n_workers)
     q = rng.dirichlet(np.ones(k), size=n_items)
     # the gradient is the target minus the posteriors, as the step takes it
-    grad = beta_natural_gradient(store, q, WORKER_PRIOR, scale=2.5).eta - workers.eta
+    grad = beta_natural_gradient(store, q, scale=2.5).eta - workers.eta
     grad_a, grad_b = reference_beta_gradient(store, q, alpha_taus, beta_taus, 2.5)
     assert grad.shape == (n_workers, 2, 2)
     assert np.array_equal(grad[:, 0], grad_a) and np.array_equal(grad[:, 1], grad_b)

@@ -16,6 +16,8 @@ from scipy.special import log_softmax as np_log_softmax
 from crowdmix import scdc
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.driver import LOGVAR_CLAMP
+from crowdmix.metrics import worker_weight_recovery
+from crowdmix.mixture import GLOBAL_STEP
 from crowdmix.nnet import (
     Mlp,
     Tape,
@@ -32,7 +34,12 @@ from crowdmix.nnet import (
     tensor_sum,
     zero_grads,
 )
-from crowdmix.relational import AnnotationStore, BetaWorkers, expected_rel_loglik
+from crowdmix.relational import (
+    AnnotationStore,
+    BetaWorkers,
+    beta_natural_gradient,
+    expected_rel_loglik,
+)
 from crowdmix.scdc import (
     PointParams,
     ScdcConfig,
@@ -88,11 +95,12 @@ def z_logits(model, obs):
 
 def make_model(k_comp, rng, n_workers=3, hidden=(8,)):
     """Point parameters away from their initial values, and small networks."""
-    point = PointParams.init(k_comp, LATENT, n_workers, rng)
+    point = PointParams.init(k_comp, LATENT, rng)
     point.pi_logits.data[:] = rng.standard_normal(k_comp)
     point.log_vars.data[:] = rng.normal(-1.0, 1.5, size=(k_comp, LATENT))
     return ScdcModel(
         point=point,
+        workers=BetaWorkers.init(n_workers),
         encoder_z=Mlp([DIM, *hidden], {"logits": k_comp}, rng),
         encoder_x=Mlp(
             [k_comp + DIM, *hidden], {"mean": LATENT, "logvar": LATENT}, rng,
@@ -231,45 +239,24 @@ def test_elbo_rel_against_triple_enumeration():
     rng = np.random.default_rng(41)
     n_items, n_workers = 9, 4
     store = random_store(rng, n_items, n_workers, 25)
-    point = PointParams.init(3, LATENT, n_workers, rng)
-    point.worker_logits.data[:] = 2.0 * rng.standard_normal((n_workers, 2))
+    workers = BetaWorkers.from_taus(*rng.uniform(0.5, 20, (2, n_workers, 2)))
     q = np.exp(np_log_softmax(rng.standard_normal((n_items, 3)), axis=1))
-    log_stats = point.log_stats()   # (log a, log 1-a, log b, log 1-b)
+    log_stats = workers.log_stats()   # (log a, log 1-a, log b, log 1-b)
     expected = enumerate_triples(store, q, log_stats)
-    value = elbo_rel(store, constant(q), point, 2.5)
+    value = elbo_rel(store, constant(q), workers, 2.5)
     assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
 
-    # the numpy worker providers through the same function
-    for workers in (
-        WorkerPool(rng.uniform(0.05, 1.0, n_workers), rng.uniform(0.05, 1.0, n_workers)),
-        BetaWorkers.from_taus(*rng.uniform(0.5, 20, (2, n_workers, 2))),
-    ):
-        value = expected_rel_loglik(store, q, workers.log_stats(), 2.5)
-        expected = enumerate_triples(store, q, workers.log_stats())
-        assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
-
-
-def point_log_stats_reference(logits: np.ndarray) -> np.ndarray:
-    """(log a, log(1-a), log b, log(1-b)) rows of sigmoid accuracies, in numpy."""
-    log_acc = -np.logaddexp(0.0, -logits)    # log sigmoid
-    log_miss = -np.logaddexp(0.0, logits)    # log (1 - sigmoid)
-    return np.stack([log_acc[:, 0], log_miss[:, 0], log_acc[:, 1], log_miss[:, 1]], axis=1)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_point_log_stats_equal_the_numpy_reference_bit_for_bit(seed):
-    rng = np.random.default_rng(seed)
-    point = PointParams.init(2, LATENT, 6, rng)
-    point.worker_logits.data[:] *= 10.0 ** rng.uniform(-3, 1.5, size=(6, 2))
-    point.worker_logits.data[0] = 0.0
-    point.worker_logits.data[1] = [800.0, -800.0]
-    assert np.array_equal(point.log_stats(), point_log_stats_reference(point.worker_logits.data))
+    # the simulator's true workers through the same function
+    pool = WorkerPool(rng.uniform(0.05, 1.0, n_workers), rng.uniform(0.05, 1.0, n_workers))
+    value = expected_rel_loglik(store, q, pool.log_stats(), 2.5)
+    expected = enumerate_triples(store, q, pool.log_stats())
+    assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
 
 
 def test_elbo_rel_without_annotations_is_zero():
-    point = PointParams.init(2, LATENT, 0, np.random.default_rng(0))
     store = AnnotationStore([], n_items=3, n_workers=0)
-    assert float(elbo_rel(store, constant(np.full((3, 2), 0.5)), point, 1.0).data) == 0.0
+    value = elbo_rel(store, constant(np.full((3, 2), 0.5)), BetaWorkers.init(0), 1.0)
+    assert float(value.data) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +308,13 @@ def test_elbo_rel_gradient_finite_differences():
     rng = np.random.default_rng(61)
     n_items, n_workers = 7, 3
     store = random_store(rng, n_items, n_workers, 15)
-    point = PointParams.init(3, LATENT, n_workers, rng)
+    workers = BetaWorkers.from_taus(*rng.uniform(0.5, 20, (2, n_workers, 2)))
     logits = parameter(rng.standard_normal((n_items, 3)))
 
     def build():
-        return elbo_rel(store, exp(log_softmax(logits, axis=-1)), point, 1.5)
+        return elbo_rel(store, exp(log_softmax(logits, axis=-1)), workers, 1.5)
 
     coordinates = [(logits, idx) for idx in np.ndindex(logits.data.shape)]
-    coordinates += [(point.worker_logits, idx) for idx in np.ndindex(point.worker_logits.data.shape)]
     check_finite_differences(lambda: float(build().data), build, coordinates)
 
 
@@ -362,9 +348,9 @@ def test_model_json_round_trip_predicts_the_same(with_annotations):
     dataset, store = small_problem(1, with_annotations)
     result = train_scdc(dataset, store, ScdcConfig(**SMALL), np.random.default_rng(2))
     model = result.model
-    assert model.point.n_workers == (4 if with_annotations else 0)
+    assert model.workers.n_workers == (4 if with_annotations else 0)
     clone = ScdcModel.from_dict(json.loads(json.dumps(model.to_dict())))
-    assert clone.point.worker_logits.data.shape == (model.point.n_workers, 2)
+    assert clone.workers.eta.shape == (model.workers.n_workers, 2, 2)
     assert np.array_equal(clone.predict(dataset.observations), model.predict(dataset.observations))
     for name in ("encoder_z", "encoder_x", "decoder"):
         net, net_clone = getattr(model, name), getattr(clone, name)
@@ -372,16 +358,6 @@ def test_model_json_round_trip_predicts_the_same(with_annotations):
         for head, value in net.forward(x).items():
             assert np.array_equal(net_clone.forward(x)[head].data, value.data)
     assert clone.to_dict() == model.to_dict()
-
-
-@pytest.mark.parametrize(
-    "worker_logits", [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.1, 0.2, 0.3]], ids=["2x3", "length-3"]
-)
-def test_point_params_name_worker_logits_of_another_shape(worker_logits):
-    doc = PointParams.init(2, LATENT, 3, np.random.default_rng(0)).to_dict()
-    doc["worker_logits"] = worker_logits
-    with pytest.raises(ValueError, match="^worker_logits"):
-        PointParams.from_dict(doc)
 
 
 def test_model_document_with_a_non_finite_decoder_bias_does_not_load():
@@ -420,12 +396,28 @@ def test_model_document_with_a_network_of_another_width_does_not_load(
         ScdcModel.from_dict(doc)
 
 
-def _fractional_hidden_width(state):
-    state["sizes"][1] = 8.5
+def _fractional_hidden_width(doc):
+    doc["encoder_z"]["sizes"][1] = 8.5
 
 
-def _no_logits_bias(state):
-    del state["head_biases"]["logits"]
+def _no_logits_bias(doc):
+    del doc["encoder_z"]["head_biases"]["logits"]
+
+
+def _ragged_point_means(doc):
+    doc["point"]["means"][1] = [0.5]
+
+
+def _nan_point_means(doc):
+    doc["point"]["means"][0][1] = float("nan")
+
+
+def _wide_worker_taus(doc):
+    doc["workers"]["alpha_taus"] = [[9.0, 1.0, 1.0]] * 3
+
+
+def _ragged_worker_taus(doc):
+    doc["workers"]["beta_taus"][0] = [9.0]
 
 
 @pytest.mark.parametrize(
@@ -433,14 +425,36 @@ def _no_logits_bias(state):
     [
         (_fractional_hidden_width, "encoder_z: sizes[1] must be an integer"),
         (_no_logits_bias, "encoder_z: head_biases['logits'] has no saved array"),
+        (_ragged_point_means, "point: setting an array element with a sequence"),
+        (_nan_point_means, "point: means must be finite"),
+        (_wide_worker_taus, "workers.alpha_taus: shape (3, 3), need (M, 2)"),
+        (_ragged_worker_taus, "workers.beta_taus: setting an array element with a sequence"),
     ],
-    ids=["fractional-size", "missing-head-bias"],
+    ids=[
+        "fractional-size", "missing-head-bias", "ragged-means", "nan-means", "alpha-taus-width",
+        "ragged-beta-taus",
+    ],
 )
 def test_model_document_names_a_network_that_cannot_load(corrupt, message):
+    """A network, the point parameters or the workers that cannot load
+    fail naming their field."""
     doc = json.loads(json.dumps(make_model(3, np.random.default_rng(0)).to_dict()))
-    corrupt(doc["encoder_z"])
+    corrupt(doc)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         ScdcModel.from_dict(doc)
+
+
+def test_an_older_document_with_worker_logits_loads_with_zero_workers():
+    """Documents written before the workers were a Beta record hold
+    `point.worker_logits` and no `workers`; they predict as before."""
+    dataset, store = small_problem(1)
+    model = train_scdc(dataset, store, ScdcConfig(**SMALL), np.random.default_rng(2)).model
+    doc = json.loads(json.dumps(model.to_dict()))
+    del doc["workers"]
+    doc["point"]["worker_logits"] = [[0.3, -1.2]] * model.workers.n_workers
+    older = ScdcModel.from_dict(doc)
+    assert older.workers.eta.shape == (0, 2, 2)
+    assert np.array_equal(older.predict(dataset.observations), model.predict(dataset.observations))
 
 
 def test_divergence_restores_last_epoch_snapshot(monkeypatch):
@@ -567,20 +581,61 @@ def test_dataset_of_one_item_trains():
     assert len(result.history) == 1 and not result.diverged
 
 
+def test_an_update_steps_the_workers_toward_the_working_set_target(monkeypatch):
+    """One update (the batch is the whole dataset) moves the worker record
+    from its start by GLOBAL_STEP toward beta_natural_gradient's target for
+    the q(z) the annotation term saw, bit for bit."""
+    dataset, store = small_problem(3)
+    seen = []
+
+    def recording(update_store, q_z, workers, scale):
+        seen.append((update_store, q_z.data.copy(), workers, scale))
+        return elbo_rel(update_store, q_z, workers, scale)
+
+    monkeypatch.setattr(scdc, "elbo_rel", recording)
+    config = ScdcConfig(**{**SMALL, "epochs": 1, "batch_size": dataset.n_items})
+    result = train_scdc(dataset, store, config, np.random.default_rng(5))
+    [(update_store, q_z, workers, scale)] = seen
+    start = BetaWorkers.init(store.n_workers)
+    assert np.array_equal(workers.eta, start.eta)
+    assert q_z.shape == (update_store.n_items, SMALL["n_components"])
+    target = beta_natural_gradient(update_store, q_z, scale=scale)
+    want = start.eta + GLOBAL_STEP * (target.eta - start.eta)
+    assert np.array_equal(result.model.workers.eta, want)
+    assert not np.array_equal(want, start.eta)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_training_ranks_a_mixed_pool_of_workers(seed):
+    """Good (0.95), spamming (0.5) and adversarial (0.2) workers: the
+    learned vote weights rank the three groups apart."""
+    rng = np.random.default_rng(seed)
+    dataset = pinwheel_generate(4, 30, rng=rng)
+    accuracy = np.repeat([0.95, 0.5, 0.2], [4, 3, 3])
+    pool = WorkerPool(accuracy, accuracy)
+    store = simulate_annotations(dataset, pool, 80, dataset.n_items, rng)
+    config = ScdcConfig(**{**SMALL, "batch_size": 30, "epochs": 10})
+    result = train_scdc(dataset, store, config, rng)
+    assert worker_weight_recovery(result.model.workers, pool.weights) >= 0.9
+
+
 # History and sha256 of the sorted-key model JSON of a 2-epoch run on
 # small_problem(0), recorded with one cluster-encoder pass per update over
-# the working set and the annotation term from relational.expected_rel_loglik
-# (numpy 2.4.6, OpenBLAS, x86-64; another BLAS may change the last bits).
-# The current code must reproduce them bit for bit.
+# the working set, the annotation term from relational.expected_rel_loglik,
+# and the workers as a BetaWorkers record that starts at Beta(10, 1) and
+# steps by GLOBAL_STEP after each Adam step; the worker logits, and their
+# uniform draw from the training generator, are gone (numpy 2.4.6,
+# OpenBLAS, x86-64; another BLAS may change the last bits).  The current
+# code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
-            {"epoch": 0, "objective": -260.0935834531627, "effective_k": 4,
-             "accuracy": 0.7333333333333333, "nmi": 0.7089943690268218},
-            {"epoch": 1, "objective": -257.1720801131327, "effective_k": 4,
-             "accuracy": 0.6666666666666666, "nmi": 0.7611702597222879},
+            {"epoch": 0, "objective": -308.85493261456776, "effective_k": 4,
+             "accuracy": 1.0, "nmi": 1.0},
+            {"epoch": 1, "objective": -296.4245425169092, "effective_k": 4,
+             "accuracy": 0.9833333333333333, "nmi": 0.9393655163762187},
         ],
-        "58f5b48792ae27ac142a02ee977c00711342a60a16c61e8246c5a14313c258ff",
+        "ee04ba6ef60dc1200e006c1fc9a6ff73090905efcf775c8c0fa2d59f3fd757c9",
     ),
 }
 

@@ -736,7 +736,7 @@ def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     for _ in range(5):
         target = replace(
             mixture_natural_gradient(prior, local.resp, local.x_mean, local.x_cov, scale=1.0),
-            workers=beta_natural_gradient(store, local.resp, prior.worker_nat()),
+            workers=beta_natural_gradient(store, local.resp),
         )
         glob = apply_natural_gradient(glob, target, 1.0)
         new_value = surrogate_elbo(glob, prior, local, pot, store)
