@@ -25,7 +25,9 @@ SCRIPT_KEYS = {"seeds": 10, "annotated": 1, "quiet": 0}
 
 def run(seed: int, annotated: bool, config: BayesConfig):
     """Train on one seed; the scores are those of the last finished epoch,
-    nan when no epoch finished."""
+    nan when no epoch finished.  `obj` is that epoch's history objective:
+    the mean of its updates' minibatch estimates, less the KL of the
+    epoch's global posteriors from their prior."""
     rng = np.random.default_rng(seed)
     dataset = pinwheel_generate(5, 100, rng=rng)
     store = None

@@ -7,7 +7,8 @@ on; without annotations, the store is empty and the working set is the
 batch.  `fit` owns the epochs and minibatches, the annotation sample and
 working set with the scales that restore full-data magnitudes, the
 warmup ramp of the latent KL weight, the per-epoch snapshot that a
-divergence restores, and the history rows.  A trainer builds its
+divergence restores, and the history rows, whose objective subtracts the
+model's global KL once per epoch.  A trainer builds its
 parameters and its `training_store` and hands `fit` one step function
 per update.  Both trainer configs derive `TrainConfig`; `gaussian_mlp`
 builds their Gaussian heads.
@@ -136,20 +137,26 @@ def fit(
     nmi,
 ) -> TrainResult:
     """Run `config.epochs` epochs, calling `step` once per update; it
-    returns the update's objective estimate.
+    returns the update's minibatch estimate of the objective without the
+    KL of the global posteriors from their prior.
 
     `store` is the trainer's `training_store`.  `model()` builds the
     trained state from the current parameters, before training and after
-    each finished epoch; it has `predict(observations)` and
+    each finished epoch; it has `predict(observations)`,
     `effective_k(threshold)`, the number of mixing weights above
-    min(0.5, 2 / N).  A `TrainingDivergence` or `LinAlgError` from an
-    update or from predicting with the epoch's model, a non-finite
-    estimate, or non-finite parameters at the end of an epoch stop
-    training and restore `params` (tape tensors) to the last finished
-    epoch; an epoch is finished once its model has predicted.  Each value
-    is checked where it is made: `Mlp.forward` checks every network
-    output, `Adam.step` every gradient, `mixture` every global target and
-    global step, and this loop alone checks the estimate `step` returns.
+    min(0.5, 2 / N), and `global_kl()`, that KL.  An epoch's history
+    `objective` is the mean of its updates' estimates minus the
+    `global_kl()` of its model, taken once per epoch.  A
+    `TrainingDivergence` or `LinAlgError` from an update or from
+    predicting with the epoch's model, a non-finite estimate, non-finite
+    parameters at the end of an epoch, or a non-finite epoch objective
+    stop training and restore `params` (tape tensors) to the last
+    finished epoch; an epoch is finished once its model has predicted and
+    its objective is finite.  Each value is checked where it is made:
+    `Mlp.forward` checks every network output, `Adam.step` every
+    gradient, `mixture` every global target and global step, and this
+    loop alone checks each estimate `step` returns, as it returns, and
+    each epoch's objective, beside the epoch's prediction.
     The last four arguments are the trainer module's own names, so that
     hooks patched on that module see every call.  `rng` is drawn from in
     a fixed order: the batch permutation, then per update the annotation
@@ -192,6 +199,9 @@ def fit(
                 raise TrainingDivergence("non-finite parameters")
             finished = model()
             predicted = finished.predict(obs)
+            objective = float(np.mean(estimates)) - finished.global_kl()
+            if not np.isfinite(objective):
+                raise TrainingDivergence("non-finite epoch objective")
         except (TrainingDivergence, np.linalg.LinAlgError):
             for p, saved in zip(params, snapshot):
                 p.data = saved
@@ -200,7 +210,7 @@ def fit(
         snapshot = [p.data.copy() for p in params]
         record = {
             "epoch": epoch,
-            "objective": float(np.mean(estimates)),
+            "objective": objective,
             "effective_k": current.effective_k(threshold),
         }
         if dataset.labels is not None:

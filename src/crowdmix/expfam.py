@@ -26,7 +26,8 @@ expectation, log partition and domain check below works over the batch
 at once; an unbatched record has batch shape ().
 
 Log partitions drop additive constants that do not depend on eta; the
-gradient identity above holds exactly for the expressions used here.
+gradient identity above holds exactly for the expressions used here,
+and `kl_divergence` of two records of one family needs no constant.
 
 Records are immutable: their arrays are read-only and an update builds
 a new record.  So everything derived from a record is computed once per
@@ -256,3 +257,27 @@ def _niw_log_partition(p: NiwNat) -> np.ndarray:
         + multivariate_gammaln(nu / 2.0, d)
         - d / 2.0 * np.log(kappa)
     )
+
+
+# ---------------------------------------------------------------------------
+# divergences
+
+
+def kl_divergence(q, p0) -> float:
+    """KL(q || p0) summed over q's batch, across which the record p0 of
+    the same family broadcasts: <eta_q - eta_p0, E_q t> - (log Z(eta_q) -
+    log Z(eta_p0)).  A record of an empty batch gives 0."""
+    if isinstance(q, DirichletNat):
+        brackets = [(q.eta - p0.eta, dirichlet_expected_stats(q))]
+    elif isinstance(q, NiwNat):
+        stats = niw_expected_stats(q)
+        brackets = [
+            (q.h1 - p0.h1, stats.mean_prec),
+            (q.h2 - p0.h2, stats.neg_half_prec),
+            (q.h3 - p0.h3, stats.neg_half_mahal),
+            (q.h4 - p0.h4, stats.neg_half_logdet),
+        ]
+    else:
+        raise TypeError(f"unsupported family: {type(q).__name__}")
+    inner = sum(np.sum(diff * expected) for diff, expected in brackets)
+    return float(inner - np.sum(log_partition(q) - log_partition(p0)))

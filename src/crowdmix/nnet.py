@@ -53,8 +53,9 @@ def _current_tape():
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when a network output, a gradient, an objective estimate or
-    a global step stops being finite or valid."""
+    """Raised when a network output, a gradient, an update's objective
+    estimate, an epoch's objective (`driver.fit`) or a global step stops
+    being finite or valid."""
 
 
 def check_count(name: str, value, least: int) -> None:

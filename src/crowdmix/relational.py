@@ -18,11 +18,14 @@ both trainers learn, is one two-state Dirichlet record of batch shape
 it starts at Beta(*WORKER_INIT), its prior is WORKER_PRIOR, Beta(1, 1) on
 every accuracy, and `beta_natural_gradient` returns the minibatch target
 record it steps to.  `data.WorkerPool` holds the simulator's true
-accuracies.  One function, `expected_rel_loglik`, gives the expected
-two-coin log-likelihood to both trainers, on the `nnet` tape: the worker
-rows enter as numpy constants, the amortized trainer's q(z) as a tensor.
-The Bayesian message weights come from the same per-triple terms, the
-confusion counts of both trainers from the same p_same.
+accuracies.  The per-triple terms (`two_coin_terms`) and the expected
+confusion counts (`confusion_counts`) are numpy arrays.
+`expected_rel_loglik` gives the amortized trainer the expected two-coin
+log-likelihood on the `nnet` tape, its q(z) a tensor and the worker rows
+constants.  That likelihood is linear in the worker rows: its value is
+the sum of log_stats times the confusion counts, which is how the
+Bayesian trainer reads it off the counts its worker target is built
+from.  The Bayesian message weights come from the same per-triple terms.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import DirichletNat, dirichlet_expected_stats
-from .nnet import Tensor, as_tensor, check_count, mul, reshape, take_rows, tensor_sum
+from .nnet import Tensor, as_tensor, check_count, constant, mul, take_rows, tensor_sum
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -212,64 +215,78 @@ _CONTRASTS = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, -1], [0, 0, 1, 0]],
 _BY_LABEL = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], float)
 
 
-def _worker_contrasts(log_stats) -> Tensor:
+def _worker_contrasts(log_stats: np.ndarray) -> np.ndarray:
     """(M, 4) rows (u, v, s, r) of the (M, 4) log_stats rows."""
-    return (as_tensor(log_stats) @ _DIFFERENCES) @ _CONTRASTS
+    return (log_stats @ _DIFFERENCES) @ _CONTRASTS
 
 
-def _same_cluster_prob(store: AnnotationStore, q_z) -> Tensor:
-    """p_same = sum_k q(z_i=k) q(z_j=k) per stored triple; q_z is (n_items, K)."""
-    q_z = as_tensor(q_z)
-    if q_z.data.ndim != 2 or q_z.data.shape[0] != store.n_items:
-        raise ValueError(f"q_z has shape {q_z.data.shape}, the store needs {store.n_items} rows")
-    t = store.triples
-    return tensor_sum(mul(take_rows(q_z, t[:, 0]), take_rows(q_z, t[:, 1])), axis=-1)
+def _check_q_z(store: AnnotationStore, shape: tuple) -> None:
+    """Name a q_z that is not (n_items, K) for the store's items."""
+    if len(shape) != 2 or shape[0] != store.n_items:
+        raise ValueError(f"q_z has shape {shape}, the store needs {store.n_items} rows")
 
 
-def two_coin_terms(store: AnnotationStore, log_stats) -> tuple[Tensor, Tensor]:
+def two_coin_terms(store: AnnotationStore, log_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per stored triple, w = <ls_m, A> and c = <ls_m, B>: its expected
     log-likelihood is w p_same + c.  w, the gap E log p(L | same) -
     E log p(L | different), weighs the message between q(z_i) and q(z_j)."""
-    table = reshape(_worker_contrasts(log_stats) @ _BY_LABEL, (-1,))  # (M * 4,)
+    table = (_worker_contrasts(log_stats) @ _BY_LABEL).reshape(-1)  # (M * 4,)
     at = 4 * store.triples[:, 2] + store.triples[:, 3]
-    return take_rows(table, at), take_rows(table, at + 2)
+    return table[at], table[at + 2]
 
 
 def expected_worker_weights(workers) -> np.ndarray:
     """Per-worker expected vote weight E[log(a/(1-a))] + E[log(b/(1-b))]."""
-    return _worker_contrasts(workers.log_stats()).data[:, 1]
+    return _worker_contrasts(workers.log_stats())[:, 1]
 
 
-def expected_rel_loglik(store: AnnotationStore, q_z, log_stats, scale: float = 1.0) -> Tensor:
+def expected_rel_loglik(
+    store: AnnotationStore, q_z, log_stats: np.ndarray, scale: float = 1.0
+) -> Tensor:
     """E_q log p(L | Z, alpha, beta) summed over the stored triples, times scale.
 
-    Per triple: w p_same + c, with the terms of `two_coin_terms`.  `q_z`
-    (n_items, K) and `log_stats` (M, 4) may be tape tensors or numpy
-    arrays; arrays enter as constants, so they record no node.
+    Per triple: w p_same + c, with the terms of `two_coin_terms` and
+    p_same = sum_k q(z_i=k) q(z_j=k).  `q_z` (n_items, K) may be a tape
+    tensor or a numpy array; the (M, 4) `log_stats` rows are constants.
+    The value equals scale * sum(log_stats * confusion_counts(store, q_z)).
     """
+    q_z = as_tensor(q_z)
+    _check_q_z(store, q_z.data.shape)
     weight, const = two_coin_terms(store, log_stats)
-    return tensor_sum(mul(weight, _same_cluster_prob(store, q_z)) + const) * scale
+    t = store.triples
+    p_same = tensor_sum(mul(take_rows(q_z, t[:, 0]), take_rows(q_z, t[:, 1])), axis=-1)
+    return tensor_sum(mul(constant(weight), p_same) + const) * scale
 
 
-def beta_natural_gradient(
-    store: AnnotationStore, q_z: np.ndarray, scale: float = 1.0
-) -> BetaWorkers:
-    """Minibatch target of the worker Beta posteriors: WORKER_PRIOR plus the
-    (scaled) expected confusion counts, counting each canonical i < j
+def confusion_counts(store: AnnotationStore, q_z: np.ndarray) -> np.ndarray:
+    """(M, 4) expected confusion counts of the store's workers under the
+    (n_items, K) cluster probabilities q_z, counting each canonical i < j
     triple once.
 
     Triple t adds the row A p_same + B = (L p, (1-L) p, (1-L)(1-p),
-    L (1-p)) to its worker's counts, the gradient of its expected
-    log-likelihood in log_stats.  The prior record broadcasts over the
-    store's workers.  The natural gradient at posteriors eta is the
-    target's eta minus eta.  p_same lies in [0, 1], so the target is always
-    a valid record.
+    L (1-p)) to its worker's row: the gradient of its expected
+    log-likelihood in log_stats, which that likelihood is linear in.  So
+    sum(log_stats * counts) is `expected_rel_loglik` at scale 1.
     """
-    p = _same_cluster_prob(store, q_z).data[:, None]
-    labels, flipped = store.triples[:, 3:].astype(float), 1.0 - store.triples[:, 3:]
+    q_z = np.asarray(q_z, dtype=float)
+    _check_q_z(store, q_z.shape)
+    t = store.triples
+    p = np.sum(q_z[t[:, 0]] * q_z[t[:, 1]], axis=-1)[:, None]
+    labels, flipped = t[:, 3:].astype(float), 1.0 - t[:, 3:]
     counts = np.zeros((store.n_workers, 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
-    np.add.at(counts, store.triples[:, 2], rows)
+    np.add.at(counts, t[:, 2], rows)
+    return counts
+
+
+def beta_natural_gradient(counts: np.ndarray, scale: float = 1.0) -> BetaWorkers:
+    """Minibatch target of the worker Beta posteriors: WORKER_PRIOR plus
+    the scaled (M, 4) `confusion_counts` of the minibatch.
+
+    The prior record broadcasts over the workers.  The natural gradient
+    at posteriors eta is the target's eta minus eta.  The counts are
+    non-negative, so the target is always a valid record.
+    """
     return BetaWorkers(WORKER_PRIOR.eta + scale * counts.reshape(-1, 2, 2))
 
 

@@ -14,7 +14,8 @@ cluster posteriors, `relational.expected_rel_loglik`, with the worker
 rows of the Beta posteriors as constants.  The worker accuracies are the
 Bayesian trainer's `relational.BetaWorkers` record: after each Adam step
 it moves by `mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s
-target for the update's q(z).  `ScdcModel` holds the point parameters,
+target for the update's q(z), and `ScdcModel.global_kl` is its KL from
+`relational.WORKER_PRIOR`.  `ScdcModel` holds the point parameters,
 the workers and the three networks; `driver.fit` runs the minibatch loop;
 `train_scdc` supplies the parameters and the step.
 """
@@ -49,8 +50,9 @@ from .nnet import (
     tensor_sum,
     zero_grads,
 )
-from .relational import AnnotationStore, BetaWorkers, beta_natural_gradient
-from .relational import expected_rel_loglik, sample_annotation_minibatch
+from .expfam import kl_divergence
+from .relational import WORKER_PRIOR, AnnotationStore, BetaWorkers, beta_natural_gradient
+from .relational import confusion_counts, expected_rel_loglik, sample_annotation_minibatch
 
 _POINT_KEYS = ("pi_logits", "means", "log_vars")  # PointParams' fields and document keys
 
@@ -225,6 +227,12 @@ class ScdcModel:
         """Number of point mixing weights above `threshold`."""
         return int(np.sum(self.point.pi() > threshold))
 
+    def global_kl(self) -> float:
+        """KL of the worker record from WORKER_PRIOR, the term of the bound
+        that the worker step ascends with the relational term; the point
+        parameters have no prior."""
+        return kl_divergence(self.workers, WORKER_PRIOR)
+
     def to_dict(self) -> dict:
         return {
             "point": self.point.to_dict(),
@@ -260,6 +268,8 @@ def train_scdc(
     decoder) along the gradient with Adam, then moves the worker record by
     GLOBAL_STEP toward `beta_natural_gradient`'s target for the working
     set's q(z), as the Bayesian trainer does; `driver.fit` runs the loop.
+    Each update returns its scaled ELBO terms, before the worker step;
+    `driver.fit` subtracts `ScdcModel.global_kl` once per epoch.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -289,7 +299,8 @@ def train_scdc(
         # step before the tape is freed: the other order lets glibc trim and re-fault its memory
         opt.step()
         zero_grads(params)
-        target = beta_natural_gradient(update.store, q_working.data, scale=update.rel_scale)
+        counts = confusion_counts(update.store, q_working.data)
+        target = beta_natural_gradient(counts, update.rel_scale)
         eta = model.workers.eta
         model.workers = BetaWorkers(eta + GLOBAL_STEP * (target.eta - eta))
         return float(total.data)

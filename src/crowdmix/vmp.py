@@ -17,6 +17,10 @@ components, worker accuracies) follow scaled stochastic natural
 gradients, while the recognition and decoder networks ascend
 reparameterization gradients of the objective through the final latent
 refresh, whose precisions one `nnet.inverse_cholesky` node factors.
+Each update also returns a minibatch estimate of the objective without
+the globals' KL (`final_objective`), its relational term read off the
+confusion counts that the worker target is built from; `driver.fit`
+subtracts the KL once per epoch, through `BayesModel.global_kl`.
 `driver.fit` runs the minibatch loop; `train_bayes_scdc` supplies the
 parameters and the step.
 """
@@ -33,7 +37,7 @@ import numpy as np
 from .data import Dataset, minibatch_iterator
 from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp
 from .driver import load_field, training_store
-from .expfam import dirichlet_expected_stats, log_partition, niw_expected_stats
+from .expfam import kl_divergence
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
     GLOBAL_STEP,
@@ -70,10 +74,15 @@ from .relational import (
     WORKER_PRIOR,
     AnnotationStore,
     beta_natural_gradient,
-    expected_rel_loglik,
+    confusion_counts,
     sample_annotation_minibatch,
     two_coin_terms,
 )
+
+# No code here calls these two; crowdbench/probes.py times them by patching
+# this module's names, so they stay importable from it.
+from .expfam import niw_expected_stats  # noqa: F401
+from .relational import expected_rel_loglik  # noqa: F401
 
 # Added below -softplus(raw) so evidence precisions stay bounded away
 # from singular even when the raw head saturates at large negatives.
@@ -313,7 +322,7 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     t = store.triples
     if t[:, :2].max() >= n_items:
         raise ValueError("store must be indexed by working-set position")
-    weights = two_coin_terms(store, workers.log_stats())[0].data
+    weights = two_coin_terms(store, workers.log_stats())[0]
     # both ends of each triple in turn, so each item's edges keep triple order
     return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
@@ -438,49 +447,43 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
 
     Each posterior record is paired with its prior record: `pi_nat()`,
     `relational.WORKER_PRIOR` (Beta(1, 1) on every accuracy) and
-    `niw_nat()`.  Each pair contributes <eta_q - eta_p, E_q t> -
-    (log Z_q - log Z_p), summed over the posterior's batch, across which
-    the prior record broadcasts.
+    `niw_nat()`, and contributes its `expfam.kl_divergence`, summed over
+    the posterior's batch, across which the prior record broadcasts.
+    Zero workers add nothing.
     """
-    # the worker Betas are two-state Dirichlets; zero workers add nothing
-    dirichlets = [(glob.pi, prior.pi_nat()), (glob.workers, WORKER_PRIOR)]
-    niw0, comps = prior.niw_nat(), glob.components
-    stats = niw_expected_stats(comps)
-    brackets = [(q.eta - p0.eta, dirichlet_expected_stats(q)) for q, p0 in dirichlets] + [
-        (comps.h1 - niw0.h1, stats.mean_prec),
-        (comps.h2 - niw0.h2, stats.neg_half_prec),
-        (comps.h3 - niw0.h3, stats.neg_half_mahal),
-        (comps.h4 - niw0.h4, stats.neg_half_logdet),
-    ]
-    inner = sum(np.sum(diff * expected) for diff, expected in brackets)
-    families = dirichlets + [(comps, niw0)]
-    log_z = sum(np.sum(log_partition(q) - log_partition(p0)) for q, p0 in families)
-    return float(inner - log_z)
+    return (
+        kl_divergence(glob.pi, prior.pi_nat())
+        + kl_divergence(glob.workers, WORKER_PRIOR)
+        + kl_divergence(glob.components, prior.niw_nat())
+    )
 
 
 def final_objective(
-    glob: GlobalVariational,
-    prior: MixturePrior,
     local: LocalVariational,
     exps: GlobalExpectations,
     data: float,
-    store: AnnotationStore,
+    log_stats: np.ndarray,
+    counts: np.ndarray,
     data_scale: float = 1.0,
     rel_scale: float = 1.0,
     rows=None,
 ) -> float:
-    """Estimate of the training objective from its data term.
+    """Minibatch estimate of the training objective less `global_kl`:
+    data_scale * (data - local KL) + rel_scale * sum(log_stats * counts).
 
     `data` is the expected data log-likelihood of the items in `rows`:
-    the decoder's reconstruction, or a stand-in for it.
-    `exps` are the expectations of `glob`.  `rows` restricts the local
-    KL the same way, e.g. to the data minibatch inside a larger working
-    set; `store`, indexed like `local`, may be empty.  Scales restore
-    full-data magnitudes from minibatches.  The estimate may come out
-    non-finite; `driver.fit` checks what the step returns.
+    the decoder's reconstruction, or a stand-in for it.  `exps` are the
+    expectations of the globals.  `rows` restricts the local KL the same
+    way, e.g. to the data minibatch inside a larger working set.
+    `counts` are the `confusion_counts` of the sampled annotations under
+    `local`'s q(z), and `log_stats` the globals' (M, 4) worker rows, so
+    the relational term is `expected_rel_loglik` without another pass
+    over the triples.  Scales restore full-data magnitudes from
+    minibatches.  `driver.fit` subtracts the KL once per epoch and checks
+    every estimate for finiteness.
     """
-    rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats(), rel_scale).data)
-    return float(data_scale * (data - local_kl(exps, local, rows)) + rel - global_kl(glob, prior))
+    rel = rel_scale * float(np.sum(log_stats * counts))
+    return float(data_scale * (data - local_kl(exps, local, rows)) + rel)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +549,11 @@ class BayesModel:
         """`effective_components` of the global posterior."""
         return effective_components(self.glob, threshold)
 
+    def global_kl(self) -> float:
+        """`global_kl` of the global posterior from the prior that its
+        (K, d) fix."""
+        return global_kl(self.glob, MixturePrior(self.glob.n_components, self.glob.latent_dim))
+
     def to_dict(self) -> dict:
         return {
             "globals": self.glob.to_dict(),
@@ -606,7 +614,9 @@ def train_bayes_scdc(
     Each update runs the recognition network once, on the tape, over the
     working set, rebuilds the local posteriors from that output, steps each
     global record toward its minibatch target, and ascends both networks'
-    reparameterization gradients back through the same output.
+    reparameterization gradients back through the same output.  It returns
+    `final_objective`, whose relational term comes from the confusion
+    counts of the worker target, so p_same is computed once per update.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -631,9 +641,8 @@ def train_bayes_scdc(
             target = mixture_natural_gradient(
                 prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
             )
-            target = replace(target, workers=beta_natural_gradient(
-                local_store, resp, scale=update.rel_scale
-            ))
+            counts = confusion_counts(local_store, resp)
+            target = replace(target, workers=beta_natural_gradient(counts, update.rel_scale))
             new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
             noise = rng.standard_normal((update.batch.size, d))
             objective, recon = _network_objective(
@@ -646,7 +655,7 @@ def train_bayes_scdc(
         zero_grads(params)
 
         estimate = final_objective(
-            glob, prior, local, exps, float(recon.data), local_store,
+            local, exps, float(recon.data), glob.workers.log_stats(), counts,
             update.data_scale, update.rel_scale, rows,
         )
         glob = new_glob

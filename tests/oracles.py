@@ -26,8 +26,8 @@ from crowdmix.expfam import (
     niw_expected_stats,
 )
 from crowdmix.mixture import global_expectations
-from crowdmix.relational import AnnotationStore
-from crowdmix.vmp import final_objective
+from crowdmix.relational import AnnotationStore, confusion_counts
+from crowdmix.vmp import final_objective, global_kl
 
 
 def select_triples(store: AnnotationStore, rows) -> AnnotationStore:
@@ -219,11 +219,14 @@ def surrogate_elbo(glob, prior, local, potential, store) -> float:
 
     Every block-coordinate local update and every step-1 global update
     is an exact coordinate maximization of this quantity, so it must not
-    decrease along the inner loop.
+    decrease along the inner loop.  It is the trainer's estimate on the
+    full batch, less the globals' KL.
     """
-    return final_objective(
-        glob, prior, local, global_expectations(glob), potential_bracket(potential, local), store
+    estimate = final_objective(
+        local, global_expectations(glob), potential_bracket(potential, local),
+        glob.workers.log_stats(), confusion_counts(store, local.resp),
     )
+    return estimate - global_kl(glob, prior)
 
 
 # ---------------------------------------------------------------------------

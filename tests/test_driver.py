@@ -11,6 +11,7 @@ from crowdmix import data, relational, scdc, vmp
 from crowdmix.driver import fit, training_store
 from crowdmix.expfam import NiwNat
 from crowdmix.metrics import clustering_accuracy, nmi
+from crowdmix.nnet import parameter
 
 # Trainer module, training function, 2-epoch config, and a function of the
 # module that each update calls once and whose value enters the estimate.
@@ -163,6 +164,44 @@ class ConstantModel:
 
     def effective_k(self, threshold):
         return 1
+
+    def global_kl(self):
+        return 0.0
+
+
+def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
+    """The model of epoch 2 has a NaN global KL: fit stops there, with the
+    history and the parameters of epoch 1, and that epoch's model."""
+    dataset, store = small_problem(3)
+    weight = parameter(np.zeros(2))
+    built = []
+
+    class Model(ConstantModel):
+        def __init__(self):
+            self.epoch = len(built) - 1  # the model before training is epoch -1
+            self.weight = weight.data.copy()
+            built.append(self)
+
+        def global_kl(self):
+            return float("nan") if self.epoch == 2 else 0.5 * self.epoch
+
+    def step(update):
+        weight.data = weight.data + 1.0  # one step per update
+        return 2.0
+
+    result = fit(
+        dataset, training_store(store, dataset.n_items), scdc.ScdcConfig(epochs=4, batch_size=20),
+        np.random.default_rng(0), params=[weight], model=Model, step=step,
+        minibatch_iterator=data.minibatch_iterator,
+        sample_annotation_minibatch=relational.sample_annotation_minibatch,
+        clustering_accuracy=clustering_accuracy, nmi=nmi,
+    )
+    assert result.diverged
+    # 60 items in batches of 20: 3 updates per epoch
+    assert [row["objective"] for row in result.history] == [2.0, 1.5]
+    assert len(built) == 4 and result.model is built[2]
+    assert np.array_equal(weight.data, np.full(2, 6.0))
+    assert np.array_equal(result.model.weight, weight.data)
 
 
 @pytest.mark.parametrize("annotated", [True, False])

@@ -8,6 +8,7 @@ from crowdmix.expfam import (
     DirichletNat,
     NiwNat,
     dirichlet_expected_stats,
+    kl_divergence,
     log_partition,
     niw_expected_stats,
 )
@@ -293,3 +294,34 @@ def test_grad_check_domain_error():
     p = DirichletNat.from_alpha([1e-6, 2.0])
     with pytest.raises(ValueError):
         grad_log_partition_check(p, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# KL divergence
+
+
+def test_kl_divergence_is_zero_from_itself_and_broadcasts_the_prior():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((3, 2))
+    niw = NiwNat.from_standard(m, 1.5, 3.0 * np.eye(2), 4.0)
+    prior = NiwNat.from_standard(np.zeros(2), 0.5, 2.5 * np.eye(2), 2.5)
+    beta = BetaWorkers.from_taus(*rng.uniform(0.5, 9.0, (2, 4, 2)))
+    for q in (niw, beta):
+        assert kl_divergence(q, q) == 0.0
+    # the prior broadcasts over the batch: the sum of one KL per member
+    per_member = sum(
+        kl_divergence(NiwNat.from_standard(row, 1.5, 3.0 * np.eye(2), 4.0), prior) for row in m
+    )
+    assert kl_divergence(niw, prior) == pytest.approx(per_member, rel=1e-12)
+    assert kl_divergence(niw, prior) > 0.0
+    uniform = DirichletNat(np.zeros(2))
+    assert kl_divergence(beta, uniform) == pytest.approx(
+        sum(kl_divergence(DirichletNat(eta), uniform) for eta in beta.eta.reshape(-1, 2)),
+        rel=1e-12,
+    )
+
+
+def test_kl_divergence_rejects_another_family():
+    with pytest.raises(TypeError, match="unsupported family"):
+        kl_divergence(np.zeros(2), DirichletNat(np.zeros(2)))
+

@@ -11,9 +11,11 @@ from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
     beta_natural_gradient,
+    confusion_counts,
     expected_rel_loglik,
     expected_worker_weights,
     sample_annotation_minibatch,
+    two_coin_terms,
 )
 from crowdmix.vmp import annotation_graph
 
@@ -345,6 +347,41 @@ def test_expected_rel_loglik_matches_brute_force():
         assert abs(value - _brute_force_rel(store, q, start)) < 1e-10
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_workers, density", [(3, 0.4), (6, 0.2), (0, 0.0), (2, 0.0)])
+def test_expected_rel_loglik_is_log_stats_times_the_confusion_counts(seed, n_workers, density):
+    """The two-coin log-likelihood is linear in the worker rows, with the
+    confusion counts as its coefficients: on random stores, at scales other
+    than 1, with no workers and on an empty store."""
+    rng = np.random.default_rng(seed)
+    n_items = 8
+    triples = [
+        (i, j, m, int(rng.integers(2)))
+        for m in range(n_workers)
+        for i, j in itertools.combinations(range(n_items), 2)
+        if rng.random() < density
+    ]
+    store = AnnotationStore(triples, n_items, n_workers)
+    q = rng.dirichlet(np.ones(3), size=n_items)
+    workers = BetaWorkers.from_taus(*rng.uniform(0.5, 20.0, size=(2, n_workers, 2)))
+    counts = confusion_counts(store, q)
+    assert isinstance(counts, np.ndarray) and counts.shape == (n_workers, 4)
+    for scale in (1.0, 2.5, 1e3 / 7):
+        value = float(expected_rel_loglik(store, q, workers.log_stats(), scale).data)
+        identity = scale * np.sum(workers.log_stats() * counts)
+        assert value == pytest.approx(identity, rel=1e-12, abs=1e-12)
+    if store.n_annotations == 0:
+        assert not counts.any()
+
+
+def test_two_coin_terms_and_vote_weights_are_arrays():
+    store = AnnotationStore([(0, 1, 0, 1), (1, 2, 1, 0)], 3, 2)
+    pool = WorkerPool(np.array([0.9, 0.7]), np.array([0.8, 0.6]))
+    weight, const = two_coin_terms(store, pool.log_stats())
+    for terms in (weight, const, expected_worker_weights(pool)):
+        assert type(terms) is np.ndarray and terms.shape == (2,)
+
+
 @pytest.mark.parametrize("rows", [2, 7])
 def test_expected_rel_loglik_names_a_q_z_of_another_height(rows):
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
@@ -364,7 +401,7 @@ def uniform_workers(n_workers: int) -> BetaWorkers:
 
 def test_beta_gradient_empty_store_fixed_point():
     store = AnnotationStore([], 3, 2)
-    target = beta_natural_gradient(store, np.full((3, 2), 0.5))
+    target = beta_natural_gradient(confusion_counts(store, np.full((3, 2), 0.5)))
     assert isinstance(target, BetaWorkers) and target.n_workers == 2
     # the target is the prior, so the gradient at the prior vanishes
     assert np.allclose(target.eta - uniform_workers(2).eta, 0.0)
@@ -373,7 +410,7 @@ def test_beta_gradient_empty_store_fixed_point():
 def test_beta_gradient_true_positive_count():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    target = beta_natural_gradient(store, q)
+    target = beta_natural_gradient(confusion_counts(store, q))
     grad = target.eta - uniform_workers(1).eta
     assert np.allclose(grad[0, 0], [1.0, 0.0])
     assert np.allclose(grad[0, 1], [0.0, 0.0])
@@ -386,7 +423,7 @@ def test_beta_gradient_true_negative_count():
     store = AnnotationStore([(0, 1, 0, 0)], 2, 1)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     at_fix = BetaWorkers.from_taus([(1.0, 1.0)], [(2.0, 1.0)])
-    target = beta_natural_gradient(store, q)
+    target = beta_natural_gradient(confusion_counts(store, q))
     assert target.eta.shape == (1, 2, 2)
     assert target.alpha_taus.shape == target.beta_taus.shape == (1, 2)
     assert np.allclose(target.eta - at_fix.eta, 0.0)
@@ -396,7 +433,7 @@ def test_beta_gradient_true_negative_count():
 def test_beta_gradient_names_a_q_z_of_another_height(rows):
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
     with pytest.raises(ValueError, match="q_z"):
-        beta_natural_gradient(store, np.full((rows, 2), 0.5))
+        confusion_counts(store, np.full((rows, 2), 0.5))
 
 
 def reference_log_stats(alpha_taus, beta_taus) -> np.ndarray:
@@ -442,7 +479,7 @@ def test_stacked_workers_equal_the_per_coin_formulas_bit_for_bit(seed, n_workers
     store = AnnotationStore(triples, n_items, n_workers)
     q = rng.dirichlet(np.ones(k), size=n_items)
     # the gradient is the target minus the posteriors, as the step takes it
-    grad = beta_natural_gradient(store, q, scale=2.5).eta - workers.eta
+    grad = beta_natural_gradient(confusion_counts(store, q), 2.5).eta - workers.eta
     grad_a, grad_b = reference_beta_gradient(store, q, alpha_taus, beta_taus, 2.5)
     assert grad.shape == (n_workers, 2, 2)
     assert np.array_equal(grad[:, 0], grad_a) and np.array_equal(grad[:, 1], grad_b)

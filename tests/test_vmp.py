@@ -40,6 +40,7 @@ from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
     beta_natural_gradient,
+    confusion_counts,
     expected_rel_loglik,
 )
 from crowdmix.vmp import (
@@ -736,7 +737,7 @@ def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     for _ in range(5):
         target = replace(
             mixture_natural_gradient(prior, local.resp, local.x_mean, local.x_cov, scale=1.0),
-            workers=beta_natural_gradient(store, local.resp),
+            workers=beta_natural_gradient(confusion_counts(store, local.resp)),
         )
         glob = apply_natural_gradient(glob, target, 1.0)
         new_value = surrogate_elbo(glob, prior, local, pot, store)
@@ -864,6 +865,18 @@ def test_global_kl_invariant_under_component_reordering():
     assert abs(global_kl(glob, TEST_PRIOR) - global_kl(swapped, TEST_PRIOR)) < 1e-12
 
 
+def test_bayes_model_global_kl_is_taken_from_the_prior_of_its_shape():
+    rng = np.random.default_rng(5)
+    prior = MixturePrior(3, 2)
+    glob = replace(init_global(prior, rng), workers=random_workers(rng, 4))
+    model = BayesModel(
+        glob,
+        Mlp([2, 4], {"loc": 2, "prec_raw": 2}, rng),
+        Mlp([2, 4], {"mean": 2, "logvar": 2}, rng),
+    )
+    assert model.global_kl() == global_kl(glob, prior)
+
+
 # ---------------------------------------------------------------------------
 # final objective
 
@@ -877,16 +890,18 @@ def objective_instance():
 
 
 def objective(glob, local, pot, store, rel_scale=1.0, rows=None):
-    """final_objective with the potential bracket as its data term."""
+    """final_objective with the potential bracket as its data term and the
+    relational term from the store's confusion counts."""
     return final_objective(
-        glob, TEST_PRIOR, local, global_expectations(glob), potential_bracket(pot, local, rows),
-        store, rel_scale=rel_scale, rows=rows,
+        local, global_expectations(glob), potential_bracket(pot, local, rows),
+        glob.workers.log_stats(), confusion_counts(store, local.resp),
+        rel_scale=rel_scale, rows=rows,
     )
 
 
 def test_final_objective_matches_quadrature_and_enumeration_oracle():
     glob, store, local, pot = objective_instance()
-    value = objective(glob, local, pot, store)
+    value = objective(glob, local, pot, store) - global_kl(glob, TEST_PRIOR)
     expected = oracles.final_objective_oracle(
         TEST_ALPHAS,
         TEST_COMPONENTS,
@@ -935,12 +950,11 @@ def test_final_objective_without_store_drops_the_relational_term():
 
 def test_final_objective_row_restriction_is_additive():
     glob, store, local, pot = objective_instance()
-    gkl = global_kl(glob, TEST_PRIOR)
     empty = AnnotationStore([], store.n_items, store.n_workers)
     full = objective(glob, local, pot, empty)
     part0 = objective(glob, local, pot, empty, rows=[0])
     part1 = objective(glob, local, pot, empty, rows=[1])
-    assert abs((full + gkl) - ((part0 + gkl) + (part1 + gkl))) < 1e-12
+    assert abs(full - (part0 + part1)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1008,6 +1022,40 @@ def tiny_problem(seed=0, n_per=40, workers=4, pairs=30, subset=60):
     pool = WorkerPool.homogeneous(workers, 0.9, 0.9)
     store = simulate_annotations(dataset, pool, pairs, subset, rng)
     return dataset, store
+
+
+def test_each_update_reads_the_relational_term_off_its_worker_counts(monkeypatch):
+    """One pass over the sampled triples per update: the worker target's
+    confusion counts.  `expected_rel_loglik` is never called, and the
+    estimate's relational term is the one it would give."""
+    dataset, store = tiny_problem()
+    passes = []
+
+    def counting(update_store, q_z):
+        counts = confusion_counts(update_store, q_z)
+        passes.append((update_store, q_z, counts))
+        return counts
+
+    def estimating(local, exps, data, log_stats, counts, data_scale, rel_scale, rows):
+        update_store, q_z, seen = passes[-1]
+        assert counts is seen and np.array_equal(q_z, local.resp)
+        rel = float(expected_rel_loglik(update_store, q_z, log_stats, rel_scale).data)
+        with_rel = final_objective(local, exps, data, log_stats, counts, data_scale, rel_scale, rows)
+        without = final_objective(local, exps, data, log_stats, 0.0 * counts, data_scale, 1.0, rows)
+        assert with_rel - without == pytest.approx(rel, rel=1e-9, abs=1e-9)
+        return with_rel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Bayesian update computed the relational term again")
+
+    monkeypatch.setattr(vmp, "confusion_counts", counting)
+    monkeypatch.setattr(vmp, "final_objective", estimating)
+    monkeypatch.setattr(vmp, "expected_rel_loglik", forbidden)
+    config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
+    result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
+    assert not result.diverged
+    assert len(passes) == -(-dataset.n_items // config.batch_size)
+    assert sum(update_store.n_annotations for update_store, _, _ in passes) > 0
 
 
 def test_zero_step_training_leaves_parameters_at_initialization(monkeypatch):
@@ -1308,13 +1356,18 @@ def test_log_softmax_columns_equals_scipy_exactly_on_finite_blocks_of_either_lay
 # recognition weight gradients then also sum the working-set rows outside
 # the batch, whose adjoint is zero, and the BLAS accumulation order moved
 # 4 of the 3848 network parameters by at most 2.8e-17, with the same
-# history and globals.  The current code must reproduce them bit for bit.
+# history and globals.  The two objective values were re-taken, with the
+# digest and every other field unchanged, once each update's estimate
+# stopped subtracting the KL of that update's globals and `driver.fit`
+# began subtracting the KL of the epoch's model once per epoch (it was
+# -1274.7640362917716 and -1019.2885802780362).  The current code must
+# reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
-            {"epoch": 0, "objective": -1274.7640362917716, "effective_k": 4,
+            {"epoch": 0, "objective": -1279.839212960404, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5284607689658716},
-            {"epoch": 1, "objective": -1019.2885802780362, "effective_k": 4,
+            {"epoch": 1, "objective": -1021.6051650063614, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5165719394406421},
         ],
         "cf8605371bb3d41a853c754756b634df76b54afb8cb58f207f42c0d6bdb6b23d",
