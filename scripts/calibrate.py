@@ -2,9 +2,9 @@
 
 Usage: python3 scripts/calibrate.py [key=value ...]
 Keys: the BayesConfig fields n_components, latent_dim, epochs,
-batch_size, hidden, lr and kl_warmup, plus seeds=10 annotated=1/0
-quiet=1/0.  A field's value is parsed by the type of its default, a
-tuple as a comma-separated list (hidden=40,40).
+batch_size, hidden and lr, plus seeds=10 annotated=1/0 quiet=1/0.  A
+field's value is parsed by the type of its default, a tuple as a
+comma-separated list (hidden=40,40).
 """
 
 import dataclasses

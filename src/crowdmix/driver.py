@@ -8,10 +8,10 @@ batch.  `fit` owns the epochs and minibatches, the annotation sample and
 working set with the scales that restore full-data magnitudes, the
 warmup ramp of the latent KL weight, the per-epoch snapshot that a
 divergence restores, and the history rows, whose objective subtracts the
-model's global KL once per epoch.  A trainer builds its
-parameters and its `training_store` and hands `fit` one step function
-per update.  Both trainer configs derive `TrainConfig`; `gaussian_mlp`
-builds their Gaussian heads.
+model's global KL once per epoch.  A trainer builds its parameters and
+its `training_store` and hands `fit` one step function per update and
+its warmup constant.  Both trainer configs derive `TrainConfig`;
+`gaussian_mlp` builds their Gaussian heads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import Dataset
-from .nnet import Mlp, TrainingDivergence, check_count
+from .nnet import Mlp, TrainingDivergence, check_count, saved_value
 from .relational import AnnotationStore
 
 # Clip interval of both trainers' log-variance heads.
@@ -33,9 +33,7 @@ LOGVAR_CLAMP = (-8.0, 8.0)
 @dataclass(frozen=True)
 class TrainConfig:
     """The settings both trainers share; a bad value fails naming its field.
-    `hidden` is the tuple of every network's hidden widths, `lr` the Adam
-    rate, and `kl_warmup` the fraction of updates over which the latent KL
-    weight ramps 0 -> 1: off for the first half of the window, then linear.
+    `hidden` holds every network's hidden widths and `lr` is the Adam rate.
     Each update samples max(1, round(N_a |B| / N)) of the N_a annotations
     for a data minibatch B of the N items, at most N_a since |B| <= N."""
 
@@ -45,7 +43,6 @@ class TrainConfig:
     batch_size: int = 50
     hidden: tuple[int, ...] = (40, 40)
     lr: float = 1e-3
-    kl_warmup: float = 0.0
 
     def __post_init__(self):
         for name in ("n_components", "latent_dim", "batch_size"):
@@ -57,8 +54,6 @@ class TrainConfig:
         check_count("epochs", self.epochs, 0)
         if not 0.0 <= self.lr < math.inf:
             raise ValueError("lr must be finite and non-negative")
-        if not 0.0 <= self.kl_warmup <= 1.0:
-            raise ValueError("kl_warmup must lie in [0, 1]")
 
 
 def gaussian_mlp(sizes, width: int, rng: np.random.Generator) -> Mlp:
@@ -83,9 +78,11 @@ def check_network(field: str, net: Mlp, heads: dict, n_in=None) -> None:
 
 
 def load_field(doc: dict, key: str, load: Callable[[Any], Any]):
-    """`load(doc[key])`, a ValueError's message prefixed with `key`."""
+    """`load(doc[key])`, a ValueError's message prefixed with `key`; a
+    missing key fails as `saved_value`'s does."""
+    value = saved_value(doc, key)
     try:
-        return load(doc[key])
+        return load(value)
     except ValueError as err:
         raise ValueError(f"{key}: {err}") from err
 
@@ -131,6 +128,7 @@ def fit(
     params: list,
     model: Callable[[], Any],
     step: Callable[[Update], float],
+    kl_warmup: float,
     minibatch_iterator,
     sample_annotation_minibatch,
     clustering_accuracy,
@@ -138,7 +136,8 @@ def fit(
 ) -> TrainResult:
     """Run `config.epochs` epochs, calling `step` once per update; it
     returns the update's minibatch estimate of the objective without the
-    KL of the global posteriors from their prior.
+    KL of the global posteriors from their prior.  The latent KL weight is 0
+    for the first half of the first `kl_warmup` of updates, then linear to 1.
 
     `store` is the trainer's `training_store`.  `model()` builds the
     trained state from the current parameters, before training and after
@@ -167,7 +166,7 @@ def fit(
     obs, n = dataset.observations, dataset.n_items
     if store.n_items != n:
         raise IndexError(f"store indexes {store.n_items} items, the dataset has {n}")
-    warmup_updates = round(config.kl_warmup * config.epochs * -(-n // config.batch_size))
+    warmup_updates = round(kl_warmup * config.epochs * -(-n // config.batch_size))
     half = 0.5 * (warmup_updates + 1.0)
     threshold = min(0.5, 2.0 / n)
     current = model()
@@ -183,9 +182,6 @@ def fit(
                     store, batch, max(1, round(store.n_annotations * batch.size / n)), rng
                 )
                 updates += 1
-                # Dead zone then linear ramp: the latent KL stays off for
-                # the first half of the warmup window, then reaches full
-                # strength by the window's end.
                 kl_weight = 1.0 if updates > warmup_updates else max(0.0, (updates - half) / half)
                 estimate = step(Update(
                     batch, working, np.searchsorted(working, batch),

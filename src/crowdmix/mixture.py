@@ -24,7 +24,7 @@ from .expfam import (
     dirichlet_expected_stats,
     niw_expected_stats,
 )
-from .nnet import TrainingDivergence
+from .nnet import TrainingDivergence, saved_value
 from .relational import BetaWorkers
 
 
@@ -111,15 +111,16 @@ class GlobalVariational:
     @classmethod
     def from_dict(cls, doc: dict) -> "GlobalVariational":
         """Globals from a `to_dict` document, the workers by
-        `BetaWorkers.from_dict`.  Mixing-weight parameters out of the
-        Dirichlet domain and components whose S is not positive definite
-        fail here with a ValueError that names the field."""
+        `BetaWorkers.from_dict`.  Missing keys, mixing-weight parameters
+        out of the Dirichlet domain and components whose S is not positive
+        definite fail here with a ValueError that names the field."""
+        pi_eta, rows = saved_value(doc, "pi_eta"), saved_value(doc, "components")
         try:
-            pi = DirichletNat(np.array(doc["pi_eta"], dtype=float))
+            pi = DirichletNat(np.array(pi_eta, dtype=float))
         except ValueError as err:
             raise ValueError(f"pi_eta: {err}") from err
         try:
-            comps = NiwNat(*(np.array([c[key] for c in doc["components"]]) for key in _NIW_KEYS))
+            comps = NiwNat(*(np.array([saved_value(c, key) for c in rows]) for key in _NIW_KEYS))
             comps.scale_factor()  # recovers nu and S and factors S
         except (ValueError, np.linalg.LinAlgError) as err:
             raise ValueError(f"components: {err}") from err

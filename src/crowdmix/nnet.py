@@ -67,6 +67,14 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}")
 
 
+def saved_value(doc: dict, key: str, field: str | None = None):
+    """`doc[key]` of a saved document; a missing key raises a ValueError
+    "<field> is missing", `field` being `key` unless given."""
+    if key not in doc:
+        raise ValueError(f"{field or key} is missing")
+    return doc[key]
+
+
 class Tape:
     """Recorded operation graph for one forward pass."""
 
@@ -551,22 +559,25 @@ class Mlp:
     @classmethod
     def from_state(cls, state: dict) -> "Mlp":
         """Network from a `state_dict` document.  Every saved array must
-        be finite and have the shape that `sizes` and `heads` give it."""
+        be finite and have the shape that `sizes` and `heads` give it; a
+        missing key fails naming it."""
         net = cls(
-            state["sizes"],
-            state["heads"],
+            saved_value(state, "sizes"),
+            saved_value(state, "heads"),
             np.random.default_rng(0),
             clamp={k: tuple(v) for k, v in state.get("clamp", {}).items()},
         )
+        keys = ("weights", "biases", "head_weights", "head_biases")
+        arrays = {key: saved_value(state, key) for key in keys}
         n_layers = len(net.weights)
         for key in ("weights", "biases"):
-            if len(state[key]) != n_layers:
-                raise ValueError(f"{key} has {len(state[key])} layers, sizes give {n_layers}")
+            if len(arrays[key]) != n_layers:
+                raise ValueError(f"{key} has {len(arrays[key])} layers, sizes give {n_layers}")
         slots = [
-            (f"{key}[{i}]", getattr(net, key)[i], state[key][i])
+            (f"{key}[{i}]", getattr(net, key)[i], arrays[key][i])
             for key in ("weights", "biases") for i in range(n_layers)
         ] + [
-            (f"{key}['{name}']", getattr(net, key)[name], state[key].get(name))
+            (f"{key}['{name}']", getattr(net, key)[name], arrays[key].get(name))
             for key in ("head_weights", "head_biases") for name in net.heads
         ]
         for label, tensor, saved in slots:

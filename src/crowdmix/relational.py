@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import DirichletNat, dirichlet_expected_stats
-from .nnet import Tensor, as_tensor, check_count, constant, mul, take_rows, tensor_sum
+from .nnet import Tensor, as_tensor, check_count, constant, mul, saved_value, take_rows, tensor_sum
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -177,14 +177,15 @@ class BetaWorkers(DirichletNat):
     def from_dict(cls, doc: dict | None) -> "BetaWorkers":
         """Posteriors from a `to_dict` document, the `workers` key of a model
         document; null, which older documents hold or their missing key
-        gives, loads as zero workers.  Tau arrays that are ragged, not
-        (M, 2) or not positive fail with a ValueError that names
+        gives, loads as zero workers.  Tau arrays that are missing, ragged,
+        not (M, 2) or not positive fail with a ValueError that names
         `workers.<key>`."""
         doc = doc or dict.fromkeys(_TAU_KEYS, [])
         taus = []
         for key in _TAU_KEYS:
+            saved = saved_value(doc, key, f"workers.{key}")
             try:
-                t = np.array(doc[key], dtype=float)
+                t = np.array(saved, dtype=float)
                 if t.size and (t.ndim != 2 or t.shape[1] != 2):
                     raise ValueError(f"shape {t.shape}, need (M, 2)")
                 if taus and len(t) != len(taus[0]):

