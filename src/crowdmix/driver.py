@@ -136,8 +136,13 @@ def fit(
 ) -> TrainResult:
     """Run `config.epochs` epochs, calling `step` once per update; it
     returns the update's minibatch estimate of the objective without the
-    KL of the global posteriors from their prior.  The latent KL weight is 0
-    for the first half of the first `kl_warmup` of updates, then linear to 1.
+    KL of the global posteriors from their prior.  The latent KL weight
+    ramps over a window of the first w updates, w the `kl_warmup` fraction
+    of all updates: update u weighs max(0, (u - h) / h), h = (w + 1) / 2,
+    so 0 for the first half of the window and (w - 1) / (w + 1), not 1, at
+    its last update; every update after the window weighs 1.  A
+    `kl_warmup` of 1 puts every update in the window, and the weight never
+    reaches 1.
 
     `store` is the trainer's `training_store`.  `model()` builds the
     trained state from the current parameters, before training and after

@@ -15,15 +15,19 @@ The engine keeps a network step lean:
   ReLU, in place of three; Mlp.forward uses it for every layer and head.
 - Mlp.forward is the one check that a network's outputs are finite: a
   head that is not, after its clamp, raises TrainingDivergence naming it.
-- The vector-Jacobian products of matmul, mul, sub, einsum2 and
-  affine compute a parent's gradient only when that parent requires one.
+- The vector-Jacobian products of matmul, mul, sub, affine and
+  gaussian_refresh compute a parent's gradient only when that parent
+  requires one.
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
 - spd_factor is the package's one factorization of symmetric positive
   definite matrices, a per-entry Cholesky giving the inverse, the
-  log-determinant and the Cholesky factor of the inverse; the tape op
-  inverse_cholesky wraps it and needs no inverse in its gradient.
+  log-determinant and the Cholesky factor of the inverse.
+- gaussian_refresh fuses a Gaussian refresh from natural parameters into
+  two nodes on one spd_factor call: a reparameterized draw and the
+  summed bracket log Z - <evidence, E t(x)>.  Its gradients are closed
+  forms that invert no matrix.
 - Adam(params, lr) ascends, stepping every parameter at once from flat
   gradient and moment vectors; a missing gradient counts as zero.  The
   step is atomic: a non-finite gradient anywhere is rejected before any
@@ -317,27 +321,6 @@ def affine(h: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _record(out, (h, W, b), vjp)
 
 
-def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum.  Every index of each operand must appear in the
-    output spec or in the other operand (no unilateral reductions)."""
-    lhs, out_spec = spec.split("->")
-    a_spec, b_spec = lhs.split(",")
-    if "." in spec:
-        raise ValueError("ellipsis not supported")
-    for s, other in ((a_spec, b_spec), (b_spec, a_spec)):
-        if len(set(s)) != len(s):
-            raise ValueError("repeated index within one operand not supported")
-        if not set(s) <= set(out_spec) | set(other):
-            raise ValueError(f"unilateral reduction in '{spec}' not supported")
-
-    def vjp(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data) if a.requires else None
-        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g) if b.requires else None
-        return ga, gb
-
-    return _record(np.einsum(spec, a.data, b.data), (a, b), vjp)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
@@ -351,28 +334,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
         return (out,)
 
     return _record(a.data[idx], (a,), vjp)
-
-
-def diag_part(a: Tensor) -> Tensor:
-    """(..., n, n) -> (..., n)."""
-    n = a.data.shape[-1]
-    rng = np.arange(n)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        out[..., rng, rng] = g
-        return (out,)
-
-    return _record(a.data[..., rng, rng].copy(), (a,), vjp)
-
-
-def diag_embed(a: Tensor) -> Tensor:
-    """(..., n) -> (..., n, n)."""
-    n = a.data.shape[-1]
-    rng = np.arange(n)
-    out = np.zeros(a.data.shape + (n,))
-    out[..., rng, rng] = a.data
-    return _record(out, (a,), lambda g: (g[..., rng, rng],))
 
 
 def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -429,23 +390,57 @@ def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return inverse.reshape(a.shape), logdet.reshape(batch), root.reshape(a.shape)
 
 
-def inverse_cholesky(a: Tensor) -> Tensor:
-    """Lower Cholesky factor C of A^-1 for SPD (..., d, d) A, by `spd_factor`.
-    Its VJP, for symmetric perturbations of A, is Murray's Cholesky VJP
-    composed with the inverse, Abar = -sym(C Phi(C^T Cbar) C^T), where Phi
-    keeps the lower triangle and halves the diagonal; C^T A C = I, so no
-    matrix is inverted."""
-    root = spd_factor(a.data)[2]
-    root_t = np.swapaxes(root, -1, -2)
-    rng = np.arange(root.shape[-1])
+def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple[Tensor, Tensor]:
+    """One reparameterized draw from each q(x_n) and the summed bracket
+    log Z(eta) - <psi, E t(x)>, as two nodes on one `spd_factor` call.
 
-    def vjp(g):
-        phi = np.tril(root_t @ g)
-        phi[..., rng, rng] *= 0.5
-        m = root @ phi @ root_t
-        return (-0.5 * (m + np.swapaxes(m, -1, -2)),)
+    q(x_n) has natural parameters eta = (base_h + h, base_j + diag(j_diag))
+    for (n, d) evidence psi = (h, j_diag) and constant (n, d) and
+    (n, d, d) arrays base_h and base_j; its precision -2 (base_j +
+    diag(j_diag)) must be positive definite.  With Sigma its covariance,
+    mu = Sigma (base_h + h) and C = chol(Sigma), the draw is
+    mu + C noise, for (n, d) noise, and log Z = mu^T (base_h + h) / 2 +
+    log|Sigma| / 2, constants dropped.  The bracket's gradient is
+    -Cov_q[t(x)] psi: -Sigma s for h and -2 (mu * s + (Sigma * Sigma) j)
+    for j_diag, with s = Sigma (h + 2 j * mu).  The draw's adjoint g gives
+    Sigma g for h and 2 mu * (Sigma g) + 2 diag(C Phi(C^T g noise^T) C^T)
+    for j_diag, the second term Murray's Cholesky VJP, where Phi keeps the
+    lower triangle and halves the diagonal; C^T (-2 J) C = I, so no matrix
+    is inverted.
+    """
+    idx = np.arange(h.data.shape[1])
+    x_j = np.array(base_j, dtype=float)
+    x_j[:, idx, idx] += j_diag.data
+    cov, logdet, root = spd_factor(-2.0 * x_j)
+    x_h = base_h + h.data
+    mean = np.einsum("nij,nj->ni", cov, x_h)
+    var = cov[:, idx, idx]
+    log_z = 0.5 * (np.einsum("ni,ni->", mean, x_h) - logdet.sum())
+    psi = np.einsum("ni,ni->", h.data, mean) + np.einsum("ni,ni->", j_diag.data, var + mean * mean)
+    draw = mean + np.einsum("nij,nj->ni", root, noise)
 
-    return _record(root, (a,), vjp)
+    def draw_vjp(g):
+        cov_g = np.einsum("nij,nj->ni", cov, g)
+        phi = np.tril(np.einsum("nji,nj->ni", root, g)[:, :, None] * noise[:, None, :])
+        phi[:, idx, idx] *= 0.5
+        chol = np.einsum("nia,nia->ni", root @ phi, root)  # diag(C Phi C^T)
+        return (
+            cov_g if h.requires else None,
+            2.0 * (mean * cov_g + chol) if j_diag.requires else None,
+        )
+
+    def bracket_vjp(g):
+        s = np.einsum("nij,nj->ni", cov, h.data + 2.0 * j_diag.data * mean)
+        return (
+            -g * s if h.requires else None,
+            -2.0 * g * (mean * s + np.einsum("nij,nj->ni", cov * cov, j_diag.data))
+            if j_diag.requires else None,
+        )
+
+    return (
+        _record(draw, (h, j_diag), draw_vjp),
+        _record(np.asarray(log_z - psi), (h, j_diag), bracket_vjp),
+    )
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -4,19 +4,23 @@ Each training update runs the recognition network once, on the tape, over
 the working set: its diagonal Gaussian evidence potentials (`evidence`)
 feed the local step, and the networks' gradient flows back through them.
 Cluster posteriors q(z) and latent Gaussians are refined jointly by
-block-coordinate updates that carry pairwise annotation messages.  Inside
-the local step the q(z) probabilities and component logits are stored
-component-major, as (K, n) arrays, so every softmax reduces over axis 0;
-the step takes and returns (n, K) q(z) probabilities, and each q(z) pass
-reads the previous pass's probabilities, not their logs.  Each q(x)
-refresh mixes the K component statistics by the q(z) probabilities with
-one matmul on their (K, d*d) view and factors every item's precision
-once, by `nnet.spd_factor`, the package's one Cholesky kernel; `predict`
-runs the same local step over the whole dataset.  Globals (mixing weights,
-components, worker accuracies) follow scaled stochastic natural
-gradients, while the recognition and decoder networks ascend
-reparameterization gradients of the objective through the final latent
-refresh, whose precisions one `nnet.inverse_cholesky` node factors.
+block-coordinate updates that carry pairwise annotation messages.  The
+local step puts the evidence rows into the annotation graph's block order
+once, so that each q(z) pass refreshes every block, an edge-free set of
+items, as one contiguous column slice, written in place; the results
+return to item order once.  Inside the step the q(z) probabilities and
+component logits are stored component-major, as (K, n) arrays, so every
+softmax reduces over axis 0; the step returns (n, K) q(z) probabilities,
+and each q(z) pass reads the previous pass's probabilities, not their
+logs.  Each q(x) refresh mixes the K component statistics by the q(z)
+probabilities with one matmul on their (K, d*d) view and factors every
+item's precision once, by `nnet.spd_factor`, the package's one Cholesky
+kernel; `predict` runs the same sweeps over the whole dataset, which
+without annotations is one block, and stops after the last q(z) pass.
+Globals (mixing weights, components, worker accuracies) follow scaled
+stochastic natural gradients, while the recognition and decoder networks
+ascend reparameterization gradients of the objective through the final
+latent refresh, one fused `nnet.gaussian_refresh` op.
 Each update also returns a minibatch estimate of the objective without
 the globals' KL (`final_objective`), its relational term read off the
 confusion counts that the worker target is built from; `driver.fit`
@@ -57,13 +61,8 @@ from .nnet import (
     TrainingDivergence,
     backward,
     check_count,
-    constant,
-    diag_embed,
     diag_gaussian_loglik,
-    diag_part,
-    einsum2,
-    inverse_cholesky,
-    log,
+    gaussian_refresh,
     saved_value,
     softplus,
     spd_factor,
@@ -99,6 +98,8 @@ LOCAL_SWEEPS = 4
 
 # `driver.fit`'s latent-KL warmup.  At 0 every pinwheel seed of 0-29 collapses to
 # 0.200; at SCDC's 0.5, dense annotations and a mixed pool lose 2 seeds, gain none.
+# At 1.0 the ramp spans every update and never reaches weight 1: a run of w
+# updates ends at (w - 1) / (w + 1), 0.990 for pinwheel-bayes's 200.
 KL_WARMUP = 1.0
 
 
@@ -238,7 +239,7 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
 
 
 class AnnotationGraph(Sequence):
-    """Colored annotation graph of a working set.
+    """Colored annotation graph of a working set, and its block order.
 
     Built from half-edges: an edge (item, other, weight) for each end of
     every annotation, each item's edges in triple order.  `linked` marks
@@ -247,10 +248,18 @@ class AnnotationGraph(Sequence):
     smallest color that none of its lower-indexed neighbors has.  No edge
     therefore joins two items of one class, and the lowest linked item is
     in class 0.  `classes` holds each class as a sorted index array, in
-    color order; `class_edges` holds per class the edges of its items,
-    grouped by item in class order, as (first-edge offsets, other items,
-    weights).  All are fixed at construction.  The graph also reads as a
-    sequence of per-item (other item, weight) lists, made on first access.
+    color order.
+
+    The q(z) pass runs in block order: `order` lists class 0, then the
+    unlinked items, then each later class, and `position` is its inverse,
+    the block position of each item.  Block 0 is class 0 with the unlinked
+    items folded in, which share no edge either; a graph without edges is
+    one block in item order.  `blocks` holds per block (lo, hi, starts,
+    other, weight): its positions lo..hi-1, linked items first, and their
+    edges grouped by item in block order, as first-edge offsets, block
+    positions of the other ends, and weights.  All are fixed at
+    construction.  The graph also reads as a sequence of per-item (other
+    item, weight) lists, made on first access.
     """
 
     def __init__(self, n_items: int, item, other, weight):
@@ -261,19 +270,27 @@ class AnnotationGraph(Sequence):
         color = _greedy_colors(n_items, item, other)
         # one stable sort groups the edges by class, then by item, and keeps
         # each item's edges in their given order
-        order = np.argsort(color[item] * n_items + item, kind="stable")
-        item, self._other = item[order], other[order]
-        self._weight = np.asarray(weight, dtype=float)[order]
+        by_class = np.argsort(color[item] * n_items + item, kind="stable")
+        item, self._other = item[by_class], other[by_class]
+        self._weight = np.asarray(weight, dtype=float)[by_class]
         starts = np.flatnonzero(np.diff(item, prepend=-1))  # each item's first edge
         self._items, self._bounds = item[starts], np.append(starts, item.size)
         class_bounds = np.cumsum(np.bincount(color[self._items])).tolist()
-        self.classes, self.class_edges = [], []
+        head = class_bounds[0] if class_bounds else 0  # linked items of class 0
+        n_free = self.free.size
+        self.order = np.concatenate([self._items[:head], self.free, self._items[head:]])
+        self.position = np.empty(n_items, dtype=int)
+        self.position[self.order] = np.arange(n_items)
+        other_at = self.position[self._other]
+        self.classes = []
+        self.blocks = [] if class_bounds else [(0, n_items, starts, other_at, self._weight)]
         for lo, hi in zip([0] + class_bounds, class_bounds):
             first, last = self._bounds[lo], self._bounds[hi]
             self.classes.append(self._items[lo:hi])
-            self.class_edges.append(
-                (starts[lo:hi] - first, self._other[first:last], self._weight[first:last])
-            )
+            self.blocks.append((
+                lo + n_free if lo else 0, hi + n_free,
+                starts[lo:hi] - first, other_at[first:last], self._weight[first:last],
+            ))
 
     def __len__(self) -> int:
         return self.linked.size
@@ -332,52 +349,62 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
 
-def _log_softmax_columns(x: np.ndarray) -> np.ndarray:
+def _log_softmax_columns(x: np.ndarray, out=None) -> np.ndarray:
     """scipy.special.log_softmax(x, axis=0) by the same numpy operations,
     without scipy's array-API dispatch, which costs more than the
     arithmetic on a working set.  On a (K, n) array every reduction runs
-    across the items."""
+    across the items.  `out`, which may be x itself, receives the result."""
     x_max = np.maximum.reduce(x, axis=0, keepdims=True)
     if np.isfinite(x_max).all():  # every column sums at least exp(0): no log(0)
-        tmp = x - x_max
-        return tmp - np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
+        tmp = np.subtract(x, x_max, out=out)
+        tmp -= np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
+        return tmp
     x_max[~np.isfinite(x_max)] = 0
-    tmp = x - x_max
+    tmp = np.subtract(x, x_max, out=out)
     with np.errstate(divide="ignore"):
-        return tmp - np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
+        tmp -= np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
+    return tmp
 
 
 def update_local_z(base_logits, neighbors, resp) -> tuple[np.ndarray, np.ndarray]:
     """One pass of coordinate refreshes on every q(z_i).
 
-    Component-major: base_logits, resp and both results are (K, n).
-    base_logits holds E[log pi] plus the component brackets, and resp the
-    previous pass's q(z) probabilities, read only as messages; the pass
-    updates a copy.  Returns the new log q(z) probabilities and their
-    exponentials.  When the graph links no item, the pass is one softmax
-    over the whole array.  Otherwise the unlinked items update in one
-    shot, then the linked items one color class of the annotation graph at
-    a time, in color order, each class seeing the freshest q(z)
-    probabilities of the classes before it.  No edge joins two items of
-    one class, so refreshing a class at once equals refreshing its items
-    one after another: the pass is exact coordinate ascent, visiting the
-    items in class order.  `neighbors` is the working set's AnnotationGraph.
+    Component-major and in the block order of `neighbors`, the working
+    set's AnnotationGraph: base_logits, resp and both results are (K, n),
+    column p holding item `neighbors.order[p]`.  base_logits holds E[log
+    pi] plus the component brackets, and resp the previous pass's q(z)
+    probabilities, read only as messages; the pass updates a copy.
+    Returns the new log q(z) probabilities and their exponentials.  The
+    blocks refresh one at a time, in order, each a column slice that takes
+    its messages from the freshest q(z) probabilities of the blocks before
+    it and is written in place by one log-softmax.  No edge joins two items
+    of one block, so refreshing a block at once equals refreshing its
+    items one after another: the pass is exact coordinate ascent, visiting
+    the items in block order.
     """
-    base = np.asarray(base_logits, dtype=float)
-    if not neighbors.classes:
-        out = _log_softmax_columns(base)
-        return out, np.exp(out)
-    out = np.empty(base.shape)
+    out = np.array(base_logits, dtype=float)
     resp = np.array(resp, dtype=float)
-    lr = _log_softmax_columns(base[:, neighbors.free])
-    out[:, neighbors.free] = lr
-    resp[:, neighbors.free] = np.exp(lr)
-    for idx, (starts, other, weight) in zip(neighbors.classes, neighbors.class_edges):
-        messages = np.add.reduceat(resp[:, other] * weight, starts, axis=1)
-        lr = _log_softmax_columns(base[:, idx] + messages)
-        out[:, idx] = lr
-        resp[:, idx] = np.exp(lr)
+    for lo, hi, starts, other, weight in neighbors.blocks:
+        block = out[:, lo:hi]
+        if starts.size:
+            block[:, :starts.size] += np.add.reduceat(resp[:, other] * weight, starts, axis=1)
+        _log_softmax_columns(block, out=block)
+        np.exp(block, out=resp[:, lo:hi])
     return out, resp
+
+
+def _local_sweeps(exps: GlobalExpectations, potential: RecognitionPotential, neighbors, sweeps):
+    """`sweeps` q(x) / q(z) rounds from uniform q(z) probabilities, each a
+    q(x) refresh then a q(z) pass, on a potential in the block order of
+    `neighbors`.  Returns the last pass's (K, n) log q(z) and q(z)."""
+    K = exps.log_pi.shape[0]
+    resp = np.exp(np.full((K, potential.n_items), -math.log(K)))
+    log_pi = exps.log_pi[:, None]
+    for _ in range(sweeps):
+        _, _, x_mean, x_cov, _ = update_local_x(resp.T, exps, potential)
+        base = log_pi + component_logits(exps, x_mean, x_cov)
+        log_resp, resp = update_local_z(base, neighbors, resp)
+    return log_resp, resp
 
 
 def block_coordinate_local(
@@ -392,26 +419,21 @@ def block_coordinate_local(
     exactly `sweeps` rounds from uniform q(z) probabilities and ends on a
     q(x) refresh, so the returned Gaussians are consistent with the
     returned q(z) probabilities.  The annotation graph is built and colored
-    once per call; every q(z) pass then refreshes the unlinked items
-    together and the linked items one color class at a time, in color
-    order, from the last pass's probabilities.  Items of one class share
-    no edge, so each pass is exact coordinate ascent in that item order
-    and the surrogate ELBO cannot decrease along the sweeps.  q(z) is held
-    component-major, (K, n), up to the transpose on exit.
+    once per call, and the evidence rows are put into its block order once;
+    every q(z) pass then refreshes one block at a time, from the last
+    pass's probabilities.  Items of one block share no edge, so each pass
+    is exact coordinate ascent in that item order and the surrogate ELBO
+    cannot decrease along the sweeps.  q(z) is held component-major,
+    (K, n); the results return to item order once, on exit.
     """
-    n = potential.n_items
     check_count("sweeps", sweeps, 1)
     exps = global_expectations(glob)
-    K = exps.log_pi.shape[0]
-    resp = np.exp(np.full((K, n), -math.log(K)))
-    log_pi = exps.log_pi[:, None]
-    neighbors = annotation_graph(store, glob.workers, n)
-    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp.T, exps, potential)
-    for _ in range(sweeps):
-        base = log_pi + component_logits(exps, x_mean, x_cov)
-        log_resp, resp = update_local_z(base, neighbors, resp)
-        x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp.T, exps, potential)
-    return LocalVariational(np.ascontiguousarray(log_resp.T), x_h, x_j, x_mean, x_cov, x_logdet)
+    neighbors = annotation_graph(store, glob.workers, potential.n_items)
+    order, back = neighbors.order, neighbors.position
+    potential = RecognitionPotential(potential.h[order], potential.j_diag[order])
+    log_resp, resp = _local_sweeps(exps, potential, neighbors, sweeps)
+    x = update_local_x(resp.T, exps, potential)
+    return LocalVariational(log_resp.T[back], *(a[back] for a in x))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +527,8 @@ class BayesConfig(TrainConfig):
     reparameterized latent draw per batch item.  Fixed values:
 
     - the global step size `mixture.GLOBAL_STEP`, 0.05, `LOCAL_SWEEPS`, 4 local
-      q(z) / q(x) rounds per working set, and the KL warmup `KL_WARMUP`, 1;
+      q(z) / q(x) rounds per working set, and the KL warmup `KL_WARMUP`, 1,
+      whose ramp ends below weight 1;
     - the prior (`MixturePrior`): alpha0 = 0.05 / K, m0 = 0, kappa0 = 0.5
       (`mixture.KAPPA0`), S0 = (d + kappa0) I and nu0 = d + kappa0, and
       Beta(1, 1) on both accuracies of every worker
@@ -543,10 +566,14 @@ class BayesModel:
         check_network("decoder", self.decoder, {"mean": obs_dim, "logvar": obs_dim}, n_in=d)
 
     def predict(self, observations) -> np.ndarray:
-        """Most probable component per item (lowest index on ties)."""
+        """Most probable component per item (lowest index on ties) under
+        q(z) after the local step's LOCAL_SWEEPS rounds without annotations,
+        read after the last q(z) pass, which no q(x) refresh follows."""
         potential = recognition_potential(self.recognition, observations)
-        local = block_coordinate_local(self.glob, potential)
-        return np.argmax(local.resp, axis=1)
+        exps = global_expectations(self.glob)
+        # without annotations there is one block, in item order
+        neighbors = annotation_graph(None, self.glob.workers, potential.n_items)
+        return np.argmax(_local_sweeps(exps, potential, neighbors, LOCAL_SWEEPS)[1], axis=0)
 
     def effective_k(self, threshold: float) -> int:
         """`effective_components` of the global posterior."""
@@ -581,28 +608,21 @@ def _network_objective(h, j_diag, decoder, obs_batch, resp, exps, noise, data_sc
 
     `h` and `j_diag` are the batch rows of the working set's `evidence`
     tensors.  Rebuilds the final q(x) refresh with q(z) probabilities held
-    constant: recon + kl_weight * (log Z(eta_x) - <psi, E t(x)>), summed
-    over the batch.  recon is the decoder log-likelihood of `obs_batch`
-    under one reparameterized draw per item from q(x), x = mean + C noise,
-    with `noise` of shape (n, d); C = chol(cov), from one `inverse_cholesky`
-    node, also gives cov = C C^T and log|cov|.  `kl_weight` < 1 damps the
-    pull of q(x) toward the mixture conditional (warmup against potential
-    collapse); at 1 the gradient is exactly that of the training
-    objective.  Returns the (scaled) objective and reconstruction tensors.
+    constant, as one `nnet.gaussian_refresh` op: recon + kl_weight *
+    (log Z(eta_x) - <psi, E t(x)>), summed over the batch.  recon is the
+    decoder log-likelihood of `obs_batch` under one reparameterized draw
+    per item from q(x), x = mean + C noise, with `noise` of shape (n, d)
+    and C = chol(cov).  `kl_weight` < 1 damps the pull of q(x) toward the
+    mixture conditional (warmup against potential collapse); at 1 the
+    gradient is exactly that of the training objective.  Returns the
+    (scaled) objective and reconstruction tensors.
     """
-    c_h = constant(resp @ exps.mean_prec)
-    c_j = constant(_mix(resp, exps.neg_half_prec))
-    x_j = c_j + diag_embed(j_diag)
-    root = inverse_cholesky(x_j * (-2.0))
-    cov = einsum2("nij,nkj->nik", root, root)
-    h_tot = c_h + h
-    mean = einsum2("nij,nj->ni", cov, h_tot)
-    log_z = tensor_sum(mean * h_tot) * 0.5 + tensor_sum(log(diag_part(root)))
-    second_diag = diag_part(cov) + mean * mean
-    psi_term = tensor_sum(h * mean) + tensor_sum(j_diag * second_diag)
-    dec = decoder.forward(mean + einsum2("nij,nj->ni", root, constant(noise)))
+    draw, bracket = gaussian_refresh(
+        h, j_diag, resp @ exps.mean_prec, _mix(resp, exps.neg_half_prec), noise
+    )
+    dec = decoder.forward(draw)
     recon = tensor_sum(diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"]))
-    objective = (recon + (log_z - psi_term) * kl_weight) * data_scale
+    objective = (recon + bracket * kl_weight) * data_scale
     return objective, recon
 
 

@@ -12,12 +12,10 @@ from crowdmix.nnet import (
     affine,
     backward,
     clip,
+    _record,
     constant,
-    diag_embed,
-    diag_part,
-    einsum2,
     exp,
-    inverse_cholesky,
+    gaussian_refresh,
     log,
     logsumexp,
     matmul,
@@ -287,21 +285,6 @@ def test_backward_rejects_nonscalar():
 # primitive op gradients
 
 
-def test_matrix_op_gradients():
-    """S = A A^T + d I moves symmetrically with A, so finite differences in A
-    check inverse_cholesky's gradient on symmetric perturbations of S."""
-    for d in (1, 2, 3, 4):
-        rng = np.random.default_rng(6 + d)
-        A = parameter(rng.standard_normal((d, d)))
-        M = rng.standard_normal((d, d))
-
-        def build():
-            S = einsum2("ij,kj->ik", A, A) + constant(d * np.eye(d))
-            return tensor_sum(mul(inverse_cholesky(S), constant(np.tril(M))))
-
-        assert _fd_max_rel_err(build, [A]) < 1e-4, d
-
-
 def test_spd_factor_keeps_the_batch_shape():
     rng = np.random.default_rng(5)
     b = rng.standard_normal((2, 3, 3, 3))
@@ -312,22 +295,6 @@ def test_spd_factor_keeps_the_batch_shape():
     assert single[0].shape == single[2].shape == (3, 3) and single[1].shape == ()
     for batched, one in zip((inv, logdet, root), single):
         assert np.array_equal(batched[1, 2], one)
-    assert np.array_equal(inverse_cholesky(constant(a)).data, root)
-
-
-def test_batched_matrix_op_gradients():
-    for d in (1, 2, 3, 4):
-        rng = np.random.default_rng(7 + d)
-        A = parameter(rng.standard_normal((4, d, d)))
-        M = rng.standard_normal((4, d, d))
-
-        def build():
-            S = einsum2("nij,nkj->nik", A, A) + constant(2.0 * np.eye(d))
-            C = inverse_cholesky(S)
-            out = tensor_sum(mul(C, constant(np.tril(M))))
-            return out + tensor_sum(log(diag_part(S))) + tensor_sum(diag_embed(diag_part(C)))
-
-        assert _fd_max_rel_err(build, [A]) < 1e-4, d
 
 
 def test_misc_op_gradients():
@@ -352,6 +319,144 @@ def test_take_rows_accumulates_duplicates():
         loss = tensor_sum(take_rows(a, np.array([1, 1, 0])))
     backward(tape, loss)
     assert np.allclose(a.grad, [[1.0], [2.0], [0.0]])
+
+
+# ---------------------------------------------------------------------------
+# fused q(x) refresh
+
+
+# The composed tape graph that gaussian_refresh fuses, kept as its oracle,
+# with the four ops it was built from, on the engine's node recorder.
+
+
+def einsum2(spec, a, b):
+    """Two-operand einsum; every index of an operand appears in the output
+    or in the other operand."""
+    lhs, out_spec = spec.split("->")
+    a_spec, b_spec = lhs.split(",")
+
+    def vjp(g):
+        return (
+            np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data) if a.requires else None,
+            np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g) if b.requires else None,
+        )
+
+    return _record(np.einsum(spec, a.data, b.data), (a, b), vjp)
+
+
+def diag_part(a):
+    idx = np.arange(a.data.shape[-1])
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[..., idx, idx] = g
+        return (out,)
+
+    return _record(a.data[..., idx, idx].copy(), (a,), vjp)
+
+
+def diag_embed(a):
+    idx = np.arange(a.data.shape[-1])
+    out = np.zeros(a.data.shape + a.data.shape[-1:])
+    out[..., idx, idx] = a.data
+    return _record(out, (a,), lambda g: (g[..., idx, idx],))
+
+
+def inverse_cholesky(a):
+    """C = chol(A^-1), with Murray's Cholesky VJP composed with the inverse
+    for symmetric perturbations of A."""
+    root = spd_factor(a.data)[2]
+    root_t = np.swapaxes(root, -1, -2)
+    idx = np.arange(root.shape[-1])
+
+    def vjp(g):
+        phi = np.tril(root_t @ g)
+        phi[..., idx, idx] *= 0.5
+        m = root @ phi @ root_t
+        return (-0.5 * (m + np.swapaxes(m, -1, -2)),)
+
+    return _record(root, (a,), vjp)
+
+
+def composed_refresh(h, j_diag, base_h, base_j, noise):
+    x_j = constant(base_j) + diag_embed(j_diag)
+    root = inverse_cholesky(x_j * (-2.0))
+    cov = einsum2("nij,nkj->nik", root, root)
+    h_tot = constant(base_h) + h
+    mean = einsum2("nij,nj->ni", cov, h_tot)
+    log_z = tensor_sum(mean * h_tot) * 0.5 + tensor_sum(log(diag_part(root)))
+    second_diag = diag_part(cov) + mean * mean
+    psi_term = tensor_sum(h * mean) + tensor_sum(j_diag * second_diag)
+    return mean + einsum2("nij,nj->ni", root, constant(noise)), log_z - psi_term
+
+
+def refresh_instance(d, seed, n=5):
+    """Evidence parameters (h, j_diag) and constant (base_h, base_j, noise)
+    with a well-conditioned negative definite base_j."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d, d))
+    base_j = -0.5 * (a @ np.swapaxes(a, -1, -2) + d * np.eye(d))
+    return (
+        parameter(rng.standard_normal((n, d))),
+        parameter(-rng.uniform(0.2, 2.0, size=(n, d))),
+        rng.standard_normal((n, d)),
+        base_j,
+        rng.standard_normal((n, d)),
+    )
+
+
+def refresh_losses(refresh, h, j_diag, base_h, base_j, noise, adjoint):
+    """The draw's loss sum(adjoint * draw), and the bracket."""
+    draw, bracket = refresh(h, j_diag, base_h, base_j, noise)
+    return tensor_sum(mul(draw, constant(adjoint))), bracket
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gaussian_refresh_equals_the_composed_graph(d):
+    """Values and the gradients of the draw and of the bracket, each with
+    respect to h and j_diag, to 1e-12; the op records two nodes."""
+    h, j_diag, base_h, base_j, noise = refresh_instance(d, 20 + d)
+    adjoint = np.random.default_rng(d).standard_normal(h.shape)
+    results = []
+    for refresh in (gaussian_refresh, composed_refresh):
+        row = []
+        for which in (0, 1):
+            with Tape() as tape:
+                losses = refresh_losses(refresh, h, j_diag, base_h, base_j, noise, adjoint)
+            if refresh is gaussian_refresh:
+                assert len(tape) == 2 + 2  # the op's two nodes, the loss's mul and sum
+            backward(tape, losses[which])
+            row += [losses[which].data, h.grad, j_diag.grad]
+            zero_grads([h, j_diag])
+        results.append(row)
+    for got, want in zip(*results):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gaussian_refresh_gradients_match_finite_differences(d):
+    """Also checks Murray's Cholesky VJP through the draw."""
+    h, j_diag, base_h, base_j, noise = refresh_instance(d, 30 + d)
+    adjoint = np.random.default_rng(d).standard_normal(h.shape)
+
+    def build():
+        draw_loss, bracket = refresh_losses(
+            gaussian_refresh, h, j_diag, base_h, base_j, noise, adjoint
+        )
+        return draw_loss + bracket * 0.7
+
+    assert _fd_max_rel_err(build, [h, j_diag]) < 1e-6, d
+
+
+@pytest.mark.parametrize("requires", [(True, False), (False, True)])
+def test_gaussian_refresh_gives_a_constant_parent_no_gradient(requires):
+    h, j_diag, base_h, base_j, noise = refresh_instance(2, 40)
+    h.requires, j_diag.requires = requires
+    with Tape() as tape:
+        draw, bracket = gaussian_refresh(h, j_diag, base_h, base_j, noise)
+    for out, _, vjp in tape._nodes:
+        grads = vjp(np.ones_like(out.data))
+        assert [g is not None for g in grads] == list(requires)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +591,11 @@ def test_affine_relu_matches_finite_differences():
     assert _fd_max_rel_err(build, [h, W, b]) < 1e-6
 
 
-@pytest.mark.parametrize("op", ["matmul", "mul", "sub", "einsum2", "affine"])
+@pytest.mark.parametrize("op", ["matmul", "mul", "sub", "affine"])
 @pytest.mark.parametrize("constant_slot", [0, 1])
 def test_constant_parent_gets_no_gradient(op, constant_slot):
     rng = np.random.default_rng(32)
-    shapes = {"matmul": [(3, 4), (4, 2)], "einsum2": [(3, 4), (4, 2)], "affine": [(3, 4), (4, 2)]}
+    shapes = {"matmul": [(3, 4), (4, 2)], "affine": [(3, 4), (4, 2)]}
     a_shape, b_shape = shapes.get(op, [(3, 2), (3, 2)])
     operands = [
         Tensor(rng.uniform(0.5, 2.0, a_shape), requires=constant_slot != 0),
@@ -501,7 +606,6 @@ def test_constant_parent_gets_no_gradient(op, constant_slot):
         "matmul": lambda a, b: matmul(a, b),
         "mul": lambda a, b: mul(a, b),
         "sub": lambda a, b: sub(a, b),
-        "einsum2": lambda a, b: einsum2("ij,jk->ik", a, b),
         "affine": lambda a, b: affine(a, b, bias, relu=True),
     }[op]
     with Tape() as tape:
