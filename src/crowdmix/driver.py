@@ -11,7 +11,8 @@ divergence restores, and the history rows, whose objective subtracts the
 model's global KL once per epoch.  A trainer builds its parameters and
 its `training_store` and hands `fit` one step function per update and
 its warmup constant.  Both trainer configs derive `TrainConfig`;
-`gaussian_mlp` builds their Gaussian heads.
+`gaussian_mlp` builds their Gaussian heads, and `check_observations`
+checks the rows both models predict on.
 """
 
 from __future__ import annotations
@@ -60,6 +61,19 @@ def gaussian_mlp(sizes, width: int, rng: np.random.Generator) -> Mlp:
     """Network with a diagonal Gaussian head pair of `width` outputs each:
     "mean", and "logvar" clipped to LOGVAR_CLAMP."""
     return Mlp(sizes, {"mean": width, "logvar": width}, rng, clamp={"logvar": LOGVAR_CLAMP})
+
+
+def check_observations(observations) -> np.ndarray:
+    """Rows a trained model predicts on, as a float array.  A row that
+    holds NaN or inf raises a ValueError naming the first such row, before
+    any network reads it: bad input is not a training divergence."""
+    x = np.asarray(observations, dtype=float)
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) < x.size:
+        rows = np.atleast_2d(finite)
+        row = int(np.argmin(rows.reshape(len(rows), -1).all(axis=1)))
+        raise ValueError(f"observation row {row} is not finite")
+    return x
 
 
 def check_network(field: str, net: Mlp, heads: dict, n_in=None) -> None:

@@ -21,9 +21,11 @@ The engine keeps a network step lean:
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
-- spd_factor is the package's one factorization of symmetric positive
-  definite matrices, a per-entry Cholesky giving the inverse, the
-  log-determinant and the Cholesky factor of the inverse.
+- spd_factor_rows is the package's one factorization of symmetric
+  positive definite matrices, a Cholesky of n matrices held entry-major,
+  as (d, d, n) rows, giving the inverse, the log-determinant and the
+  Cholesky factor of the inverse; the local q(x) step calls it on its
+  rows, and spd_factor wraps it for (..., d, d) matrices.
 - gaussian_refresh fuses a Gaussian refresh from natural parameters into
   two nodes on one spd_factor call: a reparameterized draw and the
   summed bracket log Z - <evidence, E t(x)>.  Its gradients are closed
@@ -336,23 +338,25 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return _record(a.data[idx], (a,), vjp)
 
 
-def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse, log-determinant and root of SPD (..., d, d) matrices A.
+def spd_factor_rows(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse, log-determinant and root of n SPD d x d matrices A, held
+    entry-major: t is (d, d, n), its row t[i, j] the entry A_ij of every
+    matrix.  Returns the inverses and roots as (d, d, n) and the
+    log-determinants as (n,).
 
-    One Cholesky factorization per entry, of the order-reversed matrix
+    One Cholesky factorization per matrix, of the order-reversed matrix
     J A J = L L^T (J the exchange matrix), by the column loop; M = L^-1 by
     forward substitution.  A^-1 = J M^T M J is computed once per
     upper-triangle entry and mirrored, so it is exactly symmetric;
     log|A| = sum_j log(L_jj^2); the root C = J M^T J is lower triangular
     with C C^T = A^-1: the Cholesky factor of A^-1.  Reads the lower
-    triangle of A only.  The loops run over d and every operation over all
-    entries at once: batched LAPACK makes one call per small matrix.
-    Raises LinAlgError unless every pivot L_jj^2 is > 0 (a NaN fails too).
+    triangle of A only.  The loops run over d and every operation over a
+    row of all n matrices at once, read and written contiguously when t
+    is: batched LAPACK makes one call per small matrix.  Raises
+    LinAlgError unless every pivot L_jj^2 is > 0 (a NaN fails too).
     """
-    a = np.asarray(a, dtype=float)
-    batch, d = a.shape[:-2], a.shape[-1]
-    t = np.ascontiguousarray(a.reshape(-1, d, d).transpose(1, 2, 0))
-    n, r = t.shape[2], d - 1
+    d, n = t.shape[0], t.shape[2]
+    r = d - 1
     # (J A J)_ij = A_{r-j, r-i} for i >= j, from the lower triangle of A
     low = [[None] * d for _ in range(d)]
     logdet = np.zeros(n)
@@ -377,17 +381,34 @@ def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             for k in range(j + 1, i):
                 s = s + low[i][k] * inv_low[k][j]
             inv_low[i][j] = -s * inv_low[i][i]
-    inverse = np.empty((n, d, d))
-    root = np.zeros((n, d, d))
+    inverse = np.empty((d, d, n))
+    root = np.zeros((d, d, n))
     for i in range(d):
         for j in range(i, d):
             s = inv_low[j][i] * inv_low[j][j]
             for k in range(j + 1, d):
                 s = s + inv_low[k][i] * inv_low[k][j]
-            inverse[:, r - i, r - j] = s
-            inverse[:, r - j, r - i] = s
-            root[:, r - i, r - j] = inv_low[j][i]
-    return inverse.reshape(a.shape), logdet.reshape(batch), root.reshape(a.shape)
+            inverse[r - i, r - j] = s
+            inverse[r - j, r - i] = s
+            root[r - i, r - j] = inv_low[j][i]
+    return inverse, logdet, root
+
+
+def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse, log-determinant and root of SPD (..., d, d) matrices A:
+    `spd_factor_rows` on their entry-major copy, its (d, d, n) outputs
+    copied back to (..., d, d).  Raises LinAlgError as that kernel does.
+    """
+    a = np.asarray(a, dtype=float)
+    batch, d = a.shape[:-2], a.shape[-1]
+    inverse, logdet, root = spd_factor_rows(
+        np.ascontiguousarray(a.reshape(-1, d, d).transpose(1, 2, 0))
+    )
+
+    def items(rows):
+        return np.ascontiguousarray(rows.transpose(2, 0, 1)).reshape(a.shape)
+
+    return items(inverse), logdet.reshape(batch), items(root)
 
 
 def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple[Tensor, Tensor]:

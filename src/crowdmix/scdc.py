@@ -30,7 +30,7 @@ from scipy.special import log_softmax as np_log_softmax
 
 from .data import Dataset, minibatch_iterator
 from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp
-from .driver import load_field, training_store
+from .driver import check_observations, load_field, training_store
 from .metrics import clustering_accuracy, nmi
 from .mixture import GLOBAL_STEP
 from .nnet import (
@@ -224,8 +224,10 @@ class ScdcModel:
         )
 
     def predict(self, observations) -> np.ndarray:
-        """Most probable cluster per item (lowest index on ties)."""
-        return np.argmax(self.encoder_z.forward(observations)["logits"].data, axis=1)
+        """Most probable cluster per item (lowest index on ties); a
+        non-finite row fails `driver.check_observations`."""
+        logits = self.encoder_z.forward(check_observations(observations))["logits"]
+        return np.argmax(logits.data, axis=1)
 
     def effective_k(self, threshold: float) -> int:
         """Number of point mixing weights above `threshold`."""

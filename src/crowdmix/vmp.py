@@ -5,18 +5,21 @@ the working set: its diagonal Gaussian evidence potentials (`evidence`)
 feed the local step, and the networks' gradient flows back through them.
 Cluster posteriors q(z) and latent Gaussians are refined jointly by
 block-coordinate updates that carry pairwise annotation messages.  The
-local step puts the evidence rows into the annotation graph's block order
+local step gathers the evidence into the annotation graph's block order
 once, so that each q(z) pass refreshes every block, an edge-free set of
 items, as one contiguous column slice, written in place; the results
 return to item order once.  Inside the step the q(z) probabilities and
 component logits are stored component-major, as (K, n) arrays, so every
-softmax reduces over axis 0; the step returns (n, K) q(z) probabilities,
-and each q(z) pass reads the previous pass's probabilities, not their
-logs.  Each q(x) refresh mixes the K component statistics by the q(z)
-probabilities with one matmul on their (K, d*d) view and factors every
-item's precision once, by `nnet.spd_factor`, the package's one Cholesky
-kernel; `predict` runs the same sweeps over the whole dataset, which
-without annotations is one block, and stops after the last q(z) pass.
+softmax reduces over axis 0, and each q(z) pass reads the previous pass's
+probabilities, not their logs.  The q(x) side is entry-major: evidence,
+natural parameters and moments are (d, n) and (d, d, n) rows, each one
+entry of every item.  Each q(x) refresh mixes the K component statistics
+by the q(z) probabilities with one matmul on their (K, d) and (K, d*d)
+views and factors every item's precision once, by `nnet.spd_factor_rows`,
+the package's one Cholesky kernel, on those rows.  The step returns (n, K)
+q(z) probabilities and item-major q(x) arrays.  `predict` runs the same
+sweeps over the whole dataset, which without annotations is one block in
+item order, and stops after the last q(z) pass.
 Globals (mixing weights, components, worker accuracies) follow scaled
 stochastic natural gradients, while the recognition and decoder networks
 ascend reparameterization gradients of the objective through the final
@@ -40,7 +43,7 @@ import numpy as np
 
 from .data import Dataset, minibatch_iterator
 from .driver import TrainConfig, TrainResult, Update, check_network, fit, gaussian_mlp
-from .driver import load_field, training_store
+from .driver import check_observations, load_field, training_store
 from .expfam import kl_divergence
 from .metrics import clustering_accuracy, nmi
 from .mixture import (
@@ -65,7 +68,7 @@ from .nnet import (
     gaussian_refresh,
     saved_value,
     softplus,
-    spd_factor,
+    spd_factor_rows,
     take_rows,
     tensor_sum,
     zero_grads,
@@ -199,43 +202,54 @@ def _mix(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return (weights @ mats.reshape(k, d * d)).reshape(-1, d, d)
 
 
-def update_local_x(resp, exps: GlobalExpectations, potential: RecognitionPotential):
+def update_local_x(resp, exps: GlobalExpectations, h, j_diag):
     """Coordinate refresh of every q(x_i) given q(z) probabilities.
 
-    Natural parameters are the responsibility-weighted expected Gaussian
-    parameters plus the evidence potential; `resp` is (n, K).  Returns
-    (h, j, mean, cov, log|-2 j|).  One Cholesky per item factors its
-    precision -2 j, which gives the covariance, exactly symmetric, and its
-    log-determinant, and fails with LinAlgError unless j is negative
-    definite.
+    Entry-major: `resp` is (K, n), component-major, and the evidence
+    (h, j_diag) comes as (d, n) rows.  Natural parameters are the
+    responsibility-weighted expected Gaussian parameters, one matmul each
+    with the (K, d) and (K, d*d) component statistics, plus the evidence.
+    Returns (h, j, mean, cov, log|-2 j|) as (d, n), (d, d, n), (d, n),
+    (d, d, n) and (n,) arrays.  One Cholesky per item, `nnet.spd_factor_rows`
+    on the (d, d, n) rows of its precision -2 j, gives the covariance,
+    exactly symmetric, and its log-determinant, and fails with LinAlgError
+    unless j is negative definite.  Each mean entry sums its d products in
+    index order, which at d = 2 gives the bits of any order.  The mean's
+    (d, n) rows view an item-major (n, d) array, the operand layout that
+    `component_logits` hands BLAS.
     """
-    resp = np.asarray(resp, dtype=float)
-    d = exps.mean_prec.shape[1]
-    x_h = resp @ exps.mean_prec + potential.h
-    x_j = _mix(resp, exps.neg_half_prec)
+    k, d = exps.mean_prec.shape
+    x_h = exps.mean_prec.T @ resp
+    x_h += h
+    x_j = (exps.neg_half_prec.reshape(k, d * d).T @ resp).reshape(d, d, -1)
     idx = np.arange(d)
-    x_j[:, idx, idx] += potential.j_diag
-    x_cov, x_logdet, _ = spd_factor(-2.0 * x_j)
-    x_mean = np.einsum("nij,nj->ni", x_cov, x_h)
+    x_j[idx, idx] += j_diag
+    x_cov, x_logdet, _ = spd_factor_rows(-2.0 * x_j)
+    x_mean = np.einsum("ijn,jn->ni", x_cov, x_h).T
     return x_h, x_j, x_mean, x_cov, x_logdet
 
 
 def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
     """Per component and item: <E t(mu_k, Sigma_k), (E t(x_i), 1)>.
 
-    Component-major, (K, n), straight from the matmuls with the (K, d) and
-    (K, d*d) component statistics, plus one (K, 1) column of the
-    Mahalanobis and log-determinant terms.
+    Entry-major: x_mean is (d, n) and x_cov (d, d, n).  Component-major,
+    (K, n), straight from the matmuls with the (K, d) and (K, d*d)
+    component statistics, plus one (K, 1) column of the Mahalanobis and
+    log-determinant terms.  Both matmuls read the transposes of item-major
+    (n, d) and (n, d*d) arrays: BLAS picks its kernel by operand layout,
+    and that choice sets the last bits.  The second moments are written
+    item-major one (i, j) entry of every item at a time.
     """
-    x_mean = np.asarray(x_mean, dtype=float)
-    x_cov = np.asarray(x_cov, dtype=float)
-    n, d = x_mean.shape
-    second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
-    return (
-        exps.mean_prec @ x_mean.T
-        + exps.neg_half_prec.reshape(-1, d * d) @ second.reshape(n, d * d).T
-        + (exps.neg_half_mahal + exps.neg_half_logdet)[:, None]
-    )
+    d, n = x_mean.shape
+    second = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(d):
+            np.multiply(x_mean[i], x_mean[j], out=second[:, i, j])
+            second[:, i, j] += x_cov[i, j]
+    logits = exps.mean_prec @ np.ascontiguousarray(x_mean.T).T
+    logits += exps.neg_half_prec.reshape(-1, d * d) @ second.reshape(n, d * d).T
+    logits += (exps.neg_half_mahal + exps.neg_half_logdet)[:, None]
+    return logits
 
 
 class AnnotationGraph(Sequence):
@@ -254,17 +268,30 @@ class AnnotationGraph(Sequence):
     unlinked items, then each later class, and `position` is its inverse,
     the block position of each item.  Block 0 is class 0 with the unlinked
     items folded in, which share no edge either; a graph without edges is
-    one block in item order.  `blocks` holds per block (lo, hi, starts,
-    other, weight): its positions lo..hi-1, linked items first, and their
-    edges grouped by item in block order, as first-edge offsets, block
-    positions of the other ends, and weights.  All are fixed at
-    construction.  The graph also reads as a sequence of per-item (other
+    one block in item order, whose fields are set without the coloring.
+    `blocks` holds per block (lo, hi, starts, other, weight): its
+    positions lo..hi-1, linked items first, and their edges grouped by
+    item in block order, as first-edge offsets, block positions of the
+    other ends, and weights.  All are fixed at construction.  The graph also reads as a sequence of per-item (other
     item, weight) lists, made on first access.
     """
 
     def __init__(self, n_items: int, item, other, weight):
         item = np.asarray(item, dtype=int)
-        other = np.asarray(other, dtype=int)
+        if item.size:
+            self._color(n_items, item, np.asarray(other, dtype=int), weight)
+            return
+        # no edges: the fields the coloring would give, without it
+        self.linked = np.zeros(n_items, dtype=bool)
+        self.free, self.order, self.position = (np.arange(n_items) for _ in range(3))
+        self._items = self._other = np.zeros(0, dtype=int)
+        self._weight = np.zeros(0)
+        self._bounds = np.zeros(1, dtype=int)
+        self.classes = []
+        self.blocks = [(0, n_items, self._items, self._other, self._weight)]
+
+    def _color(self, n_items: int, item: np.ndarray, other: np.ndarray, weight):
+        """The fields of a graph from its half-edges, by the coloring."""
         self.linked = np.bincount(item, minlength=n_items) > 0
         self.free = np.flatnonzero(~self.linked)
         color = _greedy_colors(n_items, item, other)
@@ -393,16 +420,18 @@ def update_local_z(base_logits, neighbors, resp) -> tuple[np.ndarray, np.ndarray
     return out, resp
 
 
-def _local_sweeps(exps: GlobalExpectations, potential: RecognitionPotential, neighbors, sweeps):
+def _local_sweeps(exps: GlobalExpectations, h, j_diag, neighbors, sweeps):
     """`sweeps` q(x) / q(z) rounds from uniform q(z) probabilities, each a
-    q(x) refresh then a q(z) pass, on a potential in the block order of
-    `neighbors`.  Returns the last pass's (K, n) log q(z) and q(z)."""
+    q(x) refresh then a q(z) pass, on (d, n) evidence rows in the block
+    order of `neighbors`.  Returns the last pass's (K, n) log q(z) and
+    q(z)."""
     K = exps.log_pi.shape[0]
-    resp = np.exp(np.full((K, potential.n_items), -math.log(K)))
+    resp = np.exp(np.full((K, h.shape[1]), -math.log(K)))
     log_pi = exps.log_pi[:, None]
     for _ in range(sweeps):
-        _, _, x_mean, x_cov, _ = update_local_x(resp.T, exps, potential)
-        base = log_pi + component_logits(exps, x_mean, x_cov)
+        _, _, x_mean, x_cov, _ = update_local_x(resp, exps, h, j_diag)
+        base = component_logits(exps, x_mean, x_cov)
+        base += log_pi
         log_resp, resp = update_local_z(base, neighbors, resp)
     return log_resp, resp
 
@@ -419,21 +448,26 @@ def block_coordinate_local(
     exactly `sweeps` rounds from uniform q(z) probabilities and ends on a
     q(x) refresh, so the returned Gaussians are consistent with the
     returned q(z) probabilities.  The annotation graph is built and colored
-    once per call, and the evidence rows are put into its block order once;
-    every q(z) pass then refreshes one block at a time, from the last
-    pass's probabilities.  Items of one block share no edge, so each pass
-    is exact coordinate ascent in that item order and the surrogate ELBO
-    cannot decrease along the sweeps.  q(z) is held component-major,
-    (K, n); the results return to item order once, on exit.
+    once per call, and the potential's checked arrays are gathered once
+    into (d, n) evidence rows in its block order; every q(z) pass then
+    refreshes one block at a time, from the last pass's probabilities.
+    Items of one block share no edge, so each pass is exact coordinate
+    ascent in that item order and the surrogate ELBO cannot decrease along
+    the sweeps.  q(z) is held component-major, (K, n), and q(x)
+    entry-major, (d, n) and (d, d, n); the results return to item order
+    and the item-major layout of `LocalVariational` in one gather, on exit.
     """
     check_count("sweeps", sweeps, 1)
     exps = global_expectations(glob)
     neighbors = annotation_graph(store, glob.workers, potential.n_items)
     order, back = neighbors.order, neighbors.position
-    potential = RecognitionPotential(potential.h[order], potential.j_diag[order])
-    log_resp, resp = _local_sweeps(exps, potential, neighbors, sweeps)
-    x = update_local_x(resp.T, exps, potential)
-    return LocalVariational(log_resp.T[back], *(a[back] for a in x))
+    h, j_diag = potential.h.T[:, order], potential.j_diag.T[:, order]
+    log_resp, resp = _local_sweeps(exps, h, j_diag, neighbors, sweeps)
+    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp, exps, h, j_diag)
+    return LocalVariational(
+        log_resp.T[back], x_h.T[back], x_j.transpose(2, 0, 1)[back], x_mean.T[back],
+        x_cov.transpose(2, 0, 1)[back], x_logdet[back],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +602,14 @@ class BayesModel:
     def predict(self, observations) -> np.ndarray:
         """Most probable component per item (lowest index on ties) under
         q(z) after the local step's LOCAL_SWEEPS rounds without annotations,
-        read after the last q(z) pass, which no q(x) refresh follows."""
-        potential = recognition_potential(self.recognition, observations)
+        read after the last q(z) pass, which no q(x) refresh follows.  A
+        non-finite row fails `driver.check_observations`."""
+        potential = recognition_potential(self.recognition, check_observations(observations))
         exps = global_expectations(self.glob)
         # without annotations there is one block, in item order
         neighbors = annotation_graph(None, self.glob.workers, potential.n_items)
-        return np.argmax(_local_sweeps(exps, potential, neighbors, LOCAL_SWEEPS)[1], axis=0)
+        _, resp = _local_sweeps(exps, potential.h.T, potential.j_diag.T, neighbors, LOCAL_SWEEPS)
+        return np.argmax(resp, axis=0)
 
     def effective_k(self, threshold: float) -> int:
         """`effective_components` of the global posterior."""

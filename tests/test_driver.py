@@ -326,3 +326,21 @@ def test_fit_rejects_a_store_for_another_dataset_before_drawing():
             clustering_accuracy=clustering_accuracy, nmi=nmi,
         )
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_predict_names_the_first_non_finite_row_before_the_network_runs(
+    trainer, value, monkeypatch
+):
+    """Bad input to a trained model is a ValueError, not a divergence."""
+    _, train, config, _ = TRAINERS[trainer]
+    dataset, store = small_problem(2)
+    model = train(dataset, store, replace(config, epochs=0), np.random.default_rng(4)).model
+    observations = dataset.observations.copy()
+    observations[[4, 9], 1] = value
+    forward = []
+    monkeypatch.setattr(vmp.Mlp, "forward", lambda *args: forward.append(args))
+    with pytest.raises(ValueError, match="^observation row 4 is not finite$"):
+        model.predict(observations)
+    assert forward == []

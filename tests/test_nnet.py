@@ -25,6 +25,7 @@ from crowdmix.nnet import (
     reparameterize,
     softplus,
     spd_factor,
+    spd_factor_rows,
     sub,
     take_rows,
     tensor_sum,
@@ -295,6 +296,41 @@ def test_spd_factor_keeps_the_batch_shape():
     assert single[0].shape == single[2].shape == (3, 3) and single[1].shape == ()
     for batched, one in zip((inv, logdet, root), single):
         assert np.array_equal(batched[1, 2], one)
+
+
+@pytest.mark.parametrize("batch", [(1,), (7,), (2, 3)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_spd_factor_rows_equals_spd_factor_bit_for_bit(d, batch):
+    """The entry-major kernel on (d, d, n) rows gives spd_factor's inverse,
+    log-determinant and root, whatever the batch shape, and factors each
+    matrix the same alone as among the others."""
+    rng = np.random.default_rng(d)
+    b = rng.standard_normal((*batch, d, d))
+    a = b @ np.swapaxes(b, -1, -2) + 2.0 * d * np.eye(d)
+    n = a.size // (d * d)
+    rows = np.ascontiguousarray(np.moveaxis(a.reshape(n, d, d), 0, -1))
+    inv, logdet, root = spd_factor_rows(rows)
+    assert inv.shape == root.shape == (d, d, n) and logdet.shape == (n,)
+    want = spd_factor(a)
+    for got, expected in zip((inv, root), (want[0], want[2])):
+        assert np.array_equal(np.moveaxis(got, -1, 0).reshape(a.shape), expected)
+    assert np.array_equal(logdet.reshape(batch), want[1])
+    for p in range(n):
+        alone = spd_factor_rows(rows[:, :, p:p + 1])
+        for got, one in zip((inv, logdet, root), alone):
+            assert np.array_equal(got[..., p:p + 1], one)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pivot", [0.0, -0.5, np.nan])
+def test_spd_factor_rows_rejects_a_bad_pivot(d, pivot):
+    """A zero, negative or NaN pivot in one matrix of the rows raises
+    LinAlgError; A_00 is the last pivot of the order-reversed factor."""
+    rows = np.zeros((d, d, 5))
+    rows[np.arange(d), np.arange(d)] = 1.0
+    rows[0, 0, 3] = pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_factor_rows(rows)
 
 
 def test_misc_op_gradients():

@@ -169,6 +169,20 @@ def test_potential_validates_shape_and_sign():
 # local x updates
 
 
+def refresh_items(resp, exps, pot):
+    """update_local_x on (n, K) probabilities and a potential, its results
+    moved to item-major (n, d), (n, d, d) and (n,) arrays."""
+    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(
+        np.ascontiguousarray(np.asarray(resp, dtype=float).T), exps, pot.h.T, pot.j_diag.T
+    )
+    return x_h.T, x_j.transpose(2, 0, 1), x_mean.T, x_cov.transpose(2, 0, 1), x_logdet
+
+
+def logits_of_items(exps, x_mean, x_cov):
+    """component_logits of item-major (n, d) means and (n, d, d) covariances."""
+    return component_logits(exps, x_mean.T, x_cov.transpose(1, 2, 0))
+
+
 def test_identical_components_uniform_resp_reduce_to_single_component():
     # two equal components under uniform q(z) act like one: with a barely
     # visible potential the latent natural parameters are the component's
@@ -177,7 +191,7 @@ def test_identical_components_uniform_resp_reduce_to_single_component():
     glob = scalar_glob([1.0, 1.0], [comp, comp])
     exps = global_expectations(glob)
     pot = RecognitionPotential(np.zeros((1, 1)), np.full((1, 1), -1e-13))
-    x_h, x_j, _, _, _ = update_local_x(np.array([[0.5, 0.5]]), exps, pot)
+    x_h, x_j, _, _, _ = refresh_items(np.array([[0.5, 0.5]]), exps, pot)
     assert abs(x_h[0, 0] - exps.mean_prec[0, 0]) < 1e-10
     assert abs(x_j[0, 0, 0] - exps.neg_half_prec[0, 0, 0]) < 1e-10
 
@@ -187,7 +201,7 @@ def test_local_x_update_matches_scalar_arithmetic():
     exps = global_expectations(glob)
     pot = RecognitionPotential(np.array([[0.5]]), np.array([[-1.0]]))
     resp = np.array([[0.3, 0.7]])
-    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp, exps, pot)
+    x_h, x_j, x_mean, x_cov, x_logdet = refresh_items(resp, exps, pot)
     expected_h = expected_j = 0.0
     for r, (m, _, s, nu) in zip(resp[0], TEST_COMPONENTS):
         expected_h += r * nu * m / s
@@ -210,7 +224,7 @@ def test_local_x_precision_always_negative_definite():
     pot = RecognitionPotential(
         rng.normal(size=(20, 3), scale=4.0), -np.exp(rng.normal(size=(20, 3), scale=2.0))
     )
-    _, x_j, _, _, x_logdet = update_local_x(resp, exps, pot)
+    _, x_j, _, _, x_logdet = refresh_items(resp, exps, pot)
     eigs = np.linalg.eigvalsh(x_j)
     assert np.all(eigs < 0.0)
     expected_logdet = np.linalg.slogdet(-2.0 * x_j)[1]
@@ -218,8 +232,9 @@ def test_local_x_precision_always_negative_definite():
 
 
 # ---------------------------------------------------------------------------
-# the per-entry Cholesky kernel of the local step (nnet.spd_factor) and the
-# contractions with the K components
+# the Cholesky kernel of the local step (nnet.spd_factor_rows, here through
+# its item-major wrapper nnet.spd_factor) and the contractions with the K
+# components
 
 
 def random_spd(rng, n, d):
@@ -268,7 +283,19 @@ def test_local_x_update_raises_linalg_error_on_a_positive_precision_bracket():
     exps = exps._replace(neg_half_prec=-exps.neg_half_prec)
     pot = RecognitionPotential(rng.standard_normal((6, 2)), np.full((6, 2), -1e-3))
     with pytest.raises(np.linalg.LinAlgError):
-        update_local_x(rng.dirichlet(np.ones(3), size=6), exps, pot)
+        refresh_items(rng.dirichlet(np.ones(3), size=6), exps, pot)
+
+
+def test_local_x_update_raises_linalg_error_on_a_nan_precision():
+    """A NaN in one evidence row makes that item's pivot NaN, which fails
+    the entry-major refresh as a non-positive one does."""
+    rng = np.random.default_rng(4)
+    exps = global_expectations(init_global(MixturePrior(3, 2), rng))
+    j_diag = np.full((2, 6), -1.0)
+    j_diag[1, 4] = np.nan
+    resp = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=6).T)
+    with pytest.raises(np.linalg.LinAlgError):
+        update_local_x(resp, exps, rng.standard_normal((2, 6)), j_diag)
 
 
 def test_component_contractions_equal_einsum():
@@ -287,7 +314,7 @@ def test_component_contractions_equal_einsum():
     )
     second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
     assert close(
-        component_logits(exps, x_mean, x_cov).T,
+        logits_of_items(exps, x_mean, x_cov).T,
         x_mean @ exps.mean_prec.T
         + np.einsum("nij,kij->nk", second, exps.neg_half_prec)
         + exps.neg_half_mahal
@@ -307,7 +334,7 @@ def test_symmetric_items_get_uniform_responsibilities():
     comp = (0.4, 2.5, 1.8, 3.0)
     glob = scalar_glob([2.0, 2.0], [comp, comp])
     exps = global_expectations(glob)
-    base = exps.log_pi[:, None] + component_logits(exps, np.array([[0.7]]), np.array([[[0.5]]]))
+    base = exps.log_pi[:, None] + logits_of_items(exps, np.array([[0.7]]), np.array([[[0.5]]]))
     out, _ = update_local_z(base, AnnotationGraph(1, [], [], []), np.full((2, 1), 0.5))
     assert np.allclose(np.exp(out), 0.5, atol=1e-12)
 
@@ -537,6 +564,27 @@ def test_a_store_without_triples_gives_one_block_in_item_order(store):
     assert np.array_equal(graph.order, np.arange(5))
 
 
+@pytest.mark.parametrize("n_items", [0, 1, 5])
+def test_an_edge_free_graph_has_the_fields_the_coloring_builds(n_items):
+    """A graph without edges skips the coloring; each field, dtype
+    included, and the per-item sequence view equal the coloring's."""
+    graph = AnnotationGraph(n_items, [], [], [])
+    colored = object.__new__(AnnotationGraph)
+    colored._color(n_items, np.zeros(0, dtype=int), np.zeros(0, dtype=int), [])
+    assert vars(graph).keys() == vars(colored).keys()
+
+    def same(a, b):
+        if isinstance(a, np.ndarray):
+            return a.dtype == b.dtype and np.array_equal(a, b)
+        if isinstance(a, (list, tuple)):
+            return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+        return a == b
+
+    for name, value in vars(graph).items():
+        assert same(value, getattr(colored, name)), name
+    assert list(graph) == list(colored) == [[]] * n_items
+
+
 # Row-major references for the component-major local step: (n, K)
 # responsibilities and logits, every softmax along the K-wide last axis.
 
@@ -582,12 +630,93 @@ def local_step_rows(glob, potential, store, sweeps):
     n, K = potential.n_items, exps.log_pi.shape[0]
     log_resp = np.full((n, K), -math.log(K))
     neighbors = annotation_graph(store, glob.workers, n)
-    _, _, x_mean, x_cov, _ = update_local_x(np.exp(log_resp), exps, potential)
+    _, _, x_mean, x_cov, _ = update_local_x_items(np.exp(log_resp), exps, potential)
     for _ in range(sweeps):
         base = exps.log_pi + component_logits_rows(exps, x_mean, x_cov)
         log_resp = update_local_z_rows(base, neighbors, log_resp)
-        _, _, x_mean, x_cov, _ = update_local_x(np.exp(log_resp), exps, potential)
+        _, _, x_mean, x_cov, _ = update_local_x_items(np.exp(log_resp), exps, potential)
     return log_resp
+
+
+# The item-major q(x) refresh, component logits and local step that ran
+# before the q(x) side went entry-major, kept as the oracle of the
+# entry-major code: (n, K) probabilities in, (n, d) and (n, d, d) arrays
+# out, and `spd_factor` on (n, d, d) precisions.
+
+
+def update_local_x_items(resp, exps, potential):
+    resp = np.asarray(resp, dtype=float)
+    d = exps.mean_prec.shape[1]
+    x_h = resp @ exps.mean_prec + potential.h
+    x_j = _mix(resp, exps.neg_half_prec)
+    idx = np.arange(d)
+    x_j[:, idx, idx] += potential.j_diag
+    x_cov, x_logdet, _ = spd_factor(-2.0 * x_j)
+    x_mean = np.einsum("nij,nj->ni", x_cov, x_h)
+    return x_h, x_j, x_mean, x_cov, x_logdet
+
+
+def component_logits_items(exps, x_mean, x_cov):
+    n, d = x_mean.shape
+    second = x_cov + x_mean[:, :, None] * x_mean[:, None, :]
+    return (
+        exps.mean_prec @ x_mean.T
+        + exps.neg_half_prec.reshape(-1, d * d) @ second.reshape(n, d * d).T
+        + (exps.neg_half_mahal + exps.neg_half_logdet)[:, None]
+    )
+
+
+def local_step_items(glob, potential, store, sweeps=LOCAL_SWEEPS) -> LocalVariational:
+    """block_coordinate_local on the item-major oracle refresh and logits."""
+    exps = global_expectations(glob)
+    graph = annotation_graph(store, glob.workers, potential.n_items)
+    order, back = graph.order, graph.position
+    potential = RecognitionPotential(potential.h[order], potential.j_diag[order])
+    K = exps.log_pi.shape[0]
+    resp = np.exp(np.full((K, potential.n_items), -math.log(K)))
+    for _ in range(sweeps):
+        _, _, x_mean, x_cov, _ = update_local_x_items(resp.T, exps, potential)
+        base = exps.log_pi[:, None] + component_logits_items(exps, x_mean, x_cov)
+        log_resp, resp = update_local_z(base, graph, resp)
+    x = update_local_x_items(resp.T, exps, potential)
+    return LocalVariational(log_resp.T[back], *(a[back] for a in x))
+
+
+LOCAL_FIELDS = ("log_resp", "x_h", "x_j", "x_mean", "x_cov", "x_logdet")
+
+
+@pytest.mark.parametrize("annotated", [False, True], ids=["no-store", "store"])
+@pytest.mark.parametrize("n", [1, 50, 122, 300, 411, 500, 5000])
+def test_entry_major_local_step_equals_the_item_major_oracle_bit_for_bit(n, annotated):
+    """At the latent width 2 of every trainer default, each q(x) mean sums
+    two products, whose sum no summation order changes; BLAS picks its
+    matmul kernel by operand layout and size, so the sizes include the 300
+    and 500 items at which a C-ordered (d, n) mean moved the logits."""
+    rng = np.random.default_rng(n)
+    K, d, n_workers = 15, 2, 5
+    glob = init_global(MixturePrior(K, d), rng, n_workers=n_workers)
+    glob = replace(glob, workers=random_workers(rng, n_workers))
+    # diffuse evidence, so that the logits' last bits reach log q(z)
+    pot = RecognitionPotential(
+        rng.normal(size=(n, d), scale=3.0), -np.exp(rng.normal(-1.0, 1.0, size=(n, d)))
+    )
+    store = None
+    if annotated:
+        pairs = [sorted(rng.choice(n, size=2, replace=False).tolist()) for _ in range(n // 2)]
+        triples = [(i, j, int(rng.integers(n_workers)), int(rng.integers(2))) for i, j in pairs]
+        store = AnnotationStore(triples, n_items=n, n_workers=n_workers)
+    expected = local_step_items(glob, pot, store)
+    local = block_coordinate_local(glob, pot, store)
+    for field in LOCAL_FIELDS:
+        got, want = getattr(local, field), getattr(expected, field)
+        assert np.array_equal(got, want) and got.flags.c_contiguous, field
+    if not annotated:
+        # predict's sweeps, on the potential's own arrays in item order
+        graph = annotation_graph(None, glob.workers, n)
+        log_resp, _ = vmp._local_sweeps(
+            global_expectations(glob), pot.h.T, pot.j_diag.T, graph, LOCAL_SWEEPS
+        )
+        assert np.array_equal(log_resp.T, expected.log_resp)
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -600,7 +729,7 @@ def test_component_major_local_z_equals_the_row_major_reference(case):
     exps = global_expectations(init_global(MixturePrior(K, d), rng))
     x_mean = rng.standard_normal((n_items, d))
     x_cov = np.linalg.inv(random_spd(rng, n_items, d))
-    logits = component_logits(exps, x_mean, x_cov)
+    logits = logits_of_items(exps, x_mean, x_cov)
     expected_logits = component_logits_rows(exps, x_mean, x_cov)
     assert logits.shape == (K, n_items)
     assert np.max(np.abs(logits.T - expected_logits)) <= 1e-12 * np.max(np.abs(expected_logits))
@@ -656,7 +785,7 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     glob, store, pot = grid_instance()
     exps = global_expectations(glob)
     local = block_coordinate_local(glob, pot, store, sweeps=2)
-    base = exps.log_pi[:, None] + component_logits(exps, local.x_mean, local.x_cov)
+    base = exps.log_pi[:, None] + logits_of_items(exps, local.x_mean, local.x_cov)
     graph = annotation_graph(store, glob.workers, 3)
     logits, resp = block_major(graph, base.T, local.resp)
     updated = update_local_z(logits, graph, resp)[0][:, graph.position].T
@@ -677,18 +806,22 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
 
 def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
     """`sweeps` rounds of block_coordinate_local's coordinate updates, from
-    the responsibilities of `local` instead of uniform ones, in block order."""
+    the responsibilities of `local` instead of uniform ones, in block order
+    and with q(x) entry-major, as that function runs them."""
     exps = global_expectations(glob)
     graph = annotation_graph(store, glob.workers, pot.n_items)
     order, back = graph.order, graph.position
-    pot = RecognitionPotential(pot.h[order], pot.j_diag[order])
+    h, j_diag = pot.h.T[:, order], pot.j_diag.T[:, order]
     (resp,) = block_major(graph, np.exp(local.log_resp))
     for _ in range(sweeps):
-        x = update_local_x(resp.T, exps, pot)
+        x = update_local_x(resp, exps, h, j_diag)
         base = exps.log_pi[:, None] + component_logits(exps, x[2], x[3])
         log_resp, resp = update_local_z(base, graph, resp)
-    x = update_local_x(resp.T, exps, pot)
-    return LocalVariational(log_resp.T[back], *(a[back] for a in x))
+    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp, exps, h, j_diag)
+    return LocalVariational(
+        log_resp.T[back], x_h.T[back], x_j.transpose(2, 0, 1)[back], x_mean.T[back],
+        x_cov.transpose(2, 0, 1)[back], x_logdet[back],
+    )
 
 
 def local_after(glob, pot, store, sweeps) -> LocalVariational:
@@ -1430,8 +1563,9 @@ def test_log_softmax_columns_equals_scipy_exactly_on_finite_blocks_of_either_lay
 # the covariance and log-determinant off `spd_factor` rather than
 # composing them from the Cholesky root (they were -1021.6051650063614
 # and cf860537...b23d); accuracy, NMI and effective K are the same, and
-# no saved value moved by more than 4.3e-14.  The current code must
-# reproduce them bit for bit.
+# no saved value moved by more than 4.3e-14.  Both held, bit for bit,
+# when the local step's q(x) side went entry-major, on
+# nnet.spd_factor_rows.  The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
