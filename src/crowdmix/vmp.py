@@ -19,7 +19,9 @@ views and factors every item's precision once, by `nnet.spd_factor_rows`,
 the package's one Cholesky kernel, on those rows.  The step returns (n, K)
 q(z) probabilities and item-major q(x) arrays.  `predict` runs the same
 sweeps over the whole dataset, which without annotations is one block in
-item order, and stops after the last q(z) pass.
+item order, and stops after the last q(z) pass.  The sweeps make their
+(K, n) arrays once per call, the logits, q(z) and one scratch array, and
+every round refreshes them in place.
 Globals (mixing weights, components, worker accuracies) follow scaled
 stochastic natural gradients, while the recognition and decoder networks
 ascend reparameterization gradients of the objective through the final
@@ -209,14 +211,15 @@ def update_local_x(resp, exps: GlobalExpectations, h, j_diag):
     (h, j_diag) comes as (d, n) rows.  Natural parameters are the
     responsibility-weighted expected Gaussian parameters, one matmul each
     with the (K, d) and (K, d*d) component statistics, plus the evidence.
-    Returns (h, j, mean, cov, log|-2 j|) as (d, n), (d, d, n), (d, n),
-    (d, d, n) and (n,) arrays.  One Cholesky per item, `nnet.spd_factor_rows`
-    on the (d, d, n) rows of its precision -2 j, gives the covariance,
-    exactly symmetric, and its log-determinant, and fails with LinAlgError
-    unless j is negative definite.  Each mean entry sums its d products in
-    index order, which at d = 2 gives the bits of any order.  The mean's
-    (d, n) rows view an item-major (n, d) array, the operand layout that
-    `component_logits` hands BLAS.
+    Returns (h, -2 j, mean, cov, log|-2 j|) as (d, n), (d, d, n), (d, n),
+    (d, d, n) and (n,) arrays: j's rows are scaled in place to the
+    precision -2 j, and -0.5 times it gives j back exactly.  One Cholesky
+    per item, `nnet.spd_factor_rows` on those (d, d, n) rows, gives the
+    covariance, exactly symmetric, and its log-determinant, and fails with
+    LinAlgError unless j is negative definite.  Each mean entry sums its d
+    products in index order, which at d = 2 gives the bits of any order.
+    The mean's (d, n) rows view an item-major (n, d) array, the operand
+    layout that `component_logits` hands BLAS.
     """
     k, d = exps.mean_prec.shape
     x_h = exps.mean_prec.T @ resp
@@ -224,12 +227,13 @@ def update_local_x(resp, exps: GlobalExpectations, h, j_diag):
     x_j = (exps.neg_half_prec.reshape(k, d * d).T @ resp).reshape(d, d, -1)
     idx = np.arange(d)
     x_j[idx, idx] += j_diag
-    x_cov, x_logdet, _ = spd_factor_rows(-2.0 * x_j)
+    x_prec = np.multiply(x_j, -2.0, out=x_j)
+    x_cov, x_logdet, _ = spd_factor_rows(x_prec)
     x_mean = np.einsum("ijn,jn->ni", x_cov, x_h).T
-    return x_h, x_j, x_mean, x_cov, x_logdet
+    return x_h, x_prec, x_mean, x_cov, x_logdet
 
 
-def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
+def component_logits(exps: GlobalExpectations, x_mean, x_cov, out, scratch) -> np.ndarray:
     """Per component and item: <E t(mu_k, Sigma_k), (E t(x_i), 1)>.
 
     Entry-major: x_mean is (d, n) and x_cov (d, d, n).  Component-major,
@@ -238,7 +242,9 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
     log-determinant terms.  Both matmuls read the transposes of item-major
     (n, d) and (n, d*d) arrays: BLAS picks its kernel by operand layout,
     and that choice sets the last bits.  The second moments are written
-    item-major one (i, j) entry of every item at a time.
+    item-major one (i, j) entry of every item at a time.  The logits go
+    into `out` and the second matmul into `scratch`, C-ordered (K, n)
+    arrays; returns `out`.
     """
     d, n = x_mean.shape
     second = np.empty((n, d, d))
@@ -246,8 +252,10 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov) -> np.ndarray:
         for j in range(d):
             np.multiply(x_mean[i], x_mean[j], out=second[:, i, j])
             second[:, i, j] += x_cov[i, j]
-    logits = exps.mean_prec @ np.ascontiguousarray(x_mean.T).T
-    logits += exps.neg_half_prec.reshape(-1, d * d) @ second.reshape(n, d * d).T
+    logits = np.matmul(exps.mean_prec, np.ascontiguousarray(x_mean.T).T, out=out)
+    logits += np.matmul(
+        exps.neg_half_prec.reshape(-1, d * d), second.reshape(n, d * d).T, out=scratch
+    )
     logits += (exps.neg_half_mahal + exps.neg_half_logdet)[:, None]
     return logits
 
@@ -376,63 +384,68 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
 
-def _log_softmax_columns(x: np.ndarray, out=None) -> np.ndarray:
+def _log_softmax_columns(x: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
     """scipy.special.log_softmax(x, axis=0) by the same numpy operations,
     without scipy's array-API dispatch, which costs more than the
     arithmetic on a working set.  On a (K, n) array every reduction runs
-    across the items.  `out`, which may be x itself, receives the result."""
+    across the items.  `out`, which may be x itself, receives the result,
+    and `scratch`, of x's shape, the exponentials; numpy sums F- and
+    C-ordered operands in different orders, so scipy's bits need a scratch
+    laid out as x is."""
     x_max = np.maximum.reduce(x, axis=0, keepdims=True)
     if np.isfinite(x_max).all():  # every column sums at least exp(0): no log(0)
         tmp = np.subtract(x, x_max, out=out)
-        tmp -= np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
+        tmp -= np.log(np.add.reduce(np.exp(tmp, out=scratch), axis=0, keepdims=True))
         return tmp
     x_max[~np.isfinite(x_max)] = 0
     tmp = np.subtract(x, x_max, out=out)
     with np.errstate(divide="ignore"):
-        tmp -= np.log(np.add.reduce(np.exp(tmp), axis=0, keepdims=True))
+        tmp -= np.log(np.add.reduce(np.exp(tmp, out=scratch), axis=0, keepdims=True))
     return tmp
 
 
-def update_local_z(base_logits, neighbors, resp) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of coordinate refreshes on every q(z_i).
+def update_local_z(logits, neighbors, resp, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of coordinate refreshes on every q(z_i), in place.
 
     Component-major and in the block order of `neighbors`, the working
-    set's AnnotationGraph: base_logits, resp and both results are (K, n),
-    column p holding item `neighbors.order[p]`.  base_logits holds E[log
-    pi] plus the component brackets, and resp the previous pass's q(z)
-    probabilities, read only as messages; the pass updates a copy.
-    Returns the new log q(z) probabilities and their exponentials.  The
-    blocks refresh one at a time, in order, each a column slice that takes
-    its messages from the freshest q(z) probabilities of the blocks before
-    it and is written in place by one log-softmax.  No edge joins two items
-    of one block, so refreshing a block at once equals refreshing its
-    items one after another: the pass is exact coordinate ascent, visiting
-    the items in block order.
+    set's AnnotationGraph: logits, resp and `scratch` are float (K, n)
+    arrays, column p holding item `neighbors.order[p]`.  logits holds
+    E[log pi] plus the component brackets, and resp the previous pass's
+    q(z) probabilities, read as messages.  The pass overwrites logits with
+    the new log q(z) probabilities and resp with their exponentials, and
+    returns those two arrays; `scratch` takes the log-softmax's
+    exponentials.  The blocks refresh one at a time, in order, each a
+    column slice that takes its messages from the freshest q(z)
+    probabilities of the blocks before it and is written in place by one
+    log-softmax.  No edge joins two items of one block, so refreshing a
+    block at once equals refreshing its items one after another: the pass
+    is exact coordinate ascent, visiting the items in block order.
     """
-    out = np.array(base_logits, dtype=float)
-    resp = np.array(resp, dtype=float)
     for lo, hi, starts, other, weight in neighbors.blocks:
-        block = out[:, lo:hi]
+        block = logits[:, lo:hi]
         if starts.size:
             block[:, :starts.size] += np.add.reduceat(resp[:, other] * weight, starts, axis=1)
-        _log_softmax_columns(block, out=block)
+        _log_softmax_columns(block, scratch[:, lo:hi], out=block)
         np.exp(block, out=resp[:, lo:hi])
-    return out, resp
+    return logits, resp
 
 
 def _local_sweeps(exps: GlobalExpectations, h, j_diag, neighbors, sweeps):
     """`sweeps` q(x) / q(z) rounds from uniform q(z) probabilities, each a
     q(x) refresh then a q(z) pass, on (d, n) evidence rows in the block
-    order of `neighbors`.  Returns the last pass's (K, n) log q(z) and
-    q(z)."""
+    order of `neighbors`.  Three (K, n) arrays, the logits, q(z) and one
+    scratch, are made once: every round writes its component logits, log
+    q(z) and q(z) into them in place.  Returns the last pass's (K, n) log
+    q(z) and q(z)."""
     K = exps.log_pi.shape[0]
     resp = np.exp(np.full((K, h.shape[1]), -math.log(K)))
+    log_resp, scratch = np.empty_like(resp), np.empty_like(resp)
     log_pi = exps.log_pi[:, None]
     for _ in range(sweeps):
         _, _, x_mean, x_cov, _ = update_local_x(resp, exps, h, j_diag)
-        base = component_logits(exps, x_mean, x_cov)
-        base += log_pi
-        log_resp, resp = update_local_z(base, neighbors, resp)
+        component_logits(exps, x_mean, x_cov, out=log_resp, scratch=scratch)
+        log_resp += log_pi
+        update_local_z(log_resp, neighbors, resp, scratch)
     return log_resp, resp
 
 
@@ -463,9 +476,11 @@ def block_coordinate_local(
     order, back = neighbors.order, neighbors.position
     h, j_diag = potential.h.T[:, order], potential.j_diag.T[:, order]
     log_resp, resp = _local_sweeps(exps, h, j_diag, neighbors, sweeps)
-    x_h, x_j, x_mean, x_cov, x_logdet = update_local_x(resp, exps, h, j_diag)
+    x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(resp, exps, h, j_diag)
+    x_j = x_prec.transpose(2, 0, 1)[back]
+    x_j *= -0.5
     return LocalVariational(
-        log_resp.T[back], x_h.T[back], x_j.transpose(2, 0, 1)[back], x_mean.T[back],
+        log_resp.T[back], x_h.T[back], x_j, x_mean.T[back],
         x_cov.transpose(2, 0, 1)[back], x_logdet[back],
     )
 
@@ -603,7 +618,8 @@ class BayesModel:
         """Most probable component per item (lowest index on ties) under
         q(z) after the local step's LOCAL_SWEEPS rounds without annotations,
         read after the last q(z) pass, which no q(x) refresh follows.  A
-        non-finite row fails `driver.check_observations`."""
+        non-finite row fails `driver.check_observations`.  The sweeps
+        refresh three (K, n) arrays in place."""
         potential = recognition_potential(self.recognition, check_observations(observations))
         exps = global_expectations(self.glob)
         # without annotations there is one block, in item order
