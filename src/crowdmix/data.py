@@ -113,7 +113,8 @@ def pinwheel_generate(
     radial_std: float = 0.3,
     tangential_std: float = 0.05,
     rate: float = 0.25,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> Dataset:
     """Spiral-arm clusters in the plane.
 
@@ -128,8 +129,6 @@ def pinwheel_generate(
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate}")
-    if rng is None:
-        rng = np.random.default_rng()
     base = np.linspace(0.0, 2.0 * np.pi, clusters, endpoint=False)
     labels = np.repeat(np.arange(clusters), per_cluster)
     features = rng.standard_normal((labels.shape[0], 2)) * np.array(

@@ -92,12 +92,12 @@ def check_network(field: str, net: Mlp, heads: dict, n_in=None) -> None:
 
 
 def load_field(doc: dict, key: str, load: Callable[[Any], Any]):
-    """`load(doc[key])`, a ValueError's message prefixed with `key`; a
-    missing key fails as `saved_value`'s does."""
+    """`load(doc[key])`; a ValueError, TypeError or AttributeError fails as
+    a ValueError prefixed with `key`, a missing key as `saved_value`'s."""
     value = saved_value(doc, key)
     try:
         return load(value)
-    except ValueError as err:
+    except (ValueError, TypeError, AttributeError) as err:
         raise ValueError(f"{key}: {err}") from err
 
 

@@ -122,7 +122,7 @@ class GlobalVariational:
         try:
             comps = NiwNat(*(np.array([saved_value(c, key) for c in rows]) for key in _NIW_KEYS))
             comps.scale_factor()  # recovers nu and S and factors S
-        except (ValueError, np.linalg.LinAlgError) as err:
+        except (ValueError, TypeError, np.linalg.LinAlgError) as err:
             raise ValueError(f"components: {err}") from err
         return cls(pi, comps, BetaWorkers.from_dict(doc.get("workers")))
 

@@ -177,16 +177,16 @@ class BetaWorkers(DirichletNat):
     def from_dict(cls, doc: dict | None) -> "BetaWorkers":
         """Posteriors from a `to_dict` document, the `workers` key of a model
         document; null, which older documents hold or their missing key
-        gives, loads as zero workers.  Tau arrays that are missing, ragged,
-        not (M, 2) or not positive fail with a ValueError that names
-        `workers.<key>`."""
+        gives, loads as zero workers, as do empty lists.  Tau arrays that
+        are missing, ragged, not (M, 2) or not positive fail with a
+        ValueError that names `workers.<key>`."""
         doc = doc or dict.fromkeys(_TAU_KEYS, [])
         taus = []
         for key in _TAU_KEYS:
             saved = saved_value(doc, key, f"workers.{key}")
             try:
                 t = np.array(saved, dtype=float)
-                if t.size and (t.ndim != 2 or t.shape[1] != 2):
+                if t.shape != (0,) and (t.ndim != 2 or t.shape[1] != 2):
                     raise ValueError(f"shape {t.shape}, need (M, 2)")
                 if taus and len(t) != len(taus[0]):
                     raise ValueError(f"{len(t)} rows, alpha_taus {len(taus[0])}")

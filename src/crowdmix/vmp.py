@@ -38,9 +38,7 @@ parameters and the step.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -269,28 +267,26 @@ def component_logits(exps: GlobalExpectations, x_mean, x_cov, out, scratch) -> n
     return logits
 
 
-class AnnotationGraph(Sequence):
-    """Colored annotation graph of a working set, and its block order.
+class AnnotationGraph:
+    """Colored annotation graph of a working set, in q(z) block order.
 
     Built from half-edges: an edge (item, other, weight) for each end of
     every annotation, each item's edges in triple order.  `linked` marks
-    the items with at least one edge, and `free` indexes the others.  The
-    linked items are colored greedily in index order: each takes the
-    smallest color that none of its lower-indexed neighbors has.  No edge
-    therefore joins two items of one class, and the lowest linked item is
-    in class 0.  `classes` holds each class as a sorted index array, in
-    color order.
+    the items with at least one edge.  The linked items are colored
+    greedily in index order: each takes the smallest color that none of
+    its lower-indexed neighbors has, so no edge joins two items of one
+    class, and the lowest linked item is in class 0.
 
-    The q(z) pass runs in block order: `order` lists class 0, then the
-    unlinked items, then each later class, and `position` is its inverse,
-    the block position of each item.  Block 0 is class 0 with the unlinked
-    items folded in, which share no edge either; a graph without edges is
-    one block in item order, whose fields are set without the coloring.
-    `blocks` holds per block (lo, hi, starts, other, weight): its
-    positions lo..hi-1, linked items first, and their edges grouped by
-    item in block order, as first-edge offsets, block positions of the
-    other ends, and weights.  All are fixed at construction.  The graph also reads as a sequence of per-item (other
-    item, weight) lists, made on first access.
+    `order` lists class 0, then the unlinked items, then each later class,
+    each in item order; `position` is its inverse, each item's block
+    position.  Block 0 is class 0 with the unlinked items folded in, which
+    share no edge either; a graph without edges is one block in item
+    order, set without the coloring.  `blocks` holds per block (lo, hi,
+    starts, other, weight): its positions lo..hi-1, linked items first,
+    and their edges grouped by item in block order, as first-edge offsets,
+    block positions of the other ends, and weights.  Iterating the graph
+    yields `linked`, item by item: crowdbench's probe counts the linked
+    items of each q(z) pass as the truthy entries.
     """
 
     def __init__(self, n_items: int, item, other, weight):
@@ -300,59 +296,38 @@ class AnnotationGraph(Sequence):
             return
         # no edges: the fields the coloring would give, without it
         self.linked = np.zeros(n_items, dtype=bool)
-        self.free, self.order, self.position = (np.arange(n_items) for _ in range(3))
-        self._items = self._other = np.zeros(0, dtype=int)
-        self._weight = np.zeros(0)
-        self._bounds = np.zeros(1, dtype=int)
-        self.classes = []
-        self.blocks = [(0, n_items, self._items, self._other, self._weight)]
+        self.order, self.position = np.arange(n_items), np.arange(n_items)
+        no_edges = np.zeros(0, dtype=int)
+        self.blocks = [(0, n_items, no_edges, no_edges, np.zeros(0))]
 
     def _color(self, n_items: int, item: np.ndarray, other: np.ndarray, weight):
         """The fields of a graph from its half-edges, by the coloring."""
         self.linked = np.bincount(item, minlength=n_items) > 0
-        self.free = np.flatnonzero(~self.linked)
+        free = np.flatnonzero(~self.linked)
         color = _greedy_colors(n_items, item, other)
         # one stable sort groups the edges by class, then by item, and keeps
         # each item's edges in their given order
         by_class = np.argsort(color[item] * n_items + item, kind="stable")
-        item, self._other = item[by_class], other[by_class]
-        self._weight = np.asarray(weight, dtype=float)[by_class]
+        item, other = item[by_class], other[by_class]
+        weight = np.asarray(weight, dtype=float)[by_class]
         starts = np.flatnonzero(np.diff(item, prepend=-1))  # each item's first edge
-        self._items, self._bounds = item[starts], np.append(starts, item.size)
-        class_bounds = np.cumsum(np.bincount(color[self._items])).tolist()
+        items, bounds = item[starts], np.append(starts, item.size)
+        class_bounds = np.cumsum(np.bincount(color[items])).tolist()
         head = class_bounds[0] if class_bounds else 0  # linked items of class 0
-        n_free = self.free.size
-        self.order = np.concatenate([self._items[:head], self.free, self._items[head:]])
+        self.order = np.concatenate([items[:head], free, items[head:]])
         self.position = np.empty(n_items, dtype=int)
         self.position[self.order] = np.arange(n_items)
-        other_at = self.position[self._other]
-        self.classes = []
-        self.blocks = [] if class_bounds else [(0, n_items, starts, other_at, self._weight)]
+        other_at = self.position[other]
+        self.blocks = [] if class_bounds else [(0, n_items, starts, other_at, weight)]
         for lo, hi in zip([0] + class_bounds, class_bounds):
-            first, last = self._bounds[lo], self._bounds[hi]
-            self.classes.append(self._items[lo:hi])
+            first, last = bounds[lo], bounds[hi]
             self.blocks.append((
-                lo + n_free if lo else 0, hi + n_free,
-                starts[lo:hi] - first, other_at[first:last], self._weight[first:last],
+                lo + free.size if lo else 0, hi + free.size,
+                starts[lo:hi] - first, other_at[first:last], weight[first:last],
             ))
 
-    def __len__(self) -> int:
-        return self.linked.size
-
-    def __getitem__(self, p):
-        return self._lists[p]
-
     def __iter__(self):
-        return iter(self._lists)
-
-    @cached_property
-    def _lists(self) -> list:
-        edges = list(zip(self._other.tolist(), self._weight.tolist()))
-        lists = [[] for _ in range(len(self))]
-        bounds = self._bounds.tolist()
-        for p, lo, hi in zip(self._items.tolist(), bounds, bounds[1:]):
-            lists[p] = edges[lo:hi]
-        return lists
+        return iter(self.linked)
 
 
 def _greedy_colors(n_items: int, item: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -400,16 +375,11 @@ def _log_softmax_columns(x: np.ndarray, scratch: np.ndarray, out=None) -> np.nda
     across the items.  `out`, which may be x itself, receives the result,
     and `scratch`, of x's shape, the exponentials; numpy sums F- and
     C-ordered operands in different orders, so scipy's bits need a scratch
-    laid out as x is."""
+    laid out as x is.  Every column's maximum must be finite, as the q(z)
+    logits' are, so each sums at least exp(0): no log(0)."""
     x_max = np.maximum.reduce(x, axis=0, keepdims=True)
-    if np.isfinite(x_max).all():  # every column sums at least exp(0): no log(0)
-        tmp = np.subtract(x, x_max, out=out)
-        tmp -= np.log(np.add.reduce(np.exp(tmp, out=scratch), axis=0, keepdims=True))
-        return tmp
-    x_max[~np.isfinite(x_max)] = 0
     tmp = np.subtract(x, x_max, out=out)
-    with np.errstate(divide="ignore"):
-        tmp -= np.log(np.add.reduce(np.exp(tmp, out=scratch), axis=0, keepdims=True))
+    tmp -= np.log(np.add.reduce(np.exp(tmp, out=scratch), axis=0, keepdims=True))
     return tmp
 
 

@@ -10,7 +10,9 @@ plain row selection that the annotation samplers are checked against;
 `grad_log_partition_check` checks grad log Z = E[t] by central
 differences.  `surrogate_elbo`, the decoder-free bound the local and
 global coordinate updates must not decrease, is built from the library's
-own terms, with `potential_bracket` as its data term.
+own terms, with `potential_bracket` as its data term.  `neighbor_lists`
+and `color_classes` read an annotation graph's per-item edges and color
+classes back out of its block order.
 """
 
 import math
@@ -269,3 +271,23 @@ def grad_log_partition_check(p, epsilon: float = 1e-5) -> float:
                 f"epsilon={epsilon} leaves the valid domain at coordinate {i}"
             ) from err
     return float(np.max(np.abs(grad - expected)))
+
+
+def neighbor_lists(graph) -> list:
+    """Per-item (other item, weight) lists of an AnnotationGraph, each
+    item's edges in edge order, rebuilt from its blocks and block order."""
+    lists = [[] for _ in range(graph.linked.size)]
+    for lo, _, starts, other, weight in graph.blocks:
+        ends = np.append(starts, other.size).tolist()
+        edges = list(zip(graph.order[other].tolist(), weight.tolist()))
+        for p, a, b in zip(graph.order[lo:lo + starts.size].tolist(), ends, ends[1:]):
+            lists[p] = edges[a:b]
+    return lists
+
+
+def color_classes(graph) -> list:
+    """Color classes of an AnnotationGraph, in color order: the linked
+    items of each block, the prefix order[lo:lo + starts.size], as the
+    block order lists them (in item order).  A graph without edges has
+    none."""
+    return [graph.order[lo:lo + starts.size] for lo, _, starts, _, _ in graph.blocks if starts.size]

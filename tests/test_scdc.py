@@ -430,6 +430,14 @@ def _ragged_worker_taus(doc):
     doc["workers"]["beta_taus"][0] = [9.0]
 
 
+def _empty_worker_rows(doc):
+    doc["workers"] = {"alpha_taus": [[]], "beta_taus": [[]]}
+
+
+def _listed_heads(doc):
+    doc["encoder_z"]["heads"] = list(doc["encoder_z"]["heads"])
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -441,10 +449,13 @@ def _ragged_worker_taus(doc):
         (_ragged_worker_taus, "workers.beta_taus: setting an array element with a sequence"),
         (_no_point_means, "point: means is missing"),
         (_no_point_pi_logits, "point: pi_logits is missing"),
+        (_empty_worker_rows, "workers.alpha_taus: shape (1, 0), need (M, 2)"),
+        (_listed_heads, "encoder_z: 'list' object has no attribute 'items'"),
     ],
     ids=[
         "fractional-size", "missing-head-bias", "ragged-means", "nan-means", "alpha-taus-width",
-        "ragged-beta-taus", "missing-means", "missing-pi-logits",
+        "ragged-beta-taus", "missing-means", "missing-pi-logits", "empty-tau-rows",
+        "listed-heads",
     ],
 )
 def test_model_document_names_a_network_that_cannot_load(corrupt, message):
