@@ -17,6 +17,7 @@ checks the rows both models predict on.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -29,6 +30,10 @@ from .relational import AnnotationStore
 
 # Clip interval of both trainers' log-variance heads.
 LOGVAR_CLAMP = (-8.0, 8.0)
+
+# glibc's mallopt parameter M_TOP_PAD, and the free heap top `fit` keeps mapped.
+M_TOP_PAD = -2
+HEAP_TOP_PAD = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -181,10 +186,28 @@ def fit(
     sample, then `step`; an empty store samples no triple and draws
     nothing.  A store numbering another count of items than the dataset
     raises an IndexError, before any draw.
+
+    Heap policy: each call sets glibc's M_TOP_PAD to HEAP_TOP_PAD (16 MiB)
+    for the whole process, so that up to that much freed memory at the top
+    of the heap stays mapped.  Every update builds and frees the same
+    working memory, its tape above all; without the pad, glibc can trim
+    the freed top and the next update faults it back in page by page.
+    Measured on pinwheel-scdc (2-vCPU AMD EPYC, glibc 2.36, a process
+    that imports numpy and scipy.special): a 200-update trainer call took
+    about 55,000 minor page faults without the pad and 20 with it, and
+    crowdbench's median update read 4.47 ms against 3.66 ms.
+    Where libc has no `mallopt`, training runs as before; the pad changes
+    no number.
     """
     obs, n = dataset.observations, dataset.n_items
     if store.n_items != n:
         raise IndexError(f"store indexes {store.n_items} items, the dataset has {n}")
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+    except (OSError, AttributeError):
+        pass
     warmup_updates = round(kl_warmup * config.epochs * -(-n // config.batch_size))
     half = 0.5 * (warmup_updates + 1.0)
     threshold = min(0.5, 2.0 / n)

@@ -1,15 +1,18 @@
-"""Clustering evaluation.
+"""Clustering evaluation, in numpy alone.
 
 Normalized mutual information, Hungarian-mapped clustering accuracy, and
 a rank-correlation diagnostic for recovered worker reliabilities.  All
-functions are pure and operate on integer label arrays.
+functions are pure and operate on integer label arrays.  The accuracy's
+assignment is the Hungarian method (Kuhn 1955) in its shortest
+augmenting path form with row and column potentials (Jonker & Volgenant
+1987), run over the smaller side of the contingency table.  The rank
+correlation is Spearman's: the Pearson correlation of average ranks,
+ties sharing the mean of their positions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import spearmanr
 
 from .relational import expected_worker_weights
 
@@ -59,11 +62,55 @@ def nmi(pred, true) -> float:
 
 def clustering_accuracy(pred, true) -> float:
     """Fraction of items matched under the best one-to-one mapping from
-    predicted to true labels (Hungarian on the contingency table, as the
-    least-cost assignment of the negated counts)."""
+    predicted to true labels (Hungarian on the contingency table)."""
     counts = contingency_table(pred, true)
-    rows, cols = linear_sum_assignment(-counts)
-    return int(counts[rows, cols].sum()) / float(counts.sum())
+    return max_matching_total(counts) / float(counts.sum())
+
+
+def max_matching_total(weights) -> int:
+    """Largest total of a one-to-one matching of the rows of an integer
+    matrix to its columns, every row of the smaller side matched.
+
+    Each row in turn joins by a shortest augmenting path over the reduced
+    costs of the negated weights, and the potentials keep every reduced
+    cost non-negative; integer arithmetic makes the total exact.  Any
+    optimal matching has this total, whichever one the path order finds.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    n, m = w.shape
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[1:, 1:] = -w
+    u = np.zeros(n + 1, dtype=np.int64)  # row potentials, 1-based
+    v = np.zeros(m + 1, dtype=np.int64)  # column potentials; column 0 is the root
+    match = np.zeros(m + 1, dtype=np.int64)  # row on each column, 0 for none
+    way = np.zeros(m + 1, dtype=np.int64)  # previous column on the path
+    unreached = np.iinfo(np.int64).max // 2
+    for row in range(1, n + 1):
+        match[0] = row
+        col = 0
+        slack = np.full(m + 1, unreached)
+        used = np.zeros(m + 1, dtype=bool)
+        while match[col]:
+            used[col] = True
+            free = ~used
+            reduced = cost[match[col]] - u[match[col]] - v
+            closer = free & (reduced < slack)
+            slack[closer] = reduced[closer]
+            way[closer] = col
+            nxt = int(np.argmin(np.where(free, slack, unreached)))
+            delta = slack[nxt]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            col = nxt
+        while col:
+            prev = way[col]
+            match[col] = match[prev]
+            col = prev
+    cols = np.flatnonzero(match[1:]) + 1
+    return int(w[match[cols] - 1, cols - 1].sum())
 
 
 def worker_weight_recovery(estimated, true) -> float:
@@ -82,7 +129,21 @@ def worker_weight_recovery(estimated, true) -> float:
     for name, weights in (("estimated", est), ("true", ref)):
         if not (np.all(np.isfinite(weights)) and np.ptp(weights) > 0):
             raise ValueError(f"{name} weights must be finite and not all equal")
-    return float(spearmanr(est, ref).statistic)
+    # entry [1, 0], as scipy.stats.spearmanr reads it: [0, 1] may differ in the last bit
+    return float(np.corrcoef(average_ranks(est), average_ranks(ref))[1, 0])
+
+
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing the mean of their
+    positions (`scipy.stats.rankdata`'s "average" method)."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def _as_weights(x) -> np.ndarray:

@@ -112,12 +112,13 @@ class GlobalVariational:
     def from_dict(cls, doc: dict) -> "GlobalVariational":
         """Globals from a `to_dict` document, the workers by
         `BetaWorkers.from_dict`.  Missing keys, mixing-weight parameters
-        out of the Dirichlet domain and components whose S is not positive
-        definite fail here with a ValueError that names the field."""
+        that are not numbers or lie out of the Dirichlet domain, and
+        components whose S is not positive definite fail here with a
+        ValueError that names the field."""
         pi_eta, rows = saved_value(doc, "pi_eta"), saved_value(doc, "components")
         try:
             pi = DirichletNat(np.array(pi_eta, dtype=float))
-        except ValueError as err:
+        except (ValueError, TypeError) as err:
             raise ValueError(f"pi_eta: {err}") from err
         try:
             comps = NiwNat(*(np.array([saved_value(c, key) for c in rows]) for key in _NIW_KEYS))

@@ -178,8 +178,8 @@ class BetaWorkers(DirichletNat):
         """Posteriors from a `to_dict` document, the `workers` key of a model
         document; null, which older documents hold or their missing key
         gives, loads as zero workers, as do empty lists.  Tau arrays that
-        are missing, ragged, not (M, 2) or not positive fail with a
-        ValueError that names `workers.<key>`."""
+        are missing, ragged, not numeric, not (M, 2) or not positive fail
+        with a ValueError that names `workers.<key>`."""
         doc = doc or dict.fromkeys(_TAU_KEYS, [])
         taus = []
         for key in _TAU_KEYS:
@@ -193,7 +193,7 @@ class BetaWorkers(DirichletNat):
                 # the Beta domain, eta = tau - 1 > -1, checked per key before stacking
                 if not np.all(np.isfinite(t) & (t - 1.0 > -1.0)):
                     raise ValueError("entries must be finite and positive")
-            except ValueError as err:
+            except (ValueError, TypeError) as err:
                 raise ValueError(f"workers.{key}: {err}") from err
             taus.append(t)
         return cls.from_taus(*taus)

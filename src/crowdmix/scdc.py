@@ -302,7 +302,7 @@ def train_scdc(
             q_working = exp(log_softmax(logits, axis=-1))
             total = total + elbo_rel(update.store, q_working, model.workers, update.rel_scale)
         backward(tape, total)
-        # step before the tape is freed: the other order lets glibc trim and re-fault its memory
+        # driver.fit's heap-top pad keeps the freed tape's pages mapped for the next update
         opt.step()
         zero_grads(params)
         counts = confusion_counts(update.store, q_working.data)

@@ -705,7 +705,7 @@ def train_bayes_scdc(
                 resp[rows], exps, noise, update.data_scale, kl_weight=update.kl_weight,
             )
         backward(tape, objective)
-        # step before the tape is freed: the other order lets glibc trim and re-fault its memory
+        # driver.fit's heap-top pad keeps the freed tape's pages mapped for the next update
         opt.step()
         zero_grads(params)
 

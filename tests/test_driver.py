@@ -2,13 +2,15 @@
 both trainers, that a divergence inside an epoch or at its end restores
 the last finished epoch."""
 
+import ctypes
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from crowdmix import data, relational, scdc, vmp
-from crowdmix.driver import fit, training_store
+from crowdmix.driver import HEAP_TOP_PAD, M_TOP_PAD, fit, training_store
 from crowdmix.expfam import NiwNat
 from crowdmix.metrics import clustering_accuracy, nmi
 from crowdmix.nnet import parameter
@@ -280,6 +282,30 @@ def test_each_trainer_ramps_the_kl_weight_over_its_own_warmup(trainer, monkeypat
     dataset, store = small_problem(2)  # 60 items in batches of 20
     train(dataset, store, replace(config, epochs=3), np.random.default_rng(4))
     assert weights == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_training_is_the_same_whatever_mallopt_libc_has(trainer, monkeypatch):
+    """fit sets the heap-top pad once per call through libc's mallopt,
+    and trains the same run where libc has no mallopt or cannot be opened."""
+    _, train, config, _ = TRAINERS[trainer]
+    dataset, store = small_problem(3)
+    runs = [train(dataset, store, config, np.random.default_rng(5))]
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    for libc in (lambda name: SimpleNamespace(mallopt=mallopt), lambda name: object(), no_libc):
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        runs.append(train(dataset, store, config, np.random.default_rng(5)))
+    assert calls == [(M_TOP_PAD, HEAP_TOP_PAD)]
+    for run in runs[1:]:
+        assert run.history == runs[0].history
+        assert run.model.to_dict() == runs[0].model.to_dict()
 
 
 @pytest.mark.parametrize("trainer", sorted(TRAINERS))

@@ -1,14 +1,25 @@
-"""Metric tests against exhaustive-permutation and hand-entropy oracles."""
+"""Metric tests against exhaustive-permutation, hand-entropy and scipy
+oracles, and the package's import footprint."""
 
+import os
+import pkgutil
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.stats import rankdata, spearmanr
 
+import crowdmix
 from crowdmix.data import WorkerPool
 from crowdmix.metrics import (
+    average_ranks,
     clustering_accuracy,
     contingency_table,
+    max_matching_total,
     nmi,
     worker_weight_recovery,
 )
@@ -111,6 +122,25 @@ def test_accuracy_matches_brute_force_oracle():
         )
 
 
+def _random_tables(rng, count):
+    """Integer tables of 1-9 rows and columns, a third of them 1 x n or
+    n x 1, with small count ranges so that many optimal matchings tie."""
+    for t in range(count):
+        rows, cols = (int(v) for v in rng.integers(1, 10, size=2))
+        if t % 3 == 1:
+            rows = 1
+        elif t % 3 == 2:
+            cols = 1
+        yield rng.integers(0, int(rng.integers(1, 6)), size=(rows, cols))
+
+
+def test_matching_total_equals_scipy_linear_sum_assignment():
+    rng = np.random.default_rng(11)
+    for weights in _random_tables(rng, 600):
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        assert max_matching_total(weights) == weights[rows, cols].sum(), weights
+
+
 def test_accuracy_permutation_invariance():
     rng = np.random.default_rng(10)
     pred = rng.integers(0, 5, size=60)
@@ -151,6 +181,20 @@ def test_worker_recovery_accepts_worker_models():
     assert worker_weight_recovery(pool, truth) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_worker_recovery_equals_scipy_spearmanr(tied):
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        size = int(rng.integers(2, 40))
+        est = rng.integers(0, 4, size) if tied else rng.standard_normal(size)
+        ref = rng.integers(0, 6, size) if tied else rng.standard_normal(size)
+        if np.ptp(est) == 0 or np.ptp(ref) == 0:
+            continue
+        np.testing.assert_array_equal(average_ranks(est), rankdata(est))
+        got = worker_weight_recovery(est, ref)
+        assert got == pytest.approx(spearmanr(est, ref).statistic, abs=1e-12, rel=0)
+
+
 def test_worker_recovery_validation():
     with pytest.raises(ValueError):
         worker_weight_recovery([1.0], [1.0])
@@ -174,3 +218,24 @@ def test_worker_recovery_names_weights_that_cannot_be_ranked(weights):
         worker_weight_recovery(weights, good)
     with pytest.raises(ValueError, match="^true weights"):
         worker_weight_recovery(good, weights)
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+
+def test_importing_every_module_loads_no_scipy_optimize_or_stats():
+    """The package needs scipy.special only; scipy.optimize and scipy.stats
+    cost about 46 MB of a benchmark process's peak memory."""
+    modules = [f"crowdmix.{m.name}" for m in pkgutil.iter_modules(crowdmix.__path__)]
+    assert "crowdmix.metrics" in modules
+    code = (
+        f"import importlib, sys\nfor name in {modules!r}: importlib.import_module(name)\n"
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    )
+    src = str(Path(crowdmix.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

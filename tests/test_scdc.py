@@ -467,6 +467,15 @@ def test_model_document_names_a_network_that_cannot_load(corrupt, message):
         ScdcModel.from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [{"a": 1}, "abc"], ids=["object", "string"])
+@pytest.mark.parametrize("key", ["alpha_taus", "beta_taus"])
+def test_model_document_names_worker_taus_that_hold_no_numbers(key, bad):
+    doc = json.loads(json.dumps(make_model(3, np.random.default_rng(0)).to_dict()))
+    doc["workers"][key] = bad
+    with pytest.raises(ValueError, match=f"^workers.{key}: "):
+        ScdcModel.from_dict(doc)
+
+
 def test_an_older_document_with_worker_logits_loads_with_zero_workers():
     """Documents written before the workers were a Beta record hold
     `point.worker_logits` and no `workers`; they predict as before."""

@@ -1649,6 +1649,25 @@ def test_saved_model_document_names_a_field_that_cannot_load(corrupt, field):
         BayesModel.from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [{"a": 1}, "abc"], ids=["object", "string"])
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (["globals", "pi_eta"], "pi_eta"),
+        (["globals", "workers", "alpha_taus"], "workers.alpha_taus"),
+        (["globals", "workers", "beta_taus"], "workers.beta_taus"),
+    ],
+    ids=["pi-eta", "alpha-taus", "beta-taus"],
+)
+def test_saved_model_document_names_a_field_that_holds_no_numbers(path, field, bad):
+    """A JSON object or a string where numbers belong fails naming the
+    field, whether numpy refuses it with a TypeError or a ValueError."""
+    doc = json.loads(SAVED_MODEL_JSON)
+    _set(path, bad)(doc)
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        BayesModel.from_dict(doc)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BayesConfig(epochs=-1)
