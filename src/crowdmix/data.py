@@ -152,11 +152,14 @@ def pinwheel_generate(
 
 
 def _decode_pair_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map flat ids in [0, C(size,2)) to (a, b) index pairs with a < b."""
-    cum = np.cumsum(size - 1 - np.arange(size - 1))
-    a = np.searchsorted(cum, ids, side="right")
-    prev = np.where(a > 0, cum[a - 1], 0)
-    b = a + 1 + (ids - prev)
+    """Map flat ids in [0, C(size,2)) to (a, b) index pairs with a < b, in
+    row-major order: (0, 1), (0, 2), ..., (0, size-1), (1, 2), ...  `ids`
+    may have any shape, which both index arrays take; the row offsets are
+    built once per call."""
+    starts = np.zeros(size, dtype=np.int64)  # the id of each pair (a, a + 1)
+    np.cumsum(size - 1 - np.arange(size - 1), out=starts[1:])
+    a = np.searchsorted(starts, ids, side="right") - 1
+    b = ids - starts[a] + a + 1
     return a, b
 
 
@@ -173,6 +176,13 @@ def simulate_annotations(
     without-replacement sample of item pairs from that subset.  A pair
     from the same cluster is labeled 1 with probability alpha_m, a pair
     from different clusters is labeled 0 with probability beta_m.
+
+    `rng` is drawn from in a fixed order: the subset, then per worker its
+    pair ids and then one uniform per pair, against which its labels are
+    tested.  The caller's generator continues from there (the benchmark
+    and the calibration script train on it), so a change in this order
+    changes every run that follows.  The triples, worker by worker with
+    each worker's pairs in id order, are canonicalized by `AnnotationStore`.
     """
     if dataset.labels is None:
         raise ValueError("simulation needs ground-truth labels")
@@ -190,17 +200,24 @@ def simulate_annotations(
     subset = rng.choice(dataset.n_items, size=subset_size, replace=False)
     labels = dataset.labels[subset]
 
-    triples = []  # one (n, 4) integer array per worker; a pool has at least one
-    for m in range(pool.n_workers):
-        ids = rng.choice(max_pairs, size=pairs_per_worker, replace=False)
-        a, b = _decode_pair_ids(np.sort(ids), subset_size)
-        same = labels[a] == labels[b]
-        # same-cluster pairs: 1 w.p. alpha; different: 0 w.p. beta
-        u = rng.uniform(size=a.shape[0])
-        lab = np.where(same, u < pool.alpha[m], u >= pool.beta[m]).astype(int)
-        triples.append(np.column_stack([subset[a], subset[b], np.full(a.size, m), lab]))
-    triples = np.concatenate(triples)
-    return AnnotationStore(triples, n_items=dataset.n_items, n_workers=pool.n_workers)
+    n_workers = pool.n_workers
+    ids = np.empty((n_workers, pairs_per_worker), dtype=np.int64)
+    u = np.empty((n_workers, pairs_per_worker))
+    for m in range(n_workers):
+        ids[m] = rng.choice(max_pairs, size=pairs_per_worker, replace=False)
+        u[m] = rng.uniform(size=pairs_per_worker)
+    ids.sort(axis=1)
+    a, b = _decode_pair_ids(ids, subset_size)
+    del ids
+    triples = np.empty((n_workers, pairs_per_worker, 4), dtype=int)
+    triples[..., 0], triples[..., 1] = subset[a], subset[b]
+    triples[..., 2] = np.arange(n_workers)[:, None]
+    # same-cluster pairs: 1 w.p. alpha; different: 0 w.p. beta
+    triples[..., 3] = np.where(
+        labels[a] == labels[b], u < pool.alpha[:, None], u >= pool.beta[:, None]
+    )
+    del a, b, u
+    return AnnotationStore(triples.reshape(-1, 4), dataset.n_items, n_workers)
 
 
 # ---------------------------------------------------------------------------

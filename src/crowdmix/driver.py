@@ -6,7 +6,8 @@ triples' items is the working set the update infers local posteriors
 on; without annotations, the store is empty and the working set is the
 batch.  `fit` owns the epochs and minibatches, the annotation sample and
 working set with the scales that restore full-data magnitudes, the
-warmup ramp of the latent KL weight, the per-epoch snapshot that a
+warmup ramp of the latent KL weight, the one Adam optimizer over the
+network parameters, the per-epoch snapshot that a
 divergence restores, and the history rows, whose objective subtracts the
 model's global KL once per epoch.  A trainer builds its parameters and
 its `training_store` and hands `fit` one step function per update and
@@ -25,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import Dataset
-from .nnet import Mlp, TrainingDivergence, check_count, saved_value
+from .nnet import Adam, Mlp, TrainingDivergence, check_count, saved_value, zero_grads
 from .relational import AnnotationStore
 
 # Clip interval of both trainers' log-variance heads.
@@ -155,7 +156,11 @@ def fit(
 ) -> TrainResult:
     """Run `config.epochs` epochs, calling `step` once per update; it
     returns the update's minibatch estimate of the objective without the
-    KL of the global posteriors from their prior.  The latent KL weight
+    KL of the global posteriors from their prior, and leaves the gradient
+    of that update's objective on `params`.  Once the estimate is checked,
+    one `Adam(params, config.lr)` steps them and their gradients are
+    cleared, so a step must not read `params` after its backward pass
+    and expect the stepped values.  The latent KL weight
     ramps over a window of the first w updates, w the `kl_warmup` fraction
     of all updates: update u weighs max(0, (u - h) / h), h = (w + 1) / 2,
     so 0 for the first half of the window and (w - 1) / (w + 1), not 1, at
@@ -211,6 +216,7 @@ def fit(
     warmup_updates = round(kl_warmup * config.epochs * -(-n // config.batch_size))
     half = 0.5 * (warmup_updates + 1.0)
     threshold = min(0.5, 2.0 / n)
+    opt = Adam(params, config.lr)
     current = model()
     snapshot = [p.data.copy() for p in params]
     history: list[dict] = []
@@ -231,6 +237,9 @@ def fit(
                 ))
                 if not np.isfinite(estimate):
                     raise TrainingDivergence("non-finite objective estimate")
+                # the heap-top pad keeps the freed tape's pages mapped for the next update
+                opt.step()
+                zero_grads(params)
                 estimates.append(estimate)
             # an update can overflow the parameters from a finite gradient
             if not all(np.all(np.isfinite(p.data)) for p in params):

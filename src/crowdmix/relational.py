@@ -68,26 +68,43 @@ def _triple_array(triples) -> np.ndarray:
 class AnnotationStore:
     """Immutable canonical set of (i, j, m, label) annotation triples.
 
-    Triples are stored once per (min(i, j), max(i, j), m) key, sorted by
-    key.  A duplicate in either orientation must repeat the label; the
-    first bad triple, in input order, is named in the ValueError.  Both
-    counts must be integers, not bools, and at least 0.
+    Triples are stored once per (lo, hi, m) = (min(i, j), max(i, j), m)
+    key, sorted by key.  The key is one int64, (lo * n_items + hi) *
+    max(n_workers, 1) + m, which orders valid rows as (lo, hi, m) does, so
+    n_items^2 * max(n_workers, 1) must be at most 2^63; larger counts
+    raise a ValueError naming both.  Each key's earliest input row is the
+    one stored; a later row of the key, in either orientation, must repeat
+    its label.  The first bad triple, in input order, is named in the
+    ValueError: a bad row's key may wrap or equal a valid row's, but then
+    only rows after the first bad one are misjudged.  Both counts must be
+    integers, not bools, and at least 0.
     """
 
     def __init__(self, triples, n_items: int, n_workers: int):
         check_count("n_items", n_items, 0)
         check_count("n_workers", n_workers, 0)
         self.n_items, self.n_workers = int(n_items), int(n_workers)
+        width = max(self.n_workers, 1)
+        if self.n_items**2 * width > 2**63:
+            raise ValueError(
+                f"n_items {self.n_items} and n_workers {self.n_workers} overflow the "
+                "int64 annotation key: n_items^2 * max(n_workers, 1) must be at most 2^63"
+            )
         i, j, m, label = _triple_array(triples).T
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        # stable sort by key: the first row of each key group is its earliest
-        order = np.lexsort((m, hi, lo))
-        keys = np.stack([lo, hi, m], axis=1)[order]
+        key = (lo * self.n_items + hi) * width + m
+        order = np.argsort(key)
+        key = key[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-        group_start = np.maximum.accumulate(np.where(first, np.arange(order.size), 0))
-        conflict = np.empty(order.size, dtype=bool)
-        conflict[order] = label[order] != label[order][group_start]
+        first[1:] = key[1:] != key[:-1]
+        del key
+        starts = np.flatnonzero(first)
+        # any sort order will do: each group's earliest row is its least index
+        earliest = np.minimum.reduceat(order, starts)
+        group_earliest = np.empty_like(order)
+        group_earliest[order] = np.repeat(earliest, np.diff(starts, append=order.size))
+        conflict = label != label[group_earliest]
+        del group_earliest
         problems = np.stack([
             i == j,
             (lo < 0) | (hi >= self.n_items),
@@ -106,7 +123,7 @@ class AnnotationStore:
                 f"conflicting label for pair {(int(lo[row]), int(hi[row]), int(m[row]))}",
             )
             raise ValueError(f"triple {row}: {messages[int(np.argmax(problems[:, row]))]}")
-        self.triples = np.column_stack([keys[first], label[order][first]])
+        self.triples = np.column_stack([lo[earliest], hi[earliest], m[earliest], label[earliest]])
         self.triples.setflags(write=False)
 
     @classmethod

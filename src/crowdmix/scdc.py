@@ -12,8 +12,8 @@ reparameterized latent draw per row.  Annotations enter through the
 closed-form expectation of the two-coin worker likelihood over pairs of
 cluster posteriors, `relational.expected_rel_loglik`, with the worker
 rows of the Beta posteriors as constants.  The worker accuracies are the
-Bayesian trainer's `relational.BetaWorkers` record: after each Adam step
-it moves by `mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s
+Bayesian trainer's `relational.BetaWorkers` record: each update moves it
+by `mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s
 target for the update's q(z), and `ScdcModel.global_kl` is its KL from
 `relational.WORKER_PRIOR`.  `ScdcModel` holds the point parameters,
 the workers and the three networks; `driver.fit` runs the minibatch loop;
@@ -34,7 +34,6 @@ from .driver import check_observations, load_field, training_store
 from .metrics import clustering_accuracy, nmi
 from .mixture import GLOBAL_STEP
 from .nnet import (
-    Adam,
     Mlp,
     Tape,
     Tensor,
@@ -49,7 +48,6 @@ from .nnet import (
     saved_value,
     take_rows,
     tensor_sum,
-    zero_grads,
 )
 from .expfam import kl_divergence
 from .relational import WORKER_PRIOR, AnnotationStore, BetaWorkers, beta_natural_gradient
@@ -270,12 +268,13 @@ def train_scdc(
     """Stochastic gradient ascent of the amortized lower bound.
 
     Each update builds the scaled data and annotation ELBO terms on one
-    tape, steps every tape parameter (point mixture, both encoders,
-    decoder) along the gradient with Adam, then moves the worker record by
-    GLOBAL_STEP toward `beta_natural_gradient`'s target for the working
-    set's q(z), as the Bayesian trainer does; `driver.fit` runs the loop.
-    Each update returns its scaled ELBO terms, before the worker step;
-    `driver.fit` subtracts `ScdcModel.global_kl` once per epoch.
+    tape, takes their gradient in every tape parameter (point mixture,
+    both encoders, decoder), which `driver.fit` then steps with Adam, and
+    moves the worker record by GLOBAL_STEP toward `beta_natural_gradient`'s
+    target for the working set's q(z), as the Bayesian trainer does;
+    `driver.fit` runs the loop.  Each update returns its scaled ELBO
+    terms, before the worker step; `driver.fit` subtracts
+    `ScdcModel.global_kl` once per epoch.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -287,8 +286,6 @@ def train_scdc(
         encoder_x=gaussian_mlp([k_comp + dataset.dim, *config.hidden], d, rng),
         decoder=gaussian_mlp([d, *config.hidden], dataset.dim, rng),
     )
-    params = model.parameters()
-    opt = Adam(params, config.lr)
 
     def step(update: Update) -> float:
         noise = rng.standard_normal((k_comp, update.batch.size, d))
@@ -302,9 +299,6 @@ def train_scdc(
             q_working = exp(log_softmax(logits, axis=-1))
             total = total + elbo_rel(update.store, q_working, model.workers, update.rel_scale)
         backward(tape, total)
-        # driver.fit's heap-top pad keeps the freed tape's pages mapped for the next update
-        opt.step()
-        zero_grads(params)
         counts = confusion_counts(update.store, q_working.data)
         target = beta_natural_gradient(counts, update.rel_scale)
         eta = model.workers.eta
@@ -313,7 +307,7 @@ def train_scdc(
 
     return fit(
         dataset, store, config, rng,
-        params=params,
+        params=model.parameters(),
         # a copy, so that a divergence returns the last finished epoch's workers
         model=lambda: replace(model),
         step=step,

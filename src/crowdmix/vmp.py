@@ -59,7 +59,6 @@ from .mixture import (
     mixture_natural_gradient,
 )
 from .nnet import (
-    Adam,
     Mlp,
     Tape,
     TrainingDivergence,
@@ -72,7 +71,6 @@ from .nnet import (
     spd_factor_rows,
     take_rows,
     tensor_sum,
-    zero_grads,
 )
 from .relational import (
     WORKER_PRIOR,
@@ -668,8 +666,9 @@ def train_bayes_scdc(
 
     Each update runs the recognition network once, on the tape, over the
     working set, rebuilds the local posteriors from that output, steps each
-    global record toward its minibatch target, and ascends both networks'
-    reparameterization gradients back through the same output.  It returns
+    global record toward its minibatch target, and takes both networks'
+    reparameterization gradients back through the same output, which
+    `driver.fit` then steps with Adam.  It returns
     `final_objective`, whose relational term comes from the confusion
     counts of the worker target, so p_same is computed once per update.
     """
@@ -681,8 +680,6 @@ def train_bayes_scdc(
     recognition = Mlp([dataset.dim, *config.hidden], {"loc": d, "prec_raw": d}, rng)
     _calibrate_recognition_init(recognition, obs)
     decoder = gaussian_mlp([d, *config.hidden], dataset.dim, rng)
-    params = recognition.parameters() + decoder.parameters()
-    opt = Adam(params, config.lr)
 
     def step(update: Update) -> float:
         nonlocal glob
@@ -705,10 +702,6 @@ def train_bayes_scdc(
                 resp[rows], exps, noise, update.data_scale, kl_weight=update.kl_weight,
             )
         backward(tape, objective)
-        # driver.fit's heap-top pad keeps the freed tape's pages mapped for the next update
-        opt.step()
-        zero_grads(params)
-
         estimate = final_objective(
             local, exps, float(recon.data), glob.workers.log_stats(), counts,
             update.data_scale, update.rel_scale, rows,
@@ -718,7 +711,7 @@ def train_bayes_scdc(
 
     return fit(
         dataset, store, config, rng,
-        params=params,
+        params=recognition.parameters() + decoder.parameters(),
         model=lambda: BayesModel(glob, recognition, decoder),
         step=step,
         kl_warmup=KL_WARMUP,

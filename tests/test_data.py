@@ -1,5 +1,7 @@
 """Dataset generation, annotation simulation and minibatch tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,29 @@ def test_simulate_determinism():
     a = simulate_annotations(ds, pool, 30, 50, np.random.default_rng(11))
     b = simulate_annotations(ds, pool, 30, 50, np.random.default_rng(11))
     np.testing.assert_array_equal(a.triples, b.triples)
+
+
+def test_simulated_crowd_at_the_crowd10x_protocol_is_pinned():
+    """The crowd of the 10x protocol, 5000 pinwheel items, 100 workers of
+    accuracies drawn from [0.55, 0.95) and 200 pairs each from a subset of
+    2000, and the generator state it leaves, which training goes on
+    drawing from: a change in the triples or in the draw order fails."""
+    rng = np.random.default_rng(0)
+    ds = pinwheel_generate(5, 1000, rng=rng)
+    pool = WorkerPool(rng.uniform(0.55, 0.95, 100), rng.uniform(0.55, 0.95, 100))
+    store = simulate_annotations(ds, pool, pairs_per_worker=200, subset_size=2000, rng=rng)
+    assert store.triples.shape == (20000, 4)
+    digest = hashlib.sha256(store.triples.astype("<i8").tobytes()).hexdigest()
+    assert digest == "db296e287a1f98b5856eb8134ff8b0312e83287f972e6202b8da91a2f7d0e614"
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": 125806707770844996637362542877103937424,
+            "inc": 87136372517582989555478159403783844777,
+        },
+        "has_uint32": 0,
+        "uinteger": 3751821119,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crowdmix import data, relational, scdc, vmp
+from crowdmix import data, driver, relational, scdc, vmp
 from crowdmix.driver import HEAP_TOP_PAD, M_TOP_PAD, fit, training_store
 from crowdmix.expfam import NiwNat
 from crowdmix.metrics import clustering_accuracy, nmi
@@ -94,11 +94,11 @@ def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
     # An update can overflow parameters from a finite gradient; the last
     # update of the second epoch leaves one bad parameter, which only the
     # end-of-epoch check or the epoch's evaluation can see.
-    module, train, config, _ = TRAINERS[trainer]
+    _, train, config, _ = TRAINERS[trainer]
     dataset, store = small_problem(2)
     finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
     updates_per_epoch = -(-dataset.n_items // config.batch_size)
-    original = module.zero_grads
+    original = driver.zero_grads
     calls = []
 
     def poisoned(params):
@@ -109,7 +109,8 @@ def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
             poisoned_data[...] = value
             params[0].data = poisoned_data
 
-    monkeypatch.setattr(module, "zero_grads", poisoned)
+    # fit steps the parameters and clears their gradients after each update
+    monkeypatch.setattr(driver, "zero_grads", poisoned)
     result = train(dataset, store, config, np.random.default_rng(4))
     assert len(calls) == 2 * updates_per_epoch
     assert result.diverged
@@ -184,7 +185,9 @@ class ConstantModel:
 
 def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
     """The model of epoch 2 has a NaN global KL: fit stops there, with the
-    history and the parameters of epoch 1, and that epoch's model."""
+    history and the parameters of epoch 1, and that epoch's model.  Each
+    update's step leaves a gradient, which fit's Adam steps at the
+    config's rate and then clears."""
     dataset, store = small_problem(3)
     weight = parameter(np.zeros(2))
     built = []
@@ -199,11 +202,13 @@ def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
             return float("nan") if self.epoch == 2 else 0.5 * self.epoch
 
     def step(update):
-        weight.data = weight.data + 1.0  # one step per update
+        assert weight.grad is None  # fit cleared the last update's gradient
+        weight.grad = np.array([1.0, -1.0])
         return 2.0
 
     result = fit(
-        dataset, training_store(store, dataset.n_items), scdc.ScdcConfig(epochs=4, batch_size=20),
+        dataset, training_store(store, dataset.n_items),
+        scdc.ScdcConfig(epochs=4, batch_size=20, lr=0.5),
         np.random.default_rng(0), params=[weight], model=Model, step=step, kl_warmup=0.0,
         minibatch_iterator=data.minibatch_iterator,
         sample_annotation_minibatch=relational.sample_annotation_minibatch,
@@ -213,7 +218,8 @@ def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
     # 60 items in batches of 20: 3 updates per epoch
     assert [row["objective"] for row in result.history] == [2.0, 1.5]
     assert len(built) == 4 and result.model is built[2]
-    assert np.array_equal(weight.data, np.full(2, 6.0))
+    # six Adam steps of a constant gradient, each of very nearly the rate
+    assert weight.data == pytest.approx([3.0, -3.0], rel=1e-7)
     assert np.array_equal(result.model.weight, weight.data)
 
 

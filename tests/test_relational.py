@@ -86,7 +86,7 @@ def _canonical_or_message(triples, n_items, n_workers):
 def test_store_canonicalization_matches_the_loop_reference():
     rng = np.random.default_rng(3)
     n_items, n_workers = 9, 3
-    for trial in range(300):
+    for trial in range(600):
         # one label per (pair, worker); duplicates come in both orientations
         truth = rng.integers(0, 2, size=(n_items, n_items, n_workers))
         triples = []
@@ -97,11 +97,17 @@ def test_store_canonicalization_matches_the_loop_reference():
             triples.append((i, j, m, label))
             if rng.uniform() < 0.3:
                 triples.append((j, i, m, label))
+            if rng.uniform() < 0.15:
+                triples.append((i, j, m, label))
+        if trial % 4 >= 2:
+            # a duplicate may come before its first orientation
+            triples = [triples[row] for row in rng.permutation(len(triples))]
         if trial % 2 and triples:
             # one or two corrupted rows, possibly early ones
             for _ in range(int(rng.integers(1, 3))):
                 row = int(rng.integers(len(triples)))
                 i, j, m, label = triples[row]
+                lo, hi = min(i, j), max(i, j)
                 triples[row] = [
                     (i, i, m, label),
                     (i, n_items + int(rng.integers(0, 2)), m, label),
@@ -109,13 +115,34 @@ def test_store_canonicalization_matches_the_loop_reference():
                     (i, j, n_workers, label),
                     (i, j, m, 2),
                     (j, i, m, 1 - label),
-                ][int(rng.integers(6))]
+                    # keys equal to those of (lo + 1, hi, m) and (lo, hi + 1, m)
+                    (lo, hi + n_items, m, 1 - label),
+                    (lo, hi, m + n_workers, 1 - label),
+                    # indices whose keys overflow int64
+                    (i, 2**62, m, label),
+                    (-(2**62), j, m, label),
+                    (2**63 - 1, j, m, label),
+                    (i, j, 2**63 - 1, label),
+                    (i, j, -(2**62), label),
+                ][int(rng.integers(13))]
         expected = loop_canonical(triples, n_items, n_workers)
         assert _canonical_or_message(triples, n_items, n_workers) == expected
         if isinstance(expected, str):
             continue
         store = AnnotationStore(np.array(triples, dtype=int).reshape(-1, 4), n_items, n_workers)
         assert [tuple(row) for row in store.triples.tolist()] == expected
+
+
+def test_store_rejects_counts_whose_key_overflows_int64():
+    """Each row's key is (lo * n_items + hi) * max(n_workers, 1) + m, an
+    int64: n_items^2 * max(n_workers, 1) may be 2^63 and no more."""
+    for n_items, n_workers in ((2**32, 2), (2**31 + 1, 2), (3_037_000_500, 0)):
+        with pytest.raises(ValueError, match=f"^n_items {n_items} and n_workers {n_workers} "):
+            AnnotationStore([], n_items, n_workers)
+    top = 2**31 - 1
+    store = AnnotationStore([(top, top - 1, 1, 0), (0, top, 1, 1), (1, 0, 0, 1)], 2**31, 2)
+    assert store.triples.tolist() == [[0, 1, 0, 1], [0, top, 1, 1], [top - 1, top, 1, 0]]
+    assert AnnotationStore([], 3_037_000_499, 0).n_items == 3_037_000_499
 
 
 def test_store_names_a_row_of_the_wrong_length():
