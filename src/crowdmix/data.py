@@ -155,10 +155,18 @@ def _decode_pair_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
     """Map flat ids in [0, C(size,2)) to (a, b) index pairs with a < b, in
     row-major order: (0, 1), (0, 2), ..., (0, size-1), (1, 2), ...  `ids`
     may have any shape, which both index arrays take; the row offsets are
-    built once per call."""
+    built once per call.  Row a starts at id a (2 size - 1 - a) / 2, so
+    each id's row is the floor of the smaller root of that quadratic.  In
+    floating point that floor is off by at most one while size**2 lies
+    far below 2**53, and one comparison each way with the offsets
+    corrects it."""
     starts = np.zeros(size, dtype=np.int64)  # the id of each pair (a, a + 1)
     np.cumsum(size - 1 - np.arange(size - 1), out=starts[1:])
-    a = np.searchsorted(starts, ids, side="right") - 1
+    c = 2.0 * size - 1.0
+    a = ((c - np.sqrt(c * c - 8.0 * ids)) * 0.5).astype(np.int64)  # never below 0
+    np.minimum(a, size - 2, out=a)
+    a -= starts[a] > ids
+    a += starts[a + 1] <= ids
     b = ids - starts[a] + a + 1
     return a, b
 

@@ -181,7 +181,12 @@ def mixture_natural_gradient(
     is the minibatch factor N/|B|.  The natural gradient at a posterior
     eta is the target's eta minus eta.  Responsibilities lie in [0, 1],
     so the Dirichlet target is valid; a non-finite moment makes the NIW
-    target fail, which raises TrainingDivergence.
+    target fail, which raises TrainingDivergence.  In the Bayesian update
+    the q(z) comes from the local step, whose last sweep factored every
+    working-set precision, and the moments from `nnet.gaussian_refresh`,
+    which factored the batch rows' precisions once more under that q(z);
+    each factorization raises LinAlgError unless its precisions are
+    positive definite.
     """
     K, d = prior.n_components, prior.latent_dim
     q_z = np.asarray(q_z, dtype=float).reshape(-1, K)

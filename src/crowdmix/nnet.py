@@ -29,7 +29,9 @@ The engine keeps a network step lean:
 - gaussian_refresh fuses a Gaussian refresh from natural parameters into
   two nodes on one spd_factor call: a reparameterized draw and the
   summed bracket log Z - <evidence, E t(x)>.  Its gradients are closed
-  forms that invert no matrix.
+  forms that invert no matrix.  It also returns the refreshed Gaussians'
+  parameters and moments as arrays, so a caller that needs them does
+  not factor the same matrices again.
 - Adam(params, lr) ascends, stepping every parameter at once from flat
   gradient and moment vectors; a missing gradient counts as zero.  The
   step is atomic: a non-finite gradient anywhere is rejected before any
@@ -411,9 +413,10 @@ def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return items(inverse), logdet.reshape(batch), items(root)
 
 
-def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple[Tensor, Tensor]:
+def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple:
     """One reparameterized draw from each q(x_n) and the summed bracket
-    log Z(eta) - <psi, E t(x)>, as two nodes on one `spd_factor` call.
+    log Z(eta) - <psi, E t(x)>, as two nodes on one `spd_factor` call,
+    and the q(x) that both read, as plain arrays.
 
     q(x_n) has natural parameters eta = (base_h + h, base_j + diag(j_diag))
     for (n, d) evidence psi = (h, j_diag) and constant (n, d) and
@@ -427,7 +430,9 @@ def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple[
     Sigma g for h and 2 mu * (Sigma g) + 2 diag(C Phi(C^T g noise^T) C^T)
     for j_diag, the second term Murray's Cholesky VJP, where Phi keeps the
     lower triangle and halves the diagonal; C^T (-2 J) C = I, so no matrix
-    is inverted.
+    is inverted.  The arrays are (x_h, x_j, mu, Sigma, log|-2 x_j|),
+    x_h = base_h + h and x_j = base_j + diag(j_diag), as (n, d), (n, d, d),
+    (n, d), (n, d, d) and (n,) arrays.
     """
     idx = np.arange(h.data.shape[1])
     x_j = np.array(base_j, dtype=float)
@@ -461,6 +466,7 @@ def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple[
     return (
         _record(draw, (h, j_diag), draw_vjp),
         _record(np.asarray(log_z - psi), (h, j_diag), bracket_vjp),
+        (x_h, x_j, mean, cov, logdet),
     )
 
 

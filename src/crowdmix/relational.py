@@ -312,10 +312,13 @@ def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch
     """Uniform without-replacement triple sample, joined with a data batch.
 
     Returns the working set (the sorted union of `batch` and the sampled
-    triples' items), the sampled triples renumbered onto working-set
-    positions, and the N_a/|S| scale.  A `batch_size` of at least the
-    store's size takes every triple and draws nothing from `rng`.  The
-    sample, sorted rows renumbered by an increasing map, stays canonical.
+    triples' items, all items of the store), the sampled triples
+    renumbered onto working-set positions, and the N_a/|S| scale.  A
+    `batch_size` of at least the store's size takes every triple and draws
+    nothing from `rng`.  The working set is read off a mask over the
+    store's items, and the triples are renumbered through a table of its
+    positions.  The sample, sorted rows renumbered by an increasing map,
+    stays canonical.
     """
     check_count("batch_size", batch_size, 1)
     n = store.n_annotations
@@ -323,6 +326,11 @@ def sample_annotation_minibatch(store: AnnotationStore, batch: np.ndarray, batch
     if batch_size < n:
         t = t[np.sort(rng.choice(n, size=batch_size, replace=False))]
         scale = n / float(batch_size)
-    working = np.unique(np.concatenate([batch, t[:, :2].ravel()]))
-    renumbered = np.column_stack([np.searchsorted(working, t[:, :2]), t[:, 2:]])
+    in_working = np.zeros(store.n_items, dtype=bool)
+    in_working[batch] = True
+    in_working[t[:, :2]] = True
+    working = np.flatnonzero(in_working)
+    position = np.empty(store.n_items, dtype=working.dtype)
+    position[working] = np.arange(working.size)
+    renumbered = np.column_stack([position[t[:, :2]], t[:, 2:]])
     return working, AnnotationStore._of_canonical(renumbered, working.size, store.n_workers), scale

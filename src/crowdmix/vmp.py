@@ -1,32 +1,36 @@
 """Natural-gradient variational inference for the Bayesian variant.
 
-Each training update runs the recognition network once, on the tape, over
-the working set: its diagonal Gaussian evidence potentials (`evidence`)
-feed the local step, and the networks' gradient flows back through them.
-Cluster posteriors q(z) and latent Gaussians are refined jointly by
-block-coordinate updates that carry pairwise annotation messages.  The
-local step gathers the evidence into the annotation graph's block order
-once, so that each q(z) pass refreshes every block, an edge-free set of
-items, as one contiguous column slice, written in place; the results
-return to item order once.  Inside the step the q(z) probabilities and
-component logits are stored component-major, as (K, n) arrays, so every
-softmax reduces over axis 0, and each q(z) pass reads the previous pass's
-probabilities, not their logs.  The q(x) side is entry-major: evidence,
-natural parameters and moments are (d, n) and (d, d, n) rows, each one
-entry of every item.  Each q(x) refresh mixes the K component statistics
+Each training update runs the recognition network once over the working
+set: the data minibatch's rows on the tape (`evidence`), since the
+networks' gradient flows back through them alone, and the other rows in
+one pass before the tape opens (`recognition_potential`).  Their diagonal
+Gaussian evidence potentials feed the local step.  Cluster posteriors
+q(z) and latent Gaussians are refined jointly by block-coordinate
+updates that carry pairwise annotation messages.  The local step gathers
+the evidence into the annotation graph's block order once, so that each
+q(z) pass refreshes every block, an edge-free set of items, as one
+contiguous column slice, written in place; the result returns to item
+order once.  Inside the step the q(z) probabilities and component logits
+are stored component-major, as (K, n) arrays, so every softmax reduces
+over axis 0, and each q(z) pass reads the previous pass's probabilities,
+not their logs.  The q(x) side is entry-major: evidence, natural
+parameters and moments are (d, n) and (d, d, n) rows, each one entry of
+every item.  Each q(x) refresh mixes the K component statistics
 by the q(z) probabilities with one matmul on their (K, d) and (K, d*d)
 views and factors every item's precision once, by `nnet.spd_factor_rows`,
-the package's one Cholesky kernel, on those rows.  The step returns (n, K)
-q(z) probabilities and item-major q(x) arrays.  `predict` runs the same
-sweeps over the whole dataset, which without annotations is one block in
-item order, but only PREDICT_SWEEPS of them, and stops after the last q(z)
-pass: with no messages to pass, the evidence settles each item in one
-round.  The sweeps make their (K, n) arrays once per call, the logits,
-q(z) and one scratch array, and every round refreshes them in place.
-Globals (mixing weights, components, worker accuracies) follow scaled
-stochastic natural gradients, while the recognition and decoder networks
-ascend reparameterization gradients of the objective through the final
-latent refresh, one fused `nnet.gaussian_refresh` op.
+the package's one Cholesky kernel, on those rows.  The step ends on its
+last q(z) pass and returns its (n, K) log probabilities in item order.
+`predict` runs the same sweeps over the whole dataset, which without
+annotations is one block in item order, but only PREDICT_SWEEPS of them:
+with no messages to pass, the evidence settles each item in one round.
+The sweeps make their (K, n) arrays once per call, the logits, q(z) and
+one scratch array, and every round refreshes them in place.
+The update refreshes q(x) of the batch rows alone, once, as one fused
+`nnet.gaussian_refresh` op: the recognition and decoder networks ascend
+reparameterization gradients of the objective through it, and the
+globals (mixing weights, components, worker accuracies) follow scaled
+stochastic natural gradients toward targets built from its q(x) and the
+working set's q(z).
 Each update also returns a minibatch estimate of the objective without
 the globals' KL (`final_objective`), its relational term read off the
 confusion counts that the worker target is built from; `driver.fit`
@@ -69,7 +73,6 @@ from .nnet import (
     saved_value,
     softplus,
     spd_factor_rows,
-    take_rows,
     tensor_sum,
 )
 from .relational import (
@@ -143,7 +146,8 @@ class RecognitionPotential:
 
 @dataclass
 class LocalVariational:
-    """Local posteriors for one working set: categorical q(z), Gaussian q(x)."""
+    """Local posteriors of a set of items, in training the data minibatch:
+    categorical q(z), Gaussian q(x)."""
 
     log_resp: np.ndarray  # (n, K), normalized log q(z) probabilities
     x_h: np.ndarray       # (n, d)
@@ -155,10 +159,6 @@ class LocalVariational:
     @property
     def resp(self) -> np.ndarray:
         return np.exp(self.log_resp)
-
-    @property
-    def n_items(self) -> int:
-        return self.log_resp.shape[0]
 
 
 def evidence(net: Mlp, observations):
@@ -431,66 +431,58 @@ def block_coordinate_local(
     potential: RecognitionPotential,
     store: AnnotationStore | None = None,
     sweeps: int = LOCAL_SWEEPS,
-) -> LocalVariational:
+) -> np.ndarray:
     """Alternate q(x) / q(z) coordinate updates for one working set.
 
     `store`, when given, must be indexed by working-set position.  Runs
-    exactly `sweeps` rounds from uniform q(z) probabilities and ends on a
-    q(x) refresh, so the returned Gaussians are consistent with the
-    returned q(z) probabilities.  The annotation graph is built and colored
-    once per call, and the potential's checked arrays are gathered once
-    into (d, n) evidence rows in its block order; every q(z) pass then
-    refreshes one block at a time, from the last pass's probabilities.
-    Items of one block share no edge, so each pass is exact coordinate
-    ascent in that item order and the surrogate ELBO cannot decrease along
-    the sweeps.  q(z) is held component-major, (K, n), and q(x)
-    entry-major, (d, n) and (d, d, n); the results return to item order
-    and the item-major layout of `LocalVariational` in one gather, on exit.
+    exactly `sweeps` rounds from uniform q(z) probabilities and ends on the
+    last q(z) pass, returning its log q(z) probabilities as an (n, K) array
+    in item order.  No q(x) refresh follows that pass: the training step
+    refreshes q(x) of its batch rows only, inside `gaussian_refresh`.  The
+    annotation graph is built and colored once per call, and the
+    potential's checked arrays are gathered once into (d, n) evidence rows
+    in its block order; every q(z) pass then refreshes one block at a time,
+    from the last pass's probabilities.  Items of one block share no edge,
+    so each pass is exact coordinate ascent in that item order and the
+    surrogate ELBO cannot decrease along the sweeps.  q(z) is held
+    component-major, (K, n), and q(x) entry-major, (d, n) and (d, d, n);
+    the log q(z) returns to item order in one gather, on exit.
     """
     check_count("sweeps", sweeps, 1)
     exps = global_expectations(glob)
     neighbors = annotation_graph(store, glob.workers, potential.n_items)
-    order, back = neighbors.order, neighbors.position
-    h, j_diag = potential.h.T[:, order], potential.j_diag.T[:, order]
-    log_resp, resp = _local_sweeps(exps, h, j_diag, neighbors, sweeps)
-    x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(resp, exps, h, j_diag)
-    x_j = x_prec.transpose(2, 0, 1)[back]
-    x_j *= -0.5
-    return LocalVariational(
-        log_resp.T[back], x_h.T[back], x_j, x_mean.T[back],
-        x_cov.transpose(2, 0, 1)[back], x_logdet[back],
+    order = neighbors.order
+    log_resp, _ = _local_sweeps(
+        exps, potential.h.T[:, order], potential.j_diag.T[:, order], neighbors, sweeps
     )
+    return log_resp.T[neighbors.position]
 
 
 # ---------------------------------------------------------------------------
 # objective pieces
 
 
-def local_kl(exps: GlobalExpectations, local: LocalVariational, rows=None) -> float:
+def local_kl(exps: GlobalExpectations, local: LocalVariational) -> float:
     """Expected KL of the local posteriors from their conditionals, summed.
 
     z part: sum_k r_ik (log r_ik - E[log pi_k]); x part is the bracket
     <eta_i - mixture evidence, E t(x_i)> - log Z(eta_i) plus the
     responsibility-weighted expected component log partitions.  log Z
-    reads the log-determinants `update_local_x` computed, constants
-    dropped as everywhere else.  `rows` restricts the sum (e.g. to the
-    data minibatch of a working set).
+    reads the log-determinants that the q(x) refresh computed, constants
+    dropped as everywhere else.
     """
-    if rows is None:
-        rows = np.arange(local.n_items)
-    lr = local.log_resp[rows]
+    lr = local.log_resp
     r = np.exp(lr)
     # 0 log 0 = 0, so components with zero responsibility contribute nothing
     occupied = r > 0.0
     diff = lr - exps.log_pi
     kl_z = float(np.sum(r[occupied] * diff[occupied]))
-    mean = local.x_mean[rows]
-    cov = local.x_cov[rows]
+    mean, cov = local.x_mean, local.x_cov
     second = cov + mean[:, :, None] * mean[:, None, :]
-    dh = local.x_h[rows] - r @ exps.mean_prec
-    dj = local.x_j[rows] - _mix(r, exps.neg_half_prec)
+    dh = local.x_h - r @ exps.mean_prec
+    dj = local.x_j - _mix(r, exps.neg_half_prec)
     inner = np.einsum("ni,ni->n", dh, mean) + np.einsum("nij,nij->n", dj, second)
-    log_z = 0.5 * np.einsum("ni,ni->n", mean, local.x_h[rows]) - 0.5 * local.x_logdet[rows]
+    log_z = 0.5 * np.einsum("ni,ni->n", mean, local.x_h) - 0.5 * local.x_logdet
     kl_x = float(np.sum(inner - log_z - r @ (exps.neg_half_mahal + exps.neg_half_logdet)))
     return kl_z + kl_x
 
@@ -519,24 +511,23 @@ def final_objective(
     counts: np.ndarray,
     data_scale: float = 1.0,
     rel_scale: float = 1.0,
-    rows=None,
 ) -> float:
     """Minibatch estimate of the training objective less `global_kl`:
     data_scale * (data - local KL) + rel_scale * sum(log_stats * counts).
 
-    `data` is the expected data log-likelihood of the items in `rows`:
-    the decoder's reconstruction, or a stand-in for it.  `exps` are the
-    expectations of the globals.  `rows` restricts the local KL the same
-    way, e.g. to the data minibatch inside a larger working set.
+    `data` is the expected data log-likelihood of `local`'s items, in
+    training the data minibatch: the decoder's reconstruction, or a
+    stand-in for it.  `exps` are the expectations of the globals.
     `counts` are the `confusion_counts` of the sampled annotations under
-    `local`'s q(z), and `log_stats` the globals' (M, 4) worker rows, so
-    the relational term is `expected_rel_loglik` without another pass
-    over the triples.  Scales restore full-data magnitudes from
-    minibatches.  `driver.fit` subtracts the KL once per epoch and checks
-    every estimate for finiteness.
+    the q(z) of their items, in training the working set's, and
+    `log_stats` the globals' (M, 4) worker rows, so the relational term
+    is `expected_rel_loglik` without another pass over the triples.
+    Scales restore full-data magnitudes from minibatches.  `driver.fit`
+    subtracts the KL once per epoch and checks every estimate for
+    finiteness.
     """
     rel = rel_scale * float(np.sum(log_stats * counts))
-    return float(data_scale * (data - local_kl(exps, local, rows)) + rel)
+    return float(data_scale * (data - local_kl(exps, local)) + rel)
 
 
 # ---------------------------------------------------------------------------
@@ -633,27 +624,41 @@ class BayesModel:
         )
 
 
+def _working_potential(rows, h, j_diag, others, rest) -> RecognitionPotential:
+    """The working set's evidence in working-set order, from the batch rows'
+    arrays (h, j_diag), at positions `rows`, and the potential `rest` of
+    the other positions, `others`, None when there are none."""
+    if rest is None:
+        return RecognitionPotential(h, j_diag)
+    shape = (rows.size + others.size, h.shape[1])
+    work_h, work_j = np.empty(shape), np.empty(shape)
+    work_h[rows], work_h[others] = h, rest.h
+    work_j[rows], work_j[others] = j_diag, rest.j_diag
+    return RecognitionPotential(work_h, work_j)
+
+
 def _network_objective(h, j_diag, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
     """Tape graph of the objective terms the networks can influence.
 
-    `h` and `j_diag` are the batch rows of the working set's `evidence`
-    tensors.  Rebuilds the final q(x) refresh with q(z) probabilities held
-    constant, as one `nnet.gaussian_refresh` op: recon + kl_weight *
-    (log Z(eta_x) - <psi, E t(x)>), summed over the batch.  recon is the
-    decoder log-likelihood of `obs_batch` under one reparameterized draw
-    per item from q(x), x = mean + C noise, with `noise` of shape (n, d)
-    and C = chol(cov).  `kl_weight` < 1 damps the pull of q(x) toward the
-    mixture conditional (warmup against potential collapse); at 1 the
-    gradient is exactly that of the training objective.  Returns the
-    (scaled) objective and reconstruction tensors.
+    `h` and `j_diag` are the batch rows' `evidence` tensors.  Refreshes
+    their q(x) with q(z) probabilities held constant, as one
+    `nnet.gaussian_refresh` op: recon + kl_weight * (log Z(eta_x) -
+    <psi, E t(x)>), summed over the batch.  recon is the decoder
+    log-likelihood of `obs_batch` under one reparameterized draw per item
+    from q(x), x = mean + C noise, with `noise` of shape (n, d) and C =
+    chol(cov).  `kl_weight` < 1 damps the pull of q(x) toward the mixture
+    conditional (warmup against potential collapse); at 1 the gradient is
+    exactly that of the training objective.  Returns the (scaled)
+    objective and reconstruction tensors and the refreshed q(x) as
+    `gaussian_refresh`'s arrays, (x_h, x_j, mean, cov, log-det).
     """
-    draw, bracket = gaussian_refresh(
+    draw, bracket, q_x = gaussian_refresh(
         h, j_diag, resp @ exps.mean_prec, _mix(resp, exps.neg_half_prec), noise
     )
     dec = decoder.forward(draw)
     recon = tensor_sum(diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"]))
     objective = (recon + bracket * kl_weight) * data_scale
-    return objective, recon
+    return objective, recon, q_x
 
 
 def train_bayes_scdc(
@@ -664,12 +669,16 @@ def train_bayes_scdc(
 ) -> TrainResult:
     """Stochastic natural-gradient training; `driver.fit` runs the loop.
 
-    Each update runs the recognition network once, on the tape, over the
-    working set, rebuilds the local posteriors from that output, steps each
-    global record toward its minibatch target, and takes both networks'
-    reparameterization gradients back through the same output, which
-    `driver.fit` then steps with Adam.  It returns
-    `final_objective`, whose relational term comes from the confusion
+    Each update runs the recognition network once over the working set,
+    the batch rows on the tape and the other rows before it opens, and
+    runs the local step on that evidence.  From the working set's q(z) it
+    refreshes the batch rows' q(x) once, in `_network_objective`, and
+    takes both networks' reparameterization gradients back through that
+    refresh and the batch rows' evidence, which `driver.fit` then steps
+    with Adam.  It steps each global record toward its minibatch target,
+    the batch rows' q(z) and q(x) for the mixture and the working set's
+    q(z) for the workers.  It returns `final_objective` of the batch rows'
+    local posteriors, whose relational term comes from the confusion
     counts of the worker target, so p_same is computed once per update.
     """
     store = training_store(store, dataset.n_items)
@@ -683,28 +692,34 @@ def train_bayes_scdc(
 
     def step(update: Update) -> float:
         nonlocal glob
-        rows, local_store = update.rows, update.store
+        rows, local_store, batch_obs = update.rows, update.store, obs[update.batch]
         exps = global_expectations(glob)
+        # the working set's other rows carry no adjoint: one pass before the tape
+        others, rest = np.delete(np.arange(update.working.size), rows), None
+        if others.size:
+            rest = recognition_potential(recognition, obs[update.working[others]])
         with Tape() as tape:
-            h, j_diag = evidence(recognition, obs[update.working])
-            potential = RecognitionPotential(h.data, j_diag.data)
-            local = block_coordinate_local(glob, potential, local_store)
-            resp = local.resp
-            target = mixture_natural_gradient(
-                prior, resp[rows], local.x_mean[rows], local.x_cov[rows], scale=update.data_scale
-            )
-            counts = confusion_counts(local_store, resp)
-            target = replace(target, workers=beta_natural_gradient(counts, update.rel_scale))
-            new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
-            noise = rng.standard_normal((update.batch.size, d))
-            objective, recon = _network_objective(
-                take_rows(h, rows), take_rows(j_diag, rows), decoder, obs[update.batch],
-                resp[rows], exps, noise, update.data_scale, kl_weight=update.kl_weight,
+            h, j_diag = evidence(recognition, batch_obs)
+            potential = _working_potential(rows, h.data, j_diag.data, others, rest)
+            log_resp = block_coordinate_local(glob, potential, local_store)
+            resp = np.exp(log_resp)
+            batch_resp = resp[rows]
+            noise = rng.standard_normal((rows.size, d))
+            objective, recon, q_x = _network_objective(
+                h, j_diag, decoder, batch_obs, batch_resp, exps, noise,
+                update.data_scale, kl_weight=update.kl_weight,
             )
         backward(tape, objective)
+        local = LocalVariational(log_resp[rows], *q_x)
+        target = mixture_natural_gradient(
+            prior, batch_resp, local.x_mean, local.x_cov, scale=update.data_scale
+        )
+        counts = confusion_counts(local_store, resp)
+        target = replace(target, workers=beta_natural_gradient(counts, update.rel_scale))
+        new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
         estimate = final_objective(
             local, exps, float(recon.data), glob.workers.log_stats(), counts,
-            update.data_scale, update.rel_scale, rows,
+            update.data_scale, update.rel_scale,
         )
         glob = new_glob
         return estimate

@@ -12,7 +12,8 @@ differences.  `surrogate_elbo`, the decoder-free bound the local and
 global coordinate updates must not decrease, is built from the library's
 own terms, with `potential_bracket` as its data term.  `neighbor_lists`
 and `color_classes` read an annotation graph's per-item edges and color
-classes back out of its block order.
+classes back out of its block order.  `local_posteriors` completes the
+local step's q(z) with the q(x) of one refresh of it.
 """
 
 import math
@@ -29,7 +30,15 @@ from crowdmix.expfam import (
 )
 from crowdmix.mixture import global_expectations
 from crowdmix.relational import AnnotationStore, confusion_counts
-from crowdmix.vmp import final_objective, global_kl
+from crowdmix.vmp import (
+    LOCAL_SWEEPS,
+    LocalVariational,
+    annotation_graph,
+    block_coordinate_local,
+    final_objective,
+    global_kl,
+    update_local_x,
+)
 
 
 def select_triples(store: AnnotationStore, rows) -> AnnotationStore:
@@ -229,6 +238,31 @@ def surrogate_elbo(glob, prior, local, potential, store) -> float:
         glob.workers.log_stats(), confusion_counts(store, local.resp),
     )
     return estimate - global_kl(glob, prior)
+
+
+def with_local_x(glob, potential, store, log_resp) -> LocalVariational:
+    """The (n, K) item-order log q(z) of a working set, with the q(x) of one
+    `update_local_x` refresh of it: entry-major, in the working set's
+    annotation-graph block order, and gathered back to item order."""
+    exps = global_expectations(glob)
+    graph = annotation_graph(store, glob.workers, potential.n_items)
+    order, back = graph.order, graph.position
+    resp = np.exp(np.ascontiguousarray(log_resp.T[:, order]))
+    x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(
+        resp, exps, potential.h.T[:, order], potential.j_diag.T[:, order]
+    )
+    return LocalVariational(
+        log_resp, x_h.T[back], -0.5 * x_prec.transpose(2, 0, 1)[back], x_mean.T[back],
+        x_cov.transpose(2, 0, 1)[back], x_logdet[back],
+    )
+
+
+def local_posteriors(glob, potential, store=None, sweeps=LOCAL_SWEEPS) -> LocalVariational:
+    """`block_coordinate_local`'s q(z) and the q(x) of one refresh of it:
+    the local step's result as it was while that step ended on a q(x)
+    refresh, bit for bit."""
+    log_resp = block_coordinate_local(glob, potential, store, sweeps)
+    return with_local_x(glob, potential, store, log_resp)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from crowdmix.data import (
     Dataset,
     WorkerPool,
+    _decode_pair_ids,
     minibatch_iterator,
     pinwheel_generate,
     simulate_annotations,
@@ -227,6 +228,26 @@ def test_simulated_crowd_at_the_crowd10x_protocol_is_pinned():
         "has_uint32": 0,
         "uinteger": 3751821119,
     }
+
+
+def searchsorted_pair_ids(ids, size):
+    """The pair decoder as a search of the row offsets: the rows of the
+    ids by bisection, then each id's column."""
+    starts = np.zeros(size, dtype=np.int64)
+    np.cumsum(size - 1 - np.arange(size - 1), out=starts[1:])
+    a = np.searchsorted(starts, ids, side="right") - 1
+    return a, ids - starts[a] + a + 1
+
+
+@pytest.mark.parametrize("sizes", [range(2, 301), [2000]], ids=["2-300", "2000"])
+def test_closed_form_pair_decoder_equals_the_offset_search_on_every_id(sizes):
+    for size in sizes:
+        ids = np.arange(size * (size - 1) // 2, dtype=np.int64)
+        for got, want in zip(_decode_pair_ids(ids, size), searchsorted_pair_ids(ids, size)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), size
+    ids = np.random.default_rng(0).choice(ids.size, size=(4, 25), replace=False)
+    a, b = _decode_pair_ids(ids, size)
+    assert a.shape == b.shape == ids.shape and np.all(a < b)
 
 
 # ---------------------------------------------------------------------------

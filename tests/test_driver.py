@@ -148,23 +148,24 @@ def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
 
 @pytest.mark.usefixtures("warmup_off")
 def test_non_finite_local_statistics_restore_the_last_finished_epoch(monkeypatch):
-    # A NaN latent mean in the second update of the second epoch: the
+    # A NaN latent mean in the second update of the second epoch, in the
+    # batch rows' q(x) that the network objective's refresh returns: the
     # minibatch target of the components cannot be built from it.
     module, train, config, _ = TRAINERS["bayes"]
     dataset, store = small_problem(2)
     finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
     updates_per_epoch = -(-dataset.n_items // config.batch_size)
-    original = module.block_coordinate_local
+    original = module.gaussian_refresh
     calls = []
 
     def poisoned(*args, **kwargs):
         calls.append(None)
-        local = original(*args, **kwargs)
+        draw, bracket, (x_h, x_j, mean, cov, logdet) = original(*args, **kwargs)
         if len(calls) == updates_per_epoch + 2:
-            local.x_mean[0, 0] = np.nan
-        return local
+            mean[0, 0] = np.nan
+        return draw, bracket, (x_h, x_j, mean, cov, logdet)
 
-    monkeypatch.setattr(module, "block_coordinate_local", poisoned)
+    monkeypatch.setattr(module, "gaussian_refresh", poisoned)
     result = train(dataset, store, config, np.random.default_rng(4))
     assert result.diverged
     assert len(calls) == updates_per_epoch + 2

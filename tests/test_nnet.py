@@ -443,15 +443,23 @@ def refresh_instance(d, seed, n=5):
 
 def refresh_losses(refresh, h, j_diag, base_h, base_j, noise, adjoint):
     """The draw's loss sum(adjoint * draw), and the bracket."""
-    draw, bracket = refresh(h, j_diag, base_h, base_j, noise)
+    draw, bracket = refresh(h, j_diag, base_h, base_j, noise)[:2]
     return tensor_sum(mul(draw, constant(adjoint))), bracket
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_gaussian_refresh_equals_the_composed_graph(d):
     """Values and the gradients of the draw and of the bracket, each with
-    respect to h and j_diag, to 1e-12; the op records two nodes."""
+    respect to h and j_diag, to 1e-12; the op records two nodes.  The q(x)
+    arrays it returns are those of the refreshed Gaussian."""
     h, j_diag, base_h, base_j, noise = refresh_instance(d, 20 + d)
+    x_h, x_j, mean, cov, logdet = gaussian_refresh(h, j_diag, base_h, base_j, noise)[2]
+    want_j = base_j.copy()
+    want_j[:, np.arange(d), np.arange(d)] += j_diag.data
+    assert np.array_equal(x_h, base_h + h.data) and np.array_equal(x_j, want_j)
+    assert np.allclose(cov, np.linalg.inv(-2.0 * want_j), rtol=1e-12, atol=0.0)
+    assert np.allclose(mean, np.linalg.solve(-2.0 * want_j, x_h[..., None])[..., 0], rtol=1e-12)
+    assert np.allclose(logdet, np.linalg.slogdet(-2.0 * want_j)[1], rtol=1e-12)
     adjoint = np.random.default_rng(d).standard_normal(h.shape)
     results = []
     for refresh in (gaussian_refresh, composed_refresh):
@@ -489,7 +497,7 @@ def test_gaussian_refresh_gives_a_constant_parent_no_gradient(requires):
     h, j_diag, base_h, base_j, noise = refresh_instance(2, 40)
     h.requires, j_diag.requires = requires
     with Tape() as tape:
-        draw, bracket = gaussian_refresh(h, j_diag, base_h, base_j, noise)
+        gaussian_refresh(h, j_diag, base_h, base_j, noise)
     for out, _, vjp in tape._nodes:
         grads = vjp(np.ones_like(out.data))
         assert [g is not None for g in grads] == list(requires)

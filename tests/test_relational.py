@@ -627,3 +627,43 @@ def test_sample_annotation_minibatch_takes_the_selected_triples(seed):
     assert np.array_equal(working, np.unique(np.concatenate([batch, annotated])))
     back = np.column_stack([working[local.triples[:, :2]], local.triples[:, 2:]])
     assert np.array_equal(back, expected.triples)
+
+
+def sorted_union_sample(store, batch, batch_size, rng):
+    """sample_annotation_minibatch with the working set as the unique items
+    of the batch and the triples, renumbered by a search of it."""
+    n = store.n_annotations
+    t, scale = store.triples, 1.0
+    if batch_size < n:
+        t = t[np.sort(rng.choice(n, size=batch_size, replace=False))]
+        scale = n / float(batch_size)
+    working = np.unique(np.concatenate([batch, t[:, :2].ravel()]))
+    renumbered = np.column_stack([np.searchsorted(working, t[:, :2]), t[:, 2:]])
+    return working, renumbered, scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_annotation_minibatch_equals_the_sorted_union_bit_for_bit(seed):
+    """On random stores, with batch items that are also annotated, samples
+    of a few, most and every triple, and an empty store: the same working
+    set, triples, dtypes, scale and generator state."""
+    rng = np.random.default_rng(seed)
+    stores = [random_canonical_store(rng, n_items=40, n_pairs=30), AnnotationStore([], 40, 4)]
+    for store in stores:
+        annotated = np.unique(store.triples[:, :2])
+        for batch_size in (1, 9, max(store.n_annotations, 1), store.n_annotations + 5):
+            batch = np.sort(rng.choice(40, size=8, replace=False))
+            if annotated.size:
+                batch = np.union1d(batch[:5], annotated[:3])  # some annotated items
+            a, b = (np.random.default_rng(seed), np.random.default_rng(seed))
+            working, sample, scale = sample_annotation_minibatch(store, batch, batch_size, a)
+            want_working, want_triples, want_scale = sorted_union_sample(
+                store, batch, batch_size, b
+            )
+            assert working.dtype == want_working.dtype
+            assert np.array_equal(working, want_working)
+            assert sample.triples.dtype == want_triples.dtype
+            assert np.array_equal(sample.triples, want_triples)
+            assert (sample.n_items, sample.n_workers) == (working.size, store.n_workers)
+            assert scale == want_scale
+            assert a.bit_generator.state == b.bit_generator.state

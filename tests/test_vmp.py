@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,16 @@ import pytest
 from scipy.special import log_softmax
 
 import oracles
-from oracles import color_classes, neighbor_lists, potential_bracket, surrogate_elbo
+from oracles import (
+    color_classes,
+    local_posteriors,
+    neighbor_lists,
+    potential_bracket,
+    surrogate_elbo,
+    with_local_x,
+)
 from test_relational import reference_message_weights
-from crowdmix import vmp
+from crowdmix import nnet, vmp
 from crowdmix.data import Dataset, WorkerPool, pinwheel_generate, simulate_annotations
 from crowdmix.driver import gaussian_mlp
 from crowdmix.expfam import DirichletNat, NiwNat
@@ -32,6 +40,7 @@ from crowdmix.mixture import (
 from crowdmix.nnet import (
     Mlp,
     Tape,
+    Tensor,
     TrainingDivergence,
     backward,
     spd_factor,
@@ -44,6 +53,7 @@ from crowdmix.relational import (
     beta_natural_gradient,
     confusion_counts,
     expected_rel_loglik,
+    sample_annotation_minibatch,
 )
 from crowdmix.vmp import (
     LOCAL_SWEEPS,
@@ -747,7 +757,7 @@ def test_entry_major_local_step_equals_the_item_major_oracle_bit_for_bit(n, anno
         triples = [(i, j, int(rng.integers(n_workers)), int(rng.integers(2))) for i, j in pairs]
         store = AnnotationStore(triples, n_items=n, n_workers=n_workers)
     expected = local_step_items(glob, pot, store)
-    local = block_coordinate_local(glob, pot, store)
+    local = local_posteriors(glob, pot, store)
     for field in LOCAL_FIELDS:
         got, want = getattr(local, field), getattr(expected, field)
         assert np.array_equal(got, want) and got.flags.c_contiguous, field
@@ -893,8 +903,8 @@ def test_predict_equals_the_argmax_of_the_row_major_local_step():
     potential = recognition_potential(model.recognition, dataset.observations)
     for annotations in (store, None):
         expected = local_step_rows(model.glob, potential, annotations, LOCAL_SWEEPS)
-        local = block_coordinate_local(model.glob, potential, annotations)
-        assert np.max(np.abs(local.log_resp - expected)) < 1e-9
+        log_resp = block_coordinate_local(model.glob, potential, annotations)
+        assert np.max(np.abs(log_resp - expected)) < 1e-9
     # predict passes no store
     potential = recognition_potential(model.recognition, held_out)
     labels = {
@@ -931,7 +941,7 @@ def grid_instance():
 def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     glob, store, pot = grid_instance()
     exps = global_expectations(glob)
-    local = block_coordinate_local(glob, pot, store, sweeps=2)
+    local = local_posteriors(glob, pot, store, sweeps=2)
     base = exps.log_pi[:, None] + logits_of_items(exps, local.x_mean, local.x_cov)
     graph = annotation_graph(store, glob.workers, 3)
     logits, resp = block_major(graph, base.T, local.resp)
@@ -954,7 +964,8 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
 def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
     """`sweeps` rounds of block_coordinate_local's coordinate updates, from
     the responsibilities of `local` instead of uniform ones, in block order
-    and with q(x) entry-major, as that function runs them."""
+    and with q(x) entry-major, as that function runs them, and the q(x) of
+    one refresh of the last q(z), as `local_posteriors` gives it."""
     exps = global_expectations(glob)
     graph = annotation_graph(store, glob.workers, pot.n_items)
     order, back = graph.order, graph.position
@@ -964,17 +975,13 @@ def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
         x = update_local_x(resp, exps, h, j_diag)
         base = exps.log_pi[:, None] + logits_of(exps, x[2], x[3])
         log_resp, resp = local_z(base, graph, resp)
-    x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(resp, exps, h, j_diag)
-    return LocalVariational(
-        log_resp.T[back], x_h.T[back], -0.5 * x_prec.transpose(2, 0, 1)[back], x_mean.T[back],
-        x_cov.transpose(2, 0, 1)[back], x_logdet[back],
-    )
+    return with_local_x(glob, pot, store, log_resp.T[back])
 
 
 def local_after(glob, pot, store, sweeps) -> LocalVariational:
     """The local step's state after exactly `sweeps` sweeps from uniform
     responsibilities: the state after `sweeps - 1` sweeps, swept once more."""
-    return block_coordinate_local(glob, pot, store, sweeps=sweeps)
+    return local_posteriors(glob, pot, store, sweeps=sweeps)
 
 
 def test_block_coordinate_runs_every_sweep_past_convergence(monkeypatch):
@@ -996,8 +1003,8 @@ def test_block_coordinate_names_a_bad_sweep_count(sweeps):
     with pytest.raises(ValueError, match="^sweeps"):
         block_coordinate_local(glob, pot, store, sweeps=sweeps)
     assert np.array_equal(
-        block_coordinate_local(glob, pot, store, sweeps=np.int64(2)).log_resp,
-        block_coordinate_local(glob, pot, store, sweeps=2).log_resp,
+        block_coordinate_local(glob, pot, store, sweeps=np.int64(2)),
+        block_coordinate_local(glob, pot, store, sweeps=2),
     )
 
 
@@ -1028,8 +1035,8 @@ def test_block_coordinate_is_order_independent_without_annotations():
     pot_h = rng.normal(size=(6, 2))
     pot_j = -np.exp(rng.normal(size=(6, 2)))
     perm = rng.permutation(6)
-    a = block_coordinate_local(glob, RecognitionPotential(pot_h, pot_j), sweeps=6)
-    b = block_coordinate_local(glob, RecognitionPotential(pot_h[perm], pot_j[perm]), sweeps=6)
+    a = local_posteriors(glob, RecognitionPotential(pot_h, pot_j), sweeps=6)
+    b = local_posteriors(glob, RecognitionPotential(pot_h[perm], pot_j[perm]), sweeps=6)
     assert np.allclose(b.log_resp, a.log_resp[perm], atol=1e-12)
     assert np.allclose(b.x_mean, a.x_mean[perm], atol=1e-12)
 
@@ -1065,7 +1072,7 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_cla
 def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     glob, store, pot = grid_instance()
     prior = TEST_PRIOR
-    local = block_coordinate_local(glob, pot, store, sweeps=30)
+    local = local_posteriors(glob, pot, store, sweeps=30)
     value = surrogate_elbo(glob, prior, local, pot, store)
     for _ in range(5):
         target = replace(
@@ -1102,7 +1109,6 @@ def test_local_kl_doubles_with_duplicated_items():
     local = scalar_local([[0.6, 0.4]], [0.5], [0.7])
     doubled = scalar_local([[0.6, 0.4]] * 2, [0.5] * 2, [0.7] * 2)
     assert abs(local_kl(exps, doubled) - 2.0 * local_kl(exps, local)) < 1e-12
-    assert abs(local_kl(exps, doubled, rows=[0]) - local_kl(exps, local)) < 1e-12
 
 
 def test_local_kl_matches_quadrature_oracle():
@@ -1124,7 +1130,7 @@ def test_local_kl_is_nonnegative_on_random_instances():
     pot = RecognitionPotential(
         rng.normal(size=(8, 2)), -np.exp(rng.normal(size=(8, 2)))
     )
-    local = block_coordinate_local(glob, pot, sweeps=3)
+    local = local_posteriors(glob, pot, sweeps=3)
     assert local_kl(exps, local) >= -1e-9
 
 
@@ -1222,13 +1228,13 @@ def objective_instance():
     return glob, store, local, pot
 
 
-def objective(glob, local, pot, store, rel_scale=1.0, rows=None):
+def objective(glob, local, pot, store, rel_scale=1.0):
     """final_objective with the potential bracket as its data term and the
     relational term from the store's confusion counts."""
     return final_objective(
-        local, global_expectations(glob), potential_bracket(pot, local, rows),
+        local, global_expectations(glob), potential_bracket(pot, local),
         glob.workers.log_stats(), confusion_counts(store, local.resp),
-        rel_scale=rel_scale, rows=rows,
+        rel_scale=rel_scale,
     )
 
 
@@ -1282,12 +1288,20 @@ def test_final_objective_without_store_drops_the_relational_term():
 
 
 def test_final_objective_row_restriction_is_additive():
+    """Without annotations the estimate sums over the items: those of each
+    item's local posteriors add up to the whole set's."""
     glob, store, local, pot = objective_instance()
     empty = AnnotationStore([], store.n_items, store.n_workers)
     full = objective(glob, local, pot, empty)
-    part0 = objective(glob, local, pot, empty, rows=[0])
-    part1 = objective(glob, local, pot, empty, rows=[1])
-    assert abs(full - (part0 + part1)) < 1e-12
+    parts = [
+        objective(
+            glob, LocalVariational(*(getattr(local, f)[[i]] for f in LOCAL_FIELDS)),
+            RecognitionPotential(pot.h[[i]], pot.j_diag[[i]]),
+            AnnotationStore([], 1, store.n_workers),
+        )
+        for i in range(store.n_items)
+    ]
+    assert abs(full - sum(parts)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1296,26 +1310,22 @@ def test_final_objective_row_restriction_is_additive():
 
 def test_network_objective_gradients_match_finite_differences():
     """Central differences through the training step's whole network path:
-    one `evidence` pass over the working set, the batch rows taken from it,
-    and the network objective over those rows."""
+    one `evidence` pass over the batch rows and the network objective over
+    those rows."""
     rng = np.random.default_rng(9)
     prior = MixturePrior(2, 2)
     glob = init_global(prior, rng)
     exps = global_expectations(glob)
     recognition = Mlp([2, 5], {"loc": 2, "prec_raw": 2}, rng)
     decoder = Mlp([2, 5], {"mean": 2, "logvar": 2}, rng, clamp={"logvar": (-8.0, 8.0)})
-    working = rng.normal(size=(6, 2))
-    rows = np.array([0, 2, 3, 5])  # the batch leaves working-set rows 1 and 4 out
-    resp = rng.dirichlet(np.ones(2), size=rows.size)
-    noise = rng.standard_normal((rows.size, 2))
+    batch = rng.normal(size=(4, 2))
+    resp = rng.dirichlet(np.ones(2), size=4)
+    noise = rng.standard_normal((4, 2))
     params = recognition.parameters() + decoder.parameters()
 
     def objective():
-        h, j_diag = evidence(recognition, working)
-        obj, _ = _network_objective(
-            take_rows(h, rows), take_rows(j_diag, rows), decoder, working[rows],
-            resp, exps, noise, 1.7, 1.0,
-        )
+        h, j_diag = evidence(recognition, batch)
+        obj, _, _ = _network_objective(h, j_diag, decoder, batch, resp, exps, noise, 1.7, 1.0)
         return obj
 
     with Tape() as tape:
@@ -1345,6 +1355,74 @@ def test_network_objective_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
+def one_update_problem():
+    """The state of one training update on `tiny_problem`: a 40-item batch
+    whose 20 sampled annotations reach items outside it, calibrated
+    default-width networks, and fresh globals."""
+    dataset, store = tiny_problem()
+    rng = np.random.default_rng(3)
+    batch = np.sort(rng.choice(dataset.n_items, size=40, replace=False))
+    working, local_store, _ = sample_annotation_minibatch(store, batch, 20, rng)
+    rows = np.searchsorted(working, batch)
+    assert working.size > batch.size
+    recognition = Mlp([2, 40, 40], {"loc": 2, "prec_raw": 2}, rng)
+    vmp._calibrate_recognition_init(recognition, dataset.observations)
+    decoder = gaussian_mlp([2, 40, 40], 2, rng)
+    glob = init_global(MixturePrior(4, 2), rng, n_workers=store.n_workers)
+    return dataset.observations, batch, working, rows, local_store, recognition, decoder, glob, rng
+
+
+def test_batch_only_tape_gives_the_working_set_tapes_gradients():
+    """The other working-set rows carry no adjoint, so leaving them off the
+    tape changes the parameter gradients only by the exact zeros that
+    their rows added to the weight sums."""
+    obs, batch, working, rows, local_store, recognition, decoder, glob, rng = one_update_problem()
+    exps = global_expectations(glob)
+    log_resp = block_coordinate_local(
+        glob, recognition_potential(recognition, obs[working]), local_store
+    )
+    resp = np.exp(log_resp[rows])
+    noise = rng.standard_normal((batch.size, 2))
+    params = recognition.parameters() + decoder.parameters()
+    grads = []
+    for tape_rows in (working, batch):
+        with Tape() as tape:
+            h, j_diag = evidence(recognition, obs[tape_rows])
+            if tape_rows is working:
+                h, j_diag = take_rows(h, rows), take_rows(j_diag, rows)
+            objective, _, _ = _network_objective(
+                h, j_diag, decoder, obs[batch], resp, exps, noise, 3.0, 0.7
+            )
+        backward(tape, objective)
+        grads.append([p.grad for p in params])
+        zero_grads(params)
+    for want, got in zip(*grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 40, 50, 300])
+def test_gaussian_refresh_q_x_equals_update_local_x_bit_for_bit(n):
+    """The batch rows' q(x) that the training step reads off the network
+    objective's refresh, from item-major (n, K) q(z) probabilities, equals
+    the entry-major refresh of the local step on the same q(z)."""
+    rng = np.random.default_rng(n)
+    K, d = 15, 2
+    exps = global_expectations(init_global(MixturePrior(K, d), rng))
+    resp = np.exp(log_softmax(rng.normal(size=(n, K), scale=3.0), axis=1))
+    h = rng.normal(size=(n, d), scale=3.0)
+    j_diag = -np.exp(rng.normal(-1.0, 1.0, size=(n, d)))
+    _, _, q_x = vmp.gaussian_refresh(
+        Tensor(h), Tensor(j_diag), resp @ exps.mean_prec, _mix(resp, exps.neg_half_prec),
+        rng.standard_normal((n, d)),
+    )
+    x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(
+        np.ascontiguousarray(resp.T), exps, h.T, j_diag.T
+    )
+    want = (x_h.T, -0.5 * x_prec.transpose(2, 0, 1), x_mean.T, x_cov.transpose(2, 0, 1), x_logdet)
+    for name, got, expected in zip(("x_h", "x_j", "mean", "cov", "logdet"), q_x, want):
+        assert np.array_equal(got, expected), name
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -1360,21 +1438,27 @@ def tiny_problem(seed=0, n_per=40, workers=4, pairs=30, subset=60):
 def test_each_update_reads_the_relational_term_off_its_worker_counts(monkeypatch):
     """One pass over the sampled triples per update: the worker target's
     confusion counts.  `expected_rel_loglik` is never called, and the
-    estimate's relational term is the one it would give."""
+    estimate's relational term is the one it would give.  The estimate's
+    local posteriors are the batch rows', whose q(z) the mixture target
+    reads too."""
     dataset, store = tiny_problem()
-    passes = []
+    passes, targets = [], []
 
     def counting(update_store, q_z):
         counts = confusion_counts(update_store, q_z)
         passes.append((update_store, q_z, counts))
         return counts
 
-    def estimating(local, exps, data, log_stats, counts, data_scale, rel_scale, rows):
+    def targeting(prior, q_z, *args, **kwargs):
+        targets.append(q_z)
+        return mixture_natural_gradient(prior, q_z, *args, **kwargs)
+
+    def estimating(local, exps, data, log_stats, counts, data_scale, rel_scale):
         update_store, q_z, seen = passes[-1]
-        assert counts is seen and np.array_equal(q_z, local.resp)
+        assert counts is seen and np.array_equal(targets[-1], local.resp)
         rel = float(expected_rel_loglik(update_store, q_z, log_stats, rel_scale).data)
-        with_rel = final_objective(local, exps, data, log_stats, counts, data_scale, rel_scale, rows)
-        without = final_objective(local, exps, data, log_stats, 0.0 * counts, data_scale, 1.0, rows)
+        with_rel = final_objective(local, exps, data, log_stats, counts, data_scale, rel_scale)
+        without = final_objective(local, exps, data, log_stats, 0.0 * counts, data_scale, 1.0)
         assert with_rel - without == pytest.approx(rel, rel=1e-9, abs=1e-9)
         return with_rel
 
@@ -1382,12 +1466,13 @@ def test_each_update_reads_the_relational_term_off_its_worker_counts(monkeypatch
         raise AssertionError("the Bayesian update computed the relational term again")
 
     monkeypatch.setattr(vmp, "confusion_counts", counting)
+    monkeypatch.setattr(vmp, "mixture_natural_gradient", targeting)
     monkeypatch.setattr(vmp, "final_objective", estimating)
     monkeypatch.setattr(vmp, "expected_rel_loglik", forbidden)
     config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
     result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
     assert not result.diverged
-    assert len(passes) == -(-dataset.n_items // config.batch_size)
+    assert len(passes) == len(targets) == -(-dataset.n_items // config.batch_size)
     assert sum(update_store.n_annotations for update_store, _, _ in passes) > 0
 
 
@@ -1418,24 +1503,83 @@ def test_training_is_deterministic_given_the_seed():
 
 
 def test_training_runs_the_recognition_network_once_per_update(monkeypatch):
+    """Each update evaluates every working-set row once: the batch rows on
+    the tape, the others in one pass before it opens."""
     dataset, store = tiny_problem()
     config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
-    calls = []
+    calls, samples = [], []
     forward = Mlp.forward
 
     def counting_forward(net, x):
         heads = forward(net, x)
         if set(net.heads) == {"loc", "prec_raw"}:
-            calls.append(heads["loc"].data.shape[0])
+            calls.append((np.array(x), nnet._current_tape() is not None))
         return heads
 
+    def sampling(update_store, batch, batch_size, rng):
+        working, local_store, scale = sample_annotation_minibatch(
+            update_store, batch, batch_size, rng
+        )
+        samples.append((batch, working))
+        return working, local_store, scale
+
     monkeypatch.setattr(Mlp, "forward", counting_forward)
+    monkeypatch.setattr(vmp, "sample_annotation_minibatch", sampling)
     result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
     assert not result.diverged
     updates = -(-dataset.n_items // config.batch_size)
-    # calibration, one pass per update, then the epoch's `predict`
-    assert len(calls) == 1 + updates + 1
-    assert calls[-1] == dataset.n_items
+    obs = dataset.observations
+    # calibration, two passes per update, then the epoch's `predict`
+    assert len(samples) == updates and len(calls) == 1 + 2 * updates + 1
+    for (batch, working), (rest, rest_taped), (rows, taped) in zip(
+        samples, calls[1:-1:2], calls[2:-1:2]
+    ):
+        assert working.size > batch.size
+        assert taped and not rest_taped
+        assert np.array_equal(rows, obs[batch])
+        evaluated, want = np.concatenate([rows, rest]), obs[working]
+        assert np.array_equal(evaluated[np.lexsort(evaluated.T)], want[np.lexsort(want.T)])
+    assert np.array_equal(calls[-1][0], obs) and not calls[-1][1]
+
+
+def test_each_update_enters_every_probed_layer(monkeypatch):
+    """crowdbench's per-layer spans wrap these names of vmp; an update that
+    stopped calling one through its name would leave that span empty.  One
+    update calls each once, `recognition_potential` for the working-set
+    rows outside the batch, and `global_expectations` twice: for the step
+    and for the local step."""
+    dataset, store = tiny_problem()
+    config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
+    names = (
+        "block_coordinate_local", "annotation_graph", "local_kl", "mixture_natural_gradient",
+        "apply_natural_gradient", "global_expectations", "recognition_potential",
+    )
+    counts, snapshots = Counter(), []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(vmp, name, counted(name, getattr(vmp, name)))
+    batches = vmp.minibatch_iterator
+
+    def snapshotting(*args, **kwargs):
+        for batch in batches(*args, **kwargs):
+            snapshots.append(Counter(counts))
+            yield batch
+        snapshots.append(Counter(counts))
+
+    monkeypatch.setattr(vmp, "minibatch_iterator", snapshotting)
+    train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
+    # a snapshot before each update and one after the last
+    per_update = [after - before for before, after in zip(snapshots, snapshots[1:])]
+    assert len(per_update) == -(-dataset.n_items // config.batch_size)
+    expected = Counter(names)
+    expected["global_expectations"] = 2
+    assert all(calls == expected for calls in per_update)
 
 
 def test_training_objective_rises_on_a_small_problem():
@@ -1748,16 +1892,23 @@ def test_log_softmax_columns_equals_scipy_exactly_on_finite_blocks_of_either_lay
 # and cf860537...b23d); accuracy, NMI and effective K are the same, and
 # no saved value moved by more than 4.3e-14.  Both held, bit for bit,
 # when the local step's q(x) side went entry-major, on
-# nnet.spd_factor_rows.  The current code must reproduce them bit for bit.
+# nnet.spd_factor_rows, and when the local step stopped on its last q(z)
+# pass and the step read the batch rows' q(x) off the network
+# objective's refresh.  The epoch-1 objective and the digest were
+# re-taken once only the batch rows went on the tape, the other
+# working-set rows evaluated before it: the weight gradients no longer
+# sum those rows' exact zeros (they were -1021.6051650063623 and
+# 5be7afa3...0835); the epoch-0 row and every quality field are the
+# same.  The current code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [
             {"epoch": 0, "objective": -1279.839212960404, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5284607689658716},
-            {"epoch": 1, "objective": -1021.6051650063623, "effective_k": 4,
+            {"epoch": 1, "objective": -1021.6051650063614, "effective_k": 4,
              "accuracy": 0.65, "nmi": 0.5165719394406421},
         ],
-        "5be7afa3422548e6c5d2724de8fd0cad79d78cbb9119c6ddefabd7b1d6ee0835",
+        "d1c8b0e815ba936ba59be825020085553a3dc8614a102ceb66cf4a6205e35bfb",
     ),
 }
 
