@@ -15,9 +15,8 @@ The engine keeps a network step lean:
   ReLU, in place of three; Mlp.forward uses it for every layer and head.
 - Mlp.forward is the one check that a network's outputs are finite: a
   head that is not, after its clamp, raises TrainingDivergence naming it.
-- The vector-Jacobian products of matmul, mul, sub, affine and
-  gaussian_refresh compute a parent's gradient only when that parent
-  requires one.
+- The vector-Jacobian products of mul, sub, affine and gaussian_refresh
+  compute a parent's gradient only when that parent requires one.
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
@@ -140,9 +139,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, constant(-1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires=False)
@@ -245,15 +241,6 @@ def exp(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * out,))
 
 
-def log(a: Tensor) -> Tensor:
-    return _record(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _record(a.data * mask, (a,), lambda g: (g * mask,))
-
-
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
     with np.errstate(over="ignore"):   # exp(-a) = inf below a = -709 gives sig = 0
@@ -289,22 +276,13 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _record(squeezed, (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return (
-            g @ b.data.T if a.requires else None,
-            a.data.T @ g if b.requires else None,
-        )
-
-    return _record(a.data @ b.data, (a, b), vjp)
-
-
 def affine(h: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """One node for the dense layer h @ W + b, through a ReLU if relu.
 
     h is (n, in), W is (in, out) and b is (out,).  The value and every
-    gradient equal those of relu(add(matmul(h, W), b)), or of
-    add(matmul(h, W), b) without the ReLU, bit for bit.
+    gradient equal those of the three-node relu(add(matmul(h, W), b)), or
+    of add(matmul(h, W), b) without the ReLU, bit for bit; the tests keep
+    the matmul and relu nodes as its oracles.
     """
     out = h.data @ W.data
     out += b.data

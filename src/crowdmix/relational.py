@@ -18,14 +18,15 @@ both trainers learn, is one two-state Dirichlet record of batch shape
 it starts at Beta(*WORKER_INIT), its prior is WORKER_PRIOR, Beta(1, 1) on
 every accuracy, and `beta_natural_gradient` returns the minibatch target
 record it steps to.  `data.WorkerPool` holds the simulator's true
-accuracies.  The per-triple terms (`two_coin_terms`) and the expected
-confusion counts (`confusion_counts`) are numpy arrays.
-`expected_rel_loglik` gives the amortized trainer the expected two-coin
-log-likelihood on the `nnet` tape, its q(z) a tensor and the worker rows
-constants.  That likelihood is linear in the worker rows: its value is
-the sum of log_stats times the confusion counts, which is how the
-Bayesian trainer reads it off the counts its worker target is built
-from.  The Bayesian message weights come from the same per-triple terms.
+accuracies.
+
+`expected_rel_loglik` is the one relational op of both trainers: from
+one p_same per triple it returns the expected two-coin log-likelihood
+under q(z), as one `nnet` tape node, and the workers' (M, 4) confusion
+counts, which the worker target is built from.  The likelihood is linear
+in the worker rows, so its value is the sum of log_stats times those
+counts.  The per-triple weights of `two_coin_terms` are its slope in
+p_same: the node's gradient and the Bayesian message weights.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import DirichletNat, dirichlet_expected_stats
-from .nnet import Tensor, as_tensor, check_count, constant, mul, saved_value, take_rows, tensor_sum
+from .nnet import _record, as_tensor, check_count, saved_value
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -219,38 +220,30 @@ class BetaWorkers(DirichletNat):
 # ---------------------------------------------------------------------------
 # likelihood pieces
 
-# Per triple (i, j, m, L) the expected log-likelihood is w p_same + c, with
-# w = <ls, A> and c = <ls, B> for the worker's log_stats row ls,
-# A = (L, 1-L, -(1-L), -L) and B = (0, 0, 1-L, L).  Both are linear in L:
-# w = u + L v and c = s + L r, with u = log((1-a)/b), the vote weight
-# v = log(a/(1-a)) + log(b/(1-b)), s = log b and r = log((1-b)/b).
-# ls @ _DIFFERENCES is (u, log(a/(1-a)), log(b/(1-b)), log b), @ _CONTRASTS
-# (u, v, s, r), and @ _BY_LABEL (u, u + v, s, s + r): w and c for L = 0, 1.
-# Every entry of each product sums at most two nonzero terms, so its
-# rounding does not depend on the order the terms add in.
-_DIFFERENCES = np.array([[0, 1, 0, 0], [1, -1, 0, 0], [-1, 0, 1, 1], [0, 0, -1, 0]], float)
-_CONTRASTS = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, -1], [0, 0, 1, 0]], float)
-_BY_LABEL = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], float)
+# Per triple (i, j, m, L) the gradient of the expected log-likelihood in
+# p_same is w = <ls, A> for the worker's log_stats row ls and
+# A = (L, 1-L, -(1-L), -L).  It is linear in L: w = u + L v, with
+# u = log((1-a)/b) and the vote weight v = log(a/(1-a)) + log(b/(1-b)).
+# ls @ _DIFFERENCES is (u, log(a/(1-a)), log(b/(1-b))), @ _CONTRASTS
+# (u, v), and @ _BY_LABEL (u, u + v): w for L = 0, 1.  Every entry of each
+# product sums at most two nonzero terms, so its rounding does not depend
+# on the order the terms add in.
+_DIFFERENCES = np.array([[0, 1, 0], [1, -1, 0], [-1, 0, 1], [0, 0, -1]], float)
+_CONTRASTS = np.array([[1, 0], [0, 1], [0, 1]], float)
+_BY_LABEL = np.array([[1, 1], [0, 1]], float)
 
 
 def _worker_contrasts(log_stats: np.ndarray) -> np.ndarray:
-    """(M, 4) rows (u, v, s, r) of the (M, 4) log_stats rows."""
+    """(M, 2) rows (u, v) of the (M, 4) log_stats rows."""
     return (log_stats @ _DIFFERENCES) @ _CONTRASTS
 
 
-def _check_q_z(store: AnnotationStore, shape: tuple) -> None:
-    """Name a q_z that is not (n_items, K) for the store's items."""
-    if len(shape) != 2 or shape[0] != store.n_items:
-        raise ValueError(f"q_z has shape {shape}, the store needs {store.n_items} rows")
-
-
-def two_coin_terms(store: AnnotationStore, log_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per stored triple, w = <ls_m, A> and c = <ls_m, B>: its expected
-    log-likelihood is w p_same + c.  w, the gap E log p(L | same) -
-    E log p(L | different), weighs the message between q(z_i) and q(z_j)."""
-    table = (_worker_contrasts(log_stats) @ _BY_LABEL).reshape(-1)  # (M * 4,)
-    at = 4 * store.triples[:, 2] + store.triples[:, 3]
-    return table[at], table[at + 2]
+def two_coin_terms(store: AnnotationStore, log_stats: np.ndarray) -> np.ndarray:
+    """Per stored triple, w = <ls_m, A>, the gap E log p(L | same) -
+    E log p(L | different): the weight of the message between q(z_i) and
+    q(z_j), and the triple's expected log-likelihood's slope in p_same."""
+    table = (_worker_contrasts(log_stats) @ _BY_LABEL).reshape(-1)  # (M * 2,)
+    return table[2 * store.triples[:, 2] + store.triples[:, 3]]
 
 
 def expected_worker_weights(workers) -> np.ndarray:
@@ -260,46 +253,44 @@ def expected_worker_weights(workers) -> np.ndarray:
 
 def expected_rel_loglik(
     store: AnnotationStore, q_z, log_stats: np.ndarray, scale: float = 1.0
-) -> Tensor:
-    """E_q log p(L | Z, alpha, beta) summed over the stored triples, times scale.
+) -> tuple:
+    """E_q log p(L | Z, alpha, beta) summed over the stored triples, times
+    scale, as one tape node, and the workers' (M, 4) confusion counts.
 
-    Per triple: w p_same + c, with the terms of `two_coin_terms` and
-    p_same = sum_k q(z_i=k) q(z_j=k).  `q_z` (n_items, K) may be a tape
-    tensor or a numpy array; the (M, 4) `log_stats` rows are constants.
-    The value equals scale * sum(log_stats * confusion_counts(store, q_z)).
+    `q_z` (n_items, K) may be a tape tensor or a numpy array; the (M, 4)
+    `log_stats` rows are constants.  Each triple's p_same = sum_k q(z_i=k)
+    q(z_j=k) adds the row (L p, (1-L) p, (1-L)(1-p), L (1-p)) to its
+    worker's counts: the gradient in log_stats of the triple's expected
+    log-likelihood, which is linear in them, so the value is scale *
+    sum(log_stats * counts).  The gradient in q(z_i) is scale * sum_t w_t
+    q(z_j) over the triples t that hold i, w from `two_coin_terms`.
     """
     q_z = as_tensor(q_z)
-    _check_q_z(store, q_z.data.shape)
-    weight, const = two_coin_terms(store, log_stats)
-    t = store.triples
-    p_same = tensor_sum(mul(take_rows(q_z, t[:, 0]), take_rows(q_z, t[:, 1])), axis=-1)
-    return tensor_sum(mul(constant(weight), p_same) + const) * scale
-
-
-def confusion_counts(store: AnnotationStore, q_z: np.ndarray) -> np.ndarray:
-    """(M, 4) expected confusion counts of the store's workers under the
-    (n_items, K) cluster probabilities q_z, counting each canonical i < j
-    triple once.
-
-    Triple t adds the row A p_same + B = (L p, (1-L) p, (1-L)(1-p),
-    L (1-p)) to its worker's row: the gradient of its expected
-    log-likelihood in log_stats, which that likelihood is linear in.  So
-    sum(log_stats * counts) is `expected_rel_loglik` at scale 1.
-    """
-    q_z = np.asarray(q_z, dtype=float)
-    _check_q_z(store, q_z.shape)
-    t = store.triples
-    p = np.sum(q_z[t[:, 0]] * q_z[t[:, 1]], axis=-1)[:, None]
+    q, t = q_z.data, store.triples
+    if q.ndim != 2 or q.shape[0] != store.n_items:
+        raise ValueError(f"q_z has shape {q.shape}, the store needs {store.n_items} rows")
+    p = np.sum(q[t[:, 0]] * q[t[:, 1]], axis=-1)[:, None]
     labels, flipped = t[:, 3:].astype(float), 1.0 - t[:, 3:]
     counts = np.zeros((store.n_workers, 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
     np.add.at(counts, t[:, 2], rows)
-    return counts
+
+    def vjp(g):
+        weight = ((g * scale) * two_coin_terms(store, log_stats))[:, None]
+        # in the order and grouping of the 8-node tape form it replaces, so
+        # the gradient is that form's bit for bit
+        at_j, at_i = np.zeros_like(q), np.zeros_like(q)
+        np.add.at(at_j, t[:, 1], weight * q[t[:, 0]])
+        np.add.at(at_i, t[:, 0], weight * q[t[:, 1]])
+        return (at_j + at_i,)
+
+    return _record(scale * np.sum(log_stats * counts), (q_z,), vjp), counts
 
 
 def beta_natural_gradient(counts: np.ndarray, scale: float = 1.0) -> BetaWorkers:
     """Minibatch target of the worker Beta posteriors: WORKER_PRIOR plus
-    the scaled (M, 4) `confusion_counts` of the minibatch.
+    the scaled (M, 4) confusion counts of the minibatch, which
+    `expected_rel_loglik` returns.
 
     The prior record broadcasts over the workers.  The natural gradient
     at posteriors eta is the target's eta minus eta.  The counts are

@@ -8,16 +8,18 @@ optimizer over every tape parameter.  The discrete cluster sum is
 carried analytically: every item is paired with every component in one
 stacked item-major batch (row i*K + k is item i under component k) that
 goes through the latent encoder and the decoder once, with one
-reparameterized latent draw per row.  Annotations enter through the
-closed-form expectation of the two-coin worker likelihood over pairs of
-cluster posteriors, `relational.expected_rel_loglik`, with the worker
-rows of the Beta posteriors as constants.  The worker accuracies are the
-Bayesian trainer's `relational.BetaWorkers` record: each update moves it
-by `mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s
-target for the update's q(z), and `ScdcModel.global_kl` is its KL from
-`relational.WORKER_PRIOR`.  `ScdcModel` holds the point parameters,
-the workers and the three networks; `driver.fit` runs the minibatch loop;
-`train_scdc` supplies the parameters and the step.
+reparameterized latent draw per row.  Annotations enter through one
+call per update of the relational op `relational.expected_rel_loglik`,
+in `elbo_rel`: one tape node for the closed-form expectation of the
+two-coin worker likelihood over pairs of cluster posteriors, the worker
+rows of the Beta posteriors constants, and the confusion counts of the
+same p_same.  The worker accuracies are the Bayesian trainer's
+`relational.BetaWorkers` record: each update moves it by
+`mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s target for those
+counts, and `ScdcModel.global_kl` is its KL from `relational.WORKER_PRIOR`.
+`ScdcModel` holds the point parameters, the workers and the three
+networks; `driver.fit` runs the minibatch loop; `train_scdc` supplies the
+parameters and the step.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .nnet import (
 )
 from .expfam import kl_divergence
 from .relational import WORKER_PRIOR, AnnotationStore, BetaWorkers, beta_natural_gradient
-from .relational import confusion_counts, expected_rel_loglik, sample_annotation_minibatch
+from .relational import expected_rel_loglik, sample_annotation_minibatch
 
 _POINT_KEYS = ("pi_logits", "means", "log_vars")  # PointParams' fields and document keys
 
@@ -168,7 +170,8 @@ def elbo_local(
 
 
 def elbo_rel(store: AnnotationStore, q_z: Tensor, workers: BetaWorkers, scale: float):
-    """Annotation-term ELBO: closed-form pair expectation per triple.
+    """Annotation-term ELBO, closed-form pair expectation per triple, and
+    the workers' unscaled (M, 4) confusion counts.
 
     `relational.expected_rel_loglik` of the cluster posteriors `q_z`,
     aligned with the store's item indexing, and of the workers' log_stats
@@ -271,10 +274,10 @@ def train_scdc(
     tape, takes their gradient in every tape parameter (point mixture,
     both encoders, decoder), which `driver.fit` then steps with Adam, and
     moves the worker record by GLOBAL_STEP toward `beta_natural_gradient`'s
-    target for the working set's q(z), as the Bayesian trainer does;
-    `driver.fit` runs the loop.  Each update returns its scaled ELBO
-    terms, before the worker step; `driver.fit` subtracts
-    `ScdcModel.global_kl` once per epoch.
+    target for the confusion counts that the annotation term returns, as
+    the Bayesian trainer does; `driver.fit` runs the loop.  Each update
+    returns its scaled ELBO terms, before the worker step; `driver.fit`
+    subtracts `ScdcModel.global_kl` once per epoch.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -297,9 +300,9 @@ def train_scdc(
                 update.data_scale, update.kl_weight,
             )
             q_working = exp(log_softmax(logits, axis=-1))
-            total = total + elbo_rel(update.store, q_working, model.workers, update.rel_scale)
+            rel, counts = elbo_rel(update.store, q_working, model.workers, update.rel_scale)
+            total = total + rel
         backward(tape, total)
-        counts = confusion_counts(update.store, q_working.data)
         target = beta_natural_gradient(counts, update.rel_scale)
         eta = model.workers.eta
         model.workers = BetaWorkers(eta + GLOBAL_STEP * (target.eta - eta))

@@ -31,10 +31,11 @@ reparameterization gradients of the objective through it, and the
 globals (mixing weights, components, worker accuracies) follow scaled
 stochastic natural gradients toward targets built from its q(x) and the
 working set's q(z).
-Each update also returns a minibatch estimate of the objective without
-the globals' KL (`final_objective`), its relational term read off the
-confusion counts that the worker target is built from; `driver.fit`
-subtracts the KL once per epoch, through `BayesModel.global_kl`.
+Each update calls the relational op `relational.expected_rel_loglik`
+once: its counts build the worker target, and its value is the
+relational term of the update's minibatch estimate of the objective
+without the globals' KL (`final_objective`); `driver.fit` subtracts the
+KL once per epoch, through `BayesModel.global_kl`.
 `driver.fit` runs the minibatch loop; `train_bayes_scdc` supplies the
 parameters and the step.
 """
@@ -79,15 +80,14 @@ from .relational import (
     WORKER_PRIOR,
     AnnotationStore,
     beta_natural_gradient,
-    confusion_counts,
+    expected_rel_loglik,
     sample_annotation_minibatch,
     two_coin_terms,
 )
 
-# No code here calls these two; crowdbench/probes.py times them by patching
-# this module's names, so they stay importable from it.
+# No code here calls it; crowdbench/probes.py times it by patching this
+# module's name, so it stays importable from it.
 from .expfam import niw_expected_stats  # noqa: F401
-from .relational import expected_rel_loglik  # noqa: F401
 
 # Added below -softplus(raw) so evidence precisions stay bounded away
 # from singular even when the raw head saturates at large negatives.
@@ -361,7 +361,7 @@ def annotation_graph(store: AnnotationStore | None, workers, n_items: int) -> An
     t = store.triples
     if t[:, :2].max() >= n_items:
         raise ValueError("store must be indexed by working-set position")
-    weights = two_coin_terms(store, workers.log_stats())[0]
+    weights = two_coin_terms(store, workers.log_stats())
     # both ends of each triple in turn, so each item's edges keep triple order
     return AnnotationGraph(n_items, t[:, :2].ravel(), t[:, 1::-1].ravel(), np.repeat(weights, 2))
 
@@ -507,26 +507,21 @@ def final_objective(
     local: LocalVariational,
     exps: GlobalExpectations,
     data: float,
-    log_stats: np.ndarray,
-    counts: np.ndarray,
+    rel: float,
     data_scale: float = 1.0,
-    rel_scale: float = 1.0,
 ) -> float:
     """Minibatch estimate of the training objective less `global_kl`:
-    data_scale * (data - local KL) + rel_scale * sum(log_stats * counts).
+    data_scale * (data - local KL) + rel.
 
     `data` is the expected data log-likelihood of `local`'s items, in
     training the data minibatch: the decoder's reconstruction, or a
-    stand-in for it.  `exps` are the expectations of the globals.
-    `counts` are the `confusion_counts` of the sampled annotations under
-    the q(z) of their items, in training the working set's, and
-    `log_stats` the globals' (M, 4) worker rows, so the relational term
-    is `expected_rel_loglik` without another pass over the triples.
-    Scales restore full-data magnitudes from minibatches.  `driver.fit`
-    subtracts the KL once per epoch and checks every estimate for
-    finiteness.
+    stand-in for it.  `exps` are the expectations of the globals.  `rel`
+    is the relational term, the value of `expected_rel_loglik` on the
+    sampled annotations, the q(z) of their items (in training the working
+    set's) and the globals' worker rows, already scaled.  Scales restore
+    full-data magnitudes from minibatches.  `driver.fit` subtracts the KL
+    once per epoch and checks every estimate for finiteness.
     """
-    rel = rel_scale * float(np.sum(log_stats * counts))
     return float(data_scale * (data - local_kl(exps, local)) + rel)
 
 
@@ -677,9 +672,10 @@ def train_bayes_scdc(
     refresh and the batch rows' evidence, which `driver.fit` then steps
     with Adam.  It steps each global record toward its minibatch target,
     the batch rows' q(z) and q(x) for the mixture and the working set's
-    q(z) for the workers.  It returns `final_objective` of the batch rows'
-    local posteriors, whose relational term comes from the confusion
-    counts of the worker target, so p_same is computed once per update.
+    q(z) for the workers.  One `expected_rel_loglik` call on the working
+    set's q(z) gives the worker target's confusion counts and the
+    relational term of the returned `final_objective` of the batch rows'
+    local posteriors, so p_same is computed once per update.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -714,14 +710,13 @@ def train_bayes_scdc(
         target = mixture_natural_gradient(
             prior, batch_resp, local.x_mean, local.x_cov, scale=update.data_scale
         )
-        counts = confusion_counts(local_store, resp)
-        target = replace(target, workers=beta_natural_gradient(counts, update.rel_scale))
-        new_glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
-        estimate = final_objective(
-            local, exps, float(recon.data), glob.workers.log_stats(), counts,
-            update.data_scale, update.rel_scale,
+        rel, counts = expected_rel_loglik(
+            local_store, resp, glob.workers.log_stats(), update.rel_scale
         )
-        glob = new_glob
+        target = replace(target, workers=beta_natural_gradient(counts, update.rel_scale))
+        data = float(recon.data)
+        estimate = final_objective(local, exps, data, float(rel.data), update.data_scale)
+        glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
         return estimate
 
     return fit(

@@ -13,7 +13,11 @@ global coordinate updates must not decrease, is built from the library's
 own terms, with `potential_bracket` as its data term.  `neighbor_lists`
 and `color_classes` read an annotation graph's per-item edges and color
 classes back out of its block order.  `local_posteriors` completes the
-local step's q(z) with the q(x) of one refresh of it.
+local step's q(z) with the q(x) of one refresh of it.  `log`, `relu` and
+`matmul` are tape nodes the package fuses into `nnet.affine`, and
+`composed_rel_loglik` the 8-node tape form of the relational op
+`relational.expected_rel_loglik`, kept as their references;
+`worker_counts` reads that op's confusion counts.
 """
 
 import math
@@ -29,7 +33,8 @@ from crowdmix.expfam import (
     niw_expected_stats,
 )
 from crowdmix.mixture import global_expectations
-from crowdmix.relational import AnnotationStore, confusion_counts
+from crowdmix.nnet import Tensor, _record, as_tensor, constant, mul, take_rows, tensor_sum
+from crowdmix.relational import AnnotationStore, expected_rel_loglik, two_coin_terms
 from crowdmix.vmp import (
     LOCAL_SWEEPS,
     LocalVariational,
@@ -212,6 +217,47 @@ def final_objective_oracle(
 
 
 # ---------------------------------------------------------------------------
+# tape compositions that the package fuses into one node
+
+
+def log(a: Tensor) -> Tensor:
+    return _record(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.data > 0.0
+    return _record(a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    def vjp(g):
+        return (
+            g @ b.data.T if a.requires else None,
+            a.data.T @ g if b.requires else None,
+        )
+
+    return _record(a.data @ b.data, (a, b), vjp)
+
+
+def composed_rel_loglik(store: AnnotationStore, q_z, log_stats, scale=1.0) -> Tensor:
+    """`expected_rel_loglik`'s term as the 8 tape nodes it fuses: per
+    triple w p_same + c, w from `two_coin_terms` and c = <ls_m, B> =
+    E log p(L | different), p_same from two `take_rows` of q_z."""
+    q_z = as_tensor(q_z)
+    t = store.triples
+    weight = two_coin_terms(store, log_stats)
+    const = np.where(t[:, 3] == 1, log_stats[t[:, 2], 3], log_stats[t[:, 2], 2])
+    p_same = tensor_sum(mul(take_rows(q_z, t[:, 0]), take_rows(q_z, t[:, 1])), axis=-1)
+    return tensor_sum(mul(constant(weight), p_same) + const) * scale
+
+
+def worker_counts(store: AnnotationStore, q_z) -> np.ndarray:
+    """The (M, 4) confusion counts of `expected_rel_loglik`, which do not
+    read the worker rows."""
+    return expected_rel_loglik(store, q_z, np.zeros((store.n_workers, 4)))[1]
+
+
+# ---------------------------------------------------------------------------
 # decoder-free surrogate bound, through the library's own terms
 
 
@@ -233,9 +279,9 @@ def surrogate_elbo(glob, prior, local, potential, store) -> float:
     decrease along the inner loop.  It is the trainer's estimate on the
     full batch, less the globals' KL.
     """
+    rel = expected_rel_loglik(store, local.resp, glob.workers.log_stats())[0]
     estimate = final_objective(
-        local, global_expectations(glob), potential_bracket(potential, local),
-        glob.workers.log_stats(), confusion_counts(store, local.resp),
+        local, global_expectations(glob), potential_bracket(potential, local), float(rel.data)
     )
     return estimate - global_kl(glob, prior)
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import worker_counts
 
 from crowdmix import expfam
 from crowdmix.expfam import (
@@ -26,7 +27,7 @@ from crowdmix.mixture import (
 )
 from crowdmix.nnet import TrainingDivergence
 from crowdmix.relational import WORKER_PRIOR, AnnotationStore, BetaWorkers
-from crowdmix.relational import beta_natural_gradient, confusion_counts
+from crowdmix.relational import beta_natural_gradient
 
 
 def _conjugate_posterior(prior, q_z, means, covs):
@@ -227,7 +228,7 @@ def test_worker_gradient_application_reaches_count_fixed_point():
     current = init_global(prior, rng, n_workers=1)
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     q_z = np.array([[1.0, 0.0], [1.0, 0.0]])  # certainly the same cluster
-    target = dataclasses.replace(current, workers=beta_natural_gradient(confusion_counts(store, q_z)))
+    target = dataclasses.replace(current, workers=beta_natural_gradient(worker_counts(store, q_z)))
     updated = apply_natural_gradient(current, target, step=1.0)
     np.testing.assert_allclose(updated.workers.alpha_taus[0], [2.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(updated.workers.beta_taus[0], [1.0, 1.0], atol=1e-12)
@@ -304,7 +305,7 @@ def test_a_step_is_the_convex_combination_with_the_fixed_point(seed):
     scale = rng.uniform(1.0, 10.0)
     target = dataclasses.replace(
         mixture_natural_gradient(prior, q_z, means, covs, scale=scale),
-        workers=beta_natural_gradient(confusion_counts(store, q_z), rng.uniform(1.0, 10.0)),
+        workers=beta_natural_gradient(worker_counts(store, q_z), rng.uniform(1.0, 10.0)),
     )
     # the target is a valid record of each family: the constructors checked
     # the Dirichlet and Beta domains and kappa, this checks nu and S

@@ -2,16 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import annotation_log_likelihood, neighbor_lists, select_triples
+from oracles import (
+    annotation_log_likelihood,
+    composed_rel_loglik,
+    neighbor_lists,
+    select_triples,
+    worker_counts,
+)
 
 from crowdmix.data import WorkerPool
 from crowdmix.expfam import DirichletNat, dirichlet_expected_stats
-from crowdmix.nnet import constant
+from crowdmix.nnet import Tape, backward, constant, parameter
 from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
     beta_natural_gradient,
-    confusion_counts,
     expected_rel_loglik,
     expected_worker_weights,
     sample_annotation_minibatch,
@@ -320,7 +325,7 @@ def _brute_force_rel(store, q_z, workers):
 
 def rel_loglik(store, q_z, workers, scale=1.0) -> float:
     """expected_rel_loglik of a worker provider, as a float."""
-    return float(expected_rel_loglik(store, q_z, workers.log_stats(), scale).data)
+    return float(expected_rel_loglik(store, q_z, workers.log_stats(), scale)[0].data)
 
 
 def test_expected_rel_loglik_empty():
@@ -371,42 +376,118 @@ def test_expected_rel_loglik_matches_brute_force():
 
         # the amortized trainer's path: its starting workers, q(z) on the tape
         start = BetaWorkers.init(m_workers)
-        value = float(expected_rel_loglik(store, constant(q), start.log_stats()).data)
+        value = float(expected_rel_loglik(store, constant(q), start.log_stats())[0].data)
         assert abs(value - _brute_force_rel(store, q, start)) < 1e-10
+
+
+def random_store(rng, n_items: int, n_workers: int, density: float) -> AnnotationStore:
+    """Each (pair, worker) labelled with probability `density`, a random
+    label, in both orientations of its input row."""
+    triples = [
+        (i, j, m, int(rng.integers(2))) if rng.random() < 0.5 else (j, i, m, int(rng.integers(2)))
+        for m in range(n_workers)
+        for i, j in itertools.combinations(range(n_items), 2)
+        if rng.random() < density
+    ]
+    return AnnotationStore(triples, n_items, n_workers)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("n_workers, density", [(3, 0.4), (6, 0.2), (0, 0.0), (2, 0.0)])
 def test_expected_rel_loglik_is_log_stats_times_the_confusion_counts(seed, n_workers, density):
     """The two-coin log-likelihood is linear in the worker rows, with the
-    confusion counts as its coefficients: on random stores, at scales other
-    than 1, with no workers and on an empty store."""
+    confusion counts as its coefficients: the op's value, read off its
+    counts, is the per-triple w p_same + c of its 8-node composition, on
+    random stores, at scales other than 1, with no workers and on an
+    empty store."""
     rng = np.random.default_rng(seed)
-    n_items = 8
-    triples = [
-        (i, j, m, int(rng.integers(2)))
-        for m in range(n_workers)
-        for i, j in itertools.combinations(range(n_items), 2)
-        if rng.random() < density
-    ]
-    store = AnnotationStore(triples, n_items, n_workers)
-    q = rng.dirichlet(np.ones(3), size=n_items)
+    store = random_store(rng, 8, n_workers, density)
+    q = rng.dirichlet(np.ones(3), size=8)
     workers = BetaWorkers.from_taus(*rng.uniform(0.5, 20.0, size=(2, n_workers, 2)))
-    counts = confusion_counts(store, q)
-    assert isinstance(counts, np.ndarray) and counts.shape == (n_workers, 4)
+    ls = workers.log_stats()
     for scale in (1.0, 2.5, 1e3 / 7):
-        value = float(expected_rel_loglik(store, q, workers.log_stats(), scale).data)
-        identity = scale * np.sum(workers.log_stats() * counts)
-        assert value == pytest.approx(identity, rel=1e-12, abs=1e-12)
+        value, counts = expected_rel_loglik(store, q, ls, scale)
+        assert isinstance(counts, np.ndarray) and counts.shape == (n_workers, 4)
+        assert np.array_equal(counts, worker_counts(store, q))
+        assert float(value.data) == scale * np.sum(ls * counts)
+        composed = float(composed_rel_loglik(store, q, ls, scale).data)
+        assert float(value.data) == pytest.approx(composed, rel=1e-12, abs=1e-12)
     if store.n_annotations == 0:
         assert not counts.any()
+
+
+def op_and_composed_gradients(store, q, log_stats, scale):
+    """q(z)'s gradient through the op and through its 8-node composition,
+    and the number of nodes each records."""
+    grads, nodes = [], []
+    for build in (lambda q_z: expected_rel_loglik(store, q_z, log_stats, scale)[0],
+                  lambda q_z: composed_rel_loglik(store, q_z, log_stats, scale)):
+        q_z = parameter(q)
+        with Tape() as tape:
+            term = build(q_z)
+        backward(tape, term)
+        grads.append(q_z.grad)
+        nodes.append(len(tape))
+    return grads, nodes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [3, 5])
+def test_expected_rel_loglik_gradient_equals_its_composition_bit_for_bit(seed, k):
+    """One node in place of eight, with the same q(z) gradient to the last
+    bit: items at both ends of several triples, duplicate pairs of
+    several workers, K >= 3 and scales other than 1."""
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, 9, 4, 0.5)
+    assert np.any(np.bincount(store.triples[:, 0]) > 1)
+    assert np.intersect1d(store.triples[:, 0], store.triples[:, 1]).size
+    pairs = store.triples[:, :2]
+    assert len(np.unique(pairs, axis=0)) < len(pairs)
+    q = rng.dirichlet(np.ones(k), size=9)
+    ls = BetaWorkers.from_taus(*rng.uniform(0.5, 20.0, size=(2, 4, 2))).log_stats()
+    for scale in (1.0, 2.5, 1e3 / 7):
+        (got, want), nodes = op_and_composed_gradients(store, q, ls, scale)
+        assert nodes == [1, 8]
+        assert np.array_equal(got, want)
+
+
+def test_expected_rel_loglik_gradient_matches_finite_differences_in_q_z():
+    """Central differences of the op's value in each entry of q(z) itself,
+    unnormalized, with no softmax in between."""
+    rng = np.random.default_rng(11)
+    store = random_store(rng, 6, 3, 0.6)
+    q = rng.uniform(0.1, 1.0, size=(6, 3))
+    ls = BetaWorkers.from_taus(*rng.uniform(0.5, 20.0, size=(2, 3, 2))).log_stats()
+    scale, eps = 2.5, 1e-6
+    (grad, _), _ = op_and_composed_gradients(store, q, ls, scale)
+    numeric = np.zeros_like(q)
+    for index in np.ndindex(q.shape):
+        hi, lo = q.copy(), q.copy()
+        hi[index] += eps
+        lo[index] -= eps
+        values = [float(expected_rel_loglik(store, x, ls, scale)[0].data) for x in (hi, lo)]
+        numeric[index] = (values[0] - values[1]) / (2.0 * eps)
+    assert np.any(grad != 0.0)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("n_workers", [0, 3])
+def test_expected_rel_loglik_of_an_empty_store_is_zero(n_workers):
+    store = AnnotationStore([], 4, n_workers)
+    ls = BetaWorkers.init(n_workers).log_stats()
+    q_z = parameter(np.full((4, 3), 1.0 / 3.0))
+    with Tape() as tape:
+        term, counts = expected_rel_loglik(store, q_z, ls, 2.5)
+    backward(tape, term)
+    assert float(term.data) == 0.0
+    assert counts.shape == (n_workers, 4) and not counts.any()
+    assert q_z.grad.shape == (4, 3) and not q_z.grad.any()
 
 
 def test_two_coin_terms_and_vote_weights_are_arrays():
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 1, 0)], 3, 2)
     pool = WorkerPool(np.array([0.9, 0.7]), np.array([0.8, 0.6]))
-    weight, const = two_coin_terms(store, pool.log_stats())
-    for terms in (weight, const, expected_worker_weights(pool)):
+    for terms in (two_coin_terms(store, pool.log_stats()), expected_worker_weights(pool)):
         assert type(terms) is np.ndarray and terms.shape == (2,)
 
 
@@ -429,7 +510,7 @@ def uniform_workers(n_workers: int) -> BetaWorkers:
 
 def test_beta_gradient_empty_store_fixed_point():
     store = AnnotationStore([], 3, 2)
-    target = beta_natural_gradient(confusion_counts(store, np.full((3, 2), 0.5)))
+    target = beta_natural_gradient(worker_counts(store, np.full((3, 2), 0.5)))
     assert isinstance(target, BetaWorkers) and target.n_workers == 2
     # the target is the prior, so the gradient at the prior vanishes
     assert np.allclose(target.eta - uniform_workers(2).eta, 0.0)
@@ -438,7 +519,7 @@ def test_beta_gradient_empty_store_fixed_point():
 def test_beta_gradient_true_positive_count():
     store = AnnotationStore([(0, 1, 0, 1)], 2, 1)
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    target = beta_natural_gradient(confusion_counts(store, q))
+    target = beta_natural_gradient(worker_counts(store, q))
     grad = target.eta - uniform_workers(1).eta
     assert np.allclose(grad[0, 0], [1.0, 0.0])
     assert np.allclose(grad[0, 1], [0.0, 0.0])
@@ -451,7 +532,7 @@ def test_beta_gradient_true_negative_count():
     store = AnnotationStore([(0, 1, 0, 0)], 2, 1)
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     at_fix = BetaWorkers.from_taus([(1.0, 1.0)], [(2.0, 1.0)])
-    target = beta_natural_gradient(confusion_counts(store, q))
+    target = beta_natural_gradient(worker_counts(store, q))
     assert target.eta.shape == (1, 2, 2)
     assert target.alpha_taus.shape == target.beta_taus.shape == (1, 2)
     assert np.allclose(target.eta - at_fix.eta, 0.0)
@@ -461,7 +542,7 @@ def test_beta_gradient_true_negative_count():
 def test_beta_gradient_names_a_q_z_of_another_height(rows):
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], 3, 1)
     with pytest.raises(ValueError, match="q_z"):
-        confusion_counts(store, np.full((rows, 2), 0.5))
+        worker_counts(store, np.full((rows, 2), 0.5))
 
 
 def reference_log_stats(alpha_taus, beta_taus) -> np.ndarray:
@@ -507,7 +588,7 @@ def test_stacked_workers_equal_the_per_coin_formulas_bit_for_bit(seed, n_workers
     store = AnnotationStore(triples, n_items, n_workers)
     q = rng.dirichlet(np.ones(k), size=n_items)
     # the gradient is the target minus the posteriors, as the step takes it
-    grad = beta_natural_gradient(confusion_counts(store, q), 2.5).eta - workers.eta
+    grad = beta_natural_gradient(worker_counts(store, q), 2.5).eta - workers.eta
     grad_a, grad_b = reference_beta_gradient(store, q, alpha_taus, beta_taus, 2.5)
     assert grad.shape == (n_workers, 2, 2)
     assert np.array_equal(grad[:, 0], grad_a) and np.array_equal(grad[:, 1], grad_b)

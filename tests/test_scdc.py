@@ -7,10 +7,12 @@ import hashlib
 import itertools
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import worker_counts
 from scipy import stats
 from scipy.special import log_softmax as np_log_softmax
 
@@ -39,7 +41,6 @@ from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
     beta_natural_gradient,
-    confusion_counts,
     expected_rel_loglik,
 )
 from crowdmix.scdc import (
@@ -245,20 +246,21 @@ def test_elbo_rel_against_triple_enumeration():
     q = np.exp(np_log_softmax(rng.standard_normal((n_items, 3)), axis=1))
     log_stats = workers.log_stats()   # (log a, log 1-a, log b, log 1-b)
     expected = enumerate_triples(store, q, log_stats)
-    value = elbo_rel(store, constant(q), workers, 2.5)
+    value, counts = elbo_rel(store, constant(q), workers, 2.5)
     assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
+    assert np.array_equal(counts, worker_counts(store, q))
 
     # the simulator's true workers through the same function
     pool = WorkerPool(rng.uniform(0.05, 1.0, n_workers), rng.uniform(0.05, 1.0, n_workers))
-    value = expected_rel_loglik(store, q, pool.log_stats(), 2.5)
+    value, _ = expected_rel_loglik(store, q, pool.log_stats(), 2.5)
     expected = enumerate_triples(store, q, pool.log_stats())
     assert float(value.data) == pytest.approx(2.5 * expected, rel=1e-12)
 
 
 def test_elbo_rel_without_annotations_is_zero():
     store = AnnotationStore([], n_items=3, n_workers=0)
-    value = elbo_rel(store, constant(np.full((3, 2), 0.5)), BetaWorkers.init(0), 1.0)
-    assert float(value.data) == 0.0
+    value, counts = elbo_rel(store, constant(np.full((3, 2), 0.5)), BetaWorkers.init(0), 1.0)
+    assert float(value.data) == 0.0 and counts.shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ def test_elbo_rel_gradient_finite_differences():
     logits = parameter(rng.standard_normal((n_items, 3)))
 
     def build():
-        return elbo_rel(store, exp(log_softmax(logits, axis=-1)), workers, 1.5)
+        return elbo_rel(store, exp(log_softmax(logits, axis=-1)), workers, 1.5)[0]
 
     coordinates = [(logits, idx) for idx in np.ndindex(logits.data.shape)]
     check_finite_differences(lambda: float(build().data), build, coordinates)
@@ -608,25 +610,61 @@ def test_global_kl_is_the_worker_block_of_the_bayesian_global_kl():
 def test_an_update_steps_the_workers_toward_the_working_set_target(monkeypatch):
     """One update (the batch is the whole dataset) moves the worker record
     from its start by GLOBAL_STEP toward beta_natural_gradient's target for
-    the q(z) the annotation term saw, bit for bit."""
+    the confusion counts that the annotation term returned with its value,
+    those of the q(z) it saw, bit for bit."""
     dataset, store = small_problem(3)
     seen = []
 
     def recording(update_store, q_z, workers, scale):
-        seen.append((update_store, q_z.data.copy(), workers, scale))
-        return elbo_rel(update_store, q_z, workers, scale)
+        term, counts = elbo_rel(update_store, q_z, workers, scale)
+        seen.append((update_store, q_z.data.copy(), workers, scale, counts))
+        return term, counts
 
     monkeypatch.setattr(scdc, "elbo_rel", recording)
     config = ScdcConfig(**{**SMALL, "epochs": 1, "batch_size": dataset.n_items})
     result = train_scdc(dataset, store, config, np.random.default_rng(5))
-    [(update_store, q_z, workers, scale)] = seen
+    [(update_store, q_z, workers, scale, counts)] = seen
     start = BetaWorkers.init(store.n_workers)
     assert np.array_equal(workers.eta, start.eta)
     assert q_z.shape == (update_store.n_items, SMALL["n_components"])
-    target = beta_natural_gradient(confusion_counts(update_store, q_z), scale)
+    assert np.array_equal(counts, worker_counts(update_store, q_z))
+    target = beta_natural_gradient(counts, scale)
     want = start.eta + GLOBAL_STEP * (target.eta - start.eta)
     assert np.array_equal(result.model.workers.eta, want)
     assert not np.array_equal(want, start.eta)
+
+
+def test_each_update_calls_the_relational_op_once(monkeypatch):
+    """crowdbench's `scdc.elbo_rel` span wraps the one call site of the
+    relational op: each update calls `elbo_rel` once, and it calls
+    `expected_rel_loglik` once, so p_same is computed once per update."""
+    dataset, store = small_problem(0)
+    config = ScdcConfig(**{**SMALL, "epochs": 1})
+    names = ("elbo_rel", "expected_rel_loglik")
+    counts, snapshots = Counter(), []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(scdc, name, counted(name, getattr(scdc, name)))
+    batches = scdc.minibatch_iterator
+
+    def snapshotting(*args, **kwargs):
+        for batch in batches(*args, **kwargs):
+            snapshots.append(Counter(counts))
+            yield batch
+        snapshots.append(Counter(counts))
+
+    monkeypatch.setattr(scdc, "minibatch_iterator", snapshotting)
+    train_scdc(dataset, store, config, np.random.default_rng(7))
+    # a snapshot before each update and one after the last
+    per_update = [after - before for before, after in zip(snapshots, snapshots[1:])]
+    assert len(per_update) == -(-dataset.n_items // config.batch_size)
+    assert all(calls == Counter(names) for calls in per_update)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -658,8 +696,10 @@ def test_training_ranks_a_mixed_pool_of_workers(seed):
 # the latent KL weight began to ramp over the first half of the updates
 # (`scdc.KL_WARMUP`, 0.5) instead of standing at 1 from the first update
 # (they were -317.6825549718501, -303.9432333985706 and ee04ba6e...);
-# the scores did not change.  The current code must reproduce them bit
-# for bit.
+# the scores did not change.  Both held, bit for bit, when the annotation
+# term became one fused tape node in place of eight, whose value is read
+# off the confusion counts it returns for the worker step.  The current
+# code must reproduce them bit for bit.
 RECORDED_RUNS = {
     "adam": (
         [

@@ -21,6 +21,7 @@ from oracles import (
     potential_bracket,
     surrogate_elbo,
     with_local_x,
+    worker_counts,
 )
 from test_relational import reference_message_weights
 from crowdmix import nnet, vmp
@@ -51,7 +52,6 @@ from crowdmix.relational import (
     AnnotationStore,
     BetaWorkers,
     beta_natural_gradient,
-    confusion_counts,
     expected_rel_loglik,
     sample_annotation_minibatch,
 )
@@ -1077,7 +1077,7 @@ def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     for _ in range(5):
         target = replace(
             mixture_natural_gradient(prior, local.resp, local.x_mean, local.x_cov, scale=1.0),
-            workers=beta_natural_gradient(confusion_counts(store, local.resp)),
+            workers=beta_natural_gradient(worker_counts(store, local.resp)),
         )
         glob = apply_natural_gradient(glob, target, 1.0)
         new_value = surrogate_elbo(glob, prior, local, pot, store)
@@ -1230,11 +1230,10 @@ def objective_instance():
 
 def objective(glob, local, pot, store, rel_scale=1.0):
     """final_objective with the potential bracket as its data term and the
-    relational term from the store's confusion counts."""
+    relational op's term on the store."""
+    rel = expected_rel_loglik(store, local.resp, glob.workers.log_stats(), rel_scale)[0]
     return final_objective(
-        local, global_expectations(glob), potential_bracket(pot, local),
-        glob.workers.log_stats(), confusion_counts(store, local.resp),
-        rel_scale=rel_scale,
+        local, global_expectations(glob), potential_bracket(pot, local), float(rel.data)
     )
 
 
@@ -1283,7 +1282,7 @@ def test_final_objective_without_store_drops_the_relational_term():
     glob, store, local, pot = objective_instance()
     with_rel = objective(glob, local, pot, store)
     without = objective(glob, local, pot, AnnotationStore([], store.n_items, store.n_workers))
-    rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats()).data)
+    rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats())[0].data)
     assert abs(with_rel - without - rel) < 1e-12
 
 
@@ -1435,45 +1434,47 @@ def tiny_problem(seed=0, n_per=40, workers=4, pairs=30, subset=60):
     return dataset, store
 
 
-def test_each_update_reads_the_relational_term_off_its_worker_counts(monkeypatch):
-    """One pass over the sampled triples per update: the worker target's
-    confusion counts.  `expected_rel_loglik` is never called, and the
-    estimate's relational term is the one it would give.  The estimate's
-    local posteriors are the batch rows', whose q(z) the mixture target
-    reads too."""
+def test_each_update_calls_the_relational_op_once(monkeypatch):
+    """One pass over the sampled triples per update: one
+    `expected_rel_loglik` call on the working set's q(z) and the globals'
+    worker rows, whose counts the worker target is built from and whose
+    value is the estimate's relational term.  The estimate's local
+    posteriors are the batch rows', whose q(z) the mixture target reads
+    too."""
     dataset, store = tiny_problem()
-    passes, targets = [], []
+    passes, targets, worker_targets = [], [], []
 
-    def counting(update_store, q_z):
-        counts = confusion_counts(update_store, q_z)
-        passes.append((update_store, q_z, counts))
-        return counts
+    def counting(update_store, q_z, log_stats, scale):
+        term, counts = expected_rel_loglik(update_store, q_z, log_stats, scale)
+        passes.append((update_store, q_z, scale, term, counts))
+        return term, counts
 
     def targeting(prior, q_z, *args, **kwargs):
         targets.append(q_z)
         return mixture_natural_gradient(prior, q_z, *args, **kwargs)
 
-    def estimating(local, exps, data, log_stats, counts, data_scale, rel_scale):
-        update_store, q_z, seen = passes[-1]
-        assert counts is seen and np.array_equal(targets[-1], local.resp)
-        rel = float(expected_rel_loglik(update_store, q_z, log_stats, rel_scale).data)
-        with_rel = final_objective(local, exps, data, log_stats, counts, data_scale, rel_scale)
-        without = final_objective(local, exps, data, log_stats, 0.0 * counts, data_scale, 1.0)
-        assert with_rel - without == pytest.approx(rel, rel=1e-9, abs=1e-9)
-        return with_rel
+    def worker_targeting(counts, scale):
+        _, _, rel_scale, _, seen = passes[-1]
+        assert counts is seen and scale == rel_scale
+        worker_targets.append(counts)
+        return beta_natural_gradient(counts, scale)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the Bayesian update computed the relational term again")
+    def estimating(local, exps, data, rel, data_scale):
+        update_store, q_z, _, term, _ = passes[-1]
+        assert q_z.shape == (update_store.n_items, config.n_components)
+        assert rel == float(term.data) and np.array_equal(targets[-1], local.resp)
+        return final_objective(local, exps, data, rel, data_scale)
 
-    monkeypatch.setattr(vmp, "confusion_counts", counting)
+    monkeypatch.setattr(vmp, "expected_rel_loglik", counting)
     monkeypatch.setattr(vmp, "mixture_natural_gradient", targeting)
+    monkeypatch.setattr(vmp, "beta_natural_gradient", worker_targeting)
     monkeypatch.setattr(vmp, "final_objective", estimating)
-    monkeypatch.setattr(vmp, "expected_rel_loglik", forbidden)
     config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
     result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
     assert not result.diverged
-    assert len(passes) == len(targets) == -(-dataset.n_items // config.batch_size)
-    assert sum(update_store.n_annotations for update_store, _, _ in passes) > 0
+    updates = -(-dataset.n_items // config.batch_size)
+    assert len(passes) == len(targets) == len(worker_targets) == updates
+    assert sum(update_store.n_annotations for update_store, *_ in passes) > 0
 
 
 def test_zero_step_training_leaves_parameters_at_initialization(monkeypatch):
@@ -1546,13 +1547,15 @@ def test_each_update_enters_every_probed_layer(monkeypatch):
     """crowdbench's per-layer spans wrap these names of vmp; an update that
     stopped calling one through its name would leave that span empty.  One
     update calls each once, `recognition_potential` for the working-set
-    rows outside the batch, and `global_expectations` twice: for the step
-    and for the local step."""
+    rows outside the batch, `expected_rel_loglik` for the worker counts and
+    the estimate's relational term, and `global_expectations` twice: for
+    the step and for the local step."""
     dataset, store = tiny_problem()
     config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
     names = (
         "block_coordinate_local", "annotation_graph", "local_kl", "mixture_natural_gradient",
         "apply_natural_gradient", "global_expectations", "recognition_potential",
+        "expected_rel_loglik",
     )
     counts, snapshots = Counter(), []
 
