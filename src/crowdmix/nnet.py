@@ -13,10 +13,20 @@ The engine keeps a network step lean:
 
 - affine() records one node for a dense layer, h @ W + b with an optional
   ReLU, in place of three; Mlp.forward uses it for every layer and head.
+- diag_gaussian_draw records the reparameterized draw mean + exp(logvar
+  / 2) * noise as one node in place of four, and diag_gaussian_loglik a
+  diagonal Gaussian's per-row log-likelihood as one in place of nine;
+  both trainers' decoders are scored by the second.
+- take_rows' gradient, like the relational op's scatters, sums repeated
+  rows by scatter_add_rows: one np.bincount with np.add.at's sums.
 - Mlp.forward is the one check that a network's outputs are finite: a
   head that is not, after its clamp, raises TrainingDivergence naming it.
-- The vector-Jacobian products of mul, sub, affine and gaussian_refresh
-  compute a parent's gradient only when that parent requires one.
+- The vector-Jacobian products of mul, sub, affine, gaussian_refresh and
+  the two diagonal Gaussian nodes compute a parent's gradient only when
+  that parent requires one.
+- Each fused node's value and gradients equal those of the composition it
+  replaces, bit for bit: it makes the same arrays by the same numpy
+  operations; the tests keep the compositions as oracles.
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
@@ -40,6 +50,7 @@ The engine keeps a network step lean:
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from numbers import Integral
 
@@ -282,14 +293,16 @@ def affine(h: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     h is (n, in), W is (in, out) and b is (out,).  The value and every
     gradient equal those of the three-node relu(add(matmul(h, W), b)), or
     of add(matmul(h, W), b) without the ReLU, bit for bit; the tests keep
-    the matmul and relu nodes as its oracles.
+    the matmul and relu nodes as its oracles.  Two edge cases differ from
+    relu's product with its mask: a unit the ReLU cuts reads +0.0, not
+    -0.0, and a pre-activation of -inf reads 0, not NaN.
     """
     out = h.data @ W.data
     out += b.data
     mask = None
     if relu:
         mask = out > 0.0
-        out *= mask
+        np.maximum(out, 0.0, out=out)
 
     def vjp(g):
         if mask is not None:
@@ -303,17 +316,26 @@ def affine(h: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _record(out, (h, W, b), vjp)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+def scatter_add_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """An (n_rows, ...) float array of zeros with values[t] added to row
+    idx[t], for every t in order: np.add.at's sums, bit for bit, by one
+    np.bincount over the flat (row, column) keys.  idx is an integer array
+    of rows in [0, n_rows), values a float (len(idx), ...) array."""
+    width = math.prod(values.shape[1:])
+    keys = idx[:, None] * width + np.arange(width)
+    sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=n_rows * width)
+    if keys.size == 0:
+        sums = sums.astype(float)  # bincount counts in integers when there is nothing to add
+    return sums.reshape(n_rows, *values.shape[1:])
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
+    """Rows idx of a; the gradient sums the adjoints of repeated rows."""
     idx = np.asarray(idx, dtype=int)
+    n_rows = a.data.shape[0]
 
     def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (scatter_add_rows(np.where(idx < 0, idx + n_rows, idx), g, n_rows),)
 
     return _record(a.data[idx], (a,), vjp)
 
@@ -452,22 +474,57 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
-def reparameterize(mean: Tensor, std: Tensor, noise) -> Tensor:
-    """x = mean + std * noise with std constrained positive."""
-    mean = as_tensor(mean)
-    std = as_tensor(std)
-    if np.any(std.data <= 0.0):
+def diag_gaussian_draw(mean: Tensor, logvar: Tensor, noise) -> Tensor:
+    """The reparameterized draw mean + exp(logvar / 2) * noise, as one node.
+
+    mean, logvar and the constant noise share one shape.  The value and both
+    gradients equal those of the composed mean + exp(logvar * 0.5) * noise,
+    bit for bit; the tests keep that composition as its oracle.  Raises
+    ValueError if a standard deviation is not positive: a logvar of -inf,
+    or one so low that exp underflows.
+    """
+    noise = np.asarray(noise, dtype=float)
+    std = np.exp(logvar.data * 0.5)
+    if np.any(std <= 0.0):
         raise ValueError("std must be positive")
-    return add(mean, mul(std, as_tensor(noise)))
+
+    def vjp(g):
+        return (
+            g if mean.requires else None,
+            ((g * noise) * std) * 0.5 if logvar.requires else None,
+        )
+
+    return _record(mean.data + std * noise, (mean, logvar), vjp)
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
 def diag_gaussian_loglik(x, mean: Tensor, logvar: Tensor) -> Tensor:
-    """Row sums of log N(x; mean, diag exp(logvar)); x is treated as data."""
-    x = as_tensor(x)
-    centered = sub(x, mean)
-    quad = mul(mul(centered, centered), exp(-logvar))
-    per_dim = add(add(quad, logvar), constant(np.log(2.0 * np.pi)))
-    return mul(tensor_sum(per_dim, axis=-1), constant(-0.5))
+    """Row sums of log N(x; mean, diag exp(logvar)), as one node; x is data
+    (a tensor's value gets no gradient) of the shape of mean and logvar.
+
+    The value and both gradients equal those of the 9-node composition of
+    sub, mul, exp, add and tensor_sum that the tests keep as its oracle,
+    bit for bit: every array below is one of that composition's, made by
+    the same numpy operation.
+    """
+    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+    centered = x - mean.data
+    squares = centered * centered
+    inv_var = np.exp(logvar.data * -1.0)
+    per_dim = squares * inv_var + logvar.data + _LOG_2PI
+
+    def vjp(g):
+        g_dim = np.expand_dims(g * -0.5, -1)   # per_dim's adjoint, broadcast
+        g_inv = (g_dim * squares) * inv_var     # exp(-logvar)'s input's adjoint
+        g_centered = (g_dim * inv_var) * centered
+        return (
+            -(g_centered + g_centered) if mean.requires else None,
+            g_dim + g_inv * -1.0 if logvar.requires else None,
+        )
+
+    return _record(per_dim.sum(axis=-1) * -0.5, (mean, logvar), vjp)
 
 
 # ---------------------------------------------------------------------------

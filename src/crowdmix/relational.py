@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expfam import DirichletNat, dirichlet_expected_stats
-from .nnet import _record, as_tensor, check_count, saved_value
+from .nnet import _record, as_tensor, check_count, saved_value, scatter_add_rows
 
 
 def _triple_array(triples) -> np.ndarray:
@@ -271,17 +271,15 @@ def expected_rel_loglik(
         raise ValueError(f"q_z has shape {q.shape}, the store needs {store.n_items} rows")
     p = np.sum(q[t[:, 0]] * q[t[:, 1]], axis=-1)[:, None]
     labels, flipped = t[:, 3:].astype(float), 1.0 - t[:, 3:]
-    counts = np.zeros((store.n_workers, 4))
     rows = np.hstack([labels * p, flipped * p, flipped * (1.0 - p), labels * (1.0 - p)])
-    np.add.at(counts, t[:, 2], rows)
+    counts = scatter_add_rows(t[:, 2], rows, store.n_workers)
 
     def vjp(g):
         weight = ((g * scale) * two_coin_terms(store, log_stats))[:, None]
         # in the order and grouping of the 8-node tape form it replaces, so
         # the gradient is that form's bit for bit
-        at_j, at_i = np.zeros_like(q), np.zeros_like(q)
-        np.add.at(at_j, t[:, 1], weight * q[t[:, 0]])
-        np.add.at(at_i, t[:, 0], weight * q[t[:, 1]])
+        at_j = scatter_add_rows(t[:, 1], weight * q[t[:, 0]], q.shape[0])
+        at_i = scatter_add_rows(t[:, 0], weight * q[t[:, 1]], q.shape[0])
         return (at_j + at_i,)
 
     return _record(scale * np.sum(log_stats * counts), (q_z,), vjp), counts

@@ -8,7 +8,12 @@ optimizer over every tape parameter.  The discrete cluster sum is
 carried analytically: every item is paired with every component in one
 stacked item-major batch (row i*K + k is item i under component k) that
 goes through the latent encoder and the decoder once, with one
-reparameterized latent draw per row.  Annotations enter through one
+reparameterized latent draw per row.  `elbo_local` records three nodes
+besides the networks' layers: the draw, the decoder log-likelihood and
+the bound, one node whose gradients in the cluster logits, the latent
+encoder's heads, the log-likelihoods and the point parameters are closed
+forms, bit for bit those of the tape composition it replaces.
+Annotations enter through one
 call per update of the relational op `relational.expected_rel_loglik`,
 in `elbo_rel`: one tape node for the closed-form expectation of the
 two-coin worker likelihood over pairs of cluster posteriors, the worker
@@ -39,17 +44,16 @@ from .nnet import (
     Mlp,
     Tape,
     Tensor,
+    _record,
+    _unbroadcast,
     backward,
+    diag_gaussian_draw,
     diag_gaussian_loglik,
     exp,
     log_softmax,
-    mul,
     parameter,
-    reparameterize,
-    reshape,
     saved_value,
     take_rows,
-    tensor_sum,
 )
 from .expfam import kl_divergence
 from .relational import WORKER_PRIOR, AnnotationStore, BetaWorkers, beta_natural_gradient
@@ -117,6 +121,79 @@ class PointParams:
         return cls(*(parameter(np.asarray(value, dtype=float)) for value in values))
 
 
+def _log_softmax(a: np.ndarray) -> tuple:
+    """Log-softmax and softmax of a along its last axis, as the sub and
+    logsumexp nodes of `nnet.log_softmax` and an exp node compute them."""
+    top = a.max(axis=-1, keepdims=True)
+    lse = top + np.log(np.exp(a - top).sum(axis=-1, keepdims=True))
+    log_soft = a - lse
+    return log_soft, np.exp(log_soft)
+
+
+def _log_softmax_vjp(g: np.ndarray, soft: np.ndarray) -> np.ndarray:
+    """The input's adjoint for the adjoint g of `_log_softmax`'s first
+    output: the sub node's, then the logsumexp node's term."""
+    return g + _unbroadcast(-g, soft.shape[:-1] + (1,)) * soft
+
+
+def _data_bound(
+    logits: Tensor, mean: Tensor, logvar: Tensor, recon: Tensor, point: PointParams,
+    scale: float, kl_weight: float,
+) -> Tensor:
+    """scale * sum_ik q(z_i=k) [log pi_k - log q(z_i=k) + recon_ik -
+    kl_weight KL_ik], as one node, KL_ik the Gaussian KL of row i*K + k of
+    the latent encoder's heads from component k, and recon the (n*K,)
+    decoder log-likelihoods.
+
+    Every array of the value and of the gradients is the one the 28-node
+    composition of log_softmax, exp, reshape, sub, mul, add and tensor_sum
+    it replaces makes, by the same numpy operation in the same order and
+    grouping, so the gradients are bit for bit those of that composition;
+    the tests keep it as the oracle.  In the gradients g_x is the adjoint
+    of the forward's array x.
+    """
+    n, k_comp = logits.data.shape
+    d = point.latent_dim
+    log_q_z, q_z = _log_softmax(logits.data)
+    log_pi, soft_pi = _log_softmax(point.pi_logits.data)
+    lv = point.log_vars.data                                    # (K, d)
+    mean_view = mean.data.reshape(n, k_comp, d)
+    logvar_view = logvar.data.reshape(n, k_comp, d)
+    centered = mean_view - point.means.data
+    var_q = np.exp(logvar_view)
+    inv_var = np.exp(lv * -1.0)                                 # exp(-lv)
+    spread = var_q + centered * centered
+    kl = ((lv - logvar_view + spread * inv_var) - 1.0).sum(axis=-1) * 0.5
+    rows = recon.data.reshape(n, k_comp) - kl * kl_weight      # (n, K)
+    gap = (log_pi.reshape(1, k_comp) - log_q_z) + rows
+    total = (q_z * gap).sum() * scale
+
+    def vjp(g):
+        g_sum = g * scale                                       # of the unscaled sum
+        g_gap = g_sum * q_z                                     # also rows' adjoint
+        minus_gap = -g_gap
+        g_log_q = minus_gap + (g_sum * gap) * q_z
+        g_kl = (minus_gap * kl_weight) * 0.5                    # of the KL terms' sum
+        g_terms = np.broadcast_to(g_kl[..., None], (n, k_comp, d)).copy()
+        g_spread = g_terms * inv_var
+        g_neg_lv = _unbroadcast(g_terms * spread, lv.shape) * inv_var
+        g_square = g_spread * centered                          # one factor's of centered**2
+        g_centered = g_square + g_square
+        g_log_pi = _unbroadcast(g_gap, (1, k_comp)).reshape(k_comp)
+        return (
+            _log_softmax_vjp(g_log_q, q_z),
+            g_centered.reshape(n * k_comp, d),
+            ((g_spread * var_q) + -g_terms).reshape(n * k_comp, d),
+            g_gap.reshape(n * k_comp),
+            _log_softmax_vjp(g_log_pi, soft_pi),
+            _unbroadcast(-g_centered, lv.shape),
+            g_neg_lv * -1.0 + _unbroadcast(g_terms, lv.shape),
+        )
+
+    parents = (logits, mean, logvar, recon, point.pi_logits, point.means, point.log_vars)
+    return _record(total, parents, vjp)
+
+
 def elbo_local(
     observations, logits: Tensor, model: "ScdcModel", noise, scale: float, kl_weight: float
 ):
@@ -135,6 +212,10 @@ def elbo_local(
     scaled total as a tape tensor; `scale` carries the N/|B| batch
     correction.  `kl_weight` weighs the Gaussian KL, below 1 during the
     warmup against early contraction; at 1 this is the exact bound.
+    Besides the two networks' layers it records three nodes: the draw
+    (`nnet.diag_gaussian_draw`), the decoder log-likelihood
+    (`nnet.diag_gaussian_loglik`) and the bound, whose gradients are
+    closed forms.
     """
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     n, _ = obs.shape
@@ -145,28 +226,14 @@ def elbo_local(
         raise ValueError("noise must have shape (components, batch, dim)")
     if logits.data.shape != (n, k_comp):
         raise ValueError("logits must have shape (batch, components)")
-    log_q_z = log_softmax(logits, axis=-1)
-    q_z = exp(log_q_z)
-
     stacked_obs = np.repeat(obs, k_comp, axis=0)              # (n*K, D)
     indicator = np.tile(np.eye(k_comp), (n, 1))               # (n*K, K)
     x_heads = model.encoder_x.forward(np.concatenate([indicator, stacked_obs], axis=1))
     mean, logvar = x_heads["mean"], x_heads["logvar"]         # (n*K, d)
-    lv = point.log_vars                                       # (K, d)
-    mean_view = reshape(mean, (n, k_comp, d))
-    logvar_view = reshape(logvar, (n, k_comp, d))
-    centered = mean_view - point.means
-    kl_terms = (
-        lv - logvar_view + (exp(logvar_view) + centered * centered) * exp(-lv) - 1.0
-    )
-    kl = tensor_sum(kl_terms, axis=-1) * 0.5                  # (n, K)
     eps = noise.transpose(1, 0, 2).reshape(n * k_comp, d)    # row i*K + k: noise[k, i]
-    dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), eps))
-    recon = reshape(diag_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"]), (n, k_comp))
-    rows = recon - kl * kl_weight                             # (n, K)
-    log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
-    total = tensor_sum(mul(q_z, log_pi - log_q_z + rows))
-    return total * scale
+    dec = model.decoder.forward(diag_gaussian_draw(mean, logvar, eps))
+    recon = diag_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"])
+    return _data_bound(logits, mean, logvar, recon, point, scale, kl_weight)
 
 
 def elbo_rel(store: AnnotationStore, q_z: Tensor, workers: BetaWorkers, scale: float):

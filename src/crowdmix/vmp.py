@@ -139,6 +139,15 @@ class RecognitionPotential:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "j_diag", j)
 
+    @classmethod
+    def _of_checked(cls, h: np.ndarray, j_diag: np.ndarray) -> "RecognitionPotential":
+        """A potential of float64 (n, d) arrays that already passed the
+        checks of `__post_init__`, without them."""
+        potential = cls.__new__(cls)
+        object.__setattr__(potential, "h", h)
+        object.__setattr__(potential, "j_diag", j_diag)
+        return potential
+
     @property
     def n_items(self) -> int:
         return self.h.shape[0]
@@ -622,14 +631,17 @@ class BayesModel:
 def _working_potential(rows, h, j_diag, others, rest) -> RecognitionPotential:
     """The working set's evidence in working-set order, from the batch rows'
     arrays (h, j_diag), at positions `rows`, and the potential `rest` of
-    the other positions, `others`, None when there are none."""
+    the other positions, `others`, None when there are none.  Neither part
+    is checked again: `evidence`'s `Mlp.forward` checked that the batch
+    rows are finite, and their j_diag is negative by construction;
+    `recognition_potential` checked the rest."""
     if rest is None:
-        return RecognitionPotential(h, j_diag)
+        return RecognitionPotential._of_checked(h, j_diag)
     shape = (rows.size + others.size, h.shape[1])
     work_h, work_j = np.empty(shape), np.empty(shape)
     work_h[rows], work_h[others] = h, rest.h
     work_j[rows], work_j[others] = j_diag, rest.j_diag
-    return RecognitionPotential(work_h, work_j)
+    return RecognitionPotential._of_checked(work_h, work_j)
 
 
 def _network_objective(h, j_diag, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):

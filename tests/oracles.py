@@ -14,10 +14,13 @@ own terms, with `potential_bracket` as its data term.  `neighbor_lists`
 and `color_classes` read an annotation graph's per-item edges and color
 classes back out of its block order.  `local_posteriors` completes the
 local step's q(z) with the q(x) of one refresh of it.  `log`, `relu` and
-`matmul` are tape nodes the package fuses into `nnet.affine`, and
-`composed_rel_loglik` the 8-node tape form of the relational op
-`relational.expected_rel_loglik`, kept as their references;
-`worker_counts` reads that op's confusion counts.
+`matmul` are tape nodes the package fuses into `nnet.affine`,
+`reparameterize` and `composed_gaussian_loglik` the compositions that
+`nnet.diag_gaussian_draw` and `nnet.diag_gaussian_loglik` fuse,
+`composed_elbo_local` `scdc.elbo_local` built from them, `reshape` and
+the tape's primitives, and `composed_rel_loglik` the 8-node tape form of
+the relational op `relational.expected_rel_loglik`, kept as their
+references; `worker_counts` reads that op's confusion counts.
 """
 
 import math
@@ -33,7 +36,19 @@ from crowdmix.expfam import (
     niw_expected_stats,
 )
 from crowdmix.mixture import global_expectations
-from crowdmix.nnet import Tensor, _record, as_tensor, constant, mul, take_rows, tensor_sum
+from crowdmix.nnet import (
+    Tensor,
+    _record,
+    add,
+    as_tensor,
+    constant,
+    exp,
+    log_softmax,
+    mul,
+    sub,
+    take_rows,
+    tensor_sum,
+)
 from crowdmix.relational import AnnotationStore, expected_rel_loglik, two_coin_terms
 from crowdmix.vmp import (
     LOCAL_SWEEPS,
@@ -237,6 +252,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _record(a.data @ b.data, (a, b), vjp)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+
+
+def reparameterize(mean: Tensor, std: Tensor, noise) -> Tensor:
+    """x = mean + std * noise with std constrained positive."""
+    mean = as_tensor(mean)
+    std = as_tensor(std)
+    if np.any(std.data <= 0.0):
+        raise ValueError("std must be positive")
+    return add(mean, mul(std, as_tensor(noise)))
+
+
+def composed_gaussian_loglik(x, mean: Tensor, logvar: Tensor) -> Tensor:
+    """`nnet.diag_gaussian_loglik` as the 9 tape nodes it fuses."""
+    x = as_tensor(x)
+    centered = sub(x, mean)
+    quad = mul(mul(centered, centered), exp(-logvar))
+    per_dim = add(add(quad, logvar), constant(np.log(2.0 * np.pi)))
+    return mul(tensor_sum(per_dim, axis=-1), constant(-0.5))
+
+
+def composed_elbo_local(observations, logits: Tensor, model, noise, scale, kl_weight) -> Tensor:
+    """`scdc.elbo_local` with its draw, its decoder log-likelihood and its
+    bound as the tape compositions they fuse: 41 nodes besides the two
+    networks' layers."""
+    obs = np.atleast_2d(np.asarray(observations, dtype=float))
+    n, _ = obs.shape
+    point = model.point
+    k_comp, d = point.n_components, point.latent_dim
+    noise = np.asarray(noise, dtype=float)
+    log_q_z = log_softmax(logits, axis=-1)
+    q_z = exp(log_q_z)
+    stacked_obs = np.repeat(obs, k_comp, axis=0)
+    indicator = np.tile(np.eye(k_comp), (n, 1))
+    x_heads = model.encoder_x.forward(np.concatenate([indicator, stacked_obs], axis=1))
+    mean, logvar = x_heads["mean"], x_heads["logvar"]
+    lv = point.log_vars
+    mean_view = reshape(mean, (n, k_comp, d))
+    logvar_view = reshape(logvar, (n, k_comp, d))
+    centered = mean_view - point.means
+    kl_terms = (
+        lv - logvar_view + (exp(logvar_view) + centered * centered) * exp(-lv) - 1.0
+    )
+    kl = tensor_sum(kl_terms, axis=-1) * 0.5
+    eps = noise.transpose(1, 0, 2).reshape(n * k_comp, d)
+    dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), eps))
+    recon = reshape(composed_gaussian_loglik(stacked_obs, dec["mean"], dec["logvar"]), (n, k_comp))
+    rows = recon - kl * kl_weight
+    log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
+    total = tensor_sum(mul(q_z, log_pi - log_q_z + rows))
+    return total * scale
 
 
 def composed_rel_loglik(store: AnnotationStore, q_z, log_stats, scale=1.0) -> Tensor:

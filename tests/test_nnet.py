@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from oracles import log, matmul, relu
+from oracles import composed_gaussian_loglik, log, matmul, relu, reparameterize
+from scipy import stats
 
 from crowdmix.data import Dataset
 from crowdmix.nnet import (
@@ -15,12 +16,14 @@ from crowdmix.nnet import (
     clip,
     _record,
     constant,
+    diag_gaussian_draw,
+    diag_gaussian_loglik,
     exp,
     gaussian_refresh,
     logsumexp,
     mul,
     parameter,
-    reparameterize,
+    scatter_add_rows,
     softplus,
     spd_factor,
     spd_factor_rows,
@@ -346,6 +349,24 @@ def test_misc_op_gradients():
     assert _fd_max_rel_err(build, [a, b]) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "n_rows, n_idx, width",
+    [(0, 0, (3,)), (4, 0, (2,)), (5, 9, ()), (100, 200, (15,)), (400, 1500, (4,)), (6, 12, (2, 3))],
+)
+def test_scatter_add_rows_equals_add_at_bit_for_bit(n_rows, n_idx, width):
+    """Repeated rows, signed zeros and values of every magnitude: the same
+    float64 bits as np.add.at into zeros."""
+    rng = np.random.default_rng(n_rows + n_idx)
+    idx = rng.integers(max(n_rows, 1), size=n_idx)
+    values = rng.standard_normal((n_idx, *width)) * 10.0 ** rng.integers(-8, 9, (n_idx, *width))
+    values[::3] *= -0.0
+    want = np.zeros((n_rows, *width))
+    np.add.at(want, idx, values)
+    got = scatter_add_rows(idx, values, n_rows)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_take_rows_accumulates_duplicates():
     a = parameter(np.array([[1.0], [2.0], [3.0]]))
     tape = Tape()
@@ -502,23 +523,30 @@ def test_gaussian_refresh_gives_a_constant_parent_no_gradient(requires):
 
 
 # ---------------------------------------------------------------------------
-# reparameterization
+# reparameterization and the diagonal Gaussian log-likelihood
+
+
+def _draw(mean, std, noise):
+    """`diag_gaussian_draw` at the standard deviations std."""
+    return diag_gaussian_draw(mean, constant(2.0 * np.log(std)), noise)
 
 
 def test_reparameterize_zero_noise():
-    out = reparameterize(constant(np.array([1.0, -2.0])), constant(np.array([0.5, 1.5])), np.zeros(2))
+    out = _draw(constant(np.array([1.0, -2.0])), np.array([0.5, 1.5]), np.zeros(2))
     assert np.allclose(out.data, [1.0, -2.0])
 
 
 def test_reparameterize_identity():
     noise = np.array([0.3, -0.7])
-    out = reparameterize(constant(np.zeros(2)), constant(np.ones(2)), noise)
+    out = _draw(constant(np.zeros(2)), np.ones(2), noise)
     assert np.allclose(out.data, noise)
 
 
 def test_reparameterize_rejects_nonpositive_std():
-    with pytest.raises(ValueError):
-        reparameterize(constant(np.zeros(2)), constant(np.array([1.0, 0.0])), np.zeros(2))
+    """A log-variance of -inf, or one whose exp underflows, has std 0."""
+    for logvar in (-np.inf, -2000.0):
+        with pytest.raises(ValueError, match="std must be positive"):
+            diag_gaussian_draw(constant(np.zeros(2)), constant(np.array([1.0, logvar])), np.zeros(2))
 
 
 def test_reparameterize_monte_carlo_moments():
@@ -527,7 +555,7 @@ def test_reparameterize_monte_carlo_moments():
     std = np.array([1.3, 0.7])
     n = 100_000
     noise = rng.standard_normal((n, 2))
-    out = reparameterize(constant(mean), constant(std), noise).data
+    out = _draw(constant(np.tile(mean, (n, 1))), np.tile(std, (n, 1)), noise).data
     se_mean = std / np.sqrt(n)
     assert np.all(np.abs(out.mean(axis=0) - mean) < 3.0 * se_mean)
     se_var = std**2 * np.sqrt(2.0 / (n - 1))
@@ -536,15 +564,69 @@ def test_reparameterize_monte_carlo_moments():
 
 def test_reparameterize_gradient_flows():
     mean = parameter(np.array([0.1, 0.2]))
-    std = parameter(np.array([1.0, 2.0]))
+    logvar = parameter(np.array([0.0, 2.0 * np.log(2.0)]))
     noise = np.array([0.5, -1.0])
     tape = Tape()
     with tape:
-        x = reparameterize(mean, std, noise)
+        x = diag_gaussian_draw(mean, logvar, noise)
         loss = tensor_sum(x)
     backward(tape, loss)
     assert np.allclose(mean.grad, [1.0, 1.0])
-    assert np.allclose(std.grad, noise)
+    assert np.allclose(logvar.grad, 0.5 * noise * np.array([1.0, 2.0]))
+
+
+def _gaussian_instance(seed, shape):
+    rng = np.random.default_rng(seed)
+    mean = parameter(rng.standard_normal(shape))
+    logvar = parameter(np.clip(rng.normal(0.0, 3.0, shape), -8.0, 8.0))
+    return rng, mean, logvar
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 2), (60, 5)])
+def test_diag_gaussian_draw_equals_the_composed_graph(shape):
+    """Value and both gradients, under np.array_equal, against
+    mean + exp(logvar * 0.5) * noise; one node."""
+    rng, mean, logvar = _gaussian_instance(shape[0], shape)
+    noise, adjoint = rng.standard_normal((2, *shape))
+    results = []
+    for draw in (diag_gaussian_draw, lambda m, lv, e: reparameterize(m, exp(lv * 0.5), e)):
+        with Tape() as tape:
+            out = draw(mean, logvar, noise)
+            loss = tensor_sum(mul(out, constant(adjoint)))
+        if draw is diag_gaussian_draw:
+            assert len(tape) == 1 + 2
+        backward(tape, loss)
+        results.append((out.data, mean.grad, logvar.grad))
+        zero_grads([mean, logvar])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 2), (60, 5)])
+def test_diag_gaussian_loglik_equals_the_composed_graph(shape):
+    """Value and the gradients in mean and logvar, under np.array_equal,
+    against the 9-node composition, in one node; the value is the sum of
+    scipy's log-densities, a tensor x read as data."""
+    rng, mean, logvar = _gaussian_instance(10 + shape[0], shape)
+    x = rng.standard_normal(shape)
+    adjoint = rng.standard_normal(shape[:-1])
+    results = []
+    for loglik in (diag_gaussian_loglik, composed_gaussian_loglik):
+        with Tape() as tape:
+            out = loglik(x, mean, logvar)
+            loss = tensor_sum(mul(out, constant(adjoint)))
+        if loglik is diag_gaussian_loglik:
+            assert len(tape) == 1 + 2
+        backward(tape, loss)
+        results.append((out.data, mean.grad, logvar.grad))
+        zero_grads([mean, logvar])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    assert np.allclose(
+        diag_gaussian_loglik(parameter(x), constant(mean.data), constant(logvar.data)).data,
+        stats.norm.logpdf(x, mean.data, np.exp(0.5 * logvar.data)).sum(axis=-1),
+        rtol=1e-12, atol=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +700,24 @@ def test_affine_equals_matmul_add_relu_exactly(h_requires, with_relu):
     assert (got[1] is None) == (not h_requires)
     for a, b in zip(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_affine_relu_cuts_to_positive_zero_and_maps_minus_infinity_to_zero():
+    """The ReLU's two edge cases: a cut unit reads +0.0, not relu's -0.0,
+    and a pre-activation of -inf reads 0, where relu's product gives NaN;
+    neither passes an adjoint back."""
+    h = parameter(np.array([[1.0, -1.0]]))
+    W = constant(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    b = constant(np.array([0.0, -np.inf, 0.5]))
+    with Tape() as tape:
+        out = affine(h, W, b, relu=True)
+        loss = tensor_sum(out)
+    assert out.data.tolist() == [[0.0, 0.0, 1.5]] and not np.signbit(out.data).any()
+    with np.errstate(invalid="ignore"):   # -inf * 0
+        assert np.isnan(relu(constant(np.array([-np.inf]))).data).all()
+    assert np.signbit(relu(constant(np.array([-1.0]))).data).all()
+    backward(tape, loss)
+    assert np.array_equal(h.grad, [[1.0, 0.0]])
 
 
 def test_affine_relu_matches_finite_differences():

@@ -9,10 +9,17 @@ import json
 import re
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import worker_counts
+from oracles import (
+    composed_elbo_local,
+    composed_gaussian_loglik,
+    reparameterize,
+    reshape,
+    worker_counts,
+)
 from scipy import stats
 from scipy.special import log_softmax as np_log_softmax
 
@@ -24,15 +31,13 @@ from crowdmix.mixture import GLOBAL_STEP, MixturePrior, init_global
 from crowdmix.nnet import (
     Mlp,
     Tape,
+    as_tensor,
     backward,
     constant,
-    diag_gaussian_loglik,
     exp,
     log_softmax,
     mul,
     parameter,
-    reparameterize,
-    reshape,
     take_rows,
     tensor_sum,
     zero_grads,
@@ -83,7 +88,7 @@ def per_component_elbo_local(observations, model, noise, scale, kl_weight):
         )
         kl_k = tensor_sum(kl_terms, axis=-1) * 0.5
         dec = model.decoder.forward(reparameterize(mean, exp(logvar * 0.5), noise[k]))
-        recon_k = diag_gaussian_loglik(obs, dec["mean"], dec["logvar"])
+        recon_k = composed_gaussian_loglik(obs, dec["mean"], dec["logvar"])
         column = reshape(recon_k - kl_k * kl_weight, (n, 1)) * np.eye(k_comp)[k]
         rows = column if rows is None else rows + column
     log_pi = reshape(log_softmax(point.pi_logits, axis=-1), (1, k_comp))
@@ -164,6 +169,8 @@ def test_stacked_elbo_local_matches_component_loop(k_comp, n_items, kl_weight, n
 
 
 def test_elbo_local_tape_does_not_grow_with_components():
+    """The encoders' layers (hidden, heads, clamp), then elbo_local's
+    three nodes: the draw, the decoder log-likelihood and the bound."""
     lengths = []
     for k_comp in (2, 8):
         rng = np.random.default_rng(5)
@@ -173,7 +180,63 @@ def test_elbo_local_tape_does_not_grow_with_components():
         with Tape() as tape:
             elbo_local(obs, z_logits(model, obs), model, noise, 1.0, 1.0)
         lengths.append(len(tape))
-    assert lengths[0] == lengths[1]
+    assert lengths == [2 + 4 + 4 + 3] * 2
+
+
+class Probed:
+    """A network whose input and heads pass through leaf offsets of zeros,
+    so that the adjoint of each lands, unchanged, in its offset's .grad."""
+
+    def __init__(self, net):
+        self.net = net
+        self.offsets = {}
+
+    def forward(self, x):
+        x = as_tensor(x)
+        self.offsets["input"] = parameter(np.zeros(x.data.shape))
+        heads = self.net.forward(x + self.offsets["input"])
+        for name in heads:
+            self.offsets[name] = parameter(np.zeros(heads[name].data.shape))
+        return {name: y + self.offsets[name] for name, y in heads.items()}
+
+
+@pytest.mark.parametrize(
+    "k_comp, kl_weight, narrow",
+    list(itertools.product((1, 4, 15), (0.0, 0.3, 1.0), (None, -2.0))),
+)
+def test_elbo_local_equals_the_composed_chain_bit_for_bit(k_comp, kl_weight, narrow):
+    """The fused draw, log-likelihood and bound against the tape
+    composition they replace (`oracles.composed_elbo_local`): the value,
+    and the gradients of the nine tensors the fused nodes touch (the
+    batch logits, both latent-encoder heads, the draw, both decoder heads
+    and the three point tensors) and of every network weight, under
+    np.array_equal."""
+    rng = np.random.default_rng(200 + k_comp)
+    model = make_model(k_comp, rng)
+    if narrow is not None:
+        model.point.log_vars.data[0, 0] = narrow
+        model.point.log_vars.data[-1, -1] = 0.5
+    obs = rng.standard_normal((6, DIM))
+    noise = rng.standard_normal((k_comp, 6, LATENT))
+    logits = parameter(z_logits(model, obs).data)
+    results = []
+    for build in (elbo_local, composed_elbo_local):
+        encoder_x, decoder = Probed(model.encoder_x), Probed(model.decoder)
+        probed = SimpleNamespace(point=model.point, encoder_x=encoder_x, decoder=decoder)
+        with Tape() as tape:
+            total = build(obs, logits, probed, noise, 3.5, kl_weight)
+        tensors = [
+            logits, encoder_x.offsets["mean"], encoder_x.offsets["logvar"],
+            decoder.offsets["input"], decoder.offsets["mean"], decoder.offsets["logvar"],
+            *model.point.parameters(), *model.encoder_x.parameters(), *model.decoder.parameters(),
+        ]
+        zero_grads(tensors)
+        backward(tape, total)
+        results.append([total.data] + [t.grad for t in tensors])
+        zero_grads(tensors)
+    assert len(results[0]) == 1 + 9 + 2 * 6
+    for got, want in zip(*results):
+        assert got is not None and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

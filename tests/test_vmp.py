@@ -1543,6 +1543,35 @@ def test_training_runs_the_recognition_network_once_per_update(monkeypatch):
     assert np.array_equal(calls[-1][0], obs) and not calls[-1][1]
 
 
+def test_a_non_finite_off_batch_row_still_raises_divergence(monkeypatch):
+    """The working set's joined potential is not checked again, so a
+    non-finite row outside the batch must fail `recognition_potential`'s
+    check of the off-batch pass, and the run reports a divergence."""
+    dataset, store = tiny_problem()
+    config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
+    forward, raised = Mlp.forward, []
+
+    def poisoning(net, x):
+        heads = forward(net, x)
+        off_batch = nnet._current_tape() is None and len(x) < dataset.n_items
+        if set(net.heads) == {"loc", "prec_raw"} and off_batch:
+            heads["loc"].data[-1, 0] = np.nan
+        return heads
+
+    def recording(net, observations):
+        try:
+            return recognition_potential(net, observations)
+        except TrainingDivergence as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(Mlp, "forward", poisoning)
+    monkeypatch.setattr(vmp, "recognition_potential", recording)
+    result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
+    assert result.diverged and result.history == []
+    assert raised == ["non-finite recognition potential"]
+
+
 def test_each_update_enters_every_probed_layer(monkeypatch):
     """crowdbench's per-layer spans wrap these names of vmp; an update that
     stopped calling one through its name would leave that span empty.  One
