@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Any, Callable
 
 import numpy as np
@@ -59,8 +60,9 @@ class TrainConfig:
         for width in self.hidden:
             check_count("hidden widths", width, 1)
         check_count("epochs", self.epochs, 0)
-        if not 0.0 <= self.lr < math.inf:
-            raise ValueError("lr must be finite and non-negative")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, Real) or not 0.0 <= lr < math.inf:
+            raise ValueError(f"lr must be a finite non-negative number, got {lr!r}")
 
 
 def gaussian_mlp(sizes, width: int, rng: np.random.Generator) -> Mlp:

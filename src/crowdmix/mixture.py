@@ -1,8 +1,8 @@
 """Latent Gaussian-mixture globals.
 
 Conjugate priors (Dirichlet over mixing weights, one shared NIW over
-every component's mean and covariance), fixed by K, d and the
-Dirichlet's alpha0; the workers' Beta(1, 1) is `relational.WORKER_PRIOR`.
+every component's mean and covariance), fixed by K and d; the workers'
+Beta(1, 1) is `relational.WORKER_PRIOR`.
 The variational posterior over the globals, one record per family; and
 its natural-gradient steps: a minibatch gives a target record eta_hat
 per family, the prior plus the scaled expected statistics, and a step of
@@ -36,6 +36,10 @@ from .relational import BetaWorkers
 # S0 = (d + KAPPA0) I and nu0 = d + KAPPA0.
 KAPPA0 = 0.5
 
+# Total concentration of the symmetric Dirichlet prior on the K mixing
+# weights: each weight's alpha0 is DIRICHLET_MASS / K.
+DIRICHLET_MASS = 0.05
+
 # Size of every natural-gradient step of the global records, the worker
 # posteriors of both trainers among them.
 GLOBAL_STEP = 0.05
@@ -43,20 +47,20 @@ GLOBAL_STEP = 0.05
 
 class MixturePrior:
     """Conjugate prior for a K-component latent Gaussian mixture in R^d,
-    fixed but for alpha0 (0.05 / K unless given).
+    fixed by (K, d).
 
-    Dirichlet(alpha0, ..., alpha0) over the mixing weights and the same
-    NIW(0, KAPPA0, (d + KAPPA0) I, d + KAPPA0) over each component's
-    (mu, Sigma).  Each family's prior is one record, built once here:
-    `pi_nat()` and `niw_nat()`; the workers' is `relational.WORKER_PRIOR`.
+    Dirichlet(alpha0, ..., alpha0), alpha0 = DIRICHLET_MASS / K, over the
+    mixing weights and the same NIW(0, KAPPA0, (d + KAPPA0) I, d + KAPPA0)
+    over each component's (mu, Sigma).  Each family's prior is one record,
+    built once here: `pi_nat()` and `niw_nat()`; the workers' is
+    `relational.WORKER_PRIOR`.
     `BayesConfig` checks K and d.
     """
 
-    def __init__(self, n_components: int, latent_dim: int, alpha0: float | None = None):
+    def __init__(self, n_components: int, latent_dim: int):
         K, d = n_components, latent_dim
         self.n_components, self.latent_dim = K, d
-        alpha0 = 0.05 / K if alpha0 is None else alpha0
-        self._pi_nat = DirichletNat.from_alpha(np.full(K, alpha0))
+        self._pi_nat = DirichletNat.from_alpha(np.full(K, DIRICHLET_MASS / K))
         s0 = (d + KAPPA0) * np.eye(d)
         self._niw_nat = NiwNat.from_standard(np.zeros(d), KAPPA0, s0, d + KAPPA0)
 

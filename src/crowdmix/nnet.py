@@ -20,13 +20,17 @@ The engine keeps a network step lean:
 - take_rows' gradient, like the relational op's scatters, sums repeated
   rows by scatter_add_rows: one np.bincount with np.add.at's sums.
 - Mlp.forward is the one check that a network's outputs are finite: a
-  head that is not, after its clamp, raises TrainingDivergence naming it.
+  head that is not, after its clamp, raises TrainingDivergence naming it,
+  and no caller checks the heads for finiteness again.
 - The vector-Jacobian products of mul, sub, affine, gaussian_refresh and
   the two diagonal Gaussian nodes compute a parent's gradient only when
   that parent requires one.
 - Each fused node's value and gradients equal those of the composition it
   replaces, bit for bit: it makes the same arrays by the same numpy
-  operations; the tests keep the compositions as oracles.
+  operations; the tests keep the compositions as oracles, and with them
+  the primitives only those compositions use (log, exp, logsumexp,
+  log_softmax, relu, matmul, reshape).  This module keeps the primitives
+  the package calls.
 - backward() clears each recorded output's adjoint once it has passed it
   to the parents, so only leaves keep a .grad and a second backward over
   the same tape adds exactly one more gradient.
@@ -247,11 +251,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data * b.data, (a, b), vjp)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record(out, (a,), lambda g: (g * out,))
-
-
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
     with np.errstate(over="ignore"):   # exp(-a) = inf below a = -709 gives sig = 0
@@ -272,19 +271,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    m = np.max(a.data, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
-    soft = np.exp(a.data - out)
-    squeezed = out if keepdims else np.squeeze(out, axis=axis)
-
-    def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (gg * soft,)
-
-    return _record(squeezed, (a,), vjp)
 
 
 def affine(h: Tensor, W: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -468,10 +454,6 @@ def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple:
         _record(np.asarray(log_z - psi), (h, j_diag), bracket_vjp),
         (x_h, x_j, mean, cov, logdet),
     )
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
 def diag_gaussian_draw(mean: Tensor, logvar: Tensor, noise) -> Tensor:

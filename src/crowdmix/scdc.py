@@ -15,13 +15,15 @@ encoder's heads, the log-likelihoods and the point parameters are closed
 forms, bit for bit those of the tape composition it replaces.
 Annotations enter through one
 call per update of the relational op `relational.expected_rel_loglik`,
-in `elbo_rel`: one tape node for the closed-form expectation of the
-two-coin worker likelihood over pairs of cluster posteriors, the worker
-rows of the Beta posteriors constants, and the confusion counts of the
-same p_same.  The worker accuracies are the Bayesian trainer's
-`relational.BetaWorkers` record: each update moves it by
-`mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s target for those
-counts, and `ScdcModel.global_kl` is its KL from `relational.WORKER_PRIOR`.
+in `elbo_rel`, on the working set's cluster posteriors, which `_softmax`
+gives as one node.  The op records one tape node for the closed-form
+expectation of the two-coin worker likelihood over pairs of cluster
+posteriors, the worker rows of the Beta posteriors constants, and
+returns the confusion counts of the same p_same.  The worker accuracies
+are the Bayesian trainer's `relational.BetaWorkers` record: each update
+moves it by `mixture.GLOBAL_STEP` toward `beta_natural_gradient`'s target
+for those counts, and `ScdcModel.global_kl` is its KL from
+`relational.WORKER_PRIOR`.
 `ScdcModel` holds the point parameters, the workers and the three
 networks; `driver.fit` runs the minibatch loop; `train_scdc` supplies the
 parameters and the step.
@@ -49,8 +51,6 @@ from .nnet import (
     backward,
     diag_gaussian_draw,
     diag_gaussian_loglik,
-    exp,
-    log_softmax,
     parameter,
     saved_value,
     take_rows,
@@ -122,8 +122,8 @@ class PointParams:
 
 
 def _log_softmax(a: np.ndarray) -> tuple:
-    """Log-softmax and softmax of a along its last axis, as the sub and
-    logsumexp nodes of `nnet.log_softmax` and an exp node compute them."""
+    """Log-softmax and softmax of a along its last axis, as the logsumexp
+    and sub nodes of a tape log_softmax and an exp node compute them."""
     top = a.max(axis=-1, keepdims=True)
     lse = top + np.log(np.exp(a - top).sum(axis=-1, keepdims=True))
     log_soft = a - lse
@@ -134,6 +134,15 @@ def _log_softmax_vjp(g: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """The input's adjoint for the adjoint g of `_log_softmax`'s first
     output: the sub node's, then the logsumexp node's term."""
     return g + _unbroadcast(-g, soft.shape[:-1] + (1,)) * soft
+
+
+def _softmax(logits: Tensor) -> Tensor:
+    """Softmax along the last axis as one node, whose value and gradient
+    are bit for bit those of the three-node exp(log_softmax(logits)) that
+    the tests keep as its oracle: the exp node's adjoint g * soft, then
+    `_log_softmax_vjp`."""
+    soft = _log_softmax(logits.data)[1]
+    return _record(soft, (logits,), lambda g: (_log_softmax_vjp(g * soft, soft),))
 
 
 def _data_bound(
@@ -366,8 +375,7 @@ def train_scdc(
                 obs[update.batch], take_rows(logits, update.rows), model, noise,
                 update.data_scale, update.kl_weight,
             )
-            q_working = exp(log_softmax(logits, axis=-1))
-            rel, counts = elbo_rel(update.store, q_working, model.workers, update.rel_scale)
+            rel, counts = elbo_rel(update.store, _softmax(logits), model.workers, update.rel_scale)
             total = total + rel
         backward(tape, total)
         target = beta_natural_gradient(counts, update.rel_scale)

@@ -4,9 +4,11 @@ Each training update runs the recognition network once over the working
 set: the data minibatch's rows on the tape (`evidence`), since the
 networks' gradient flows back through them alone, and the other rows in
 one pass before the tape opens (`recognition_potential`).  Their diagonal
-Gaussian evidence potentials feed the local step.  Cluster posteriors
-q(z) and latent Gaussians are refined jointly by block-coordinate
-updates that carry pairwise annotation messages.  The local step gathers
+Gaussian evidence potentials are two plain (n, d) arrays, h and j_diag:
+both passes write their rows into one working-set pair, which the local
+step reads.  Cluster posteriors q(z) and latent Gaussians are refined
+jointly by block-coordinate updates that carry pairwise annotation
+messages.  The local step gathers
 the evidence into the annotation graph's block order once, so that each
 q(z) pass refreshes every block, an edge-free set of items, as one
 contiguous column slice, written in place; the result returns to item
@@ -66,7 +68,6 @@ from .mixture import (
 from .nnet import (
     Mlp,
     Tape,
-    TrainingDivergence,
     backward,
     check_count,
     diag_gaussian_loglik,
@@ -117,40 +118,7 @@ KL_WARMUP = 1.0
 
 
 # ---------------------------------------------------------------------------
-# local containers
-
-
-@dataclass(frozen=True)
-class RecognitionPotential:
-    """Diagonal Gaussian evidence (h, diag j) for a batch of items."""
-
-    h: np.ndarray       # (n, d)
-    j_diag: np.ndarray  # (n, d), strictly negative
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        j = np.asarray(self.j_diag, dtype=float)
-        if h.ndim != 2 or h.shape != j.shape:
-            raise ValueError("h and j_diag must be matching (n, d) arrays")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(j))):
-            raise TrainingDivergence("non-finite recognition potential")
-        if np.any(j >= 0.0):
-            raise ValueError("j_diag must be strictly negative")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "j_diag", j)
-
-    @classmethod
-    def _of_checked(cls, h: np.ndarray, j_diag: np.ndarray) -> "RecognitionPotential":
-        """A potential of float64 (n, d) arrays that already passed the
-        checks of `__post_init__`, without them."""
-        potential = cls.__new__(cls)
-        object.__setattr__(potential, "h", h)
-        object.__setattr__(potential, "j_diag", j_diag)
-        return potential
-
-    @property
-    def n_items(self) -> int:
-        return self.h.shape[0]
+# local posteriors and evidence
 
 
 @dataclass
@@ -171,16 +139,17 @@ class LocalVariational:
 
 
 def evidence(net: Mlp, observations):
-    """Evidence (h, j_diag), j_diag < 0, as tape tensors of one recognition
-    pass; `Mlp.forward` raises TrainingDivergence if a head is not finite."""
+    """Evidence (h, j_diag), j_diag <= -PRECISION_FLOOR, as tape tensors of
+    one recognition pass; `Mlp.forward` raises TrainingDivergence if a head
+    is not finite, so both are finite."""
     heads = net.forward(observations)
     return heads["loc"], -softplus(heads["prec_raw"]) - PRECISION_FLOOR
 
 
-def recognition_potential(net: Mlp, observations) -> RecognitionPotential:
-    """`evidence` of the observations, as arrays."""
+def recognition_potential(net: Mlp, observations) -> tuple[np.ndarray, np.ndarray]:
+    """`evidence` of the observations, as its two (n, d) arrays (h, j_diag)."""
     h, j_diag = evidence(net, observations)
-    return RecognitionPotential(h.data, j_diag.data)
+    return h.data, j_diag.data
 
 
 def _calibrate_recognition_init(net: Mlp, observations) -> None:
@@ -199,8 +168,8 @@ def _calibrate_recognition_init(net: Mlp, observations) -> None:
     # inverse softplus, stable for both small and large targets
     raw_bias = half + math.log(-math.expm1(-half))
     net.head_biases["prec_raw"].data[:] = raw_bias
-    potential = recognition_potential(net, np.asarray(observations, dtype=float)[:2048])
-    implied_means = potential.h / (-2.0 * potential.j_diag)
+    h, j_diag = recognition_potential(net, np.asarray(observations, dtype=float)[:2048])
+    implied_means = h / (-2.0 * j_diag)
     current = float(np.mean(np.std(implied_means, axis=0)))
     if current > 0.0:
         net.head_weights["loc"].data *= INIT_POTENTIAL_SPREAD / current
@@ -437,33 +406,40 @@ def _local_sweeps(exps: GlobalExpectations, h, j_diag, neighbors, sweeps):
 
 def block_coordinate_local(
     glob: GlobalVariational,
-    potential: RecognitionPotential,
+    h: np.ndarray,
+    j_diag: np.ndarray,
     store: AnnotationStore | None = None,
     sweeps: int = LOCAL_SWEEPS,
 ) -> np.ndarray:
     """Alternate q(x) / q(z) coordinate updates for one working set.
 
-    `store`, when given, must be indexed by working-set position.  Runs
-    exactly `sweeps` rounds from uniform q(z) probabilities and ends on the
-    last q(z) pass, returning its log q(z) probabilities as an (n, K) array
-    in item order.  No q(x) refresh follows that pass: the training step
-    refreshes q(x) of its batch rows only, inside `gaussian_refresh`.  The
-    annotation graph is built and colored once per call, and the
-    potential's checked arrays are gathered once into (d, n) evidence rows
-    in its block order; every q(z) pass then refreshes one block at a time,
-    from the last pass's probabilities.  Items of one block share no edge,
-    so each pass is exact coordinate ascent in that item order and the
-    surrogate ELBO cannot decrease along the sweeps.  q(z) is held
+    The evidence (h, j_diag) comes as two float (n, d) arrays in item
+    order, as `recognition_potential` and `evidence` make them.  Their
+    shapes and the sign of j_diag are checked here, a ValueError for
+    either; finiteness is not, since `Mlp.forward` checks every network
+    output.  `store`, when given, must be indexed by working-set position.
+    Runs exactly `sweeps` rounds from uniform q(z) probabilities and ends on
+    the last q(z) pass, returning its log q(z) probabilities as an (n, K)
+    array in item order.  No q(x) refresh follows that pass: the training
+    step refreshes q(x) of its batch rows only, inside `gaussian_refresh`.
+    The annotation graph is built and colored once per call, and the
+    evidence is gathered once into (d, n) rows in its block order; every
+    q(z) pass then refreshes one block at a time, from the last pass's
+    probabilities.  Items of one block share no edge, so each pass is
+    exact coordinate ascent in that item order and the surrogate ELBO
+    cannot decrease along the sweeps.  q(z) is held
     component-major, (K, n), and q(x) entry-major, (d, n) and (d, d, n);
     the log q(z) returns to item order in one gather, on exit.
     """
     check_count("sweeps", sweeps, 1)
+    if h.ndim != 2 or h.shape != j_diag.shape:
+        raise ValueError("h and j_diag must be matching (n, d) arrays")
+    if np.any(j_diag >= 0.0):
+        raise ValueError("j_diag must be strictly negative")
     exps = global_expectations(glob)
-    neighbors = annotation_graph(store, glob.workers, potential.n_items)
+    neighbors = annotation_graph(store, glob.workers, h.shape[0])
     order = neighbors.order
-    log_resp, _ = _local_sweeps(
-        exps, potential.h.T[:, order], potential.j_diag.T[:, order], neighbors, sweeps
-    )
+    log_resp, _ = _local_sweeps(exps, h.T[:, order], j_diag.T[:, order], neighbors, sweeps)
     return log_resp.T[neighbors.position]
 
 
@@ -550,7 +526,8 @@ class BayesConfig(TrainConfig):
     - the global step size `mixture.GLOBAL_STEP`, 0.05, `LOCAL_SWEEPS`, 4 local
       q(z) / q(x) rounds per working set, and the KL warmup `KL_WARMUP`, 1,
       whose ramp ends below weight 1;
-    - the prior (`MixturePrior`): alpha0 = 0.05 / K, m0 = 0, kappa0 = 0.5
+    - the prior (`MixturePrior`): alpha0 = 0.05 / K
+      (`mixture.DIRICHLET_MASS` / K), m0 = 0, kappa0 = 0.5
       (`mixture.KAPPA0`), S0 = (d + kappa0) I and nu0 = d + kappa0, and
       Beta(1, 1) on both accuracies of every worker
       (`relational.WORKER_PRIOR`);
@@ -593,11 +570,11 @@ class BayesModel:
         q(x) refresh follows.  A non-finite row fails
         `driver.check_observations`.  The sweeps refresh three (K, n)
         arrays in place."""
-        potential = recognition_potential(self.recognition, check_observations(observations))
+        h, j_diag = recognition_potential(self.recognition, check_observations(observations))
         exps = global_expectations(self.glob)
         # without annotations there is one block, in item order
-        neighbors = annotation_graph(None, self.glob.workers, potential.n_items)
-        _, resp = _local_sweeps(exps, potential.h.T, potential.j_diag.T, neighbors, PREDICT_SWEEPS)
+        neighbors = annotation_graph(None, self.glob.workers, h.shape[0])
+        _, resp = _local_sweeps(exps, h.T, j_diag.T, neighbors, PREDICT_SWEEPS)
         return np.argmax(resp, axis=0)
 
     def effective_k(self, threshold: float) -> int:
@@ -626,22 +603,6 @@ class BayesModel:
             recognition=load_field(doc, "recognition", Mlp.from_state),
             decoder=load_field(doc, "decoder", Mlp.from_state),
         )
-
-
-def _working_potential(rows, h, j_diag, others, rest) -> RecognitionPotential:
-    """The working set's evidence in working-set order, from the batch rows'
-    arrays (h, j_diag), at positions `rows`, and the potential `rest` of
-    the other positions, `others`, None when there are none.  Neither part
-    is checked again: `evidence`'s `Mlp.forward` checked that the batch
-    rows are finite, and their j_diag is negative by construction;
-    `recognition_potential` checked the rest."""
-    if rest is None:
-        return RecognitionPotential._of_checked(h, j_diag)
-    shape = (rows.size + others.size, h.shape[1])
-    work_h, work_j = np.empty(shape), np.empty(shape)
-    work_h[rows], work_h[others] = h, rest.h
-    work_j[rows], work_j[others] = j_diag, rest.j_diag
-    return RecognitionPotential._of_checked(work_h, work_j)
 
 
 def _network_objective(h, j_diag, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
@@ -677,9 +638,10 @@ def train_bayes_scdc(
     """Stochastic natural-gradient training; `driver.fit` runs the loop.
 
     Each update runs the recognition network once over the working set,
-    the batch rows on the tape and the other rows before it opens, and
-    runs the local step on that evidence.  From the working set's q(z) it
-    refreshes the batch rows' q(x) once, in `_network_objective`, and
+    the other rows before the tape opens and the batch rows on it, each
+    pass writing its rows of one (h, j_diag) pair of working-set arrays,
+    and runs the local step on that evidence.  From the working set's q(z)
+    it refreshes the batch rows' q(x) once, in `_network_objective`, and
     takes both networks' reparameterization gradients back through that
     refresh and the batch rows' evidence, which `driver.fit` then steps
     with Adam.  It steps each global record toward its minibatch target,
@@ -702,14 +664,18 @@ def train_bayes_scdc(
         nonlocal glob
         rows, local_store, batch_obs = update.rows, update.store, obs[update.batch]
         exps = global_expectations(glob)
-        # the working set's other rows carry no adjoint: one pass before the tape
-        others, rest = np.delete(np.arange(update.working.size), rows), None
-        if others.size:
-            rest = recognition_potential(recognition, obs[update.working[others]])
+        # the working set's evidence: the other rows carry no adjoint, so
+        # they take one pass before the tape opens, the batch rows one on it
+        shape = (update.working.size, d)
+        work_h, work_j = np.empty(shape), np.empty(shape)
+        others = np.delete(np.arange(shape[0]), rows)
+        work_h[others], work_j[others] = recognition_potential(
+            recognition, obs[update.working[others]]
+        )
         with Tape() as tape:
             h, j_diag = evidence(recognition, batch_obs)
-            potential = _working_potential(rows, h.data, j_diag.data, others, rest)
-            log_resp = block_coordinate_local(glob, potential, local_store)
+            work_h[rows], work_j[rows] = h.data, j_diag.data
+            log_resp = block_coordinate_local(glob, work_h, work_j, local_store)
             resp = np.exp(log_resp)
             batch_resp = resp[rows]
             noise = rng.standard_normal((rows.size, d))

@@ -14,7 +14,9 @@ own terms, with `potential_bracket` as its data term.  `neighbor_lists`
 and `color_classes` read an annotation graph's per-item edges and color
 classes back out of its block order.  `local_posteriors` completes the
 local step's q(z) with the q(x) of one refresh of it.  `log`, `relu` and
-`matmul` are tape nodes the package fuses into `nnet.affine`,
+`matmul` are tape nodes the package fuses into `nnet.affine`; `exp`,
+`logsumexp` and `log_softmax` make `exp(log_softmax(logits))`, the
+composition that `scdc._softmax` fuses;
 `reparameterize` and `composed_gaussian_loglik` the compositions that
 `nnet.diag_gaussian_draw` and `nnet.diag_gaussian_loglik` fuse,
 `composed_elbo_local` `scdc.elbo_local` built from them, `reshape` and
@@ -42,8 +44,6 @@ from crowdmix.nnet import (
     add,
     as_tensor,
     constant,
-    exp,
-    log_softmax,
     mul,
     sub,
     take_rows,
@@ -239,6 +239,28 @@ def log(a: Tensor) -> Tensor:
     return _record(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _record(out, (a,), lambda g: (g * out,))
+
+
+def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+    m = np.max(a.data, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
+    soft = np.exp(a.data - out)
+    squeezed = out if keepdims else np.squeeze(out, axis=axis)
+
+    def vjp(g):
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (gg * soft,)
+
+    return _record(squeezed, (a,), vjp)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    return sub(a, logsumexp(a, axis=axis, keepdims=True))
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return _record(a.data * mask, (a,), lambda g: (g * mask,))
@@ -330,17 +352,15 @@ def worker_counts(store: AnnotationStore, q_z) -> np.ndarray:
 # decoder-free surrogate bound, through the library's own terms
 
 
-def potential_bracket(potential, local, rows=None) -> float:
+def potential_bracket(h, j_diag, local) -> float:
     """<psi, E t(x)> summed over the items: the data term with the
-    recognition potentials standing in for the decoder."""
-    if rows is None:
-        rows = slice(None)
-    mean, cov = local.x_mean[rows], local.x_cov[rows]
-    second_diag = np.diagonal(cov, axis1=1, axis2=2) + mean**2
-    return float(np.sum(potential.h[rows] * mean) + np.sum(potential.j_diag[rows] * second_diag))
+    recognition potentials (h, j_diag) standing in for the decoder."""
+    mean = local.x_mean
+    second_diag = np.diagonal(local.x_cov, axis1=1, axis2=2) + mean**2
+    return float(np.sum(h * mean) + np.sum(j_diag * second_diag))
 
 
-def surrogate_elbo(glob, prior, local, potential, store) -> float:
+def surrogate_elbo(glob, prior, local, h, j_diag, store) -> float:
     """Full-batch bound with <psi, E t(x)> standing in for the decoder.
 
     Every block-coordinate local update and every step-1 global update
@@ -350,21 +370,22 @@ def surrogate_elbo(glob, prior, local, potential, store) -> float:
     """
     rel = expected_rel_loglik(store, local.resp, glob.workers.log_stats())[0]
     estimate = final_objective(
-        local, global_expectations(glob), potential_bracket(potential, local), float(rel.data)
+        local, global_expectations(glob), potential_bracket(h, j_diag, local), float(rel.data)
     )
     return estimate - global_kl(glob, prior)
 
 
-def with_local_x(glob, potential, store, log_resp) -> LocalVariational:
-    """The (n, K) item-order log q(z) of a working set, with the q(x) of one
-    `update_local_x` refresh of it: entry-major, in the working set's
-    annotation-graph block order, and gathered back to item order."""
+def with_local_x(glob, h, j_diag, store, log_resp) -> LocalVariational:
+    """The (n, K) item-order log q(z) of a working set of (n, d) evidence
+    (h, j_diag), with the q(x) of one `update_local_x` refresh of it:
+    entry-major, in the working set's annotation-graph block order, and
+    gathered back to item order."""
     exps = global_expectations(glob)
-    graph = annotation_graph(store, glob.workers, potential.n_items)
+    graph = annotation_graph(store, glob.workers, h.shape[0])
     order, back = graph.order, graph.position
     resp = np.exp(np.ascontiguousarray(log_resp.T[:, order]))
     x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(
-        resp, exps, potential.h.T[:, order], potential.j_diag.T[:, order]
+        resp, exps, h.T[:, order], j_diag.T[:, order]
     )
     return LocalVariational(
         log_resp, x_h.T[back], -0.5 * x_prec.transpose(2, 0, 1)[back], x_mean.T[back],
@@ -372,12 +393,12 @@ def with_local_x(glob, potential, store, log_resp) -> LocalVariational:
     )
 
 
-def local_posteriors(glob, potential, store=None, sweeps=LOCAL_SWEEPS) -> LocalVariational:
+def local_posteriors(glob, h, j_diag, store=None, sweeps=LOCAL_SWEEPS) -> LocalVariational:
     """`block_coordinate_local`'s q(z) and the q(x) of one refresh of it:
     the local step's result as it was while that step ended on a q(x)
     refresh, bit for bit."""
-    log_resp = block_coordinate_local(glob, potential, store, sweeps)
-    return with_local_x(glob, potential, store, log_resp)
+    log_resp = block_coordinate_local(glob, h, j_diag, store, sweeps)
+    return with_local_x(glob, h, j_diag, store, log_resp)
 
 
 # ---------------------------------------------------------------------------

@@ -362,12 +362,12 @@ def test_prior_records_are_built_once():
 def test_default_prior_values():
     """The records equal those of the NIW(0, 0.5, (d + 0.5) I, d + 0.5) and
     Dirichlet(0.05 / K) prior, and Beta(1, 1), bit for bit."""
-    for k, d, alpha0 in ((15, 2, None), (3, 1, None), (4, 3, 0.7)):
-        prior = MixturePrior(k, d, alpha0)
+    for k, d in ((15, 2), (3, 1)):
+        prior = MixturePrior(k, d)
         niw = NiwNat.from_standard(np.zeros(d), 0.5, (d + 0.5) * np.eye(d), d + 0.5)
         for f in ("h1", "h2", "h3", "h4"):
             assert np.array_equal(getattr(prior.niw_nat(), f), getattr(niw, f))
-        alpha = np.full(k, 0.05 / k if alpha0 is None else alpha0)
+        alpha = np.full(k, 0.05 / k)
         assert np.array_equal(prior.pi_nat().eta, DirichletNat.from_alpha(alpha).eta)
         assert (prior.n_components, prior.latent_dim) == (k, d)
     assert np.array_equal(WORKER_PRIOR.eta, np.zeros((2, 2)))

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from oracles import composed_gaussian_loglik, log, matmul, relu, reparameterize
+from oracles import (
+    composed_gaussian_loglik,
+    exp,
+    log,
+    logsumexp,
+    matmul,
+    relu,
+    reparameterize,
+)
 from scipy import stats
 
 from crowdmix.data import Dataset
@@ -18,9 +26,7 @@ from crowdmix.nnet import (
     constant,
     diag_gaussian_draw,
     diag_gaussian_loglik,
-    exp,
     gaussian_refresh,
-    logsumexp,
     mul,
     parameter,
     scatter_add_rows,

@@ -16,6 +16,8 @@ import pytest
 from oracles import (
     composed_elbo_local,
     composed_gaussian_loglik,
+    exp,
+    log_softmax,
     reparameterize,
     reshape,
     worker_counts,
@@ -34,8 +36,6 @@ from crowdmix.nnet import (
     as_tensor,
     backward,
     constant,
-    exp,
-    log_softmax,
     mul,
     parameter,
     take_rows,
@@ -371,6 +371,32 @@ def test_elbo_local_gradient_finite_differences(narrow):
     check_finite_differences(lambda: float(build().data), build, coordinates)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (7, 3), (100, 15)])
+def test_softmax_node_equals_the_composition_bit_for_bit(shape):
+    """`scdc._softmax` against exp(log_softmax(logits)), its three-node
+    oracle, with a second path into the logits taped before it, as the
+    encoder pass's `take_rows` is in training: the same value, the same
+    gradient and one tape node where the composition has three."""
+    rng = np.random.default_rng(shape[0])
+    logits = parameter(rng.normal(size=shape, scale=5.0))
+    weight = constant(rng.normal(size=shape))
+    rows = rng.integers(shape[0], size=2 * shape[0])
+    results = []
+    for softmax in (scdc._softmax, lambda a: exp(log_softmax(a, axis=-1))):
+        with Tape() as tape:
+            first = tensor_sum(take_rows(logits, rows))
+            start = len(tape)
+            q_z = softmax(logits)
+            nodes = len(tape) - start
+            total = first + tensor_sum(mul(q_z, weight))
+        backward(tape, total)
+        results.append((q_z.data, logits.grad, nodes))
+        zero_grads([logits])
+    (value, grad, nodes), (want_value, want_grad, want_nodes) = results
+    assert np.array_equal(value, want_value) and np.array_equal(grad, want_grad)
+    assert (nodes, want_nodes) == (1, 3)
+
+
 def test_elbo_rel_gradient_finite_differences():
     rng = np.random.default_rng(61)
     n_items, n_workers = 7, 3
@@ -615,10 +641,13 @@ def test_config_rejects_bad_values_naming_the_field(field, value):
             config(**{field: value})
 
 
-@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf"), True, False, "0.1", None, [0.1]])
 def test_config_rejects_a_learning_rate_that_is_not_finite_and_non_negative(lr):
-    with pytest.raises(ValueError, match="^lr"):
-        ScdcConfig(lr=lr)
+    """A bool is no rate, though Python counts it as a number, and a string
+    or None fails naming the field, not in the comparison."""
+    for config in (ScdcConfig, BayesConfig):
+        with pytest.raises(ValueError, match="^lr must be a finite non-negative number"):
+            config(lr=lr)
 
 
 def test_config_accepts_numpy_integer_counts():
@@ -695,6 +724,26 @@ def test_an_update_steps_the_workers_toward_the_working_set_target(monkeypatch):
     want = start.eta + GLOBAL_STEP * (target.eta - start.eta)
     assert np.array_equal(result.model.workers.eta, want)
     assert not np.array_equal(want, start.eta)
+
+
+def test_an_update_records_twenty_tape_nodes(monkeypatch):
+    """At the default hidden widths, (40, 40), one update tapes 20 nodes:
+    the cluster encoder's 3 layers, `take_rows`, the latent encoder's 5
+    (with the clamp), the draw, the decoder's 5, its log-likelihood, the
+    bound, the softmax node, the relational op and the final sum.  A lost
+    fusion adds nodes here."""
+    dataset, store = small_problem(0)
+    lengths = []
+
+    def counting(tape, output):
+        lengths.append(len(tape))
+        return backward(tape, output)
+
+    monkeypatch.setattr(scdc, "backward", counting)
+    config = ScdcConfig(n_components=4, batch_size=20, epochs=1)
+    assert config.hidden == (40, 40)
+    train_scdc(dataset, store, config, np.random.default_rng(7))
+    assert lengths == [20] * -(-dataset.n_items // config.batch_size)
 
 
 def test_each_update_calls_the_relational_op_once(monkeypatch):

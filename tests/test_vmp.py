@@ -63,7 +63,6 @@ from crowdmix.vmp import (
     BayesConfig,
     BayesModel,
     LocalVariational,
-    RecognitionPotential,
     _log_softmax_columns,
     _mix,
     _network_objective,
@@ -138,7 +137,7 @@ def zeroed_net(sizes, heads, clamp=None) -> Mlp:
 
 TEST_COMPONENTS = ((0.3, 2.0, 1.5, 3.2), (-0.8, 1.1, 0.9, 2.7))
 TEST_ALPHAS = (2.0, 3.0)
-TEST_PRIOR = MixturePrior(2, 1, alpha0=0.5)  # NIW(0, 0.5, 1.5, 1.5) on each component
+TEST_PRIOR = MixturePrior(2, 1)  # Dirichlet(0.025, 0.025), NIW(0, 0.5, 1.5, 1.5) on each component
 
 
 def one_worker() -> BetaWorkers:
@@ -151,17 +150,17 @@ def one_worker() -> BetaWorkers:
 
 def test_zero_network_potential_is_flat_with_floor_precision():
     net = zeroed_net([2, 4], {"loc": 3, "prec_raw": 3})
-    pot = recognition_potential(net, np.random.default_rng(1).normal(size=(5, 2)))
-    assert np.all(pot.h == 0.0)
-    assert np.allclose(pot.j_diag, -(math.log(2.0) + PRECISION_FLOOR))
+    h, j_diag = recognition_potential(net, np.random.default_rng(1).normal(size=(5, 2)))
+    assert np.all(h == 0.0)
+    assert np.allclose(j_diag, -(math.log(2.0) + PRECISION_FLOOR))
 
 
 def test_random_network_potential_precisions_strictly_negative():
     rng = np.random.default_rng(7)
     net = Mlp([3, 8], {"loc": 2, "prec_raw": 2}, rng)
-    pot = recognition_potential(net, rng.normal(size=(40, 3), scale=5.0))
-    assert np.all(pot.j_diag < 0.0)
-    assert pot.h.shape == (40, 2)
+    h, j_diag = recognition_potential(net, rng.normal(size=(40, 3), scale=5.0))
+    assert np.all(j_diag < 0.0)
+    assert h.shape == (40, 2)
 
 
 def test_non_finite_network_output_raises_divergence():
@@ -172,21 +171,24 @@ def test_non_finite_network_output_raises_divergence():
 
 
 def test_potential_validates_shape_and_sign():
-    with pytest.raises(ValueError):
-        RecognitionPotential(np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        RecognitionPotential(np.zeros((2, 2)), -np.ones((2, 3)))
+    """The local step checks the evidence it is handed: matching (n, d)
+    arrays, and a strictly negative j_diag."""
+    glob = init_global(MixturePrior(2, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^j_diag must be strictly negative$"):
+        block_coordinate_local(glob, np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^h and j_diag must be matching \(n, d\) arrays$"):
+        block_coordinate_local(glob, np.zeros((2, 2)), -np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
 # local x updates
 
 
-def refresh_items(resp, exps, pot):
-    """update_local_x on (n, K) probabilities and a potential, its results
-    moved to item-major (n, d), (n, d, d) and (n,) arrays."""
+def refresh_items(resp, exps, h, j_diag):
+    """update_local_x on (n, K) probabilities and (n, d) evidence, its
+    results moved to item-major (n, d), (n, d, d) and (n,) arrays."""
     x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(
-        np.ascontiguousarray(np.asarray(resp, dtype=float).T), exps, pot.h.T, pot.j_diag.T
+        np.ascontiguousarray(np.asarray(resp, dtype=float).T), exps, h.T, j_diag.T
     )
     return x_h.T, -0.5 * x_prec.transpose(2, 0, 1), x_mean.T, x_cov.transpose(2, 0, 1), x_logdet
 
@@ -216,8 +218,8 @@ def test_identical_components_uniform_resp_reduce_to_single_component():
     comp = (0.4, 2.5, 1.8, 3.0)
     glob = scalar_glob([1.0, 1.0], [comp, comp])
     exps = global_expectations(glob)
-    pot = RecognitionPotential(np.zeros((1, 1)), np.full((1, 1), -1e-13))
-    x_h, x_j, _, _, _ = refresh_items(np.array([[0.5, 0.5]]), exps, pot)
+    pot = (np.zeros((1, 1)), np.full((1, 1), -1e-13))
+    x_h, x_j, _, _, _ = refresh_items(np.array([[0.5, 0.5]]), exps, *pot)
     assert abs(x_h[0, 0] - exps.mean_prec[0, 0]) < 1e-10
     assert abs(x_j[0, 0, 0] - exps.neg_half_prec[0, 0, 0]) < 1e-10
 
@@ -225,9 +227,9 @@ def test_identical_components_uniform_resp_reduce_to_single_component():
 def test_local_x_update_matches_scalar_arithmetic():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS)
     exps = global_expectations(glob)
-    pot = RecognitionPotential(np.array([[0.5]]), np.array([[-1.0]]))
+    pot = (np.array([[0.5]]), np.array([[-1.0]]))
     resp = np.array([[0.3, 0.7]])
-    x_h, x_j, x_mean, x_cov, x_logdet = refresh_items(resp, exps, pot)
+    x_h, x_j, x_mean, x_cov, x_logdet = refresh_items(resp, exps, *pot)
     expected_h = expected_j = 0.0
     for r, (m, _, s, nu) in zip(resp[0], TEST_COMPONENTS):
         expected_h += r * nu * m / s
@@ -247,10 +249,8 @@ def test_local_x_precision_always_negative_definite():
     glob = init_global(prior, rng)
     exps = global_expectations(glob)
     resp = rng.dirichlet(np.ones(4), size=20)
-    pot = RecognitionPotential(
-        rng.normal(size=(20, 3), scale=4.0), -np.exp(rng.normal(size=(20, 3), scale=2.0))
-    )
-    _, x_j, _, _, x_logdet = refresh_items(resp, exps, pot)
+    pot = (rng.normal(size=(20, 3), scale=4.0), -np.exp(rng.normal(size=(20, 3), scale=2.0)))
+    _, x_j, _, _, x_logdet = refresh_items(resp, exps, *pot)
     eigs = np.linalg.eigvalsh(x_j)
     assert np.all(eigs < 0.0)
     expected_logdet = np.linalg.slogdet(-2.0 * x_j)[1]
@@ -307,9 +307,9 @@ def test_local_x_update_raises_linalg_error_on_a_positive_precision_bracket():
     rng = np.random.default_rng(4)
     exps = global_expectations(init_global(MixturePrior(3, 2), rng))
     exps = exps._replace(neg_half_prec=-exps.neg_half_prec)
-    pot = RecognitionPotential(rng.standard_normal((6, 2)), np.full((6, 2), -1e-3))
+    pot = (rng.standard_normal((6, 2)), np.full((6, 2), -1e-3))
     with pytest.raises(np.linalg.LinAlgError):
-        refresh_items(rng.dirichlet(np.ones(3), size=6), exps, pot)
+        refresh_items(rng.dirichlet(np.ones(3), size=6), exps, *pot)
 
 
 def test_local_x_update_raises_linalg_error_on_a_nan_precision():
@@ -675,17 +675,17 @@ def update_local_z_rows(base, neighbors, log_resp):
     return out
 
 
-def local_step_rows(glob, potential, store, sweeps):
+def local_step_rows(glob, h, j_diag, store, sweeps):
     """Log responsibilities of block_coordinate_local from uniform ones."""
     exps = global_expectations(glob)
-    n, K = potential.n_items, exps.log_pi.shape[0]
+    n, K = h.shape[0], exps.log_pi.shape[0]
     log_resp = np.full((n, K), -math.log(K))
     neighbors = annotation_graph(store, glob.workers, n)
-    _, _, x_mean, x_cov, _ = update_local_x_items(np.exp(log_resp), exps, potential)
+    _, _, x_mean, x_cov, _ = update_local_x_items(np.exp(log_resp), exps, h, j_diag)
     for _ in range(sweeps):
         base = exps.log_pi + component_logits_rows(exps, x_mean, x_cov)
         log_resp = update_local_z_rows(base, neighbors, log_resp)
-        _, _, x_mean, x_cov, _ = update_local_x_items(np.exp(log_resp), exps, potential)
+        _, _, x_mean, x_cov, _ = update_local_x_items(np.exp(log_resp), exps, h, j_diag)
     return log_resp
 
 
@@ -695,13 +695,13 @@ def local_step_rows(glob, potential, store, sweeps):
 # out, and `spd_factor` on (n, d, d) precisions.
 
 
-def update_local_x_items(resp, exps, potential):
+def update_local_x_items(resp, exps, h, j_diag):
     resp = np.asarray(resp, dtype=float)
     d = exps.mean_prec.shape[1]
-    x_h = resp @ exps.mean_prec + potential.h
+    x_h = resp @ exps.mean_prec + h
     x_j = _mix(resp, exps.neg_half_prec)
     idx = np.arange(d)
-    x_j[:, idx, idx] += potential.j_diag
+    x_j[:, idx, idx] += j_diag
     x_cov, x_logdet, _ = spd_factor(-2.0 * x_j)
     x_mean = np.einsum("nij,nj->ni", x_cov, x_h)
     return x_h, x_j, x_mean, x_cov, x_logdet
@@ -717,19 +717,19 @@ def component_logits_items(exps, x_mean, x_cov):
     )
 
 
-def local_step_items(glob, potential, store, sweeps=LOCAL_SWEEPS) -> LocalVariational:
+def local_step_items(glob, h, j_diag, store, sweeps=LOCAL_SWEEPS) -> LocalVariational:
     """block_coordinate_local on the item-major oracle refresh and logits."""
     exps = global_expectations(glob)
-    graph = annotation_graph(store, glob.workers, potential.n_items)
+    graph = annotation_graph(store, glob.workers, h.shape[0])
     order, back = graph.order, graph.position
-    potential = RecognitionPotential(potential.h[order], potential.j_diag[order])
+    h, j_diag = h[order], j_diag[order]
     K = exps.log_pi.shape[0]
-    resp = np.exp(np.full((K, potential.n_items), -math.log(K)))
+    resp = np.exp(np.full((K, h.shape[0]), -math.log(K)))
     for _ in range(sweeps):
-        _, _, x_mean, x_cov, _ = update_local_x_items(resp.T, exps, potential)
+        _, _, x_mean, x_cov, _ = update_local_x_items(resp.T, exps, h, j_diag)
         base = exps.log_pi[:, None] + component_logits_items(exps, x_mean, x_cov)
         log_resp, resp = local_z(base, graph, resp)
-    x = update_local_x_items(resp.T, exps, potential)
+    x = update_local_x_items(resp.T, exps, h, j_diag)
     return LocalVariational(log_resp.T[back], *(a[back] for a in x))
 
 
@@ -748,25 +748,24 @@ def test_entry_major_local_step_equals_the_item_major_oracle_bit_for_bit(n, anno
     glob = init_global(MixturePrior(K, d), rng, n_workers=n_workers)
     glob = replace(glob, workers=random_workers(rng, n_workers))
     # diffuse evidence, so that the logits' last bits reach log q(z)
-    pot = RecognitionPotential(
-        rng.normal(size=(n, d), scale=3.0), -np.exp(rng.normal(-1.0, 1.0, size=(n, d)))
-    )
+    h = rng.normal(size=(n, d), scale=3.0)
+    j_diag = -np.exp(rng.normal(-1.0, 1.0, size=(n, d)))
     store = None
     if annotated:
         pairs = [sorted(rng.choice(n, size=2, replace=False).tolist()) for _ in range(n // 2)]
         triples = [(i, j, int(rng.integers(n_workers)), int(rng.integers(2))) for i, j in pairs]
         store = AnnotationStore(triples, n_items=n, n_workers=n_workers)
-    expected = local_step_items(glob, pot, store)
-    local = local_posteriors(glob, pot, store)
+    expected = local_step_items(glob, h, j_diag, store)
+    local = local_posteriors(glob, h, j_diag, store)
     for field in LOCAL_FIELDS:
         got, want = getattr(local, field), getattr(expected, field)
         assert np.array_equal(got, want) and got.flags.c_contiguous, field
     if not annotated:
-        # the sweeps as predict calls them, on the potential's own arrays in
+        # the sweeps as predict calls them, on the evidence's own arrays in
         # item order, at training's count
         graph = annotation_graph(None, glob.workers, n)
         log_resp, _ = vmp._local_sweeps(
-            global_expectations(glob), pot.h.T, pot.j_diag.T, graph, LOCAL_SWEEPS
+            global_expectations(glob), h.T, j_diag.T, graph, LOCAL_SWEEPS
         )
         assert np.array_equal(log_resp.T, expected.log_resp)
 
@@ -900,15 +899,15 @@ def test_predict_equals_the_argmax_of_the_row_major_local_step():
     """The local step runs LOCAL_SWEEPS rounds and predict PREDICT_SWEEPS;
     the held-out items, which the two counts label apart, pin predict's."""
     dataset, store, model, held_out = trained_tiny_model()
-    potential = recognition_potential(model.recognition, dataset.observations)
+    pot = recognition_potential(model.recognition, dataset.observations)
     for annotations in (store, None):
-        expected = local_step_rows(model.glob, potential, annotations, LOCAL_SWEEPS)
-        log_resp = block_coordinate_local(model.glob, potential, annotations)
+        expected = local_step_rows(model.glob, *pot, annotations, LOCAL_SWEEPS)
+        log_resp = block_coordinate_local(model.glob, *pot, annotations)
         assert np.max(np.abs(log_resp - expected)) < 1e-9
     # predict passes no store
-    potential = recognition_potential(model.recognition, held_out)
+    pot = recognition_potential(model.recognition, held_out)
     labels = {
-        sweeps: np.argmax(np.exp(local_step_rows(model.glob, potential, None, sweeps)), axis=1)
+        sweeps: np.argmax(np.exp(local_step_rows(model.glob, *pot, None, sweeps)), axis=1)
         for sweeps in (PREDICT_SWEEPS, LOCAL_SWEEPS)
     }
     assert not np.array_equal(labels[PREDICT_SWEEPS], labels[LOCAL_SWEEPS])
@@ -922,26 +921,24 @@ def test_predict_labels_agree_with_the_training_rounds_on_99_percent_of_items():
     0.9960 / 0.9984 / 0.9984 of crowd10x-bayes's items and 1.0 / 1.0 /
     0.998 of pinwheel-bayes's; here on 0.9983 of the held-out items."""
     _, _, model, held_out = trained_tiny_model()
-    potential = recognition_potential(model.recognition, held_out)
-    graph = annotation_graph(None, model.glob.workers, potential.n_items)
+    h, j_diag = recognition_potential(model.recognition, held_out)
+    graph = annotation_graph(None, model.glob.workers, h.shape[0])
     exps = global_expectations(model.glob)
-    _, resp = vmp._local_sweeps(exps, potential.h.T, potential.j_diag.T, graph, LOCAL_SWEEPS)
+    _, resp = vmp._local_sweeps(exps, h.T, j_diag.T, graph, LOCAL_SWEEPS)
     assert np.mean(model.predict(held_out) == np.argmax(resp, axis=0)) >= 0.99
 
 
 def grid_instance():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=one_worker())
     store = AnnotationStore([(0, 1, 0, 1), (1, 2, 0, 0)], n_items=3, n_workers=1)
-    pot = RecognitionPotential(
-        np.array([[0.6], [-0.4], [0.2]]), np.array([[-0.8], [-1.1], [-0.6]])
-    )
+    pot = (np.array([[0.6], [-0.4], [0.2]]), np.array([[-0.8], [-1.1], [-0.6]]))
     return glob, store, pot
 
 
 def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     glob, store, pot = grid_instance()
     exps = global_expectations(glob)
-    local = local_posteriors(glob, pot, store, sweeps=2)
+    local = local_posteriors(glob, *pot, store, sweeps=2)
     base = exps.log_pi[:, None] + logits_of_items(exps, local.x_mean, local.x_cov)
     graph = annotation_graph(store, glob.workers, 3)
     logits, resp = block_major(graph, base.T, local.resp)
@@ -951,7 +948,7 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     def surrogate_at(t: float) -> float:
         cand = replace(local, log_resp=np.array(local.log_resp))
         cand.log_resp[0] = np.log([t, 1.0 - t])
-        return surrogate_elbo(glob, TEST_PRIOR, cand, pot, store)
+        return surrogate_elbo(glob, TEST_PRIOR, cand, *pot, store)
 
     grid = np.linspace(1e-6, 1.0 - 1e-6, 4001)
     values = [surrogate_at(t) for t in grid]
@@ -961,27 +958,27 @@ def test_z_update_is_the_coordinate_optimum_of_the_surrogate():
     assert surrogate_at(t_updated) >= max(values) - 1e-8
 
 
-def resume_local(glob, pot, store, local, sweeps) -> LocalVariational:
+def resume_local(glob, h, j_diag, store, local, sweeps) -> LocalVariational:
     """`sweeps` rounds of block_coordinate_local's coordinate updates, from
     the responsibilities of `local` instead of uniform ones, in block order
     and with q(x) entry-major, as that function runs them, and the q(x) of
     one refresh of the last q(z), as `local_posteriors` gives it."""
     exps = global_expectations(glob)
-    graph = annotation_graph(store, glob.workers, pot.n_items)
+    graph = annotation_graph(store, glob.workers, h.shape[0])
     order, back = graph.order, graph.position
-    h, j_diag = pot.h.T[:, order], pot.j_diag.T[:, order]
+    rows_h, rows_j = h.T[:, order], j_diag.T[:, order]
     (resp,) = block_major(graph, np.exp(local.log_resp))
     for _ in range(sweeps):
-        x = update_local_x(resp, exps, h, j_diag)
+        x = update_local_x(resp, exps, rows_h, rows_j)
         base = exps.log_pi[:, None] + logits_of(exps, x[2], x[3])
         log_resp, resp = local_z(base, graph, resp)
-    return with_local_x(glob, pot, store, log_resp.T[back])
+    return with_local_x(glob, h, j_diag, store, log_resp.T[back])
 
 
-def local_after(glob, pot, store, sweeps) -> LocalVariational:
+def local_after(glob, h, j_diag, store, sweeps) -> LocalVariational:
     """The local step's state after exactly `sweeps` sweeps from uniform
     responsibilities: the state after `sweeps - 1` sweeps, swept once more."""
-    return local_posteriors(glob, pot, store, sweeps=sweeps)
+    return local_posteriors(glob, h, j_diag, store, sweeps=sweeps)
 
 
 def test_block_coordinate_runs_every_sweep_past_convergence(monkeypatch):
@@ -993,7 +990,7 @@ def test_block_coordinate_runs_every_sweep_past_convergence(monkeypatch):
     monkeypatch.setattr(
         vmp, "update_local_z", lambda *args: calls.append(None) or original(*args)
     )
-    block_coordinate_local(glob, pot, store, sweeps=80)
+    block_coordinate_local(glob, *pot, store, sweeps=80)
     assert len(calls) == 80
 
 
@@ -1001,10 +998,10 @@ def test_block_coordinate_runs_every_sweep_past_convergence(monkeypatch):
 def test_block_coordinate_names_a_bad_sweep_count(sweeps):
     glob, store, pot = grid_instance()
     with pytest.raises(ValueError, match="^sweeps"):
-        block_coordinate_local(glob, pot, store, sweeps=sweeps)
+        block_coordinate_local(glob, *pot, store, sweeps=sweeps)
     assert np.array_equal(
-        block_coordinate_local(glob, pot, store, sweeps=np.int64(2)),
-        block_coordinate_local(glob, pot, store, sweeps=2),
+        block_coordinate_local(glob, *pot, store, sweeps=np.int64(2)),
+        block_coordinate_local(glob, *pot, store, sweeps=2),
     )
 
 
@@ -1013,16 +1010,16 @@ def test_resumed_local_step_equals_the_uninterrupted_one():
     resumed for 4 more equal 7 sweeps to the last bit.  Passing the log
     probabilities instead moves item 0 of this instance by 0.15."""
     glob, store, pot = grid_instance()
-    resumed = resume_local(glob, pot, store, local_after(glob, pot, store, 3), sweeps=4)
-    straight = local_after(glob, pot, store, 7)
+    resumed = resume_local(glob, *pot, store, local_after(glob, *pot, store, 3), sweeps=4)
+    straight = local_after(glob, *pot, store, 7)
     for field in ("log_resp", "x_h", "x_j", "x_mean", "x_cov", "x_logdet"):
         assert np.array_equal(getattr(resumed, field), getattr(straight, field)), field
 
 
 def test_block_coordinate_reaches_a_fixed_point():
     glob, store, pot = grid_instance()
-    local = local_after(glob, pot, store, 80)
-    again = local_after(glob, pot, store, 81)
+    local = local_after(glob, *pot, store, 80)
+    again = local_after(glob, *pot, store, 81)
     assert np.max(np.abs(again.log_resp - local.log_resp)) < 1e-8
     assert np.max(np.abs(again.x_h - local.x_h)) < 1e-8
     assert np.max(np.abs(again.x_j - local.x_j)) < 1e-8
@@ -1035,8 +1032,8 @@ def test_block_coordinate_is_order_independent_without_annotations():
     pot_h = rng.normal(size=(6, 2))
     pot_j = -np.exp(rng.normal(size=(6, 2)))
     perm = rng.permutation(6)
-    a = local_posteriors(glob, RecognitionPotential(pot_h, pot_j), sweeps=6)
-    b = local_posteriors(glob, RecognitionPotential(pot_h[perm], pot_j[perm]), sweeps=6)
+    a = local_posteriors(glob, pot_h, pot_j, sweeps=6)
+    b = local_posteriors(glob, pot_h[perm], pot_j[perm], sweeps=6)
     assert np.allclose(b.log_resp, a.log_resp[perm], atol=1e-12)
     assert np.allclose(b.x_mean, a.x_mean[perm], atol=1e-12)
 
@@ -1044,7 +1041,7 @@ def test_block_coordinate_is_order_independent_without_annotations():
 def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates():
     glob, store, pot = grid_instance()
     values = [
-        surrogate_elbo(glob, TEST_PRIOR, local_after(glob, pot, store, sweeps), pot, store)
+        surrogate_elbo(glob, TEST_PRIOR, local_after(glob, *pot, store, sweeps), *pot, store)
         for sweeps in range(1, 52)
     ]
     diffs = np.diff(values)
@@ -1057,12 +1054,12 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_cla
     prior = MixturePrior(3, 2)
     glob = replace(init_global(prior, rng), workers=random_workers(rng, store.n_workers))
     assert len(color_classes(annotation_graph(store, glob.workers, store.n_items))) >= 3
-    pot = RecognitionPotential(
+    pot = (
         rng.normal(size=(store.n_items, 2), scale=2.0),
         -np.exp(rng.normal(size=(store.n_items, 2))),
     )
     values = [
-        surrogate_elbo(glob, prior, local_after(glob, pot, store, sweeps), pot, store)
+        surrogate_elbo(glob, prior, local_after(glob, *pot, store, sweeps), *pot, store)
         for sweeps in range(1, 32)
     ]
     assert np.all(np.diff(values) >= -1e-8)
@@ -1072,19 +1069,19 @@ def test_surrogate_elbo_is_non_decreasing_under_coordinate_updates_with_many_cla
 def test_surrogate_elbo_is_non_decreasing_under_step_one_global_updates():
     glob, store, pot = grid_instance()
     prior = TEST_PRIOR
-    local = local_posteriors(glob, pot, store, sweeps=30)
-    value = surrogate_elbo(glob, prior, local, pot, store)
+    local = local_posteriors(glob, *pot, store, sweeps=30)
+    value = surrogate_elbo(glob, prior, local, *pot, store)
     for _ in range(5):
         target = replace(
             mixture_natural_gradient(prior, local.resp, local.x_mean, local.x_cov, scale=1.0),
             workers=beta_natural_gradient(worker_counts(store, local.resp)),
         )
         glob = apply_natural_gradient(glob, target, 1.0)
-        new_value = surrogate_elbo(glob, prior, local, pot, store)
+        new_value = surrogate_elbo(glob, prior, local, *pot, store)
         assert new_value >= value - 1e-8
         value = new_value
-        local = resume_local(glob, pot, store, local, sweeps=10)
-        new_value = surrogate_elbo(glob, prior, local, pot, store)
+        local = resume_local(glob, *pot, store, local, sweeps=10)
+        new_value = surrogate_elbo(glob, prior, local, *pot, store)
         assert new_value >= value - 1e-8
         value = new_value
 
@@ -1127,10 +1124,8 @@ def test_local_kl_is_nonnegative_on_random_instances():
     prior = MixturePrior(3, 2)
     glob = init_global(prior, rng)
     exps = global_expectations(glob)
-    pot = RecognitionPotential(
-        rng.normal(size=(8, 2)), -np.exp(rng.normal(size=(8, 2)))
-    )
-    local = local_posteriors(glob, pot, sweeps=3)
+    pot = (rng.normal(size=(8, 2)), -np.exp(rng.normal(size=(8, 2))))
+    local = local_posteriors(glob, *pot, sweeps=3)
     assert local_kl(exps, local) >= -1e-9
 
 
@@ -1190,7 +1185,7 @@ def test_global_kl_matches_quadrature_oracle_for_all_blocks():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=one_worker())
     value = global_kl(glob, TEST_PRIOR)
     prior_comp = (0.0, 0.5, 1.5, 1.5)
-    expected = oracles.dirichlet2_kl(TEST_ALPHAS, (0.5, 0.5))
+    expected = oracles.dirichlet2_kl(TEST_ALPHAS, (0.025, 0.025))
     for comp in TEST_COMPONENTS:
         expected += oracles.niw1_kl(comp, prior_comp)
     expected += oracles.beta_kl((3.0, 2.0), (1.0, 1.0))
@@ -1224,37 +1219,36 @@ def objective_instance():
     glob = scalar_glob(TEST_ALPHAS, TEST_COMPONENTS, workers=one_worker())
     store = AnnotationStore([(0, 1, 0, 1)], n_items=2, n_workers=1)
     local = scalar_local([[0.6, 0.4], [0.2, 0.8]], [0.5, -0.2], [0.7, 1.3])
-    pot = RecognitionPotential(np.array([[0.4], [-0.3]]), np.array([[-0.9], [-1.2]]))
+    pot = (np.array([[0.4], [-0.3]]), np.array([[-0.9], [-1.2]]))
     return glob, store, local, pot
 
 
-def objective(glob, local, pot, store, rel_scale=1.0):
+def objective(glob, local, h, j_diag, store, rel_scale=1.0):
     """final_objective with the potential bracket as its data term and the
     relational op's term on the store."""
     rel = expected_rel_loglik(store, local.resp, glob.workers.log_stats(), rel_scale)[0]
     return final_objective(
-        local, global_expectations(glob), potential_bracket(pot, local), float(rel.data)
+        local, global_expectations(glob), potential_bracket(h, j_diag, local), float(rel.data)
     )
 
 
 def test_final_objective_matches_quadrature_and_enumeration_oracle():
     glob, store, local, pot = objective_instance()
-    value = objective(glob, local, pot, store) - global_kl(glob, TEST_PRIOR)
+    value = objective(glob, local, *pot, store) - global_kl(glob, TEST_PRIOR)
     expected = oracles.final_objective_oracle(
         TEST_ALPHAS,
         TEST_COMPONENTS,
-        (0.5, 0.5),
+        (0.025, 0.025),
         (0.0, 0.5, 1.5, 1.5),
         local.resp,
         [0.5, -0.2],
         [0.7, 1.3],
-        pot.h,
-        pot.j_diag,
+        *pot,
         triples=[(0, 1, 0, 1)],
         worker_taus=[((3.0, 2.0), (4.0, 1.0))],
     )
     assert abs(value - expected) < 1e-6
-    assert value == surrogate_elbo(glob, TEST_PRIOR, local, pot, store)
+    assert value == surrogate_elbo(glob, TEST_PRIOR, local, *pot, store)
 
 
 def test_final_objective_annotation_minibatches_are_unbiased():
@@ -1265,23 +1259,21 @@ def test_final_objective_annotation_minibatches_are_unbiased():
     local = scalar_local(
         [[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]], [0.5, -0.2, 0.1], [0.7, 1.3, 0.9]
     )
-    pot = RecognitionPotential(
-        np.array([[0.4], [-0.3], [0.1]]), np.array([[-0.9], [-1.2], [-0.7]])
-    )
-    full = objective(glob, local, pot, store)
+    pot = (np.array([[0.4], [-0.3], [0.1]]), np.array([[-0.9], [-1.2], [-0.7]]))
+    full = objective(glob, local, *pot, store)
     from itertools import combinations
 
     estimates = []
     for rows in combinations(range(3), 2):
         sub = oracles.select_triples(store, rows)
-        estimates.append(objective(glob, local, pot, sub, rel_scale=3.0 / 2.0))
+        estimates.append(objective(glob, local, *pot, sub, rel_scale=3.0 / 2.0))
     assert abs(np.mean(estimates) - full) < 1e-10
 
 
 def test_final_objective_without_store_drops_the_relational_term():
     glob, store, local, pot = objective_instance()
-    with_rel = objective(glob, local, pot, store)
-    without = objective(glob, local, pot, AnnotationStore([], store.n_items, store.n_workers))
+    with_rel = objective(glob, local, *pot, store)
+    without = objective(glob, local, *pot, AnnotationStore([], store.n_items, store.n_workers))
     rel = float(expected_rel_loglik(store, local.resp, glob.workers.log_stats())[0].data)
     assert abs(with_rel - without - rel) < 1e-12
 
@@ -1289,14 +1281,13 @@ def test_final_objective_without_store_drops_the_relational_term():
 def test_final_objective_row_restriction_is_additive():
     """Without annotations the estimate sums over the items: those of each
     item's local posteriors add up to the whole set's."""
-    glob, store, local, pot = objective_instance()
+    glob, store, local, (h, j_diag) = objective_instance()
     empty = AnnotationStore([], store.n_items, store.n_workers)
-    full = objective(glob, local, pot, empty)
+    full = objective(glob, local, h, j_diag, empty)
     parts = [
         objective(
             glob, LocalVariational(*(getattr(local, f)[[i]] for f in LOCAL_FIELDS)),
-            RecognitionPotential(pot.h[[i]], pot.j_diag[[i]]),
-            AnnotationStore([], 1, store.n_workers),
+            h[[i]], j_diag[[i]], AnnotationStore([], 1, store.n_workers),
         )
         for i in range(store.n_items)
     ]
@@ -1378,7 +1369,7 @@ def test_batch_only_tape_gives_the_working_set_tapes_gradients():
     obs, batch, working, rows, local_store, recognition, decoder, glob, rng = one_update_problem()
     exps = global_expectations(glob)
     log_resp = block_coordinate_local(
-        glob, recognition_potential(recognition, obs[working]), local_store
+        glob, *recognition_potential(recognition, obs[working]), local_store
     )
     resp = np.exp(log_resp[rows])
     noise = rng.standard_normal((batch.size, 2))
@@ -1544,19 +1535,20 @@ def test_training_runs_the_recognition_network_once_per_update(monkeypatch):
 
 
 def test_a_non_finite_off_batch_row_still_raises_divergence(monkeypatch):
-    """The working set's joined potential is not checked again, so a
-    non-finite row outside the batch must fail `recognition_potential`'s
-    check of the off-batch pass, and the run reports a divergence."""
+    """The local step does not check the evidence for finiteness again, so
+    a non-finite observation row outside the batch must fail `Mlp.forward`'s
+    check of the off-batch pass, inside `recognition_potential`, and the run
+    reports a divergence."""
     dataset, store = tiny_problem()
     config = BayesConfig(n_components=4, latent_dim=2, epochs=1, batch_size=40)
     forward, raised = Mlp.forward, []
 
     def poisoning(net, x):
-        heads = forward(net, x)
         off_batch = nnet._current_tape() is None and len(x) < dataset.n_items
         if set(net.heads) == {"loc", "prec_raw"} and off_batch:
-            heads["loc"].data[-1, 0] = np.nan
-        return heads
+            x = np.array(x)
+            x[-1, 0] = np.nan
+        return forward(net, x)
 
     def recording(net, observations):
         try:
@@ -1569,7 +1561,7 @@ def test_a_non_finite_off_batch_row_still_raises_divergence(monkeypatch):
     monkeypatch.setattr(vmp, "recognition_potential", recording)
     result = train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
     assert result.diverged and result.history == []
-    assert raised == ["non-finite recognition potential"]
+    assert raised == ["network head 'loc' produced non-finite outputs"]
 
 
 def test_each_update_enters_every_probed_layer(monkeypatch):
@@ -1612,6 +1604,27 @@ def test_each_update_enters_every_probed_layer(monkeypatch):
     expected = Counter(names)
     expected["global_expectations"] = 2
     assert all(calls == expected for calls in per_update)
+
+
+def test_an_update_records_nineteen_tape_nodes(monkeypatch):
+    """At the default hidden widths, (40, 40), one update tapes 19 nodes:
+    the batch rows' recognition pass (4 layers, and softplus, negation and
+    floor for j_diag), `gaussian_refresh`'s draw and bracket, the decoder's
+    5 layers (with the clamp), its log-likelihood and sum, and the
+    weighting, sum and scaling of the objective.  A lost fusion adds nodes
+    here."""
+    dataset, store = tiny_problem()
+    lengths = []
+
+    def counting(tape, output):
+        lengths.append(len(tape))
+        return backward(tape, output)
+
+    monkeypatch.setattr(vmp, "backward", counting)
+    config = BayesConfig(n_components=4, batch_size=40, epochs=1)
+    assert config.hidden == (40, 40)
+    train_bayes_scdc(dataset, store, config, np.random.default_rng(7))
+    assert lengths == [19] * -(-dataset.n_items // config.batch_size)
 
 
 def test_training_objective_rises_on_a_small_problem():
