@@ -160,8 +160,9 @@ def fit(
     returns the update's minibatch estimate of the objective without the
     KL of the global posteriors from their prior, and leaves the gradient
     of that update's objective on `params`.  Once the estimate is checked,
-    one `Adam(params, config.lr)` steps them and their gradients are
-    cleared, so a step must not read `params` after its backward pass
+    one `Adam(params, config.lr)`, built before the first update, which
+    makes each parameter's `.data` a view of its flat vector, steps them
+    and their gradients are cleared, so a step must not read `params` after its backward pass
     and expect the stepped values.  The latent KL weight
     ramps over a window of the first w updates, w the `kl_warmup` fraction
     of all updates: update u weighs max(0, (u - h) / h), h = (w + 1) / 2,
@@ -181,7 +182,7 @@ def fit(
     predicting with the epoch's model, a non-finite estimate, non-finite
     parameters at the end of an epoch, or a non-finite epoch objective
     stop training and restore `params` (tape tensors) to the last
-    finished epoch; an epoch is finished once its model has predicted and
+    finished epoch, in place, so they stay the optimizer's views; an epoch is finished once its model has predicted and
     its objective is finite.  Each value is checked where it is made:
     `Mlp.forward` checks every network output, `Adam.step` every
     gradient, `mixture` every global target and global step, and this
@@ -252,8 +253,9 @@ def fit(
             if not np.isfinite(objective):
                 raise TrainingDivergence("non-finite epoch objective")
         except (TrainingDivergence, np.linalg.LinAlgError):
+            # in place: each parameter stays a view of the optimizer's flat vector
             for p, saved in zip(params, snapshot):
-                p.data = saved
+                p.data[...] = saved
             return TrainResult(current, history, diverged=True)
         current = finished
         snapshot = [p.data.copy() for p in params]

@@ -45,8 +45,10 @@ The engine keeps a network step lean:
   forms that invert no matrix.  It also returns the refreshed Gaussians'
   parameters and moments as arrays, so a caller that needs them does
   not factor the same matrices again.
-- Adam(params, lr) ascends, stepping every parameter at once from flat
-  gradient and moment vectors; a missing gradient counts as zero.  The
+- Adam(params, lr) ascends, stepping every parameter at once: the
+  parameters are views of one flat vector, which each step updates in
+  place from flat gradient and moment buffers; a missing gradient counts
+  as zero.  The
   step is atomic: a non-finite gradient anywhere is rejected before any
   parameter or moment changes.
 """
@@ -641,10 +643,14 @@ class Adam:
     """Adaptive-moment ascent with bias correction (Kingma & Ba 2015), at
     the paper's constants BETA1, BETA2 and EPS.
 
-    The parameters lie end to end in one flat vector, and so do the
-    gradient and both moment buffers.  A step writes each gradient into
-    its slice, updates the moments with elementwise expressions and adds
-    each parameter's slice of the update back.
+    The parameters lie end to end in one flat vector, `flat`: the
+    constructor copies them into it and rebinds each tensor's `.data` to
+    its view, so a caller that must reset a parameter writes into it in
+    place (`p.data[...] = saved`) and keeps the link.  The gradient, both
+    moments and the update have preallocated buffers of the same length.
+    A step writes each gradient into its slice, updates the moments in
+    place and adds the update to `flat`, in the operation order of the
+    per-tensor formula, so every parameter takes the same bits.
     """
 
     BETA1 = 0.9
@@ -653,22 +659,31 @@ class Adam:
 
     def __init__(self, params, lr: float):
         self.params = list(params)
-        self._offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
+        offsets = [0, *itertools.accumulate(p.data.size for p in self.params)]
+        self._spans = list(zip(self.params, offsets, offsets[1:]))
         self.lr = float(lr)
-        self.m = np.zeros(self._offsets[-1])
-        self.v = np.zeros(self._offsets[-1])
+        self.flat = np.empty(offsets[-1])
+        for p, lo, hi in self._spans:
+            self.flat[lo:hi] = p.data.ravel()
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._g = np.empty_like(self.flat)
+        self._tmp = np.empty_like(self.flat)
+        self._update = np.empty_like(self.flat)
         self.t = 0
 
     def step(self):
         """Step every parameter up its gradient, zero for one the objective
         does not reach (no .grad).  A gradient of the wrong size or a
         non-finite one raises before any parameter or moment changes."""
-        spans = list(zip(self.params, self._offsets, self._offsets[1:]))
-        g = np.zeros(self._offsets[-1])
-        for p, lo, hi in spans:
-            if p.grad is not None:
-                if np.size(p.grad) != hi - lo:
-                    raise ValueError("gradient sizes do not match their parameters")
+        g, tmp, update = self._g, self._tmp, self._update
+        for p, lo, hi in self._spans:
+            if p.grad is None:
+                g[lo:hi] = 0.0
+            elif np.size(p.grad) != hi - lo:
+                raise ValueError("gradient sizes do not match their parameters")
+            else:
                 g[lo:hi] = np.ravel(p.grad)
         if not np.all(np.isfinite(g)):
             raise TrainingDivergence("non-finite gradient")
@@ -676,9 +691,13 @@ class Adam:
         b1t = 1.0 - self.BETA1**self.t
         b2t = 1.0 - self.BETA2**self.t
         self.m *= self.BETA1
-        self.m += (1.0 - self.BETA1) * g
+        self.m += np.multiply(g, 1.0 - self.BETA1, out=tmp)
         self.v *= self.BETA2
-        self.v += (1.0 - self.BETA2) * g * g
-        update = self.lr * ((self.m / b1t) / (np.sqrt(self.v / b2t) + self.EPS))
-        for p, lo, hi in spans:
-            p.data = p.data + update[lo:hi].reshape(p.data.shape)
+        self.v += np.multiply(np.multiply(g, 1.0 - self.BETA2, out=tmp), g, out=tmp)
+        # lr * ((m / b1t) / (sqrt(v / b2t) + EPS))
+        np.divide(self.m, b1t, out=update)
+        np.sqrt(np.divide(self.v, b2t, out=tmp), out=tmp)
+        tmp += self.EPS
+        update /= tmp
+        update *= self.lr
+        self.flat += update

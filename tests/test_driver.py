@@ -224,6 +224,55 @@ def test_a_non_finite_epoch_objective_restores_the_last_finished_epoch():
     assert np.array_equal(result.model.weight, weight.data)
 
 
+def test_a_divergence_restore_keeps_the_parameters_the_optimizers_views(monkeypatch):
+    """Adam makes each parameter a view of its flat vector; the update that
+    diverges mid-epoch 2 makes fit write epoch 1's values back into those
+    views, so a later step of the same optimizer still moves them."""
+    dataset, store = small_problem(3)
+    params = [parameter(np.zeros(2)), parameter(np.ones((2, 3)))]
+    optimizers, built, calls, stepped = [], [], [], []
+
+    class RecordingAdam(driver.Adam):
+        def __init__(self, *args):
+            super().__init__(*args)
+            optimizers.append(self)
+
+    class Model(ConstantModel):
+        def __init__(self):
+            built.append([p.data.copy() for p in params])
+
+    def step(update):
+        calls.append(None)
+        if len(calls) == 5:  # the second update of epoch 2
+            stepped.extend(p.data.copy() for p in params)
+            raise driver.TrainingDivergence("poisoned update")
+        for p in params:
+            p.grad = np.full(p.data.shape, float(len(calls)))
+        return 1.0
+
+    monkeypatch.setattr(driver, "Adam", RecordingAdam)
+    result = fit(
+        dataset, training_store(store, dataset.n_items),
+        scdc.ScdcConfig(epochs=3, batch_size=20, lr=0.5),
+        np.random.default_rng(0), params=params, model=Model, step=step, kl_warmup=0.0,
+        minibatch_iterator=data.minibatch_iterator,
+        sample_annotation_minibatch=relational.sample_annotation_minibatch,
+        clustering_accuracy=clustering_accuracy, nmi=nmi,
+    )
+    assert result.diverged and len(result.history) == 1
+    (opt,) = optimizers
+    # epoch 2 stepped once before the divergence; the restore undid it
+    for p, saved, moved in zip(params, built[1], stepped):
+        assert not np.array_equal(moved, saved)
+        assert np.array_equal(p.data, saved)
+        assert np.shares_memory(p.data, opt.flat)
+    for p in params:
+        p.grad = np.ones(p.data.shape)
+    before = [p.data.copy() for p in params]
+    opt.step()
+    assert all(np.all(p.data > b) for p, b in zip(params, before))
+
+
 @pytest.mark.parametrize("annotated", [True, False])
 def test_fit_hands_each_update_its_working_set_scales_and_warmup_weight(annotated):
     dataset, store = small_problem(3)

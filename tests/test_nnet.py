@@ -847,6 +847,31 @@ def test_flat_step_equals_per_parameter_reference(kind):
             assert p.data.shape == q.data.shape
 
 
+def test_step_updates_the_flat_vector_that_every_parameter_views():
+    """The constructor copies the parameters into `flat` and makes each
+    `.data` its view; twenty steps then leave every view in place, equal
+    bit for bit to the per-tensor formula, and a tensor that never has a
+    gradient unchanged."""
+    rng = np.random.default_rng(39)
+    params = [*_param_set(rng), parameter(rng.standard_normal((2, 3)))]
+    initial = [p.data.copy() for p in params]
+    ref_params = [parameter(a.copy()) for a in initial]
+    opt = Adam(params, lr=0.01)
+    ref = ReferenceAdam(ref_params, lr=0.01)
+    views = [p.data for p in params]
+    assert np.array_equal(opt.flat, np.concatenate([a.ravel() for a in initial]))
+    for _ in range(20):
+        for p, q in zip(params[:-1], ref_params[:-1]):
+            p.grad = rng.standard_normal(p.data.shape) * 10.0 ** rng.uniform(-3, 1)
+            q.grad = p.grad.copy()
+        opt.step()
+        ref.step()
+        for p, q, view in zip(params, ref_params, views):
+            assert p.data is view and np.shares_memory(view, opt.flat)
+            assert p.data.shape == q.data.shape and np.array_equal(p.data, q.data)
+    assert params[-1].grad is None and np.array_equal(params[-1].data, initial[-1])
+
+
 def _optimizer_state(opt):
     return opt.m.copy(), opt.v.copy(), opt.t
 
