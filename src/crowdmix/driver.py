@@ -162,12 +162,12 @@ def fit(
     of that update's objective on `params`.  Once the estimate is checked,
     one `Adam(params, config.lr)`, built before the first update, which
     makes each parameter's `.data` a view of its flat vector, steps them
-    and their gradients are cleared, so a step must not read `params` after its backward pass
-    and expect the stepped values.  The latent KL weight
-    ramps over a window of the first w updates, w the `kl_warmup` fraction
-    of all updates: update u weighs max(0, (u - h) / h), h = (w + 1) / 2,
-    so 0 for the first half of the window and (w - 1) / (w + 1), not 1, at
-    its last update; every update after the window weighs 1.  A
+    and their gradients are cleared, so a step must not read `params`
+    after its backward pass and expect the stepped values.  The latent KL
+    weight ramps over a window of the first w updates, w the `kl_warmup`
+    fraction of all updates: update u weighs max(0, (u - h) / h), h = (w +
+    1) / 2, so 0 for the first half of the window and (w - 1) / (w + 1),
+    not 1, at its last update; every update after the window weighs 1.  A
     `kl_warmup` of 1 puts every update in the window, and the weight never
     reaches 1.
 
@@ -182,12 +182,13 @@ def fit(
     predicting with the epoch's model, a non-finite estimate, non-finite
     parameters at the end of an epoch, or a non-finite epoch objective
     stop training and restore `params` (tape tensors) to the last
-    finished epoch, in place, so they stay the optimizer's views; an epoch is finished once its model has predicted and
-    its objective is finite.  Each value is checked where it is made:
-    `Mlp.forward` checks every network output, `Adam.step` every
-    gradient, `mixture` every global target and global step, and this
-    loop alone checks each estimate `step` returns, as it returns, and
-    each epoch's objective, beside the epoch's prediction.
+    finished epoch, in place, so they stay the optimizer's views; an epoch
+    is finished once its model has predicted and its objective is finite.
+    Each value is checked where it is made: `Mlp.forward` checks every
+    network output, `Adam.step` every gradient, `mixture` every global
+    target and global step, and this loop alone checks each estimate
+    `step` returns, as it returns, and each epoch's objective, beside the
+    epoch's prediction.
     The last four arguments are the trainer module's own names, so that
     hooks patched on that module see every call.  `rng` is drawn from in
     a fixed order: the batch permutation, then per update the annotation

@@ -48,9 +48,8 @@ The engine keeps a network step lean:
 - Adam(params, lr) ascends, stepping every parameter at once: the
   parameters are views of one flat vector, which each step updates in
   place from flat gradient and moment buffers; a missing gradient counts
-  as zero.  The
-  step is atomic: a non-finite gradient anywhere is rejected before any
-  parameter or moment changes.
+  as zero.  The step is atomic: a non-finite gradient anywhere is
+  rejected before any parameter or moment changes.
 """
 
 from __future__ import annotations
@@ -646,11 +645,12 @@ class Adam:
     The parameters lie end to end in one flat vector, `flat`: the
     constructor copies them into it and rebinds each tensor's `.data` to
     its view, so a caller that must reset a parameter writes into it in
-    place (`p.data[...] = saved`) and keeps the link.  The gradient, both
-    moments and the update have preallocated buffers of the same length.
+    place (`p.data[...] = saved`) and keeps the link.  Both moments, the
+    gradient and one scratch vector are preallocated, of the same length.
     A step writes each gradient into its slice, updates the moments in
-    place and adds the update to `flat`, in the operation order of the
-    per-tensor formula, so every parameter takes the same bits.
+    place, builds the update in the gradient's buffer and adds it to
+    `flat`, in the operation order of the per-tensor formula, so every
+    parameter takes the same bits.
     """
 
     BETA1 = 0.9
@@ -670,14 +670,13 @@ class Adam:
         self.v = np.zeros_like(self.flat)
         self._g = np.empty_like(self.flat)
         self._tmp = np.empty_like(self.flat)
-        self._update = np.empty_like(self.flat)
         self.t = 0
 
     def step(self):
         """Step every parameter up its gradient, zero for one the objective
         does not reach (no .grad).  A gradient of the wrong size or a
         non-finite one raises before any parameter or moment changes."""
-        g, tmp, update = self._g, self._tmp, self._update
+        g, tmp = self._g, self._tmp
         for p, lo, hi in self._spans:
             if p.grad is None:
                 g[lo:hi] = 0.0
@@ -694,8 +693,8 @@ class Adam:
         self.m += np.multiply(g, 1.0 - self.BETA1, out=tmp)
         self.v *= self.BETA2
         self.v += np.multiply(np.multiply(g, 1.0 - self.BETA2, out=tmp), g, out=tmp)
-        # lr * ((m / b1t) / (sqrt(v / b2t) + EPS))
-        np.divide(self.m, b1t, out=update)
+        # lr * ((m / b1t) / (sqrt(v / b2t) + EPS)), in g's buffer
+        update = np.divide(self.m, b1t, out=g)
         np.sqrt(np.divide(self.v, b2t, out=tmp), out=tmp)
         tmp += self.EPS
         update /= tmp

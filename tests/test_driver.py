@@ -105,9 +105,8 @@ def test_divergence_at_an_epoch_boundary_restores_the_last_finished_epoch(
         calls.append(None)
         original(params)
         if len(calls) == 2 * updates_per_epoch:
-            poisoned_data = params[0].data.copy()
-            poisoned_data[...] = value
-            params[0].data = poisoned_data
+            # in place, as an overflowing Adam step would write it
+            params[0].data[...] = value
 
     # fit steps the parameters and clears their gradients after each update
     monkeypatch.setattr(driver, "zero_grads", poisoned)
