@@ -188,7 +188,7 @@ def simulate_annotations(
     `rng` is drawn from in a fixed order: the subset, then per worker its
     pair ids and then one uniform per pair, against which its labels are
     tested.  The caller's generator continues from there (the benchmark
-    and the calibration script train on it), so a change in this order
+    and the scorecard script train on it), so a change in this order
     changes every run that follows.  The triples, worker by worker with
     each worker's pairs in id order, are canonicalized by `AnnotationStore`.
     """

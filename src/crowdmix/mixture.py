@@ -187,10 +187,10 @@ def mixture_natural_gradient(
     so the Dirichlet target is valid; a non-finite moment makes the NIW
     target fail, which raises TrainingDivergence.  In the Bayesian update
     the q(z) comes from the local step, whose last sweep factored every
-    working-set precision, and the moments from `nnet.gaussian_refresh`,
-    which factored the batch rows' precisions once more under that q(z);
-    each factorization raises LinAlgError unless its precisions are
-    positive definite.
+    working-set precision, and the moments from the network objective's
+    `vmp.update_local_x`, which factored the batch rows' precisions once
+    more under that q(z); each factorization raises LinAlgError unless
+    its precisions are positive definite.
     """
     K, d = prior.n_components, prior.latent_dim
     q_z = np.asarray(q_z, dtype=float).reshape(-1, K)

@@ -37,14 +37,13 @@ The engine keeps a network step lean:
 - spd_factor_rows is the package's one factorization of symmetric
   positive definite matrices, a Cholesky of n matrices held entry-major,
   as (d, d, n) rows, giving the inverse, the log-determinant and the
-  Cholesky factor of the inverse; the local q(x) step calls it on its
-  rows, and spd_factor wraps it for (..., d, d) matrices.
-- gaussian_refresh fuses a Gaussian refresh from natural parameters into
-  two nodes on one spd_factor call: a reparameterized draw and the
-  summed bracket log Z - <evidence, E t(x)>.  Its gradients are closed
-  forms that invert no matrix.  It also returns the refreshed Gaussians'
-  parameters and moments as arrays, so a caller that needs them does
-  not factor the same matrices again.
+  Cholesky factor of the inverse; `vmp.update_local_x`, the one q(x)
+  refresh, calls it on its rows, and spd_factor wraps it for (..., d, d)
+  matrices, the NIW scales of `expfam`.
+- gaussian_refresh records two nodes on the arrays of a Gaussian refresh
+  that the caller has made: a reparameterized draw and the summed bracket
+  log Z - <evidence, E t(x)>.  It factors, inverts and mixes nothing, and
+  its gradients are closed forms that invert no matrix.
 - Adam(params, lr) ascends, stepping every parameter at once: the
   parameters are views of one flat vector, which each step updates in
   place from flat gradient and moment buffers; a missing gradient counts
@@ -400,33 +399,25 @@ def spd_factor(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return items(inverse), logdet.reshape(batch), items(root)
 
 
-def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple:
+def gaussian_refresh(h: Tensor, j_diag: Tensor, x_h, mean, cov, root, logdet, noise) -> tuple:
     """One reparameterized draw from each q(x_n) and the summed bracket
-    log Z(eta) - <psi, E t(x)>, as two nodes on one `spd_factor` call,
-    and the q(x) that both read, as plain arrays.
+    log Z(eta) - <psi, E t(x)>, as two nodes on the arrays of a refresh
+    that the caller made; the op factors, inverts and mixes nothing.
 
-    q(x_n) has natural parameters eta = (base_h + h, base_j + diag(j_diag))
-    for (n, d) evidence psi = (h, j_diag) and constant (n, d) and
-    (n, d, d) arrays base_h and base_j; its precision -2 (base_j +
-    diag(j_diag)) must be positive definite.  With Sigma its covariance,
-    mu = Sigma (base_h + h) and C = chol(Sigma), the draw is
-    mu + C noise, for (n, d) noise, and log Z = mu^T (base_h + h) / 2 +
-    log|Sigma| / 2, constants dropped.  The bracket's gradient is
-    -Cov_q[t(x)] psi: -Sigma s for h and -2 (mu * s + (Sigma * Sigma) j)
-    for j_diag, with s = Sigma (h + 2 j * mu).  The draw's adjoint g gives
-    Sigma g for h and 2 mu * (Sigma g) + 2 diag(C Phi(C^T g noise^T) C^T)
-    for j_diag, the second term Murray's Cholesky VJP, where Phi keeps the
-    lower triangle and halves the diagonal; C^T (-2 J) C = I, so no matrix
-    is inverted.  The arrays are (x_h, x_j, mu, Sigma, log|-2 x_j|),
-    x_h = base_h + h and x_j = base_j + diag(j_diag), as (n, d), (n, d, d),
-    (n, d), (n, d, d) and (n,) arrays.
+    q(x_n) has natural parameters eta = (x_h, base_j + diag(j_diag)), for
+    (n, d) evidence psi = (h, j_diag) and a base_j that does not depend on
+    it, and the refresh gives x_h (n, d), the mean mu = Sigma x_h (n, d),
+    the covariance Sigma (n, d, d), its root C = chol(Sigma) (n, d, d) and
+    log|Sigma^-1| (n,).  The draw is mu + C noise, for (n, d) noise, and
+    log Z = mu^T x_h / 2 + log|Sigma| / 2, constants dropped.  The bracket's
+    gradient is -Cov_q[t(x)] psi: -Sigma s for h and -2 (mu * s + (Sigma *
+    Sigma) j) for j_diag, with s = Sigma (h + 2 j * mu).  The draw's
+    adjoint g gives Sigma g for h and 2 mu * (Sigma g) + 2 diag(C Phi(C^T
+    g noise^T) C^T) for j_diag, the second term Murray's Cholesky VJP,
+    where Phi keeps the lower triangle and halves the diagonal; C^T (-2 J)
+    C = I, so no matrix is inverted.
     """
     idx = np.arange(h.data.shape[1])
-    x_j = np.array(base_j, dtype=float)
-    x_j[:, idx, idx] += j_diag.data
-    cov, logdet, root = spd_factor(-2.0 * x_j)
-    x_h = base_h + h.data
-    mean = np.einsum("nij,nj->ni", cov, x_h)
     var = cov[:, idx, idx]
     log_z = 0.5 * (np.einsum("ni,ni->", mean, x_h) - logdet.sum())
     psi = np.einsum("ni,ni->", h.data, mean) + np.einsum("ni,ni->", j_diag.data, var + mean * mean)
@@ -453,7 +444,6 @@ def gaussian_refresh(h: Tensor, j_diag: Tensor, base_h, base_j, noise) -> tuple:
     return (
         _record(draw, (h, j_diag), draw_vjp),
         _record(np.asarray(log_z - psi), (h, j_diag), bracket_vjp),
-        (x_h, x_j, mean, cov, logdet),
     )
 
 

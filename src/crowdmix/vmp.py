@@ -17,27 +17,31 @@ are stored component-major, as (K, n) arrays, so every softmax reduces
 over axis 0, and each q(z) pass reads the previous pass's probabilities,
 not their logs.  The q(x) side is entry-major: evidence, natural
 parameters and moments are (d, n) and (d, d, n) rows, each one entry of
-every item.  Each q(x) refresh mixes the K component statistics
-by the q(z) probabilities with one matmul on their (K, d) and (K, d*d)
-views and factors every item's precision once, by `nnet.spd_factor_rows`,
-the package's one Cholesky kernel, on those rows.  The step ends on its
-last q(z) pass and returns its (n, K) log probabilities in item order.
+every item.  There is one q(x) refresh, `update_local_x`: it mixes the
+K component statistics by the q(z) probabilities with one matmul on
+their (K, d) and (K, d*d) views and factors every item's precision
+once, by `nnet.spd_factor_rows`, the package's one Cholesky kernel, on
+those rows.  The step ends on its last q(z) pass and returns its (n, K)
+log probabilities in item order.
 `predict` runs the same sweeps over the whole dataset, which without
 annotations is one block in item order, but only PREDICT_SWEEPS of them:
 with no messages to pass, the evidence settles each item in one round.
 The sweeps make their (K, n) arrays once per call, the logits, q(z) and
 one scratch array, and every round refreshes them in place.
-The update refreshes q(x) of the batch rows alone, once, as one fused
-`nnet.gaussian_refresh` op: the recognition and decoder networks ascend
-reparameterization gradients of the objective through it, and the
-globals (mixing weights, components, worker accuracies) follow scaled
-stochastic natural gradients toward targets built from its q(x) and the
-working set's q(z).
+The update then refreshes q(x) of the batch rows alone, once, by the same
+`update_local_x`, and `nnet.gaussian_refresh` records its draw and its
+bracket log Z - <psi, E t(x)> on that refresh's arrays: the recognition
+and decoder networks ascend reparameterization gradients of the
+objective through them, and the globals (mixing weights, components,
+worker accuracies) follow scaled stochastic natural gradients toward
+targets built from its q(x) and the working set's q(z).  `local_kl` reads
+the bracket that the tape recorded rather than computing it again.
 Each update calls the relational op `relational.expected_rel_loglik`
 once: its counts build the worker target, and its value is the
 relational term of the update's minibatch estimate of the objective
-without the globals' KL (`final_objective`); `driver.fit` subtracts the
-KL once per epoch, through `BayesModel.global_kl`.
+without the globals' KL, data_scale * (recon - local KL) + rel;
+`driver.fit` subtracts the KL once per epoch, through
+`BayesModel.global_kl`.
 `driver.fit` runs the minibatch loop; `train_bayes_scdc` supplies the
 parameters and the step.
 """
@@ -124,24 +128,7 @@ KL_WARMUP = 1.0
 
 
 # ---------------------------------------------------------------------------
-# local posteriors and evidence
-
-
-@dataclass
-class LocalVariational:
-    """Local posteriors of a set of items, in training the data minibatch:
-    categorical q(z), Gaussian q(x)."""
-
-    log_resp: np.ndarray  # (n, K), normalized log q(z) probabilities
-    x_h: np.ndarray       # (n, d)
-    x_j: np.ndarray       # (n, d, d), negative definite
-    x_mean: np.ndarray    # (n, d)
-    x_cov: np.ndarray     # (n, d, d)
-    x_logdet: np.ndarray  # (n,), log|-2 x_j|
-
-    @property
-    def resp(self) -> np.ndarray:
-        return np.exp(self.log_resp)
+# evidence
 
 
 def evidence(net: Mlp, observations):
@@ -186,29 +173,25 @@ def _calibrate_recognition_init(net: Mlp, observations) -> None:
 # block-coordinate local updates
 
 
-def _mix(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_k w_nk A_k for (n, K) weights and (K, d, d) matrices: one matmul
-    on the (K, d*d) view."""
-    k, d, _ = mats.shape
-    return (weights @ mats.reshape(k, d * d)).reshape(-1, d, d)
-
-
 def update_local_x(resp, exps: GlobalExpectations, h, j_diag):
-    """Coordinate refresh of every q(x_i) given q(z) probabilities.
+    """Coordinate refresh of every q(x_i) given q(z) probabilities: the
+    package's one q(x) refresh, of the local sweeps and of the network
+    objective alike.
 
     Entry-major: `resp` is (K, n), component-major, and the evidence
     (h, j_diag) comes as (d, n) rows.  Natural parameters are the
     responsibility-weighted expected Gaussian parameters, one matmul each
     with the (K, d) and (K, d*d) component statistics, plus the evidence.
-    Returns (h, -2 j, mean, cov, log|-2 j|) as (d, n), (d, d, n), (d, n),
-    (d, d, n) and (n,) arrays: j's rows are scaled in place to the
-    precision -2 j, and -0.5 times it gives j back exactly.  One Cholesky
-    per item, `nnet.spd_factor_rows` on those (d, d, n) rows, gives the
-    covariance, exactly symmetric, and its log-determinant, and fails with
-    LinAlgError unless j is negative definite.  Each mean entry sums its d
-    products in index order, which at d = 2 gives the bits of any order.
-    The mean's (d, n) rows view an item-major (n, d) array, the operand
-    layout that `component_logits` hands BLAS.
+    Returns (h, -2 j, mean, cov, log|-2 j|, root) as (d, n), (d, d, n),
+    (d, n), (d, d, n), (n,) and (d, d, n) arrays: j's rows are scaled in
+    place to the precision -2 j, and -0.5 times it gives j back exactly.
+    One Cholesky per item, `nnet.spd_factor_rows` on those (d, d, n) rows,
+    gives the covariance, exactly symmetric, its log-determinant and its
+    lower-triangular Cholesky root, and fails with LinAlgError unless j is
+    negative definite.  Each mean entry sums its d products in index
+    order, which at d = 2 gives the bits of any order.  The mean's (d, n)
+    rows view an item-major (n, d) array, the operand layout that
+    `component_logits` hands BLAS.
     """
     k, d = exps.mean_prec.shape
     x_h = exps.mean_prec.T @ resp
@@ -217,9 +200,9 @@ def update_local_x(resp, exps: GlobalExpectations, h, j_diag):
     idx = np.arange(d)
     x_j[idx, idx] += j_diag
     x_prec = np.multiply(x_j, -2.0, out=x_j)
-    x_cov, x_logdet, _ = spd_factor_rows(x_prec)
+    x_cov, x_logdet, x_root = spd_factor_rows(x_prec)
     x_mean = np.einsum("ijn,jn->ni", x_cov, x_h).T
-    return x_h, x_prec, x_mean, x_cov, x_logdet
+    return x_h, x_prec, x_mean, x_cov, x_logdet, x_root
 
 
 def component_logits(exps: GlobalExpectations, x_mean, x_cov, out, scratch) -> np.ndarray:
@@ -403,7 +386,7 @@ def _local_sweeps(exps: GlobalExpectations, h, j_diag, neighbors, sweeps):
     log_resp, scratch = np.empty_like(resp), np.empty_like(resp)
     log_pi = exps.log_pi[:, None]
     for _ in range(sweeps):
-        _, _, x_mean, x_cov, _ = update_local_x(resp, exps, h, j_diag)
+        x_mean, x_cov = update_local_x(resp, exps, h, j_diag)[2:4]
         component_logits(exps, x_mean, x_cov, out=log_resp, scratch=scratch)
         log_resp += log_pi
         update_local_z(log_resp, neighbors, resp, scratch)
@@ -427,7 +410,7 @@ def block_coordinate_local(
     Runs exactly `sweeps` rounds from uniform q(z) probabilities and ends on
     the last q(z) pass, returning its log q(z) probabilities as an (n, K)
     array in item order.  No q(x) refresh follows that pass: the training
-    step refreshes q(x) of its batch rows only, inside `gaussian_refresh`.
+    step refreshes q(x) of its batch rows only, in `_network_objective`.
     The annotation graph is built and colored once per call, and the
     evidence is gathered once into (d, n) rows in its block order; every
     q(z) pass then refreshes one block at a time, from the last pass's
@@ -453,29 +436,24 @@ def block_coordinate_local(
 # objective pieces
 
 
-def local_kl(exps: GlobalExpectations, local: LocalVariational) -> float:
-    """Expected KL of the local posteriors from their conditionals, summed.
+def local_kl(exps: GlobalExpectations, log_resp: np.ndarray, bracket: float) -> float:
+    """Expected KL of the local posteriors from their conditionals, summed,
+    when q(x) is the refresh of the (n, K) log q(z) probabilities `log_resp`.
 
-    z part: sum_k r_ik (log r_ik - E[log pi_k]); x part is the bracket
-    <eta_i - mixture evidence, E t(x_i)> - log Z(eta_i) plus the
-    responsibility-weighted expected component log partitions.  log Z
-    reads the log-determinants that the q(x) refresh computed, constants
-    dropped as everywhere else.
+    z part: sum_k r_ik (log r_ik - E[log pi_k]).  x part: <eta_i - mixture
+    evidence, E t(x_i)> - log Z(eta_i) plus the responsibility-weighted
+    expected component log partitions.  On a refresh eta_i less the
+    mixture evidence is the evidence psi_i, so the first two terms sum to
+    minus `bracket`, the summed log Z - <psi, E t(x)> that
+    `nnet.gaussian_refresh` recorded.  Constants are dropped as everywhere
+    else.
     """
-    lr = local.log_resp
-    r = np.exp(lr)
+    r = np.exp(log_resp)
     # 0 log 0 = 0, so components with zero responsibility contribute nothing
     occupied = r > 0.0
-    diff = lr - exps.log_pi
+    diff = log_resp - exps.log_pi
     kl_z = float(np.sum(r[occupied] * diff[occupied]))
-    mean, cov = local.x_mean, local.x_cov
-    second = cov + mean[:, :, None] * mean[:, None, :]
-    dh = local.x_h - r @ exps.mean_prec
-    dj = local.x_j - _mix(r, exps.neg_half_prec)
-    inner = np.einsum("ni,ni->n", dh, mean) + np.einsum("nij,nij->n", dj, second)
-    log_z = 0.5 * np.einsum("ni,ni->n", mean, local.x_h) - 0.5 * local.x_logdet
-    kl_x = float(np.sum(inner - log_z - r @ (exps.neg_half_mahal + exps.neg_half_logdet)))
-    return kl_z + kl_x
+    return kl_z - bracket - float(np.sum(r @ (exps.neg_half_mahal + exps.neg_half_logdet)))
 
 
 def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
@@ -492,28 +470,6 @@ def global_kl(glob: GlobalVariational, prior: MixturePrior) -> float:
         + kl_divergence(glob.workers, WORKER_PRIOR)
         + kl_divergence(glob.components, prior.niw_nat())
     )
-
-
-def final_objective(
-    local: LocalVariational,
-    exps: GlobalExpectations,
-    data: float,
-    rel: float,
-    data_scale: float = 1.0,
-) -> float:
-    """Minibatch estimate of the training objective less `global_kl`:
-    data_scale * (data - local KL) + rel.
-
-    `data` is the expected data log-likelihood of `local`'s items, in
-    training the data minibatch: the decoder's reconstruction, or a
-    stand-in for it.  `exps` are the expectations of the globals.  `rel`
-    is the relational term, the value of `expected_rel_loglik` on the
-    sampled annotations, the q(z) of their items (in training the working
-    set's) and the globals' worker rows, already scaled.  Scales restore
-    full-data magnitudes from minibatches.  `driver.fit` subtracts the KL
-    once per epoch and checks every estimate for finiteness.
-    """
-    return float(data_scale * (data - local_kl(exps, local)) + rel)
 
 
 # ---------------------------------------------------------------------------
@@ -611,25 +567,32 @@ class BayesModel:
 def _network_objective(h, j_diag, decoder, obs_batch, resp, exps, noise, data_scale, kl_weight):
     """Tape graph of the objective terms the networks can influence.
 
-    `h` and `j_diag` are the batch rows' `evidence` tensors.  Refreshes
-    their q(x) with q(z) probabilities held constant, as one
-    `nnet.gaussian_refresh` op: recon + kl_weight * (log Z(eta_x) -
-    <psi, E t(x)>), summed over the batch.  recon is the decoder
-    log-likelihood of `obs_batch` under one reparameterized draw per item
-    from q(x), x = mean + C noise, with `noise` of shape (n, d) and C =
-    chol(cov).  `kl_weight` < 1 damps the pull of q(x) toward the mixture
-    conditional (warmup against potential collapse); at 1 the gradient is
-    exactly that of the training objective.  Returns the (scaled)
-    objective and reconstruction tensors and the refreshed q(x) as
-    `gaussian_refresh`'s arrays, (x_h, x_j, mean, cov, log-det).
+    `h` and `j_diag` are the batch rows' `evidence` tensors and `resp`
+    their (n, K) q(z) probabilities, held constant.  Refreshes their q(x)
+    by `update_local_x`, called through this module's name, and records
+    `nnet.gaussian_refresh`'s two nodes on the refresh: recon + kl_weight *
+    (log Z(eta_x) - <psi, E t(x)>), summed over the batch.  recon is the
+    decoder log-likelihood of `obs_batch` under one reparameterized draw
+    per item from q(x), x = mean + C noise, with `noise` of shape (n, d)
+    and C = chol(cov).  `kl_weight` < 1 damps the pull of q(x) toward the
+    mixture conditional (warmup against potential collapse); at 1 the
+    gradient is exactly that of the training objective.  Returns the
+    (scaled) objective, reconstruction and bracket tensors and the
+    refreshed q(x) as item-major (n, d) means and (n, d, d) covariances.
+    The covariance and root are C-ordered copies, not transposed views,
+    whose F-ordered adjoints would move a bias gradient's last bits.
     """
-    draw, bracket, q_x = gaussian_refresh(
-        h, j_diag, resp @ exps.mean_prec, _mix(resp, exps.neg_half_prec), noise
+    x_h, _, x_mean, x_cov, x_logdet, x_root = update_local_x(
+        np.ascontiguousarray(resp.T), exps, h.data.T, j_diag.data.T
     )
+    mean = x_mean.T
+    cov = np.ascontiguousarray(x_cov.transpose(2, 0, 1))
+    root = np.ascontiguousarray(x_root.transpose(2, 0, 1))
+    draw, bracket = gaussian_refresh(h, j_diag, x_h.T, mean, cov, root, x_logdet, noise)
     dec = decoder.forward(draw)
     recon = tensor_sum(diag_gaussian_loglik(obs_batch, dec["mean"], dec["logvar"]))
     objective = (recon + bracket * kl_weight) * data_scale
-    return objective, recon, q_x
+    return objective, recon, bracket, mean, cov
 
 
 def train_bayes_scdc(
@@ -651,8 +614,8 @@ def train_bayes_scdc(
     the batch rows' q(z) and q(x) for the mixture and the working set's
     q(z) for the workers.  One `expected_rel_loglik` call on the working
     set's q(z) gives the worker target's confusion counts and the
-    relational term of the returned `final_objective` of the batch rows'
-    local posteriors, so p_same is computed once per update.
+    relational term of the returned estimate, so p_same is computed once
+    per update.
     """
     store = training_store(store, dataset.n_items)
     obs = dataset.observations
@@ -682,21 +645,22 @@ def train_bayes_scdc(
             resp = np.exp(log_resp)
             batch_resp = resp[rows]
             noise = rng.standard_normal((rows.size, d))
-            objective, recon, q_x = _network_objective(
+            objective, recon, bracket, x_mean, x_cov = _network_objective(
                 h, j_diag, decoder, batch_obs, batch_resp, exps, noise,
                 update.data_scale, kl_weight=update.kl_weight,
             )
         backward(tape, objective)
-        local = LocalVariational(log_resp[rows], *q_x)
         target = mixture_natural_gradient(
-            prior, batch_resp, local.x_mean, local.x_cov, scale=update.data_scale
+            prior, batch_resp, x_mean, x_cov, scale=update.data_scale
         )
         rel, counts = expected_rel_loglik(
             local_store, resp, glob.workers.log_stats(), update.rel_scale
         )
         target = replace(target, workers=beta_natural_gradient(counts, update.rel_scale))
-        data = float(recon.data)
-        estimate = final_objective(local, exps, data, float(rel.data), update.data_scale)
+        kl = local_kl(exps, log_resp[rows], float(bracket.data))
+        # the update's estimate of the objective less `global_kl`, which
+        # `driver.fit` subtracts once per epoch
+        estimate = update.data_scale * (float(recon.data) - kl) + float(rel.data)
         glob = apply_natural_gradient(glob, target, GLOBAL_STEP)
         return estimate
 

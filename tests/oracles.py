@@ -10,7 +10,9 @@ plain row selection that the annotation samplers are checked against;
 `grad_log_partition_check` checks grad log Z = E[t] by central
 differences.  `surrogate_elbo`, the decoder-free bound the local and
 global coordinate updates must not decrease, is built from the library's
-own terms, with `potential_bracket` as its data term.  `neighbor_lists`
+relational and global KL terms, with `potential_bracket` as its data term and
+`general_local_kl`, the local KL of any `LocalPosteriors`, not only of a
+q(x) refreshed from its q(z), as its local KL.  `neighbor_lists`
 and `color_classes` read an annotation graph's per-item edges and color
 classes back out of its block order.  `local_posteriors` completes the
 local step's q(z) with the q(x) of one refresh of it.  `log`, `relu` and
@@ -26,6 +28,7 @@ references; `worker_counts` reads that op's confusion counts.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
@@ -52,10 +55,8 @@ from crowdmix.nnet import (
 from crowdmix.relational import AnnotationStore, expected_rel_loglik, two_coin_terms
 from crowdmix.vmp import (
     LOCAL_SWEEPS,
-    LocalVariational,
     annotation_graph,
     block_coordinate_local,
-    final_objective,
     global_kl,
     update_local_x,
 )
@@ -352,12 +353,66 @@ def worker_counts(store: AnnotationStore, q_z) -> np.ndarray:
 # decoder-free surrogate bound, through the library's own terms
 
 
+@dataclass
+class LocalPosteriors:
+    """Local posteriors of a set of items: categorical q(z), Gaussian q(x),
+    any q(x), not only the refresh of the q(z)."""
+
+    log_resp: np.ndarray  # (n, K), normalized log q(z) probabilities
+    x_h: np.ndarray       # (n, d)
+    x_j: np.ndarray       # (n, d, d), negative definite
+    x_mean: np.ndarray    # (n, d)
+    x_cov: np.ndarray     # (n, d, d)
+    x_logdet: np.ndarray  # (n,), log|-2 x_j|
+
+    @property
+    def resp(self) -> np.ndarray:
+        return np.exp(self.log_resp)
+
+
+def general_local_kl(exps, local: LocalPosteriors) -> float:
+    """Expected KL of any local posteriors from their conditionals, summed.
+
+    z part: sum_k r_ik (log r_ik - E[log pi_k]); x part is the bracket
+    <eta_i - mixture evidence, E t(x_i)> - log Z(eta_i) plus the
+    responsibility-weighted expected component log partitions, constants
+    dropped.  `vmp.local_kl` is this quantity for the q(x) that
+    `vmp.update_local_x` refreshes from the q(z), read off the bracket of
+    `nnet.gaussian_refresh`; after a global step q(x) is no longer that
+    refresh, so the surrogate bound takes this general form.
+    """
+    lr = local.log_resp
+    r = np.exp(lr)
+    # 0 log 0 = 0, so components with zero responsibility contribute nothing
+    occupied = r > 0.0
+    diff = lr - exps.log_pi
+    kl_z = float(np.sum(r[occupied] * diff[occupied]))
+    mean = local.x_mean
+    second = local.x_cov + mean[:, :, None] * mean[:, None, :]
+    dh = local.x_h - r @ exps.mean_prec
+    dj = local.x_j - np.einsum("nk,kij->nij", r, exps.neg_half_prec)
+    inner = np.einsum("ni,ni->n", dh, mean) + np.einsum("nij,nij->n", dj, second)
+    log_z = 0.5 * np.einsum("ni,ni->n", mean, local.x_h) - 0.5 * local.x_logdet
+    kl_x = float(np.sum(inner - log_z - r @ (exps.neg_half_mahal + exps.neg_half_logdet)))
+    return kl_z + kl_x
+
+
 def potential_bracket(h, j_diag, local) -> float:
     """<psi, E t(x)> summed over the items: the data term with the
     recognition potentials (h, j_diag) standing in for the decoder."""
     mean = local.x_mean
     second_diag = np.diagonal(local.x_cov, axis1=1, axis2=2) + mean**2
     return float(np.sum(h * mean) + np.sum(j_diag * second_diag))
+
+
+def surrogate_estimate(glob, local, h, j_diag, store, rel_scale=1.0) -> float:
+    """The training update's estimate of the objective less the globals'
+    KL, data - local KL + rel, with `potential_bracket` as its data term,
+    `general_local_kl` as its local KL and the relational op's term on
+    `store`, scaled by `rel_scale`."""
+    rel = expected_rel_loglik(store, local.resp, glob.workers.log_stats(), rel_scale)[0]
+    data = potential_bracket(h, j_diag, local)
+    return data - general_local_kl(global_expectations(glob), local) + float(rel.data)
 
 
 def surrogate_elbo(glob, prior, local, h, j_diag, store) -> float:
@@ -368,14 +423,10 @@ def surrogate_elbo(glob, prior, local, h, j_diag, store) -> float:
     decrease along the inner loop.  It is the trainer's estimate on the
     full batch, less the globals' KL.
     """
-    rel = expected_rel_loglik(store, local.resp, glob.workers.log_stats())[0]
-    estimate = final_objective(
-        local, global_expectations(glob), potential_bracket(h, j_diag, local), float(rel.data)
-    )
-    return estimate - global_kl(glob, prior)
+    return surrogate_estimate(glob, local, h, j_diag, store) - global_kl(glob, prior)
 
 
-def with_local_x(glob, h, j_diag, store, log_resp) -> LocalVariational:
+def with_local_x(glob, h, j_diag, store, log_resp) -> LocalPosteriors:
     """The (n, K) item-order log q(z) of a working set of (n, d) evidence
     (h, j_diag), with the q(x) of one `update_local_x` refresh of it:
     entry-major, in the working set's annotation-graph block order, and
@@ -384,16 +435,16 @@ def with_local_x(glob, h, j_diag, store, log_resp) -> LocalVariational:
     graph = annotation_graph(store, glob.workers, h.shape[0])
     order, back = graph.order, graph.position
     resp = np.exp(np.ascontiguousarray(log_resp.T[:, order]))
-    x_h, x_prec, x_mean, x_cov, x_logdet = update_local_x(
+    x_h, x_prec, x_mean, x_cov, x_logdet, _ = update_local_x(
         resp, exps, h.T[:, order], j_diag.T[:, order]
     )
-    return LocalVariational(
+    return LocalPosteriors(
         log_resp, x_h.T[back], -0.5 * x_prec.transpose(2, 0, 1)[back], x_mean.T[back],
         x_cov.transpose(2, 0, 1)[back], x_logdet[back],
     )
 
 
-def local_posteriors(glob, h, j_diag, store=None, sweeps=LOCAL_SWEEPS) -> LocalVariational:
+def local_posteriors(glob, h, j_diag, store=None, sweeps=LOCAL_SWEEPS) -> LocalPosteriors:
     """`block_coordinate_local`'s q(z) and the q(x) of one refresh of it:
     the local step's result as it was while that step ended on a q(x)
     refresh, bit for bit."""

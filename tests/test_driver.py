@@ -148,23 +148,24 @@ def test_an_invalid_global_step_restores_the_last_finished_epoch(monkeypatch):
 @pytest.mark.usefixtures("warmup_off")
 def test_non_finite_local_statistics_restore_the_last_finished_epoch(monkeypatch):
     # A NaN latent mean in the second update of the second epoch, in the
-    # batch rows' q(x) that the network objective's refresh returns: the
-    # minibatch target of the components cannot be built from it.
+    # batch rows' q(x) that the network objective's `update_local_x`
+    # refresh returns after the draw: the minibatch target of the
+    # components cannot be built from it.
     module, train, config, _ = TRAINERS["bayes"]
     dataset, store = small_problem(2)
     finished = train(dataset, store, replace(config, epochs=1), np.random.default_rng(4))
     updates_per_epoch = -(-dataset.n_items // config.batch_size)
-    original = module.gaussian_refresh
+    original = module._network_objective
     calls = []
 
     def poisoned(*args, **kwargs):
         calls.append(None)
-        draw, bracket, (x_h, x_j, mean, cov, logdet) = original(*args, **kwargs)
+        objective, recon, bracket, mean, cov = original(*args, **kwargs)
         if len(calls) == updates_per_epoch + 2:
             mean[0, 0] = np.nan
-        return draw, bracket, (x_h, x_j, mean, cov, logdet)
+        return objective, recon, bracket, mean, cov
 
-    monkeypatch.setattr(module, "gaussian_refresh", poisoned)
+    monkeypatch.setattr(module, "_network_objective", poisoned)
     result = train(dataset, store, config, np.random.default_rng(4))
     assert result.diverged
     assert len(calls) == updates_per_epoch + 2
